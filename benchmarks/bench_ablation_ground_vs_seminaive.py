@@ -2,11 +2,8 @@
 for monadic datalog over trees.
 
 The grounding pipeline is what gives Theorem 2.4 its O(|P| * |dom|) bound;
-the generic engine is correct but pays join overhead.  Since the indexed-join
-layer (repro/datalog/index.py), the generic engine's join cost dropped by two
-orders of magnitude on this workload — the seed nested-loop strategy is kept
-behind ``use_index=False`` as the "before" series, and the benchmark prints
-all three evaluation strategies on the shared workload.
+the generic engine is correct but pays join overhead.  The benchmark prints
+both evaluation strategies on the shared workload.
 """
 
 from __future__ import annotations
@@ -14,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import scaling_tree, wide_program
-from repro.datalog import SemiNaiveEngine, tree_database
+from repro.datalog import EngineOptions, SemiNaiveEngine, tree_database
 from repro.mdatalog import MonadicTreeEvaluator
 
 PROGRAM = wide_program(24)
@@ -23,7 +20,7 @@ DOCUMENT = scaling_tree(3_000, seed=91)
 
 def test_ground_pipeline_is_competitive_with_indexed_generic(best_of):
     fast = MonadicTreeEvaluator(PROGRAM)
-    slow = MonadicTreeEvaluator(PROGRAM, force_generic=True)
+    slow = MonadicTreeEvaluator(PROGRAM, options=EngineOptions(force_generic=True))
     assert fast.uses_ground_pipeline and not slow.uses_ground_pipeline
 
     fast_time, fast_result = best_of(lambda: fast.evaluate(DOCUMENT))
@@ -47,33 +44,6 @@ def test_ground_pipeline_is_competitive_with_indexed_generic(best_of):
     # workload; the linear pipeline must stay in the same league (it wins
     # asymptotically on larger |P| * |dom|).
     assert fast_time <= slow_time * 5
-
-
-def test_indexed_join_strictly_faster_than_seed_nested_loop(quick, best_of):
-    """Before/after for the indexed-join layer on the ablation workload."""
-    document = scaling_tree(800, seed=91) if quick else DOCUMENT
-    database = tree_database(document)
-    datalog_program = PROGRAM.to_datalog_program()
-    indexed_engine = SemiNaiveEngine(datalog_program, use_index=True)
-    seed_engine = SemiNaiveEngine(datalog_program, use_index=False)
-
-    # Raw uncached engines over a prebuilt EDB, so repeats measure pure
-    # evaluation.  The nested loop is orders of magnitude slower, so a
-    # single run keeps the benchmark bounded and noise can only inflate it,
-    # never flip the assertion.
-    indexed_time, indexed_result = best_of(lambda: indexed_engine.evaluate(database))
-    seed_time, seed_result = best_of(
-        lambda: seed_engine.evaluate(database), repeats=1
-    )
-
-    assert indexed_result == seed_result
-    print(
-        f"\nAblation  indexed join {indexed_time:.4f} s vs seed nested-loop "
-        f"{seed_time:.4f} s "
-        f"(speed-up {seed_time / max(indexed_time, 1e-9):.1f}x, "
-        f"{len(document)} nodes, |P|={PROGRAM.size()})"
-    )
-    assert indexed_time < seed_time
 
 
 @pytest.mark.benchmark(group="ablation-evaluation")

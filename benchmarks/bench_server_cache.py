@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 
 from repro.bench import scaling_tree, wide_program
+from repro.datalog import EngineOptions
 from repro.server import DatalogQueryComponent, InformationPipe, TransformationServer
 
 WORKING_SET = 4
@@ -32,8 +33,8 @@ def _build_server(documents, cache_size, rotation):
         "wrap",
         program,
         supplier=lambda: documents[rotation["tick"] % len(documents)],
-        cache_size=cache_size,
-        force_generic=True,  # exercise the generic engine's fixpoint LRU
+        # force_generic: exercise the generic engine's fixpoint LRU
+        options=EngineOptions(cache_size=cache_size, force_generic=True),
     )
     pipe.add(component)
     server.register(pipe, period=1)
@@ -96,7 +97,7 @@ def test_ground_pipeline_lru_hits_across_rebuilt_documents(quick, bench_record):
         "wrap",
         program,
         supplier=lambda: (documents + rebuilt)[rotation["tick"] % (2 * WORKING_SET)],
-        cache_size=8,
+        options=EngineOptions(cache_size=8),
     )
     for _ in range(2 * WORKING_SET):
         component.process([])

@@ -126,9 +126,9 @@ class AdornedProgram:
     def index_advice(self) -> Dict[str, Tuple[Tuple[int, ...], ...]]:
         """Predicate → sorted bound-position key tuples its joins probe.
 
-        Every non-empty ``bound`` of a relational adorned literal is a hash
-        index the compiled plans will demand of
-        :class:`~repro.datalog.index.RelationIndex`.
+        Every non-empty ``bound`` of a relational adorned literal is an
+        access path the compiled plans will demand of
+        :class:`~repro.datalog.columns.ColumnarRelation`.
         """
         advice: Dict[str, Set[Tuple[int, ...]]] = {}
         for adorned in self.rules:

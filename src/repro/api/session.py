@@ -1105,9 +1105,8 @@ class Session:
         Sums :meth:`~repro.datalog.engine.SemiNaiveEngine.engine_info`
         across every memoised evaluator that evaluates relationally (the
         semi-naive backend, plus monadic/automata evaluators running on the
-        generic fallback engine); the ``storage`` / ``index_keys`` fields
-        report what the session's options resolve to.  All-zero until a
-        query actually evaluates.
+        generic fallback engine).  All-zero until a query actually
+        evaluates.
         """
         infos = []
         for evaluator in self._evaluators.values():
@@ -1117,9 +1116,7 @@ class Session:
             info = probe()
             if info is not None:
                 infos.append(info)
-        return aggregate_engine_info(
-            self.options.effective_storage, self.options.index_keys, infos
-        )
+        return aggregate_engine_info(infos)
 
     def resilience_info(self) -> ResilienceInfo:
         """The session-wide failure accounting: attempts/retries/failures of

@@ -17,7 +17,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from ..datalog.ast import Atom, Literal, Rule, Variable
 from ..datalog.cache import LruMap
-from ..datalog.options import UNSET, EngineOptions, resolve_options
+from ..datalog.options import DEFAULT_OPTIONS, EngineOptions
 from ..datalog.registry import PlanRegistry
 from ..datalog.tree_edb import label_predicate
 from ..mdatalog.evaluator import MonadicTreeEvaluator
@@ -173,8 +173,6 @@ def compiled_evaluator(
     automaton: TreeAutomaton,
     labels: Iterable[str],
     query_predicate: str = SELECTED,
-    force_generic: object = UNSET,
-    share_plans: object = UNSET,
     *,
     options: Optional[EngineOptions] = None,
     registry: Optional[PlanRegistry] = None,
@@ -190,17 +188,13 @@ def compiled_evaluator(
     of :mod:`repro.mdatalog.evaluator` / :mod:`repro.datalog.registry`.
 
     Tuning goes through ``options=`` (:class:`EngineOptions` keys the cache,
-    so differently tuned evaluators never alias); the pre-façade kwargs
-    still work with a :class:`DeprecationWarning`.  Callers that supply
+    so differently tuned evaluators never alias).  Callers that supply
     their own ``registry`` (the :class:`repro.api.Session` path) are cached
     in a registry-scoped evaluator cache (weakly keyed, so a process-wide
     entry never pins a session-owned registry alive).
     """
-    options = resolve_options(
-        "compiled_evaluator",
-        options,
-        {"force_generic": force_generic, "share_plans": share_plans},
-    )
+    if options is None:
+        options = DEFAULT_OPTIONS
     label_set = tuple(sorted(set(labels)))
     key = (
         _automaton_signature(automaton),
@@ -223,8 +217,6 @@ def compiled_select(
     document: Document,
     labels: Optional[Iterable[str]] = None,
     query_predicate: str = SELECTED,
-    force_generic: object = UNSET,
-    share_plans: object = UNSET,
     *,
     options: Optional[EngineOptions] = None,
     registry: Optional[PlanRegistry] = None,
@@ -235,11 +227,6 @@ def compiled_select(
     datalog side of the bridge; ``labels`` defaults to the document's label
     set.
     """
-    options = resolve_options(
-        "compiled_select",
-        options,
-        {"force_generic": force_generic, "share_plans": share_plans},
-    )
     label_set = set(labels) if labels is not None else set(document.labels())
     evaluator = compiled_evaluator(
         automaton,

@@ -1,44 +1,33 @@
-"""Columnar relation storage: batch-oriented joins over posting sets.
-
-The tuple-at-a-time storage of :mod:`repro.datalog.index` answers every
-probe through a hash index keyed by *composite* bound-position tuples, and
-the semi-naive loop materialises each iteration's delta into a separate
-(recycled) :class:`~repro.datalog.index.IndexedDatabase`.  Both are
-per-tuple designs: every probe allocates a key tuple, every delta rebuilds
-bucket dictionaries, and the engine pays Python-level overhead per fact.
-
-This module is the batch-oriented alternative behind the same storage
-protocol (:class:`~repro.datalog.index.FactStorage`):
+"""Columnar relation storage: the one storage layer of the datalog engine.
 
 * :class:`ColumnarRelation` — one relation as an *append-only row array*
-  plus per-column postings.  Every distinct fact tuple is interned exactly
-  once (``rows[row_id] is the fact``), so the posting set for a column
-  value is a set of interned rows — operationally identical to a set of
-  row ids (each row object *is* its id's referent) while letting probes
-  return matches with zero per-probe materialisation.  Multi-position
-  probes under ``key_mode="prefix"`` are answered by **batch set
-  intersection** over the per-column posting sets; under
-  ``key_mode="full"`` (the default) a composite full-bound-position index
-  is materialised lazily, exactly like the tuple layer — the
-  ``index_key_*`` benchmark workloads compare the two.
+  plus lazily built access paths.  Every distinct fact tuple is interned
+  exactly once (``rows[row_id] is the fact``), so the posting set for a
+  column value is a set of interned rows — operationally identical to a
+  set of row ids while letting probes return matches with zero per-probe
+  materialisation.  Single-position probes read one posting set;
+  multi-position probes read a composite index keyed by the full tuple of
+  bound positions (one hash lookup per probe).
 * :class:`ColumnarWindow` — the semi-naive delta as a **row-id range
   slice** ``rows[lo:hi)`` over the append-only array.  The engine never
   copies or re-indexes a delta: it just advances per-predicate watermarks
   and slides one reusable window per relation.
-* :class:`ColumnarDatabase` — the predicate-keyed collection implementing
-  the same surface as :class:`~repro.datalog.index.IndexedDatabase`, plus
-  the watermark helpers (:meth:`row_count`, :meth:`window`) the batched
-  semi-naive loop of :class:`~repro.datalog.engine.SemiNaiveEngine` runs
-  on.
+* :class:`ColumnarDatabase` — the predicate-keyed collection of relations,
+  plus the watermark helpers (:meth:`row_count`, :meth:`window`) the
+  batched semi-naive loop of :class:`~repro.datalog.engine.SemiNaiveEngine`
+  runs on.
 * :class:`StorageStats` — the counters surfaced through
   ``SemiNaiveEngine.engine_info()`` / ``Session.engine_info()``: rows
-  interned, posting-set intersections, delta batches and their sizes.
+  interned, delta batches and their sizes.
+
+The compiled rule executors of :mod:`repro.datalog.plan` probe these
+classes directly.
 
 Columnar state is engine-internal scratch, like compiled plans: it is
 rejected at the :mod:`repro.distrib` envelope boundary (workers rebuild
 storage from the plain database payload), and fixpoint caching /
 plan-registry fingerprints never see it — both key on plain databases and
-program content, so they are storage-invariant by construction.
+program content.
 """
 
 from __future__ import annotations
@@ -51,16 +40,12 @@ Fact = Tuple[object, ...]
 
 _EMPTY: Tuple[Fact, ...] = ()
 
-#: Accepted values of ``EngineOptions.index_keys`` / ``key_mode``.
-KEY_MODES = ("full", "prefix")
-
 
 class StorageStats:
     """Monotonic counters of one engine's columnar storage activity."""
 
     __slots__ = (
         "rows_interned",
-        "posting_intersections",
         "delta_batches",
         "delta_rows",
         "max_delta_batch",
@@ -69,9 +54,6 @@ class StorageStats:
     def __init__(self) -> None:
         #: Distinct fact tuples appended to row arrays (EDB load + derived).
         self.rows_interned = 0
-        #: Multi-column probes answered by posting-set intersection
-        #: (``key_mode="prefix"`` only; ``"full"`` probes a composite index).
-        self.posting_intersections = 0
         #: Delta windows applied by the semi-naive loop.
         self.delta_batches = 0
         #: Total rows across all applied delta windows.
@@ -96,7 +78,6 @@ class ColumnarRelation:
 
     __slots__ = (
         "rows",
-        "key_mode",
         "_row_of",
         "_postings",
         "_posting_covered",
@@ -106,18 +87,9 @@ class ColumnarRelation:
     )
 
     def __init__(
-        self,
-        facts: Iterable[Fact] = (),
-        key_mode: str = "full",
-        stats: Optional[StorageStats] = None,
+        self, facts: Iterable[Fact] = (), stats: Optional[StorageStats] = None
     ) -> None:
-        if key_mode not in KEY_MODES:
-            raise ValueError(
-                f"ColumnarRelation.key_mode must be one of {KEY_MODES}, "
-                f"got {key_mode!r}"
-            )
         self.rows: List[Fact] = []
-        self.key_mode = key_mode
         self._row_of: Dict[Fact, int] = {}
         self._postings: Dict[int, Dict[object, Set[Fact]]] = {}
         self._posting_covered: Dict[int, int] = {}
@@ -235,17 +207,13 @@ class ColumnarRelation:
         """Eagerly materialise the access path a probe on ``positions`` uses.
 
         Called by the engine for the static index advice of
-        :mod:`repro.analysis.cost` — single positions always mean one
-        posting column; multi-position specs mean a composite index under
-        ``key_mode="full"`` and the per-column postings under ``"prefix"``.
+        :mod:`repro.analysis.cost` — single positions mean one posting
+        column, multi-position specs a composite index.
         """
         if len(positions) == 1:
             self.ensure_column(positions[0])
-        elif self.key_mode == "full":
-            self._ensure_composite(positions)
         else:
-            for position in positions:
-                self.ensure_column(position)
+            self._ensure_composite(positions)
 
     def probe1(self, position: int, value: object) -> Iterable[Fact]:
         """Rows whose column ``position`` equals ``value`` (the hot path).
@@ -270,8 +238,7 @@ class ColumnarRelation:
         """Rows matching ``key`` on ``positions`` (ascending).
 
         Single positions read one posting set; multiple positions read the
-        composite index (``key_mode="full"``) or intersect per-column
-        posting sets as one batch set operation (``key_mode="prefix"``).
+        composite index over exactly those positions.
         """
         if not positions:
             return self.rows
@@ -279,22 +246,7 @@ class ColumnarRelation:
             return self.probe1(positions[0], key[0])
         if not self.rows:
             return _EMPTY
-        if self.key_mode == "full":
-            return self._ensure_composite(positions).get(key, _EMPTY)
-        self._stats.posting_intersections += 1
-        sets: List[Set[Fact]] = []
-        for position, value in zip(positions, key):
-            bucket = self.ensure_column(position).get(value)
-            if not bucket:
-                return _EMPTY
-            sets.append(bucket)
-        sets.sort(key=len)
-        result = sets[0]
-        for other in sets[1:]:
-            result = result & other
-            if not result:
-                return _EMPTY
-        return result
+        return self._ensure_composite(positions).get(key, _EMPTY)
 
     def index_count(self) -> int:
         """Materialised access paths (posting columns plus composites)."""
@@ -358,44 +310,32 @@ class ColumnarWindow:
 
 
 class ColumnarDatabase:
-    """Predicate-keyed :class:`ColumnarRelation` store (storage protocol).
+    """Predicate-keyed :class:`ColumnarRelation` store.
 
-    Implements the same surface as
-    :class:`~repro.datalog.index.IndexedDatabase` plus the watermark
-    helpers of the batched semi-naive loop.  All relations share the
-    database's ``key_mode`` and :class:`StorageStats`.
+    Besides the relation accessors it carries the watermark helpers of the
+    batched semi-naive loop.  All relations share the database's
+    :class:`StorageStats`.
     """
 
-    __slots__ = ("relations", "key_mode", "stats")
+    __slots__ = ("relations", "stats")
 
     def __init__(
         self,
         database: Optional[Database] = None,
-        key_mode: str = "full",
         stats: Optional[StorageStats] = None,
     ) -> None:
-        if key_mode not in KEY_MODES:
-            raise ValueError(
-                f"ColumnarDatabase.key_mode must be one of {KEY_MODES}, "
-                f"got {key_mode!r}"
-            )
         self.relations: Dict[str, ColumnarRelation] = {}
-        self.key_mode = key_mode
         self.stats = stats if stats is not None else StorageStats()
         if database:
             for predicate, facts in database.items():
-                self.relations[predicate] = ColumnarRelation(
-                    facts, key_mode, self.stats
-                )
+                self.relations[predicate] = ColumnarRelation(facts, self.stats)
 
     # -- access --------------------------------------------------------------
     def relation(self, predicate: str) -> ColumnarRelation:
         """The (possibly empty, lazily created) relation for ``predicate``."""
         rel = self.relations.get(predicate)
         if rel is None:
-            rel = self.relations[predicate] = ColumnarRelation(
-                (), self.key_mode, self.stats
-            )
+            rel = self.relations[predicate] = ColumnarRelation((), self.stats)
         return rel
 
     def lookup(self, predicate: str) -> ColumnarRelation:
@@ -404,23 +344,12 @@ class ColumnarDatabase:
         rel = self.relations.get(predicate)
         return rel if rel is not None else _EMPTY_COLUMNAR
 
-    def facts_of(self, predicate: str) -> Set[Fact]:
-        rel = self.relations.get(predicate)
-        return set(rel.rows) if rel is not None else set()
-
-    def size(self, predicate: str) -> int:
-        rel = self.relations.get(predicate)
-        return len(rel.rows) if rel is not None else 0
-
     def contains_fact(self, predicate: str, fact: Fact) -> bool:
         rel = self.relations.get(predicate)
         return rel is not None and fact in rel
 
     def __contains__(self, predicate: str) -> bool:
         return predicate in self.relations
-
-    def __bool__(self) -> bool:
-        return any(rel.rows for rel in self.relations.values())
 
     # -- updates -------------------------------------------------------------
     def add_fact(self, predicate: str, fact: Fact) -> bool:
@@ -429,23 +358,12 @@ class ColumnarDatabase:
     def add_batch(self, predicate: str, facts: Iterable[Fact]) -> int:
         return self.relation(predicate).add_batch(facts)
 
-    def load(self, batches: Dict[str, List[Fact]]) -> None:
-        for predicate, facts in batches.items():
-            if facts:
-                self.relation(predicate).add_batch(facts)
-
-    def clear(self) -> None:
-        """Drop every relation (row arrays are append-only, so clearing
-        means starting over — the columnar loop never recycles deltas)."""
-        self.relations.clear()
-
     def prune_empty(self, predicates: Iterable[str]) -> None:
         """Drop still-empty relations the engine materialised as scratch.
 
         The sweep loop binds head relations and delta windows eagerly; any
         that never received a row must not surface as a spurious empty
-        entry in :meth:`to_database` (the tuple layer only creates
-        relations on first insert)."""
+        entry in :meth:`to_database`."""
         for predicate in predicates:
             rel = self.relations.get(predicate)
             if rel is not None and not rel.rows:
@@ -466,8 +384,7 @@ class ColumnarDatabase:
         """A plain ``{predicate: set of facts}`` snapshot.
 
         This is the only shape that escapes the engine — fixpoint results,
-        cache entries and distrib payloads all carry plain databases, which
-        is what keeps every cache fingerprint storage-invariant.
+        cache entries and distrib payloads all carry plain databases.
         """
         return {predicate: set(rel.rows) for predicate, rel in self.relations.items()}
 

@@ -1,22 +1,18 @@
 """Engine tuning options: one frozen dataclass for every evaluator.
 
-Before the :mod:`repro.api` façade, each evaluation layer grew its own
-ad-hoc tuning kwargs — ``SemiNaiveEngine(use_index=, use_plans=,
-cache_size=, share_plans=)``, ``MonadicTreeEvaluator(force_generic=,
-use_index=, cache_size=, share_plans=)``, ``compiled_evaluator(
-force_generic=, share_plans=)`` — so a caller configuring a whole stack had
-to thread four or five booleans through every constructor, and a new knob
-meant touching every signature on the way down.
-
-:class:`EngineOptions` replaces the scattered kwargs: it is the single
-declarative description of *how* to evaluate, accepted uniformly by
+:class:`EngineOptions` is the single declarative description of *how* to
+evaluate, accepted uniformly by
 :class:`~repro.datalog.engine.SemiNaiveEngine`,
 :class:`~repro.mdatalog.evaluator.MonadicTreeEvaluator`, the compiled
 automata evaluators of :mod:`repro.automata.to_datalog`, and the server
 components — and owned by :class:`repro.api.Session`, which applies one
-options object to every engine it builds.  The legacy kwargs still work on
-every constructor but emit :class:`DeprecationWarning` through
-:func:`resolve_options` (the shim the constructors share).
+options object to every engine it builds.  Constructors take it as
+``options=`` only; the per-constructor tuning kwargs of the pre-façade API
+are gone (passing one raises :class:`TypeError`).
+
+The engine has exactly one evaluation path (columnar storage, compiled rule
+plans), so every field here tunes caching, sharing or policy — none selects
+an alternative join strategy.
 
 The dataclass is frozen and hashable so it can key evaluator memos (the
 :mod:`repro.api` session memoises one engine per (program, options) pair,
@@ -25,22 +21,8 @@ and the automata layer keys its module-level evaluator cache by options).
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Mapping
-
-
-class _Unset:
-    """Sentinel distinguishing "kwarg not passed" from an explicit value."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "UNSET"
-
-
-#: Default value of every legacy tuning kwarg: "not passed".
-UNSET = _Unset()
+from dataclasses import dataclass, replace
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -49,13 +31,6 @@ class EngineOptions:
 
     Attributes
     ----------
-    use_index:
-        Match body literals through hash indexes (:mod:`repro.datalog.index`).
-        ``False`` restores the seed nested-loop join (ablation baseline).
-    use_plans:
-        Evaluate through compile-once rule plans (:mod:`repro.datalog.plan`).
-        ``False`` restores the PR-1 per-call indexed join; implies nothing
-        when ``use_index`` is already ``False``.
     seed_plans:
         Consult the statically-seeded join plans that the registry compiles
         from :mod:`repro.analysis.cost` estimates at program-compile time
@@ -63,9 +38,7 @@ class EngineOptions:
         ``False`` restores pure runtime planning — the first query per
         (rule, delta position) re-runs the greedy planner on live sizes.
         Join order never affects the fixpoint, only latency; the property
-        suite asserts both settings produce identical results.  No effect
-        when ``effective_use_plans`` is ``False``.  Options-object only:
-        there is no legacy constructor kwarg for this knob.
+        suite asserts both settings produce identical results.
     share_plans:
         Obtain compiled programs (strata, rule plans, trigger maps — and, in
         the monadic layer, TMNF rewrites) from a shared
@@ -73,27 +46,6 @@ class EngineOptions:
         program pay one compilation.  Which registry is used is orthogonal:
         engines default to the process-wide singleton, while engines built
         by a :class:`repro.api.Session` use the session-owned registry.
-    storage:
-        Relation storage backend of the semi-naive engine.  ``"columnar"``
-        (default) evaluates over :mod:`repro.datalog.columns` — append-only
-        row arrays with posting-set indexes, batched delta windows —
-        ``"tuple"`` over the tuple-at-a-time
-        :mod:`repro.datalog.index` layer (the ablation baseline).
-        Storage is engine-internal scratch: it never affects the fixpoint
-        (the property suite proves all backends identical), compiled plans
-        are shared across storages, and every cache fingerprint is
-        storage-invariant.  Columnar evaluation runs through compiled rule
-        plans, so it requires ``effective_use_plans``; with plans disabled
-        the engine falls back to tuple storage (see
-        :attr:`effective_storage`).
-    index_keys:
-        Multi-position probe strategy of both storage backends.
-        ``"full"`` (default — the winner of the ``index_key_*`` benchmark
-        study) materialises one composite index per bound-position tuple;
-        ``"prefix"`` keeps only single-column access paths and narrows the
-        remaining positions by posting-set intersection (columnar) or
-        filtering (tuple).  Like join order, this affects latency only,
-        never the fixpoint.
     cache_size:
         Capacity of every per-engine fixpoint LRU (one entry per distinct
         hot database / document).
@@ -111,15 +63,11 @@ class EngineOptions:
         fingerprint, so the policy costs one analysis per distinct program.
     """
 
-    use_index: bool = True
-    use_plans: bool = True
     seed_plans: bool = True
     share_plans: bool = True
     cache_size: int = 8
     force_generic: bool = False
     on_diagnostics: str = "warn"
-    storage: str = "columnar"
-    index_keys: str = "full"
 
     def __post_init__(self) -> None:
         if self.cache_size < 1:
@@ -131,76 +79,12 @@ class EngineOptions:
                 "EngineOptions.on_diagnostics must be 'ignore', 'warn' or "
                 f"'strict', got {self.on_diagnostics!r}"
             )
-        if self.storage not in ("columnar", "tuple"):
-            raise ValueError(
-                "EngineOptions.storage must be 'columnar' or 'tuple', "
-                f"got {self.storage!r}"
-            )
-        if self.index_keys not in ("full", "prefix"):
-            raise ValueError(
-                "EngineOptions.index_keys must be 'full' or 'prefix', "
-                f"got {self.index_keys!r}"
-            )
 
     # ------------------------------------------------------------------
     def derive(self, **changes: Any) -> "EngineOptions":
         """A copy with ``changes`` applied (the frozen-dataclass idiom)."""
         return replace(self, **changes)
 
-    @property
-    def effective_use_plans(self) -> bool:
-        """Plans require the index layer; ``use_index=False`` disables both."""
-        return self.use_index and self.use_plans
-
-    @property
-    def effective_share_plans(self) -> bool:
-        """Sharing applies to compiled plans only, so it requires them."""
-        return self.effective_use_plans and self.share_plans
-
-    @property
-    def effective_storage(self) -> str:
-        """Columnar evaluation needs compiled plans; otherwise tuple."""
-        return "columnar" if self.storage == "columnar" and self.effective_use_plans else "tuple"
-
 
 #: The default options every constructor resolves to when nothing is passed.
 DEFAULT_OPTIONS = EngineOptions()
-
-_FIELD_NAMES = frozenset(field.name for field in fields(EngineOptions))
-
-
-def resolve_options(
-    owner: str,
-    options: "EngineOptions | None",
-    legacy: Mapping[str, Any],
-) -> EngineOptions:
-    """The deprecation shim shared by every evaluator constructor.
-
-    ``legacy`` maps each pre-façade tuning kwarg to the value the caller
-    passed, or :data:`UNSET` when it was not passed.  Passing any legacy
-    kwarg still works — it is folded into an :class:`EngineOptions` — but
-    emits a :class:`DeprecationWarning` naming the replacement; mixing
-    legacy kwargs with an explicit ``options`` object is an error (the two
-    could silently disagree).
-    """
-    passed: Dict[str, Any] = {
-        name: value for name, value in legacy.items() if value is not UNSET
-    }
-    unknown = set(passed) - _FIELD_NAMES
-    if unknown:  # pragma: no cover - programming error in the caller
-        raise TypeError(f"{owner}: unknown tuning kwargs {sorted(unknown)}")
-    if not passed:
-        return options if options is not None else DEFAULT_OPTIONS
-    if options is not None:
-        raise ValueError(
-            f"{owner}: pass either options=EngineOptions(...) or the legacy "
-            f"kwargs {sorted(passed)}, not both"
-        )
-    warnings.warn(
-        f"{owner}({', '.join(sorted(passed))}=...) is deprecated; pass "
-        f"options=EngineOptions({', '.join(sorted(passed))}=...) instead "
-        "(see docs/API.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return EngineOptions(**passed)

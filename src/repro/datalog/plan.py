@@ -1,12 +1,12 @@
 """Compile-once rule plans for the semi-naive engine.
 
-The PR-1 indexed join re-derived its whole strategy on every ``_join`` call:
-the greedy join order was recomputed from live relation sizes, the bound
-argument positions and probe keys were rebuilt per literal, builtin/negation
-filters were re-partitioned into ready/pending lists, and every matched fact
-went through a generic term-by-term unification with ``isinstance`` checks
-and dictionary copies.  For deep recursions (transitive closure, graph
-reachability) that per-call overhead dominates the actual probing.
+A per-call join would re-derive its whole strategy on every rule firing:
+the greedy join order from live relation sizes, the bound argument
+positions and probe keys per literal, the ready/pending split of
+builtin/negation filters, and a generic term-by-term unification with
+dictionary copies per matched fact.  For deep recursions (transitive
+closure, graph reachability) that per-call overhead dominates the actual
+probing.
 
 This module moves all of that work to compile time:
 
@@ -41,33 +41,33 @@ This module moves all of that work to compile time:
   seeded plans the registry compiles (:mod:`repro.analysis.cost`), so a
   shared program carries its specialised executors with it.
 
-Plans and executors are written against the storage *protocols* of
-:mod:`repro.datalog.index` (``FactStorage`` / ``ProbeSource``), so one
-compiled program runs unchanged over the tuple-at-a-time backend and the
-columnar backend (:mod:`repro.datalog.columns`).
-
-The executors produce exactly the facts the PR-1 indexed join produced —
-the property tests assert equivalence against both the legacy indexed path
-and the seed nested-loop join, on every storage backend.
+Executors probe the columnar storage of :mod:`repro.datalog.columns`
+directly.  The property tests assert they derive exactly the facts of a
+naive nested-loop reference evaluator.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .ast import Constant, Literal, Rule, Variable
-from .index import DeltaSource, FactStorage, ProbeSource
+from .columns import ColumnarDatabase, ColumnarRelation, ColumnarWindow
 
 Fact = Tuple[object, ...]
 
+#: One relation as an executor reads it: a whole relation or a delta window.
+Relation = Union[ColumnarRelation, ColumnarWindow]
+
 #: A compiled step closure: ``(rows, facts, delta_rel) -> rows``.
-StepRunner = Callable[[List[List[object]], FactStorage, Optional[ProbeSource]], List[List[object]]]
+StepRunner = Callable[
+    [List[List[object]], ColumnarDatabase, Optional[Relation]], List[List[object]]
+]
 
 #: A compiled projection closure: ``(rows, facts) -> facts``.
-Projector = Callable[[List[List[object]], FactStorage], List[Fact]]
+Projector = Callable[[List[List[object]], ColumnarDatabase], List[Fact]]
 
 #: A compiled whole-rule executor: ``(facts, delta_rel) -> facts``.
-Executor = Callable[[FactStorage, Optional[ProbeSource]], List[Fact]]
+Executor = Callable[[ColumnarDatabase, Optional[Relation]], List[Fact]]
 
 #: ``(is_slot, payload)`` — payload is a slot index when ``is_slot`` else a
 #: constant value.  Used for probe keys, filter arguments and head terms.
@@ -146,7 +146,7 @@ class _CompiledFilter:
 
     ``slots`` is the set of row slots the filter reads; a filter is hoisted
     to the earliest join step after which all of them are bound.  Filters
-    over variables no relational literal binds keep the seed behaviour:
+    over variables no relational literal binds cannot be evaluated:
     they raise :class:`~repro.datalog.engine.EvaluationError` the first time
     a substitution actually reaches them.
     """
@@ -181,10 +181,10 @@ class _CompiledFilter:
         self.spec: ValueSpec = tuple(spec)
         self.slots = frozenset(slots)
 
-    def passes(self, row: List[object], facts: FactStorage) -> bool:
+    def passes(self, row: List[object], facts: ColumnarDatabase) -> bool:
         if self.unbound_term is not None:
-            # Matches the seed _ground_terms error (it reuses the head
-            # message even for body filters).
+            # The same message as an unbound head variable, so both
+            # grounding failures read alike.
             from .engine import EvaluationError
 
             raise EvaluationError(f"unbound variable {self.unbound_term} in rule head")
@@ -247,8 +247,8 @@ def _build_step_runner(step: _JoinStep) -> StepRunner:
       layer's ``probe1`` so no key tuple is allocated.
 
     Everything else (constants in keys, repeated variables, hoisted
-    filters, multi-position keys) runs the generic body, which replicates
-    the old interpreted loop exactly.
+    filters, multi-position keys) runs the generic body, which interprets
+    the step's specs per matched fact.
     """
     predicate = step.predicate
     from_delta = step.from_delta
@@ -261,14 +261,14 @@ def _build_step_runner(step: _JoinStep) -> StepRunner:
 
     if from_delta:
         def source_relation(
-            facts: FactStorage, delta_rel: Optional[ProbeSource]
-        ) -> ProbeSource:
+            facts: ColumnarDatabase, delta_rel: Optional[Relation]
+        ) -> Relation:
             assert delta_rel is not None
             return delta_rel
     else:
         def source_relation(
-            facts: FactStorage, delta_rel: Optional[ProbeSource]
-        ) -> ProbeSource:
+            facts: ColumnarDatabase, delta_rel: Optional[Relation]
+        ) -> Relation:
             return facts.lookup(predicate)
 
     plain = not check_spec and not filters_after
@@ -277,8 +277,8 @@ def _build_step_runner(step: _JoinStep) -> StepRunner:
 
         def run_scan1(
             rows: List[List[object]],
-            facts: FactStorage,
-            delta_rel: Optional[ProbeSource],
+            facts: ColumnarDatabase,
+            delta_rel: Optional[Relation],
         ) -> List[List[object]]:
             relation = source_relation(facts, delta_rel)
             out: List[List[object]] = []
@@ -297,8 +297,8 @@ def _build_step_runner(step: _JoinStep) -> StepRunner:
 
         def run_scan2(
             rows: List[List[object]],
-            facts: FactStorage,
-            delta_rel: Optional[ProbeSource],
+            facts: ColumnarDatabase,
+            delta_rel: Optional[Relation],
         ) -> List[List[object]]:
             relation = source_relation(facts, delta_rel)
             out: List[List[object]] = []
@@ -325,8 +325,8 @@ def _build_step_runner(step: _JoinStep) -> StepRunner:
 
         def run_probe1(
             rows: List[List[object]],
-            facts: FactStorage,
-            delta_rel: Optional[ProbeSource],
+            facts: ColumnarDatabase,
+            delta_rel: Optional[Relation],
         ) -> List[List[object]]:
             relation = source_relation(facts, delta_rel)
             probe1 = relation.probe1
@@ -344,8 +344,8 @@ def _build_step_runner(step: _JoinStep) -> StepRunner:
 
     def run_generic(
         rows: List[List[object]],
-        facts: FactStorage,
-        delta_rel: Optional[ProbeSource],
+        facts: ColumnarDatabase,
+        delta_rel: Optional[Relation],
     ) -> List[List[object]]:
         relation = source_relation(facts, delta_rel)
         probe = relation.probe
@@ -383,24 +383,24 @@ def _build_projector(
             if len(slots) == 1:
                 (head0,) = slots
 
-                def project1(rows: List[List[object]], facts: FactStorage) -> List[Fact]:
+                def project1(rows: List[List[object]], facts: ColumnarDatabase) -> List[Fact]:
                     return [(row[head0],) for row in rows]
 
                 return project1
             if len(slots) == 2:
                 head0, head1 = slots
 
-                def project2(rows: List[List[object]], facts: FactStorage) -> List[Fact]:
+                def project2(rows: List[List[object]], facts: ColumnarDatabase) -> List[Fact]:
                     return [(row[head0], row[head1]) for row in rows]
 
                 return project2
 
-        def project_spec(rows: List[List[object]], facts: FactStorage) -> List[Fact]:
+        def project_spec(rows: List[List[object]], facts: ColumnarDatabase) -> List[Fact]:
             return [tuple(row[p] if s else p for s, p in head_spec) for row in rows]
 
         return project_spec
 
-    def project_guarded(rows: List[List[object]], facts: FactStorage) -> List[Fact]:
+    def project_guarded(rows: List[List[object]], facts: ColumnarDatabase) -> List[Fact]:
         out: List[Fact] = []
         emit = out.append
         for row in rows:
@@ -448,14 +448,14 @@ def _build_fused_terminal(step: _JoinStep, head_spec: ValueSpec) -> Optional[Ste
 
     if from_delta:
         def source_relation(
-            facts: FactStorage, delta_rel: Optional[ProbeSource]
-        ) -> ProbeSource:
+            facts: ColumnarDatabase, delta_rel: Optional[Relation]
+        ) -> Relation:
             assert delta_rel is not None
             return delta_rel
     else:
         def source_relation(
-            facts: FactStorage, delta_rel: Optional[ProbeSource]
-        ) -> ProbeSource:
+            facts: ColumnarDatabase, delta_rel: Optional[Relation]
+        ) -> Relation:
             return facts.lookup(predicate)
 
     probe1_shape = len(positions) == 1 and len(key_spec) == 1 and key_spec[0][0]
@@ -617,7 +617,7 @@ def _build_executor(
         if not initial_filters and len(runners) == 0:
 
             def execute_t0(
-                facts: FactStorage, delta_rel: Optional[ProbeSource]
+                facts: ColumnarDatabase, delta_rel: Optional[Relation]
             ) -> List[Fact]:
                 return emit([[None] * nvars], facts, delta_rel)
 
@@ -626,7 +626,7 @@ def _build_executor(
             (run0,) = runners
 
             def execute_t1(
-                facts: FactStorage, delta_rel: Optional[ProbeSource]
+                facts: ColumnarDatabase, delta_rel: Optional[Relation]
             ) -> List[Fact]:
                 rows = run0([[None] * nvars], facts, delta_rel)
                 return emit(rows, facts, delta_rel) if rows else []
@@ -636,7 +636,7 @@ def _build_executor(
             run0, run1 = runners
 
             def execute_t2(
-                facts: FactStorage, delta_rel: Optional[ProbeSource]
+                facts: ColumnarDatabase, delta_rel: Optional[Relation]
             ) -> List[Fact]:
                 rows = run0([[None] * nvars], facts, delta_rel)
                 if not rows:
@@ -647,7 +647,7 @@ def _build_executor(
             return execute_t2
 
         def execute_t(
-            facts: FactStorage, delta_rel: Optional[ProbeSource]
+            facts: ColumnarDatabase, delta_rel: Optional[Relation]
         ) -> List[Fact]:
             row: List[object] = [None] * nvars
             for compiled in initial_filters:
@@ -666,7 +666,7 @@ def _build_executor(
     if not initial_filters and len(runners) == 1:
         (run0,) = runners
 
-        def execute1(facts: FactStorage, delta_rel: Optional[ProbeSource]) -> List[Fact]:
+        def execute1(facts: ColumnarDatabase, delta_rel: Optional[Relation]) -> List[Fact]:
             rows = run0([[None] * nvars], facts, delta_rel)
             return project(rows, facts) if rows else []
 
@@ -674,7 +674,7 @@ def _build_executor(
     if not initial_filters and len(runners) == 2:
         run0, run1 = runners
 
-        def execute2(facts: FactStorage, delta_rel: Optional[ProbeSource]) -> List[Fact]:
+        def execute2(facts: ColumnarDatabase, delta_rel: Optional[Relation]) -> List[Fact]:
             rows = run0([[None] * nvars], facts, delta_rel)
             if not rows:
                 return []
@@ -683,7 +683,7 @@ def _build_executor(
 
         return execute2
 
-    def execute(facts: FactStorage, delta_rel: Optional[ProbeSource]) -> List[Fact]:
+    def execute(facts: ColumnarDatabase, delta_rel: Optional[Relation]) -> List[Fact]:
         row: List[object] = [None] * nvars
         for compiled in initial_filters:
             if not compiled.passes(row, facts):
@@ -834,8 +834,8 @@ class RulePlan:
 
     def _plan_for(
         self,
-        facts: FactStorage,
-        delta: Optional[DeltaSource],
+        facts: ColumnarDatabase,
+        delta: Optional[ColumnarWindow],
         delta_position: Optional[int],
         memo: Optional[PlanMemo] = None,
         use_seeds: bool = True,
@@ -886,9 +886,9 @@ class RulePlan:
         body = self.rule.body
         slot_of = self.slot_of
 
-        # Greedy selectivity order, exactly as the PR-1 join: the delta
-        # literal seeds the order, then each pick maximises already-bound
-        # terms and tie-breaks on smaller relation size.
+        # Greedy selectivity order: the delta literal seeds the order, then
+        # each pick maximises already-bound terms and tie-breaks on smaller
+        # relation size.
         order = greedy_join_order(body, self.relational, delta_position, sizes)
         bound: Set[int] = set()
 
@@ -966,8 +966,8 @@ class RulePlan:
     # ------------------------------------------------------------------
     def run(
         self,
-        facts: FactStorage,
-        delta: Optional[DeltaSource] = None,
+        facts: ColumnarDatabase,
+        delta: Optional[ColumnarWindow] = None,
         delta_position: Optional[int] = None,
         memo: Optional[PlanMemo] = None,
         use_seeds: bool = True,
@@ -982,12 +982,11 @@ class RulePlan:
         materialised before the caller inserts it, so inserting derived
         facts never mutates a relation mid-probe.
 
-        ``facts`` / ``delta`` may be any storage backend satisfying the
-        protocols of :mod:`repro.datalog.index`; evaluation dispatches to
-        the plan's precompiled executor closure chain.
+        Evaluation dispatches to the plan's precompiled executor closure
+        chain.
         """
         plan = self._plan_for(facts, delta, delta_position, memo, use_seeds)
-        delta_rel: Optional[ProbeSource] = None
+        delta_rel: Optional[Relation] = None
         if delta is not None and delta_position is not None:
             delta_rel = delta.lookup(self._body_preds[delta_position])
         return plan.executor(facts, delta_rel)

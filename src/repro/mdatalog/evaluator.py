@@ -26,7 +26,7 @@ from ..datalog.ast import Rule, Variable
 from ..datalog.cache import CacheInfo, LruMap
 from ..datalog.engine import SemiNaiveEngine
 from ..datalog.ltur import GroundHornSolver
-from ..datalog.options import UNSET, EngineOptions, resolve_options
+from ..datalog.options import DEFAULT_OPTIONS, EngineOptions
 from ..datalog.registry import PlanRegistry
 from ..datalog.tree_edb import label_predicate, tree_database, tree_fingerprint
 from ..tree.document import Document
@@ -82,32 +82,18 @@ class MonadicTreeEvaluator:
     always instance-local.
 
     Tuning is declared through one :class:`~repro.datalog.options.
-    EngineOptions` (``options=``); the pre-façade kwargs (``force_generic``,
-    ``use_index``, ``cache_size``, ``share_plans``) still work but emit
-    :class:`DeprecationWarning`.
+    EngineOptions` (``options=``).
     """
 
     def __init__(
         self,
         program: MonadicProgram,
-        force_generic: object = UNSET,
-        use_index: object = UNSET,
-        cache_size: object = UNSET,
-        share_plans: object = UNSET,
         *,
         options: Optional[EngineOptions] = None,
         registry: Optional[PlanRegistry] = None,
     ) -> None:
-        options = resolve_options(
-            "MonadicTreeEvaluator",
-            options,
-            {
-                "force_generic": force_generic,
-                "use_index": use_index,
-                "cache_size": cache_size,
-                "share_plans": share_plans,
-            },
-        )
+        if options is None:
+            options = DEFAULT_OPTIONS
         self.program = program
         self.options = options
         self.uses_ground_pipeline = False

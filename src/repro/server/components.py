@@ -16,11 +16,10 @@ can be added by subclassing :class:`Component`.
 from __future__ import annotations
 
 import html
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
-from ..datalog.options import DEFAULT_OPTIONS, UNSET, EngineOptions, resolve_options
+from ..datalog.options import DEFAULT_OPTIONS, EngineOptions
 from ..elog.ast import ElogProgram
 from ..elog.extractor import (
     Extractor,
@@ -96,27 +95,13 @@ class WrapperComponent(Component):
         fetcher: Fetcher,
         url: str,
         root_name: Optional[str] = None,
-        share_interpreter: object = UNSET,
         *,
         options: Optional[EngineOptions] = None,
         extractor: Optional[Extractor] = None,
         resilience: Optional[ResiliencePolicy] = None,
     ) -> None:
         super().__init__(name)
-        if share_interpreter is not UNSET:
-            if options is not None:
-                raise ValueError(
-                    "WrapperComponent: pass either options=EngineOptions(...) "
-                    "or the legacy share_interpreter kwarg, not both"
-                )
-            warnings.warn(
-                "WrapperComponent(share_interpreter=...) is deprecated; pass "
-                "options=EngineOptions(share_plans=...) instead (see docs/API.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            options = EngineOptions(share_plans=bool(share_interpreter))
-        elif options is None:
+        if options is None:
             options = DEFAULT_OPTIONS
         self.program = program
         self.fetcher = fetcher
@@ -284,9 +269,6 @@ class DatalogQueryComponent(Component):
         program: "MonadicProgram",
         supplier: "Callable[[], Document]",
         root_name: Optional[str] = None,
-        cache_size: object = UNSET,
-        force_generic: object = UNSET,
-        share_plans: object = UNSET,
         *,
         options: Optional[EngineOptions] = None,
         registry: Optional["PlanRegistry"] = None,
@@ -295,15 +277,6 @@ class DatalogQueryComponent(Component):
         super().__init__(name)
         from ..mdatalog.evaluator import MonadicTreeEvaluator
 
-        options = resolve_options(
-            "DatalogQueryComponent",
-            options,
-            {
-                "cache_size": cache_size,
-                "force_generic": force_generic,
-                "share_plans": share_plans,
-            },
-        )
         self.supplier = supplier
         self.root_name = root_name or name
         # The supplier is this component's acquisition boundary: with a

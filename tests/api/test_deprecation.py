@@ -1,9 +1,10 @@
-"""Deprecation shims: the pre-façade surfaces still work, warn, and agree.
+"""Pre-façade surfaces: removed tuning kwargs fail loudly, shims still warn.
 
-The acceptance contract of the façade PR: every pre-existing constructor
-keeps working (so downstream code does not break), emits a
-:class:`DeprecationWarning` naming the replacement, and produces results
-identical to the options-based path.
+The per-constructor tuning kwargs (``use_index=``, ``cache_size=``,
+``share_interpreter=``, ...) are gone: passing one raises an ordinary
+:class:`TypeError`, and tuning goes through ``options=EngineOptions(...)``.
+The imperative ``InformationPipe`` wiring still works behind a
+:class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import warnings
 import pytest
 
 from repro import EngineOptions
-from repro.automata import compiled_select, leaf_selector_automaton
+from repro.automata import compiled_evaluator, compiled_select, leaf_selector_automaton
 from repro.datalog import SemiNaiveEngine, parse_program
+from repro.elog import parse_elog
 from repro.mdatalog import MonadicProgram, MonadicTreeEvaluator
 from repro.server import (
     DatalogQueryComponent,
@@ -25,7 +27,6 @@ from repro.server import (
 from repro.tree import tree
 from repro.web import SimulatedWeb
 from repro.xmlgen import XmlElement
-from repro.xmlgen.serializer import to_compact_xml
 
 PROGRAM = parse_program(
     """
@@ -33,8 +34,6 @@ PROGRAM = parse_program(
     reach(X, Y) :- reach(X, Z), edge(Z, Y).
     """
 )
-DATABASE = {"edge": {(1, 2), (2, 3), (3, 1)}}
-
 MONADIC = MonadicProgram.parse(
     """
     italic(X) :- label_i(X).
@@ -50,22 +49,6 @@ def doc():
     return tree(("doc", ("i", ("b",)), ("a",)))
 
 
-def test_engine_legacy_kwargs_warn_and_match_options():
-    with pytest.warns(DeprecationWarning, match="SemiNaiveEngine"):
-        legacy = SemiNaiveEngine(PROGRAM, use_plans=False, cache_size=4)
-    modern = SemiNaiveEngine(
-        PROGRAM, options=EngineOptions(use_plans=False, cache_size=4)
-    )
-    assert legacy.evaluate(DATABASE) == modern.evaluate(DATABASE)
-    assert legacy.use_plans is modern.use_plans is False
-    assert legacy.fixpoint_cache_info().capacity == 4
-
-
-def test_engine_rejects_mixing_options_and_legacy_kwargs():
-    with pytest.raises(ValueError, match="not both"):
-        SemiNaiveEngine(PROGRAM, use_plans=False, options=EngineOptions())
-
-
 def test_engine_default_construction_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
@@ -73,47 +56,34 @@ def test_engine_default_construction_does_not_warn():
         SemiNaiveEngine(PROGRAM, options=EngineOptions(share_plans=False))
 
 
-def test_monadic_evaluator_legacy_kwargs_warn_and_match_options(doc):
-    with pytest.warns(DeprecationWarning, match="MonadicTreeEvaluator"):
-        legacy = MonadicTreeEvaluator(MONADIC, force_generic=True)
-    modern = MonadicTreeEvaluator(MONADIC, options=EngineOptions(force_generic=True))
-    assert not legacy.uses_ground_pipeline and not modern.uses_ground_pipeline
-    assert [n.preorder_index for n in legacy.select(doc, "italic")] == [
-        n.preorder_index for n in modern.select(doc, "italic")
-    ]
+def _wrapper_program():
+    return parse_elog("offer(S, X) <- document(_, S), subelem(S, ?.tr, X)")
 
 
-def test_compiled_select_legacy_kwargs_warn_and_match_options(doc):
-    automaton = leaf_selector_automaton(("doc", "i", "b", "a"))
-    with pytest.warns(DeprecationWarning, match="compiled_"):
-        legacy = compiled_select(automaton, doc, force_generic=True)
-    modern = compiled_select(
-        automaton, doc, options=EngineOptions(force_generic=True)
-    )
-    assert [n.preorder_index for n in legacy] == [n.preorder_index for n in modern]
+#: One pre-façade tuning kwarg per constructor that used to accept them;
+#: tuning now goes through ``options=EngineOptions(...)`` only.
+REMOVED_KWARGS = {
+    "SemiNaiveEngine": lambda doc: SemiNaiveEngine(PROGRAM, use_index=False),
+    "MonadicTreeEvaluator": lambda doc: MonadicTreeEvaluator(MONADIC, force_generic=True),
+    "compiled_evaluator": lambda doc: compiled_evaluator(
+        leaf_selector_automaton(("doc", "i")), ("doc", "i"), share_plans=False
+    ),
+    "compiled_select": lambda doc: compiled_select(
+        leaf_selector_automaton(("doc", "i")), doc, force_generic=True
+    ),
+    "DatalogQueryComponent": lambda doc: DatalogQueryComponent(
+        "q", MONADIC, lambda: doc, cache_size=4
+    ),
+    "WrapperComponent": lambda doc: WrapperComponent(
+        "w", _wrapper_program(), SimulatedWeb(), "shop.test", share_interpreter=False
+    ),
+}
 
 
-def test_datalog_component_legacy_kwargs_warn_and_match_options(doc):
-    with pytest.warns(DeprecationWarning, match="DatalogQueryComponent"):
-        legacy = DatalogQueryComponent("q", MONADIC, lambda: doc, cache_size=4)
-    modern = DatalogQueryComponent(
-        "q", MONADIC, lambda: doc, options=EngineOptions(cache_size=4)
-    )
-    assert to_compact_xml(legacy.process([])) == to_compact_xml(modern.process([]))
-
-
-def test_wrapper_component_share_interpreter_warns():
-    program = __import__("repro.elog", fromlist=["parse_elog"]).parse_elog(
-        "offer(S, X) <- document(_, S), subelem(S, ?.tr, X)"
-    )
-    web = SimulatedWeb()
-    web.publish("shop.test", "<html><body><table><tr><td>x</td></tr></table></body></html>")
-    with pytest.warns(DeprecationWarning, match="share_interpreter"):
-        legacy = WrapperComponent("w", program, web, "shop.test", share_interpreter=False)
-    modern = WrapperComponent(
-        "w", program, web, "shop.test", options=EngineOptions(share_plans=False)
-    )
-    assert to_compact_xml(legacy.process([])) == to_compact_xml(modern.process([]))
+@pytest.mark.parametrize("constructor", sorted(REMOVED_KWARGS))
+def test_removed_tuning_kwargs_raise_type_error(constructor, doc):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        REMOVED_KWARGS[constructor](doc)
 
 
 def test_imperative_pipe_wiring_warns_and_still_runs():

@@ -5,13 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro import EngineOptions
-from repro.datalog.options import DEFAULT_OPTIONS, UNSET, resolve_options
 
 
 def test_defaults_match_the_pre_facade_constructor_defaults():
     options = EngineOptions()
-    assert options.use_index is True
-    assert options.use_plans is True
+    assert options.seed_plans is True
     assert options.share_plans is True
     assert options.cache_size == 8
     assert options.force_generic is False
@@ -20,7 +18,7 @@ def test_defaults_match_the_pre_facade_constructor_defaults():
 def test_options_are_frozen_and_hashable():
     options = EngineOptions()
     with pytest.raises(Exception):
-        options.use_index = False  # type: ignore[misc]
+        options.share_plans = False  # type: ignore[misc]
     # Hashability is load-bearing: options key session evaluator memos and
     # the automata module evaluator cache.
     assert hash(options) == hash(EngineOptions())
@@ -30,39 +28,11 @@ def test_options_are_frozen_and_hashable():
 
 def test_derive_returns_an_updated_copy():
     base = EngineOptions()
-    tuned = base.derive(cache_size=32, use_plans=False)
-    assert tuned.cache_size == 32 and not tuned.use_plans
-    assert base.cache_size == 8 and base.use_plans  # unchanged
+    tuned = base.derive(cache_size=32, share_plans=False)
+    assert tuned.cache_size == 32 and not tuned.share_plans
+    assert base.cache_size == 8 and base.share_plans  # unchanged
 
 
 def test_cache_size_is_validated_at_construction():
     with pytest.raises(ValueError):
         EngineOptions(cache_size=0)
-
-
-def test_effective_flags_cascade_like_the_engine():
-    # Plans need the index layer; sharing needs the plans.
-    no_index = EngineOptions(use_index=False)
-    assert not no_index.effective_use_plans
-    assert not no_index.effective_share_plans
-    no_plans = EngineOptions(use_plans=False)
-    assert not no_plans.effective_share_plans
-    assert EngineOptions().effective_share_plans
-
-
-def test_resolve_options_passthrough_and_default():
-    legacy_unset = {"use_index": UNSET, "cache_size": UNSET}
-    assert resolve_options("X", None, legacy_unset) is DEFAULT_OPTIONS
-    explicit = EngineOptions(cache_size=3)
-    assert resolve_options("X", explicit, legacy_unset) is explicit
-
-
-def test_resolve_options_warns_on_legacy_kwargs():
-    with pytest.warns(DeprecationWarning, match="X\\(cache_size=\\.\\.\\.\\)"):
-        resolved = resolve_options("X", None, {"cache_size": 3, "use_index": UNSET})
-    assert resolved == EngineOptions(cache_size=3)
-
-
-def test_resolve_options_rejects_mixing_options_and_legacy_kwargs():
-    with pytest.raises(ValueError, match="not both"):
-        resolve_options("X", EngineOptions(), {"cache_size": 3})

@@ -9,6 +9,7 @@ in the same commit.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 
 import pytest
@@ -100,6 +101,25 @@ def test_every_exported_name_is_importable(module_name):
     module = importlib.import_module(module_name)
     for name in module.__all__:
         assert hasattr(module, name), f"{module_name}.{name} is exported but missing"
+
+
+#: The EngineOptions knobs, in declaration order: a new option is an API
+#: change and must show up here as an explicit snapshot diff.
+ENGINE_OPTION_FIELDS = [
+    "seed_plans",
+    "share_plans",
+    "cache_size",
+    "force_generic",
+    "on_diagnostics",
+]
+
+
+def test_engine_options_fields_match_the_snapshot():
+    from repro import EngineOptions
+
+    assert [field.name for field in dataclasses.fields(EngineOptions)] == (
+        ENGINE_OPTION_FIELDS
+    ), "EngineOptions changed; if intentional, update this snapshot and docs/API.md"
 
 
 def test_default_backends_snapshot():

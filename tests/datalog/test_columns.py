@@ -1,22 +1,19 @@
 """Unit tests for the columnar storage layer (repro/datalog/columns.py).
 
 Covers the row-interning container contract, lazy posting/composite
-materialisation with batch catch-up maintenance, both ``key_mode`` probe
-strategies, delta windows as row-id range slices, the database surface
-shared with :class:`~repro.datalog.index.IndexedDatabase`, and the
-storage counters surfaced through ``engine_info()`` at both the engine
-and the :class:`repro.api.Session` level.
+materialisation with batch catch-up maintenance, full-key composite
+probes, delta windows as row-id range slices, the database surface the
+engine and the compiled plans use, and the storage counters surfaced
+through ``engine_info()`` at both the engine and the
+:class:`repro.api.Session` level.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.api import Session
 from repro.datalog import (
     ColumnarDatabase,
     ColumnarRelation,
-    EngineOptions,
     SemiNaiveEngine,
     StorageStats,
     aggregate_engine_info,
@@ -71,21 +68,12 @@ def test_probe1_on_empty_relation_is_empty_and_materialises_nothing():
 
 
 def test_full_key_mode_probes_composite_index():
-    relation = ColumnarRelation([(1, 2, 3), (1, 2, 4), (2, 2, 3)], key_mode="full")
+    relation = ColumnarRelation([(1, 2, 3), (1, 2, 4), (2, 2, 3)])
     assert set(relation.probe((0, 1), (1, 2))) == {(1, 2, 3), (1, 2, 4)}
     relation.add((1, 2, 9))
     assert set(relation.probe((0, 1), (1, 2))) == {(1, 2, 3), (1, 2, 4), (1, 2, 9)}
-    assert relation._stats.posting_intersections == 0
-
-
-def test_prefix_key_mode_intersects_posting_sets():
-    stats = StorageStats()
-    relation = ColumnarRelation(
-        [(1, 2, 3), (1, 2, 4), (2, 2, 3)], key_mode="prefix", stats=stats
-    )
-    assert set(relation.probe((0, 1), (1, 2))) == {(1, 2, 3), (1, 2, 4)}
-    assert stats.posting_intersections == 1
     assert relation.probe((0, 1), (7, 2)) == ()
+    assert relation.index_count() == 1  # one composite, no posting columns
     # No-position probe returns the whole row array.
     assert list(relation.probe((), ())) == list(relation)
 
@@ -96,20 +84,12 @@ def test_probe_skips_rows_of_smaller_arity():
     assert set(relation.probe1(0, 1)) == {(1,), (1, 2)}
 
 
-def test_key_mode_is_validated():
-    with pytest.raises(ValueError, match="key_mode"):
-        ColumnarRelation(key_mode="bogus")
-    with pytest.raises(ValueError, match="key_mode"):
-        ColumnarDatabase(key_mode="bogus")
-
-
 def test_ensure_index_materialises_the_advised_access_path():
-    full = ColumnarRelation([(1, 2)], key_mode="full")
-    full.ensure_index((0, 1))
-    assert full.index_count() == 1  # one composite
-    prefix = ColumnarRelation([(1, 2)], key_mode="prefix")
-    prefix.ensure_index((0, 1))
-    assert prefix.index_count() == 2  # two posting columns
+    relation = ColumnarRelation([(1, 2)])
+    relation.ensure_index((0, 1))
+    assert relation.index_count() == 1  # one composite
+    relation.ensure_index((1,))
+    assert relation.index_count() == 2  # plus one posting column
 
 
 # ---------------------------------------------------------------------------
@@ -143,28 +123,23 @@ def test_window_lookup_answers_only_its_own_predicate():
 
 
 # ---------------------------------------------------------------------------
-# ColumnarDatabase: storage-protocol surface
+# ColumnarDatabase: the surface the engine and the plans use
 # ---------------------------------------------------------------------------
 
 
-def test_database_surface_matches_the_tuple_layer():
+def test_database_surface_answers_membership_and_appends():
     database = ColumnarDatabase({"e": {(1, 2), (2, 3)}})
-    assert database.size("e") == 2
-    assert database.size("missing") == 0
+    assert database.row_count("e") == 2
+    assert database.row_count("missing") == 0
     assert database.contains_fact("e", (1, 2))
     assert not database.contains_fact("e", (9, 9))
+    assert not database.contains_fact("missing", (1, 2))
     assert "e" in database
     assert "missing" not in database
-    assert database.facts_of("e") == {(1, 2), (2, 3)}
-    assert database.facts_of("missing") == set()
     assert database.add_fact("d", ("x",)) is True
+    assert database.add_fact("d", ("x",)) is False
     assert database.add_batch("d", [("x",), ("y",)]) == 1
-    database.load({"f": [(7,)], "g": []})
-    assert database.row_count("f") == 1
-    assert "g" not in database  # empty load batches create nothing
-    assert bool(database)
-    database.clear()
-    assert not bool(database)
+    assert database.row_count("d") == 2
 
 
 def test_lookup_miss_returns_shared_empty_without_creating_an_entry():
@@ -214,52 +189,23 @@ def test_engine_info_counts_columnar_activity():
     engine = SemiNaiveEngine(program)
     result = engine.evaluate({"edge": {(i, i + 1) for i in range(50)}, "source": {(0,)}})
     info = engine.engine_info()
-    assert info.storage == "columnar"
-    assert info.index_keys == "full"
     assert info.rows_interned >= 50 + len(result["reach"])
     assert info.delta_batches >= 49
     assert info.delta_rows >= 50
     assert info.max_delta_batch >= 1
     assert info.closure_compiles >= 1
-
-
-def test_engine_info_is_quiet_under_tuple_storage():
-    program = parse_program(REACH)
-    engine = SemiNaiveEngine(program, options=EngineOptions(storage="tuple"))
-    engine.evaluate({"edge": {(1, 2)}, "source": {(1,)}})
-    info = engine.engine_info()
-    assert info.storage == "tuple"
-    assert info.rows_interned == 0
-    assert info.delta_batches == 0
-    assert info.closure_compiles >= 1  # executors compile either way
-
-
-def test_columnar_falls_back_to_tuple_storage_without_plans():
-    options = EngineOptions(storage="columnar", use_plans=False)
-    assert options.effective_storage == "tuple"
-    engine = SemiNaiveEngine(parse_program(REACH), options=options)
-    assert engine.storage == "tuple"
+    assert info.posting_intersections == 0
 
 
 def test_session_engine_info_aggregates_across_evaluators():
     session = Session()
     baseline = session.engine_info()
-    assert baseline.storage == "columnar"
     assert baseline.rows_interned == 0
     session.query(REACH, {"edge": {(1, 2), (2, 3)}, "source": {(1,)}}, backend="semi-naive")
     info = session.engine_info()
-    assert info.storage == "columnar"
     assert info.rows_interned > 0
     assert info.delta_batches >= 1
     assert info.closure_compiles >= 1
-
-
-def test_session_engine_info_reports_the_configured_storage():
-    session = Session(options=EngineOptions(storage="tuple"))
-    session.query(REACH, {"edge": {(1, 2)}, "source": {(1,)}}, backend="semi-naive")
-    info = session.engine_info()
-    assert info.storage == "tuple"
-    assert info.rows_interned == 0
 
 
 def test_aggregate_engine_info_sums_counters_and_maxes_batches():
@@ -269,7 +215,7 @@ def test_aggregate_engine_info_sums_counters_and_maxes_batches():
     first.evaluate({"edge": {(1, 2)}, "source": {(1,)}})
     second.evaluate({"edge": {(i, i + 1) for i in range(10)}, "source": {(0,)}})
     infos = [first.engine_info(), second.engine_info()]
-    merged = aggregate_engine_info("columnar", "full", infos)
+    merged = aggregate_engine_info(infos)
     assert merged.rows_interned == sum(i.rows_interned for i in infos)
     assert merged.delta_batches == sum(i.delta_batches for i in infos)
     assert merged.max_delta_batch == max(i.max_delta_batch for i in infos)

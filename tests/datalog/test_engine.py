@@ -126,6 +126,19 @@ def test_negated_builtin_wrong_arity_rejected_at_construction():
         SemiNaiveEngine(parse_program("p(X) :- q(X), not lt(X)."))
 
 
+def test_rule_defining_a_builtin_is_rejected_at_construction():
+    # Regression: a body occurrence of lt(...) always evaluates the builtin
+    # comparison, so facts derived for lt would be silently ignored — the
+    # rule has to be rejected up front, naming the offending rule.
+    for text in (
+        "lt(X, Y) :- e(X, Y).\nsmall(X) :- e(X, Y), lt(X, Y).",
+        "neq(1, 1).",
+    ):
+        with pytest.raises(EvaluationError, match="cannot be defined by a rule") as caught:
+            SemiNaiveEngine(parse_program(text))
+        assert str(parse_program(text).rules[0]) in str(caught.value)
+
+
 def test_query_caches_fixpoint_per_database_content():
     program = parse_program("p(X) :- q(X).")
     engine = SemiNaiveEngine(program)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datalog import (
+    EngineOptions,
     FixpointCache,
     LruMap,
     SemiNaiveEngine,
@@ -14,7 +15,7 @@ from repro.datalog import (
 
 
 def _counting_engine(text="p(X) :- q(X).", cache_size=8):
-    engine = SemiNaiveEngine(parse_program(text), cache_size=cache_size)
+    engine = SemiNaiveEngine(parse_program(text), options=EngineOptions(cache_size=cache_size))
     calls = []
     original = engine.evaluate
     engine.evaluate = lambda db: calls.append(1) or original(db)

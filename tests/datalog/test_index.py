@@ -1,25 +1,30 @@
-"""Unit tests for the hash-index layer and the indexed join path."""
+"""Relation indexes and the indexed join, checked against the oracle.
+
+The index tests probe :class:`~repro.datalog.columns.ColumnarRelation`'s
+lazily built access paths; the join tests compare the engine with the
+naive nested-loop reference evaluator of ``tests/datalog/oracle.py``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.datalog import (
-    IndexedDatabase,
-    RelationIndex,
+    ColumnarDatabase,
+    ColumnarRelation,
     SemiNaiveEngine,
     parse_program,
 )
 from repro.datalog.engine import EvaluationError
-
+from tests.datalog import oracle
 
 # ---------------------------------------------------------------------------
-# RelationIndex
+# Relation indexes
 # ---------------------------------------------------------------------------
 
 
 def test_probe_on_bound_positions():
-    index = RelationIndex({(1, "a"), (1, "b"), (2, "a")})
+    index = ColumnarRelation({(1, "a"), (1, "b"), (2, "a")})
     assert set(index.probe((0,), (1,))) == {(1, "a"), (1, "b")}
     assert set(index.probe((1,), ("a",))) == {(1, "a"), (2, "a")}
     assert set(index.probe((0, 1), (2, "a"))) == {(2, "a")}
@@ -28,12 +33,12 @@ def test_probe_on_bound_positions():
 
 def test_probe_without_positions_is_full_scan():
     facts = {(1,), (2,)}
-    index = RelationIndex(facts)
+    index = ColumnarRelation(facts)
     assert set(index.probe((), ())) == facts
 
 
 def test_add_maintains_materialised_indexes_incrementally():
-    index = RelationIndex({(1, "a")})
+    index = ColumnarRelation({(1, "a")})
     assert set(index.probe((0,), (1,))) == {(1, "a")}  # materialises the index
     assert index.add((1, "b"))
     assert not index.add((1, "b"))  # duplicate insert is a no-op
@@ -42,7 +47,7 @@ def test_add_maintains_materialised_indexes_incrementally():
 
 
 def test_mixed_arity_facts_do_not_break_indexes():
-    index = RelationIndex({(1, "a"), (7,)})
+    index = ColumnarRelation({(1, "a"), (7,)})
     assert set(index.probe((1,), ("a",))) == {(1, "a")}
     index.add((8,))
     assert set(index.probe((1,), ("a",))) == {(1, "a")}
@@ -50,8 +55,8 @@ def test_mixed_arity_facts_do_not_break_indexes():
 
 def test_indexed_database_roundtrip():
     database = {"e": {(1, 2), (2, 3)}, "f": {(5,)}}
-    indexed = IndexedDatabase(database)
-    assert indexed.size("e") == 2
+    indexed = ColumnarDatabase(database)
+    assert indexed.row_count("e") == 2
     assert indexed.contains_fact("f", (5,))
     assert not indexed.contains_fact("missing", (1,))
     assert indexed.add_fact("e", (3, 4))
@@ -63,12 +68,22 @@ def test_indexed_database_roundtrip():
 # ---------------------------------------------------------------------------
 
 
+class _Oracle:
+    """The reference evaluator behind the engine's ``evaluate``/``query``."""
+
+    def __init__(self, program):
+        self.program = program
+
+    def evaluate(self, database):
+        return oracle.evaluate(self.program, database)
+
+    def query(self, database, predicate):
+        return self.evaluate(database).get(predicate, set())
+
+
 def _both_engines(program_text):
     program = parse_program(program_text)
-    return (
-        SemiNaiveEngine(program, use_index=True),
-        SemiNaiveEngine(program, use_index=False),
-    )
+    return SemiNaiveEngine(program), _Oracle(program)
 
 
 def test_transitive_closure_same_result():
@@ -83,9 +98,9 @@ def test_transitive_closure_same_result():
 
 
 def test_hoisted_builtin_prunes_mid_join():
-    # The builtin's variables are bound after the first literal; the indexed
-    # path applies it before joining the second literal, the nested-loop path
-    # only at the end — the result must be identical.
+    # The builtin's variables are bound after the first literal; the engine
+    # applies it before joining the second literal, the oracle only at the
+    # end — the result must be identical.
     indexed, nested = _both_engines(
         "pair(X, Y) :- item(X, P), lt(P, 10), link(X, Y)."
     )
@@ -131,10 +146,7 @@ def test_constants_probe_the_index():
 def test_unbound_builtin_variable_raises_on_both_paths():
     # Safety does not cover variables that occur only in builtins; grounding
     # them must surface an EvaluationError rather than silently dropping.
-    for use_index in (True, False):
-        engine = SemiNaiveEngine(
-            parse_program("p(X) :- q(X), lt(Y, 10)."), use_index=use_index
-        )
+    for engine in _both_engines("p(X) :- q(X), lt(Y, 10)."):
         with pytest.raises(EvaluationError):
             engine.evaluate({"q": {(1,)}})
 
@@ -148,9 +160,7 @@ def test_cartesian_product_rule():
 
 
 def test_add_batch_dedups_within_the_batch():
-    from repro.datalog import RelationIndex
-
-    relation = RelationIndex({(9, 9)})
+    relation = ColumnarRelation({(9, 9)})
     # Materialise an index first so batch insertion must maintain it.
     assert list(relation.probe((0,), (9,))) == [(9, 9)]
     added = relation.add_batch([(1, 2), (1, 2), (9, 9), (3, 4), (1, 2)])

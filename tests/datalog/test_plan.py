@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datalog import (
-    IndexedDatabase,
+    ColumnarDatabase,
     RulePlan,
     SemiNaiveEngine,
     compile_stratum,
@@ -13,6 +13,7 @@ from repro.datalog import (
 )
 from repro.datalog.engine import EvaluationError
 from repro.datalog.plan import size_bucket
+from tests.datalog import oracle
 
 BUILTINS = SemiNaiveEngine.BUILTINS
 
@@ -33,13 +34,13 @@ def test_slot_layout_and_relational_split():
 
 def test_plan_run_matches_manual_join():
     plan = _plan("p(X, Y) :- e(X, Z), f(Z, Y).")
-    facts = IndexedDatabase({"e": {(1, 2), (3, 4)}, "f": {(2, 5), (4, 6), (9, 9)}})
+    facts = ColumnarDatabase({"e": {(1, 2), (3, 4)}, "f": {(2, 5), (4, 6), (9, 9)}})
     assert sorted(plan.run(facts)) == [(1, 5), (3, 6)]
 
 
 def test_plan_handles_constants_and_repeated_variables():
     plan = _plan('p(X) :- e(X, X, "gold").')
-    facts = IndexedDatabase(
+    facts = ColumnarDatabase(
         {"e": {(1, 1, "gold"), (1, 2, "gold"), (3, 3, "silver"), (4, 4, "gold")}}
     )
     assert sorted(plan.run(facts)) == [(1,), (4,)]
@@ -47,39 +48,39 @@ def test_plan_handles_constants_and_repeated_variables():
 
 def test_plan_skips_wrong_arity_facts():
     # A relation holding mixed-arity facts must only match same-arity atoms,
-    # exactly like the seed unification.
+    # exactly like the oracle's unification.
     plan = _plan("p(X) :- e(X, Y).")
-    facts = IndexedDatabase({"e": {(1, 2), (3,), (4, 5, 6)}})
+    facts = ColumnarDatabase({"e": {(1, 2), (3,), (4, 5, 6)}})
     assert sorted(plan.run(facts)) == [(1,)]
 
 
 def test_fact_rule_plan_emits_once():
     plan = _plan("p(1, 2).")
-    facts = IndexedDatabase()
+    facts = ColumnarDatabase()
     assert plan.run(facts) == [(1, 2)]
 
 
 def test_builtin_filter_hoisted_and_applied():
     plan = _plan("cheap(X) :- item(X, P), lt(P, 10).")
-    facts = IndexedDatabase({"item": {("a", 5), ("b", 20), ("c", 9)}})
+    facts = ColumnarDatabase({"item": {("a", 5), ("b", 20), ("c", 9)}})
     assert sorted(plan.run(facts)) == [("a",), ("c",)]
 
 
 def test_negated_literal_checked_against_full_relation():
     plan = _plan("only(X) :- node(X), not bad(X).")
-    facts = IndexedDatabase({"node": {(1,), (2,), (3,)}, "bad": {(2,)}})
+    facts = ColumnarDatabase({"node": {(1,), (2,), (3,)}, "bad": {(2,)}})
     assert sorted(plan.run(facts)) == [(1,), (3,)]
 
 
 def test_unbound_filter_variable_raises_like_seed():
     # eq(X, Y) with Y bound by no relational literal: safety passes (builtins
-    # count as positive body atoms) but execution must raise, as in the seed.
+    # count as positive body atoms) but execution must raise, as the oracle does.
     plan = _plan("p(X) :- q(X), eq(X, Y).")
-    facts = IndexedDatabase({"q": {(1,)}})
+    facts = ColumnarDatabase({"q": {(1,)}})
     with pytest.raises(EvaluationError):
         plan.run(facts)
     # ...but only when a substitution actually reaches the filter.
-    empty = IndexedDatabase({"q": set()})
+    empty = ColumnarDatabase({"q": set()})
     assert plan.run(empty) == []
 
 
@@ -90,17 +91,18 @@ def test_filter_incomparable_to_bound_set_is_not_dropped():
     # partial order).  Here lt(W, X) is incomparable to {Y, W} after the
     # second literal and only becomes ready after the third.
     plan = _plan("p(W) :- e(Y, 0), e(Y, W), e(X, X), lt(W, X).")
-    facts = IndexedDatabase({"e": {(0, 0)}})
+    facts = ColumnarDatabase({"e": {(0, 0)}})
     assert plan.run(facts) == []  # lt(0, 0) fails; nothing derivable
-    facts2 = IndexedDatabase({"e": {(0, 0), (0, 1), (2, 2)}})
+    facts2 = ColumnarDatabase({"e": {(0, 0), (0, 1), (2, 2)}})
     # W=1 from e(0,1), X=2 from e(2,2): lt(1,2) holds; also W=0,X=2.
     assert sorted(plan.run(facts2)) == [(0,), (1,)]
 
 
 def test_delta_position_restricts_to_delta_relation():
     plan = _plan("reach(X, Y) :- reach(X, Z), edge(Z, Y).")
-    facts = IndexedDatabase({"reach": {(1, 2), (5, 6)}, "edge": {(2, 3), (6, 7)}})
-    delta = IndexedDatabase({"reach": {(1, 2)}})
+    facts = ColumnarDatabase({"edge": {(2, 3), (6, 7)}})
+    facts.add_batch("reach", [(1, 2), (5, 6)])
+    delta = facts.window("reach", 0, 1)  # row 0 only: (1, 2)
     # Delta at position 0: only the delta's reach facts seed the join.
     assert sorted(plan.run(facts, delta, 0)) == [(1, 3)]
     # No delta: the full reach relation is used.
@@ -109,7 +111,7 @@ def test_delta_position_restricts_to_delta_relation():
 
 def test_join_orders_memoised_per_size_bucket():
     plan = _plan("p(X, Y) :- e(X, Z), f(Z, Y).")
-    facts = IndexedDatabase({"e": {(1, 2)}, "f": {(2, 3)}})
+    facts = ColumnarDatabase({"e": {(1, 2)}, "f": {(2, 3)}})
     plan.run(facts)
     assert plan.plan_count() == 1
     # Same buckets -> no replan.
@@ -125,7 +127,7 @@ def test_join_orders_memoised_per_size_bucket():
     plan.run(facts)  # size 4 crosses into the next bucket
     assert plan.plan_count() == 3
     # A delta position gets its own plan family.
-    delta = IndexedDatabase({"e": {(1, 2)}})
+    delta = facts.window("e", 0, 1)
     plan.run(facts, delta, 0)
     assert plan.plan_count() == 4
 
@@ -176,7 +178,5 @@ def test_planned_engine_agrees_with_baselines_on_stratified_program():
         "node": {(1,), (2,), (3,), (4,), (5,), (9,)},
     }
     planned = SemiNaiveEngine(program).evaluate(database)
-    legacy = SemiNaiveEngine(program, use_plans=False).evaluate(database)
-    nested = SemiNaiveEngine(program, use_index=False).evaluate(database)
-    assert planned == legacy == nested
+    assert planned == oracle.evaluate(program, database)
     assert planned["far"] == {(4,), (5,)}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datalog import (
+    EngineOptions,
     PlanRegistry,
     SemiNaiveEngine,
     clear_plan_registry,
@@ -15,6 +16,7 @@ from repro.datalog import (
 )
 
 BUILTINS = SemiNaiveEngine.BUILTINS
+PRIVATE = EngineOptions(share_plans=False)
 
 REACH = """
 reach(X, Y) :- edge(X, Y).
@@ -62,7 +64,7 @@ def test_engines_over_equal_programs_share_plan_objects():
 def test_share_plans_false_compiles_privately():
     clear_plan_registry()
     shared = SemiNaiveEngine(parse_program(REACH))
-    private = SemiNaiveEngine(parse_program(REACH), share_plans=False)
+    private = SemiNaiveEngine(parse_program(REACH), options=PRIVATE)
     assert not private.share_plans
     assert shared._stratum_plans[0][0] is not private._stratum_plans[0][0]
     info = plan_registry_info()
@@ -72,7 +74,7 @@ def test_share_plans_false_compiles_privately():
 def test_shared_and_private_engines_compute_equal_fixpoints():
     database = {"edge": {(1, 2), (2, 3), (3, 4), (7, 8)}}
     shared = SemiNaiveEngine(parse_program(REACH)).evaluate(database)
-    private = SemiNaiveEngine(parse_program(REACH), share_plans=False).evaluate(database)
+    private = SemiNaiveEngine(parse_program(REACH), options=PRIVATE).evaluate(database)
     assert shared == private
     assert shared["reach"] == {
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (7, 8),
@@ -134,7 +136,7 @@ def test_duplicate_and_reordered_rules_share_one_compilation():
     assert (
         SemiNaiveEngine(a).evaluate(database)
         == SemiNaiveEngine(b).evaluate(database)
-        == SemiNaiveEngine(a, share_plans=False).evaluate(database)
+        == SemiNaiveEngine(a, options=PRIVATE).evaluate(database)
     )
 
 
@@ -162,7 +164,8 @@ def test_200_components_over_4_programs_compile_4_times():
             f"component-{n}",
             programs[n % 4],
             lambda: document,
-            force_generic=True,  # the generic engine is the registry client
+            # the generic engine is the registry client
+            options=EngineOptions(force_generic=True),
         )
         for n in range(200)
     ]

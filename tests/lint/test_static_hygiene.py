@@ -165,10 +165,6 @@ ALLOWED_UNLOCKED_WRITES = {
         "catch-up watermark for the composite indexes above; same "
         "single-owner evaluation-scratch lifetime"
     ),
-    ("repro/datalog/index.py", "_indexes"): (
-        "relation indexes live in one engine's fact store and are built "
-        "during that engine's single-threaded evaluate() pass"
-    ),
     ("repro/datalog/ltur.py", "_atom_ids"): (
         "atom interning table local to one LTUR solver instance, built and "
         "run by a single caller"

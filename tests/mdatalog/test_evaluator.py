@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.datalog import EngineOptions, tree_database
 from repro.mdatalog import (
     InformationExtractionFunction,
     MonadicProgram,
@@ -12,6 +13,9 @@ from repro.mdatalog import (
     union,
 )
 from repro.tree import random_tree, tree
+from tests.datalog import oracle
+
+GENERIC = EngineOptions(force_generic=True)
 
 
 def indexes(nodes):
@@ -29,7 +33,7 @@ def test_ground_pipeline_and_generic_agree_on_recursive_program():
         """,
     )
     fast = MonadicTreeEvaluator(program)
-    slow = MonadicTreeEvaluator(program, force_generic=True)
+    slow = MonadicTreeEvaluator(program, options=GENERIC)
     assert fast.uses_ground_pipeline
     assert not slow.uses_ground_pipeline
     for seed in range(4):
@@ -116,9 +120,9 @@ def test_query_agreement_helper(figure1):
     assert not first.agrees_with(third, figure1)
 
 
-def test_use_index_flag_threads_through_generic_path():
-    # use_index=False retains the seed nested-loop join; both strategies
-    # must select the same nodes through the evaluator API.
+def test_generic_path_matches_the_oracle():
+    # The generic fallback must select exactly the nodes the reference
+    # oracle derives over the same tree EDB.
     program = MonadicProgram.parse(
         """
         mark(X) :- label_b(X).
@@ -127,19 +131,19 @@ def test_use_index_flag_threads_through_generic_path():
         """,
     )
     document = random_tree(80, labels=("a", "b"), seed=11)
-    indexed = MonadicTreeEvaluator(program, force_generic=True)
-    nested = MonadicTreeEvaluator(program, force_generic=True, use_index=False)
-    assert not indexed.uses_ground_pipeline and not nested.uses_ground_pipeline
-    assert indexes(indexed.select(document, "mark")) == indexes(
-        nested.select(document, "mark")
-    )
+    evaluator = MonadicTreeEvaluator(program, options=GENERIC)
+    assert not evaluator.uses_ground_pipeline
+    expected = oracle.evaluate(program.to_datalog_program(), tree_database(document))
+    assert indexes(evaluator.select(document, "mark")) == {
+        index for (index,) in expected["mark"]
+    }
 
 
 def test_generic_path_observes_document_mutation():
     # The tree EDB is rebuilt per evaluate() call, so relabelling a node
     # between calls must be reflected (the fixpoint cache is content-keyed).
     program = MonadicProgram.parse("hit(X) :- label_b(X).")
-    evaluator = MonadicTreeEvaluator(program, force_generic=True)
+    evaluator = MonadicTreeEvaluator(program, options=GENERIC)
     document = tree(("a", ("b",), ("c",)))
     assert indexes(evaluator.evaluate(document)["hit"]) == {1}
     document.node_at(2).label = "b"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datalog import EngineOptions
 from repro.datalog.parser import parse_rules
 from repro.mdatalog import (
     MonadicProgram,
@@ -16,6 +17,8 @@ from repro.mdatalog import (
 )
 from repro.tree import random_tree, tree
 
+GENERIC = EngineOptions(force_generic=True)
+
 
 def selection(program, document, predicate):
     return {
@@ -27,7 +30,7 @@ def selection(program, document, predicate):
 def generic_selection(program, document, predicate):
     return {
         node.preorder_index
-        for node in MonadicTreeEvaluator(program, force_generic=True).select(
+        for node in MonadicTreeEvaluator(program, options=GENERIC).select(
             document, predicate
         )
     }

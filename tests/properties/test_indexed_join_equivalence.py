@@ -1,14 +1,17 @@
-"""Property-based equivalence of the engine's three join strategies.
+"""The engine computes the reference oracle's fixpoints.
 
 Randomised datalog programs (with recursion, stratified negation, and
-comparison builtins) over randomised extensional databases must produce the
-same fixpoint whether the engine evaluates through compiled rule plans (the
-default), the PR-1 per-call indexed join (``use_plans=False``), or the seed
-nested-loop scan (``use_index=False``) — plans and indexes are pure
-evaluation-strategy changes.  The same holds for *where* the plans come
-from: engines sharing one compilation through the registry
-(``share_plans=True``, the default) must agree with privately compiled
-engines (``share_plans=False``).
+comparison builtins) over randomised extensional databases must produce
+exactly the fixpoint of the naive nested-loop oracle
+(``tests/datalog/oracle.py``) — directly, through the public
+:class:`repro.api.Session` surface, and out of the fixpoint cache.  The
+same holds for *where* the plans come from: engines sharing one
+compilation through a registry (``share_plans=True``, the default) must
+agree with privately compiled engines (``share_plans=False``), and plans
+compiled once stay correct across databases.
+
+The program/database generators are shared with the other property
+suites (same schema, same shrinking behaviour).
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datalog import SemiNaiveEngine
+from repro.api import Session
+from repro.datalog import EngineOptions, PlanRegistry, SemiNaiveEngine, parse_program
 from repro.datalog.ast import Atom, Constant, Literal, Program, Rule, Variable
+from tests.datalog import oracle
 
 # A small fixed schema keeps the generator simple while still exercising
 # joins over mixed arities, recursion through IDB predicates, and negation.
@@ -115,51 +120,77 @@ def databases(draw):
 @settings(max_examples=60, deadline=None)
 @given(program=programs(), database=databases())
 def test_planned_indexed_and_nested_loop_fixpoints_agree(program, database):
-    planned = SemiNaiveEngine(program).evaluate(database)
-    indexed = SemiNaiveEngine(program, use_plans=False).evaluate(database)
-    nested = SemiNaiveEngine(program, use_index=False).evaluate(database)
-    assert planned == indexed
-    assert indexed == nested
+    assert SemiNaiveEngine(program).evaluate(database) == oracle.evaluate(
+        program, database
+    )
 
 
 @settings(max_examples=40, deadline=None)
 @given(program=programs(), database=databases())
 def test_shared_registry_fixpoints_match_private_compilation(program, database):
-    # Two default engines hit the shared registry (the second reuses the
-    # first's compiled plans — same objects); both must compute exactly the
-    # fixpoint of a privately compiled engine (share_plans=False), i.e.
-    # cross-engine plan sharing is invisible to evaluation.
-    shared_first = SemiNaiveEngine(program)
-    shared_second = SemiNaiveEngine(program)
-    private = SemiNaiveEngine(program, share_plans=False)
+    # Two engines over one registry share the compiled plans (the second
+    # reuses the first's — same objects, one registry miss); both must
+    # compute exactly the fixpoint of a privately compiled engine
+    # (share_plans=False), i.e. cross-engine plan sharing is invisible to
+    # evaluation.
+    registry = PlanRegistry()
+    shared_first = SemiNaiveEngine(program, registry=registry)
+    shared_second = SemiNaiveEngine(program, registry=registry)
+    private = SemiNaiveEngine(program, options=EngineOptions(share_plans=False))
     if shared_second._stratum_plans:
         assert (
             shared_second._stratum_plans[0][0] is shared_first._stratum_plans[0][0]
         )
+    assert registry.info().misses == 1
     result = shared_first.evaluate(database)
     assert result == shared_second.evaluate(database)
     assert result == private.evaluate(database)
+    assert result == oracle.evaluate(program, database)
 
 
 @settings(max_examples=30, deadline=None)
 @given(program=programs(), database=databases())
 def test_plan_reuse_across_databases_stays_equivalent(program, database):
     # One engine (compiled plans reused and bucket-memoised across calls)
-    # must agree with a fresh nested-loop engine on every database,
-    # including after evaluating a different database in between.
+    # must agree with the oracle on every database, including after
+    # evaluating a different database in between.
     engine = SemiNaiveEngine(program)
     warmup = {predicate: set(list(facts)[:1]) for predicate, facts in database.items()}
     engine.evaluate(warmup)
-    planned = engine.evaluate(database)
-    nested = SemiNaiveEngine(program, use_index=False).evaluate(database)
-    assert planned == nested
+    assert engine.evaluate(database) == oracle.evaluate(program, database)
+
+
+@settings(max_examples=25, deadline=None)
+@given(program=programs(), database=databases())
+def test_engine_matches_oracle_through_session(program, database):
+    result = Session().query(program, database)
+    answers = {
+        predicate: result.evaluation.query(predicate)
+        for predicate in result.evaluation.predicates()
+    }
+    expected = oracle.evaluate(program, database)
+    assert answers == {predicate: frozenset(facts) for predicate, facts in expected.items()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(program=programs(), database=databases())
+def test_fixpoint_cache_entries_match_the_oracle(program, database):
+    # The cache keys on database content and stores the plain fixpoint: a
+    # re-evaluation must hit and return the stored entry itself, and that
+    # entry must be the oracle's fixpoint.
+    engine = SemiNaiveEngine(program)
+    first = engine.fixpoint(database)
+    before = engine.fixpoint_cache_info()
+    again = engine.fixpoint(database)
+    after = engine.fixpoint_cache_info()
+    assert again is first
+    assert after.hits == before.hits + 1
+    assert first.facts() == oracle.evaluate(program, database)
 
 
 @settings(max_examples=30, deadline=None)
 @given(database=st.sets(st.tuples(DOMAIN, DOMAIN), min_size=0, max_size=12))
 def test_transitive_closure_agrees_on_random_graphs(database):
-    from repro.datalog import parse_program
-
     program = parse_program(
         """
         reach(X, Y) :- edge(X, Y).
@@ -170,7 +201,4 @@ def test_transitive_closure_agrees_on_random_graphs(database):
         """
     )
     edb = {"edge": set(database)}
-    planned = SemiNaiveEngine(program).evaluate(edb)
-    indexed = SemiNaiveEngine(program, use_plans=False).evaluate(edb)
-    nested = SemiNaiveEngine(program, use_index=False).evaluate(edb)
-    assert planned == indexed == nested
+    assert SemiNaiveEngine(program).evaluate(edb) == oracle.evaluate(program, edb)

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.datalog import parse_program, query_program, tree_database
+from repro.datalog import EngineOptions, parse_program, query_program, tree_database
 from repro.mdatalog import MonadicProgram, MonadicTreeEvaluator, is_tmnf, to_tmnf
 from repro.tree import Document, Node, decode, encode, to_sexpr
 from repro.tree.encoding import encoding_round_trips
 from repro.xpath import CoreXPathEvaluator, FullXPathEvaluator, NaiveXPathEvaluator
 
 LABELS = ("a", "b", "c")
+GENERIC = EngineOptions(force_generic=True)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +93,7 @@ deep(X) :- label_b(B), child(B, X), label_c(X).
 def test_ground_pipeline_equals_generic_engine(document):
     program = MonadicProgram.parse(MDATALOG_TEXT)
     fast = MonadicTreeEvaluator(program).evaluate(document)
-    slow = MonadicTreeEvaluator(program, force_generic=True).evaluate(document)
+    slow = MonadicTreeEvaluator(program, options=GENERIC).evaluate(document)
     for predicate in program.query_predicates:
         assert [n.preorder_index for n in fast[predicate]] == [
             n.preorder_index for n in slow[predicate]
@@ -105,7 +106,7 @@ def test_tmnf_rewriting_preserves_query_answers(document):
     program = MonadicProgram.parse(MDATALOG_TEXT)
     rewritten = to_tmnf(program)
     assert is_tmnf(rewritten)
-    original = MonadicTreeEvaluator(program, force_generic=True).evaluate(document)
+    original = MonadicTreeEvaluator(program, options=GENERIC).evaluate(document)
     after = MonadicTreeEvaluator(rewritten).evaluate(document)
     for predicate in program.query_predicates:
         assert {n.preorder_index for n in original[predicate]} == {

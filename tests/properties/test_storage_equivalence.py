@@ -1,17 +1,18 @@
-"""Storage backends are invisible to the fixpoint (and to every cache).
+"""The columnar storage is invisible to the fixpoint (and to every cache).
 
-The columnar join core (``EngineOptions(storage="columnar")``, the
-default) is a pure storage/executor change: randomised programs (with
-recursion, stratified negation, and comparison builtins) over randomised
-databases must produce exactly the fixpoint of the tuple-at-a-time layer
-(``storage="tuple"``) and of the seed nested-loop scan
-(``use_index=False``) — and the same must hold through the public
-:class:`repro.api.Session` surface, for both ``index_keys`` modes, and
-for the caching layers: the :class:`~repro.datalog.cache.FixpointCache`
-and the :class:`~repro.datalog.registry.PlanRegistry` key on program and
-database *content*, so their entries are storage-invariant by
-construction.
+The engine keeps its facts in columnar relations with full-key hash
+indexes, converting the caller's plain ``{predicate: set_of_tuples}``
+database on the way in and out.  That conversion must be a pure storage
+detail: randomised programs (with recursion, stratified negation, and
+comparison builtins) over randomised databases must produce exactly the
+fixpoint of the naive nested-loop oracle (``tests/datalog/oracle.py``),
+without touching the caller's database, and the
+:class:`~repro.datalog.registry.PlanRegistry` — which keys on program
+content only — must hand one compilation to engines that differ in every
+other option.
 
+The test names date from when the engine had several storage backends;
+the properties they pin now hold between the one storage and the oracle.
 The program/database generators are shared with
 ``test_indexed_join_equivalence`` (same schema, same shrinking behaviour).
 """
@@ -22,97 +23,56 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Session
-from repro.datalog import (
-    EngineOptions,
-    PlanRegistry,
-    SemiNaiveEngine,
-    parse_program,
-)
+from repro.datalog import EngineOptions, PlanRegistry, SemiNaiveEngine, parse_program
+from tests.datalog import oracle
 
 from .test_indexed_join_equivalence import DOMAIN, databases, programs
 
-STORAGE_OPTIONS = {
-    "columnar": EngineOptions(storage="columnar"),
-    "tuple": EngineOptions(storage="tuple"),
-    "nested": EngineOptions(use_index=False),
+# Every engine configuration left once the storage knobs are gone: the
+# options that remain change caching and plan seeding, never the answer.
+ENGINE_OPTIONS = {
+    "default": EngineOptions(),
+    "unseeded": EngineOptions(seed_plans=False),
+    "small_cache": EngineOptions(cache_size=1),
 }
 
 
 @settings(max_examples=60, deadline=None)
 @given(program=programs(), database=databases())
 def test_columnar_tuple_and_nested_loop_fixpoints_agree(program, database):
-    results = {
-        name: SemiNaiveEngine(program, options=options).evaluate(
-            {predicate: set(facts) for predicate, facts in database.items()}
+    # The columnar fixpoint, handed back as plain sets of tuples, is the
+    # oracle's — and converting into columnar storage leaves the caller's
+    # database exactly as it was.
+    snapshot = {predicate: set(facts) for predicate, facts in database.items()}
+    expected = oracle.evaluate(program, snapshot)
+    for options in ENGINE_OPTIONS.values():
+        result = SemiNaiveEngine(program, options=options).evaluate(database)
+        assert result == expected
+        assert all(
+            isinstance(fact, tuple) for facts in result.values() for fact in facts
         )
-        for name, options in STORAGE_OPTIONS.items()
-    }
-    assert results["columnar"] == results["tuple"]
-    assert results["tuple"] == results["nested"]
-
-
-@settings(max_examples=30, deadline=None)
-@given(program=programs(), database=databases())
-def test_index_key_modes_agree(program, database):
-    full = SemiNaiveEngine(
-        program, options=EngineOptions(index_keys="full")
-    ).evaluate(database)
-    prefix = SemiNaiveEngine(
-        program, options=EngineOptions(index_keys="prefix")
-    ).evaluate(database)
-    assert full == prefix
-
-
-@settings(max_examples=25, deadline=None)
-@given(program=programs(), database=databases())
-def test_storage_backends_agree_through_session(program, database):
-    answers = {}
-    for name, options in STORAGE_OPTIONS.items():
-        result = Session(options=options).query(program, database)
-        answers[name] = {
-            predicate: result.evaluation.query(predicate)
-            for predicate in result.evaluation.predicates()
-        }
-    assert answers["columnar"] == answers["tuple"]
-    assert answers["tuple"] == answers["nested"]
-
-
-@settings(max_examples=25, deadline=None)
-@given(program=programs(), database=databases())
-def test_fixpoint_cache_entries_are_storage_invariant(program, database):
-    # The cache keys on database content, never on storage internals: a
-    # columnar engine's cached fixpoint must be bit-identical to a fresh
-    # tuple engine's, and a re-evaluation must hit (the columnar evaluation
-    # did not leak engine-internal state into the keying or the result).
-    columnar = SemiNaiveEngine(program, options=STORAGE_OPTIONS["columnar"])
-    first = columnar.fixpoint(database)
-    before = columnar.fixpoint_cache_info()
-    again = columnar.fixpoint(database)
-    after = columnar.fixpoint_cache_info()
-    assert again is first  # the LRU returned the stored entry itself
-    assert after.hits == before.hits + 1
-    fresh_tuple = SemiNaiveEngine(program, options=STORAGE_OPTIONS["tuple"])
-    assert fresh_tuple.fixpoint(database).facts() == first.facts()
+        assert database == snapshot
 
 
 @settings(max_examples=25, deadline=None)
 @given(program=programs(), database=databases())
 def test_plan_registry_shares_one_compilation_across_storages(program, database):
     # Compiled programs are keyed by content fingerprint only — engines
-    # differing in storage backend re-use the *same* compiled plans (the
-    # specialised executors are written against the storage protocols),
-    # and still agree on the fixpoint.
+    # differing in every remaining option re-use the *same* compiled plans
+    # (one registry miss) and still compute the oracle's fixpoint.
     registry = PlanRegistry()
-    columnar = SemiNaiveEngine(
-        program, options=STORAGE_OPTIONS["columnar"], registry=registry
-    )
-    tupled = SemiNaiveEngine(
-        program, options=STORAGE_OPTIONS["tuple"], registry=registry
-    )
-    if columnar._stratum_plans:
-        assert columnar._stratum_plans[0][0] is tupled._stratum_plans[0][0]
-    assert columnar.evaluate(database) == tupled.evaluate(database)
-    assert registry.info().misses <= 1
+    engines = [
+        SemiNaiveEngine(program, options=options, registry=registry)
+        for options in ENGINE_OPTIONS.values()
+    ]
+    first = engines[0]
+    if first._stratum_plans:
+        for engine in engines[1:]:
+            assert engine._stratum_plans[0][0] is first._stratum_plans[0][0]
+    assert registry.info().misses == 1
+    expected = oracle.evaluate(program, database)
+    for engine in engines:
+        assert engine.evaluate(database) == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -128,10 +88,11 @@ def test_transitive_closure_with_negation_agrees_across_storages(database):
         """
     )
     edb = {"edge": set(database)}
-    results = [
-        SemiNaiveEngine(program, options=options).evaluate(
-            {predicate: set(facts) for predicate, facts in edb.items()}
-        )
-        for options in STORAGE_OPTIONS.values()
-    ]
-    assert results[0] == results[1] == results[2]
+    expected = oracle.evaluate(program, edb)
+    for options in ENGINE_OPTIONS.values():
+        assert SemiNaiveEngine(program, options=options).evaluate(edb) == expected
+    result = Session().query(program, edb)
+    assert {
+        predicate: set(result.evaluation.query(predicate))
+        for predicate in result.evaluation.predicates()
+    } == expected

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datalog import EngineOptions
 from repro.elog import parse_elog
 from repro.mdatalog import MonadicProgram
 from repro.server import (
@@ -157,7 +158,10 @@ def test_datalog_query_component_serves_hot_documents_from_cache():
         "hit(X) :- label_b(X).", query_predicates=["hit"]
     )
     component = DatalogQueryComponent(
-        "wrap", program, supplier, cache_size=4, force_generic=True
+        "wrap",
+        program,
+        supplier,
+        options=EngineOptions(cache_size=4, force_generic=True),
     )
     pipe = InformationPipe("datalog")
     pipe.add(component)
@@ -191,7 +195,10 @@ def test_datalog_query_component_ground_pipeline_caches_by_content():
         "hit(X) :- label_b(X).", query_predicates=["hit"]
     )
     component = DatalogQueryComponent(
-        "wrap", program, lambda: tree(("doc", ("b",), ("a",))), cache_size=4
+        "wrap",
+        program,
+        lambda: tree(("doc", ("b",), ("a",))),
+        options=EngineOptions(cache_size=4),
     )
     # The supplier builds an equal-but-distinct document per call; the
     # ground pipeline's tree-fingerprint LRU must still hit.
@@ -320,7 +327,11 @@ def test_wrapper_components_share_one_interpreter_per_program():
     shared_b = WrapperComponent("b", program, web, "books-a.test/bestsellers")
     assert shared_a._extractor is shared_b._extractor
     private = WrapperComponent(
-        "c", program, web, "books-a.test/bestsellers", share_interpreter=False
+        "c",
+        program,
+        web,
+        "books-a.test/bestsellers",
+        options=EngineOptions(share_plans=False),
     )
     assert private._extractor is not shared_a._extractor
     # Another program gets its own interpreter.
