@@ -3,11 +3,15 @@
 The Figure 5 Elog program is run against synthetic eBay result pages of
 growing size; the printed table reports records per second and checks the
 extraction stays complete (one record / description / price / bids group per
-offered item).
+offered item).  The median extraction time per page size is recorded as
+``figure5_extract_<records>_s``, and extraction must stay linear in the
+page: the time per record at 160 records may be at most
+``MAX_PER_RECORD_GROWTH`` times the time per record at 10.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -17,25 +21,37 @@ from repro.html import parse_html
 from repro.web.sites.ebay import ebay_page
 
 PAGE_SIZES = (10, 40, 160)
+REPEATS = 5
+#: A quadratic interpreter reads ~8x here; a linear one ~1x.
+MAX_PER_RECORD_GROWTH = 2.5
 
 
-def test_extraction_completeness_and_throughput():
+def test_extraction_completeness_and_throughput(bench_record):
     program = figure5_program()
-    rows = []
+    medians = {}
     for count in PAGE_SIZES:
         document = parse_html(ebay_page(count=count, seed=7), url="www.ebay.com")
-        start = time.perf_counter()
-        base = Extractor(program).extract(document=document)
-        elapsed = time.perf_counter() - start
+        samples = []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            base = Extractor(program).extract(document=document)
+            samples.append(time.perf_counter() - start)
         assert base.count("record") == count
         assert base.count("itemdes") == count
         assert base.count("price") == count
         assert base.count("bids") == count
-        rows.append((count, elapsed, count / elapsed))
-    print("\nE7  Figure 5 eBay wrapper throughput")
-    print(f"{'records':>8} {'seconds':>10} {'records/s':>12}")
-    for count, elapsed, throughput in rows:
-        print(f"{count:>8} {elapsed:>10.4f} {throughput:>12.1f}")
+        medians[count] = statistics.median(samples)
+        bench_record(f"figure5_extract_{count}_s", medians[count])
+    print("\nE7  Figure 5 eBay wrapper throughput (median of", REPEATS, "runs)")
+    print(f"{'records':>8} {'seconds':>10} {'records/s':>12} {'us/record':>10}")
+    for count, elapsed in medians.items():
+        per_record_us = elapsed / count * 1e6
+        print(f"{count:>8} {elapsed:>10.4f} {count / elapsed:>12.1f} {per_record_us:>10.0f}")
+    smallest, largest = PAGE_SIZES[0], PAGE_SIZES[-1]
+    growth = (medians[largest] / largest) / (medians[smallest] / smallest)
+    assert growth <= MAX_PER_RECORD_GROWTH, (
+        f"per-record time grows {growth:.1f}x from {smallest} to {largest} records"
+    )
 
 
 @pytest.mark.benchmark(group="E7-ebay")

@@ -18,6 +18,18 @@ distance is the number of document-order positions between the end of B's
 subtree and the start of X (0 = immediately adjacent); symmetrically for
 ``after``.  This reproduces the 0/0 tolerances of Figure 5 (the sequence
 starts right after the list header and is immediately followed by an ``hr``).
+
+Witness memo: the witnesses of a context condition depend only on the scope
+node and the condition's path, not on the candidate.  They are computed once
+per ``(scope node, path)`` and kept in :attr:`ConditionContext.witnesses`,
+each with its subtree span ``[start, end)`` in document order, so the
+distance test walks nothing.  The extractor shares one memo across every
+candidate of one ``Extractor.extract`` call and drops it when the call
+returns.  Documents are not mutated during a call, and the keys are the node
+objects themselves, which the memo keeps alive, so a key can never alias
+another node.  No witness inside the target needs excluding: such a witness
+ends after the target starts, which fails the ``before`` test, and starts
+before the target ends, which fails the ``after`` test.
 """
 
 from __future__ import annotations
@@ -43,6 +55,14 @@ from .instance_base import PatternInstanceBase
 
 Target = Union[Node, Sequence[Node], str]
 
+#: A context-condition witness: the node, the bindings of its path and its
+#: subtree span ``[start, end)`` in document order.
+Witness = Tuple[Node, Dict[str, str], int, int]
+
+#: Witnesses per ``(scope node, path)``, shared across the candidates of one
+#: extraction.
+WitnessMemo = Dict[Tuple[Node, ElementPath], List[Witness]]
+
 
 @dataclass
 class ConditionContext:
@@ -55,9 +75,10 @@ class ConditionContext:
     bindings: Dict[str, object] = field(default_factory=dict)
     instance_base: Optional[PatternInstanceBase] = None
     concepts: ConceptRegistry = field(default_factory=lambda: DEFAULT_CONCEPTS)
+    witnesses: WitnessMemo = field(default_factory=dict)
 
     # -- helpers -----------------------------------------------------------
-    def target_nodes(self) -> List[Node]:
+    def target_members(self) -> List[Node]:
         if isinstance(self.target, Node):
             return [self.target]
         if isinstance(self.target, str):
@@ -66,13 +87,10 @@ class ConditionContext:
 
     def target_span(self) -> Optional[Tuple[int, int]]:
         """(start, end) of the target in document order; None for strings."""
-        nodes = self.target_nodes()
+        nodes = self.target_members()
         if not nodes:
             return None
-        start = nodes[0].preorder_index
-        last = nodes[-1]
-        end = last.preorder_index + last.subtree_size()
-        return start, end
+        return nodes[0].preorder_index, _subtree_end(nodes[-1])
 
     def scope_node(self) -> Optional[Node]:
         if self.parent_node is not None:
@@ -87,7 +105,7 @@ class ConditionContext:
         if argument == "X":
             if isinstance(self.target, str):
                 return self.target
-            nodes = self.target_nodes()
+            nodes = self.target_members()
             return nodes[0].normalized_text() if nodes else None
         value = self.bindings.get(argument)
         if isinstance(value, Node):
@@ -95,18 +113,35 @@ class ConditionContext:
         return value
 
 
-def _lenient_path(path: ElementPath) -> ElementPath:
+def lenient_path(path: ElementPath) -> ElementPath:
     """Prefix the path with '?' so it matches anywhere within the subtree."""
     if path.steps and path.steps[0] == "?":
         return path
     return ElementPath(steps=("?",) + path.steps, conditions=path.conditions)
 
 
-def _witnesses_in_scope(context: ConditionContext, path: ElementPath) -> List[Tuple[Node, Dict[str, str]]]:
+def _subtree_end(node: Node) -> int:
+    """One past the last document-order position of ``node``'s subtree.
+
+    The subtree size is ``post - pre + depth + 1``, so this costs O(depth)
+    rather than a walk over the subtree.
+    """
+    return node.postorder_index + node.depth() + 1
+
+
+def _witnesses_in_scope(context: ConditionContext, path: ElementPath) -> List[Witness]:
     scope = context.scope_node()
     if scope is None:
         return []
-    return _lenient_path(path).find_targets(scope)
+    key = (scope, path)
+    witnesses = context.witnesses.get(key)
+    if witnesses is None:
+        witnesses = [
+            (node, bindings, node.preorder_index, _subtree_end(node))
+            for node, bindings in lenient_path(path).find_targets(scope)
+        ]
+        context.witnesses[key] = witnesses
+    return witnesses
 
 
 def evaluate_condition(condition: Condition, context: ConditionContext) -> List[Dict[str, object]]:
@@ -151,21 +186,16 @@ def _evaluate_context_condition(
     if span is None:
         return []
     target_start, target_end = span
-    target_nodes = set(id(n) for node in context.target_nodes() for n in node.iter_preorder())
-    witnesses = _witnesses_in_scope(context, condition.path)
     found: List[Dict[str, object]] = []
-    for node, bindings in witnesses:
-        if id(node) in target_nodes:
-            continue
+    for node, bindings, start, end in _witnesses_in_scope(context, condition.path):
         if before:
-            witness_end = node.preorder_index + node.subtree_size()
-            if witness_end > target_start:
+            if end > target_start:
                 continue
-            distance = target_start - witness_end
+            distance = target_start - end
         else:
-            if node.preorder_index < target_end:
+            if start < target_end:
                 continue
-            distance = node.preorder_index - target_end
+            distance = start - target_end
         if condition.min_distance <= distance <= condition.max_distance:
             result: Dict[str, object] = dict(bindings)
             if condition.bind:
@@ -185,8 +215,8 @@ def _evaluate_contains(
     condition: ContainsCondition, context: ConditionContext
 ) -> List[Dict[str, object]]:
     found: List[Dict[str, object]] = []
-    for target_node in context.target_nodes():
-        for node, bindings in _lenient_path(condition.path).find_targets(target_node):
+    for target_node in context.target_members():
+        for node, bindings in lenient_path(condition.path).find_targets(target_node):
             result: Dict[str, object] = dict(bindings)
             if condition.bind:
                 result[condition.bind] = node
@@ -256,7 +286,7 @@ def _evaluate_pattern_reference(
         return []
     value = context.bindings.get(condition.argument)
     if condition.argument == "X" and value is None:
-        nodes = context.target_nodes()
+        nodes = context.target_members()
         value = nodes[0] if nodes else None
     holds = isinstance(value, Node) and context.instance_base.node_is_instance_of(
         condition.pattern, value

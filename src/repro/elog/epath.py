@@ -21,6 +21,16 @@ parent node (exclusive) to the target node (inclusive) must match the
 sequence of steps, where a named step matches exactly that tag, ``*`` matches
 any single tag, and ``?`` matches any (possibly empty) sequence of tags.
 
+Matching is one automaton over the steps, shared by every entry point.  The
+states are step positions; a ``?`` step either stays (consuming a label) or
+is skipped, and ``*`` or a name advances by one.  :meth:`ElementPath.find_targets`
+walks the subtree once in pre-order, carrying the set of positions reached
+on the path from the parent, and prunes a subtree as soon as that set is
+empty.  The cost is O(subtree × steps) at worst, and an anchored path such as
+``.table`` visits only the parent's children.  :meth:`ElementPath.matches_path`
+and :meth:`ElementPath.match_target` fold the same step function over an
+explicit label sequence.
+
 Attribute conditions are triples ``(attribute, value, mode)``:
 
 * ``attribute`` is an HTML attribute name, or ``elementtext`` for the
@@ -36,7 +46,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..tree.node import Node
 
@@ -151,7 +161,12 @@ class ElementPath:
     # -- evaluation -----------------------------------------------------------
     def matches_path(self, labels: Sequence[str]) -> bool:
         """Does the label sequence (parent-exclusive, target-inclusive) match?"""
-        return _match_steps(self.steps, tuple(labels))
+        states = _closure(self.steps, (0,))
+        for label in labels:
+            states = _advance(self.steps, states, label)
+            if not states:
+                return False
+        return len(self.steps) in states
 
     def match_target(self, parent: Node, target: Node) -> Optional[Dict[str, str]]:
         """Check whether ``target`` is reachable from ``parent`` via this path
@@ -169,24 +184,48 @@ class ElementPath:
         labels.reverse()
         if not self.matches_path(labels):
             return None
+        return self._check_conditions(target)
+
+    def find_targets(self, parent: Node) -> List[Tuple[Node, Dict[str, str]]]:
+        """All descendants of ``parent`` matched by this path, in doc order.
+
+        One pre-order pass that carries the step positions reached so far
+        and prunes every subtree where that set runs empty.  Transitions are
+        cached per pass, so a label seen again in the same state costs one
+        dict lookup.
+        """
+        steps = self.steps
+        accept = len(steps)
+        results: List[Tuple[Node, Dict[str, str]]] = []
+        transitions: Dict[Tuple[FrozenSet[int], str], FrozenSet[int]] = {}
+        start = _closure(steps, (0,))
+        stack = [(child, start) for child in reversed(parent.children)]
+        while stack:
+            node, states = stack.pop()
+            key = (states, node.label)
+            reached = transitions.get(key)
+            if reached is None:
+                reached = transitions[key] = _advance(steps, states, node.label)
+            if not reached:
+                continue
+            if accept in reached:
+                if node.label != "#comment":
+                    bindings = self._check_conditions(node)
+                    if bindings is not None:
+                        results.append((node, bindings))
+                if len(reached) == 1:
+                    continue  # all steps consumed: nothing below can match
+            stack.extend((child, reached) for child in reversed(node.children))
+        return results
+
+    def _check_conditions(self, node: Node) -> Optional[Dict[str, str]]:
         bindings: Dict[str, str] = {}
         for condition in self.conditions:
-            result = condition.matches(target)
+            result = condition.matches(node)
             if result is None:
                 return None
             bindings.update(result)
         return bindings
-
-    def find_targets(self, parent: Node) -> List[Tuple[Node, Dict[str, str]]]:
-        """All descendants of ``parent`` matched by this path, in doc order."""
-        results: List[Tuple[Node, Dict[str, str]]] = []
-        for node in parent.iter_descendants():
-            if node.label in ("#comment",):
-                continue
-            bindings = self.match_target(parent, node)
-            if bindings is not None:
-                results.append((node, bindings))
-        return results
 
     # -- display ---------------------------------------------------------------
     def __str__(self) -> str:
@@ -257,29 +296,29 @@ def _split_top_level(text: str) -> List[str]:
     return parts
 
 
-def _match_steps(steps: Tuple[str, ...], labels: Tuple[str, ...]) -> bool:
-    """Match the step sequence against a label sequence (``?`` = any run)."""
-    memo: Dict[Tuple[int, int], bool] = {}
+def _closure(steps: Tuple[str, ...], states: Iterable[int]) -> FrozenSet[int]:
+    """``states`` plus every step position reachable by skipping ``?`` steps.
 
-    def match(step_index: int, label_index: int) -> bool:
-        key = (step_index, label_index)
-        if key in memo:
-            return memo[key]
-        if step_index == len(steps):
-            result = label_index == len(labels)
-        elif steps[step_index] == "?":
-            # '?' matches any (possibly empty) run of labels
-            result = any(
-                match(step_index + 1, next_index)
-                for next_index in range(label_index, len(labels) + 1)
-            )
-        elif label_index >= len(labels):
-            result = False
-        elif steps[step_index] == "*" or steps[step_index] == labels[label_index]:
-            result = match(step_index + 1, label_index + 1)
-        else:
-            result = False
-        memo[key] = result
-        return result
+    Position ``i`` means ``steps[:i]`` have consumed the labels seen so far.
+    """
+    closed = set()
+    for position in states:
+        closed.add(position)
+        while position < len(steps) and steps[position] == "?":
+            position += 1
+            closed.add(position)
+    return frozenset(closed)
 
-    return match(0, 0)
+
+def _advance(steps: Tuple[str, ...], states: FrozenSet[int], label: str) -> FrozenSet[int]:
+    """The positions reached from ``states`` by consuming one ``label``."""
+    reached = set()
+    for position in states:
+        if position == len(steps):
+            continue
+        step = steps[position]
+        if step == "?":
+            reached.add(position)
+        elif step == "*" or step == label:
+            reached.add(position + 1)
+    return _closure(steps, reached)

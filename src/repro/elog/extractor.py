@@ -10,7 +10,23 @@ reference patterns defined later, and recursive wrapping / crawling works):
 in every round, each rule is applied to all instances of its parent pattern,
 its extraction definition produces candidate targets, candidates are filtered
 through the rule's conditions, and surviving candidates become new pattern
-instances (duplicates are eliminated by the instance base).
+instances (duplicates are eliminated by the instance base).  Rounds repeat
+until one adds nothing, at most ``max_rounds`` times.
+
+Rounds are change-driven.  A rule over a parent pattern, or over
+``document(_, S)``, reads only that pattern's instances (the supplied and
+fetched documents for ``document``) and the instances of the patterns its
+pattern-reference conditions name.  Instances are never removed, so when
+none of those counts moved since the rule last ran, its inputs are the same
+and re-applying it would derive nothing new; the rule is skipped.  Every
+round therefore derives exactly what re-applying every rule would.  Crawl
+rules (``document(S, X)`` over a variable) and literal-URL rules
+(``document("url", S)``) are re-applied every round, because they retry
+fetches that failed before.
+
+One witness memo (see :mod:`repro.elog.conditions`) serves every candidate
+of an ``extract`` call, so a context condition scans its scope once per
+call rather than once per candidate.
 """
 
 from __future__ import annotations
@@ -27,13 +43,14 @@ from .ast import (
     ElogProgram,
     ElogRule,
     FirstSubtreeCondition,
+    PatternReference,
     SubAtt,
     SubElem,
     SubSequence,
     SubText,
 )
 from .concepts import DEFAULT_CONCEPTS, ConceptRegistry
-from .conditions import ConditionContext, evaluate_condition
+from .conditions import ConditionContext, WitnessMemo, evaluate_condition, lenient_path
 from .epath import ElementPath
 from .instance_base import PatternInstance, PatternInstanceBase
 
@@ -158,10 +175,19 @@ class Extractor:
             if instance is None:
                 raise ExtractionError(f"cannot fetch start url {url!r} without a fetcher")
 
+        rules = self.program.rules
+        inputs = [_rule_inputs(rule) for rule in rules]
+        last_counts: List[Optional[Tuple[int, ...]]] = [None] * len(rules)
+        witnesses: WitnessMemo = {}
         for _ in range(self.max_rounds):
             changed = False
-            for rule in self.program.rules:
-                if self._apply_rule(rule, base, fetched_urls):
+            for index, rule in enumerate(rules):
+                if inputs[index] is not None:
+                    counts = tuple(base.count(pattern) for pattern in inputs[index])
+                    if counts == last_counts[index]:
+                        continue
+                    last_counts[index] = counts
+                if self._apply_rule(rule, base, fetched_urls, witnesses):
                     changed = True
             if not changed:
                 break
@@ -201,13 +227,16 @@ class Extractor:
         rule: ElogRule,
         base: PatternInstanceBase,
         fetched_urls: Dict[str, PatternInstance],
+        witnesses: WitnessMemo,
     ) -> bool:
         changed = False
         for parent_instance in self._parent_instances(rule, base, fetched_urls):
             candidates = self._candidates(rule, parent_instance)
             accepted: List[PatternInstance] = []
             for target, bindings in candidates:
-                instance = self._check_conditions(rule, parent_instance, target, bindings, base)
+                instance = self._check_conditions(
+                    rule, parent_instance, target, bindings, base, witnesses
+                )
                 if instance is not None:
                     accepted.append(instance)
             if accepted and any(
@@ -351,14 +380,10 @@ class Extractor:
         intended run.
         """
         candidates: List[Candidate] = []
+        # the scope path is matched anywhere below the parent (implicit ?),
+        # and the parent itself qualifies when it matches the last step
+        lenient_scope = lenient_path(extraction.scope)
         for parent_node in parent.member_nodes():
-            # the scope path is matched anywhere below the parent (implicit ?),
-            # and the parent itself qualifies when it matches the last step
-            lenient_scope = (
-                extraction.scope
-                if extraction.scope.steps and extraction.scope.steps[0] == "?"
-                else ElementPath(("?",) + extraction.scope.steps, extraction.scope.conditions)
-            )
             scopes = [node for node, _ in lenient_scope.find_targets(parent_node)]
             if _match_member(extraction.scope, parent_node) is not None:
                 scopes.append(parent_node)
@@ -376,23 +401,13 @@ class Extractor:
                 ]
                 if not starts or not ends:
                     continue
-                seen_runs = set()
-                for start in starts:
-                    matching_ends = [e for e in ends if e >= start]
-                    if not matching_ends:
-                        continue
-                    end = max(matching_ends)
-                    if (start, end) not in seen_runs:
-                        seen_runs.add((start, end))
-                        candidates.append((children[start:end + 1], {}))
-                for end in ends:
-                    matching_starts = [s for s in starts if s <= end]
-                    if not matching_starts:
-                        continue
-                    start = min(matching_starts)
-                    if (start, end) not in seen_runs:
-                        seen_runs.add((start, end))
-                        candidates.append((children[start:end + 1], {}))
+                # Both index lists ascend: the longest run from a start ends
+                # at the last end, and the longest run to an end begins at
+                # the first start.
+                runs = [(start, ends[-1]) for start in starts if start <= ends[-1]]
+                runs += [(starts[0], end) for end in ends if starts[0] <= end]
+                for start, end in dict.fromkeys(runs):
+                    candidates.append((children[start:end + 1], {}))
         return candidates
 
     # ------------------------------------------------------------------
@@ -405,6 +420,7 @@ class Extractor:
         target: Union[Node, List[Node], str],
         bindings: Dict[str, object],
         base: PatternInstanceBase,
+        witnesses: WitnessMemo,
     ) -> Optional[PatternInstance]:
         context = ConditionContext(
             document=self._document_of(parent),
@@ -414,6 +430,7 @@ class Extractor:
             bindings=dict(bindings),
             instance_base=base,
             concepts=self.concepts,
+            witnesses=witnesses,
         )
         conditions = [
             condition
@@ -483,6 +500,23 @@ class Extractor:
                 return current.document
             current = current.parent
         raise ExtractionError("pattern instance is not attached to a document")
+
+
+def _rule_inputs(rule: ElogRule) -> Optional[Tuple[str, ...]]:
+    """The patterns whose instances ``rule`` reads, or None for a rule that
+    fetches (crawl and literal-URL rules, re-applied every round)."""
+    if rule.document is None:
+        source = rule.parent
+    elif rule.document.is_variable and rule.document.url == "_":
+        source = ROOT_PATTERN
+    else:
+        return None
+    references = [
+        condition.pattern
+        for condition in rule.conditions
+        if isinstance(condition, PatternReference)
+    ]
+    return (source, *references)
 
 
 def _match_member(path: ElementPath, node: Node) -> Optional[Dict[str, str]]:

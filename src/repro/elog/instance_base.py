@@ -113,6 +113,9 @@ class PatternInstanceBase:
     def __init__(self) -> None:
         self.roots: List[PatternInstance] = []
         self._by_pattern: Dict[str, List[PatternInstance]] = {}
+        # The single nodes of each pattern's tree instances, for O(1)
+        # pattern-reference tests.
+        self._nodes_by_pattern: Dict[str, Set[Node]] = {}
         self._seen: Set[Tuple] = set()
 
     # -- construction -----------------------------------------------------
@@ -144,6 +147,8 @@ class PatternInstanceBase:
 
     def _register(self, instance: PatternInstance) -> None:
         self._by_pattern.setdefault(instance.pattern, []).append(instance)
+        if instance.node is not None:
+            self._nodes_by_pattern.setdefault(instance.pattern, set()).add(instance.node)
 
     # -- queries --------------------------------------------------------------
     def instances_of(self, pattern: str) -> List[PatternInstance]:
@@ -168,7 +173,7 @@ class PatternInstanceBase:
         return len(self._by_pattern.get(pattern, []))
 
     def node_is_instance_of(self, pattern: str, node: Node) -> bool:
-        return any(instance.node is node for instance in self._by_pattern.get(pattern, []))
+        return node in self._nodes_by_pattern.get(pattern, ())
 
     def __len__(self) -> int:
         return self.count()

@@ -48,10 +48,6 @@ ALLOWED_ID_USES = {
         "per-plan join memos; the plans are owned by the engine for its "
         "whole lifetime, so their ids are stable"
     ),
-    "repro/elog/conditions.py": (
-        "target-node set local to one condition evaluation over a live "
-        "document"
-    ),
     "repro/elog/extractor.py": (
         "(fingerprint, id(fetcher)) extractor-cache key: the cache entry "
         "holds a strong reference to the fetcher, so its id cannot be "

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from hypothesis import given, settings, strategies as st
 
 from repro.cq import evaluate_acyclic, evaluate_backtracking, evaluate_filtered, query
@@ -12,15 +14,20 @@ LABELS = ("a", "b", "c")
 
 
 @st.composite
-def documents(draw, max_nodes: int = 30):
+def documents(draw, max_nodes: int = 30, comments: bool = False):
+    """Random trees over LABELS; with ``comments``, leaves may be ``#comment``."""
     node_budget = draw(st.integers(min_value=2, max_value=max_nodes))
+    leaf_labels = LABELS + ("#comment",) if comments else LABELS
 
     def build(budget):
         node = Node(draw(st.sampled_from(LABELS)))
         remaining = budget - 1
         while remaining > 0 and draw(st.booleans()):
             child_budget = draw(st.integers(min_value=1, max_value=remaining))
-            child, used = build(child_budget)
+            if child_budget == 1:
+                child, used = Node(draw(st.sampled_from(leaf_labels))), 1
+            else:
+                child, used = build(child_budget)
             node.append_child(child)
             remaining -= used
         return node, budget - remaining
@@ -56,15 +63,49 @@ def test_cq_evaluation_strategies_agree(document, conjunctive_query):
     assert plain == filtered == yannakakis
 
 
-@given(documents(), st.sampled_from(["?.a", "?.b", ".a", ".a.b", "?.a.?.b", ".*.b"]))
-@settings(max_examples=40, deadline=None)
+def _steps_regex(path: ElementPath) -> "re.Pattern[str]":
+    """An independent oracle: the steps as a regex over ``/``-joined labels."""
+    parts = {"?": "(?:[^/]+/)*", "*": "[^/]+/"}
+    return re.compile("".join(parts.get(step, re.escape(step) + "/") for step in path.steps))
+
+
+@given(
+    documents(comments=True),
+    st.sampled_from(
+        [
+            "?.a",
+            "?.b",
+            ".a",
+            ".a.b",
+            "?.a.?.b",
+            ".*.b",
+            ".*.?.b",
+            "?.?",
+            ".a.?",
+            "?.*",
+            "(?.b, [(a, , substr)])",
+        ]
+    ),
+)
+@settings(max_examples=80, deadline=None)
 def test_epath_find_targets_consistent_with_match_target(document, path_text):
     path = ElementPath.parse(path_text)
     root = document.root
-    found = {id(node) for node, _ in path.find_targets(root)}
-    checked = {
-        id(node)
+    found = [node for node, _ in path.find_targets(root)]
+    checked = [
+        node
         for node in root.iter_descendants()
-        if path.match_target(root, node) is not None
-    }
+        if path.match_target(root, node) is not None and node.label != "#comment"
+    ]
     assert found == checked
+    regex = _steps_regex(path)
+    oracle = [
+        node
+        for node in root.iter_descendants()
+        if node.label != "#comment"
+        and regex.fullmatch(
+            "".join(f"{label}/" for label in node.label_path_from_root()[1:])
+        )
+        and all(condition.matches(node) is not None for condition in path.conditions)
+    ]
+    assert found == oracle
