@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.api import Pipeline
 from repro.elog import parse_elog
 from repro.server import (
     InformationPipe,
@@ -50,17 +51,21 @@ SHOP_C_WRAPPER = parse_elog(
 def build_pipe() -> InformationPipe:
     web = SimulatedWeb()
     web.publish_many(bookstore_site(count=BOOKS_PER_SHOP, seed=3))
-    pipe = InformationPipe("books")
-    pipe.add(WrapperComponent("shop_a", SHOP_A_WRAPPER, web, "books-a.test/bestsellers"))
-    pipe.add(WrapperComponent("shop_b", SHOP_B_WRAPPER, web, "books-b.test/chart"))
-    pipe.add(WrapperComponent("shop_c", SHOP_C_WRAPPER, web, "books-c.test/picks"))
-    pipe.add(IntegrationComponent("integrate", root_name="allbooks"))
-    pipe.add(SortComponent("by_price", "book", "price", root_name="offers"))
-    pipe.add(XmlDeliverer("deliver"))
-    for shop in ("shop_a", "shop_b", "shop_c"):
-        pipe.connect(shop, "integrate")
-    pipe.chain("integrate", "by_price", "deliver")
-    return pipe
+    shops = {
+        "shop_a": (SHOP_A_WRAPPER, "books-a.test/bestsellers"),
+        "shop_b": (SHOP_B_WRAPPER, "books-b.test/chart"),
+        "shop_c": (SHOP_C_WRAPPER, "books-c.test/picks"),
+    }
+    builder = Pipeline.builder("books")
+    for shop, (wrapper, url) in shops.items():
+        builder.stage(WrapperComponent(shop, wrapper, web, url), is_source=True)
+    return (
+        builder.stage(IntegrationComponent("integrate", root_name="allbooks"), inputs=list(shops))
+        .stage(SortComponent("by_price", "book", "price", root_name="offers"))
+        .stage(XmlDeliverer("deliver"))
+        .build()
+        .pipe
+    )
 
 
 def test_pipeline_integrates_all_sources():

@@ -3,9 +3,9 @@
 The fault-tolerance layer (retry loop, per-host circuit breaker, session
 stats) sits on every fetch a policy-carrying :class:`repro.api.Session`
 performs.  Its contract is that a batch which never faults pays almost
-nothing for the armour: the ``on_error="raise"`` batch paths are the
-pre-resilience code verbatim, and the guarded fetch adds only a breaker
-check and a loop frame per document.  Two workloads go into
+nothing for the armour: every ``on_error`` mode runs the one guarded batch
+path (:mod:`repro.resilience.batch`), which this gate measures, and the
+guarded fetch adds only a breaker check and a loop frame per document.  Two workloads go into
 ``BENCH_engine.json``:
 
 * ``resilience_clean_*`` — the same clean ``extract_many`` stream with and

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import time
 
+from repro.api import Pipeline
 from repro.bench import scaling_tree, wide_program
 from repro.datalog import EngineOptions
-from repro.server import DatalogQueryComponent, InformationPipe, TransformationServer
+from repro.server import DatalogQueryComponent, TransformationServer
 
 WORKING_SET = 4
 
@@ -28,7 +29,6 @@ def _working_set_documents(size):
 def _build_server(documents, cache_size, rotation):
     program = wide_program(12)
     server = TransformationServer()
-    pipe = InformationPipe("wrappers")
     component = DatalogQueryComponent(
         "wrap",
         program,
@@ -36,8 +36,7 @@ def _build_server(documents, cache_size, rotation):
         # force_generic: exercise the generic engine's fixpoint LRU
         options=EngineOptions(cache_size=cache_size, force_generic=True),
     )
-    pipe.add(component)
-    server.register(pipe, period=1)
+    server.register(Pipeline.builder("wrappers").stage(component, is_source=True).build().pipe)
     return server, component
 
 

@@ -12,9 +12,10 @@ points ``max_workers=`` thread-pool paths.  Two workload families go into
   evaluation is GIL-bound, so threads buy little — the point is they must
   not *cost* much either).
 * ``extract_many_parallel_*`` — the fetch-bound ``urls=`` batch path: a
-  latency-simulating fetcher makes acquisition dominate, and the
-  async-capable fetcher protocol overlaps fetching with evaluation, so
-  ``max_workers=8`` must beat the sequential stream decisively.
+  latency-simulating fetcher makes acquisition dominate, and the windowed
+  batch pool overlaps the slots' fetches with each other and with
+  evaluation, so ``max_workers=8`` must beat the sequential stream
+  decisively.
 """
 
 from __future__ import annotations
@@ -183,8 +184,9 @@ def test_extract_many_parallel_beats_sequential_on_fetch_bound_urls(
         f"{min(sequential_samples):.4f} s vs max_workers=8 "
         f"{min(parallel_samples):.4f} s (speed-up {speedup:.1f}x)"
     )
-    # Fetch latency dominates and overlaps across 8 workers; anything less
-    # than a clear win means the async fetcher path stopped overlapping.
+    # Fetch latency dominates: each URL slot fetches inside its own task on
+    # the one windowed pool, so up to 8 fetches overlap; anything less than
+    # a clear win means the batch runner stopped running slots concurrently.
     assert speedup >= 1.5
 
 

@@ -22,8 +22,8 @@ The façade's main entry points are re-exported here, so::
     from repro import Session, Pipeline, EngineOptions
 
 is all most programs need.  The layer modules stay importable for theory
-work and tests; their pre-façade tuning kwargs and imperative pipeline
-wiring keep working but emit :class:`DeprecationWarning` (see docs/API.md
+work and tests; their pre-façade tuning kwargs and the imperative
+``InformationPipe.add/connect/chain`` wiring are removed (see docs/API.md
 for migration notes).
 """
 

@@ -33,8 +33,9 @@ returns a :class:`Pipeline` — a façade over
 register itself on a :class:`~repro.server.pipeline.TransformationServer`
 (:meth:`Pipeline.serve`).
 
-The old imperative wiring keeps working as a deprecation shim
-(``InformationPipe.add/connect/chain`` emit :class:`DeprecationWarning`).
+The old imperative wiring (``InformationPipe.add/connect/chain``) is
+removed; :meth:`PipelineBuilder.stage` and :meth:`PipelineBuilder.connect`
+wire custom components.
 """
 
 from __future__ import annotations

@@ -23,11 +23,11 @@ back as the uniform :class:`~repro.api.results.QueryResult` /
 The batch entry points — :meth:`Session.query_many` and
 :meth:`Session.extract_many` — are the server-style path: one compiled
 program, one interpreter, streamed over many documents, so plan sharing
-and the fixpoint LRUs do their work across the whole stream.  Both accept
-``max_workers=`` to run the stream on a thread pool, and the ``urls=``
-extraction path overlaps fetching with evaluation through the
-async-capable fetcher protocol (:meth:`repro.elog.extractor.Fetcher.
-fetch_async`).
+and the fixpoint LRUs do their work across the whole stream.  Both only
+build one task per slot; the shared batch executor
+(:mod:`repro.resilience.batch`) runs them — ``max_workers=`` on one
+windowed thread pool, where the ``urls=`` slots' fetches overlap — and
+applies the ``on_error`` slot policy.
 
 Thread safety: one ``Session`` is safe to share across the request threads
 of a server front end.  Every session-scale cache locks internally
@@ -40,8 +40,7 @@ concurrency").
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.analyzer import ELOG, analyze as _analyze_program, sniff_kind
@@ -56,7 +55,6 @@ from ..datalog.registry import PlanRegistry, program_fingerprint
 from ..distrib.envelope import TaskEnvelope
 from ..distrib.executor import (
     DistribInfo,
-    DistribOptions,
     DistribStats,
     ProcessExecutor,
     resolve_distrib,
@@ -67,13 +65,12 @@ from ..elog.extractor import (
     Extractor,
     ExtractorCache,
     Fetcher,
-    PrefetchedFetcher,
     wrapper_fingerprint,
 )
 from ..elog.parser import ElogSyntaxError, parse_elog
 from ..mdatalog.program import MonadicProgram
+from ..resilience.batch import check_on_error, run_tasks, settle
 from ..resilience.policy import (
-    ON_ERROR_POLICIES,
     ErrorResult,
     ResilienceInfo,
     ResiliencePolicy,
@@ -167,11 +164,7 @@ class Session:
         default applies (``"raise"`` without a policy)."""
         if on_error is None:
             return self.resilience.on_error if self.resilience is not None else "raise"
-        if on_error not in ON_ERROR_POLICIES:
-            raise ValueError(
-                f"on_error={on_error!r}: expected one of {ON_ERROR_POLICIES}"
-            )
-        return on_error
+        return check_on_error(on_error)
 
     def _resilient(self, fetcher: Optional[Fetcher]) -> Optional[Fetcher]:
         """``fetcher`` hardened under the session policy (pass-through when
@@ -183,17 +176,6 @@ class Session:
         return ResilientFetcher(
             fetcher, self.resilience, stats=self._resilience_stats
         )
-
-    def _isolated(
-        self,
-        error: BaseException,
-        *,
-        index: int,
-        url: Optional[str] = None,
-        backend: str = "error",
-    ) -> ErrorResult:
-        self._resilience_stats.bump("errors_isolated")
-        return ErrorResult.from_exception(error, index=index, url=url, backend=backend)
 
     # ------------------------------------------------------------------
     # Evaluator construction (memoised per backend + program content)
@@ -328,25 +310,7 @@ class Session:
         ``labels=`` for the automata backend).
         """
         on_error = self._resolve_on_error(on_error)
-        if workers is not None:
-            return self._query_many_process(
-                program,
-                sources,
-                backend,
-                labels=labels,
-                on_error=on_error,
-                distrib=resolve_distrib(workers),
-            )
-        if not isinstance(sources, Sequence):
-            return self._query_many_stream(
-                program,
-                sources,
-                backend,
-                labels=labels,
-                max_workers=max_workers,
-                on_error=on_error,
-            )
-        if labels is None:
+        if labels is None and isinstance(sources, Sequence):
             union: set = set()
             for source in sources:
                 if isinstance(source, Document):
@@ -357,169 +321,41 @@ class Session:
         # content cache key N times just to hit the same memo entry.
         resolved, native, label_key = self._resolve(program, backend, labels)
         self._enforce_diagnostics(resolved, native)
-        evaluator = self._memoised(resolved, native, label_key)
-        parallel = max_workers is not None and max_workers > 1 and len(sources) > 1
-        if on_error == "raise":
-            # The pre-resilience fast path, byte-for-byte.
-            if parallel:
-                with ThreadPoolExecutor(
-                    max_workers=max_workers, thread_name_prefix="repro-query"
-                ) as pool:
-                    return list(
-                        pool.map(
-                            lambda source: resolved.run(evaluator, source), sources
-                        )
-                    )
-            return [resolved.run(evaluator, source) for source in sources]
-
-        def guarded(index: int, source: object) -> QueryResult:
-            try:
-                return resolved.run(evaluator, source)
-            except Exception as error:
-                return self._isolated(error, index=index, backend=resolved.name)
-
-        if parallel:
-            with ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="repro-query"
-            ) as pool:
-                slots = list(
-                    pool.map(lambda pair: guarded(*pair), enumerate(sources))
-                )
+        if workers is None:
+            evaluator = self._memoised(resolved, native, label_key)
+            outcomes: Iterable = run_tasks(
+                ((None, partial(resolved.run, evaluator, source)) for source in sources),
+                max_workers,
+            )
         else:
-            slots = [guarded(index, source) for index, source in enumerate(sources)]
-        if on_error == "skip":
-            return [slot for slot in slots if not isinstance(slot, ErrorResult)]
-        return slots
-
-    def _query_many_stream(
-        self,
-        program: object,
-        sources: Iterable[object],
-        backend: Optional[str],
-        *,
-        labels: Optional[Iterable[str]],
-        max_workers: Optional[int],
-        on_error: str,
-    ) -> List[QueryResult]:
-        """:meth:`query_many` over a generator: one source in memory at a
-        time (sequential) or a bounded thread-pool dispatch window
-        (``max_workers * 4`` submissions in flight), never the whole batch.
-        No label-union pass — that would consume the stream — so the
-        automata backend needs an explicit ``labels=`` here."""
-        resolved, native, label_key = self._resolve(program, backend, labels)
-        self._enforce_diagnostics(resolved, native)
-        evaluator = self._memoised(resolved, native, label_key)
-
-        def evaluate(index: int, source: object) -> QueryResult:
-            if on_error == "raise":
-                return resolved.run(evaluator, source)
-            try:
-                return resolved.run(evaluator, source)
-            except Exception as error:
-                return self._isolated(error, index=index, backend=resolved.name)
-
-        slots: List[QueryResult] = []
-        if max_workers is not None and max_workers > 1:
-            window = max_workers * 4
-            with ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="repro-query"
-            ) as pool:
-                jobs: deque = deque()
-                for index, source in enumerate(sources):
-                    jobs.append(pool.submit(evaluate, index, source))
-                    if len(jobs) >= window:
-                        slots.append(jobs.popleft().result())
-                while jobs:
-                    slots.append(jobs.popleft().result())
-        else:
-            slots = [
-                evaluate(index, source) for index, source in enumerate(sources)
-            ]
-        if on_error == "skip":
-            return [slot for slot in slots if not isinstance(slot, ErrorResult)]
-        return slots
-
-    def _query_many_process(
-        self,
-        program: object,
-        sources: Iterable[object],
-        backend: Optional[str],
-        *,
-        labels: Optional[Iterable[str]],
-        on_error: str,
-        distrib: DistribOptions,
-    ) -> List[QueryResult]:
-        """:meth:`query_many` on worker processes (the distrib subsystem).
-
-        The program is resolved (and its diagnostics enforced) in the
-        parent, then shipped as source/AST — never compiled plans — and
-        re-hydrated through each worker's own registry, fingerprint-
-        verified.  Sequences still get the automata label-union pass;
-        generators stream straight into the executor's bounded window.
-        """
-        if labels is None and isinstance(sources, Sequence):
-            union: set = set()
-            for source in sources:
-                if isinstance(source, Document):
-                    union.update(source.labels())
-            labels = union or None
-        resolved, native, label_key = self._resolve(program, backend, labels)
-        self._enforce_diagnostics(resolved, native)
-        fingerprint = (
-            program_fingerprint(native) if isinstance(native, Program) else None
-        )
-
-        def envelopes() -> Iterable[TaskEnvelope]:
-            for index, source in enumerate(sources):
-                yield TaskEnvelope(
-                    task_id=task_id_for(index),
-                    index=index,
-                    kind="query",
-                    program=native,
-                    fingerprint=fingerprint,
-                    backend=resolved.name,
-                    labels=label_key,
-                    options=self.options,
-                    resilience=self.resilience,
-                    payload=source,
-                    payload_kind=(
-                        "document" if isinstance(source, Document) else "database"
-                    ),
-                )
-
-        executor = ProcessExecutor(distrib, stats=self._distrib_stats)
-        outcomes = executor.run(envelopes())
-        return self._collect_outcomes(outcomes, on_error, backend=resolved.name)
-
-    def _collect_outcomes(
-        self, outcomes, on_error: str, *, backend: str
-    ) -> List[QueryResult]:
-        """Distrib results back into batch-slot semantics.
-
-        ``"raise"`` re-raises the lowest-index failure (the distributed
-        batch has already drained — workers evaluate independently, so
-        "abort on first failure" means "fail with the first slot's
-        error"); ``"skip"`` / ``"collect"`` mirror the thread paths,
-        including the :meth:`_isolated` accounting.
-        """
-        slots: List[QueryResult] = []
-        for outcome in outcomes:
-            if outcome.ok:
-                slots.append(outcome.result)
-            elif on_error == "raise":
-                raise outcome.error
-            else:
-                slots.append(
-                    self._isolated(
-                        outcome.error,
-                        index=outcome.index,
-                        url=outcome.url,
-                        backend=backend,
+            # Workers get the program as source/AST — never compiled plans —
+            # and re-hydrate it through their own registry, fingerprint-
+            # verified.
+            fingerprint = (
+                program_fingerprint(native) if isinstance(native, Program) else None
+            )
+            outcomes = self._run_on_workers(
+                workers,
+                (
+                    TaskEnvelope(
+                        task_id=task_id_for(index),
+                        index=index,
+                        kind="query",
+                        program=native,
+                        fingerprint=fingerprint,
+                        backend=resolved.name,
+                        labels=label_key,
+                        options=self.options,
+                        resilience=self.resilience,
+                        payload=source,
+                        payload_kind=(
+                            "document" if isinstance(source, Document) else "database"
+                        ),
                     )
-                )
-        if on_error == "skip":
-            return [slot for slot in slots if not isinstance(slot, ErrorResult)]
-        return slots
+                    for index, source in enumerate(sources)
+                ),
+            )
+        return self._settle(outcomes, on_error, resolved.name)
 
     def select(
         self,
@@ -556,6 +392,11 @@ class Session:
         extractions: per-run state lives in the
         :class:`~repro.elog.instance_base.PatternInstanceBase`.
         """
+        return self._extractors.get(self._checked_wrapper(program), fetcher)
+
+    def _checked_wrapper(self, program: "ElogProgram | str") -> ElogProgram:
+        """``program`` parsed through the session memo, with the
+        ``options.on_diagnostics`` policy applied to its analysis."""
         if isinstance(program, str):
             program = self._parsed_wrapper(program)
         if self.options.on_diagnostics != "ignore":
@@ -564,7 +405,7 @@ class Session:
                 self.options.on_diagnostics,
                 "elog wrapper",
             )
-        return self._extractors.get(program, fetcher)
+        return program
 
     def _parsed_wrapper(self, text: str) -> ElogProgram:
         return self._flight.run(
@@ -617,16 +458,14 @@ class Session:
         each document (or fetched URL) yields its own
         :class:`ExtractionResult`.
 
-        ``max_workers`` > 1 runs the stream concurrently, and the ``urls=``
-        path additionally *overlaps fetching with evaluation*: every URL's
-        acquisition starts up front on a dedicated fetch pool (through
-        :meth:`~repro.elog.extractor.Fetcher.fetch_async`), and extraction
-        consumes the in-flight futures through a
-        :class:`~repro.elog.extractor.PrefetchedFetcher` — so on
-        fetch-bound workloads the wall clock approaches
-        max(total fetch / workers, total evaluation).  Result order always
-        matches ``documents`` + ``urls``; fetch errors surface on the
-        result exactly as the sequential path raises them.
+        ``max_workers`` > 1 runs the stream on one thread pool with a
+        bounded window of ``max_workers * 4`` slots in flight; a ``urls=``
+        slot fetches inside its own task, so on fetch-bound workloads the
+        fetches of the whole window overlap each other and evaluation.
+        Result order always matches ``documents`` + ``urls``, each URL
+        *instance* is fetched once (a duplicated URL twice, exactly like
+        the sequential path), and fetch errors surface exactly as the
+        sequential path raises them.
 
         ``on_error`` isolates per-document failures — ``"raise"``
         (default) / ``"skip"`` / ``"collect"``, exactly as in
@@ -641,266 +480,77 @@ class Session:
         ``workers`` scales *out* (``"process"`` / a worker count /
         :class:`~repro.distrib.DistribOptions`): the stream runs on worker
         processes through the distrib subsystem — see docs/DISTRIB.md.
+        Workers re-build their interpreter from the shipped
+        :class:`~repro.elog.ast.ElogProgram` once each; ``fetcher``
+        travels inside each URL envelope and is wrapped under the session's
+        resilience policy worker-side, where its fetch log stays.
         ``documents`` / ``urls`` may be generators; they then stream into a
-        bounded dispatch window instead of being materialised (the URL
-        prefetch overlap applies to sequence inputs only).
+        bounded dispatch window instead of being materialised.
         """
         on_error = self._resolve_on_error(on_error)
-        if workers is not None:
-            return self._extract_many_process(
-                program, documents, urls, fetcher, on_error,
-                resolve_distrib(workers),
-            )
-        if not (
-            isinstance(documents, Sequence) and isinstance(urls, Sequence)
-        ):
-            return self._extract_many_stream(
-                program, documents, urls, fetcher, max_workers, on_error
-            )
-        extractor = self.wrapper(program, fetcher)
-        run_fetcher = fetcher
-        if self.resilience is not None and fetcher is not None:
-            run_fetcher = self._resilient(fetcher)
-            extractor = extractor.with_fetcher(run_fetcher)
-        auxiliary = extractor.program.auxiliary_patterns
-        if (
-            max_workers is not None
-            and max_workers > 1
-            and len(documents) + len(urls) > 1
-        ):
-            return self._extract_many_parallel(
-                extractor, auxiliary, documents, urls, run_fetcher, max_workers,
-                on_error,
-            )
-        if on_error == "raise":
-            # The pre-resilience fast path, byte-for-byte.
-            results = [
-                ExtractionResult(extractor.extract(document=doc), auxiliary=auxiliary)
-                for doc in documents
-            ]
-            results.extend(
-                ExtractionResult(extractor.extract(url=url), auxiliary=auxiliary)
-                for url in urls
-            )
-            return results
-        slots: List[ExtractionResult] = []
-        for index, doc in enumerate(documents):
-            try:
-                slots.append(
-                    ExtractionResult(extractor.extract(document=doc), auxiliary=auxiliary)
-                )
-            except Exception as error:
-                slots.append(
-                    self._isolated(
-                        error, index=index, url=getattr(doc, "url", None),
-                        backend="elog",
-                    )
-                )
-        for offset, url in enumerate(urls):
-            try:
-                slots.append(
-                    ExtractionResult(extractor.extract(url=url), auxiliary=auxiliary)
-                )
-            except Exception as error:
-                slots.append(
-                    self._isolated(
-                        error, index=len(documents) + offset, url=url, backend="elog"
-                    )
-                )
-        if on_error == "skip":
-            return [slot for slot in slots if not isinstance(slot, ErrorResult)]
-        return slots
+        wrapper_program = self._checked_wrapper(program)
 
-    def _extract_many_parallel(
-        self,
-        extractor: Extractor,
-        auxiliary,
-        documents: Sequence[Document],
-        urls: Sequence[str],
-        fetcher: Optional[Fetcher],
-        max_workers: int,
-        on_error: str = "raise",
-    ) -> List[ExtractionResult]:
-        # Two pools, never one: extraction tasks block on fetch futures, so
-        # sharing a pool could park every worker on a fetch that has no
-        # worker left to run (classic nested-submit deadlock).
-        fetch_pool: Optional[ThreadPoolExecutor] = None
-        try:
-            url_extractors = [extractor] * len(urls)
-            if urls and fetcher is not None:
-                fetch_pool = ThreadPoolExecutor(
-                    max_workers=max_workers, thread_name_prefix="repro-fetch"
-                )
-                # One fetch per URL *instance*, exactly like the sequential
-                # loop: a duplicated URL is fetched twice, so stateful
-                # fetchers (rotating content, per-fetch counters, transient
-                # errors) see the same calls either way.  Crawling targets
-                # beyond the start URL fall through to the base fetcher,
-                # synchronously — results match the sequential path byte
-                # for byte.
-                url_extractors = [
-                    extractor.with_fetcher(
-                        PrefetchedFetcher(
-                            fetcher, {url: fetcher.fetch_async(url, fetch_pool)}
-                        )
-                    )
-                    for url in urls
-                ]
-            with ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="repro-extract"
-            ) as pool:
-                jobs = [
-                    pool.submit(extractor.extract, document=doc) for doc in documents
-                ]
-                jobs.extend(
-                    pool.submit(url_extractor.extract, url=url)
-                    for url, url_extractor in zip(urls, url_extractors)
-                )
-                if on_error == "raise":
-                    return [
-                        ExtractionResult(job.result(), auxiliary=auxiliary)
-                        for job in jobs
-                    ]
-                slot_urls = [getattr(doc, "url", None) for doc in documents]
-                slot_urls.extend(urls)
-                slots: List[ExtractionResult] = []
-                for index, (job, url) in enumerate(zip(jobs, slot_urls)):
-                    try:
-                        slots.append(
-                            ExtractionResult(job.result(), auxiliary=auxiliary)
-                        )
-                    except Exception as error:
-                        slots.append(
-                            self._isolated(
-                                error, index=index, url=url, backend="elog"
-                            )
-                        )
-                if on_error == "skip":
-                    return [
-                        slot for slot in slots if not isinstance(slot, ErrorResult)
-                    ]
-                return slots
-        finally:
-            if fetch_pool is not None:
-                fetch_pool.shutdown()
-
-    def _extract_many_stream(
-        self,
-        program: "ElogProgram | str",
-        documents: Iterable[Document],
-        urls: Iterable[str],
-        fetcher: Optional[Fetcher],
-        max_workers: Optional[int],
-        on_error: str,
-    ) -> List[ExtractionResult]:
-        """:meth:`extract_many` over generators: bounded dispatch window,
-        no batch materialisation, no up-front URL prefetch pass (fetches
-        overlap through the pool threads themselves)."""
-        extractor = self.wrapper(program, fetcher)
-        if self.resilience is not None and fetcher is not None:
-            extractor = extractor.with_fetcher(self._resilient(fetcher))
-        auxiliary = extractor.program.auxiliary_patterns
-
-        def stream() -> Iterable[Tuple[str, object]]:
+        def slots() -> Iterable[Tuple[str, object]]:
             for doc in documents:
-                yield ("document", doc)
+                yield "document", doc
             for url in urls:
-                yield ("url", url)
+                yield "url", url
 
-        def evaluate(index: int, kind: str, item: object) -> ExtractionResult:
-            url = item if kind == "url" else getattr(item, "url", None)
-            try:
-                if kind == "url":
-                    base = extractor.extract(url=item)
-                else:
-                    base = extractor.extract(document=item)
-                return ExtractionResult(base, auxiliary=auxiliary)
-            except Exception as error:
-                if on_error == "raise":
-                    raise
-                return self._isolated(error, index=index, url=url, backend="elog")
+        if workers is None:
+            extractor = self._extractors.get(wrapper_program, fetcher)
+            if self.resilience is not None and fetcher is not None:
+                extractor = extractor.with_fetcher(self._resilient(fetcher))
+            auxiliary = extractor.program.auxiliary_patterns
 
-        slots: List[ExtractionResult] = []
-        if max_workers is not None and max_workers > 1:
-            window = max_workers * 4
-            with ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="repro-extract"
-            ) as pool:
-                jobs: deque = deque()
-                for index, (kind, item) in enumerate(stream()):
-                    jobs.append(pool.submit(evaluate, index, kind, item))
-                    if len(jobs) >= window:
-                        slots.append(jobs.popleft().result())
-                while jobs:
-                    slots.append(jobs.popleft().result())
+            def extract(**source: object) -> ExtractionResult:
+                return ExtractionResult(extractor.extract(**source), auxiliary=auxiliary)
+
+            outcomes: Iterable = run_tasks(
+                (
+                    (
+                        item if kind == "url" else getattr(item, "url", None),
+                        partial(extract, **{kind: item}),
+                    )
+                    for kind, item in slots()
+                ),
+                max_workers,
+            )
         else:
-            slots = [
-                evaluate(index, kind, item)
-                for index, (kind, item) in enumerate(stream())
-            ]
-        if on_error == "skip":
-            return [slot for slot in slots if not isinstance(slot, ErrorResult)]
-        return slots
-
-    def _extract_many_process(
-        self,
-        program: "ElogProgram | str",
-        documents: Iterable[Document],
-        urls: Iterable[str],
-        fetcher: Optional[Fetcher],
-        on_error: str,
-        distrib: DistribOptions,
-    ) -> List[ExtractionResult]:
-        """:meth:`extract_many` on worker processes.
-
-        The wrapper parses (and its diagnostics apply) in the parent;
-        workers re-build their interpreter from the shipped
-        :class:`~repro.elog.ast.ElogProgram` once each.  ``fetcher``
-        travels inside each URL envelope, and each worker's session wraps
-        it under the session's resilience policy exactly like the
-        in-process paths; worker-side fetch logs stay in the worker.
-        """
-        if isinstance(program, str):
-            program = self._parsed_wrapper(program)
-        if self.options.on_diagnostics != "ignore":
-            apply_policy(
-                self._elog_report(program),
-                self.options.on_diagnostics,
-                "elog wrapper",
+            outcomes = self._run_on_workers(
+                workers,
+                (
+                    TaskEnvelope(
+                        task_id=task_id_for(index),
+                        index=index,
+                        kind="extract",
+                        program=wrapper_program,
+                        options=self.options,
+                        resilience=self.resilience,
+                        payload=item,
+                        payload_kind=kind,
+                        fetcher=fetcher if kind == "url" else None,
+                    )
+                    for index, (kind, item) in enumerate(slots())
+                ),
             )
-        wrapper_program = program
+        return self._settle(outcomes, on_error, "elog")
 
-        def envelopes() -> Iterable[TaskEnvelope]:
-            index = 0
-            for doc in documents:
-                yield TaskEnvelope(
-                    task_id=task_id_for(index),
-                    index=index,
-                    kind="extract",
-                    program=wrapper_program,
-                    options=self.options,
-                    resilience=self.resilience,
-                    payload=doc,
-                    payload_kind="document",
-                )
-                index += 1
-            for url in urls:
-                yield TaskEnvelope(
-                    task_id=task_id_for(index),
-                    index=index,
-                    kind="extract",
-                    program=wrapper_program,
-                    options=self.options,
-                    resilience=self.resilience,
-                    payload=url,
-                    payload_kind="url",
-                    fetcher=fetcher,
-                )
-                index += 1
+    def _run_on_workers(self, workers: object, envelopes: Iterable[TaskEnvelope]):
+        """The batch's result envelopes from worker processes (distrib)."""
+        executor = ProcessExecutor(resolve_distrib(workers), stats=self._distrib_stats)
+        return executor.run(envelopes)
 
-        executor = ProcessExecutor(distrib, stats=self._distrib_stats)
-        outcomes = executor.run(envelopes())
-        return self._collect_outcomes(outcomes, on_error, backend="elog")
+    def _settle(self, outcomes: Iterable, on_error: str, backend: str) -> list:
+        """Batch outcomes into result slots under ``on_error``; every
+        isolated failure is counted in :meth:`resilience_info`."""
+
+        def isolate(error: BaseException, slot) -> ErrorResult:
+            self._resilience_stats.bump("errors_isolated")
+            return ErrorResult.from_exception(
+                error, index=slot.index, url=slot.url, backend=backend
+            )
+
+        return list(settle(outcomes, on_error, isolate).values())
 
     # ------------------------------------------------------------------
     # Pipelines

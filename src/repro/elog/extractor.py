@@ -90,10 +90,11 @@ class PrefetchedFetcher(Fetcher):
     Wraps a base fetcher plus a ``url -> Future[Document]`` mapping:
     :meth:`fetch` resolves known URLs from their (possibly still in-flight)
     futures and delegates everything else — crawling targets discovered
-    mid-extraction — to the base fetcher.  This is how the batch paths hand
-    an unchanged :class:`Extractor` documents whose acquisition started
-    before evaluation did; fetch errors surface on resolution exactly as
-    the synchronous path would raise them.
+    mid-extraction — to the base fetcher.  This is how a prefetching
+    :class:`~repro.server.components.WrapperComponent` hands an unchanged
+    :class:`Extractor` the page whose acquisition started before evaluation
+    did; fetch errors surface on resolution exactly as the synchronous path
+    would raise them.
     """
 
     def __init__(

@@ -1,6 +1,6 @@
 """Fault tolerance for the serving stack.
 
-The subsystem in four pieces, each its own module:
+The subsystem in five pieces, each its own module:
 
 * :mod:`~repro.resilience.errors` — the failure vocabulary
   (:class:`FetchError` and friends, transient/permanent classification);
@@ -12,7 +12,11 @@ The subsystem in four pieces, each its own module:
   (:class:`FaultPlan`, :class:`FaultyFetcher`);
 * :mod:`~repro.resilience.retry` — the enforcement layer
   (:func:`call_with_retry`, :class:`CircuitBreaker`,
-  :class:`ResilientFetcher`).
+  :class:`ResilientFetcher`);
+* :mod:`~repro.resilience.batch` — the one batch executor behind
+  ``Session.query_many`` / ``extract_many`` and
+  ``TransformationServer.run_all`` (the lazy task runner and the
+  ``on_error`` slot policy).
 """
 
 from .errors import (

@@ -16,7 +16,6 @@ activation (the scheduler advances a logical clock instead of sleeping).
 
 from __future__ import annotations
 
-import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -31,22 +30,14 @@ from ..distrib.executor import (
     resolve_distrib,
 )
 from ..distrib.journal import task_id_for
-from ..resilience.policy import ON_ERROR_POLICIES, ErrorResult
+from ..resilience.batch import check_on_error, run_tasks, settle
+from ..resilience.policy import ErrorResult
 from ..xmlgen.document import XmlElement
 from .components import Component, DelivererComponent
 
 
 class PipelineError(ValueError):
     """Raised on malformed pipe definitions (cycles, unknown components)."""
-
-
-def _warn_imperative_wiring(method: str) -> None:
-    warnings.warn(
-        f"{method}() imperative wiring is deprecated; declare pipelines with "
-        "repro.api.Pipeline.builder() (see docs/API.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class InformationPipe:
@@ -62,11 +53,8 @@ class InformationPipe:
 
     # -- construction ------------------------------------------------------
     #
-    # The public ``add``/``connect``/``chain`` trio is the pre-façade,
-    # imperative wiring surface; it still works but emits a
-    # ``DeprecationWarning`` pointing at the declarative, build-time
-    # validated ``repro.api.Pipeline.builder()`` (which assembles pipes
-    # through the underscore internals below).
+    # Pipes are assembled by the declarative, build-time validated
+    # ``repro.api.Pipeline.builder()`` through these underscore internals.
 
     def _add(self, component: Component) -> Component:
         if component.name in self._components:
@@ -83,20 +71,6 @@ class InformationPipe:
         self._inputs[target].append(source)
         self._order = None
 
-    def add(self, component: Component) -> Component:
-        _warn_imperative_wiring("InformationPipe.add")
-        return self._add(component)
-
-    def connect(self, source: str, target: str) -> None:
-        _warn_imperative_wiring("InformationPipe.connect")
-        self._connect(source, target)
-
-    def chain(self, *names: str) -> None:
-        """Connect the named components in a linear chain."""
-        _warn_imperative_wiring("InformationPipe.chain")
-        for source, target in zip(names, names[1:]):
-            self._connect(source, target)
-
     def component(self, name: str) -> Component:
         return self._components[name]
 
@@ -112,7 +86,7 @@ class InformationPipe:
     # -- execution -----------------------------------------------------------
     def _topological_order(self) -> List[str]:
         # The order is cached between runs (periodic server activation re-runs
-        # an unchanged DAG every tick) and invalidated by add/connect.
+        # an unchanged DAG every tick) and invalidated by _add/_connect.
         if self._order is not None:
             return self._order
         indegree = {name: len(self._inputs.get(name, [])) for name in self._components}
@@ -252,9 +226,9 @@ class TransformationServer:
         one pipe.
 
         ``on_error`` isolates pipe failures from each other: ``"raise"``
-        (the default, and the pre-resilience behaviour) aborts on the first
-        failing pipe; ``"skip"`` drops the failed pipe from the results and
-        runs the rest; ``"collect"`` puts an
+        (the default) aborts on the first failing pipe, which is not
+        logged as an activation; ``"skip"`` drops the failed pipe from the
+        results and runs the rest; ``"collect"`` puts an
         :class:`~repro.resilience.policy.ErrorResult` in the failed pipe's
         slot.  A failed pipe discards its own prefetched futures either way
         (see :meth:`InformationPipe.run`), so isolation never strands a
@@ -273,42 +247,51 @@ class TransformationServer:
         :class:`PipelineError` naming it (``Pipeline.build(
         distributable=True)`` catches this at build time, per stage).
         """
-        if on_error not in ON_ERROR_POLICIES:
-            raise ValueError(
-                f"run_all(on_error={on_error!r}): expected one of {ON_ERROR_POLICIES}"
-            )
-        if distrib is not None:
-            return self._run_all_distrib(on_error, resolve_distrib(distrib))
-        results: Dict[str, object] = {}
+        check_on_error(on_error)
+        names = list(self._pipes)
+
+        def activated(outcomes):
+            for outcome in outcomes:
+                if outcome.ok:
+                    self._activated(names[outcome.index], outcome.result)
+                yield outcome
+
+        def isolate(error: BaseException, outcome) -> ErrorResult:
+            name = names[outcome.index]
+            self._activated(name)
+            return ErrorResult.from_exception(error, url=f"pipe:{name}", backend="pipe")
+
         try:
-            if executor is not None:
-                for scheduled in self._pipes.values():
-                    scheduled.pipe.prefetch_sources(executor)
-            for name, scheduled in self._pipes.items():
-                try:
-                    results[name] = scheduled.pipe.run()
-                except Exception as error:
-                    if on_error == "raise":
-                        raise
-                    if on_error == "collect":
-                        results[name] = ErrorResult.from_exception(
-                            error, url=f"pipe:{name}", backend="pipe"
-                        )
-                scheduled.next_activation = self.clock + scheduled.period
-                self.run_log.append((self.clock, name))
+            if distrib is not None:
+                outcomes = self._run_on_workers(names, resolve_distrib(distrib))
+            else:
+                if executor is not None:
+                    for scheduled in self._pipes.values():
+                        scheduled.pipe.prefetch_sources(executor)
+                outcomes = run_tasks((None, self._pipes[name].pipe.run) for name in names)
+            slots = settle(activated(outcomes), on_error, isolate)
         except BaseException:
             # One failing pipe must not strand the later pipes' prefetched
             # futures — a future tick would extract stale snapshots.
             for scheduled in self._pipes.values():
                 scheduled.pipe.discard_prefetches()
             raise
-        return results
+        return {names[index]: slot for index, slot in slots.items()}
 
-    def _run_all_distrib(self, on_error: str, options) -> Dict[str, object]:
-        """The multi-process :meth:`run_all` body (one pipe per task)."""
+    def _activated(self, name: str, results: Optional[Dict[str, XmlElement]] = None) -> None:
+        """The scheduler bookkeeping of one :meth:`run_all` activation."""
+        scheduled = self._pipes[name]
+        if results is not None:
+            # Worker-run pipes: later change detection and monitoring read
+            # the pipe's last snapshot from here.
+            scheduled.pipe.last_results = results
+        scheduled.next_activation = self.clock + scheduled.period
+        self.run_log.append((self.clock, name))
+
+    def _run_on_workers(self, names: List[str], options) -> list:
+        """Every pipe as one task on worker processes (``distrib=``)."""
         import pickle
 
-        names = list(self._pipes)
         for name in names:
             try:
                 pickle.dumps(self._pipes[name].pipe)
@@ -331,25 +314,7 @@ class TransformationServer:
             for index, name in enumerate(names)
         ]
         executor = ProcessExecutor(options, stats=self._distrib_stats)
-        outcomes = executor.run(envelopes)
-        results: Dict[str, object] = {}
-        for name, outcome in zip(names, outcomes):
-            scheduled = self._pipes[name]
-            if outcome.ok:
-                results[name] = outcome.result
-                # The parent-side bookkeeping the in-process run() would
-                # have done: later change detection and monitoring read
-                # the pipe's last snapshot from here.
-                scheduled.pipe.last_results = outcome.result
-            elif on_error == "raise":
-                raise outcome.error
-            elif on_error == "collect":
-                results[name] = ErrorResult.from_exception(
-                    outcome.error, url=f"pipe:{name}", backend="pipe"
-                )
-            scheduled.next_activation = self.clock + scheduled.period
-            self.run_log.append((self.clock, name))
-        return results
+        return executor.run(envelopes)
 
     # -- monitoring ----------------------------------------------------------
     def resilience_report(self):

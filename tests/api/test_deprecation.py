@@ -1,10 +1,10 @@
-"""Pre-façade surfaces: removed tuning kwargs fail loudly, shims still warn.
+"""Pre-façade surfaces are gone and fail loudly.
 
 The per-constructor tuning kwargs (``use_index=``, ``cache_size=``,
 ``share_interpreter=``, ...) are gone: passing one raises an ordinary
 :class:`TypeError`, and tuning goes through ``options=EngineOptions(...)``.
-The imperative ``InformationPipe`` wiring still works behind a
-:class:`DeprecationWarning`.
+The imperative ``InformationPipe.add/connect/chain`` wiring is gone too:
+pipelines are declared with ``Pipeline.builder()``.
 """
 
 from __future__ import annotations
@@ -18,15 +18,9 @@ from repro.automata import compiled_evaluator, compiled_select, leaf_selector_au
 from repro.datalog import SemiNaiveEngine, parse_program
 from repro.elog import parse_elog
 from repro.mdatalog import MonadicProgram, MonadicTreeEvaluator
-from repro.server import (
-    DatalogQueryComponent,
-    InformationPipe,
-    WrapperComponent,
-    XmlSourceComponent,
-)
+from repro.server import DatalogQueryComponent, InformationPipe, WrapperComponent
 from repro.tree import tree
 from repro.web import SimulatedWeb
-from repro.xmlgen import XmlElement
 
 PROGRAM = parse_program(
     """
@@ -86,18 +80,7 @@ def test_removed_tuning_kwargs_raise_type_error(constructor, doc):
         REMOVED_KWARGS[constructor](doc)
 
 
-def test_imperative_pipe_wiring_warns_and_still_runs():
-    def source():
-        root = XmlElement("r")
-        root.add("item")
-        return root
-
+def test_imperative_pipe_wiring_is_removed():
     pipe = InformationPipe("legacy")
-    with pytest.warns(DeprecationWarning, match="Pipeline.builder"):
-        pipe.add(XmlSourceComponent("src", source))
-    with pytest.warns(DeprecationWarning, match="Pipeline.builder"):
-        pipe.add(XmlSourceComponent("other", source))
-        pipe.connect("src", "other")
-    with pytest.warns(DeprecationWarning, match="Pipeline.builder"):
-        pipe.chain("src", "other")
-    assert pipe.run()["src"].name == "r"
+    for method in ("add", "connect", "chain"):
+        assert not hasattr(pipe, method), method

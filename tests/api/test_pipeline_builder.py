@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro import Pipeline, Session
@@ -50,16 +48,15 @@ def test_linear_pipeline_builds_and_runs():
 
 def test_builder_matches_the_imperative_wiring():
     def build_imperative():
+        # The raw DAG, wired through the pipe's internals.
         pipe = InformationPipe("legacy")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pipe.add(XmlSourceComponent("a", lambda: records("a", 1, 2)))
-            pipe.add(XmlSourceComponent("b", lambda: records("b", 3)))
-            pipe.add(IntegrationComponent("merge", root_name="all"))
-            pipe.add(FilterComponent("keep", "item", lambda item: True))
-            pipe.connect("a", "merge")
-            pipe.connect("b", "merge")
-            pipe.connect("merge", "keep")
+        pipe._add(XmlSourceComponent("a", lambda: records("a", 1, 2)))
+        pipe._add(XmlSourceComponent("b", lambda: records("b", 3)))
+        pipe._add(IntegrationComponent("merge", root_name="all"))
+        pipe._add(FilterComponent("keep", "item", lambda item: True))
+        pipe._connect("a", "merge")
+        pipe._connect("b", "merge")
+        pipe._connect("merge", "keep")
         return pipe.run()
 
     declarative = (

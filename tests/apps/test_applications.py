@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 
+from repro.api import Pipeline
 from repro.elog import parse_elog
 from repro.elog.concepts import parse_number
 from repro.server import (
     ChangeDetector,
     ChangeGatedDeliverer,
     FilterComponent,
-    InformationPipe,
     IntegrationComponent,
     JoinComponent,
     RenameComponent,
@@ -46,20 +46,25 @@ def test_now_playing_pipeline_joins_radio_and_charts():
     """E14: the Now Playing application (Section 6.1)."""
     web = SimulatedWeb()
     web.publish_many(now_playing_site(station_count=3, chart_count=1, seed=8))
-    pipe = InformationPipe("nowplaying")
+    builder = Pipeline.builder("nowplaying")
     names = []
     for station in stations(3, seed=8):
         name = station.name.replace(" ", "_").lower()
         names.append(name)
-        pipe.add(WrapperComponent(name, RADIO_WRAPPER, web, station.url, root_name="station"))
-    pipe.add(WrapperComponent("chart", CHART_WRAPPER, web, "charts-1.test/top", root_name="chart"))
-    pipe.add(IntegrationComponent("stations"))
-    pipe.add(JoinComponent("joined", "playing", "entry", key="song"))
-    for name in names:
-        pipe.connect(name, "stations")
-    pipe.connect("stations", "joined")
-    pipe.connect("chart", "joined")
-    results = pipe.run()
+        builder.stage(
+            WrapperComponent(name, RADIO_WRAPPER, web, station.url, root_name="station"),
+            is_source=True,
+        )
+    builder.stage(
+        WrapperComponent("chart", CHART_WRAPPER, web, "charts-1.test/top", root_name="chart"),
+        is_source=True,
+    )
+    builder.stage(IntegrationComponent("stations"), inputs=names)
+    builder.stage(
+        JoinComponent("joined", "playing", "entry", key="song"),
+        inputs=["stations", "chart"],
+    )
+    results = builder.build().run()
     playing = results["joined"].find_all("playing")
     assert len(playing) == 3
     assert all(p.findtext("song") for p in playing)
@@ -86,13 +91,15 @@ def test_flight_monitor_sends_sms_only_on_change():
     )
     sms = SmsDeliverer("sms", "+43 1", summarise=lambda doc: doc.full_text())
     gate = ChangeGatedDeliverer("gate", sms, ChangeDetector("flight", key="number"))
-    pipe = InformationPipe("flights")
-    pipe.add(WrapperComponent("board", wrapper, web, url, root_name="departures"))
-    pipe.add(FilterComponent("watch", "flight", lambda f: f.findtext("number") == watched))
-    pipe.add(gate)
-    pipe.chain("board", "watch", "gate")
+    pipeline = (
+        Pipeline.builder("flights")
+        .stage(WrapperComponent("board", wrapper, web, url, root_name="departures"), is_source=True)
+        .stage(FilterComponent("watch", "flight", lambda f: f.findtext("number") == watched))
+        .stage(gate)
+        .build()
+    )
     server = TransformationServer()
-    server.register(pipe)
+    server.register(pipeline.pipe)
     server.tick(2)
     assert sms.deliveries == []
     web.publish(url, departures_page("Vienna", advance_statuses(flights, {watched: "cancelled"})))
@@ -119,15 +126,21 @@ def test_press_clipping_produces_nitf_output():
         price(S, X)   <- quote(_, S), subelem(S, (?.td, [(class, price, exact)]), X)
         """
     )
-    pipe = InformationPipe("clipping")
-    pipe.add(WrapperComponent("press", news_wrapper, web, "financial-daily.test/news", root_name="news"))
-    pipe.add(WrapperComponent("quotes", quotes_wrapper, web, "exchange.test/quotes", root_name="quotes"))
-    pipe.add(IntegrationComponent("merge", root_name="clipping"))
-    pipe.add(RenameComponent("nitf", {"article": "block", "headline": "hl1", "clipping": "nitf"}))
-    pipe.add(XmlDeliverer("deliver"))
-    pipe.connect("press", "merge")
-    pipe.connect("quotes", "merge")
-    pipe.chain("merge", "nitf", "deliver")
+    pipe = (
+        Pipeline.builder("clipping")
+        .stage(
+            WrapperComponent("press", news_wrapper, web, "financial-daily.test/news", root_name="news"),
+            is_source=True,
+        )
+        .stage(
+            WrapperComponent("quotes", quotes_wrapper, web, "exchange.test/quotes", root_name="quotes"),
+            is_source=True,
+        )
+        .stage(IntegrationComponent("merge", root_name="clipping"), inputs=["press", "quotes"])
+        .stage(RenameComponent("nitf", {"article": "block", "headline": "hl1", "clipping": "nitf"}))
+        .stage(XmlDeliverer("deliver"))
+        .build()
+    )
     results = pipe.run()
     nitf = results["nitf"]
     assert nitf.name == "nitf"
@@ -148,21 +161,18 @@ def test_price_monitoring_finds_cheapest_competitor():
         price(S, X)   <- offer(_, S), subelem(S, (?.td, [(class, price, exact)]), X)
         """
     )
-    pipe = InformationPipe("prices")
-    for index in range(3):
-        pipe.add(
+    builder = Pipeline.builder("prices")
+    shops = [f"shop{index + 1}" for index in range(3)]
+    for index, shop in enumerate(shops):
+        builder.stage(
             WrapperComponent(
-                f"shop{index + 1}", wrapper, web,
-                f"competitor-{index + 1}.test/prices", root_name=f"shop{index + 1}",
-            )
+                shop, wrapper, web, f"competitor-{index + 1}.test/prices", root_name=shop
+            ),
+            is_source=True,
         )
-        pipe.connect(f"shop{index + 1}", "merge") if False else None
-    pipe.add(IntegrationComponent("merge", root_name="market"))
-    for index in range(3):
-        pipe.connect(f"shop{index + 1}", "merge")
-    pipe.add(SortComponent("cheapest_first", "offer", "price", root_name="ranking"))
-    pipe.connect("merge", "cheapest_first")
-    results = pipe.run()
+    builder.stage(IntegrationComponent("merge", root_name="market"), inputs=shops)
+    builder.stage(SortComponent("cheapest_first", "offer", "price", root_name="ranking"))
+    results = builder.build().run()
     offers = results["cheapest_first"].find_all("offer")
     assert len(offers) == 18
     prices = [parse_number(o.findtext("price")) for o in offers]

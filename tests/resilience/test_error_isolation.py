@@ -4,7 +4,8 @@
 ``TransformationServer.run_all`` accept ``on_error="raise"|"skip"|"collect"``:
 one poisoned slot must not abort the other N-1, and under ``"collect"`` the
 failed slot comes back as an :class:`ErrorResult` in place, so result order
-still matches the input order — sequential and ``max_workers=`` paths alike.
+still matches the input order — sequential and ``max_workers=`` paths alike,
+over list and generator inputs alike.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from repro import ErrorResult, ResiliencePolicy, Session
 from repro.automata import leaf_selector_automaton
 from repro.datalog import parse_program
 from repro.mdatalog import MonadicProgram
-from repro.resilience import FaultPlan, FetchError, RetryPolicy
+from repro.resilience import FaultPlan, FetchError, PermanentFetchError, RetryPolicy
 from repro.resilience.policy import ResilienceStats
 from repro.tree import tree
 from repro.web import SimulatedWeb
@@ -38,6 +39,17 @@ WRAPPER = """
 book(S, X)  <- document(_, S), subelem(S, ?.tr, X), contains(X, (?.td, [(class, title, exact)]))
 title(S, X) <- book(_, S), subelem(S, (?.td, [(class, title, exact)]), X)
 """
+
+
+#: (max_workers, input shape): every batch case runs sequentially and on a
+#: thread pool, over a list and over a one-shot iterator; the list cases
+#: keep their plain ids.
+WORKERS_AND_SHAPES = [
+    pytest.param(None, list, id="None"),
+    pytest.param(8, list, id="8"),
+    pytest.param(None, iter, id="None-iter"),
+    pytest.param(8, iter, id="8-iter"),
+]
 
 
 @pytest.fixture
@@ -89,24 +101,24 @@ def _comparable(result):
 
 
 @pytest.mark.parametrize("backend", ["semi-naive", "monadic", "automata"])
-@pytest.mark.parametrize("max_workers", [None, 8])
-def test_query_many_isolates_the_poisoned_slot(backend, max_workers, documents):
+@pytest.mark.parametrize("max_workers, shape", WORKERS_AND_SHAPES)
+def test_query_many_isolates_the_poisoned_slot(backend, max_workers, shape, documents):
     session = Session()
     good = _query_sources(backend, documents)
     clean = session.query_many(
-        _program(backend), good, backend, max_workers=max_workers,
+        _program(backend), shape(good), backend, max_workers=max_workers,
         **_query_kwargs(backend),
     )
     poisoned = [good[0], object(), good[1], good[2]]
 
     with pytest.raises(Exception):
         session.query_many(
-            _program(backend), poisoned, backend, max_workers=max_workers,
+            _program(backend), shape(poisoned), backend, max_workers=max_workers,
             **_query_kwargs(backend),
         )
 
     collected = session.query_many(
-        _program(backend), poisoned, backend, max_workers=max_workers,
+        _program(backend), shape(poisoned), backend, max_workers=max_workers,
         on_error="collect", **_query_kwargs(backend),
     )
     assert len(collected) == 4
@@ -118,7 +130,7 @@ def test_query_many_isolates_the_poisoned_slot(backend, max_workers, documents):
     assert [_comparable(s) for s in survivors] == [_comparable(c) for c in clean]
 
     skipped = session.query_many(
-        _program(backend), poisoned, backend, max_workers=max_workers,
+        _program(backend), shape(poisoned), backend, max_workers=max_workers,
         on_error="skip", **_query_kwargs(backend),
     )
     assert [_comparable(s) for s in skipped] == [_comparable(c) for c in clean]
@@ -144,19 +156,25 @@ def test_session_policy_sets_the_default_on_error(documents):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("max_workers", [None, 8])
-def test_extract_many_url_failures_come_back_in_slot(web, max_workers):
+@pytest.mark.parametrize("max_workers, shape", WORKERS_AND_SHAPES)
+def test_extract_many_url_failures_come_back_in_slot(web, max_workers, shape):
     session = Session()
     urls = [
         "books-a.test/bestsellers",
         "gone.test/nowhere",
         "books-b.test/chart",
     ]
-    with pytest.raises(FetchError):
-        session.extract_many(WRAPPER, urls=urls, fetcher=web, max_workers=max_workers)
+    with pytest.raises(PermanentFetchError) as raised:
+        session.extract_many(
+            WRAPPER, urls=shape(urls), fetcher=web, max_workers=max_workers
+        )
+    # "raise" aborts on the first failed slot: a sequential batch never
+    # fetches the slot after it; a threaded one drains its window first.
+    assert raised.value.url == "gone.test/nowhere"
+    assert len(web.fetch_log) == (2 if max_workers is None else 3)
 
     collected = session.extract_many(
-        WRAPPER, urls=urls, fetcher=web, max_workers=max_workers,
+        WRAPPER, urls=shape(urls), fetcher=web, max_workers=max_workers,
         on_error="collect",
     )
     assert [slot.ok for slot in collected] == [True, False, True]
@@ -167,20 +185,21 @@ def test_extract_many_url_failures_come_back_in_slot(web, max_workers):
     assert failure.backend == "elog"
 
     skipped = session.extract_many(
-        WRAPPER, urls=urls, fetcher=web, max_workers=max_workers, on_error="skip"
+        WRAPPER, urls=shape(urls), fetcher=web, max_workers=max_workers,
+        on_error="skip",
     )
     assert [s.texts("title") for s in skipped] == [
         s.texts("title") for s in collected if s.ok
     ]
 
 
-@pytest.mark.parametrize("max_workers", [None, 8])
-def test_extract_many_document_failures_are_isolated_too(web, max_workers):
+@pytest.mark.parametrize("max_workers, shape", WORKERS_AND_SHAPES)
+def test_extract_many_document_failures_are_isolated_too(web, max_workers, shape):
     session = Session()
     good = [web.fetch("books-a.test/bestsellers"), web.fetch("books-b.test/chart")]
     slots = session.extract_many(
-        WRAPPER, documents=[good[0], object(), good[1]], max_workers=max_workers,
-        on_error="collect",
+        WRAPPER, documents=shape([good[0], object(), good[1]]),
+        max_workers=max_workers, on_error="collect",
     )
     assert [slot.ok for slot in slots] == [True, False, True]
     assert slots[1].index == 1
@@ -239,8 +258,11 @@ def test_run_all_isolates_failing_pipes(web):
 
     assert set(server.run_all(on_error="skip")) == {"good"}
     # Failed pipes still count as activations under skip/collect (the
-    # aborted raise run logged nothing for the failing pipe).
-    assert [name for _, name in server.run_log].count("bad") == 2
+    # aborted raise run logged nothing for the failing pipe); the good
+    # pipe is logged by all three runs.
+    logged = [name for _, name in server.run_log]
+    assert logged.count("bad") == 2
+    assert logged.count("good") == 3
 
     with pytest.raises(ValueError):
         server.run_all(on_error="explode")

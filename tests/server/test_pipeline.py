@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Pipeline
 from repro.datalog import EngineOptions
 from repro.elog import parse_elog
 from repro.mdatalog import MonadicProgram
@@ -40,13 +41,18 @@ def make_catalog(*pairs):
 
 
 def test_pipe_topological_execution_and_results():
-    pipe = InformationPipe("books")
-    pipe.add(XmlSourceComponent("source", lambda: make_catalog(("A", 10), ("B", 30), ("C", 20))))
-    pipe.add(FilterComponent("cheap", "book", lambda b: float(b.findtext("price")) <= 20,
-                             root_name="cheap"))
-    pipe.add(SortComponent("sorted", "book", "price", root_name="sorted"))
-    pipe.add(XmlDeliverer("out"))
-    pipe.chain("source", "cheap", "sorted", "out")
+    pipe = (
+        Pipeline.builder("books")
+        .stage(
+            XmlSourceComponent("source", lambda: make_catalog(("A", 10), ("B", 30), ("C", 20))),
+            is_source=True,
+        )
+        .stage(FilterComponent("cheap", "book", lambda b: float(b.findtext("price")) <= 20,
+                               root_name="cheap"))
+        .stage(SortComponent("sorted", "book", "price", root_name="sorted"))
+        .stage(XmlDeliverer("out"))
+        .build()
+    )
     results = pipe.run()
     titles = [b.findtext("title") for b in results["sorted"].find_all("book")]
     assert titles == ["A", "C"]
@@ -55,17 +61,19 @@ def test_pipe_topological_execution_and_results():
 
 
 def test_pipe_rejects_cycles_and_duplicates():
+    # The raw DAG, wired through the internals: the builder would already
+    # reject the cycle at build time.
     pipe = InformationPipe("p")
-    pipe.add(XmlSourceComponent("a", lambda: XmlElement("x")))
-    pipe.add(TransformerComponent("b", lambda d: d))
-    pipe.connect("a", "b")
-    pipe.connect("b", "a")
+    pipe._add(XmlSourceComponent("a", lambda: XmlElement("x")))
+    pipe._add(TransformerComponent("b", lambda d: d))
+    pipe._connect("a", "b")
+    pipe._connect("b", "a")
     with pytest.raises(PipelineError):
         pipe.run()
     with pytest.raises(PipelineError):
-        pipe.add(XmlSourceComponent("a", lambda: XmlElement("x")))
+        pipe._add(XmlSourceComponent("a", lambda: XmlElement("x")))
     with pytest.raises(PipelineError):
-        pipe.connect("a", "missing")
+        pipe._connect("a", "missing")
 
 
 def test_integration_and_join_components():
@@ -77,15 +85,14 @@ def test_integration_and_join_components():
         review.add("stars", text=str(stars))
     right = XmlSourceComponent("right", lambda: right_root)
 
-    pipe = InformationPipe("joined")
-    pipe.add(left)
-    pipe.add(right)
-    pipe.add(IntegrationComponent("merge"))
-    pipe.add(JoinComponent("join", "book", "review", key="title"))
-    pipe.connect("left", "merge")
-    pipe.connect("right", "merge")
-    pipe.connect("left", "join")
-    pipe.connect("right", "join")
+    pipe = (
+        Pipeline.builder("joined")
+        .stage(left, is_source=True)
+        .stage(right, is_source=True)
+        .stage(IntegrationComponent("merge"), inputs=["left", "right"])
+        .stage(JoinComponent("join", "book", "review", key="title"), inputs=["left", "right"])
+        .build()
+    )
     results = pipe.run()
     assert len(results["merge"].children) == 2
     joined_books = results["join"].find_all("book")
@@ -97,10 +104,7 @@ def test_integration_and_join_components():
 def test_rename_component_maps_to_nitf():
     source = XmlSourceComponent("s", lambda: make_catalog(("A", 1)))
     rename = RenameComponent("nitf", {"catalog": "nitf", "book": "block", "title": "hl1"})
-    pipe = InformationPipe("nitf-pipe")
-    pipe.add(source)
-    pipe.add(rename)
-    pipe.connect("s", "nitf")
+    pipe = Pipeline.builder("nitf-pipe").stage(source, is_source=True).stage(rename).build()
     result = pipe.run()["nitf"]
     assert result.name == "nitf"
     assert result.find("block") is not None
@@ -117,10 +121,15 @@ def test_wrapper_component_runs_elog_program():
         price(S, X) <- book(_, S), subelem(S, (?.td, [(class, price, exact)]), X)
         """
     )
-    pipe = InformationPipe("shop-a")
-    pipe.add(WrapperComponent("wrap", program, web, "books-a.test/bestsellers", root_name="books"))
-    pipe.add(XmlDeliverer("deliver"))
-    pipe.connect("wrap", "deliver")
+    pipe = (
+        Pipeline.builder("shop-a")
+        .stage(
+            WrapperComponent("wrap", program, web, "books-a.test/bestsellers", root_name="books"),
+            is_source=True,
+        )
+        .stage(XmlDeliverer("deliver"))
+        .build()
+    )
     results = pipe.run()
     books = results["wrap"].find_all("book")
     assert len(books) == 4
@@ -163,8 +172,7 @@ def test_datalog_query_component_serves_hot_documents_from_cache():
         supplier,
         options=EngineOptions(cache_size=4, force_generic=True),
     )
-    pipe = InformationPipe("datalog")
-    pipe.add(component)
+    pipe = Pipeline.builder("datalog").stage(component, is_source=True).build()
 
     expected = []
     for document in documents:
@@ -225,12 +233,13 @@ def test_join_component_skips_keyless_records():
     keyless_review = right_root.add("review")
     keyless_review.add("stars", text="1")
 
-    pipe = InformationPipe("joined")
-    pipe.add(XmlSourceComponent("left", lambda: left_root))
-    pipe.add(XmlSourceComponent("right", lambda: right_root))
-    pipe.add(JoinComponent("join", "book", "review", key="title"))
-    pipe.connect("left", "join")
-    pipe.connect("right", "join")
+    pipe = (
+        Pipeline.builder("joined")
+        .source("left", lambda: left_root)
+        .source("right", lambda: right_root)
+        .stage(JoinComponent("join", "book", "review", key="title"), inputs=["left", "right"])
+        .build()
+    )
     books = pipe.run()["join"].find_all("book")
     assert len(books) == 3  # keyless primaries still pass through, unjoined
     assert books[0].find("review") is not None
@@ -258,10 +267,8 @@ def test_transformation_server_scheduling():
         counter["runs"] += 1
         return XmlElement("tickdoc")
 
-    fast = InformationPipe("fast")
-    fast.add(XmlSourceComponent("s", supply))
-    slow = InformationPipe("slow")
-    slow.add(XmlSourceComponent("s", supply))
+    fast = Pipeline.builder("fast").source("s", supply).build().pipe
+    slow = Pipeline.builder("slow").source("s", supply).build().pipe
 
     server = TransformationServer()
     server.register(fast, period=1)
@@ -283,8 +290,7 @@ def test_run_all_goes_through_scheduler_bookkeeping():
         counter["runs"] += 1
         return XmlElement("doc")
 
-    pipe = InformationPipe("p")
-    pipe.add(XmlSourceComponent("s", supply))
+    pipe = Pipeline.builder("p").source("s", supply).build().pipe
     server = TransformationServer()
     server.register(pipe, period=2)
 
