@@ -1,12 +1,15 @@
-"""Ablation (DESIGN.md): grounding + LTUR vs generic semi-naive evaluation
-for monadic datalog over trees.
+"""Ablation (DESIGN.md): implicit grounding + LTUR vs generic semi-naive
+evaluation for monadic datalog over trees.
 
 The grounding pipeline is what gives Theorem 2.4 its O(|P| * |dom|) bound;
 the generic engine is correct but pays join overhead.  The benchmark prints
-both evaluation strategies on the shared workload.
+both evaluation strategies on the shared workload and records their medians
+as ``ablation_ground_s`` / ``ablation_seminaive_s``.
 """
 
 from __future__ import annotations
+
+import statistics
 
 import pytest
 
@@ -16,40 +19,51 @@ from repro.mdatalog import MonadicTreeEvaluator
 
 PROGRAM = wide_program(24)
 DOCUMENT = scaling_tree(3_000, seed=91)
+REPEATS = 5
 
 
-def test_ground_pipeline_is_competitive_with_indexed_generic(best_of):
-    fast = MonadicTreeEvaluator(PROGRAM)
+def test_ground_pipeline_beats_the_seminaive_engine(best_of, bench_record):
     slow = MonadicTreeEvaluator(PROGRAM, options=EngineOptions(force_generic=True))
-    assert fast.uses_ground_pipeline and not slow.uses_ground_pipeline
+    assert MonadicTreeEvaluator(PROGRAM).uses_ground_pipeline
+    assert not slow.uses_ground_pipeline
 
-    fast_time, fast_result = best_of(lambda: fast.evaluate(DOCUMENT))
-    slow_result = slow.evaluate(DOCUMENT)
+    # A fresh evaluator per repeat: one reused evaluator would answer every
+    # repeat after the first from its fingerprint LRU.
+    def ground():
+        return MonadicTreeEvaluator(PROGRAM).evaluate(DOCUMENT)
+
     # Time the raw (uncached) engine over a prebuilt EDB so repeats measure
     # pure evaluation, not evaluator construction or the fixpoint cache.
     engine = SemiNaiveEngine(PROGRAM.to_datalog_program())
     database = tree_database(DOCUMENT)
-    slow_time, _ = best_of(lambda: engine.evaluate(database))
 
+    ground_samples, seminaive_samples = [], []
+    for _ in range(REPEATS):
+        elapsed, fast_result = best_of(ground, repeats=1)
+        ground_samples.append(elapsed)
+        seminaive_samples.append(best_of(lambda: engine.evaluate(database), repeats=1)[0])
+
+    slow_result = slow.evaluate(DOCUMENT)
     for predicate in fast_result:
         assert [n.preorder_index for n in fast_result[predicate]] == [
             n.preorder_index for n in slow_result[predicate]
         ]
+    fast_time, slow_time = min(ground_samples), min(seminaive_samples)
+    bench_record("ablation_ground_s", statistics.median(ground_samples))
+    bench_record("ablation_seminaive_s", statistics.median(seminaive_samples))
     print(
         f"\nAblation  ground+LTUR {fast_time:.4f} s vs indexed semi-naive "
         f"{slow_time:.4f} s "
         f"(ratio {slow_time / max(fast_time, 1e-9):.2f}x, 3000 nodes, |P|={PROGRAM.size()})"
     )
-    # The indexed generic engine now rivals the ground pipeline on this
-    # workload; the linear pipeline must stay in the same league (it wins
-    # asymptotically on larger |P| * |dom|).
-    assert fast_time <= slow_time * 5
+    # Uncached, the linear pipeline must beat the indexed generic engine.
+    assert fast_time <= slow_time
 
 
 @pytest.mark.benchmark(group="ablation-evaluation")
 def test_benchmark_ground_pipeline(benchmark):
-    evaluator = MonadicTreeEvaluator(PROGRAM)
-    benchmark(evaluator.evaluate, DOCUMENT)
+    # Fresh evaluator per round: a reused one would time its fingerprint LRU.
+    benchmark(lambda: MonadicTreeEvaluator(PROGRAM).evaluate(DOCUMENT))
 
 
 @pytest.mark.benchmark(group="ablation-evaluation")

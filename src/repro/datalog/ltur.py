@@ -6,10 +6,16 @@ tau_ur relations have bidirectional functional dependencies — and (2)
 evaluating the resulting ground program in linear time with a unit-resolution
 algorithm in the style of Minoux's LTUR [29].
 
-This module implements step (2): propositional atoms are interned as
-integers, each rule keeps a counter of not-yet-satisfied body atoms, and a
-worklist propagates newly derived atoms.  Total work is proportional to the
-number of occurrences of atoms in the ground program.
+This module is the standalone propositional solver for explicitly given
+ground programs: atoms are interned as integers, each rule keeps a counter
+of not-yet-satisfied body atoms, and a worklist propagates newly derived
+atoms.  Total work is proportional to the number of occurrences of atoms in
+the ground program.
+
+The monadic tree pipeline (:mod:`repro.mdatalog.evaluator`) does not build
+a ground program at all: it runs the same propagation implicitly, reading
+each TMNF rule's one ground instance per node off the tree's functional
+maps, with one truth table per predicate.
 """
 
 from __future__ import annotations

@@ -5,13 +5,23 @@ combined complexity.  The proof grounds the program (linear because the
 binary tree relations are functional in both directions) and evaluates the
 ground program with a linear-time unit-resolution procedure [Minoux 29].
 
-:class:`MonadicTreeEvaluator` implements exactly that pipeline:
+:class:`MonadicTreeEvaluator` implements that pipeline without ever
+building the ground program:
 
 1. rewrite the program to TMNF (Theorem 2.7) — or accept it as-is when it is
-   already in TMNF;
-2. ground each TMNF rule against the document (at most one ground instance
-   per node or per edge of the relevant relation);
-3. run :class:`~repro.datalog.ltur.GroundHornSolver`.
+   already in TMNF — and compile it, once per program, into a trigger table
+   keyed by body predicate: a form-(1) rule copies an atom to its head, a
+   form-(2) rule steps along one of the six partial functions firstchild,
+   nextsibling, lastchild and their inverses, a form-(3) rule checks its
+   other conjunct;
+2. per document, build those functions as int arrays in one pass over the
+   tree fingerprint and seed the EDB unary atoms the program mentions;
+3. run one LTUR-style worklist over (predicate, node) atoms with one truth
+   table per predicate.  Every TMNF rule has at most one ground instance per
+   node, so each derived atom fires each of its triggers once: the work is
+   O(#predicates * |dom| + derived atoms * triggers) — the truth tables are
+   allocated and copied whole — inside the Theorem 2.4 bound
+   O(|P| * |dom|).
 
 Programs outside the TMNF-rewritable fragment (cyclic rule bodies, negation)
 transparently fall back to the generic semi-naive engine over the tree
@@ -20,45 +30,208 @@ database, preserving semantics at the price of the general-case complexity.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from itertools import compress
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..datalog.ast import Rule, Variable
 from ..datalog.cache import CacheInfo, LruMap
 from ..datalog.engine import SemiNaiveEngine
-from ..datalog.ltur import GroundHornSolver
 from ..datalog.options import DEFAULT_OPTIONS, EngineOptions
 from ..datalog.registry import PlanRegistry
-from ..datalog.tree_edb import label_predicate, tree_database, tree_fingerprint
+from ..datalog.tree_edb import TAU_UR_UNARY, tree_database, tree_fingerprint
 from ..tree.document import Document
 from ..tree.node import Node
 from .program import MonadicProgram
 from .tmnf import TMNFRewriteError, is_tmnf, rule_tmnf_form, to_tmnf
 
-GroundAtom = Tuple[str, int]  # (predicate, preorder index)
+# Steps of the trigger table: the identity (forms 1 and 3) and the six
+# partial functions of form 2 — each TMNF binary relation B, read from its
+# first argument (B(x0, x): x = B(x0)) and from its second (B(x, x0)).
+_SAME = 0
+#: relation -> (step for B(x0, x), step for B(x, x0))
+_RELATION_STEPS = {
+    "firstchild": (1, 4),
+    "nextsibling": (2, 5),
+    "lastchild": (3, 6),
+}
 
-#: Shared TMNF rewrites (cross-evaluator program reuse, mirroring the
+def _is_edb_unary(predicate: str) -> bool:
+    return predicate in TAU_UR_UNARY or predicate.startswith("label_")
+
+
+class _TriggerTable:
+    """A TMNF program compiled for implicit grounding.
+
+    ``triggers[q]`` lists ``(head, step, guard)`` for every rule reading
+    predicate id ``q``: a new atom ``q(n)`` derives ``head(step(n))`` when
+    ``guard`` (the other form-(3) conjunct, ``-1`` for none) already holds
+    there.  ``seeds`` pairs each EDB unary predicate the program mentions
+    with its id.
+    """
+
+    __slots__ = ("index", "triggers", "seeds")
+
+    def __init__(self, program: MonadicProgram) -> None:
+        self.index: Dict[str, int] = {}
+        triggers: List[List[Tuple[int, int, int]]] = []
+
+        def predicate_id(name: str) -> int:
+            if name not in self.index:
+                self.index[name] = len(triggers)
+                triggers.append([])
+            return self.index[name]
+
+        for rule in program.rules:
+            form = rule_tmnf_form(rule)
+            head = predicate_id(rule.head.predicate)
+            head_variable = rule.head.terms[0]
+            unary = [literal.atom for literal in rule.body if literal.atom.arity == 1]
+            if form == 1:
+                triggers[predicate_id(unary[0].predicate)].append((head, _SAME, -1))
+            elif form == 2:
+                binary = next(
+                    literal.atom for literal in rule.body if literal.atom.arity == 2
+                )
+                forward, backward = _RELATION_STEPS[binary.predicate]
+                step = backward if binary.terms[0] == head_variable else forward
+                triggers[predicate_id(unary[0].predicate)].append((head, step, -1))
+            elif form == 3:
+                first, second = (predicate_id(atom.predicate) for atom in unary)
+                triggers[first].append((head, _SAME, second))
+                if second != first:
+                    triggers[second].append((head, _SAME, first))
+            else:  # pragma: no cover - callers pass TMNF programs only
+                raise TMNFRewriteError(f"rule {rule} is not in TMNF")
+        self.triggers = tuple(tuple(fired) for fired in triggers)
+        self.seeds = tuple(
+            (name, position)
+            for name, position in self.index.items()
+            if _is_edb_unary(name)
+        )
+
+
+def _trigger_table(program: MonadicProgram) -> Optional[_TriggerTable]:
+    """Rewrite to TMNF and compile, or ``None`` outside the TMNF fragment."""
+    try:
+        return _TriggerTable(program if is_tmnf(program) else to_tmnf(program))
+    except TMNFRewriteError:
+        return None
+
+
+#: Shared compiled programs (cross-evaluator program reuse, mirroring the
 #: compiled-plan registry of :mod:`repro.datalog.registry`): hundreds of
 #: server components wrapping the same monadic program pay one Theorem-2.7
-#: rewrite.  Keyed exactly — the rule tuple plus the query predicates — so
-#: a hit can never alias two different programs; the sentinel records
-#: programs outside the TMNF fragment so their failed rewrite is not
-#: retried per component either.
+#: rewrite and one trigger-table compilation.  Keyed exactly — the rule
+#: tuple plus the query predicates — so a hit can never alias two different
+#: programs; the sentinel records programs outside the TMNF fragment so
+#: their failed rewrite is not retried per component either.
 _TMNF_UNREWRITABLE = object()
 _TMNF_CACHE: LruMap[Tuple[object, ...], object] = LruMap(64)
 
 
-def _shared_tmnf_program(program: MonadicProgram) -> Optional[MonadicProgram]:
+def _shared_trigger_table(program: MonadicProgram) -> Optional[_TriggerTable]:
     key = (tuple(program.rules), program.query_predicates)
     cached = _TMNF_CACHE.get(key)
     if cached is not None:
         return None if cached is _TMNF_UNREWRITABLE else cached  # type: ignore[return-value]
-    try:
-        tmnf = program if is_tmnf(program) else to_tmnf(program)
-    except TMNFRewriteError:
-        _TMNF_CACHE.put(key, _TMNF_UNREWRITABLE)
-        return None
-    _TMNF_CACHE.put(key, tmnf)
-    return tmnf
+    table = _trigger_table(program)
+    _TMNF_CACHE.put(key, _TMNF_UNREWRITABLE if table is None else table)
+    return table
+
+
+def _tree_functions(fingerprint: Tuple[Tuple[str, int], ...]) -> List[Sequence[int]]:
+    """The identity, firstchild, nextsibling, lastchild and the inverses of
+    the last three as int arrays, indexed by step id.
+
+    One pass over the preorder ``(label, parent)`` fingerprint: siblings
+    arrive in order.  Where a function is undefined it maps to the sentinel
+    ``n`` (one past the last node), which every truth table holds true, so
+    a step off the tree never derives anything.
+    """
+    n = len(fingerprint)
+    first, following, last = [n] * n, [n] * n, [n] * n
+    for node, (_, parent) in enumerate(fingerprint):
+        if parent >= 0:
+            previous = last[parent]
+            if previous == n:
+                first[parent] = node
+            else:
+                following[previous] = node
+            last[parent] = node
+    functions: List[Sequence[int]] = [range(n), first, following, last]
+    for forward in (first, following, last):
+        inverse = [n] * n
+        for source, target in enumerate(forward):
+            if target != n:
+                inverse[target] = source
+        functions.append(inverse)
+    return functions
+
+
+def _edb_nodes(
+    predicate: str,
+    fingerprint: Tuple[Tuple[str, int], ...],
+    functions: List[Sequence[int]],
+) -> Iterable[int]:
+    """The nodes of one tau_ur unary relation (the root is neither a first
+    nor a last sibling: it has no parent)."""
+    n = len(fingerprint)
+    if predicate == "root":
+        return (0,)
+    if predicate == "leaf":
+        return [node for node, child in enumerate(functions[1]) if child == n]
+    if predicate == "firstsibling":
+        return [child for child in functions[1] if child != n]
+    if predicate == "lastsibling":
+        return [child for child in functions[3] if child != n]
+    label = predicate[len("label_"):]
+    return [node for node, (name, _) in enumerate(fingerprint) if name == label]
+
+
+def _propagate(
+    table: _TriggerTable, fingerprint: Tuple[Tuple[str, int], ...]
+) -> Tuple[bytes, ...]:
+    """LTUR over the implicit ground program: one truth table per predicate
+    id, one worklist of (triggers of the derived predicate, node) pairs,
+    pushed flat."""
+    n = len(fingerprint)
+    functions = _tree_functions(fingerprint)
+    truth = [bytearray(n + 1) for _ in table.triggers]
+    for holds in truth:
+        holds[n] = 1
+    unguarded = b"\x01" * (n + 1)
+    fired: List[list] = [[] for _ in table.triggers]
+    for body, triggers in enumerate(table.triggers):
+        fired[body].extend(
+            (
+                truth[head],
+                fired[head],
+                functions[step],
+                truth[guard] if guard >= 0 else unguarded,
+            )
+            for head, step, guard in triggers
+        )
+    worklist: list = []
+    push = worklist.append
+    for name, position in table.seeds:
+        holds, triggers = truth[position], fired[position]
+        for node in _edb_nodes(name, fingerprint, functions):
+            if not holds[node]:
+                holds[node] = 1
+                if triggers:
+                    push(triggers)
+                    push(node)
+    pop = worklist.pop
+    while worklist:
+        node = pop()
+        triggers = pop()
+        for holds, head_triggers, step, guard in triggers:
+            target = step[node]
+            if not holds[target] and guard[target]:
+                holds[target] = 1
+                if head_triggers:
+                    push(head_triggers)
+                    push(target)
+    return tuple(bytes(holds) for holds in truth)
 
 
 class MonadicTreeEvaluator:
@@ -69,7 +242,7 @@ class MonadicTreeEvaluator:
     a working set of ``cache_size`` hot documents (the
     :mod:`repro.server.pipeline` access pattern): the generic engine through
     its content-keyed fixpoint LRU, the ground pipeline through an LRU of
-    LTUR truth sets keyed by exact tree fingerprints — node identities are
+    per-predicate truth tables keyed by exact tree fingerprints — node identities are
     re-resolved per call, so cached truths are safe across equal-but-distinct
     document objects.
 
@@ -96,25 +269,20 @@ class MonadicTreeEvaluator:
             options = DEFAULT_OPTIONS
         self.program = program
         self.options = options
-        self.uses_ground_pipeline = False
-        self._tmnf_program: Optional[MonadicProgram] = None
+        self._triggers: Optional[_TriggerTable] = None
         self._generic_engine: Optional[SemiNaiveEngine] = None
         self._ground_cache: LruMap[
-            Tuple[Tuple[str, int], ...], FrozenSet[GroundAtom]
+            Tuple[Tuple[str, int], ...], Tuple[bytes, ...]
         ] = LruMap(options.cache_size)
 
         if not options.force_generic and not program.uses_negation():
-            if options.share_plans:
-                self._tmnf_program = _shared_tmnf_program(program)
-            else:
-                try:
-                    self._tmnf_program = (
-                        program if is_tmnf(program) else to_tmnf(program)
-                    )
-                except TMNFRewriteError:
-                    self._tmnf_program = None
-            self.uses_ground_pipeline = self._tmnf_program is not None
-        if self._tmnf_program is None:
+            self._triggers = (
+                _shared_trigger_table(program)
+                if options.share_plans
+                else _trigger_table(program)
+            )
+        self.uses_ground_pipeline = self._triggers is not None
+        if self._triggers is None:
             self._generic_engine = SemiNaiveEngine(
                 program.to_datalog_program(),
                 options=options,
@@ -139,15 +307,13 @@ class MonadicTreeEvaluator:
     # ------------------------------------------------------------------
     def evaluate(self, document: Document) -> Dict[str, List[Node]]:
         """Evaluate and return {query predicate: nodes in document order}."""
-        if self.uses_ground_pipeline:
-            truth = self._evaluate_ground(document)
-            result: Dict[str, List[Node]] = {}
-            for predicate in self.program.query_predicates:
-                indexes = sorted(
-                    index for (name, index) in truth if name == predicate
-                )
-                result[predicate] = [document.node_at(index) for index in indexes]
-            return result
+        if self._triggers is not None:
+            truth = self._ground_truth(document)
+            index = self._triggers.index
+            return {
+                predicate: list(compress(document, truth[index[predicate]]))
+                for predicate in self.program.query_predicates
+            }
         return self._evaluate_generic(document)
 
     def select(self, document: Document, predicate: str) -> List[Node]:
@@ -156,125 +322,48 @@ class MonadicTreeEvaluator:
         Any predicate the program derives is selectable — query predicates
         and auxiliary IDB predicates alike — mirroring
         :meth:`~repro.datalog.engine.EvaluationResult.query`, whose fixpoint
-        also contains the auxiliary relations.  A predicate the program
-        never defines yields ``[]`` rather than an error: the stack-wide
-        unknown-predicate contract (see docs/API.md) is lenient at query
-        time and strict only at declaration time
+        also contains the auxiliary relations and the tau_ur unary
+        relations.  Only *unary* extensions select nodes: the generic
+        engine's fixpoint also carries the binary tree relations, which must
+        not leak out as (duplicated) first components.  A binary predicate
+        or one the program never defines yields ``[]`` rather than an
+        error: the stack-wide unknown-predicate contract (see docs/API.md)
+        is lenient at query time and strict only at declaration time
         (``MonadicProgram(query_predicates=...)``).
         """
+        if self._triggers is not None:
+            position = self._triggers.index.get(predicate)
+            if position is not None:
+                return list(compress(document, self._ground_truth(document)[position]))
+            if not _is_edb_unary(predicate):
+                return []
+            fingerprint = tree_fingerprint(document)
+            nodes = _edb_nodes(predicate, fingerprint, _tree_functions(fingerprint))
+            return [document.node_at(index) for index in sorted(nodes)]
         if predicate in self.program.query_predicates:
-            return self.evaluate(document).get(predicate, [])
-        return self._select_indexes(document, predicate)
-
-    def _select_indexes(self, document: Document, predicate: str) -> List[Node]:
-        """Resolve one non-query predicate through whichever pipeline runs.
-
-        Only *unary* extensions select nodes — the ground pipeline never
-        derives anything else, and the generic engine's fixpoint also
-        carries the binary tree relations, which must not leak out as
-        (duplicated) first components.  Both pipelines therefore agree:
-        binary and unknown predicates alike come back empty.
-        """
-        if self.uses_ground_pipeline:
-            truth = self._evaluate_ground(document)
-            indexes = sorted(index for (name, index) in truth if name == predicate)
-        else:
-            assert self._generic_engine is not None
-            derived = self._generic_engine.fixpoint(tree_database(document))
-            indexes = sorted(
-                value[0] for value in derived.query(predicate) if len(value) == 1
-            )
+            return self._evaluate_generic(document).get(predicate, [])
+        assert self._generic_engine is not None
+        derived = self._generic_engine.fixpoint(tree_database(document))
+        indexes = sorted(
+            value[0] for value in derived.query(predicate) if len(value) == 1
+        )
         return [document.node_at(index) for index in indexes]
 
     # ------------------------------------------------------------------
-    # Grounding pipeline (Theorem 2.4)
+    # Implicit grounding (Theorem 2.4)
     # ------------------------------------------------------------------
-    def _evaluate_ground(self, document: Document) -> FrozenSet[GroundAtom]:
-        assert self._tmnf_program is not None
+    def _ground_truth(self, document: Document) -> Tuple[bytes, ...]:
+        """Truth tables by predicate id, through the fingerprint LRU."""
+        assert self._triggers is not None
         # The fingerprint is exact (labels + shape determine every tau_ur
-        # relation), so equal-but-distinct documents share one grounding and
-        # solve; document mutations change the fingerprint and re-evaluate.
+        # relation), so equal-but-distinct documents share one propagation;
+        # document mutations change the fingerprint and re-evaluate.
         fingerprint = tree_fingerprint(document)
-        cached = self._ground_cache.get(fingerprint)
-        if cached is not None:
-            return cached
-        solver = GroundHornSolver()
-        self._add_edb_facts(document, solver)
-        for rule in self._tmnf_program.rules:
-            self._ground_rule(rule, document, solver)
-        truth = frozenset(solver.solve())  # type: ignore[arg-type]
-        self._ground_cache.put(fingerprint, truth)
+        truth = self._ground_cache.get(fingerprint)
+        if truth is None:
+            truth = _propagate(self._triggers, fingerprint)
+            self._ground_cache.put(fingerprint, truth)
         return truth
-
-    def _add_edb_facts(self, document: Document, solver: GroundHornSolver) -> None:
-        for node in document:
-            index = node.preorder_index
-            solver.add_fact((label_predicate(node.label), index))
-            if node.is_root:
-                solver.add_fact(("root", index))
-            if node.is_leaf:
-                solver.add_fact(("leaf", index))
-            if node.is_last_sibling:
-                solver.add_fact(("lastsibling", index))
-            if node.is_first_sibling:
-                solver.add_fact(("firstsibling", index))
-
-    def _ground_rule(
-        self, rule: Rule, document: Document, solver: GroundHornSolver
-    ) -> None:
-        form = rule_tmnf_form(rule)
-        head_predicate = rule.head.predicate
-        head_variable = rule.head.terms[0]
-        if form == 1:
-            body_predicate = rule.body[0].atom.predicate
-            for node in document:
-                index = node.preorder_index
-                solver.add_rule((head_predicate, index), ((body_predicate, index),))
-            return
-        if form == 3:
-            first, second = (literal.atom.predicate for literal in rule.body)
-            for node in document:
-                index = node.preorder_index
-                solver.add_rule(
-                    (head_predicate, index), ((first, index), (second, index))
-                )
-            return
-        if form == 2:
-            unary_atom = next(l.atom for l in rule.body if l.atom.arity == 1)
-            binary_atom = next(l.atom for l in rule.body if l.atom.arity == 2)
-            body_predicate = unary_atom.predicate
-            relation = binary_atom.predicate
-            source_variable = unary_atom.terms[0]
-            # Orientation: the rule is  p(x) <- p0(x0), B(a, b)  with
-            # {a, b} == {x0, x}.  Enumerate the pairs of B and instantiate.
-            for parent, child in self._relation_pairs(relation, document):
-                assignment: Dict[Variable, int] = {
-                    binary_atom.terms[0]: parent.preorder_index,  # type: ignore[index]
-                    binary_atom.terms[1]: child.preorder_index,  # type: ignore[index]
-                }
-                head_index = assignment[head_variable]  # type: ignore[index]
-                body_index = assignment[source_variable]  # type: ignore[index]
-                solver.add_rule(
-                    (head_predicate, head_index), ((body_predicate, body_index),)
-                )
-            return
-        raise TMNFRewriteError(f"rule {rule} is not in TMNF")  # pragma: no cover
-
-    @staticmethod
-    def _relation_pairs(
-        relation: str, document: Document
-    ) -> Iterable[Tuple[Node, Node]]:
-        if relation == "firstchild":
-            return document.firstchild_pairs()
-        if relation == "nextsibling":
-            return document.nextsibling_pairs()
-        if relation == "lastchild":
-            return (
-                (node, node.children[-1]) for node in document if node.children
-            )
-        if relation == "child":
-            return document.child_pairs()
-        raise TMNFRewriteError(f"unsupported binary relation {relation!r}")
 
     # ------------------------------------------------------------------
     # Generic fallback

@@ -148,3 +148,62 @@ def test_generic_path_observes_document_mutation():
     assert indexes(evaluator.evaluate(document)["hit"]) == {1}
     document.node_at(2).label = "b"
     assert indexes(evaluator.evaluate(document)["hit"]) == {1, 2}
+
+
+EDB_UNARY = ("root", "leaf", "firstsibling", "lastsibling", "label_a", "label_b", "label_zzz")
+
+
+def _edb_expected(document, predicate):
+    definitions = {
+        "root": lambda node: node.is_root,
+        "leaf": lambda node: node.is_leaf,
+        "firstsibling": lambda node: node.is_first_sibling,
+        "lastsibling": lambda node: node.is_last_sibling,
+    }
+    holds = definitions.get(predicate)
+    if holds is None:
+        label = predicate[len("label_"):]
+        return [n.preorder_index for n in document if n.label == label]
+    return [n.preorder_index for n in document if holds(n)]
+
+
+def test_select_of_edb_unary_predicates_matches_on_both_pipelines():
+    # The ground pipeline seeds only the EDB predicates a rule mentions;
+    # the others must still be selectable, exactly as the generic fixpoint
+    # (which carries every tau_ur relation) answers them.
+    reads_some = MonadicProgram.parse(
+        "hit(X) :- label_a(X0), firstchild(X0, X). end(X) :- leaf(X), lastsibling(X)."
+    )
+    reads_none = MonadicProgram.parse("hit(X) :- label_c(X).")
+    documents = [
+        tree(("a",)),
+        tree(("a", ("b", ("a",), ("b",)), ("c",), ("a", ("b",)))),
+        random_tree(60, labels=("a", "b", "c"), seed=5),
+    ]
+    for program in (reads_some, reads_none):
+        fast = MonadicTreeEvaluator(program)
+        slow = MonadicTreeEvaluator(program, options=GENERIC)
+        assert fast.uses_ground_pipeline
+        for document in documents:
+            for predicate in EDB_UNARY:
+                expected = _edb_expected(document, predicate)
+                assert [n.preorder_index for n in fast.select(document, predicate)] == expected
+                assert [n.preorder_index for n in slow.select(document, predicate)] == expected
+
+
+def test_ground_cache_hits_on_an_equal_document_and_answers_with_its_nodes():
+    program = MonadicProgram.parse("hit(X) :- label_b(X0), nextsibling(X0, X).")
+    evaluator = MonadicTreeEvaluator(program)
+    literal = ("r", ("b",), ("a", ("b",), ("c",)), ("d",))
+    first, second = tree(literal), tree(literal)
+    first_hits = evaluator.evaluate(first)["hit"]
+    before = evaluator.fixpoint_cache_info()
+    second_hits = evaluator.evaluate(second)["hit"]
+    after = evaluator.fixpoint_cache_info()
+    assert after.hits == before.hits + 1
+    assert after.misses == before.misses
+    assert [n.preorder_index for n in second_hits] == [
+        n.preorder_index for n in first_hits
+    ] == [2, 4]
+    assert all(node is second.node_at(node.preorder_index) for node in second_hits)
+    assert not any(node is first.node_at(node.preorder_index) for node in second_hits)
