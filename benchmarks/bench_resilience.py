@@ -17,7 +17,9 @@ guarded fetch adds only a breaker check and a loop frame per document.  Two work
 
 from __future__ import annotations
 
+import gc
 import statistics
+import time
 
 from repro import ResiliencePolicy, Session
 from repro.resilience import FaultPlan, RetryPolicy
@@ -46,7 +48,23 @@ def _web_and_urls(count):
     return web, urls
 
 
-def test_clean_path_overhead_stays_under_five_percent(best_of, bench_record, quick):
+#: Alternating bare/guarded pairs behind the clean-path gate's median.
+PAIRS = 21
+
+
+def _timed(run):
+    """``(seconds, result)`` of one ``run()`` on a collected, paused heap."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        result = run()
+        return time.perf_counter() - start, result
+    finally:
+        gc.enable()
+
+
+def test_clean_path_overhead_stays_under_five_percent(bench_record, quick):
     url_count = 40 if quick else 120
     web, urls = _web_and_urls(url_count)
 
@@ -58,25 +76,41 @@ def test_clean_path_overhead_stays_under_five_percent(best_of, bench_record, qui
             WRAPPER, urls=urls, fetcher=web
         )
 
+    # Paired, alternating samples: each pair times both variants back to
+    # back (the order flips every pair), so host drift hits both halves of
+    # a pair alike.  The gate statistic is the median of the per-pair
+    # ratios; a min of one sample set over a min of another compared two
+    # unrelated best cases and made this gate flaky.  Each sample starts
+    # from a collected heap with the collector paused (as ``timeit`` does):
+    # which sample a cyclic collection lands in is noise, not overhead.
+    baseline, armoured = bare(), guarded()  # warm the interpreters
     bare_samples, guarded_samples = [], []
-    baseline = armoured = None
-    for _ in range(5):
-        seconds, baseline = best_of(bare, repeats=1)
-        bare_samples.append(seconds)
-        seconds, armoured = best_of(guarded, repeats=1)
-        guarded_samples.append(seconds)
+    for pair in range(PAIRS):
+        if pair % 2:
+            guarded_s, armoured = _timed(guarded)
+            bare_s, baseline = _timed(bare)
+        else:
+            bare_s, baseline = _timed(bare)
+            guarded_s, armoured = _timed(guarded)
+        bare_samples.append(bare_s)
+        guarded_samples.append(guarded_s)
+    ratios = [
+        guarded_s / max(bare_s, 1e-9)
+        for bare_s, guarded_s in zip(bare_samples, guarded_samples)
+    ]
 
     # Correctness guard: the armour changes nothing about a clean run.
     assert [r.to_xml() for r in armoured] == [r.to_xml() for r in baseline]
 
-    overhead = min(guarded_samples) / max(min(bare_samples), 1e-9)
+    overhead = statistics.median(ratios)
     bench_record("resilience_clean_baseline_s", statistics.median(bare_samples))
     bench_record("resilience_clean_guarded_s", statistics.median(guarded_samples))
     bench_record("resilience_clean_overhead_x", overhead)
     print(
         f"\nclean extract_many over {url_count} urls: bare "
-        f"{min(bare_samples):.4f} s vs resilient {min(guarded_samples):.4f} s "
-        f"(overhead {overhead:.3f}x)"
+        f"{statistics.median(bare_samples):.4f} s vs resilient "
+        f"{statistics.median(guarded_samples):.4f} s (median paired overhead "
+        f"{overhead:.3f}x, pairs {min(ratios):.3f}-{max(ratios):.3f})"
     )
     assert overhead < 1.05, (
         f"clean-path resilience overhead {overhead:.3f}x exceeds the 5% budget"

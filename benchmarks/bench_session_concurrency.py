@@ -61,9 +61,9 @@ class SlowFetcher(SimulatedWeb):
         super().__init__()
         self.delay_s = delay_s
 
-    def fetch(self, url: str):
+    def fetch_page(self, url: str):
         time.sleep(self.delay_s)
-        return super().fetch(url)
+        return super().fetch_page(url)
 
 
 def _documents(count: int):

@@ -25,6 +25,7 @@ from .extractor import (
     Extractor,
     ExtractorCache,
     Fetcher,
+    Page,
     PrefetchedFetcher,
     wrapper_fingerprint,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "ExtractorCache",
     "FIGURE5_TEXT",
     "Fetcher",
+    "Page",
     "PrefetchedFetcher",
     "FirstSubtreeCondition",
     "PatternInstance",

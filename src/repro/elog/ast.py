@@ -92,7 +92,11 @@ class DocumentSource:
     is_variable: bool = False
 
     def __str__(self) -> str:
-        return f'document("{self.url}", S)' if not self.is_variable else f"document({self.url}, S)"
+        if not self.is_variable:
+            return f'document("{self.url}", S)'
+        # document(_, S) reads every supplied document; document(S, X)
+        # crawls to the URL its parent pattern's instance carries.
+        return "document(_, S)" if self.url == "_" else f"document({self.url}, X)"
 
 
 Extraction = Union[SubElem, SubText, SubAtt, SubSequence]
@@ -246,10 +250,11 @@ class ElogRule:
 
     def __str__(self) -> str:
         parts: List[str] = []
-        if self.document is not None:
-            parts.append(str(self.document))
-        else:
+        document = self.document
+        if document is None or (document.is_variable and document.url != "_"):
             parts.append(f"{self.parent}(_, S)")
+        if document is not None:
+            parts.append(str(document))
         if self.extraction is not None and not isinstance(self.extraction, DocumentSource):
             parts.append(str(self.extraction))
         parts.extend(str(condition) for condition in self.conditions)

@@ -32,7 +32,18 @@ call rather than once per candidate.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..datalog.cache import LruMap, SingleFlight
 from ..tree.document import Document
@@ -63,49 +74,93 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from concurrent.futures import Executor, Future
 
 
-class Fetcher:
-    """Interface for document acquisition (implemented by repro.web).
+class Page:
+    """One fetched page: its URL, a validator and the lazily parsed document.
 
-    Besides the synchronous :meth:`fetch`, the protocol is *async-capable*:
-    :meth:`fetch_async` schedules an acquisition on an executor and returns
-    a future, letting callers overlap fetching with evaluation (the
-    ``urls=`` batch path of :meth:`repro.api.Session.extract_many` and
-    :meth:`repro.server.components.WrapperComponent.prefetch`).  The
-    default implementation simply runs :meth:`fetch` on the executor;
-    fetchers backed by genuinely asynchronous I/O can override it to return
-    an already-in-flight future.
+    The validator tells a later fetch of the same URL whether the page
+    changed, the role an HTTP ETag plays (RFC 9110 §13): equal validators
+    mean the same page.  ``None`` means the page cannot be revalidated, so
+    a consumer must treat it as changed every time.  :attr:`document`
+    parses on first access and memoises the tree, so a page whose
+    validator matched is never parsed.
     """
 
-    def fetch(self, url: str) -> Document:  # pragma: no cover - interface
+    __slots__ = ("url", "validator", "_document", "_parse")
+
+    def __init__(
+        self,
+        url: str,
+        validator: object = None,
+        *,
+        document: Optional[Document] = None,
+        parse: Optional[Callable[[], Document]] = None,
+    ) -> None:
+        if (document is None) == (parse is None):
+            raise ValueError("a Page takes exactly one of document= and parse=")
+        self.url = url
+        self.validator = validator
+        self._document = document
+        self._parse = parse
+
+    @property
+    def document(self) -> Document:
+        if self._document is None:
+            assert self._parse is not None
+            self._document, self._parse = self._parse(), None
+        return self._document
+
+
+class Fetcher:
+    """Interface for page acquisition (implemented by repro.web).
+
+    The one primitive is :meth:`fetch_page`: it returns a :class:`Page`
+    carrying a validator and a lazily parsed document, so a caller can tell
+    an unchanged page before anything is parsed.  Wrappers (retry, fault
+    injection, prefetch views) implement only :meth:`fetch_page`.
+    :meth:`fetch` is the convenience ``fetch_page(url).document`` that the
+    :class:`Extractor` reads through.
+
+    The protocol is also *async-capable*: :meth:`fetch_async` schedules
+    :meth:`fetch_page` on an executor and returns a future resolving to
+    the :class:`Page`, letting callers overlap fetching with evaluation
+    (:meth:`repro.server.components.WrapperComponent.prefetch`).  Fetchers
+    backed by genuinely asynchronous I/O can override it to return an
+    already-in-flight future.
+    """
+
+    def fetch_page(self, url: str) -> Page:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def fetch_async(self, url: str, executor: "Executor") -> "Future[Document]":
-        """Schedule ``fetch(url)`` on ``executor``; returns its future."""
-        return executor.submit(self.fetch, url)
+    def fetch(self, url: str) -> Document:
+        """The parsed document at ``url``: ``fetch_page(url).document``."""
+        return self.fetch_page(url).document
+
+    def fetch_async(self, url: str, executor: "Executor") -> "Future[Page]":
+        """Schedule ``fetch_page(url)`` on ``executor``; returns its future."""
+        return executor.submit(self.fetch_page, url)
 
 
 class PrefetchedFetcher(Fetcher):
     """A fetcher view over already-started fetch futures.
 
-    Wraps a base fetcher plus a ``url -> Future[Document]`` mapping:
-    :meth:`fetch` resolves known URLs from their (possibly still in-flight)
-    futures and delegates everything else — crawling targets discovered
-    mid-extraction — to the base fetcher.  This is how a prefetching
-    :class:`~repro.server.components.WrapperComponent` hands an unchanged
-    :class:`Extractor` the page whose acquisition started before evaluation
-    did; fetch errors surface on resolution exactly as the synchronous path
-    would raise them.
+    Wraps a base fetcher plus a ``url -> Future[Page]`` mapping:
+    :meth:`fetch_page` resolves known URLs from their (possibly still
+    in-flight) futures and delegates everything else — crawling targets
+    discovered mid-extraction — to the base fetcher.  This is how a
+    prefetching :class:`~repro.server.components.WrapperComponent` reads
+    the page whose acquisition started before evaluation did; fetch errors
+    surface on resolution exactly as the synchronous path would raise them.
     """
 
     def __init__(
         self,
         base: Optional[Fetcher],
-        futures: "Mapping[str, Future[Document]]",
+        futures: "Mapping[str, Future[Page]]",
     ) -> None:
         self.base = base
         self._futures = dict(futures)
 
-    def fetch(self, url: str) -> Document:
+    def fetch_page(self, url: str) -> Page:
         future = self._futures.get(url)
         if future is not None:
             return future.result()
@@ -113,15 +168,15 @@ class PrefetchedFetcher(Fetcher):
             from ..resilience.errors import PermanentFetchError
 
             raise PermanentFetchError(f"no prefetched document for {url!r}", url=url)
-        return self.base.fetch(url)
+        return self.base.fetch_page(url)
 
-    def fetch_async(self, url: str, executor: "Executor") -> "Future[Document]":
+    def fetch_async(self, url: str, executor: "Executor") -> "Future[Page]":
         future = self._futures.get(url)
         if future is not None:
             return future
         if self.base is not None:
             return self.base.fetch_async(url, executor)
-        return executor.submit(self.fetch, url)
+        return super().fetch_async(url, executor)
 
 
 class ExtractionError(RuntimeError):
@@ -230,7 +285,13 @@ class Extractor:
         fetched_urls: Dict[str, PatternInstance],
         witnesses: WitnessMemo,
     ) -> bool:
-        changed = False
+        """Apply ``rule`` once; whether the instance base grew.
+
+        Documents the rule fetched count: a crawl round whose only effect
+        is a newly fetched page (say, a target retried after a failed
+        fetch) still hands later rules a new ``document`` instance.
+        """
+        size = len(base)
         for parent_instance in self._parent_instances(rule, base, fetched_urls):
             candidates = self._candidates(rule, parent_instance)
             accepted: List[PatternInstance] = []
@@ -245,9 +306,8 @@ class Extractor:
             ):
                 accepted = [min(accepted, key=PatternInstance.anchor)]
             for instance in accepted:
-                if base.add_instance(instance) is not None:
-                    changed = True
-        return changed
+                base.add_instance(instance)
+        return len(base) != size
 
     def _parent_instances(
         self,

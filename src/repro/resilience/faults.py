@@ -32,13 +32,10 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
+from ..elog.extractor import Fetcher, Page
 from .errors import PermanentFetchError, TransientFetchError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..elog.extractor import Fetcher
-    from ..tree.document import Document
 
 
 class _FaultRule(NamedTuple):
@@ -201,19 +198,20 @@ class FaultPlan:
         return streak
 
 
-class FaultyFetcher:
+class FaultyFetcher(Fetcher):
     """A fetcher wrapper that injects a :class:`FaultPlan`'s faults.
 
-    Satisfies the :class:`~repro.elog.extractor.Fetcher` protocol
-    structurally (fetch + fetch_async via delegation), so it can wrap any
-    fetcher in the stack — a :class:`~repro.web.SimulatedWeb`, a
+    Implements only :meth:`fetch_page`, so ``fetch`` and ``fetch_async``
+    (the :class:`~repro.elog.extractor.Fetcher` defaults) run the faulty
+    path too.  It can wrap any fetcher in the stack — a
+    :class:`~repro.web.SimulatedWeb`, a
     :class:`~repro.web.StaticDocumentFetcher`, or another wrapper.
     ``sleep`` is injectable so latency spikes cost no wall-clock in tests.
     """
 
     def __init__(
         self,
-        base: "Fetcher",
+        base: Fetcher,
         plan: FaultPlan,
         *,
         sleep: Callable[[float], None] = time.sleep,
@@ -222,14 +220,10 @@ class FaultyFetcher:
         self.plan = plan
         self._sleep = sleep
 
-    def fetch(self, url: str) -> "Document":
+    def fetch_page(self, url: str) -> Page:
         decision = self.plan.decide(url)
         if decision.delay_s:
             self._sleep(decision.delay_s)
         if decision.error is not None:
             raise decision.error
-        return self.base.fetch(url)
-
-    def fetch_async(self, url: str, executor):
-        """Schedule the faulty fetch (fault adjudication runs on the pool)."""
-        return executor.submit(self.fetch, url)
+        return self.base.fetch_page(url)

@@ -22,14 +22,11 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import TYPE_CHECKING, Callable, Dict, Optional, TypeVar
+from typing import Callable, Dict, Optional, TypeVar
 
+from ..elog.extractor import Fetcher, Page
 from .errors import CircuitOpenError, DeadlineExceeded, is_transient
 from .policy import ResiliencePolicy, ResilienceStats, RetryPolicy
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..elog.extractor import Fetcher
-    from ..tree.document import Document
 
 ResultT = TypeVar("ResultT")
 
@@ -239,20 +236,23 @@ def call_with_retry(
     raise _annotate(last_error, attempt, clock() - start)
 
 
-class ResilientFetcher:
+class ResilientFetcher(Fetcher):
     """A fetcher hardened with retry, deadline and circuit breaking.
 
-    Wraps any :class:`~repro.elog.extractor.Fetcher`-shaped object.  Every
-    :meth:`fetch` runs through :func:`call_with_retry` under the policy's
-    :class:`~repro.resilience.policy.RetryPolicy`; a per-host
+    Wraps any :class:`~repro.elog.extractor.Fetcher`.  Every
+    :meth:`fetch_page` runs through :func:`call_with_retry` under the
+    policy's :class:`~repro.resilience.policy.RetryPolicy`; a per-host
     :class:`CircuitBreaker` sits in front of the attempts, so a host that
-    keeps failing is rejected fast until its cooldown elapses.  All
-    accounting reports into a (shareable) :class:`ResilienceStats`.
+    keeps failing is rejected fast until its cooldown elapses.  ``fetch``
+    and ``fetch_async`` are the :class:`~repro.elog.extractor.Fetcher`
+    defaults over :meth:`fetch_page`, so the async path retries on the pool
+    thread.  All accounting reports into a (shareable)
+    :class:`ResilienceStats`.
     """
 
     def __init__(
         self,
-        base: "Fetcher",
+        base: Fetcher,
         policy: Optional[ResiliencePolicy] = None,
         *,
         stats: Optional[ResilienceStats] = None,
@@ -271,20 +271,20 @@ class ResilientFetcher:
             stats=self.stats,
         )
 
-    def fetch(self, url: str) -> "Document":
+    def fetch_page(self, url: str) -> Page:
         host = host_of(url)
 
-        def attempt() -> "Document":
+        def attempt() -> Page:
             self.breaker.check(host, url)
             try:
-                document = self.base.fetch(url)
+                page = self.base.fetch_page(url)
             except CircuitOpenError:
                 raise
             except BaseException:
                 self.breaker.record_failure(host)
                 raise
             self.breaker.record_success(host)
-            return document
+            return page
 
         return call_with_retry(
             attempt,
@@ -294,10 +294,6 @@ class ResilientFetcher:
             sleep=self._sleep,
             clock=self._clock,
         )
-
-    def fetch_async(self, url: str, executor):
-        """Schedule the resilient fetch (retries run on the pool thread)."""
-        return executor.submit(self.fetch, url)
 
     def info(self):
         """This fetcher's :class:`~repro.resilience.policy.ResilienceInfo`."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import html
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..datalog.options import DEFAULT_OPTIONS, EngineOptions
 from ..elog.ast import ElogProgram
@@ -25,6 +25,7 @@ from ..elog.extractor import (
     Extractor,
     ExtractorCache,
     Fetcher,
+    Page,
     PrefetchedFetcher,
     wrapper_fingerprint,
 )
@@ -80,12 +81,106 @@ def shared_extractor(program: ElogProgram, fetcher: Fetcher) -> Extractor:
     return _EXTRACTOR_CACHE.get(program, fetcher)
 
 
-class WrapperComponent(Component):
+class _SourceComponent(Component):
+    """A source stage's last good output, and serving it stale.
+
+    With a :class:`ResiliencePolicy` whose ``serve_stale`` is on, a source
+    whose acquisition fails serves a copy of its last good output marked
+    ``stale="true"`` instead of failing the pipe.  Without a policy there
+    is no degradation and no accounting.
+    """
+
+    def __init__(self, name: str, resilience: Optional[ResiliencePolicy]) -> None:
+        super().__init__(name)
+        self.resilience = resilience
+        self._stats = ResilienceStats() if resilience is not None else None
+        self._last_good: Optional[XmlElement] = None
+
+    def _stale_copy(self) -> Optional[XmlElement]:
+        """The last-good output marked stale, or ``None`` if degradation is
+        off (no policy, ``serve_stale=False``) or nothing good was seen."""
+        if (
+            self.resilience is None
+            or not self.resilience.serve_stale
+            or self._last_good is None
+        ):
+            return None
+        self._stats.bump("stale_served")
+        stale = self._last_good.copy()
+        stale.attributes["stale"] = "true"
+        return stale
+
+    def resilience_info(self) -> Optional[ResilienceInfo]:
+        """Failure accounting (``None`` when no policy is configured)."""
+        return self._stats.snapshot() if self._stats is not None else None
+
+
+#: One read of a traced activation: the URL and the validator of the page it
+#: got, ``None`` when the fetch failed or the page carries no validator.
+_TraceRead = Tuple[str, object]
+
+
+class _TracingFetcher(Fetcher):
+    """One wrapper activation's view of its source.
+
+    :meth:`verify` refetches a trace's pages in order and stops at the
+    first page that fails to match.  The pages it fetched, and the error it
+    hit, are then served once each to the extraction that follows, so no
+    URL is fetched twice in one activation and every fetch draws exactly
+    what the extraction alone would have drawn.  Every read is recorded in
+    :attr:`reads`, in order: the next activation's trace.
+    """
+
+    def __init__(self, base: Fetcher) -> None:
+        self.base = base
+        self.fetched: Dict[str, object] = {}
+        self.reads: List[_TraceRead] = []
+
+    def verify(self, trace: Sequence[_TraceRead]) -> bool:
+        """Whether every traced page is still the page the trace read."""
+        for url, validator in trace:
+            if validator is None:
+                return False
+            try:
+                page = self.base.fetch_page(url)
+            except Exception as error:
+                self.fetched[url] = error
+                return False
+            self.fetched[url] = page
+            if page.validator != validator:
+                return False
+        return True
+
+    def fetch_page(self, url: str) -> Page:
+        fetched = self.fetched.pop(url, None)
+        try:
+            if fetched is None:
+                fetched = self.base.fetch_page(url)
+            elif isinstance(fetched, Exception):
+                raise fetched
+        except Exception:
+            self.reads.append((url, None))
+            raise
+        self.reads.append((url, fetched.validator))
+        return fetched
+
+
+class WrapperComponent(_SourceComponent):
     """Acquires a page and runs an Elog wrapper over it (stage 1).
 
     This component resembles the Lixto Visual Wrapper embedded in the server:
     it is a boundary component that can activate itself (the scheduler calls
     :meth:`process` with no inputs).
+
+    Activations are change-driven.  The component keeps a *verifying trace*
+    of its last successful extraction: the ``(url, validator)`` of every
+    page it read, in order (a crawl reads several), plus the output, which
+    is also the last good output stale serving uses.  An activation first
+    refetches the traced pages; when every validator matches, it returns a
+    copy of that output and nothing is parsed or extracted (Mokhov,
+    Mitchell & Peyton Jones, "Build systems à la carte", ICFP 2018).  The
+    trace also names the interpreter, the program's content, the URL and
+    the root name; a change to any of them forces a fresh extraction.
     """
 
     def __init__(
@@ -100,35 +195,31 @@ class WrapperComponent(Component):
         extractor: Optional[Extractor] = None,
         resilience: Optional[ResiliencePolicy] = None,
     ) -> None:
-        super().__init__(name)
+        super().__init__(name, resilience)
         if options is None:
             options = DEFAULT_OPTIONS
         self.program = program
         self.fetcher = fetcher
         self.url = url
         self.root_name = root_name or name
-        # Resilience (optional): the fetch boundary is wrapped in a
-        # ResilientFetcher (retry/backoff/deadline + per-host breaker), and
-        # process() keeps the last successful output so a failing source
-        # can be served stale instead of failing the pipe.  Without a
-        # policy the component behaves exactly as before — no wrapper, no
-        # stale copy, no accounting.
-        self.resilience = resilience
-        self._stats = ResilienceStats() if resilience is not None else None
-        self._last_good: Optional[XmlElement] = None
+        # With a policy the fetch boundary is wrapped in a ResilientFetcher
+        # (retry/backoff/deadline + per-host breaker); without one the
+        # component fetches through the bare fetcher.
         acquire: Optional[Fetcher] = fetcher
         if resilience is not None and fetcher is not None:
             acquire = ResilientFetcher(fetcher, resilience, stats=self._stats)
         self._acquire = acquire
+        # The verifying trace: (key, reads) of the last successful
+        # extraction, whose output is ``_last_good``.
+        self._trace: Optional[Tuple[tuple, List[_TraceRead]]] = None
         # One interpreter per (program, fetcher) pair for the server's
         # lifetime: periodic activations — and, with ``share_plans`` (the
-        # default; the pre-façade spelling ``share_interpreter`` is a
-        # deprecated alias) — every other component wrapping the same
-        # program reuses the interpreter instead of rebuilding an Extractor
-        # per run (extraction state lives in the per-run
-        # PatternInstanceBase, so reuse is safe).  A pre-built interpreter
-        # (``extractor=``, the :class:`repro.api.Session` path) wins over
-        # both: sessions own their extractors.
+        # default), every other component wrapping the same program —
+        # reuse the interpreter instead of rebuilding an Extractor per run
+        # (extraction state lives in the per-run PatternInstanceBase, so
+        # reuse is safe).  A pre-built interpreter (``extractor=``, the
+        # :class:`repro.api.Session` path) wins over both: sessions own
+        # their extractors.
         if extractor is not None:
             if resilience is not None and extractor.fetcher is not self._acquire:
                 # A session-supplied interpreter carries the bare fetcher;
@@ -148,16 +239,19 @@ class WrapperComponent(Component):
         self._pending_fetch = None
 
     def prefetch(self, executor) -> None:
-        """Start acquiring this wrapper's page ahead of :meth:`process`.
+        """Start acquiring this wrapper's start page ahead of :meth:`process`.
 
         Uses the async-capable fetcher protocol
         (:meth:`repro.elog.extractor.Fetcher.fetch_async`): the page fetch
         runs on ``executor`` while upstream components still compute, and
-        the next :meth:`process` call consumes the in-flight future instead
-        of fetching synchronously.  Idempotent until consumed.  The fetch
-        goes through the *active extractor's* fetcher — a caller-supplied
-        ``extractor=`` may carry its own — so prefetched and plain runs
-        always acquire from the same source.
+        the next :meth:`process` call consumes the in-flight
+        :class:`~repro.elog.extractor.Page` instead of fetching the start
+        URL synchronously.  That page is checked against the verifying
+        trace like any other fetch, so a prefetched activation of an
+        unchanged source extracts nothing either.  Idempotent until
+        consumed.  The fetch goes through the *active extractor's* fetcher
+        — a caller-supplied ``extractor=`` may carry its own — so
+        prefetched and plain runs always acquire from the same source.
         """
         if self._pending_fetch is None:
             fetcher = self._current_extractor().fetcher
@@ -179,9 +273,7 @@ class WrapperComponent(Component):
         one program object; the fingerprint comparison only runs for
         aliased components whose contents diverged.  The per-activation
         re-serialisation is deliberate: caching the fingerprints would miss
-        in-place rule edits (the AST carries no mutation counter), and two
-        small-string passes are noise next to the page fetch and Elog
-        fixpoint each activation already pays.
+        in-place rule edits (the AST carries no mutation counter).
         """
         extractor = self._extractor
         if (
@@ -204,41 +296,38 @@ class WrapperComponent(Component):
     def process(self, inputs: List[XmlElement]) -> XmlElement:
         pending, self._pending_fetch = self._pending_fetch, None
         extractor = self._current_extractor()
+        # Re-fingerprinted per activation, like _current_extractor: an
+        # in-place program edit must invalidate the trace.
+        key = (extractor, wrapper_fingerprint(extractor.program), self.url, self.root_name)
+        source = extractor.fetcher
         if pending is not None:
             # Crawl targets beyond the start page fall through to the same
             # fetcher the plain (un-prefetched) run would use.
-            extractor = extractor.with_fetcher(
-                PrefetchedFetcher(extractor.fetcher, {self.url: pending})
-            )
+            source = PrefetchedFetcher(source, {self.url: pending})
+        reads = _TracingFetcher(source) if source is not None else None
         try:
-            result = extractor.extract_to_xml(url=self.url, root_name=self.root_name)
+            if (
+                reads is not None
+                and self._trace is not None
+                and self._trace[0] == key
+                and reads.verify(self._trace[1])
+            ):
+                # Every read page is unchanged: so is the output.  A copy,
+                # because downstream stages may mutate their input in place.
+                return self._last_good.copy()
+            result = extractor.with_fetcher(reads).extract_to_xml(
+                url=self.url, root_name=self.root_name
+            )
         except Exception:
             stale = self._stale_copy()
             if stale is not None:
                 return stale
             raise
         result.attributes["source"] = self.url
-        if self.resilience is not None and self.resilience.serve_stale:
+        if reads is not None:
+            self._trace = (key, reads.reads)
             self._last_good = result.copy()
         return result
-
-    def _stale_copy(self) -> Optional[XmlElement]:
-        """The last-good output marked stale, or ``None`` if degradation is
-        off (no policy, ``serve_stale=False``) or nothing good was seen."""
-        if (
-            self.resilience is None
-            or not self.resilience.serve_stale
-            or self._last_good is None
-        ):
-            return None
-        self._stats.bump("stale_served")
-        stale = self._last_good.copy()
-        stale.attributes["stale"] = "true"
-        return stale
-
-    def resilience_info(self) -> Optional[ResilienceInfo]:
-        """Failure accounting (``None`` when no policy is configured)."""
-        return self._stats.snapshot() if self._stats is not None else None
 
 
 class XmlSourceComponent(Component):
@@ -252,7 +341,7 @@ class XmlSourceComponent(Component):
         return self.supplier()
 
 
-class DatalogQueryComponent(Component):
+class DatalogQueryComponent(_SourceComponent):
     """Runs a monadic datalog wrapper over a document source (stage 1).
 
     The component holds one reusable
@@ -274,7 +363,7 @@ class DatalogQueryComponent(Component):
         registry: Optional["PlanRegistry"] = None,
         resilience: Optional[ResiliencePolicy] = None,
     ) -> None:
-        super().__init__(name)
+        super().__init__(name, resilience)
         from ..mdatalog.evaluator import MonadicTreeEvaluator
 
         self.supplier = supplier
@@ -282,9 +371,6 @@ class DatalogQueryComponent(Component):
         # The supplier is this component's acquisition boundary: with a
         # policy its call is retried, and the last good output can be
         # served stale when acquisition or evaluation fails.
-        self.resilience = resilience
-        self._stats = ResilienceStats() if resilience is not None else None
-        self._last_good: Optional[XmlElement] = None
         self._evaluator = MonadicTreeEvaluator(
             program, options=options, registry=registry
         )
@@ -302,14 +388,8 @@ class DatalogQueryComponent(Component):
                 document = self.supplier()
             matches = self._evaluator.evaluate(document)
         except Exception:
-            if (
-                self.resilience is not None
-                and self.resilience.serve_stale
-                and self._last_good is not None
-            ):
-                self._stats.bump("stale_served")
-                stale = self._last_good.copy()
-                stale.attributes["stale"] = "true"
+            stale = self._stale_copy()
+            if stale is not None:
                 return stale
             raise
         result = XmlElement(self.root_name)
@@ -327,10 +407,6 @@ class DatalogQueryComponent(Component):
         if self.resilience is not None and self.resilience.serve_stale:
             self._last_good = result.copy()
         return result
-
-    def resilience_info(self) -> Optional[ResilienceInfo]:
-        """Failure accounting (``None`` when no policy is configured)."""
-        return self._stats.snapshot() if self._stats is not None else None
 
     def cache_info(self):
         """Fixpoint-cache statistics of the underlying evaluator."""

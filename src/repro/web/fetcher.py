@@ -2,8 +2,9 @@
 
 The paper's applications wrap live Web sites; in this offline reproduction a
 :class:`SimulatedWeb` holds a set of URL -> HTML mappings (produced by the
-site generators in :mod:`repro.web.sites`) and serves parsed documents to the
-Extractor and the Transformation Server.  Pages can be *mutated* between
+site generators in :mod:`repro.web.sites`) and serves them as pages (the text
+as validator, the document parsed on demand) to the Extractor and the
+Transformation Server.  Pages can be *mutated* between
 fetches, which is how source monitoring / change detection (Section 5, the
 flight application of Section 6.2) is exercised — and *faults* can be
 installed (:meth:`SimulatedWeb.install_faults`) so the resilience layer's
@@ -15,7 +16,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from ..elog.extractor import Fetcher
+from ..elog.extractor import Fetcher, Page
 from ..html import parse_html
 from ..resilience.errors import PermanentFetchError
 from ..tree.document import Document
@@ -56,7 +57,12 @@ def _resolve_key(key: str, published: Dict[str, object]) -> Optional[str]:
 class SimulatedWeb(Fetcher):
     """An in-memory Web of HTML pages addressed by URL.
 
-    ``fetch_log`` records every fetch *attempt* (``fetch`` and
+    A fetched :class:`~repro.elog.extractor.Page`'s validator is the page
+    text itself, compared with ``==``: exact, with no hash to collide, and
+    O(1) for an unchanged page, which is the very ``str`` object stored at
+    publication.  The page parses only when its document is first read.
+
+    ``fetch_log`` records every fetch *attempt* (``fetch_page`` and
     ``fetch_html`` alike — politeness and dedup accounting must see both
     entry points, and a failed request still hit the server);
     ``error_log`` additionally records ``(url, error message)`` per failed
@@ -116,9 +122,9 @@ class SimulatedWeb(Fetcher):
             raise decision.error
 
     # -- fetching -----------------------------------------------------------
-    def fetch(self, url: str) -> Document:
+    def fetch_page(self, url: str) -> Page:
         html = self.fetch_html(url)
-        return parse_html(html, url=url)
+        return Page(url, html, parse=lambda: parse_html(html, url=url))
 
     def fetch_html(self, url: str) -> str:
         self.fetch_log.append(url)
@@ -149,13 +155,17 @@ class SimulatedWeb(Fetcher):
 
 
 class StaticDocumentFetcher(Fetcher):
-    """A fetcher over already-parsed documents (used in unit tests)."""
+    """A fetcher over already-parsed documents (used in unit tests).
+
+    Its pages carry no validator: like an HTTP response without one, they
+    can never be revalidated, so a consumer re-reads them every time.
+    """
 
     def __init__(self, documents: Dict[str, Document]) -> None:
         self._documents = {_normalise(url): doc for url, doc in documents.items()}
 
-    def fetch(self, url: str) -> Document:
+    def fetch_page(self, url: str) -> Page:
         key = _resolve_key(_normalise(url), self._documents)
         if key is None:
             raise PermanentFetchError(f"no document registered for {url!r}", url=url)
-        return self._documents[key]
+        return Page(url, document=self._documents[key])

@@ -85,9 +85,14 @@ class XmlElement:
         return sum(1 for _ in self.iter())
 
     def copy(self) -> "XmlElement":
-        clone = XmlElement(self.name, attributes=dict(self.attributes), text=self.text)
+        # The constructor already copies the attribute dict; children are
+        # linked directly rather than through append().
+        clone = XmlElement(self.name, self.attributes, self.text)
+        children = clone.children
         for child in self.children:
-            clone.append(child.copy())
+            child_clone = child.copy()
+            child_clone.parent = clone
+            children.append(child_clone)
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -164,6 +164,37 @@ def test_crawling_via_document_variable():
     assert any("item/1" in url for url in web.fetch_log)
 
 
+def test_a_crawl_target_retried_in_a_later_round_is_still_extracted():
+    # The crawl rule's own path never matches (body sits below html, not
+    # directly below the page root), so the round that retries the failed target fetches a
+    # page and derives nothing else.  That page must still reach ``title``,
+    # which ran earlier in the round, in a following round.
+    from repro.resilience import FaultPlan
+
+    def run(plan):
+        web = SimulatedWeb()
+        web.publish(
+            "shop.test/list",
+            '<html><body><a href="shop.test/next">next</a><h1>one</h1></body></html>',
+        )
+        web.publish("shop.test/next", "<html><body><h1>two</h1></body></html>")
+        web.install_faults(plan)
+        program = parse_elog(
+            """
+            title(S, X) <- document(_, S), subelem(S, ?.h1, X)
+            link(S, X)  <- document(_, S), subelem(S, ?.a, X)
+            url(S, X)   <- link(_, S), subatt(S, href, X)
+            page(S, X)  <- url(_, S), document(S, X), subelem(S, .body, X)
+            """
+        )
+        return Extractor(program, fetcher=web).extract(url="shop.test/list")
+
+    clean = run(FaultPlan())
+    retried = run(FaultPlan().fail_transient("shop.test/next", times=1))
+    titles = sorted(clean.values_of("title"))
+    assert sorted(retried.values_of("title")) == titles == ["one", "two"]
+
+
 def test_programmatic_rule_construction(page):
     program = ElogProgram()
     program.add_rule(

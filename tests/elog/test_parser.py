@@ -112,6 +112,17 @@ def test_parse_crawling_with_variable_url():
     assert rule.document.is_variable
 
 
+def test_a_crawl_rule_prints_its_parent_pattern():
+    # The printed form is the wrapper's content fingerprint: two crawl
+    # rules over different parent patterns must not print alike.
+    text = "detail(S, X) <- itemurl(_, S), document(S, X), subelem(S, ?.h1, X)."
+    rule = parse_rule(text)
+    assert str(rule) == text
+    assert parse_rule(str(rule)) == rule
+    other = parse_rule(text.replace("itemurl", "nexturl"))
+    assert str(other) != str(rule)
+
+
 def test_multi_line_rules_without_dots():
     program = parse_elog(
         """

@@ -178,6 +178,6 @@ def test_faulty_fetcher_fetch_async_runs_the_faulty_path():
     with ThreadPoolExecutor(max_workers=1) as pool:
         good = fetcher.fetch_async("a.test", pool)
         bad = fetcher.fetch_async("gone.test", pool)
-        assert good.result().find_first("p") is not None
+        assert good.result().document.find_first("p") is not None
         with pytest.raises(PermanentFetchError):
             bad.result()
