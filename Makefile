@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test lint typecheck analyze explain-examples bench-quick bench bench-distrib
+.PHONY: check test lint typecheck analyze explain-examples bench-quick bench
 
 # Tier-1 gate plus lint, typecheck, static analysis, explain-plan smoke
 # and the quick benchmark pass; CI runs exactly this.
@@ -48,8 +48,3 @@ bench-quick:
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q --benchmark-only
-
-# The full-size scale-out benchmark (10^4-document stream, 4 worker
-# processes); records distrib_* workloads into BENCH_engine.json.
-bench-distrib:
-	$(PYTHON) -m pytest benchmarks/bench_distrib.py -q -s --benchmark-disable

@@ -49,7 +49,6 @@ def load(path: str) -> Dict[str, float]:
 NOISY_PREFIXES: Tuple[str, ...] = (
     "session_concurrency_",
     "extract_many_parallel_",
-    "distrib_",
 )
 
 

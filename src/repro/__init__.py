@@ -31,8 +31,6 @@ from .api import (
     AnalysisError,
     AnalysisReport,
     Diagnostic,
-    DistribInfo,
-    DistribOptions,
     EngineOptions,
     ErrorResult,
     ExtractionResult,
@@ -54,8 +52,6 @@ __all__ = [
     "AnalysisError",
     "AnalysisReport",
     "Diagnostic",
-    "DistribInfo",
-    "DistribOptions",
     "EngineOptions",
     "ErrorResult",
     "ExtractionResult",

@@ -44,7 +44,6 @@ from ..analysis import (
 )
 from ..datalog.options import DEFAULT_OPTIONS, EngineOptions
 from ..datalog.registry import PlanRegistry
-from ..distrib import CrashPlan, DistribInfo, DistribOptions, WorkJournal
 from ..elog.parser import parse_elog
 from ..server.components import (
     Component,
@@ -64,7 +63,6 @@ from ..resilience import (
     ResilienceInfo,
     ResiliencePolicy,
     RetryPolicy,
-    WorkerCrashError,
 )
 from ..server.monitoring import (
     ChangeDetector,
@@ -93,15 +91,12 @@ __all__ = [
     "ChangeGatedDeliverer",
     "ChangeReport",
     "Component",
-    "CrashPlan",
     "DEFAULT_OPTIONS",
     "DEFAULT_RESILIENCE",
     "Diagnostic",
     "DiagnosticWarning",
     "DelivererComponent",
     "Delivery",
-    "DistribInfo",
-    "DistribOptions",
     "EmailDeliverer",
     "EngineOptions",
     "ErrorResult",
@@ -122,8 +117,6 @@ __all__ = [
     "Session",
     "SmsDeliverer",
     "TransformationServer",
-    "WorkJournal",
-    "WorkerCrashError",
     "XmlDeliverer",
     "analyze",
     "available_backends",

@@ -490,12 +490,7 @@ class PipelineBuilder:
         self._pipe._connect(source, target)
         return self
 
-    def build(
-        self,
-        *,
-        on_diagnostics: Optional[str] = None,
-        distributable: bool = False,
-    ) -> Pipeline:
+    def build(self, *, on_diagnostics: Optional[str] = None) -> Pipeline:
         """Validate the whole network and seal it into a :class:`Pipeline`.
 
         Besides the structural checks (stages exist, sources exist, the
@@ -506,17 +501,8 @@ class PipelineBuilder:
         :class:`~repro.analysis.diagnostics.AnalysisError`, ``"ignore"``
         skips analysis.  Session-bound builders default to the session's
         ``options.on_diagnostics`` and reuse its cached reports.
-
-        ``distributable=True`` additionally proves every stage pickles —
-        the requirement for running the pipe on worker processes
-        (``TransformationServer.run_all(distrib=...)``, docs/DISTRIB.md) —
-        and raises a :class:`PipelineError` naming the first stage that
-        does not (typically a ``filter()``/``tap()`` lambda or a component
-        capturing an engine; use named module-level functions and
-        declarative stages instead).
         """
-        components = self._pipe.components()
-        if not components:
+        if not self._pipe.components():
             raise PipelineError(f"pipeline {self._pipe.name!r} has no stages")
         if not self._sources:
             raise PipelineError(
@@ -544,19 +530,4 @@ class PipelineBuilder:
         # Raises on cycles; unreachable stages are impossible by
         # construction (every non-source stage was connected when added).
         self._pipe._topological_order()
-        if distributable:
-            import pickle
-
-            for component in components:
-                try:
-                    pickle.dumps(component)
-                except Exception as error:
-                    raise PipelineError(
-                        f"pipeline {self._pipe.name!r} stage "
-                        f"{component.name!r} is not distributable: it does "
-                        f"not pickle ({type(error).__name__}: {error}).  "
-                        "Replace lambdas/closures with module-level "
-                        "functions and keep engine-bound state out of "
-                        "stage components"
-                    ) from error
         return Pipeline(self._pipe, session=self._session, programs=self._programs)

@@ -220,28 +220,6 @@ class SelectionResult(QueryResult):
             found = self._resolver(self.document, predicate)
         return tuple(found or ())
 
-    # -- pickling (the distrib worker protocol) --------------------------
-    #
-    # ``_resolver`` is a bound method of the evaluator that produced the
-    # result — evaluators hold compiled plans and cannot (and must not)
-    # cross a process boundary.  A pickled SelectionResult therefore ships
-    # the materialised selection and document but *drops the resolver*:
-    # the declared query predicates answer identically, while auxiliary
-    # IDB predicates outside the initial mapping resolve empty after
-    # unpickling (documented in docs/DISTRIB.md).
-    def __getstate__(self):
-        state = {}
-        for klass in type(self).__mro__:
-            for slot in getattr(klass, "__slots__", ()):
-                if hasattr(self, slot):
-                    state[slot] = getattr(self, slot)
-        state["_resolver"] = None
-        return state
-
-    def __setstate__(self, state) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
     def _tuples(self, predicate: str) -> FrozenSet[FactTuple]:
         return frozenset((node.preorder_index,) for node in self.nodes(predicate))
 

@@ -41,6 +41,7 @@ concurrency").
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.analyzer import ELOG, analyze as _analyze_program, sniff_kind
@@ -51,15 +52,7 @@ from ..datalog.cache import CacheInfo, LruMap, SingleFlight
 from ..datalog.engine import EngineInfo, aggregate_engine_info
 from ..datalog.options import DEFAULT_OPTIONS, EngineOptions
 from ..datalog.parser import DatalogSyntaxError
-from ..datalog.registry import PlanRegistry, program_fingerprint
-from ..distrib.envelope import TaskEnvelope
-from ..distrib.executor import (
-    DistribInfo,
-    DistribStats,
-    ProcessExecutor,
-    resolve_distrib,
-)
-from ..distrib.journal import task_id_for
+from ..datalog.registry import PlanRegistry
 from ..elog.ast import ElogProgram
 from ..elog.extractor import (
     Extractor,
@@ -131,9 +124,6 @@ class Session:
         # One stats sink for the whole session: every resilient fetcher the
         # session wraps, and every isolated batch error, reports here.
         self._resilience_stats = ResilienceStats()
-        # Likewise for the multi-process batch paths (workers=): dispatch /
-        # ack / requeue counters and per-worker compile accounting.
-        self._distrib_stats = DistribStats()
         self._evaluators: LruMap[Tuple[str, Hashable], object] = LruMap(
             self.MAX_EVALUATORS
         )
@@ -276,7 +266,6 @@ class Session:
         labels: Optional[Iterable[str]] = None,
         max_workers: Optional[int] = None,
         on_error: Optional[str] = None,
-        workers: Optional[object] = None,
     ) -> List[QueryResult]:
         """The batch path: one compiled evaluator over a source stream.
 
@@ -300,14 +289,10 @@ class Session:
         (result order still matches ``sources``).  A session constructed
         with ``resilience=`` defaults to its policy's ``on_error``.
 
-        ``workers`` scales *out*: ``"process"``, a worker count, or a
-        :class:`~repro.distrib.DistribOptions` runs the batch on worker
-        **processes** through the distrib subsystem (real CPU parallelism,
-        durable journal, crash recovery — see docs/DISTRIB.md); the
-        ``on_error`` slot semantics are unchanged.  ``sources`` may also be
-        a generator: the stream feeds a bounded dispatch window instead of
-        being materialised (label-union derivation then needs an explicit
-        ``labels=`` for the automata backend).
+        ``sources`` may also be a generator: the stream feeds a bounded
+        dispatch window instead of being materialised (label-union
+        derivation then needs an explicit ``labels=`` for the automata
+        backend).
         """
         on_error = self._resolve_on_error(on_error)
         if labels is None and isinstance(sources, Sequence):
@@ -321,40 +306,11 @@ class Session:
         # content cache key N times just to hit the same memo entry.
         resolved, native, label_key = self._resolve(program, backend, labels)
         self._enforce_diagnostics(resolved, native)
-        if workers is None:
-            evaluator = self._memoised(resolved, native, label_key)
-            outcomes: Iterable = run_tasks(
-                ((None, partial(resolved.run, evaluator, source)) for source in sources),
-                max_workers,
-            )
-        else:
-            # Workers get the program as source/AST — never compiled plans —
-            # and re-hydrate it through their own registry, fingerprint-
-            # verified.
-            fingerprint = (
-                program_fingerprint(native) if isinstance(native, Program) else None
-            )
-            outcomes = self._run_on_workers(
-                workers,
-                (
-                    TaskEnvelope(
-                        task_id=task_id_for(index),
-                        index=index,
-                        kind="query",
-                        program=native,
-                        fingerprint=fingerprint,
-                        backend=resolved.name,
-                        labels=label_key,
-                        options=self.options,
-                        resilience=self.resilience,
-                        payload=source,
-                        payload_kind=(
-                            "document" if isinstance(source, Document) else "database"
-                        ),
-                    )
-                    for index, source in enumerate(sources)
-                ),
-            )
+        evaluator = self._memoised(resolved, native, label_key)
+        outcomes = run_tasks(
+            ((None, partial(resolved.run, evaluator, source)) for source in sources),
+            max_workers,
+        )
         return self._settle(outcomes, on_error, resolved.name)
 
     def select(
@@ -449,7 +405,6 @@ class Session:
         fetcher: Optional[Fetcher] = None,
         max_workers: Optional[int] = None,
         on_error: Optional[str] = None,
-        workers: Optional[object] = None,
     ) -> List[ExtractionResult]:
         """The batch extraction path for server-style document streams.
 
@@ -477,68 +432,24 @@ class Session:
         :class:`~repro.resilience.retry.ResilientFetcher` and defaults
         ``on_error`` to its policy's.
 
-        ``workers`` scales *out* (``"process"`` / a worker count /
-        :class:`~repro.distrib.DistribOptions`): the stream runs on worker
-        processes through the distrib subsystem — see docs/DISTRIB.md.
-        Workers re-build their interpreter from the shipped
-        :class:`~repro.elog.ast.ElogProgram` once each; ``fetcher``
-        travels inside each URL envelope and is wrapped under the session's
-        resilience policy worker-side, where its fetch log stays.
         ``documents`` / ``urls`` may be generators; they then stream into a
         bounded dispatch window instead of being materialised.
         """
         on_error = self._resolve_on_error(on_error)
-        wrapper_program = self._checked_wrapper(program)
+        extractor = self._extractors.get(self._checked_wrapper(program), fetcher)
+        if self.resilience is not None and fetcher is not None:
+            extractor = extractor.with_fetcher(self._resilient(fetcher))
+        auxiliary = extractor.program.auxiliary_patterns
 
-        def slots() -> Iterable[Tuple[str, object]]:
-            for doc in documents:
-                yield "document", doc
-            for url in urls:
-                yield "url", url
+        def extract(**source: object) -> ExtractionResult:
+            return ExtractionResult(extractor.extract(**source), auxiliary=auxiliary)
 
-        if workers is None:
-            extractor = self._extractors.get(wrapper_program, fetcher)
-            if self.resilience is not None and fetcher is not None:
-                extractor = extractor.with_fetcher(self._resilient(fetcher))
-            auxiliary = extractor.program.auxiliary_patterns
-
-            def extract(**source: object) -> ExtractionResult:
-                return ExtractionResult(extractor.extract(**source), auxiliary=auxiliary)
-
-            outcomes: Iterable = run_tasks(
-                (
-                    (
-                        item if kind == "url" else getattr(item, "url", None),
-                        partial(extract, **{kind: item}),
-                    )
-                    for kind, item in slots()
-                ),
-                max_workers,
-            )
-        else:
-            outcomes = self._run_on_workers(
-                workers,
-                (
-                    TaskEnvelope(
-                        task_id=task_id_for(index),
-                        index=index,
-                        kind="extract",
-                        program=wrapper_program,
-                        options=self.options,
-                        resilience=self.resilience,
-                        payload=item,
-                        payload_kind=kind,
-                        fetcher=fetcher if kind == "url" else None,
-                    )
-                    for index, (kind, item) in enumerate(slots())
-                ),
-            )
+        tasks = chain(
+            ((getattr(doc, "url", None), partial(extract, document=doc)) for doc in documents),
+            ((url, partial(extract, url=url)) for url in urls),
+        )
+        outcomes = run_tasks(tasks, max_workers)
         return self._settle(outcomes, on_error, "elog")
-
-    def _run_on_workers(self, workers: object, envelopes: Iterable[TaskEnvelope]):
-        """The batch's result envelopes from worker processes (distrib)."""
-        executor = ProcessExecutor(resolve_distrib(workers), stats=self._distrib_stats)
-        return executor.run(envelopes)
 
     def _settle(self, outcomes: Iterable, on_error: str, backend: str) -> list:
         """Batch outcomes into result slots under ``on_error``; every
@@ -776,14 +687,6 @@ class Session:
         isolating ``on_error=``) is used."""
         return self._resilience_stats.snapshot()
 
-    def distrib_info(self) -> DistribInfo:
-        """The session's scale-out accounting: tasks dispatched / acked /
-        requeued across every ``workers=`` batch, worker crash events,
-        current queue depth, and per-worker-pid compile counts (how the
-        tests pin "one compilation per program per worker").  All zeros
-        until a ``workers=`` batch runs."""
-        return self._distrib_stats.snapshot()
-
     def info(self) -> Dict[str, object]:
         """A monitoring snapshot of everything the session owns."""
         return {
@@ -793,7 +696,6 @@ class Session:
             "extractors": len(self._extractors),
             "plan_registry": self.registry.info(),
             "resilience": self._resilience_stats.snapshot(),
-            "distrib": self._distrib_stats.snapshot(),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -164,32 +164,6 @@ class VerifiedLruBuckets(Generic[EntryT]):
             self._buckets.clear()
             self._order.clear()
 
-    # -- pickling (the distrib worker protocol) --------------------------
-    #
-    # Locks cannot cross process boundaries.  A pickled bucket store ships
-    # its entries and recency order but *not* its lock; the unpickled copy
-    # gets a fresh, private RLock.  Owners that shared one lock with the
-    # buckets (FixpointCache, PlanRegistry) re-wire the sharing in their
-    # own ``__setstate__``.
-    def __getstate__(self):
-        with self.lock:
-            return {
-                "capacity": self.capacity,
-                "buckets": {
-                    fingerprint: dict(bucket)
-                    for fingerprint, bucket in self._buckets.items()
-                },
-                "order": OrderedDict(self._order),
-                "next_seq": self._next_seq,
-            }
-
-    def __setstate__(self, state) -> None:
-        self.capacity = state["capacity"]
-        self.lock = threading.RLock()
-        self._buckets = state["buckets"]
-        self._order = state["order"]
-        self._next_seq = state["next_seq"]
-
 
 class _Entry(Generic[ResultT]):
     __slots__ = ("snapshot", "result")
@@ -283,23 +257,6 @@ class FixpointCache(Generic[ResultT]):
         with self._lock:
             return CacheInfo(self.hits, self.misses, len(self._entries), self.capacity)
 
-    def __getstate__(self):
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "entries": self._entries,
-            }
-
-    def __setstate__(self, state) -> None:
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self._lock = threading.RLock()
-        self._entries = state["entries"]
-        # Restore the shared-lock invariant: one lock serves the counters
-        # and the bucket core.
-        self._entries.lock = self._lock
-
 
 KeyT = TypeVar("KeyT")
 _MISSING = object()
@@ -370,22 +327,6 @@ class LruMap(Generic[KeyT, ResultT]):
         with self._lock:
             return CacheInfo(self.hits, self.misses, len(self._entries), self.capacity)
 
-    def __getstate__(self):
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "entries": OrderedDict(self._entries),
-            }
-
-    def __setstate__(self, state) -> None:
-        self.capacity = state["capacity"]
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self._entries = state["entries"]
-        self._lock = threading.RLock()
-
 
 class _InFlightBuild:
     __slots__ = ("event", "value", "error")
@@ -420,15 +361,6 @@ class SingleFlight:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._inflight: Dict[object, _InFlightBuild] = {}
-
-    # In-flight builds are thread-local coordination; a pickled copy starts
-    # with nothing in flight (events and locks cannot cross processes).
-    def __getstate__(self):
-        return {}
-
-    def __setstate__(self, state) -> None:
-        self._lock = threading.Lock()
-        self._inflight = {}
 
     def run(
         self,

@@ -23,11 +23,9 @@
 The compiled rule executors of :mod:`repro.datalog.plan` probe these
 classes directly.
 
-Columnar state is engine-internal scratch, like compiled plans: it is
-rejected at the :mod:`repro.distrib` envelope boundary (workers rebuild
-storage from the plain database payload), and fixpoint caching /
-plan-registry fingerprints never see it — both key on plain databases and
-program content.
+Columnar state is engine-internal scratch, like compiled plans: fixpoint
+caching and plan-registry fingerprints never see it — both key on plain
+databases and program content.
 """
 
 from __future__ import annotations
@@ -383,8 +381,8 @@ class ColumnarDatabase:
     def to_database(self) -> Database:
         """A plain ``{predicate: set of facts}`` snapshot.
 
-        This is the only shape that escapes the engine — fixpoint results,
-        cache entries and distrib payloads all carry plain databases.
+        This is the only shape that escapes the engine — fixpoint results
+        and cache entries carry plain databases.
         """
         return {predicate: set(rel.rows) for predicate, rel in self.relations.items()}
 

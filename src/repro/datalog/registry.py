@@ -37,7 +37,7 @@ baseline); the registry itself is a module-level singleton reachable through
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Mapping, Tuple
 
 from .ast import Program, Rule
 from .cache import CacheInfo, VerifiedLruBuckets
@@ -283,66 +283,6 @@ class PlanRegistry:
                 len(self._analysis),
                 self._analysis.capacity,
             )
-
-    def compile_count(self) -> int:
-        """How many compilations this registry has actually performed.
-
-        Every miss of :meth:`compiled` is one real compilation; the distrib
-        workers report this so the executor can assert "each distinct
-        program compiled once per worker, not per document".
-        """
-        with self._lock:
-            return self.misses
-
-    def rehydrate(
-        self,
-        program: Program,
-        builtins: Mapping[str, Callable[..., bool]],
-        expected_fingerprint: Optional[int] = None,
-    ) -> CompiledProgram:
-        """The distrib worker's re-hydration entry point.
-
-        Compiled plans are deliberately never pickled (they close over the
-        builtin callables); a worker receiving a task envelope recompiles
-        the shipped *program* through its own registry — once per distinct
-        program per worker, the LRU serving every later document.  When the
-        envelope carries the sender's ``expected_fingerprint``, the
-        re-hydrated compilation is verified against it, so a program
-        mangled in transit (or a protocol mismatch between parent and
-        worker versions) fails loudly instead of evaluating the wrong
-        rules.
-        """
-        compiled = self.compiled(program, builtins)
-        if (
-            expected_fingerprint is not None
-            and compiled.fingerprint != expected_fingerprint
-        ):
-            raise ValueError(
-                "re-hydrated program fingerprint "
-                f"{compiled.fingerprint} does not match the task envelope's "
-                f"{expected_fingerprint}; parent and worker disagree about "
-                "the program content"
-            )
-        return compiled
-
-    # -- pickling (the distrib worker protocol) --------------------------
-    #
-    # Compiled entries hold RulePlans closing over builtin callables
-    # (lambdas) — they cannot cross a process boundary, and shipping them
-    # would defeat the whole re-hydration design.  A pickled registry is
-    # therefore an *empty* registry of the same capacity: the receiving
-    # process recompiles on demand through :meth:`rehydrate`.
-    def __getstate__(self):
-        return {"capacity": self.capacity}
-
-    def __setstate__(self, state) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.analysis_hits = 0
-        self.analysis_misses = 0
-        self._lock = threading.RLock()
-        self._entries = VerifiedLruBuckets(state["capacity"], lock=self._lock)
-        self._analysis = VerifiedLruBuckets(state["capacity"], lock=self._lock)
 
 
 #: Process-wide singleton: every engine with ``share_plans=True`` (the

@@ -55,13 +55,8 @@ ConceptFunction = Callable[[str], bool]
 
 
 class RegexConcept:
-    """A regex-backed concept predicate.
-
-    A class (not a closure) so registries built from regexes pickle —
-    wrapper components carrying a concept registry cross the distrib
-    process boundary (docs/DISTRIB.md).  The compiled pattern is a cache
-    rebuilt on unpickle; only the source pattern travels.
-    """
+    """A regex-backed concept predicate (case-insensitive; ``full_match``
+    anchors it to the whole stripped value)."""
 
     def __init__(self, pattern: str, full_match: bool = False) -> None:
         self.pattern = pattern
@@ -73,17 +68,9 @@ class RegexConcept:
             return bool(self._compiled.fullmatch(value.strip()))
         return bool(self._compiled.search(value))
 
-    def __getstate__(self):
-        return {"pattern": self.pattern, "full_match": self.full_match}
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._compiled = re.compile(self.pattern, re.IGNORECASE)
-
 
 class VocabularyConcept:
-    """A vocabulary-membership concept predicate (picklable, like
-    :class:`RegexConcept`)."""
+    """A vocabulary-membership concept predicate (case-insensitive)."""
 
     def __init__(self, words: Iterable[str]) -> None:
         self.vocabulary = frozenset(word.strip().lower() for word in words)

@@ -46,7 +46,7 @@ from .ast import (
     SubText,
 )
 from .concepts import DEFAULT_CONCEPTS
-from .epath import ElementPath
+from .epath import ElementPath, EPathSyntaxError
 from .textpath import AttributePath, TextPath
 
 COMPARISON_OPERATORS = ("lt", "le", "gt", "ge", "eq", "neq")
@@ -89,7 +89,7 @@ def parse_elog(text: str) -> ElogProgram:
             rule = parse_rule(rule_text)
         except ElogSyntaxError as error:
             if error.line is None:
-                raise ElogSyntaxError(str(error), line) from None
+                raise ElogSyntaxError(str(error), line) from error.__cause__
             raise
         set_span(rule, Span(line, 1, line, max(1, len(rule_text))))
         program.add_rule(rule)
@@ -97,7 +97,19 @@ def parse_elog(text: str) -> ElogProgram:
 
 
 def parse_rule(text: str) -> ElogRule:
-    """Parse a single Elog rule."""
+    """Parse a single Elog rule.
+
+    A malformed element path inside the rule raises
+    :class:`ElogSyntaxError` too, chained from the path parser's
+    :class:`~repro.elog.epath.EPathSyntaxError`.
+    """
+    try:
+        return _parse_rule(text)
+    except EPathSyntaxError as error:
+        raise ElogSyntaxError(str(error)) from error
+
+
+def _parse_rule(text: str) -> ElogRule:
     if "<-" in text:
         head_text, body_text = text.split("<-", 1)
     elif ":-" in text:

@@ -26,7 +26,6 @@ from .errors import (
     FetchError,
     PermanentFetchError,
     TransientFetchError,
-    WorkerCrashError,
     is_transient,
 )
 from .faults import FaultDecision, FaultPlan, FaultyFetcher
@@ -48,7 +47,6 @@ __all__ = [
     "FetchError",
     "PermanentFetchError",
     "TransientFetchError",
-    "WorkerCrashError",
     "is_transient",
     "FaultDecision",
     "FaultPlan",

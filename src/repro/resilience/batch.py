@@ -16,11 +16,6 @@ applying the ``on_error`` slot policy happens here, in two steps:
   once its window has drained), ``"skip"`` drops failed slots and
   ``"collect"`` keeps the caller's ``isolate(error, slot)`` record in
   place.
-
-The process paths (:class:`~repro.distrib.executor.ProcessExecutor`) feed
-their :class:`~repro.distrib.envelope.ResultEnvelope`\\ s — which carry the
-same ``index`` / ``ok`` / ``result`` / ``error`` / ``url`` fields as
-:class:`Outcome` — into the same :func:`settle`.
 """
 
 from __future__ import annotations
@@ -78,9 +73,9 @@ def run_tasks(tasks: Iterable[Task], max_workers: Optional[int] = None) -> Itera
 
 
 def settle(
-    outcomes: Iterable[Any],
+    outcomes: Iterable[Outcome],
     on_error: str,
-    isolate: Callable[[BaseException, Any], Any],
+    isolate: Callable[[BaseException, Outcome], Any],
 ) -> Dict[int, Any]:
     """Apply the ``on_error`` slot policy; returns ``{index: slot}`` in order.
 

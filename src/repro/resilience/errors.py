@@ -40,28 +40,6 @@ class FetchError(KeyError):
     def __str__(self) -> str:
         return self.args[0] if self.args else ""
 
-    def __reduce__(self):
-        # Default exception pickling replays ``cls(*args)``, which silently
-        # drops the keyword-only ``url=`` (and any retry-layer annotations
-        # like ``resilience_attempts`` stamped onto ``__dict__``).  The
-        # distrib result envelopes carry these errors across processes, so
-        # round-trip them exactly: rebuild from the positional message and
-        # re-apply the whole ``__dict__`` as state.
-        return (
-            _rebuild_fetch_error,
-            (type(self), self.args[0] if self.args else ""),
-            dict(self.__dict__),
-        )
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-
-
-def _rebuild_fetch_error(cls, message):
-    """Pickle helper: reconstruct any :class:`FetchError` subclass from its
-    message alone; ``__setstate__`` then restores url/host/annotations."""
-    return cls(message)
-
 
 class TransientFetchError(FetchError):
     """A failure that may succeed on retry (timeout, reset, injected)."""
@@ -85,25 +63,6 @@ class DeadlineExceeded(FetchError):
     ``__cause__`` carries the last underlying attempt error when one was
     seen before the budget ran out.
     """
-
-
-class WorkerCrashError(TransientFetchError):
-    """A distrib worker process died (SIGKILL, OOM, segfault) mid-task.
-
-    Subclasses :class:`TransientFetchError` deliberately: a crashed worker
-    says nothing about the *document* — the task is worth re-running on a
-    healthy worker, exactly like a reset connection is worth a retry.  The
-    :class:`~repro.distrib.executor.ProcessExecutor` requeues the victim's
-    in-flight tasks up to its ``max_requeues`` budget and only then lets
-    this error surface through the normal ``on_error`` slot semantics.
-    """
-
-    def __init__(
-        self, message: str, *, url: str = "", index: int = -1, requeues: int = 0
-    ) -> None:
-        super().__init__(message, url=url)
-        self.index = index
-        self.requeues = requeues
 
 
 #: Error types the retry layer treats as worth another attempt.  Everything

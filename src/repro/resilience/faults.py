@@ -112,19 +112,6 @@ class FaultPlan:
         self._rules.append(_FaultRule("rate", pattern, max_failures, 0, rate))
         return self
 
-    # -- pickling ---------------------------------------------------------
-    # Fault plans ride inside pickled fetchers (distrib chaos tests); the
-    # rules, counters and tallies cross, the lock is recreated.
-    def __getstate__(self):
-        with self._lock:
-            state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     # -- resolution -------------------------------------------------------
     @staticmethod
     def _matches(pattern: str, url: str) -> bool:

@@ -202,16 +202,6 @@ class ResilienceStats:
             for field in _STAT_FIELDS:
                 setattr(self, field, 0)
 
-    # Counters cross process boundaries (distrib result envelopes, pickled
-    # pipeline components); the lock does not — recreate it on unpickle.
-    def __getstate__(self):
-        return self.snapshot()
-
-    def __setstate__(self, state: ResilienceInfo) -> None:
-        self._lock = threading.Lock()
-        for field, value in zip(_STAT_FIELDS, state):
-            setattr(self, field, value)
-
 
 class ErrorResult:
     """The failed slot of a batch under ``on_error="collect"``.

@@ -129,18 +129,6 @@ class CircuitBreaker:
                 state.opened_at = self._clock()
                 state.half_open = False
 
-    # Breakers ride along when resilient components are pickled for the
-    # distrib run_all path; per-host state crosses, the lock does not.
-    def __getstate__(self):
-        with self._lock:
-            state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     def state_of(self, host: str) -> str:
         """``"closed"``, ``"open"`` or ``"half-open"`` (introspection)."""
         if self.threshold == 0:

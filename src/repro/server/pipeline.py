@@ -22,14 +22,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..datalog.cache import CacheInfo
 from ..datalog.registry import plan_registry_info
-from ..distrib.envelope import TaskEnvelope
-from ..distrib.executor import (
-    DistribInfo,
-    DistribStats,
-    ProcessExecutor,
-    resolve_distrib,
-)
-from ..distrib.journal import task_id_for
 from ..resilience.batch import check_on_error, run_tasks, settle
 from ..resilience.policy import ErrorResult
 from ..xmlgen.document import XmlElement
@@ -179,8 +171,6 @@ class TransformationServer:
         self._pipes: Dict[str, ScheduledPipe] = {}
         self.clock: int = 0
         self.run_log: List[Tuple[int, str]] = []
-        # Scale-out accounting for run_all(distrib=...) activations.
-        self._distrib_stats = DistribStats()
 
     # -- registration ------------------------------------------------------
     def register(self, pipe: InformationPipe, period: int = 1) -> InformationPipe:
@@ -209,9 +199,7 @@ class TransformationServer:
             self.clock += 1
         return ran
 
-    def run_all(
-        self, *, executor=None, on_error: str = "raise", distrib=None
-    ) -> Dict[str, object]:
+    def run_all(self, *, executor=None, on_error: str = "raise") -> Dict[str, object]:
         """Run every registered pipe once, immediately.
 
         The runs go through the scheduler bookkeeping: each counts as the
@@ -233,19 +221,6 @@ class TransformationServer:
         slot.  A failed pipe discards its own prefetched futures either way
         (see :meth:`InformationPipe.run`), so isolation never strands a
         minutes-old snapshot for a later activation.
-
-        ``distrib`` (``"process"`` / a worker count /
-        :class:`~repro.distrib.DistribOptions`) runs every pipe in a
-        **worker process** instead — real CPU parallelism across pipes,
-        with the distrib layer's crash recovery (a pipe whose worker dies
-        is requeued; see docs/DISTRIB.md).  Each pipe travels to its
-        worker by pickle; the parent applies the scheduler bookkeeping and
-        caches each pipe's results in ``last_results``, but worker-side
-        component *side effects* — deliverer sends, per-component fetch
-        logs and fault-plan counters — happen in the worker and are not
-        copied back.  An unpicklable pipe fails fast with a
-        :class:`PipelineError` naming it (``Pipeline.build(
-        distributable=True)`` catches this at build time, per stage).
         """
         check_on_error(on_error)
         names = list(self._pipes)
@@ -253,7 +228,7 @@ class TransformationServer:
         def activated(outcomes):
             for outcome in outcomes:
                 if outcome.ok:
-                    self._activated(names[outcome.index], outcome.result)
+                    self._activated(names[outcome.index])
                 yield outcome
 
         def isolate(error: BaseException, outcome) -> ErrorResult:
@@ -262,13 +237,10 @@ class TransformationServer:
             return ErrorResult.from_exception(error, url=f"pipe:{name}", backend="pipe")
 
         try:
-            if distrib is not None:
-                outcomes = self._run_on_workers(names, resolve_distrib(distrib))
-            else:
-                if executor is not None:
-                    for scheduled in self._pipes.values():
-                        scheduled.pipe.prefetch_sources(executor)
-                outcomes = run_tasks((None, self._pipes[name].pipe.run) for name in names)
+            if executor is not None:
+                for scheduled in self._pipes.values():
+                    scheduled.pipe.prefetch_sources(executor)
+            outcomes = run_tasks((None, self._pipes[name].pipe.run) for name in names)
             slots = settle(activated(outcomes), on_error, isolate)
         except BaseException:
             # One failing pipe must not strand the later pipes' prefetched
@@ -278,43 +250,11 @@ class TransformationServer:
             raise
         return {names[index]: slot for index, slot in slots.items()}
 
-    def _activated(self, name: str, results: Optional[Dict[str, XmlElement]] = None) -> None:
+    def _activated(self, name: str) -> None:
         """The scheduler bookkeeping of one :meth:`run_all` activation."""
         scheduled = self._pipes[name]
-        if results is not None:
-            # Worker-run pipes: later change detection and monitoring read
-            # the pipe's last snapshot from here.
-            scheduled.pipe.last_results = results
         scheduled.next_activation = self.clock + scheduled.period
         self.run_log.append((self.clock, name))
-
-    def _run_on_workers(self, names: List[str], options) -> list:
-        """Every pipe as one task on worker processes (``distrib=``)."""
-        import pickle
-
-        for name in names:
-            try:
-                pickle.dumps(self._pipes[name].pipe)
-            except Exception as error:
-                raise PipelineError(
-                    f"pipe {name!r} cannot be distributed: it does not "
-                    f"pickle ({type(error).__name__}: {error}).  Stages "
-                    "holding lambdas, open handles or engine-bound state "
-                    "must be rebuilt from declarative parts, or the pipe "
-                    "run in-process"
-                ) from error
-        envelopes = [
-            TaskEnvelope(
-                task_id=task_id_for(index),
-                index=index,
-                kind="pipe",
-                payload=self._pipes[name].pipe,
-                payload_kind="pipe",
-            )
-            for index, name in enumerate(names)
-        ]
-        executor = ProcessExecutor(options, stats=self._distrib_stats)
-        return executor.run(envelopes)
 
     # -- monitoring ----------------------------------------------------------
     def resilience_report(self):
@@ -333,9 +273,3 @@ class TransformationServer:
         handful of programs really paid a handful of compilations.
         """
         return plan_registry_info()
-
-    def distrib_info(self) -> DistribInfo:
-        """The server's scale-out accounting across every
-        ``run_all(distrib=...)`` activation (dispatch / ack / requeue
-        counters, worker crash events, per-worker compile counts)."""
-        return self._distrib_stats.snapshot()

@@ -43,6 +43,17 @@ def test_e000_syntax_error_report():
     assert report.has_errors
 
 
+def test_e000_reports_a_malformed_element_path_with_its_line():
+    text = (
+        'ok(S, X) <- document("www.x.com/", S), subelem(S, .table, X).\n'
+        'r(S, X) <- document("www.x.com/", S), subelem(S, .!table, X).'
+    )
+    [diagnostic] = analyze(text, kind="elog")
+    assert diagnostic.rule_id == "E000"
+    assert diagnostic.span is not None and diagnostic.span.line == 2
+    assert "!table" in diagnostic.message
+
+
 def test_e000_not_reported_for_parseable_wrappers():
     assert not analyze(FIGURE5_TEXT, kind="elog").has_errors
 

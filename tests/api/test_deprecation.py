@@ -4,7 +4,10 @@ The per-constructor tuning kwargs (``use_index=``, ``cache_size=``,
 ``share_interpreter=``, ...) are gone: passing one raises an ordinary
 :class:`TypeError`, and tuning goes through ``options=EngineOptions(...)``.
 The imperative ``InformationPipe.add/connect/chain`` wiring is gone too:
-pipelines are declared with ``Pipeline.builder()``.
+pipelines are declared with ``Pipeline.builder()``.  So is the worker-process
+scale-out (``workers=`` on the session batch paths, ``run_all(distrib=)``,
+``build(distributable=)``): batch parallelism is threads via
+``max_workers=``.
 """
 
 from __future__ import annotations
@@ -13,12 +16,17 @@ import warnings
 
 import pytest
 
-from repro import EngineOptions
+from repro import EngineOptions, Pipeline, Session
 from repro.automata import compiled_evaluator, compiled_select, leaf_selector_automaton
 from repro.datalog import SemiNaiveEngine, parse_program
 from repro.elog import parse_elog
 from repro.mdatalog import MonadicProgram, MonadicTreeEvaluator
-from repro.server import DatalogQueryComponent, InformationPipe, WrapperComponent
+from repro.server import (
+    DatalogQueryComponent,
+    InformationPipe,
+    TransformationServer,
+    WrapperComponent,
+)
 from repro.tree import tree
 from repro.web import SimulatedWeb
 
@@ -54,8 +62,9 @@ def _wrapper_program():
     return parse_elog("offer(S, X) <- document(_, S), subelem(S, ?.tr, X)")
 
 
-#: One pre-façade tuning kwarg per constructor that used to accept them;
-#: tuning now goes through ``options=EngineOptions(...)`` only.
+#: One pre-façade tuning kwarg per constructor that used to accept them
+#: (tuning now goes through ``options=EngineOptions(...)`` only), plus the
+#: removed worker-process kwargs of the batch paths.
 REMOVED_KWARGS = {
     "SemiNaiveEngine": lambda doc: SemiNaiveEngine(PROGRAM, use_index=False),
     "MonadicTreeEvaluator": lambda doc: MonadicTreeEvaluator(MONADIC, force_generic=True),
@@ -71,6 +80,16 @@ REMOVED_KWARGS = {
     "WrapperComponent": lambda doc: WrapperComponent(
         "w", _wrapper_program(), SimulatedWeb(), "shop.test", share_interpreter=False
     ),
+    "Session.query_many": lambda doc: Session().query_many(MONADIC, [doc], workers=2),
+    "Session.extract_many": lambda doc: Session().extract_many(
+        _wrapper_program(), [doc], workers=2
+    ),
+    "TransformationServer.run_all": lambda doc: TransformationServer().run_all(
+        distrib="process"
+    ),
+    "PipelineBuilder.build": lambda doc: Pipeline.builder("p")
+    .source("s", lambda: doc)
+    .build(distributable=True),
 }
 
 

@@ -19,8 +19,6 @@ PUBLIC_SURFACE = {
         "AnalysisError",
         "AnalysisReport",
         "Diagnostic",
-        "DistribInfo",
-        "DistribOptions",
         "EngineOptions",
         "ErrorResult",
         "ExtractionResult",
@@ -44,15 +42,12 @@ PUBLIC_SURFACE = {
         "ChangeGatedDeliverer",
         "ChangeReport",
         "Component",
-        "CrashPlan",
         "DEFAULT_OPTIONS",
         "DEFAULT_RESILIENCE",
         "DelivererComponent",
         "Delivery",
         "Diagnostic",
         "DiagnosticWarning",
-        "DistribInfo",
-        "DistribOptions",
         "EmailDeliverer",
         "EngineOptions",
         "ErrorResult",
@@ -73,8 +68,6 @@ PUBLIC_SURFACE = {
         "Session",
         "SmsDeliverer",
         "TransformationServer",
-        "WorkJournal",
-        "WorkerCrashError",
         "XmlDeliverer",
         "analyze",
         "available_backends",

@@ -21,6 +21,7 @@ from repro.elog import (
     parse_elog,
     parse_rule,
 )
+from repro.elog.epath import EPathSyntaxError
 
 
 def test_parse_simple_rule():
@@ -144,6 +145,13 @@ def test_parse_errors():
         parse_rule("p(S, X) <- r(_, S), subelem(S, X)")  # wrong arity
     with pytest.raises(ElogSyntaxError):
         parse_rule("p(S, X) <- r(_, S), before(S, X)")  # missing path
+    bad_path = 'r(S, X) <- document("www.x.com/", S), subelem(S, .!table, X).'
+    with pytest.raises(ElogSyntaxError) as raised:
+        parse_elog("% a wrapper\n" + bad_path)
+    assert raised.value.line == 2
+    assert isinstance(raised.value.__cause__, EPathSyntaxError)
+    with pytest.raises(ElogSyntaxError):
+        parse_rule(bad_path)
 
 
 def test_figure5_program_parses_to_expected_patterns():

@@ -18,7 +18,6 @@ plain run deterministic.
 from __future__ import annotations
 
 import os
-import pickle
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -365,24 +364,6 @@ def test_a_prefetched_activation_is_verified_by_the_same_trace(web, extractions)
     assert "New" in to_xml(third)
     assert len(extractions) == 2
     assert web.fetch_log.count(BOOKS_URL) == 3  # one prefetch per run, no refetch
-
-
-def test_a_component_carrying_a_trace_still_pickles_and_runs_on_workers(web):
-    from repro.distrib import DistribOptions
-
-    pipeline = (
-        Pipeline.builder("books", resilience=POLICY)
-        .wrapper("books", BOOKS, web, BOOKS_URL)
-        .build()
-    )
-    server = TransformationServer()
-    pipeline.serve(server)
-    server.tick()
-    clone = pickle.loads(pickle.dumps(pipeline.component("books")))
-    assert to_xml(clone.process([])) == to_xml(pipeline.last_results["books"])
-
-    results = server.run_all(distrib=DistribOptions(workers=1, start_method="fork"))
-    assert to_xml(results["books"]["books"]) == to_xml(pipeline.last_results["books"])
 
 
 def test_downstream_in_place_mutation_never_leaks_into_the_next_tick(web):
