@@ -10,9 +10,9 @@ full picture):
 1. **Plan compilation** (:mod:`repro.datalog.plan`) — every rule is compiled
    once into a :class:`~repro.datalog.plan.RulePlan`: a variable→slot
    layout, precompiled filters and head projection, and a per-(delta-
-   position, size-bucket) memo of greedy join orders, each specialised at
-   compile time into a chain of per-step closures (with a fused terminal
-   step that emits head tuples straight out of the last probe).  Each
+   position, size-bucket) memo of greedy join orders, each lowered at
+   compile time into one generated function of nested loops (one ``for``
+   per join step, the head emitted from the innermost one).  Each
    stratum also gets a predicate→(rule, position) trigger map so semi-naive
    iterations fire only the rules a delta actually touches.  Compilation
    happens once per distinct *program*, not per engine: the process-wide
@@ -58,10 +58,14 @@ _EMPTY_EXTENSION: FrozenSet[Tuple[object, ...]] = frozenset()
 class EngineInfo(NamedTuple):
     """Storage/executor counters of one engine (``engine_info()``).
 
-    ``closure_compiles`` counts the specialised executor chains resident in
-    this engine's join-order memos (one per distinct (delta position,
-    size-bucket signature) the fixpoints actually exercised); the storage
-    counters come from :class:`~repro.datalog.columns.StorageStats`.
+    ``closure_compiles`` counts the join plans resident in this engine's
+    join-order memos, one per distinct (delta position, size-bucket
+    signature) the fixpoints actually exercised.  Several entries may share
+    one generated executor (bucket signatures that pick the same join
+    order, engines sharing a rule plan), so it does not count executor
+    builds; the name is kept from when each entry was its own closure
+    chain.  The storage counters come from
+    :class:`~repro.datalog.columns.StorageStats`.
     """
 
     rows_interned: int

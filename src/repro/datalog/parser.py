@@ -60,6 +60,13 @@ _TOKEN_PATTERN = re.compile(
 )
 
 
+#: The escapes ``repr`` writes into a ``str`` literal (``Constant.__str__``
+#: prints string constants with ``repr``).  The trailing ``?`` lets a
+#: backslash followed by anything else match on its own, so it is reported.
+_ESCAPE = re.compile(r"\\(?:([\\'\"nrt])|x([0-9a-fA-F]{2})|u([0-9a-fA-F]{4})|U([0-9a-fA-F]{8}))?")
+_SIMPLE_ESCAPES = {"\\": "\\", "'": "'", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+
+
 class Token(NamedTuple):
     kind: str
     value: str
@@ -133,11 +140,35 @@ class _TokenStream:
         return self._position >= len(self._tokens)
 
 
+def _decode_string(token: Token) -> str:
+    """The value of a STRING token: its quotes stripped, its escapes decoded."""
+    text = token.value
+
+    def decode(match: "re.Match[str]") -> str:
+        simple, *hexadecimal = match.groups()
+        if simple is not None:
+            return _SIMPLE_ESCAPES[simple]
+        digits = next((group for group in hexadecimal if group is not None), None)
+        if digits is not None and int(digits, 16) <= 0x10FFFF:
+            return chr(int(digits, 16))
+        # Locate the backslash (``match`` indexes the unquoted body).
+        offset = match.start() + 1
+        line_start = text.rfind("\n", 0, offset)
+        shown = match.group() if digits is not None else text[offset : offset + 2]
+        raise DatalogSyntaxError(
+            f"invalid escape {shown!r} in string",
+            token.line + text.count("\n", 0, offset),
+            token.column + offset if line_start < 0 else offset - line_start,
+        )
+
+    return _ESCAPE.sub(decode, text[1:-1])
+
+
 def _parse_term(stream: _TokenStream) -> Term:
     token = stream.next()
     kind, value = token.kind, token.value
     if kind == "STRING":
-        return Constant(value[1:-1])
+        return Constant(_decode_string(token))
     if kind == "NUMBER":
         number = float(value)
         if number.is_integer():

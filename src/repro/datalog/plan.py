@@ -11,12 +11,12 @@ probing.
 This module moves all of that work to compile time:
 
 * :class:`RulePlan` — built once per rule at engine construction.  It fixes a
-  variable→slot layout (substitutions become flat lists indexed by slot
-  instead of dictionaries), precompiles every builtin/negated literal into a
+  variable→slot layout (substitutions become one local per slot instead
+  of dictionaries), precompiles every builtin/negated literal into a
   :class:`_CompiledFilter`, and precompiles the head projection.
 * ``RulePlan.run(facts, delta, delta_position)`` — looks up (or compiles) a
   :class:`_JoinPlan` for the requested delta position and the current
-  *size buckets* of the joined relations, then interprets it.  Join orders
+  *size buckets* of the joined relations, then calls its executor.  Join orders
   are memoised per ``(delta_position, bucket signature)`` with coarse
   power-of-two buckets (``size.bit_length()``), so the greedy planner only
   re-runs when a relation size crosses a bucket boundary — a handful of
@@ -29,28 +29,36 @@ This module moves all of that work to compile time:
   a bind spec for newly-bound slots, intra-atom equality checks for repeated
   variables, and the filters that become ready once this step has bound its
   variables (the hoist points are resolved ahead of time).
-* **Specialised executors** — every :class:`_JoinPlan` is lowered at
-  compile time into a chain of per-step closures (probe → intersect/check →
-  filter → project) with the step's constants bound in closure cells, plus
-  a projection closure; ``RulePlan.run`` just resolves the delta relation
-  and calls the chain.  Hot step shapes (full scans binding one or two
-  slots, single-slot-key probes extending one slot) get dedicated closure
-  bodies without the generic spec interpretation; everything else falls
-  back to a generic closure that mirrors the old interpreted loop exactly.
-  Executors are built wherever plans are built — including the statically
-  seeded plans the registry compiles (:mod:`repro.analysis.cost`), so a
-  shared program carries its specialised executors with it.
+* **Generated executors** — every :class:`_JoinPlan` is lowered at compile
+  time into one Python function with a ``for`` loop per join step: slots
+  are locals, each step probes with ``probe1`` (one bound position),
+  ``probe`` (a composite key) or iterates the relation (none), the arity,
+  repeated-variable and hoisted-filter checks are inline ``if ...:
+  continue`` tests, and the innermost loop appends the head tuple (a join
+  longer than :data:`_LOOPS_PER_FUNCTION` steps continues in further
+  functions it calls, so rules of any length compile).  The source holds only
+  generated names and integers — constants, predicate names and filters
+  arrive as arguments — so rules of the same shape compile once
+  (:func:`_factory` memoises by source text).  Executors are built
+  wherever plans are built, including the statically seeded plans the
+  registry compiles (:mod:`repro.analysis.cost`), so a shared program
+  carries its executors with it.
 
 Executors probe the columnar storage of :mod:`repro.datalog.columns`
-directly.  The property tests assert they derive exactly the facts of a
+directly, and their nested loops iterate live posting sets and row
+arrays.  That is safe only because nothing inserts while an executor
+runs: it returns its head facts as a list and the engine appends them
+afterwards.  The property tests assert they derive exactly the facts of a
 naive nested-loop reference evaluator.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+import functools
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .ast import Constant, Literal, Rule, Variable
+from .cache import LruMap
 from .columns import ColumnarDatabase, ColumnarRelation, ColumnarWindow
 
 Fact = Tuple[object, ...]
@@ -58,15 +66,7 @@ Fact = Tuple[object, ...]
 #: One relation as an executor reads it: a whole relation or a delta window.
 Relation = Union[ColumnarRelation, ColumnarWindow]
 
-#: A compiled step closure: ``(rows, facts, delta_rel) -> rows``.
-StepRunner = Callable[
-    [List[List[object]], ColumnarDatabase, Optional[Relation]], List[List[object]]
-]
-
-#: A compiled projection closure: ``(rows, facts) -> facts``.
-Projector = Callable[[List[List[object]], ColumnarDatabase], List[Fact]]
-
-#: A compiled whole-rule executor: ``(facts, delta_rel) -> facts``.
+#: A generated whole-rule executor: ``(facts, delta_rel) -> facts``.
 Executor = Callable[[ColumnarDatabase, Optional[Relation]], List[Fact]]
 
 #: ``(is_slot, payload)`` — payload is a slot index when ``is_slot`` else a
@@ -181,14 +181,8 @@ class _CompiledFilter:
         self.spec: ValueSpec = tuple(spec)
         self.slots = frozenset(slots)
 
-    def passes(self, row: List[object], facts: ColumnarDatabase) -> bool:
-        if self.unbound_term is not None:
-            # The same message as an unbound head variable, so both
-            # grounding failures read alike.
-            from .engine import EvaluationError
-
-            raise EvaluationError(f"unbound variable {self.unbound_term} in rule head")
-        values = tuple(row[p] if s else p for s, p in self.spec)
+    def holds(self, values: Fact, facts: ColumnarDatabase) -> bool:
+        """Whether the filter admits its argument ``values``."""
         if self.fn is not None:
             holds = self.fn(*values)
             return not holds if self.negated else holds
@@ -198,7 +192,7 @@ class _CompiledFilter:
 
 
 class _JoinStep:
-    """One probe of a compiled join: everything the interpreter needs."""
+    """One probe of a compiled join: everything the emitter needs."""
 
     __slots__ = (
         "position",
@@ -235,471 +229,146 @@ class _JoinStep:
         self.filters_after = filters_after
 
 
-def _build_step_runner(step: _JoinStep) -> StepRunner:
-    """Lower one join step into a closure with its constants in cells.
-
-    The hot shapes get dedicated bodies (no spec interpretation per tuple):
-
-    * **scan+bind1 / scan+bind2** — an unbound literal (typically the
-      delta seed) binding one or two fresh slots;
-    * **probe1+bind1** — one slot-valued bound position extending one slot
-      (the classic index-nested-loop step), probed through the storage
-      layer's ``probe1`` so no key tuple is allocated.
-
-    Everything else (constants in keys, repeated variables, hoisted
-    filters, multi-position keys) runs the generic body, which interprets
-    the step's specs per matched fact.
-    """
-    predicate = step.predicate
-    from_delta = step.from_delta
-    arity = step.arity
-    positions = step.bound_positions
-    key_spec = step.key_spec
-    bind_spec = step.bind_spec
-    check_spec = step.check_spec
-    filters_after = step.filters_after
-
-    if from_delta:
-        def source_relation(
-            facts: ColumnarDatabase, delta_rel: Optional[Relation]
-        ) -> Relation:
-            assert delta_rel is not None
-            return delta_rel
-    else:
-        def source_relation(
-            facts: ColumnarDatabase, delta_rel: Optional[Relation]
-        ) -> Relation:
-            return facts.lookup(predicate)
-
-    plain = not check_spec and not filters_after
-    if plain and not positions and len(bind_spec) == 1:
-        ((index0, slot0),) = bind_spec
-
-        def run_scan1(
-            rows: List[List[object]],
-            facts: ColumnarDatabase,
-            delta_rel: Optional[Relation],
-        ) -> List[List[object]]:
-            relation = source_relation(facts, delta_rel)
-            out: List[List[object]] = []
-            append = out.append
-            for row in rows:
-                for f in relation:
-                    if len(f) == arity:
-                        new = row[:]
-                        new[slot0] = f[index0]
-                        append(new)
-            return out
-
-        return run_scan1
-    if plain and not positions and len(bind_spec) == 2:
-        (index0, slot0), (index1, slot1) = bind_spec
-
-        def run_scan2(
-            rows: List[List[object]],
-            facts: ColumnarDatabase,
-            delta_rel: Optional[Relation],
-        ) -> List[List[object]]:
-            relation = source_relation(facts, delta_rel)
-            out: List[List[object]] = []
-            append = out.append
-            for row in rows:
-                for f in relation:
-                    if len(f) == arity:
-                        new = row[:]
-                        new[slot0] = f[index0]
-                        new[slot1] = f[index1]
-                        append(new)
-            return out
-
-        return run_scan2
-    if (
-        plain
-        and len(positions) == 1
-        and len(bind_spec) == 1
-        and key_spec[0][0]
-    ):
-        position0 = positions[0]
-        key_slot = key_spec[0][1]
-        ((index0, slot0),) = bind_spec
-
-        def run_probe1(
-            rows: List[List[object]],
-            facts: ColumnarDatabase,
-            delta_rel: Optional[Relation],
-        ) -> List[List[object]]:
-            relation = source_relation(facts, delta_rel)
-            probe1 = relation.probe1
-            out: List[List[object]] = []
-            append = out.append
-            for row in rows:
-                for f in probe1(position0, row[key_slot]):
-                    if len(f) == arity:
-                        new = row[:]
-                        new[slot0] = f[index0]
-                        append(new)
-            return out
-
-        return run_probe1
-
-    def run_generic(
-        rows: List[List[object]],
-        facts: ColumnarDatabase,
-        delta_rel: Optional[Relation],
-    ) -> List[List[object]]:
-        relation = source_relation(facts, delta_rel)
-        probe = relation.probe
-        out: List[List[object]] = []
-        append = out.append
-        for row in rows:
-            key = tuple(row[p] if s else p for s, p in key_spec)
-            for fact in probe(positions, key):
-                if len(fact) != arity:
-                    continue
-                if check_spec:
-                    if any(fact[i] != fact[j] for i, j in check_spec):
-                        continue
-                new = row[:]
-                for index, slot in bind_spec:
-                    new[slot] = fact[index]
-                if filters_after:
-                    if not all(f.passes(new, facts) for f in filters_after):
-                        continue
-                append(new)
-        return out
-
-    return run_generic
+#: Join steps (nested ``for`` loops) per generated function.  CPython
+#: refuses to compile a function with more than 20 statically nested
+#: blocks, so a longer join continues in another function that the
+#: innermost loop calls with the bound slots the rest of the join reads.
+_LOOPS_PER_FUNCTION = 16
 
 
-def _build_projector(
-    head_spec: ValueSpec,
-    head_unbound: Optional[Variable],
-    leftover_filters: Tuple[_CompiledFilter, ...],
-) -> Projector:
-    """Lower the head projection (plus leftover filters) into a closure."""
-    if head_unbound is None and not leftover_filters:
-        if all(is_slot for is_slot, _ in head_spec):
-            slots = tuple(payload for _, payload in head_spec)
-            if len(slots) == 1:
-                (head0,) = slots
-
-                def project1(rows: List[List[object]], facts: ColumnarDatabase) -> List[Fact]:
-                    return [(row[head0],) for row in rows]
-
-                return project1
-            if len(slots) == 2:
-                head0, head1 = slots
-
-                def project2(rows: List[List[object]], facts: ColumnarDatabase) -> List[Fact]:
-                    return [(row[head0], row[head1]) for row in rows]
-
-                return project2
-
-        def project_spec(rows: List[List[object]], facts: ColumnarDatabase) -> List[Fact]:
-            return [tuple(row[p] if s else p for s, p in head_spec) for row in rows]
-
-        return project_spec
-
-    def project_guarded(rows: List[List[object]], facts: ColumnarDatabase) -> List[Fact]:
-        out: List[Fact] = []
-        emit = out.append
-        for row in rows:
-            if leftover_filters:
-                if not all(f.passes(row, facts) for f in leftover_filters):
-                    continue
-            if head_unbound is not None:
-                from .engine import EvaluationError
-
-                raise EvaluationError(
-                    f"unbound variable {head_unbound} in rule head"
-                )
-            emit(tuple(row[p] if s else p for s, p in head_spec))
-        return out
-
-    return project_guarded
-
-
-def _build_fused_terminal(step: _JoinStep, head_spec: ValueSpec) -> Optional[StepRunner]:
-    """Fuse the last join step with the head projection when possible.
-
-    For a plain final step (no repeated-variable checks, no hoisted
-    filters) whose matches feed straight into a slot-only head, the
-    executor can emit head tuples directly from the probe — no extended
-    row is ever copied and no separate projection pass runs.  This is the
-    per-tuple hot path of every linear-recursive rule (transitive closure,
-    reachability, same-generation).  Returns ``None`` when the shape does
-    not apply; the caller falls back to the unfused chain.
-    """
-    if step.check_spec or step.filters_after:
-        return None
-    if not all(is_slot for is_slot, _ in head_spec):
-        return None
-    last_binds = {slot: index for index, slot in step.bind_spec}
-    #: Per head term: (from_fact, index) — fact column or row slot.
-    emit_spec = tuple(
-        (True, last_binds[payload]) if payload in last_binds else (False, payload)
-        for _, payload in head_spec
-    )
-    predicate = step.predicate
-    from_delta = step.from_delta
-    arity = step.arity
-    positions = step.bound_positions
-    key_spec = step.key_spec
-
-    if from_delta:
-        def source_relation(
-            facts: ColumnarDatabase, delta_rel: Optional[Relation]
-        ) -> Relation:
-            assert delta_rel is not None
-            return delta_rel
-    else:
-        def source_relation(
-            facts: ColumnarDatabase, delta_rel: Optional[Relation]
-        ) -> Relation:
-            return facts.lookup(predicate)
-
-    probe1_shape = len(positions) == 1 and len(key_spec) == 1 and key_spec[0][0]
-    scan_shape = not positions
-    if not probe1_shape and not scan_shape:
-        return None
-
-    if probe1_shape:
-        position0 = positions[0]
-        key_slot = key_spec[0][1]
-        if len(emit_spec) == 1:
-            ((fact0, index0),) = emit_spec
-            if fact0:
-
-                def fused_probe1_f(rows, facts, delta_rel):
-                    probe1 = source_relation(facts, delta_rel).probe1
-                    out: List[Fact] = []
-                    append = out.append
-                    for row in rows:
-                        for f in probe1(position0, row[key_slot]):
-                            if len(f) == arity:
-                                append((f[index0],))
-                    return out
-
-                return fused_probe1_f
-
-            def fused_probe1_r(rows, facts, delta_rel):
-                probe1 = source_relation(facts, delta_rel).probe1
-                out: List[Fact] = []
-                append = out.append
-                for row in rows:
-                    head = (row[index0],)
-                    for f in probe1(position0, row[key_slot]):
-                        if len(f) == arity:
-                            append(head)
-                return out
-
-            return fused_probe1_r
-        if len(emit_spec) == 2:
-            (fact0, index0), (fact1, index1) = emit_spec
-            if fact0 and not fact1:
-
-                def fused_probe1_fr(rows, facts, delta_rel):
-                    probe1 = source_relation(facts, delta_rel).probe1
-                    out: List[Fact] = []
-                    append = out.append
-                    for row in rows:
-                        value1 = row[index1]
-                        for f in probe1(position0, row[key_slot]):
-                            if len(f) == arity:
-                                append((f[index0], value1))
-                    return out
-
-                return fused_probe1_fr
-            if not fact0 and fact1:
-
-                def fused_probe1_rf(rows, facts, delta_rel):
-                    probe1 = source_relation(facts, delta_rel).probe1
-                    out: List[Fact] = []
-                    append = out.append
-                    for row in rows:
-                        value0 = row[index0]
-                        for f in probe1(position0, row[key_slot]):
-                            if len(f) == arity:
-                                append((value0, f[index1]))
-                    return out
-
-                return fused_probe1_rf
-            if fact0 and fact1:
-
-                def fused_probe1_ff(rows, facts, delta_rel):
-                    probe1 = source_relation(facts, delta_rel).probe1
-                    out: List[Fact] = []
-                    append = out.append
-                    for row in rows:
-                        for f in probe1(position0, row[key_slot]):
-                            if len(f) == arity:
-                                append((f[index0], f[index1]))
-                    return out
-
-                return fused_probe1_ff
-
-            def fused_probe1_rr(rows, facts, delta_rel):
-                probe1 = source_relation(facts, delta_rel).probe1
-                out: List[Fact] = []
-                append = out.append
-                for row in rows:
-                    head = (row[index0], row[index1])
-                    for f in probe1(position0, row[key_slot]):
-                        if len(f) == arity:
-                            append(head)
-                return out
-
-            return fused_probe1_rr
-
-        def fused_probe1(rows, facts, delta_rel):
-            probe1 = source_relation(facts, delta_rel).probe1
-            out: List[Fact] = []
-            append = out.append
-            for row in rows:
-                for f in probe1(position0, row[key_slot]):
-                    if len(f) == arity:
-                        append(tuple(f[i] if g else row[i] for g, i in emit_spec))
-            return out
-
-        return fused_probe1
-
-    # Scan shape (single-literal rules, copy rules): emit per matching fact.
-    if len(emit_spec) == 1 and emit_spec[0][0]:
-        ((_, index0),) = emit_spec
-
-        def fused_scan_f(rows, facts, delta_rel):
-            relation = source_relation(facts, delta_rel)
-            out: List[Fact] = []
-            append = out.append
-            for row in rows:
-                for f in relation:
-                    if len(f) == arity:
-                        append((f[index0],))
-            return out
-
-        return fused_scan_f
-
-    def fused_scan(rows, facts, delta_rel):
-        relation = source_relation(facts, delta_rel)
-        out: List[Fact] = []
-        append = out.append
-        for row in rows:
-            for f in relation:
-                if len(f) == arity:
-                    append(tuple(f[i] if g else row[i] for g, i in emit_spec))
-        return out
-
-    return fused_scan
-
-
-def _build_executor(
+def _executor_source(
     steps: Tuple[_JoinStep, ...],
     initial_filters: Tuple[_CompiledFilter, ...],
-    project: Projector,
-    nvars: int,
+    leftover_filters: Tuple[_CompiledFilter, ...],
     head_spec: ValueSpec,
     head_unbound: Optional[Variable],
-    leftover_filters: Tuple[_CompiledFilter, ...],
-) -> Executor:
-    """Chain the step closures into one whole-rule executor.
+) -> Tuple[str, Tuple[object, ...]]:
+    """Lower one join order to the source of an executor factory.
 
-    When the rule's tail allows it, the last step and the projection fuse
-    into a single closure (:func:`_build_fused_terminal`); the common
-    shapes (no constants-only initial filters, one or two join steps —
-    every linear and binary-recursive rule) are unrolled.
+    Returns ``(source, values)``: ``source`` defines ``make(...)``, which
+    takes ``values`` and returns the executor ``(facts, delta_rel) ->
+    facts``.  The executor is one ``for`` loop per join step (slot ``s``
+    lives in the local ``v<s>``) around the head emission; every
+    :data:`_LOOPS_PER_FUNCTION` steps the nest continues in a function
+    ``s<k>(v...)`` that takes the bound slots it reads as arguments, so
+    no function nests deeper than that however long the rule.  Everything
+    that comes from the rule itself — constants, predicate names, filters,
+    error messages — reaches the executor through ``values``; the source
+    holds only generated names and integers, so rules of the same shape
+    share one source text and one compiled factory.
     """
-    terminal: Optional[StepRunner] = None
-    if steps and head_unbound is None and not leftover_filters:
-        terminal = _build_fused_terminal(steps[-1], head_spec)
-    if terminal is not None:
-        runners = tuple(_build_step_runner(step) for step in steps[:-1])
-        emit = terminal
-        if not initial_filters and len(runners) == 0:
+    names: List[str] = []
+    values: List[object] = []
 
-            def execute_t0(
-                facts: ColumnarDatabase, delta_rel: Optional[Relation]
-            ) -> List[Fact]:
-                return emit([[None] * nvars], facts, delta_rel)
+    def bind(prefix: str, value: object) -> str:
+        name = f"{prefix}{len(names)}"
+        names.append(name)
+        values.append(value)
+        return name
 
-            return execute_t0
-        if not initial_filters and len(runners) == 1:
-            (run0,) = runners
+    def tuple_of(items: Sequence[str]) -> str:
+        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
-            def execute_t1(
-                facts: ColumnarDatabase, delta_rel: Optional[Relation]
-            ) -> List[Fact]:
-                rows = run0([[None] * nvars], facts, delta_rel)
-                return emit(rows, facts, delta_rel) if rows else []
+    #: Slot -> the expression that reads it: a local, or (for the innermost
+    #: step) the fact indexed in place.
+    expr: Dict[object, str] = {}
 
-            return execute_t1
-        if not initial_filters and len(runners) == 2:
-            run0, run1 = runners
+    def arg(is_slot: bool, payload: object) -> str:
+        return expr[payload] if is_slot else bind("c", payload)
 
-            def execute_t2(
-                facts: ColumnarDatabase, delta_rel: Optional[Relation]
-            ) -> List[Fact]:
-                rows = run0([[None] * nvars], facts, delta_rel)
-                if not rows:
-                    return []
-                rows = run1(rows, facts, delta_rel)
-                return emit(rows, facts, delta_rel) if rows else []
+    def check(compiled: _CompiledFilter) -> str:
+        args = tuple_of([arg(is_slot, payload) for is_slot, payload in compiled.spec])
+        return f"{bind('h', compiled.holds)}({args}, facts)"
 
-            return execute_t2
+    def reads(later: Sequence[_JoinStep]) -> Set[object]:
+        """Slots the head or a key or filter of ``later`` reads."""
+        slots: Set[object] = {slot for is_slot, slot in head_spec if is_slot}
+        for step in later:
+            slots.update(slot for is_slot, slot in step.key_spec if is_slot)
+            for compiled in step.filters_after:
+                slots.update(compiled.slots)
+        return slots
 
-        def execute_t(
-            facts: ColumnarDatabase, delta_rel: Optional[Relation]
-        ) -> List[Fact]:
-            row: List[object] = [None] * nvars
-            for compiled in initial_filters:
-                if not compiled.passes(row, facts):
-                    return []
-            rows = [row]
-            for run in runners:
-                rows = run(rows, facts, delta_rel)
-                if not rows:
-                    return []
-            return emit(rows, facts, delta_rel)
+    # Binding a slot nothing reads would be a dead store.
+    read = reads(steps)
 
-        return execute_t
+    setup: List[str] = []
+    #: The loop nest, one line list per generated function; every list
+    #: but the first starts with its ``def``.
+    chunks: List[List[str]] = [[]]
+    for compiled in initial_filters:
+        setup += [f"if not {check(compiled)}:", "    return []"]
+    indent = ""
+    for depth, step in enumerate(steps):
+        if depth and depth % _LOOPS_PER_FUNCTION == 0:
+            rest = reads(steps[depth:])
+            params = ", ".join(name for slot, name in expr.items() if slot in rest)
+            chunks[-1].append(f"{indent}s{len(chunks)}({params})")
+            chunks.append([f"def s{len(chunks)}({params}):"])
+            indent = "    "
+        loops = chunks[-1]
+        fact = f"f{depth}"
+        if step.from_delta:
+            relation = "delta_rel"
+        else:
+            relation = f"facts.lookup({bind('p', step.predicate)})"
+        keys = [arg(is_slot, payload) for is_slot, payload in step.key_spec]
+        if not keys:
+            setup.append(f"r{depth} = {relation}")
+            candidates = f"r{depth}"
+        elif len(keys) == 1:
+            setup.append(f"q{depth} = {relation}.probe1")
+            candidates = f"q{depth}({step.bound_positions[0]}, {keys[0]})"
+        else:
+            setup.append(f"q{depth} = {relation}.probe")
+            positions = tuple_of([str(position) for position in step.bound_positions])
+            candidates = f"q{depth}({positions}, {tuple_of(keys)})"
+        loops.append(f"{indent}for {fact} in {candidates}:")
+        indent += "    "
+        skip = [f"len({fact}) != {step.arity}"]
+        skip += [f"{fact}[{i}] != {fact}[{j}]" for i, j in step.check_spec]
+        loops += [f"{indent}if {' or '.join(skip)}:", f"{indent}    continue"]
+        # The innermost step's bindings feed only the head (and its own
+        # filters): unless a filter reads them, index the fact in place.
+        inline = depth == len(steps) - 1 and not step.filters_after
+        for index, slot in step.bind_spec:
+            if inline:
+                expr[slot] = f"{fact}[{index}]"
+            elif slot in read:
+                expr[slot] = f"v{slot}"
+                loops.append(f"{indent}v{slot} = {fact}[{index}]")
+        for compiled in step.filters_after:
+            loops += [f"{indent}if not {check(compiled)}:", f"{indent}    continue"]
 
-    runners = tuple(_build_step_runner(step) for step in steps)
-    if not initial_filters and len(runners) == 1:
-        (run0,) = runners
+    unbound = leftover_filters[0].unbound_term if leftover_filters else head_unbound
+    if unbound is not None:
+        message = bind("m", f"unbound variable {unbound} in rule head")
+        chunks[-1].append(f"{indent}raise EvaluationError({message})")
+    else:
+        head = tuple_of([arg(is_slot, payload) for is_slot, payload in head_spec])
+        chunks[-1].append(f"{indent}append({head})")
+    defs = [line for chunk in chunks[1:] for line in chunk]
+    body = setup + ["out = []", "append = out.append"] + defs + chunks[0] + ["return out"]
+    source = "\n".join(
+        [f"def make({', '.join(names)}):", "    def execute(facts, delta_rel):"]
+        + [f"        {line}" for line in body]
+        + ["    return execute", ""]
+    )
+    return source, tuple(values)
 
-        def execute1(facts: ColumnarDatabase, delta_rel: Optional[Relation]) -> List[Fact]:
-            rows = run0([[None] * nvars], facts, delta_rel)
-            return project(rows, facts) if rows else []
 
-        return execute1
-    if not initial_filters and len(runners) == 2:
-        run0, run1 = runners
+@functools.lru_cache(maxsize=1024)
+def _factory(source: str) -> Callable[..., Executor]:
+    """The ``make`` function ``source`` defines, compiled once per text."""
+    from .engine import EvaluationError
 
-        def execute2(facts: ColumnarDatabase, delta_rel: Optional[Relation]) -> List[Fact]:
-            rows = run0([[None] * nvars], facts, delta_rel)
-            if not rows:
-                return []
-            rows = run1(rows, facts, delta_rel)
-            return project(rows, facts) if rows else []
-
-        return execute2
-
-    def execute(facts: ColumnarDatabase, delta_rel: Optional[Relation]) -> List[Fact]:
-        row: List[object] = [None] * nvars
-        for compiled in initial_filters:
-            if not compiled.passes(row, facts):
-                return []
-        rows = [row]
-        for run in runners:
-            rows = run(rows, facts, delta_rel)
-            if not rows:
-                return []
-        return project(rows, facts)
-
-    return execute
+    namespace: Dict[str, Any] = {"EvaluationError": EvaluationError}
+    exec(compile(source, "<datalog executor>", "exec"), namespace)
+    return namespace["make"]
 
 
 class _JoinPlan:
-    """A fixed join order lowered to a specialised executor closure chain.
+    """A fixed join order lowered to one generated executor.
 
     The step/filter layouts are kept alongside the executor for
     introspection (``analysis/explain`` renders them) — evaluation goes
@@ -727,16 +396,15 @@ class RulePlan:
     __slots__ = (
         "rule",
         "head_predicate",
-        "nvars",
         "slot_of",
         "relational",
         "filters",
         "head_spec",
         "head_unbound",
-        "_project",
         "_rel_preds",
         "_body_preds",
         "_plans",
+        "_lowered",
         "seed_plans",
     )
 
@@ -754,7 +422,6 @@ class RulePlan:
             if isinstance(term, Variable) and term not in slot_of:
                 slot_of[term] = len(slot_of)
         self.slot_of = slot_of
-        self.nvars = len(slot_of)
 
         # Positive relational literals are joined; builtins and negated
         # literals become filters.  Which slots the join can ever bind is
@@ -794,18 +461,16 @@ class RulePlan:
                     self.head_unbound = term
         self.head_spec: ValueSpec = tuple(head_spec)
 
-        #: The projection closure is rule-static (the head spec, the
-        #: unbound-head guard and the leftover filters do not depend on the
-        #: join order), so it is built once and shared by every _JoinPlan.
-        self._project = _build_projector(
-            self.head_spec,
-            self.head_unbound,
-            tuple(f for f in self.filters if f.unbound_term is not None),
-        )
-
         #: Default join-order memo, used when the caller supplies none.
         #: Engines sharing this plan pass an instance-local memo instead.
         self._plans: PlanMemo = {}
+
+        #: Join orders lowered so far, keyed by ``(delta_position, order)``.
+        #: A lowered plan depends on the rule and the order only, so engines
+        #: sharing this plan (and size buckets that pick the same order)
+        #: reuse it instead of emitting its executor again.  Those engines
+        #: may run on different threads; LruMap locks internally.
+        self._lowered: "LruMap[Tuple[Optional[int], Tuple[int, ...]], _JoinPlan]" = LruMap(64)
 
         #: Statically-seeded plans per delta position, compiled once from
         #: *estimated* relation sizes (repro/analysis/cost.py) instead of
@@ -890,6 +555,9 @@ class RulePlan:
         # each pick maximises already-bound terms and tie-breaks on smaller
         # relation size.
         order = greedy_join_order(body, self.relational, delta_position, sizes)
+        lowered = self._lowered.get((delta_position, tuple(order)))
+        if lowered is not None:
+            return lowered
         bound: Set[int] = set()
 
         # Second pass: per-step layouts plus filter hoist points.
@@ -946,20 +614,14 @@ class RulePlan:
         # literal binds — excluded by construction (unbound_term is set).
         assert not pending
         steps_tuple = tuple(steps)
-        return _JoinPlan(
-            steps_tuple,
-            initial_filters,
-            leftover,
-            _build_executor(
-                steps_tuple,
-                initial_filters,
-                self._project,
-                self.nvars,
-                self.head_spec,
-                self.head_unbound,
-                leftover,
-            ),
+        source, values = _executor_source(
+            steps_tuple, initial_filters, leftover, self.head_spec, self.head_unbound
         )
+        lowered = _JoinPlan(
+            steps_tuple, initial_filters, leftover, _factory(source)(*values)
+        )
+        self._lowered.put((delta_position, tuple(order)), lowered)
+        return lowered
 
     # ------------------------------------------------------------------
     # Plan execution
@@ -979,11 +641,11 @@ class RulePlan:
         an instance-local memo so their size-bucket histories stay separate.
         ``use_seeds=False`` opts out of statically-seeded plans (the
         property tests compare both paths).  The result is fully
-        materialised before the caller inserts it, so inserting derived
-        facts never mutates a relation mid-probe.
+        materialised before the caller inserts it: the executor's nested
+        loops iterate live posting sets, so no relation may grow while it
+        runs.
 
-        Evaluation dispatches to the plan's precompiled executor closure
-        chain.
+        Evaluation calls the plan's generated executor.
         """
         plan = self._plan_for(facts, delta, delta_position, memo, use_seeds)
         delta_rel: Optional[Relation] = None

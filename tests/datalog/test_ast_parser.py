@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.analysis import analyze
 from repro.datalog import (
     Atom,
     DatalogSyntaxError,
@@ -114,6 +117,37 @@ def test_parse_errors():
         parse_rules("p(X) :- q(X)")  # missing dot
     with pytest.raises(DatalogSyntaxError):
         parse_rules("p($) .")
+
+
+@given(value=st.text())
+def test_string_constants_round_trip_through_str(value):
+    # Constant.__str__ prints strings with repr; the parser must decode
+    # every escape repr writes (quotes, backslashes, \n, \t, \x, \u, \U).
+    parsed = parse_program(f"q(X, {Constant(value)}) :- r(X).").rules[0]
+    assert parsed.head.terms[1] == Constant(value)
+    assert parse_program(str(parsed)).rules[0] == parsed
+
+
+def test_string_escapes_decode_to_their_characters():
+    terms = parse_atom_text(r"""q("a\"b", 'it\'s', "c:\\x", "t\tn\n", "\x41\u00e9")""").terms
+    assert [term.value for term in terms] == ['a"b', "it's", "c:\\x", "t\tn\n", "A\u00e9"]
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        (r'p("a\qb").', 1, 5),
+        (r'p("x\x4").', 1, 5),
+        ('p(1,\n  "ab\\U00110000").', 2, 6),
+        ('p("line\none\\z").', 2, 4),
+    ],
+)
+def test_malformed_string_escape_is_a_located_syntax_error(text, line, column):
+    with pytest.raises(DatalogSyntaxError) as raised:
+        parse_rules(text)
+    assert (raised.value.line, raised.value.column) == (line, column)
+    report = analyze(text, kind="datalog")
+    assert [d.rule_id for d in report] == ["D000"]
 
 
 def test_program_rules_for_and_str():

@@ -11,6 +11,7 @@ from repro.datalog import (
     compile_stratum,
     parse_program,
 )
+from repro.datalog.ast import Variable
 from repro.datalog.engine import EvaluationError
 from repro.datalog.plan import size_bucket
 from tests.datalog import oracle
@@ -25,7 +26,7 @@ def _plan(text):
 
 def test_slot_layout_and_relational_split():
     plan = _plan("p(X, Y) :- e(X, Z), f(Z, Y), lt(X, Y), not g(X).")
-    assert plan.nvars == 3  # X, Z, Y
+    assert plan.slot_of == {Variable("X"): 0, Variable("Z"): 1, Variable("Y"): 2}
     assert plan.relational == (0, 1)  # e and f; lt and g are filters
     assert len(plan.filters) == 2
     assert plan.head_predicate == "p"
@@ -180,3 +181,35 @@ def test_planned_engine_agrees_with_baselines_on_stratified_program():
     planned = SemiNaiveEngine(program).evaluate(database)
     assert planned == oracle.evaluate(program, database)
     assert planned["far"] == {(4,), (5,)}
+
+
+def _chain(length, head="p", first="edge"):
+    body = ", ".join(f"edge(X{i}, X{i + 1})" for i in range(1, length))
+    return f"{head}(X0, X{length}) :- {first}(X0, X1), {body}"
+
+
+# Out-degree 2 at node 2 only, so walks stay few at any length.
+CHAIN_EDGES = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 5), (5, 6), (6, 0), (7, 8)}
+
+
+@pytest.mark.parametrize("length", [16, 17, 25, 34])
+def test_long_chain_rules_match_the_oracle(length):
+    # A join of more than 20 steps exceeds CPython's limit on statically
+    # nested blocks per function; the executor must still compile and
+    # carry slots bound in its outer loops (X0) down to the head.
+    program = parse_program(
+        _chain(length) + ", lt(X0, 5), not stop(X0).\n"
+        + _chain(length, head="walk", first="walk") + ".\n"
+        + "walk(X, Y) :- edge(X, Y).\n"
+    )
+    database = {"edge": set(CHAIN_EDGES), "stop": {(1,)}}
+    derived = SemiNaiveEngine(program).evaluate(database)
+    assert derived == oracle.evaluate(program, database)
+    assert derived["p"] and derived["walk"]
+
+
+def test_long_chain_rule_with_an_unbound_filter_variable_raises():
+    plan = _plan(_chain(25) + ", eq(X0, W).")
+    with pytest.raises(EvaluationError, match="unbound variable W"):
+        plan.run(ColumnarDatabase({"edge": set(CHAIN_EDGES)}))
+    assert plan.run(ColumnarDatabase({"edge": set()})) == []

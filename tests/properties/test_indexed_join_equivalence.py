@@ -11,7 +11,13 @@ agree with privately compiled engines (``share_plans=False``), and plans
 compiled once stay correct across databases.
 
 The program/database generators are shared with the other property
-suites (same schema, same shrinking behaviour).
+suites (same schema, same shrinking behaviour).  Each example draws its
+values from one pool — small integers, or strings full of quotes,
+backslashes, newlines, braces and Python fragments — so constants reach
+the generated executors in every shape a rule can spell, and comparison
+builtins never compare a string with an integer.  An arity-3 relation
+gives composite-key probes and repeated variables inside one atom, and
+every EDB relation may hold a few facts of the wrong arity.
 """
 
 from __future__ import annotations
@@ -26,13 +32,25 @@ from tests.datalog import oracle
 
 # A small fixed schema keeps the generator simple while still exercising
 # joins over mixed arities, recursion through IDB predicates, and negation.
-EDB_ARITIES = {"e1": 1, "e2": 2, "e3": 2}
+EDB_ARITIES = {"e1": 1, "e2": 2, "e3": 2, "e4": 3}
 IDB_ARITIES = {"p0": 1, "p1": 2, "p2": 1}
 IDB_ORDER = ["p0", "p1", "p2"]  # negation only "downwards" => stratifiable
 VARIABLES = [Variable(name) for name in ("X", "Y", "Z", "W")]
 BUILTINS = ["lt", "le", "eq", "neq", "gt", "ge"]
 
 DOMAIN = st.integers(min_value=0, max_value=5)
+STRINGS = (
+    'a"b',
+    "back\\slash",
+    "line\nbreak",
+    "{brace}",
+    '"); import os #',
+    "it's",
+)
+#: One value pool per example, shared by the program and the database.
+VALUES = st.shared(
+    st.sampled_from((tuple(range(6)), STRINGS)), key="value-pool"
+).flatmap(st.sampled_from)
 
 
 def _terms(draw, arity, variable_pool):
@@ -40,7 +58,7 @@ def _terms(draw, arity, variable_pool):
     for _ in range(arity):
         if draw(st.booleans()) or not variable_pool:
             if draw(st.integers(min_value=0, max_value=3)) == 0:
-                terms.append(Constant(draw(DOMAIN)))
+                terms.append(Constant(draw(VALUES)))
                 continue
         terms.append(draw(st.sampled_from(variable_pool or VARIABLES)))
     return tuple(terms)
@@ -51,13 +69,13 @@ def rules(draw):
     head_predicate = draw(st.sampled_from(IDB_ORDER))
     head_index = IDB_ORDER.index(head_predicate)
 
-    # 1-3 positive relational literals over EDB predicates and IDB
+    # 1-4 positive relational literals over EDB predicates and IDB
     # predicates at or below the head's layer (self-recursion allowed); the
     # layering keeps every generated program stratifiable even once negation
     # on strictly lower layers is added below.
     body: list = []
     positive_variables: set = set()
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
         predicate = draw(
             st.sampled_from(sorted(EDB_ARITIES) + IDB_ORDER[: head_index + 1])
         )
@@ -78,7 +96,7 @@ def rules(draw):
         if atom.variables() <= positive_variables:
             body.append(Literal(atom, negated=True))
 
-    # Optional comparison builtin over bound variables / integer constants.
+    # Optional comparison builtin over bound variables / pool constants.
     if bound_pool and draw(st.booleans()):
         builtin = draw(st.sampled_from(BUILTINS))
         atom = Atom(builtin, _terms(draw, 2, bound_pool))
@@ -92,7 +110,7 @@ def rules(draw):
             draw(st.sampled_from(bound_pool)) for _ in range(head_arity)
         )
     else:
-        head_terms = tuple(Constant(draw(DOMAIN)) for _ in range(head_arity))
+        head_terms = tuple(Constant(draw(VALUES)) for _ in range(head_arity))
     return Rule(Atom(head_predicate, head_terms), tuple(body))
 
 
@@ -106,14 +124,12 @@ def programs(draw):
 def databases(draw):
     database = {}
     for predicate, arity in EDB_ARITIES.items():
-        facts = draw(
-            st.sets(
-                st.tuples(*([DOMAIN] * arity)),
-                min_size=0,
-                max_size=8,
-            )
+        facts = draw(st.sets(st.tuples(*([VALUES] * arity)), max_size=8))
+        # Stray facts of a neighbouring arity must match no atom.
+        stray = st.sampled_from((arity - 1, arity + 1)).flatmap(
+            lambda width: st.tuples(*([VALUES] * width))
         )
-        database[predicate] = set(facts)
+        database[predicate] = facts | draw(st.sets(stray, max_size=2))
     return database
 
 
