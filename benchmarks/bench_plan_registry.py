@@ -10,7 +10,7 @@ registry really performed exactly 4 compilations for 200 constructions, and
 records both construction times in BENCH_engine.json.
 
 The ``Session.extract_many`` workload measures the façade's batch path over
-a server-style document stream: one session-owned interpreter wrapping N
+a server-style document stream: one parse and one interpreter over N
 documents versus the pre-façade pattern of re-parsing the wrapper and
 rebuilding an Extractor per document.
 """

@@ -9,7 +9,7 @@ package gives the reproduction the matching single surface:
   evaluator tuning, accepted uniformly by every engine (the pre-façade
   per-constructor kwargs survive as deprecation shims);
 * :class:`~repro.api.session.Session` — the stateful entry point that owns
-  the compiled-plan registry, evaluator memos and Elog interpreters, routes
+  the compiled-plan registry, evaluator memos and Elog parse memo, routes
   programs through the backend registry (``"semi-naive" | "monadic" |
   "automata"``, extensible via :func:`register_backend`), and exposes the
   batch entry points ``query_many`` / ``extract_many`` for server-style

@@ -283,21 +283,15 @@ class PipelineBuilder:
     ) -> "PipelineBuilder":
         """An Elog wrapper source (program text is parsed on the spot).
 
-        Session-bound builders reuse the session's interpreter for the
-        (program, fetcher) pair; unbound builders share through the
-        process-wide interpreter cache.  ``resilience`` overrides the
-        builder's default policy for this stage.
+        Session-bound builders parse through the session's memo and apply
+        its diagnostics policy.  ``resilience`` overrides the builder's
+        default policy for this stage.
         """
-        extractor = None
         if self._session is not None:
-            extractor = self._session.wrapper(program, fetcher)
-            program = extractor.program
+            program = self._session._checked_wrapper(program)
         elif isinstance(program, str):
             # Text is parsed through a module-level memo so that N unbound
-            # builders over one wrapper text share one program object.
-            # (Interpreter sharing no longer depends on this — the
-            # process-wide extractor cache keys by content since PR 5 —
-            # the memo just saves re-parsing.)
+            # builders over one wrapper text parse it once.
             parsed = _PARSED_WRAPPER_TEXTS.get(program)
             if parsed is None:
                 parsed = parse_elog(program)
@@ -309,7 +303,6 @@ class PipelineBuilder:
             fetcher,
             url,
             root_name=root_name,
-            extractor=extractor,
             resilience=resilience if resilience is not None else self._resilience,
         )
         self._programs.append((name, program))

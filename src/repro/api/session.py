@@ -12,7 +12,7 @@ A :class:`Session` is the façade's unit of ownership.  It holds
 * an evaluator memo per (backend, program content, options) — the
   per-engine state (join-order memos, fixpoint LRUs) lives inside those
   memoised engines, and
-* an Elog interpreter memo per (wrapper program, fetcher).
+* a parse memo per Elog wrapper text.
 
 Everything evaluates through the backend registry
 (:mod:`repro.api.backends`): callers pick ``"semi-naive"``, ``"monadic"``
@@ -22,7 +22,7 @@ back as the uniform :class:`~repro.api.results.QueryResult` /
 
 The batch entry points — :meth:`Session.query_many` and
 :meth:`Session.extract_many` — are the server-style path: one compiled
-program, one interpreter, streamed over many documents, so plan sharing
+program, one parsed wrapper, streamed over many documents, so plan sharing
 and the fixpoint LRUs do their work across the whole stream.  Both only
 build one task per slot; the shared batch executor
 (:mod:`repro.resilience.batch`) runs them — ``max_workers=`` on one
@@ -31,7 +31,7 @@ applies the ``on_error`` slot policy.
 
 Thread safety: one ``Session`` is safe to share across the request threads
 of a server front end.  Every session-scale cache locks internally
-(:mod:`repro.datalog.cache`), and the evaluator/extractor/parse memos are
+(:mod:`repro.datalog.cache`), and the evaluator/parse/analysis memos are
 built under :class:`~repro.datalog.cache.SingleFlight` coordination, so
 concurrent :meth:`Session.engine` / :meth:`Session.wrapper` calls over one
 cold key construct exactly one instance (see docs/API.md, "Thread safety &
@@ -54,12 +54,7 @@ from ..datalog.options import DEFAULT_OPTIONS, EngineOptions
 from ..datalog.parser import DatalogSyntaxError
 from ..datalog.registry import PlanRegistry
 from ..elog.ast import ElogProgram
-from ..elog.extractor import (
-    Extractor,
-    ExtractorCache,
-    Fetcher,
-    wrapper_fingerprint,
-)
+from ..elog.extractor import Extractor, Fetcher, wrapper_fingerprint
 from ..elog.parser import ElogSyntaxError, parse_elog
 from ..mdatalog.program import MonadicProgram
 from ..resilience.batch import check_on_error, run_tasks, settle
@@ -108,7 +103,7 @@ class Session:
     #: limit — an evicted evaluator merely recompiles through the
     #: registry on next use.
     MAX_EVALUATORS = 64
-    MAX_EXTRACTORS = 64
+    MAX_WRAPPERS = 64
     MAX_ANALYSES = 64
 
     def __init__(
@@ -127,8 +122,7 @@ class Session:
         self._evaluators: LruMap[Tuple[str, Hashable], object] = LruMap(
             self.MAX_EVALUATORS
         )
-        self._extractors: ExtractorCache = ExtractorCache(self.MAX_EXTRACTORS)
-        self._parsed_wrappers: LruMap[str, ElogProgram] = LruMap(self.MAX_EXTRACTORS)
+        self._parsed_wrappers: LruMap[str, ElogProgram] = LruMap(self.MAX_WRAPPERS)
         # (backend name, program text) -> normalised program, so repeated
         # session.query(TEXT, ...) calls parse once, not per call.
         self._parsed_programs: LruMap[Tuple[str, str], object] = LruMap(
@@ -143,7 +137,8 @@ class Session:
         )
         # Per-key build coordination for every memo above: the caches lock
         # their own structure, the flight guarantees at most one evaluator /
-        # parsed program is ever *constructed* per key under concurrency.
+        # parsed program / report is ever *constructed* per key under
+        # concurrency.
         self._flight = SingleFlight()
 
     # ------------------------------------------------------------------
@@ -331,24 +326,18 @@ class Session:
         program: "ElogProgram | str",
         fetcher: Optional[Fetcher] = None,
     ) -> Extractor:
-        """The session's (memoised) Elog interpreter for ``program``.
+        """An Elog interpreter for ``program`` acquiring through ``fetcher``.
 
-        Program text is parsed once per distinct text; interpreters are
-        keyed by **program content** (rule text + auxiliary patterns, see
-        :func:`repro.elog.extractor.wrapper_fingerprint`) plus the fetcher,
-        so content-equal programs share one interpreter and a recycled
-        ``id()`` can never serve a stranger's interpreter (the pre-PR-5
-        identity keys could).  Mutating the returned interpreter's program
-        (e.g. ``session.wrapper(TEXT).program.mark_auxiliary(...)``) still
-        flows through to every later use of the same wrapper text in this
-        session — the parse memo returns the same (now mutated) program
-        object, whose moved fingerprint builds a fresh interpreter around
-        it — while callers that need a private copy should parse their own
-        ``ElogProgram``.  One interpreter serves any number of
-        extractions: per-run state lives in the
-        :class:`~repro.elog.instance_base.PatternInstanceBase`.
+        Program text is parsed once per distinct text, so every call over
+        one text wraps the same :class:`ElogProgram`: mutating it (e.g.
+        ``session.wrapper(TEXT).program.mark_auxiliary(...)``) flows through
+        to every later use of that text in this session, while callers that
+        need a private copy should parse their own.  The interpreter itself
+        is built per call (it holds no compiled state); with a resilience
+        policy its fetcher is a
+        :class:`~repro.resilience.retry.ResilientFetcher` around ``fetcher``.
         """
-        return self._extractors.get(self._checked_wrapper(program), fetcher)
+        return Extractor(self._checked_wrapper(program), fetcher=self._resilient(fetcher))
 
     def _checked_wrapper(self, program: "ElogProgram | str") -> ElogProgram:
         """``program`` parsed through the session memo, with the
@@ -389,10 +378,6 @@ class Session:
         the program's auxiliary patterns.
         """
         extractor = self.wrapper(program, fetcher)
-        if self.resilience is not None and fetcher is not None:
-            # Cheap twin around the resilient wrapper — the memoised
-            # interpreter stays keyed by the caller's own fetcher.
-            extractor = extractor.with_fetcher(self._resilient(fetcher))
         base = extractor.extract(document=document, documents=documents, url=url)
         return ExtractionResult(base, auxiliary=extractor.program.auxiliary_patterns)
 
@@ -408,8 +393,7 @@ class Session:
     ) -> List[ExtractionResult]:
         """The batch extraction path for server-style document streams.
 
-        One interpreter — hence one parsed program, one set of compiled
-        plans behind any datalog translation — serves the whole stream;
+        One interpreter — hence one parsed program — serves the whole stream;
         each document (or fetched URL) yields its own
         :class:`ExtractionResult`.
 
@@ -436,9 +420,7 @@ class Session:
         bounded dispatch window instead of being materialised.
         """
         on_error = self._resolve_on_error(on_error)
-        extractor = self._extractors.get(self._checked_wrapper(program), fetcher)
-        if self.resilience is not None and fetcher is not None:
-            extractor = extractor.with_fetcher(self._resilient(fetcher))
+        extractor = self.wrapper(program, fetcher)
         auxiliary = extractor.program.auxiliary_patterns
 
         def extract(**source: object) -> ExtractionResult:
@@ -468,7 +450,7 @@ class Session:
     # ------------------------------------------------------------------
     def pipeline(self, name: str = "pipeline"):
         """A :class:`~repro.api.pipeline.PipelineBuilder` bound to this
-        session (its wrapper/query stages reuse the session's interpreters,
+        session (its wrapper/query stages reuse the session's parse memo,
         options and plan registry)."""
         from .pipeline import PipelineBuilder
 
@@ -693,7 +675,6 @@ class Session:
             "options": self.options,
             "backends": set(self._backends_used),
             "evaluators": len(self._evaluators),
-            "extractors": len(self._extractors),
             "plan_registry": self.registry.info(),
             "resilience": self._resilience_stats.snapshot(),
         }
@@ -701,5 +682,5 @@ class Session:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Session(evaluators={len(self._evaluators)}, "
-            f"extractors={len(self._extractors)}, options={self.options})"
+            f"wrappers={len(self._parsed_wrappers)}, options={self.options})"
         )

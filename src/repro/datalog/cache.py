@@ -268,7 +268,7 @@ class LruMap(Generic[KeyT, ResultT]):
     For caches whose keys are already exact content fingerprints (tree
     fingerprints, automaton signatures) — no hash-then-verify step needed.
     Shared by the monadic ground pipeline, the automata evaluator cache and
-    the Elog interpreter caches.
+    the session memos.
 
     Thread-safe: ``get``/``put``/``clear``/``info`` serialise on an
     internal lock, so the recency refresh, the eviction loop and the

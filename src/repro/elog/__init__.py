@@ -23,10 +23,8 @@ from .epath import AttributeCondition, ElementPath, EPathSyntaxError
 from .extractor import (
     ExtractionError,
     Extractor,
-    ExtractorCache,
     Fetcher,
     Page,
-    PrefetchedFetcher,
     wrapper_fingerprint,
 )
 from .figure5 import FIGURE5_TEXT, figure5_program, figure5_program_programmatic
@@ -55,11 +53,9 @@ __all__ = [
     "EPathSyntaxError",
     "ExtractionError",
     "Extractor",
-    "ExtractorCache",
     "FIGURE5_TEXT",
     "Fetcher",
     "Page",
-    "PrefetchedFetcher",
     "FirstSubtreeCondition",
     "PatternInstance",
     "PatternInstanceBase",

@@ -31,21 +31,17 @@ call rather than once per candidate.
 
 from __future__ import annotations
 
-import threading
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     FrozenSet,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
     Union,
 )
 
-from ..datalog.cache import LruMap, SingleFlight
 from ..tree.document import Document
 from ..tree.node import Node
 from ..xmlgen.document import XmlElement
@@ -68,10 +64,6 @@ from .instance_base import PatternInstance, PatternInstanceBase
 # A candidate target: a node, a run of sibling nodes, or an extracted string,
 # together with the variable bindings produced by the extraction.
 Candidate = Tuple[Union[Node, List[Node], str], Dict[str, object]]
-
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from concurrent.futures import Executor, Future
 
 
 class Page:
@@ -116,16 +108,9 @@ class Fetcher:
     The one primitive is :meth:`fetch_page`: it returns a :class:`Page`
     carrying a validator and a lazily parsed document, so a caller can tell
     an unchanged page before anything is parsed.  Wrappers (retry, fault
-    injection, prefetch views) implement only :meth:`fetch_page`.
-    :meth:`fetch` is the convenience ``fetch_page(url).document`` that the
-    :class:`Extractor` reads through.
-
-    The protocol is also *async-capable*: :meth:`fetch_async` schedules
-    :meth:`fetch_page` on an executor and returns a future resolving to
-    the :class:`Page`, letting callers overlap fetching with evaluation
-    (:meth:`repro.server.components.WrapperComponent.prefetch`).  Fetchers
-    backed by genuinely asynchronous I/O can override it to return an
-    already-in-flight future.
+    injection) implement only :meth:`fetch_page`.  :meth:`fetch` is the
+    convenience ``fetch_page(url).document`` that the :class:`Extractor`
+    reads through.
     """
 
     def fetch_page(self, url: str) -> Page:  # pragma: no cover - interface
@@ -134,49 +119,6 @@ class Fetcher:
     def fetch(self, url: str) -> Document:
         """The parsed document at ``url``: ``fetch_page(url).document``."""
         return self.fetch_page(url).document
-
-    def fetch_async(self, url: str, executor: "Executor") -> "Future[Page]":
-        """Schedule ``fetch_page(url)`` on ``executor``; returns its future."""
-        return executor.submit(self.fetch_page, url)
-
-
-class PrefetchedFetcher(Fetcher):
-    """A fetcher view over already-started fetch futures.
-
-    Wraps a base fetcher plus a ``url -> Future[Page]`` mapping:
-    :meth:`fetch_page` resolves known URLs from their (possibly still
-    in-flight) futures and delegates everything else — crawling targets
-    discovered mid-extraction — to the base fetcher.  This is how a
-    prefetching :class:`~repro.server.components.WrapperComponent` reads
-    the page whose acquisition started before evaluation did; fetch errors
-    surface on resolution exactly as the synchronous path would raise them.
-    """
-
-    def __init__(
-        self,
-        base: Optional[Fetcher],
-        futures: "Mapping[str, Future[Page]]",
-    ) -> None:
-        self.base = base
-        self._futures = dict(futures)
-
-    def fetch_page(self, url: str) -> Page:
-        future = self._futures.get(url)
-        if future is not None:
-            return future.result()
-        if self.base is None:
-            from ..resilience.errors import PermanentFetchError
-
-            raise PermanentFetchError(f"no prefetched document for {url!r}", url=url)
-        return self.base.fetch_page(url)
-
-    def fetch_async(self, url: str, executor: "Executor") -> "Future[Page]":
-        future = self._futures.get(url)
-        if future is not None:
-            return future
-        if self.base is not None:
-            return self.base.fetch_async(url, executor)
-        return super().fetch_async(url, executor)
 
 
 class ExtractionError(RuntimeError):
@@ -248,21 +190,6 @@ class Extractor:
             if not changed:
                 break
         return base
-
-    def with_fetcher(self, fetcher: Optional[Fetcher]) -> "Extractor":
-        """A twin interpreter acquiring documents through ``fetcher``.
-
-        Shares the program, concepts and limits; only acquisition differs.
-        Used by the batch paths to substitute a :class:`PrefetchedFetcher`
-        without rebuilding (or re-memoising) the interpreter.
-        """
-        return Extractor(
-            self.program,
-            fetcher=fetcher,
-            concepts=self.concepts,
-            max_rounds=self.max_rounds,
-            max_documents=self.max_documents,
-        )
 
     def extract_to_xml(
         self,
@@ -596,11 +523,11 @@ def _match_member(path: ElementPath, node: Node) -> Optional[Dict[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# Interpreter sharing (content-keyed, id()-reuse proof)
+# Wrapper identity
 # ---------------------------------------------------------------------------
 
-#: Content identity of a wrapper for interpreter-sharing purposes: the full
-#: rule text plus the auxiliary-pattern set (which changes the XML output).
+#: Content identity of a wrapper: the full rule text plus the
+#: auxiliary-pattern set (which changes the XML output).
 WrapperFingerprint = Tuple[str, FrozenSet[str]]
 
 
@@ -611,113 +538,10 @@ def wrapper_fingerprint(program: ElogProgram) -> WrapperFingerprint:
     of :func:`repro.datalog.registry.program_fingerprint` — the fingerprint
     is recomputed per use, never frozen at construction: mutating a program
     (``add_rule`` / ``mark_auxiliary``) moves its fingerprint, which is
-    exactly what lets content-keyed interpreter caches notice staleness.
+    exactly what lets a content-keyed memo (a wrapper component's trace)
+    notice staleness.
     """
     return (str(program), frozenset(program.auxiliary_patterns))
-
-
-class ExtractorCache:
-    """A content-keyed, verified, single-flight memo of Elog interpreters.
-
-    Replaces the previous ``(id(program), id(fetcher))`` keying of the
-    interpreter memos in :mod:`repro.server.components` and
-    :class:`repro.api.Session`.  Identity keys are a trap for long-lived
-    caches: once the keyed object is garbage-collected CPython happily
-    hands its address to a *different* program or fetcher, so any entry
-    that outlives (or merely races with) its key objects can alias two
-    unrelated wrappers.  Content keys cannot alias — and as a bonus,
-    separately re-parsed copies of one wrapper text now share a single
-    interpreter instead of building duplicates.
-
-    * Programs are keyed by :func:`wrapper_fingerprint` and every hit is
-      **verified**: a cached interpreter whose program was mutated in place
-      after caching (its current fingerprint no longer matches the key it
-      sits under) is treated as a miss and replaced, never served stale.
-    * Fetchers have no content, so they are keyed by ``id`` — made safe by
-      the entry holding a strong reference (the interpreter pins its
-      fetcher, so the id cannot be recycled while the entry lives) and
-      re-verified by identity on every hit.
-    * Lookups and builds are coordinated through
-      :class:`repro.datalog.cache.SingleFlight`, so N threads requesting
-      one cold wrapper build exactly one interpreter.
-
-    Costs: every ``get`` pays one ``str(program)`` pass to compute the key
-    (inherent to content keying; wrapper programs are small).  Hit
-    verification is O(1) when the cached interpreter wraps the *same*
-    program object — the overwhelmingly common warm path — and only
-    re-serialises the stored program when a content-equal but distinct
-    object hit the entry.
-    """
-
-    def __init__(self, capacity: int = 64) -> None:
-        self._map: "LruMap[Tuple[WrapperFingerprint, int], Extractor]" = LruMap(
-            capacity
-        )
-        self._flight = SingleFlight()
-        # Exact accounting: a verification failure (mutated cached program,
-        # mismatched fetcher) is a *miss* — it constructs a fresh
-        # interpreter — so the inner LruMap's counters (which record such
-        # lookups as raw map hits) are not reused here.  Increments happen
-        # inside lookup() (already serialised by SingleFlight), but clear()
-        # runs outside it, so the counters get their own lock.
-        self._counter_lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def get(
-        self,
-        program: ElogProgram,
-        fetcher: Optional[Fetcher] = None,
-    ) -> Extractor:
-        """The shared interpreter for ``(program content, fetcher)``."""
-        fingerprint = wrapper_fingerprint(program)
-        key = (fingerprint, id(fetcher))
-
-        def lookup() -> Optional[Extractor]:
-            extractor = self._map.get(key)
-            if (
-                extractor is not None
-                # Paranoia: an id collision can never serve a stranger.
-                and extractor.fetcher is fetcher
-                # Same object == same content (the key already matched);
-                # a distinct object must prove the stored program was not
-                # mutated in place since caching.
-                and (
-                    extractor.program is program
-                    or wrapper_fingerprint(extractor.program) == fingerprint
-                )
-            ):
-                with self._counter_lock:
-                    self.hits += 1
-                return extractor
-            with self._counter_lock:
-                self.misses += 1
-            return None
-
-        return self._flight.run(
-            key,
-            lookup,
-            lambda: Extractor(program, fetcher=fetcher),
-            lambda extractor: self._map.put(key, extractor),
-        )
-
-    def info(self):
-        """Exact hit/miss statistics (a verified hit counts as a hit; a
-        verification failure or cold key counts as a miss)."""
-        from ..datalog.cache import CacheInfo
-
-        with self._counter_lock:
-            hits, misses = self.hits, self.misses
-        return CacheInfo(hits, misses, len(self._map), self._map.capacity)
-
-    def clear(self) -> None:
-        self._map.clear()
-        with self._counter_lock:
-            self.hits = 0
-            self.misses = 0
 
 
 def _url_matches(literal: str, candidate: Optional[str]) -> bool:

@@ -188,9 +188,9 @@ class FaultPlan:
 class FaultyFetcher(Fetcher):
     """A fetcher wrapper that injects a :class:`FaultPlan`'s faults.
 
-    Implements only :meth:`fetch_page`, so ``fetch`` and ``fetch_async``
-    (the :class:`~repro.elog.extractor.Fetcher` defaults) run the faulty
-    path too.  It can wrap any fetcher in the stack — a
+    Implements only :meth:`fetch_page`, so ``fetch`` (the
+    :class:`~repro.elog.extractor.Fetcher` default) runs the faulty path
+    too.  It can wrap any fetcher in the stack — a
     :class:`~repro.web.SimulatedWeb`, a
     :class:`~repro.web.StaticDocumentFetcher`, or another wrapper.
     ``sleep`` is injectable so latency spikes cost no wall-clock in tests.

@@ -231,11 +231,10 @@ class ResilientFetcher(Fetcher):
     :meth:`fetch_page` runs through :func:`call_with_retry` under the
     policy's :class:`~repro.resilience.policy.RetryPolicy`; a per-host
     :class:`CircuitBreaker` sits in front of the attempts, so a host that
-    keeps failing is rejected fast until its cooldown elapses.  ``fetch``
-    and ``fetch_async`` are the :class:`~repro.elog.extractor.Fetcher`
-    defaults over :meth:`fetch_page`, so the async path retries on the pool
-    thread.  All accounting reports into a (shareable)
-    :class:`ResilienceStats`.
+    keeps failing is rejected fast until its cooldown elapses.  ``fetch`` is
+    the :class:`~repro.elog.extractor.Fetcher` default over
+    :meth:`fetch_page`, so it retries too.  All accounting reports into a
+    (shareable) :class:`ResilienceStats`.
     """
 
     def __init__(

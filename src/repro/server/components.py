@@ -19,16 +19,9 @@ import html
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..datalog.options import DEFAULT_OPTIONS, EngineOptions
+from ..datalog.options import EngineOptions
 from ..elog.ast import ElogProgram
-from ..elog.extractor import (
-    Extractor,
-    ExtractorCache,
-    Fetcher,
-    Page,
-    PrefetchedFetcher,
-    wrapper_fingerprint,
-)
+from ..elog.extractor import Extractor, Fetcher, Page, wrapper_fingerprint
 from ..resilience.policy import ResilienceInfo, ResiliencePolicy, ResilienceStats
 from ..resilience.retry import ResilientFetcher, call_with_retry
 from ..xmlgen.document import XmlElement
@@ -56,29 +49,6 @@ class Component:
 # ---------------------------------------------------------------------------
 # Stage 1: acquisition (wrapper / source components)
 # ---------------------------------------------------------------------------
-
-
-#: Shared Elog interpreters, keyed by **program content** plus fetcher: N
-#: wrapper components constructed over the same wrapper text and fetcher
-#: reuse one Extractor — the same cross-component sharing the datalog side
-#: gets from the compiled-plan registry.  Extraction state lives in the
-#: per-run PatternInstanceBase, so one interpreter serves any number of
-#: components.  The pre-PR-5 cache keyed by ``(id(program), id(fetcher))``
-#: instead; :class:`repro.elog.extractor.ExtractorCache` documents why that
-#: id()-reuse hazard (and the in-place-mutation staleness that comes with
-#: mutable ``ElogProgram`` ASTs) demands content keys with verified hits.
-#: Components that mutate their program *after* construction keep working:
-#: ``WrapperComponent.process`` re-resolves its interpreter whenever its own
-#: program's content has diverged from the shared interpreter's (a component
-#: whose content-equal program object was aliased to a classmate's extractor
-#: gets its own the moment it mutates) — though such callers should prefer
-#: ``share_plans=False`` (a private interpreter) to content-keyed sharing.
-_EXTRACTOR_CACHE: ExtractorCache = ExtractorCache(128)
-
-
-def shared_extractor(program: ElogProgram, fetcher: Fetcher) -> Extractor:
-    """One Elog interpreter per (program content, fetcher), process-wide."""
-    return _EXTRACTOR_CACHE.get(program, fetcher)
 
 
 class _SourceComponent(Component):
@@ -179,8 +149,10 @@ class WrapperComponent(_SourceComponent):
     refetches the traced pages; when every validator matches, it returns a
     copy of that output and nothing is parsed or extracted (Mokhov,
     Mitchell & Peyton Jones, "Build systems à la carte", ICFP 2018).  The
-    trace also names the interpreter, the program's content, the URL and
-    the root name; a change to any of them forces a fresh extraction.
+    trace also names the program's content, the URL and the root name; a
+    change to any of them forces a fresh extraction.  An extraction builds
+    its :class:`~repro.elog.extractor.Extractor` on the spot: the
+    interpreter holds no compiled state, so there is nothing to share.
     """
 
     def __init__(
@@ -191,13 +163,9 @@ class WrapperComponent(_SourceComponent):
         url: str,
         root_name: Optional[str] = None,
         *,
-        options: Optional[EngineOptions] = None,
-        extractor: Optional[Extractor] = None,
         resilience: Optional[ResiliencePolicy] = None,
     ) -> None:
         super().__init__(name, resilience)
-        if options is None:
-            options = DEFAULT_OPTIONS
         self.program = program
         self.fetcher = fetcher
         self.url = url
@@ -212,99 +180,12 @@ class WrapperComponent(_SourceComponent):
         # The verifying trace: (key, reads) of the last successful
         # extraction, whose output is ``_last_good``.
         self._trace: Optional[Tuple[tuple, List[_TraceRead]]] = None
-        # One interpreter per (program, fetcher) pair for the server's
-        # lifetime: periodic activations — and, with ``share_plans`` (the
-        # default), every other component wrapping the same program —
-        # reuse the interpreter instead of rebuilding an Extractor per run
-        # (extraction state lives in the per-run PatternInstanceBase, so
-        # reuse is safe).  A pre-built interpreter (``extractor=``, the
-        # :class:`repro.api.Session` path) wins over both: sessions own
-        # their extractors.
-        if extractor is not None:
-            if resilience is not None and extractor.fetcher is not self._acquire:
-                # A session-supplied interpreter carries the bare fetcher;
-                # re-twin it (cheap, shares program/concepts/limits) so its
-                # acquisition goes through the resilient wrapper too.
-                extractor = extractor.with_fetcher(self._acquire)
-            self._extractor = extractor
-            self._extractor_aliased = False
-        elif options.share_plans:
-            self._extractor = shared_extractor(self.program, self._acquire)
-            # A cache hit may wrap a classmate's content-equal program
-            # object; only such aliased interpreters are ever re-resolved.
-            self._extractor_aliased = True
-        else:
-            self._extractor = Extractor(self.program, fetcher=self._acquire)
-            self._extractor_aliased = False
-        self._pending_fetch = None
-
-    def prefetch(self, executor) -> None:
-        """Start acquiring this wrapper's start page ahead of :meth:`process`.
-
-        Uses the async-capable fetcher protocol
-        (:meth:`repro.elog.extractor.Fetcher.fetch_async`): the page fetch
-        runs on ``executor`` while upstream components still compute, and
-        the next :meth:`process` call consumes the in-flight
-        :class:`~repro.elog.extractor.Page` instead of fetching the start
-        URL synchronously.  That page is checked against the verifying
-        trace like any other fetch, so a prefetched activation of an
-        unchanged source extracts nothing either.  Idempotent until
-        consumed.  The fetch goes through the *active extractor's* fetcher
-        — a caller-supplied ``extractor=`` may carry its own — so
-        prefetched and plain runs always acquire from the same source.
-        """
-        if self._pending_fetch is None:
-            fetcher = self._current_extractor().fetcher
-            if fetcher is not None:
-                self._pending_fetch = fetcher.fetch_async(self.url, executor)
-
-    def _current_extractor(self) -> Extractor:
-        """This component's interpreter, tracking its own program's content.
-
-        Content-keyed sharing can hand a component an interpreter built
-        around a classmate's content-equal program object; if this
-        component's *own* program is later mutated, that shared interpreter
-        would silently ignore the edit (the identity-keyed pre-PR-5 cache
-        gave every program object its own interpreter instead).  Only
-        cache-aliased interpreters are ever re-resolved: a caller-supplied
-        ``extractor=`` (which may carry custom concepts/limits/fetcher)
-        and a private ``share_plans=False`` interpreter always win, per the
-        constructor contract.  The identity check is free for sharing via
-        one program object; the fingerprint comparison only runs for
-        aliased components whose contents diverged.  The per-activation
-        re-serialisation is deliberate: caching the fingerprints would miss
-        in-place rule edits (the AST carries no mutation counter).
-        """
-        extractor = self._extractor
-        if (
-            self._extractor_aliased
-            and extractor.program is not self.program
-            and wrapper_fingerprint(self.program)
-            != wrapper_fingerprint(extractor.program)
-        ):
-            extractor = shared_extractor(self.program, self._acquire)
-            self._extractor = extractor
-        return extractor
-
-    def discard_prefetch(self) -> None:
-        """Drop an unconsumed prefetch so no later activation extracts a
-        stale snapshot (called when the run that scheduled it aborts)."""
-        pending, self._pending_fetch = self._pending_fetch, None
-        if pending is not None:
-            pending.cancel()
 
     def process(self, inputs: List[XmlElement]) -> XmlElement:
-        pending, self._pending_fetch = self._pending_fetch, None
-        extractor = self._current_extractor()
-        # Re-fingerprinted per activation, like _current_extractor: an
-        # in-place program edit must invalidate the trace.
-        key = (extractor, wrapper_fingerprint(extractor.program), self.url, self.root_name)
-        source = extractor.fetcher
-        if pending is not None:
-            # Crawl targets beyond the start page fall through to the same
-            # fetcher the plain (un-prefetched) run would use.
-            source = PrefetchedFetcher(source, {self.url: pending})
-        reads = _TracingFetcher(source) if source is not None else None
+        # Re-fingerprinted per activation: an in-place program edit must
+        # invalidate the trace.
+        key = (wrapper_fingerprint(self.program), self.url, self.root_name)
+        reads = _TracingFetcher(self._acquire) if self._acquire is not None else None
         try:
             if (
                 reads is not None
@@ -315,7 +196,7 @@ class WrapperComponent(_SourceComponent):
                 # Every read page is unchanged: so is the output.  A copy,
                 # because downstream stages may mutate their input in place.
                 return self._last_good.copy()
-            result = extractor.with_fetcher(reads).extract_to_xml(
+            result = Extractor(self.program, fetcher=reads).extract_to_xml(
                 url=self.url, root_name=self.root_name
             )
         except Exception:

@@ -20,8 +20,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..datalog.cache import CacheInfo
-from ..datalog.registry import plan_registry_info
 from ..resilience.batch import check_on_error, run_tasks, settle
 from ..resilience.policy import ErrorResult
 from ..xmlgen.document import XmlElement
@@ -96,54 +94,20 @@ class InformationPipe:
         self._order = order
         return order
 
-    def run(self, *, executor=None) -> Dict[str, XmlElement]:
+    def run(self) -> Dict[str, XmlElement]:
         """Activate the sources and push documents through the network.
 
         Returns the output document of every component (keyed by name).
-
-        When ``executor`` (a :class:`concurrent.futures.Executor`) is
-        given, every component exposing ``prefetch`` — the wrapper
-        components — starts acquiring its page on it before the push
-        begins, so the fetch I/O of later sources overlaps the extraction
-        and transformation of earlier ones (the async-capable fetcher
-        protocol of :mod:`repro.elog.extractor`).
         """
         results: Dict[str, XmlElement] = {}
-        try:
-            if executor is not None:
-                # Inside the guard: a prefetch that raises mid-way (pool
-                # already shut down, fetcher refusing) must discard the
-                # futures it did manage to start.
-                self.prefetch_sources(executor)
-            for name in self._topological_order():
-                component = self._components[name]
-                inputs = [
-                    results[predecessor] for predecessor in self._inputs.get(name, [])
-                ]
-                results[name] = component.process(inputs)
-        except BaseException:
-            # A failed run must not leave resolved futures behind: a later
-            # activation consuming a minutes-old snapshot (or replaying a
-            # transient fetch error) would defeat change detection.
-            self.discard_prefetches()
-            raise
+        for name in self._topological_order():
+            component = self._components[name]
+            inputs = [
+                results[predecessor] for predecessor in self._inputs.get(name, [])
+            ]
+            results[name] = component.process(inputs)
         self.last_results = results
         return results
-
-    def prefetch_sources(self, executor) -> None:
-        """Start every prefetch-capable component's acquisition on
-        ``executor`` (idempotent until the fetch is consumed)."""
-        for component in self._components.values():
-            prefetch = getattr(component, "prefetch", None)
-            if prefetch is not None:
-                prefetch(executor)
-
-    def discard_prefetches(self) -> None:
-        """Drop every unconsumed prefetch (see :meth:`run`'s abort path)."""
-        for component in self._components.values():
-            discard = getattr(component, "discard_prefetch", None)
-            if discard is not None:
-                discard()
 
     def run_and_get(self, component_name: str) -> XmlElement:
         return self.run()[component_name]
@@ -199,7 +163,7 @@ class TransformationServer:
             self.clock += 1
         return ran
 
-    def run_all(self, *, executor=None, on_error: str = "raise") -> Dict[str, object]:
+    def run_all(self, *, on_error: str = "raise") -> Dict[str, object]:
         """Run every registered pipe once, immediately.
 
         The runs go through the scheduler bookkeeping: each counts as the
@@ -207,20 +171,12 @@ class TransformationServer:
         pushes ``next_activation`` a full period out, so a following
         :meth:`tick` does not immediately double-run every pipe.
 
-        With ``executor``, **every** pipe's wrapper components start their
-        page fetches before the *first* pipe runs (one
-        :meth:`InformationPipe.prefetch_sources` pass over all pipes), so
-        acquisition I/O overlaps across the whole server, not just within
-        one pipe.
-
         ``on_error`` isolates pipe failures from each other: ``"raise"``
         (the default) aborts on the first failing pipe, which is not
         logged as an activation; ``"skip"`` drops the failed pipe from the
         results and runs the rest; ``"collect"`` puts an
         :class:`~repro.resilience.policy.ErrorResult` in the failed pipe's
-        slot.  A failed pipe discards its own prefetched futures either way
-        (see :meth:`InformationPipe.run`), so isolation never strands a
-        minutes-old snapshot for a later activation.
+        slot.
         """
         check_on_error(on_error)
         names = list(self._pipes)
@@ -236,18 +192,8 @@ class TransformationServer:
             self._activated(name)
             return ErrorResult.from_exception(error, url=f"pipe:{name}", backend="pipe")
 
-        try:
-            if executor is not None:
-                for scheduled in self._pipes.values():
-                    scheduled.pipe.prefetch_sources(executor)
-            outcomes = run_tasks((None, self._pipes[name].pipe.run) for name in names)
-            slots = settle(activated(outcomes), on_error, isolate)
-        except BaseException:
-            # One failing pipe must not strand the later pipes' prefetched
-            # futures — a future tick would extract stale snapshots.
-            for scheduled in self._pipes.values():
-                scheduled.pipe.discard_prefetches()
-            raise
+        outcomes = run_tasks((None, self._pipes[name].pipe.run) for name in names)
+        slots = settle(activated(outcomes), on_error, isolate)
         return {names[index]: slot for index, slot in slots.items()}
 
     def _activated(self, name: str) -> None:
@@ -265,11 +211,3 @@ class TransformationServer:
 
         return resilience_report(self)
 
-    def plan_registry_info(self) -> CacheInfo:
-        """Statistics of the process-wide compiled-program registry.
-
-        Exposed next to the per-component fixpoint caches so server
-        monitoring can assert that its hundreds of components over a
-        handful of programs really paid a handful of compilations.
-        """
-        return plan_registry_info()

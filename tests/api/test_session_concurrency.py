@@ -3,7 +3,7 @@
 The tentpole suite of PR 5: N request threads hammering a single session —
 ``query`` / ``query_many`` / ``extract`` / ``wrapper`` across all three
 backends — must produce results byte-equal to the sequential run, build at
-most one evaluator / interpreter per key (single-flight memos), and keep
+most one evaluator / parsed program per key (single-flight memos), and keep
 every ``CacheInfo`` counter consistent (no lost or double-counted
 increments).  The ``max_workers=`` batch paths must match their sequential
 results exactly, including the fetch-overlapped ``urls=`` path.
@@ -178,18 +178,18 @@ def test_extract_many_parallel_propagates_fetch_errors_like_sequential(web):
 
 def test_threads_extracting_through_one_session_share_one_interpreter(web):
     session = Session()
-    extractors = [None] * THREADS
+    programs = [None] * THREADS
     counts = [None] * THREADS
 
     def work(index: int) -> None:
         result = session.extract(WRAPPER, url=BOOKS_URL, fetcher=web)
         counts[index] = result.count("book")
-        extractors[index] = session.wrapper(WRAPPER, web)
+        programs[index] = session.wrapper(WRAPPER, web).program
 
     run_threads(THREADS, work)
     assert counts == [4] * THREADS
-    assert len({id(extractor) for extractor in extractors}) == 1
-    assert session.info()["extractors"] == 1
+    # Every thread's interpreter wraps the one program parsed from WRAPPER.
+    assert all(program is programs[0] for program in programs)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +293,8 @@ def test_mixed_workload_storm_stays_consistent(web, documents):
             assert result.count("book") == expected_counts
 
     run_threads(THREADS, work)
-    info = session.info()
-    assert info["evaluators"] == 2  # REACH + ITALIC
-    assert info["extractors"] == 1
+    assert session.info()["evaluators"] == 2  # REACH + ITALIC
+    assert session.wrapper(WRAPPER, web).program is session.wrapper(WRAPPER).program
 
 
 def test_extract_many_parallel_fetches_duplicate_urls_like_sequential(web):

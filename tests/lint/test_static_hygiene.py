@@ -48,11 +48,6 @@ ALLOWED_ID_USES = {
         "per-plan join memos; the plans are owned by the engine for its "
         "whole lifetime, so their ids are stable"
     ),
-    "repro/elog/extractor.py": (
-        "(fingerprint, id(fetcher)) extractor-cache key: the cache entry "
-        "holds a strong reference to the fetcher, so its id cannot be "
-        "recycled while the entry exists"
-    ),
     "repro/elog/instance_base.py": (
         "instance dedup key over member nodes the instance itself holds "
         "strong references to"

@@ -168,16 +168,3 @@ def test_faulty_fetcher_sleeps_injected_latency_through_the_hook():
     fetcher.fetch("a.test")
     fetcher.fetch("a.test")
     assert naps == [0.25]
-
-
-def test_faulty_fetcher_fetch_async_runs_the_faulty_path():
-    from concurrent.futures import ThreadPoolExecutor
-
-    plan = FaultPlan().fail_permanent("gone.test")
-    fetcher = FaultyFetcher(_static(["a.test"]), plan)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        good = fetcher.fetch_async("a.test", pool)
-        bad = fetcher.fetch_async("gone.test", pool)
-        assert good.result().document.find_first("p") is not None
-        with pytest.raises(PermanentFetchError):
-            bad.result()

@@ -310,18 +310,6 @@ def test_resilient_fetcher_trips_the_breaker_then_rejects_fast():
     assert fetcher.breaker.state_of("dead.test") == "closed"
 
 
-def test_resilient_fetcher_fetch_async_retries_on_the_pool():
-    from concurrent.futures import ThreadPoolExecutor
-
-    plan = FaultPlan().fail_transient("a.test", times=1)
-    fetcher = ResilientFetcher(
-        FaultyFetcher(_static(["a.test"]), plan), ResiliencePolicy(retry=FAST)
-    )
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        assert fetcher.fetch_async("a.test", pool).result() is not None
-    assert fetcher.info().retries == 1
-
-
 def test_shared_stats_aggregate_across_fetchers():
     stats = ResilienceStats()
     policy = ResiliencePolicy(retry=FAST)

@@ -28,7 +28,7 @@ from repro.server import (
 )
 from repro.web import SimulatedWeb
 from repro.web.sites.bookstore import bookstore_site
-from repro.xmlgen import XmlElement, parse_xml, to_xml
+from repro.xmlgen import XmlElement, parse_xml
 
 
 def make_catalog(*pairs):
@@ -135,20 +135,6 @@ def test_wrapper_component_runs_elog_program():
     assert len(books) == 4
     assert all(book.find("title") is not None and book.find("price") is not None for book in books)
     assert results["wrap"].attributes["source"] == "books-a.test/bestsellers"
-
-
-def test_wrapper_component_reuses_one_extractor():
-    web = SimulatedWeb()
-    web.publish_many(bookstore_site(count=2, seed=1))
-    program = parse_elog(
-        "book(S, X) <- document(_, S), subelem(S, ?.tr, X),"
-        " contains(X, (?.td, [(class, title, exact)]))"
-    )
-    wrapper = WrapperComponent("wrap", program, web, "books-a.test/bestsellers")
-    first = wrapper._extractor
-    wrapper.process([])
-    wrapper.process([])
-    assert wrapper._extractor is first  # periodic activations reuse the interpreter
 
 
 def test_datalog_query_component_serves_hot_documents_from_cache():
@@ -322,34 +308,6 @@ def test_html_portal_deliverer_escapes_scraped_text():
     assert "<td>" in delivery.body and "<th>title</th>" in delivery.body
 
 
-def test_wrapper_components_share_one_interpreter_per_program():
-    web = SimulatedWeb()
-    web.publish_many(bookstore_site(count=2, seed=1))
-    program = parse_elog(
-        "book(S, X) <- document(_, S), subelem(S, ?.tr, X),"
-        " contains(X, (?.td, [(class, title, exact)]))"
-    )
-    shared_a = WrapperComponent("a", program, web, "books-a.test/bestsellers")
-    shared_b = WrapperComponent("b", program, web, "books-a.test/bestsellers")
-    assert shared_a._extractor is shared_b._extractor
-    private = WrapperComponent(
-        "c",
-        program,
-        web,
-        "books-a.test/bestsellers",
-        options=EngineOptions(share_plans=False),
-    )
-    assert private._extractor is not shared_a._extractor
-    # Another program gets its own interpreter.
-    other = WrapperComponent(
-        "d", parse_elog("book(S, X) <- document(_, S), subelem(S, ?.tr, X)"),
-        web, "books-a.test/bestsellers",
-    )
-    assert other._extractor is not shared_a._extractor
-    # Sharing does not change what gets extracted.
-    assert shared_a.process([]).children == private.process([]).children
-
-
 def test_change_detector_reports_added_changed_removed():
     detector = ChangeDetector("flight", key="number")
     first = parse_xml(
@@ -390,92 +348,12 @@ def test_change_gated_deliverer_only_fires_on_change():
     assert "changed" in sms.deliveries[0].body
 
 
-# ---------------------------------------------------------------------------
-# Prefetch: the async-capable fetcher protocol through the server layer
-# ---------------------------------------------------------------------------
-
-
-class RecordingExecutor:
-    """A synchronous stand-in for a thread pool that records submissions."""
-
-    def __init__(self):
-        self.submitted = []
-
-    def submit(self, fn, *args, **kwargs):
-        from concurrent.futures import Future
-
-        self.submitted.append(args[0] if args else kwargs.get("url"))
-        future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as error:  # noqa: BLE001 - mirrored into the future
-            future.set_exception(error)
-        return future
-
-
-def _wrapper_program():
-    return parse_elog(
-        "book(S, X) <- document(_, S), subelem(S, ?.tr, X),"
-        " contains(X, (?.td, [(class, title, exact)]))"
-    )
-
-
-def test_pipe_run_with_executor_prefetches_and_matches_plain_run():
-    web = SimulatedWeb()
-    web.publish_many(bookstore_site(count=3, seed=2))
-    url = "books-a.test/bestsellers"
-
-    def build_pipe():
-        pipe = InformationPipe("shop")
-        pipe._add(WrapperComponent("wrap", _wrapper_program(), web, url))
-        pipe._add(XmlDeliverer("deliver"))
-        pipe._connect("wrap", "deliver")
-        return pipe
-
-    plain = build_pipe().run()
-    executor = RecordingExecutor()
-    prefetched = build_pipe().run(executor=executor)
-    assert executor.submitted == [url]
-    assert to_xml(prefetched["wrap"]) == to_xml(plain["wrap"])
-
-
-def test_run_all_prefetches_every_pipe_before_the_first_runs():
-    web = SimulatedWeb()
-    web.publish_many(bookstore_site(count=2, seed=3))
-    # Two pipes wrapping the same table page (the list/div sites need a
-    # different wrapper); what matters is that BOTH fetches start up front.
-    urls = ["books-a.test/bestsellers", "books-a.test/bestsellers"]
-    server = TransformationServer()
-    ran_before_second_fetch = []
-
-    class OrderProbeExecutor(RecordingExecutor):
-        def submit(self, fn, *args, **kwargs):
-            ran_before_second_fetch.append(len(server.run_log))
-            return super().submit(fn, *args, **kwargs)
-
-    for index, url in enumerate(urls):
-        pipe = InformationPipe(f"pipe-{index}")
-        pipe._add(WrapperComponent("wrap", _wrapper_program(), web, url))
-        server.register(pipe)
-
-    executor = OrderProbeExecutor()
-    results = server.run_all(executor=executor)
-    # Both fetches were submitted before ANY pipe ran: cross-pipe overlap.
-    assert executor.submitted == urls
-    assert ran_before_second_fetch == [0, 0]
-    assert set(results) == {"pipe-0", "pipe-1"}
-    # The prefetched pages fed the normal wrapper output.
-    for index in range(2):
-        assert results[f"pipe-{index}"]["wrap"].find_all("book")
-
-
 def test_aliased_wrapper_component_sees_its_own_program_mutations():
-    """Content-keyed sharing must not swallow post-construction mutations.
+    """A component honours post-construction mutations of its own program.
 
-    Two components built from separate parses of one wrapper text alias one
-    interpreter; when one of them mutates ITS program (mark_auxiliary), its
-    next process() must honour the mutation (the identity-keyed pre-PR-5
-    cache did, via a private interpreter per program object)."""
+    Two components built from separate parses of one wrapper text extract
+    the same; when one of them mutates ITS program (mark_auxiliary), its
+    next process() must honour the mutation and the other's must not."""
     web = SimulatedWeb()
     web.publish_many(bookstore_site(count=2, seed=4))
     text = """
@@ -485,8 +363,6 @@ def test_aliased_wrapper_component_sees_its_own_program_mutations():
     url = "books-a.test/bestsellers"
     component_a = WrapperComponent("a", parse_elog(text), web, url)
     component_b = WrapperComponent("b", parse_elog(text), web, url)
-    assert component_b._extractor is component_a._extractor  # content-aliased
-
     assert list(component_b.process([]).iter("title"))
     component_b.program.mark_auxiliary("title")
     # B's own mutation takes effect on B...
@@ -494,86 +370,3 @@ def test_aliased_wrapper_component_sees_its_own_program_mutations():
     # ...and does not opt A into it.
     assert list(component_a.process([]).iter("title"))
 
-
-def test_caller_supplied_extractor_is_never_swapped_for_the_shared_one():
-    """The 'pre-built interpreter wins' contract survives content keying:
-    a component given extractor= keeps it even when that interpreter's
-    program content differs from the component's own program."""
-    from repro.elog import Extractor
-
-    web = SimulatedWeb()
-    web.publish_many(bookstore_site(count=2, seed=5))
-    tuned = Extractor(
-        parse_elog(
-            "book(S, X) <- document(_, S), subelem(S, ?.tr, X),"
-            " contains(X, (?.td, [(class, price, exact)]))"
-        ),
-        fetcher=web,
-        max_rounds=3,
-    )
-    component = WrapperComponent(
-        "wrap",
-        _wrapper_program(),  # content differs from the tuned extractor's
-        web,
-        "books-a.test/bestsellers",
-        extractor=tuned,
-    )
-    component.process([])
-    assert component._extractor is tuned
-
-
-def test_failed_run_discards_unconsumed_prefetches():
-    """A pipe failure must not strand later pipes' resolved futures — the
-    next activation would otherwise extract a stale snapshot and break
-    change detection."""
-    web = SimulatedWeb()
-    web.publish_many(bookstore_site(count=2, seed=6))
-    url = "books-a.test/bestsellers"
-
-    class FailingSource(XmlSourceComponent):
-        def process(self, inputs):
-            raise RuntimeError("source exploded")
-
-    server = TransformationServer()
-    failing = InformationPipe("failing")
-    failing._add(FailingSource("boom", lambda: XmlElement("x")))
-    server.register(failing)
-    healthy = InformationPipe("healthy")
-    wrapper = WrapperComponent("wrap", _wrapper_program(), web, url)
-    healthy._add(wrapper)
-    server.register(healthy)
-
-    executor = RecordingExecutor()
-    with pytest.raises(RuntimeError):
-        server.run_all(executor=executor)
-    # The prefetch for the never-run pipe was started, then discarded.
-    assert executor.submitted == [url]
-    assert wrapper._pending_fetch is None
-    # The page changes; the next activation must see the NEW content, not
-    # the prefetched snapshot.
-    web.update(url, lambda html: html.replace("title", "headline"))
-    result = healthy.run()["wrap"]
-    assert not result.find_all("book")  # class=title rows are gone
-
-
-def test_prefetch_uses_the_active_extractors_fetcher():
-    """Prefetched and plain runs must acquire from the same source: a
-    caller-supplied extractor='s own fetcher wins over the constructor's."""
-    from repro.elog import Extractor
-
-    web_a = SimulatedWeb()
-    web_a.publish_many(bookstore_site(count=1, seed=7))
-    web_b = SimulatedWeb()
-    web_b.publish_many(bookstore_site(count=3, seed=8))
-    url = "books-a.test/bestsellers"
-    program = _wrapper_program()
-    component = WrapperComponent(
-        "wrap", program, web_a, url, extractor=Extractor(program, fetcher=web_b)
-    )
-    plain_books = len(component.process([]).find_all("book"))
-    assert plain_books == 3  # web_b, not web_a
-
-    component.prefetch(RecordingExecutor())
-    assert web_b.fetch_log[-1] == url  # the prefetch went through web_b
-    fetched_books = len(component.process([]).find_all("book"))
-    assert fetched_books == plain_books
