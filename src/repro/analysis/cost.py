@@ -543,3 +543,27 @@ def seed_rule_plans(
     }
     _SEEDS_MEMO.put(memo_key, (advice_out, seeds_by_rule))
     return dict(advice_out)
+
+
+def advised_indexes(
+    program: Program, advice: Dict[str, Tuple[Tuple[int, ...], ...]]
+) -> Tuple[Tuple[str, Tuple[int, ...], int], ...]:
+    """``(predicate, positions, arity)`` per index the ``advice`` names.
+
+    The advice (:func:`seed_rule_plans`) gives bound positions only; an
+    index (:meth:`~repro.datalog.columns.ColumnarRelation.index`) also
+    needs the arity, which the program's positive body atoms of the
+    predicate supply.  The engine pre-builds these before a fixpoint.
+    """
+    arities: Dict[str, Set[int]] = {}
+    for rule in program.rules:
+        for literal in rule.body:
+            if not literal.negated:
+                arities.setdefault(literal.atom.predicate, set()).add(literal.atom.arity)
+    return tuple(
+        (predicate, positions, arity)
+        for predicate, keys in advice.items()
+        for arity in sorted(arities.get(predicate, ()))
+        for positions in keys
+        if positions[-1] < arity
+    )

@@ -1,13 +1,13 @@
 """Columnar relation storage: the one storage layer of the datalog engine.
 
 * :class:`ColumnarRelation` — one relation as an *append-only row array*
-  plus lazily built access paths.  Every distinct fact tuple is interned
-  exactly once (``rows[row_id] is the fact``), so the posting set for a
-  column value is a set of interned rows — operationally identical to a
-  set of row ids while letting probes return matches with zero per-probe
-  materialisation.  Single-position probes read one posting set;
-  multi-position probes read a composite index keyed by the full tuple of
-  bound positions (one hash lookup per probe).
+  plus lazily built access paths of one kind, :meth:`ColumnarRelation.index`.
+  Every distinct fact tuple is interned exactly once (``rows[row_id] is
+  the fact``).  An index is identified by its bound positions *and* an
+  arity: it maps the bound value (one position) or the tuple of bound
+  values (several positions) to the list of interned rows of exactly that
+  arity, so a probe is one ``dict.get`` whose result needs no arity check
+  and no per-probe materialisation.
 * :class:`ColumnarWindow` — the semi-naive delta as a **row-id range
   slice** ``rows[lo:hi)`` over the append-only array.  The engine never
   copies or re-indexes a delta: it just advances per-predicate watermarks
@@ -20,8 +20,9 @@
   ``SemiNaiveEngine.engine_info()`` / ``Session.engine_info()``: rows
   interned, delta batches and their sizes.
 
-The compiled rule executors of :mod:`repro.datalog.plan` probe these
-classes directly.
+The compiled rule executors of :mod:`repro.datalog.plan` read these
+classes directly: once per call they capture ``index(...).get`` for each
+probed step, then probe with plain ``dict.get`` calls.
 
 Columnar state is engine-internal scratch, like compiled plans: fixpoint
 caching and plan-registry fingerprints never see it — both key on plain
@@ -30,13 +31,17 @@ databases and program content.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .ast import Database
 
 Fact = Tuple[object, ...]
 
-_EMPTY: Tuple[Fact, ...] = ()
+#: What :meth:`ColumnarRelation.index` answers for an empty relation: a
+#: read-only empty mapping, so no caller can fill it in.
+_NO_ROWS: Mapping[object, List[Fact]] = MappingProxyType({})
 
 
 class StorageStats:
@@ -61,42 +66,34 @@ class StorageStats:
 
 
 class ColumnarRelation:
-    """One relation as an append-only row array plus per-column postings.
+    """One relation as an append-only row array plus its indexes.
 
     ``rows`` is insertion-ordered and append-only: a fact's index in it is
     its row id, which is what makes range-slice deltas sound.  ``_row_of``
-    interns facts (dedup + membership).  Postings and composite indexes are
-    built lazily on first probe and maintained by *batch catch-up*: each
-    access path records the row watermark it covers, appends touch no
-    index at all, and a probe first folds in ``rows[covered:]``.  An access
-    path that is never probed again (e.g. naive-round postings on a
-    derived relation) therefore costs nothing as the relation grows, and a
-    static relation's catch-up is a single integer comparison.
+    interns facts (dedup + membership).  Indexes are built lazily on first
+    use and maintained by *batch catch-up*: each one records the row
+    watermark it covers, appends touch no index at all, and
+    :meth:`index` first folds in ``rows[covered:]``.  An index that is
+    never asked for again (e.g. a naive-round index on a derived relation)
+    therefore costs nothing as the relation grows, and a static relation's
+    catch-up is a single integer comparison.
     """
 
-    __slots__ = (
-        "rows",
-        "_row_of",
-        "_postings",
-        "_posting_covered",
-        "_composites",
-        "_composite_covered",
-        "_stats",
-    )
+    __slots__ = ("rows", "_row_of", "_indexes", "_stats")
 
     def __init__(
         self, facts: Iterable[Fact] = (), stats: Optional[StorageStats] = None
     ) -> None:
         self.rows: List[Fact] = []
         self._row_of: Dict[Fact, int] = {}
-        self._postings: Dict[int, Dict[object, Set[Fact]]] = {}
-        self._posting_covered: Dict[int, int] = {}
-        self._composites: Dict[Tuple[int, ...], Dict[Tuple[object, ...], List[Fact]]] = {}
-        self._composite_covered: Dict[Tuple[int, ...], int] = {}
+        #: ``(positions, arity)`` -> (buckets, row watermark they cover).
+        self._indexes: Dict[
+            Tuple[Tuple[int, ...], int], Tuple[Dict[object, List[Fact]], int]
+        ] = {}
         self._stats = stats if stats is not None else StorageStats()
         if facts:
-            # Bulk EDB load: no postings or composites exist yet, so
-            # interning is the whole job — skip the per-add index upkeep.
+            # Bulk EDB load: no index exists yet, so interning is the
+            # whole job.
             rows = self.rows
             row_of = self._row_of
             for f in facts:
@@ -122,8 +119,9 @@ class ColumnarRelation:
     def add(self, fact: Fact) -> bool:
         """Intern ``fact``; returns True iff it was new.
 
-        Appends never touch an index: every access path catches up to the
-        current watermark on its next probe (batch maintenance)."""
+        Appends never touch an index: every index catches up to the
+        current watermark the next time it is asked for (batch
+        maintenance)."""
         row_of = self._row_of
         if fact in row_of:
             return False
@@ -136,8 +134,8 @@ class ColumnarRelation:
         """Bulk-append facts; returns how many were actually new.
 
         Interning dedups within the batch and against the relation; index
-        upkeep is deferred to the next probe of each access path, so the
-        batch itself is one pure interning pass.
+        upkeep is deferred to the next :meth:`index` call, so the batch
+        itself is one pure interning pass.
         """
         rows = self.rows
         row_of = self._row_of
@@ -151,104 +149,49 @@ class ColumnarRelation:
         return count
 
     # -- probing -------------------------------------------------------------
-    def ensure_column(self, position: int) -> Dict[object, Set[Fact]]:
-        """The posting sets for one column, caught up to the watermark.
+    def index(
+        self, positions: Tuple[int, ...], arity: int
+    ) -> Mapping[object, List[Fact]]:
+        """The access path on ``positions`` (non-empty) over rows of ``arity``.
 
-        Materialised on first use; later calls fold ``rows[covered:]`` into
-        the buckets in one batch (a no-op comparison when nothing new)."""
-        postings = self._postings.get(position)
-        if postings is None:
-            postings = self._postings[position] = {}
+        Maps the bound value (one position) or the tuple of bound values
+        (several positions) to the list of rows of exactly ``arity`` that
+        carry it, caught up to the current watermark.  Materialised on
+        first call; later calls fold ``rows[covered:]`` into the buckets in
+        one batch (one comparison when nothing is new).  Each row is
+        interned once, so a bucket never holds a duplicate.  Callers must
+        not mutate the result.  An empty relation answers with a shared
+        empty mapping and materialises nothing, which also keeps the
+        shared ``_EMPTY_COLUMNAR`` sentinel unmutated.
+        """
+        rows = self.rows
+        if not rows:
+            return _NO_ROWS
+        path = (positions, arity)
+        built = self._indexes.get(path)
+        if built is None:
+            buckets: Dict[object, List[Fact]] = {}
             covered = 0
         else:
-            covered = self._posting_covered[position]
-        rows = self.rows
+            buckets, covered = built
         n = len(rows)
         if covered < n:
-            for i in range(covered, n):
-                fact = rows[i]
-                if position < len(fact):
-                    bucket = postings.get(fact[position])
+            key_of = itemgetter(*positions)
+            get = buckets.get
+            for fact in rows[covered:n]:
+                if len(fact) == arity:
+                    key = key_of(fact)
+                    bucket = get(key)
                     if bucket is None:
-                        postings[fact[position]] = {fact}
-                    else:
-                        bucket.add(fact)
-            self._posting_covered[position] = n
-        return postings
-
-    def _ensure_composite(
-        self, positions: Tuple[int, ...]
-    ) -> Dict[Tuple[object, ...], List[Fact]]:
-        buckets = self._composites.get(positions)
-        if buckets is None:
-            buckets = self._composites[positions] = {}
-            covered = 0
-        else:
-            covered = self._composite_covered[positions]
-        rows = self.rows
-        n = len(rows)
-        if covered < n:
-            last = positions[-1]
-            for i in range(covered, n):
-                fact = rows[i]
-                if last < len(fact):
-                    key = tuple(fact[p] for p in positions)
-                    matches = buckets.get(key)
-                    if matches is None:
                         buckets[key] = [fact]
                     else:
-                        matches.append(fact)
-            self._composite_covered[positions] = n
+                        bucket.append(fact)
+            self._indexes[path] = (buckets, n)
         return buckets
 
-    def ensure_index(self, positions: Tuple[int, ...]) -> None:
-        """Eagerly materialise the access path a probe on ``positions`` uses.
-
-        Called by the engine for the static index advice of
-        :mod:`repro.analysis.cost` — single positions mean one posting
-        column, multi-position specs a composite index.
-        """
-        if len(positions) == 1:
-            self.ensure_column(positions[0])
-        else:
-            self._ensure_composite(positions)
-
-    def probe1(self, position: int, value: object) -> Iterable[Fact]:
-        """Rows whose column ``position`` equals ``value`` (the hot path).
-
-        Returns the posting set itself — zero per-probe materialisation.
-        Callers must not mutate the result.
-        """
-        rows = self.rows
-        postings = self._postings.get(position)
-        if postings is None:
-            if not rows:
-                # Also keeps the shared _EMPTY_COLUMNAR sentinel immutable.
-                return _EMPTY
-            postings = self.ensure_column(position)
-        elif self._posting_covered[position] != len(rows):
-            self.ensure_column(position)
-        return postings.get(value, _EMPTY)
-
-    def probe(
-        self, positions: Tuple[int, ...], key: Tuple[object, ...]
-    ) -> Iterable[Fact]:
-        """Rows matching ``key`` on ``positions`` (ascending).
-
-        Single positions read one posting set; multiple positions read the
-        composite index over exactly those positions.
-        """
-        if not positions:
-            return self.rows
-        if len(positions) == 1:
-            return self.probe1(positions[0], key[0])
-        if not self.rows:
-            return _EMPTY
-        return self._ensure_composite(positions).get(key, _EMPTY)
-
     def index_count(self) -> int:
-        """Materialised access paths (posting columns plus composites)."""
-        return len(self._postings) + len(self._composites)
+        """Materialised access paths (one per probed positions and arity)."""
+        return len(self._indexes)
 
 
 class ColumnarWindow:
@@ -388,5 +331,5 @@ class ColumnarDatabase:
 
 
 #: Shared sentinel for :meth:`ColumnarDatabase.lookup` misses; never mutated
-#: (probes on an empty relation return before materialising postings).
+#: (:meth:`ColumnarRelation.index` on an empty relation builds nothing).
 _EMPTY_COLUMNAR = ColumnarRelation()

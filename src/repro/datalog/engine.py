@@ -20,9 +20,9 @@ full picture):
    trigger maps across every engine constructed over content-equal programs
    (``share_plans=False`` opts out); join-order memos stay per-engine.
 2. **Storage** (:mod:`repro.datalog.columns`) — relations intern rows into
-   append-only arrays and serve probes from lazily materialised posting
-   sets and full-key composite indexes that catch up to the row array in
-   batch on first use after appends.
+   append-only arrays and serve probes from one kind of lazily
+   materialised index, keyed by bound positions and arity, that catches
+   up to the row array in batch on first use after appends.
 3. **Semi-naive loop** — a naive first round followed by delta iteration.
    Deltas are :class:`~repro.datalog.columns.ColumnarWindow` row-id range
    slices over the interned row arrays (no per-iteration copying); derived
@@ -66,11 +66,15 @@ class EngineInfo(NamedTuple):
     builds; the name is kept from when each entry was its own closure
     chain.  The storage counters come from
     :class:`~repro.datalog.columns.StorageStats`.
+
+    ``posting_intersections`` is always 0: every probe reads one
+    ``index(positions, arity)``, keyed by the tuple of bound values when
+    several positions are bound, so no posting sets are ever intersected.
+    The field stays for readers of the counter snapshot (perfbench's
+    per-layer report reads it).
     """
 
     rows_interned: int
-    #: Always 0: full-key composite indexes answer every multi-position
-    #: probe; the field stays for readers of the counter snapshot.
     posting_intersections: int
     delta_batches: int
     delta_rows: int
@@ -193,21 +197,24 @@ class SemiNaiveEngine:
         )
         # Statically-seeded planning (repro/analysis/cost.py): seed plans
         # are compiled at registry time; this flag decides whether run()
-        # consults them, and index_advice drives eager index builds.
+        # consults them, and the advised indexes are pre-built per evaluate.
         self._seed_plans = options.seed_plans
         # Compile-once rule plans plus per-stratum delta trigger maps —
         # shared through the registry by default, compiled privately on
         # ``share_plans=False``.
         self._stratum_plans: List[List[RulePlan]] = []
         self._stratum_triggers: List[Dict[str, List[Tuple[RulePlan, int]]]] = []
-        self._index_advice: Dict[str, Tuple[Tuple[int, ...], ...]] = {}
+        #: ``(predicate, positions, arity)`` of every index ``evaluate``
+        #: pre-builds for the seeded plans.
+        self._advised_indexes: Tuple[Tuple[str, Tuple[int, ...], int], ...] = ()
         if self.share_plans:
             source = registry if registry is not None else shared_registry()
             compiled = source.compiled(program, self.BUILTINS)
             self.strata = compiled.strata
             self._stratum_plans = compiled.stratum_plans
             self._stratum_triggers = compiled.stratum_triggers
-            self._index_advice = compiled.index_advice
+            if self._seed_plans:
+                self._advised_indexes = compiled.advised_indexes
         else:
             self.strata = stratify(program)
             for stratum_rules in self.strata:
@@ -215,10 +222,11 @@ class SemiNaiveEngine:
                 self._stratum_plans.append(plans)
                 self._stratum_triggers.append(triggers)
             if self._seed_plans:
-                from ..analysis.cost import seed_rule_plans
+                from ..analysis.cost import advised_indexes, seed_rule_plans
 
-                self._index_advice = seed_rule_plans(
-                    self._stratum_plans, self._stratum_triggers, program
+                self._advised_indexes = advised_indexes(
+                    program,
+                    seed_rule_plans(self._stratum_plans, self._stratum_triggers, program),
                 )
         # Join-order memos are database-sized state and therefore NEVER
         # shared: one memo per (possibly shared) plan, owned by this engine.
@@ -252,16 +260,11 @@ class SemiNaiveEngine:
     def evaluate(self, database: Database) -> Database:
         """Return all derived facts (EDB facts included in the result)."""
         facts = ColumnarDatabase(database, self._storage_stats)
-        if self._seed_plans and self._index_advice:
-            # Pre-build the access paths the seeded plans will probe — the
-            # same ones the lazy path would build on first probe, just
-            # before the fixpoint starts instead of mid-join.
-            for predicate, keys in self._index_advice.items():
-                if not facts.row_count(predicate):
-                    continue
-                relation = facts.lookup(predicate)
-                for positions in keys:
-                    relation.ensure_index(positions)
+        # Pre-build the indexes the seeded plans will probe — the same ones
+        # the executors would build on first call, just before the fixpoint
+        # starts instead of mid-stratum.  Empty without seeded planning.
+        for predicate, positions, arity in self._advised_indexes:
+            facts.lookup(predicate).index(positions, arity)
         for plans, triggers in zip(self._stratum_plans, self._stratum_triggers):
             self._evaluate_stratum(plans, triggers, facts)
         return facts.to_database()

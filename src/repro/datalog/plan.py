@@ -31,8 +31,11 @@ This module moves all of that work to compile time:
   variables (the hoist points are resolved ahead of time).
 * **Generated executors** — every :class:`_JoinPlan` is lowered at compile
   time into one Python function with a ``for`` loop per join step: slots
-  are locals, each step probes with ``probe1`` (one bound position),
-  ``probe`` (a composite key) or iterates the relation (none), the arity,
+  are locals; a step with bound positions loops over ``g<d>(key, ())``,
+  the ``get`` of its relation's ``index(positions, arity)`` captured once
+  per call (so a probe is one ``dict.get`` and its rows need no arity
+  test); a step with none iterates the relation, and the delta step
+  iterates or probes the delta window (both test the arity); the
   repeated-variable and hoisted-filter checks are inline ``if ...:
   continue`` tests, and the innermost loop appends the head tuple (a join
   longer than :data:`_LOOPS_PER_FUNCTION` steps continues in further
@@ -44,12 +47,13 @@ This module moves all of that work to compile time:
   registry compiles (:mod:`repro.analysis.cost`), so a shared program
   carries its executors with it.
 
-Executors probe the columnar storage of :mod:`repro.datalog.columns`
-directly, and their nested loops iterate live posting sets and row
-arrays.  That is safe only because nothing inserts while an executor
-runs: it returns its head facts as a list and the engine appends them
-afterwards.  The property tests assert they derive exactly the facts of a
-naive nested-loop reference evaluator.
+Executors read the columnar storage of :mod:`repro.datalog.columns`
+directly, and their nested loops iterate live index buckets and row
+arrays.  Every index catches up when the executor's setup captures it,
+before any loop iterates.  That is safe only because nothing inserts
+while an executor runs: it returns its head facts as a list and the
+engine appends them afterwards.  The property tests assert they derive
+exactly the facts of a naive nested-loop reference evaluator.
 """
 
 from __future__ import annotations
@@ -313,21 +317,29 @@ def _executor_source(
         else:
             relation = f"facts.lookup({bind('p', step.predicate)})"
         keys = [arg(is_slot, payload) for is_slot, payload in step.key_spec]
+        positions = tuple_of([str(position) for position in step.bound_positions])
+        # Only scans and the delta window need an arity test: an index
+        # holds rows of the step's arity only.
+        skip = [f"len({fact}) != {step.arity}"]
         if not keys:
             setup.append(f"r{depth} = {relation}")
             candidates = f"r{depth}"
+        elif not step.from_delta:
+            setup.append(f"g{depth} = {relation}.index({positions}, {step.arity}).get")
+            key = keys[0] if len(keys) == 1 else tuple_of(keys)
+            candidates = f"g{depth}({key}, ())"
+            skip = []
         elif len(keys) == 1:
             setup.append(f"q{depth} = {relation}.probe1")
             candidates = f"q{depth}({step.bound_positions[0]}, {keys[0]})"
         else:
             setup.append(f"q{depth} = {relation}.probe")
-            positions = tuple_of([str(position) for position in step.bound_positions])
             candidates = f"q{depth}({positions}, {tuple_of(keys)})"
         loops.append(f"{indent}for {fact} in {candidates}:")
         indent += "    "
-        skip = [f"len({fact}) != {step.arity}"]
         skip += [f"{fact}[{i}] != {fact}[{j}]" for i, j in step.check_spec]
-        loops += [f"{indent}if {' or '.join(skip)}:", f"{indent}    continue"]
+        if skip:
+            loops += [f"{indent}if {' or '.join(skip)}:", f"{indent}    continue"]
         # The innermost step's bindings feed only the head (and its own
         # filters): unless a filter reads them, index the fact in place.
         inline = depth == len(steps) - 1 and not step.filters_after
@@ -642,7 +654,7 @@ class RulePlan:
         ``use_seeds=False`` opts out of statically-seeded plans (the
         property tests compare both paths).  The result is fully
         materialised before the caller inserts it: the executor's nested
-        loops iterate live posting sets, so no relation may grow while it
+        loops iterate live index buckets, so no relation may grow while it
         runs.
 
         Evaluation calls the plan's generated executor.

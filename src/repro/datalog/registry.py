@@ -85,7 +85,7 @@ class CompiledProgram:
         "strata",
         "stratum_plans",
         "stratum_triggers",
-        "index_advice",
+        "advised_indexes",
     )
 
     def __init__(
@@ -102,16 +102,19 @@ class CompiledProgram:
             plans, triggers = compile_stratum(stratum_rules, builtins)
             self.stratum_plans.append(plans)
             self.stratum_triggers.append(triggers)
-        # Seed every plan from the static cost model and record which hash
+        # Seed every plan from the static cost model and record which
         # indexes the seeded plans will probe (the engine pre-builds them).
         # The plans are not yet published to any engine here, so seeding
         # needs no locking; the import is lazy only to keep the low-level
         # datalog package importable without the analysis layer at
         # module-import time (analysis imports plan/stratify from here).
-        from ..analysis.cost import seed_rule_plans
+        from ..analysis.cost import advised_indexes, seed_rule_plans
 
-        self.index_advice: Dict[str, Tuple[Tuple[int, ...], ...]] = seed_rule_plans(
-            self.stratum_plans, self.stratum_triggers, program
+        self.advised_indexes: Tuple[Tuple[str, Tuple[int, ...], int], ...] = (
+            advised_indexes(
+                program,
+                seed_rule_plans(self.stratum_plans, self.stratum_triggers, program),
+            )
         )
 
     def plans(self) -> Iterator[RulePlan]:

@@ -1,8 +1,8 @@
 """Unit tests for the columnar storage layer (repro/datalog/columns.py).
 
-Covers the row-interning container contract, lazy posting/composite
-materialisation with batch catch-up maintenance, full-key composite
-probes, delta windows as row-id range slices, the database surface the
+Covers the row-interning container contract, lazy index materialisation
+with batch catch-up maintenance, indexes partitioned by arity, full-key
+composite keys, delta windows as row-id range slices, the database surface the
 engine and the compiled plans use, and the storage counters surfaced
 through ``engine_info()`` at both the engine and the
 :class:`repro.api.Session` level.
@@ -10,15 +10,19 @@ through ``engine_info()`` at both the engine and the
 
 from __future__ import annotations
 
+import pytest
+
 from repro.api import Session
 from repro.datalog import (
     ColumnarDatabase,
     ColumnarRelation,
+    EngineOptions,
     SemiNaiveEngine,
     StorageStats,
     aggregate_engine_info,
     parse_program,
 )
+from repro.datalog.columns import _EMPTY_COLUMNAR
 
 REACH = """
 reach(Y) :- source(X), edge(X, Y).
@@ -53,43 +57,98 @@ def test_add_batch_counts_only_new_rows():
 def test_postings_materialise_lazily_and_catch_up_after_appends():
     relation = ColumnarRelation([(1, 2), (2, 3), (1, 9)])
     assert relation.index_count() == 0  # nothing probed yet
-    assert set(relation.probe1(0, 1)) == {(1, 2), (1, 9)}
+    index = relation.index((0,), 2)
+    assert set(index[1]) == {(1, 2), (1, 9)}
     assert relation.index_count() == 1
-    # Appends touch no index; the next probe folds the new rows in.
+    # Appends touch no index; the next index() call folds the new rows in.
     relation.add((1, 7))
-    assert set(relation.probe1(0, 1)) == {(1, 2), (1, 9), (1, 7)}
-    assert relation.probe1(0, 42) == ()
+    assert set(index[1]) == {(1, 2), (1, 9)}
+    assert relation.index((0,), 2) is index
+    assert set(index[1]) == {(1, 2), (1, 9), (1, 7)}
+    assert index.get(42, ()) == ()
 
 
-def test_probe1_on_empty_relation_is_empty_and_materialises_nothing():
+def test_buckets_catch_up_after_add_batch():
+    relation = ColumnarRelation([(1, 2)])
+    single = relation.index((0,), 2)
+    composite = relation.index((0, 1), 2)
+    relation.add_batch([(1, 3), (2, 2), (1, 3)])
+    relation.add((1, 4))
+    assert relation.index((0,), 2)[1] == [(1, 2), (1, 3), (1, 4)]
+    assert relation.index((0, 1), 2)[(1, 3)] == [(1, 3)]
+    assert single[2] == [(2, 2)] and composite[(2, 2)] == [(2, 2)]
+    assert relation.index_count() == 2
+
+
+def test_index_on_empty_relation_is_empty_and_materialises_nothing():
     relation = ColumnarRelation()
-    assert relation.probe1(0, "x") == ()
+    assert relation.index((0,), 1).get("x", ()) == ()
+    assert relation.index((0, 1), 2).get(("x", "y"), ()) == ()
+    assert len(relation.index((0,), 1)) == 0
     assert relation.index_count() == 0
+    # The empty answer is read-only: nobody can fill it in for everyone.
+    with pytest.raises(TypeError):
+        relation.index((0,), 1)["x"] = [("x",)]
 
 
 def test_full_key_mode_probes_composite_index():
     relation = ColumnarRelation([(1, 2, 3), (1, 2, 4), (2, 2, 3)])
-    assert set(relation.probe((0, 1), (1, 2))) == {(1, 2, 3), (1, 2, 4)}
+    assert set(relation.index((0, 1), 3)[(1, 2)]) == {(1, 2, 3), (1, 2, 4)}
     relation.add((1, 2, 9))
-    assert set(relation.probe((0, 1), (1, 2))) == {(1, 2, 3), (1, 2, 4), (1, 2, 9)}
-    assert relation.probe((0, 1), (7, 2)) == ()
-    assert relation.index_count() == 1  # one composite, no posting columns
-    # No-position probe returns the whole row array.
-    assert list(relation.probe((), ())) == list(relation)
+    assert set(relation.index((0, 1), 3)[(1, 2)]) == {(1, 2, 3), (1, 2, 4), (1, 2, 9)}
+    assert relation.index((0, 1), 3).get((7, 2), ()) == ()
+    assert relation.index_count() == 1  # one composite, no single-position index
+    # A scan step iterates the row array itself: no index is built.
+    assert list(relation) == relation.rows
+    assert relation.index_count() == 1
+
+
+def test_composite_keys_are_tuples_and_single_keys_bare_values():
+    relation = ColumnarRelation([(1, 2, 3), (4, 5, 6)])
+    assert set(relation.index((0, 2), 3)) == {(1, 3), (4, 6)}
+    assert set(relation.index((1,), 3)) == {2, 5}
 
 
 def test_probe_skips_rows_of_smaller_arity():
     relation = ColumnarRelation([(1,), (1, 2)])
-    assert set(relation.probe1(1, 2)) == {(1, 2)}
-    assert set(relation.probe1(0, 1)) == {(1,), (1, 2)}
+    assert set(relation.index((1,), 2)[2]) == {(1, 2)}
+    assert set(relation.index((0,), 2)[1]) == {(1, 2)}
+    assert set(relation.index((0,), 1)[1]) == {(1,)}
+
+
+def test_rows_of_a_neighbouring_arity_never_reach_a_bucket():
+    relation = ColumnarRelation([(1,), (1, 2), (1, 2, 3), (1, 3, 3, 3)])
+    for arity in (1, 2, 3, 4):
+        index = relation.index((0,), arity)
+        assert list(index) == [1]
+        assert all(len(fact) == arity for fact in index[1])
+    relation.add_batch([(1, 9), (1, 9, 9)])
+    assert relation.index((0,), 2)[1] == [(1, 2), (1, 9)]
+    assert relation.index((0, 1), 3)[(1, 9)] == [(1, 9, 9)]
+    assert relation.index((0, 1), 3).get((1, 9, 9), ()) == ()
 
 
 def test_ensure_index_materialises_the_advised_access_path():
     relation = ColumnarRelation([(1, 2)])
-    relation.ensure_index((0, 1))
+    relation.index((0, 1), 2)
     assert relation.index_count() == 1  # one composite
-    relation.ensure_index((1,))
-    assert relation.index_count() == 2  # plus one posting column
+    relation.index((1,), 2)
+    assert relation.index_count() == 2  # plus one single-position index
+    relation.index((1,), 3)
+    assert relation.index_count() == 3  # the arity is part of the identity
+    relation.index((1,), 2)
+    assert relation.index_count() == 3  # asking again builds nothing
+
+
+def test_seeded_engine_prebuilds_one_index_per_advised_key_and_body_arity():
+    program = parse_program(
+        "p(X) :- q(X), e(X, Y). r(X) :- q(X), e(X, Y, Z). s(X) :- q(X), not e(X)."
+    )
+    engine = SemiNaiveEngine(program)
+    # The negated e(X) is a membership test, not a probe: no arity-1 index.
+    assert engine._advised_indexes == (("e", (0,), 2), ("e", (0,), 3))
+    unseeded = SemiNaiveEngine(program, options=EngineOptions(seed_plans=False))
+    assert unseeded._advised_indexes == ()
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +207,24 @@ def test_lookup_miss_returns_shared_empty_without_creating_an_entry():
     assert len(missing) == 0
     assert "nope" not in database
     # The shared sentinel stays immutable even after probes.
-    assert missing.probe1(0, 1) == ()
+    assert missing.index((0,), 2).get(1, ()) == ()
     assert missing.index_count() == 0
+
+
+def test_a_fixpoint_probing_an_undefined_predicate_leaves_the_sentinel_empty():
+    program = parse_program(
+        """
+        p(X) :- q(X), nowhere(X, Y).
+        r(X, Z) :- q(X), r(X, Y), gone(Y, Z).
+        r(X, X) :- q(X).
+        """
+    )
+    for seed_plans in (True, False):
+        engine = SemiNaiveEngine(program, options=EngineOptions(seed_plans=seed_plans))
+        result = engine.evaluate({"q": {(1,), (2,)}})
+        assert "p" not in result and result["r"] == {(1, 1), (2, 2)}
+    assert _EMPTY_COLUMNAR.index_count() == 0
+    assert not _EMPTY_COLUMNAR.rows
 
 
 def test_to_database_snapshots_plain_sets():

@@ -2,8 +2,9 @@
 
 Every join order is lowered to Python source and compiled.  These tests
 pin two properties of that source over a program that exercises every
-step shape (scan, ``probe1``, composite ``probe``, constants in keys,
-repeated variables, negation, a builtin, an unbound head):
+step shape (scan, a single-position or composite ``index(...).get``, the
+delta window's ``probe1`` / ``probe``, constants in keys, repeated
+variables, negation, a builtin, an unbound head):
 
 * it parses under the grammar of the oldest Python CI runs (3.9), also
   when a join longer than one function's loop nest continues in nested
@@ -36,6 +37,8 @@ PROGRAM = parse_program(
     cheap(X) :- item(X, P, Q), lt(P, 4242), not banned(X, "a\\\\b").
     lonely(X, W) :- edge(X, Y), not edge(Y, X).
     fact("it's", 4242).
+    hot(X) :- reach(X, 4242).
+    loopy(X) :- reach(4242, 4242), edge(X, X).
     """
 )
 
@@ -47,7 +50,7 @@ LONG_CHAIN = parse_program(
 ).rules[0]
 
 GENERATED_NAME = re.compile(
-    r"^(?:[vfrqcphms]\d+|make|execute|facts|delta_rel|out|append|len|EvaluationError)$"
+    r"^(?:[vfrqgcphms]\d+|make|execute|facts|delta_rel|out|append|len|EvaluationError)$"
 )
 
 
@@ -79,16 +82,21 @@ SOURCES = _sources()
 def test_the_program_covers_every_step_shape():
     text = "\n".join(SOURCES.values())
     for shape in (
-        ".probe1",
-        ".probe\n",
+        ".index((0,), 2).get\n",
+        ".index((0, 1), 2).get\n",
+        ".index((0, 1, 2), 3).get\n",
+        "delta_rel.probe1\n",
+        "delta_rel.probe\n",
         "= delta_rel",
         " != f",
         "raise EvaluationError",
         "def s1(v",
     ):
         assert shape in text, shape
-    # A filter check, and a composite probe passing a tuple of positions.
+    # A filter check, a composite index read with a tuple key, and a
+    # composite delta-window probe passing a tuple of positions.
     assert re.search(r"if not h\d+\(", text)
+    assert re.search(r"g\d+\(\(\w+, \w+\), \(\)\)", text)
     assert re.search(r"q\d+\(\(\d+, \d+", text)
 
 
@@ -108,7 +116,42 @@ def test_emitted_source_holds_no_user_text(source):
         if isinstance(node, ast.arg):
             assert GENERATED_NAME.match(node.arg), (node.arg, source)
         if isinstance(node, ast.Attribute):
-            assert node.attr in {"lookup", "probe1", "probe", "append"}, source
+            assert node.attr in {
+                "lookup", "index", "get", "probe1", "probe", "append"
+            }, source
+
+
+def _loops(source):
+    """``(iterated expression, the body's leading test or "")`` per loop."""
+    return [
+        (
+            ast.unparse(node.iter),
+            ast.unparse(node.body[0].test) if isinstance(node.body[0], ast.If) else "",
+        )
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.For)
+    ]
+
+
+@pytest.mark.parametrize("source", SOURCES.values(), ids=SOURCES.keys())
+def test_only_scan_and_delta_steps_test_the_arity(source):
+    # An index holds rows of its step's arity only, so a probed step
+    # (``g<d>(key, ())``) needs no len() test; a scan of the relation
+    # (``r<d>``) and the delta window (``r<d>`` or ``q<d>(...)``) keep it.
+    for iterated, first in _loops(source):
+        if re.match(r"g\d+\(", iterated):
+            assert "len(" not in first, (iterated, first)
+        else:
+            assert re.match(r"(?:r\d+|q\d+\(.*\))$", iterated), iterated
+            assert re.match(r"len\(f\d+\) != \d+", first), (iterated, first)
+
+
+def test_repeated_variables_are_checked_on_probed_steps():
+    # gold(X) :- item(X, X, "..."): probed on its constant, the step still
+    # compares the two X positions of each row.
+    [(iterated, first)] = _loops(SOURCES["rule3-deltaNone"])
+    assert re.match(r"g\d+\(", iterated)
+    assert first == "f0[1] != f0[0]", first
 
 
 def test_rules_of_one_shape_share_one_source():

@@ -1,7 +1,7 @@
 """Relation indexes and the indexed join, checked against the oracle.
 
-The index tests probe :class:`~repro.datalog.columns.ColumnarRelation`'s
-lazily built access paths; the join tests compare the engine with the
+The index tests read :class:`~repro.datalog.columns.ColumnarRelation`'s
+lazily built ``index(positions, arity)`` access paths; the join tests compare the engine with the
 naive nested-loop reference evaluator of ``tests/datalog/oracle.py``.
 """
 
@@ -25,32 +25,35 @@ from tests.datalog import oracle
 
 def test_probe_on_bound_positions():
     index = ColumnarRelation({(1, "a"), (1, "b"), (2, "a")})
-    assert set(index.probe((0,), (1,))) == {(1, "a"), (1, "b")}
-    assert set(index.probe((1,), ("a",))) == {(1, "a"), (2, "a")}
-    assert set(index.probe((0, 1), (2, "a"))) == {(2, "a")}
-    assert list(index.probe((0,), (99,))) == []
+    assert set(index.index((0,), 2)[1]) == {(1, "a"), (1, "b")}
+    assert set(index.index((1,), 2)["a"]) == {(1, "a"), (2, "a")}
+    assert set(index.index((0, 1), 2)[(2, "a")]) == {(2, "a")}
+    assert list(index.index((0,), 2).get(99, ())) == []
 
 
 def test_probe_without_positions_is_full_scan():
     facts = {(1,), (2,)}
     index = ColumnarRelation(facts)
-    assert set(index.probe((), ())) == facts
+    # A step with no bound position iterates the relation itself.
+    assert set(index) == facts
+    assert index.index_count() == 0
 
 
 def test_add_maintains_materialised_indexes_incrementally():
     index = ColumnarRelation({(1, "a")})
-    assert set(index.probe((0,), (1,))) == {(1, "a")}  # materialises the index
+    assert set(index.index((0,), 2)[1]) == {(1, "a")}  # materialises the index
     assert index.add((1, "b"))
     assert not index.add((1, "b"))  # duplicate insert is a no-op
-    assert set(index.probe((0,), (1,))) == {(1, "a"), (1, "b")}
+    assert set(index.index((0,), 2)[1]) == {(1, "a"), (1, "b")}
     assert index.index_count() == 1
 
 
 def test_mixed_arity_facts_do_not_break_indexes():
     index = ColumnarRelation({(1, "a"), (7,)})
-    assert set(index.probe((1,), ("a",))) == {(1, "a")}
+    assert set(index.index((1,), 2)["a"]) == {(1, "a")}
     index.add((8,))
-    assert set(index.probe((1,), ("a",))) == {(1, "a")}
+    assert set(index.index((1,), 2)["a"]) == {(1, "a")}
+    assert set(index.index((0,), 1)) == {7, 8}
 
 
 def test_indexed_database_roundtrip():
@@ -162,11 +165,12 @@ def test_cartesian_product_rule():
 def test_add_batch_dedups_within_the_batch():
     relation = ColumnarRelation({(9, 9)})
     # Materialise an index first so batch insertion must maintain it.
-    assert list(relation.probe((0,), (9,))) == [(9, 9)]
+    assert relation.index((0,), 2)[9] == [(9, 9)]
     added = relation.add_batch([(1, 2), (1, 2), (9, 9), (3, 4), (1, 2)])
     assert added == 2
     assert len(relation) == 3
     # Each fact appears in the probed bucket exactly once.
-    assert list(relation.probe((0,), (1,))) == [(1, 2)]
-    assert list(relation.probe((0,), (3,))) == [(3, 4)]
-    assert list(relation.probe((0,), (9,))) == [(9, 9)]
+    index = relation.index((0,), 2)
+    assert index[1] == [(1, 2)]
+    assert index[3] == [(3, 4)]
+    assert index[9] == [(9, 9)]

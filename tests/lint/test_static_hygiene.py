@@ -139,22 +139,11 @@ ALLOWED_UNLOCKED_WRITES = {
         "EvaluationResult's lazy frozenset views; a result is consumed by "
         "the thread that evaluated it, engines are per-caller objects"
     ),
-    ("repro/datalog/columns.py", "_postings"): (
-        "columnar access paths are scratch storage inside one engine's "
-        "single-threaded evaluate() pass; cross-thread caches hold only "
-        "the materialised EvaluationResult, never these relations"
-    ),
-    ("repro/datalog/columns.py", "_posting_covered"): (
-        "catch-up watermark for the posting columns above; same "
-        "single-owner evaluation-scratch lifetime"
-    ),
-    ("repro/datalog/columns.py", "_composites"): (
-        "composite-key indexes of the same single-threaded evaluation "
-        "scratch storage as _postings"
-    ),
-    ("repro/datalog/columns.py", "_composite_covered"): (
-        "catch-up watermark for the composite indexes above; same "
-        "single-owner evaluation-scratch lifetime"
+    ("repro/datalog/columns.py", "_indexes"): (
+        "columnar indexes and their catch-up watermarks are scratch storage "
+        "inside one engine's single-threaded evaluate() pass; cross-thread "
+        "caches hold only the materialised EvaluationResult, never these "
+        "relations"
     ),
     ("repro/datalog/ltur.py", "_atom_ids"): (
         "atom interning table local to one LTUR solver instance, built and "
