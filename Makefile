@@ -1,14 +1,20 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test lint typecheck analyze explain-examples bench-quick bench
+.PHONY: check test perfbench-test lint typecheck analyze explain-examples bench-quick bench
 
-# Tier-1 gate plus lint, typecheck, static analysis, explain-plan smoke
-# and the quick benchmark pass; CI runs exactly this.
-check: lint typecheck analyze explain-examples test bench-quick
+# Tier-1 gate plus lint, typecheck, static analysis, explain-plan smoke,
+# the end-to-end benchmark's self-tests and the quick benchmark pass; CI
+# runs exactly this.
+check: lint typecheck analyze explain-examples test perfbench-test bench-quick
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The perfbench harness's own tests (about a second); bare pytest does not
+# collect them (testpaths=tests).
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 # Ruff is configured in pyproject.toml but is not part of the runtime
 # image; skip with a notice when it is unavailable (CI installs it).

@@ -122,28 +122,29 @@ class ConceptRegistry:
         self.register_regex("isPercentage", PERCENT_PATTERN, full_match=False)
 
 
+_CURRENCY_WORD = re.compile(r"\b(?:eur|usd|gbp|euro|dm)\b")
+_DATE = re.compile("|".join(f"(?:{pattern})" for pattern in DATE_PATTERNS))
+_NON_NUMERIC = re.compile(r"[^\d.,\-]")
+
+
 def _is_currency(value: str) -> bool:
     token = value.strip().lower()
     if token in CURRENCY_TOKENS:
         return True
-    # a currency symbol somewhere in a short token ("US $", "EUR ")
-    return any(symbol in value for symbol in ("$", "€", "£", "¥")) or any(
-        re.search(rf"\b{re.escape(word)}\b", token) for word in ("eur", "usd", "gbp", "euro", "dm")
+    # a currency symbol or code somewhere in a short token ("US $", "EUR ")
+    return any(symbol in value for symbol in ("$", "€", "£", "¥")) or (
+        _CURRENCY_WORD.search(token) is not None
     )
 
 
 def _is_date(value: str) -> bool:
-    text = value.strip().lower()
-    for pattern in DATE_PATTERNS:
-        if re.search(pattern, text):
-            return True
-    return False
+    return _DATE.search(value.strip().lower()) is not None
 
 
 def parse_number(value: str) -> Optional[float]:
     """Best-effort numeric parsing ('1.234,56', '1,234.56', '42')."""
     text = value.strip().replace(" ", "")
-    text = re.sub(r"[^\d.,\-]", "", text)
+    text = _NON_NUMERIC.sub("", text)
     if not text:
         return None
     if "," in text and "." in text:

@@ -11,7 +11,8 @@ parent node, but context- and internal-condition paths are matched anywhere
 within the relevant subtree (an implicit leading ``?``) — the paper stresses
 that "before and after predicates are much more flexible in that they allow
 for nodes before or after the target pattern instance node to be arbitrarily
-distant".
+distant".  :func:`lenient_path` builds that ``?``-prefixed path once per
+path and process, and its automaton is memoised like every other.
 
 Distance semantics: for a witness node B occurring before the target X, the
 distance is the number of document-order positions between the end of B's
@@ -34,8 +35,10 @@ before the target ends, which fails the ``after`` test.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..tree.document import Document
 from ..tree.node import Node
@@ -113,8 +116,13 @@ class ConditionContext:
         return value
 
 
+@functools.lru_cache(maxsize=1024)
 def lenient_path(path: ElementPath) -> ElementPath:
-    """Prefix the path with '?' so it matches anywhere within the subtree."""
+    """Prefix the path with '?' so it matches anywhere within the subtree.
+
+    Memoised per path, so a ``before`` / ``after`` / ``contains`` / ``subsq``
+    scope path is built once per process, not once per call.
+    """
     if path.steps and path.steps[0] == "?":
         return path
     return ElementPath(steps=("?",) + path.steps, conditions=path.conditions)
@@ -251,20 +259,23 @@ def _evaluate_comparison(
     if left is None or right is None:
         return []
     left_value, right_value = _coerce_pair(left, right)
-    operators = {
-        "lt": lambda a, b: a < b,
-        "le": lambda a, b: a <= b,
-        "gt": lambda a, b: a > b,
-        "ge": lambda a, b: a >= b,
-        "eq": lambda a, b: a == b,
-        "neq": lambda a, b: a != b,
-    }
-    if condition.operator not in operators:
+    compare = _COMPARISONS.get(condition.operator)
+    if compare is None:
         raise ValueError(f"unknown comparison operator {condition.operator!r}")
     try:
-        return [{}] if operators[condition.operator](left_value, right_value) else []
+        return [{}] if compare(left_value, right_value) else []
     except TypeError:
         return []
+
+
+_COMPARISONS: Dict[str, Callable[[Any, Any], bool]] = {
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+    "eq": operator.eq,
+    "neq": operator.ne,
+}
 
 
 def _coerce_pair(left: object, right: object) -> Tuple[object, object]:

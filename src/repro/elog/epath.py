@@ -21,15 +21,24 @@ parent node (exclusive) to the target node (inclusive) must match the
 sequence of steps, where a named step matches exactly that tag, ``*`` matches
 any single tag, and ``?`` matches any (possibly empty) sequence of tags.
 
-Matching is one automaton over the steps, shared by every entry point.  The
-states are step positions; a ``?`` step either stays (consuming a label) or
-is skipped, and ``*`` or a name advances by one.  :meth:`ElementPath.find_targets`
-walks the subtree once in pre-order, carrying the set of positions reached
-on the path from the parent, and prunes a subtree as soon as that set is
-empty.  The cost is O(subtree × steps) at worst, and an anchored path such as
-``.table`` visits only the parent's children.  :meth:`ElementPath.matches_path`
-and :meth:`ElementPath.match_target` fold the same step function over an
-explicit label sequence.
+Matching is one deterministic automaton per step sequence, shared by every
+entry point.  It is the subset construction (Rabin and Scott, 1959) over the
+step positions: position ``i`` means ``steps[:i]`` have consumed the labels
+seen so far, a ``?`` step either stays (consuming a label) or is skipped, and
+``*`` or a name advances by one.  :func:`_dfa` builds the whole automaton
+eagerly the first time a step sequence is matched and memoises it
+process-wide, so every later call reuses the same immutable value.  States
+are integers: 0 is the start state and -1 the dead state.  Each state has one
+``{label: next}`` dict for the labels that named steps mention and one
+default successor for every other label, so a step is
+``rows[state].get(label, other[state])``.  :meth:`ElementPath.find_targets`
+walks the subtree once in pre-order, carrying the state reached on the path
+from the parent; it prunes a subtree as soon as the state is dead, or once
+all steps are consumed and no position is left that could match deeper
+(a *final* state).  The cost is O(subtree) at worst, and an anchored path
+such as ``.table`` visits only the parent's children.
+:meth:`ElementPath.matches_path` and :meth:`ElementPath.match_target` fold
+the same automaton over an explicit label sequence.
 
 Attribute conditions are triples ``(attribute, value, mode)``:
 
@@ -40,13 +49,18 @@ Attribute conditions are triples ``(attribute, value, mode)``:
 * ``mode`` is ``exact``, ``substr``, ``regexp`` or ``regvar``; ``regvar``
   makes the condition *binding*: the pattern must contain ``\\var[NAME]`` and
   the text matched by that group is bound to the Elog variable ``NAME``.
+
+The pattern of a ``regexp`` / ``regvar`` condition is compiled when the
+condition is constructed, so a malformed regular expression is a parse
+error, never a failure in the middle of an extraction.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..tree.node import Node
 
@@ -64,10 +78,16 @@ class AttributeCondition:
     attribute: str
     value: str
     mode: str = "substr"  # exact | substr | regexp | regvar
+    _pattern: Optional[re.Pattern] = field(default=None, init=False, repr=False, compare=False)
+    _names: Tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("exact", "substr", "regexp", "regvar"):
             raise EPathSyntaxError(f"unknown attribute condition mode {self.mode!r}")
+        if self.mode in ("regexp", "regvar"):
+            pattern, names = compile_variable_pattern(self.value)
+            object.__setattr__(self, "_pattern", pattern)
+            object.__setattr__(self, "_names", names)
 
     # -- evaluation -----------------------------------------------------
     def matches(self, node: Node) -> Optional[Dict[str, str]]:
@@ -84,13 +104,12 @@ class AttributeCondition:
         if self.mode == "substr":
             return {} if self.value in subject else None
         # regexp / regvar
-        pattern, variable_names = compile_variable_pattern(self.value)
-        match = pattern.search(subject)
+        match = self._pattern.search(subject)
         if match is None:
             return None
         if self.mode == "regexp":
             return {}
-        return {name: match.group(name) for name in variable_names}
+        return {name: match.group(name) for name in self._names}
 
     def _subject_text(self, node: Node) -> Optional[str]:
         if self.attribute == "elementtext":
@@ -111,12 +130,15 @@ class AttributeCondition:
         return f"({self.attribute}, {self.value}, {self.mode})"
 
 
-def compile_variable_pattern(pattern_text: str) -> Tuple[re.Pattern, List[str]]:
+@functools.lru_cache(maxsize=1024)
+def compile_variable_pattern(pattern_text: str) -> Tuple[re.Pattern, Tuple[str, ...]]:
     """Compile a pattern that may contain ``\\var[NAME]`` capture markers.
 
     A variable marker matches one maximal whitespace-free token (so
     ``\\var[Y].*`` on the text ``"EUR 12.50"`` binds ``Y`` to ``EUR``); for
     arbitrary captures write an explicit regular expression group instead.
+    Returns the compiled pattern and the marker names in order, memoised
+    per pattern text.
     """
     names: List[str] = []
 
@@ -127,7 +149,7 @@ def compile_variable_pattern(pattern_text: str) -> Tuple[re.Pattern, List[str]]:
 
     regex_text = VAR_PATTERN.sub(replace, pattern_text)
     try:
-        return re.compile(regex_text), names
+        return re.compile(regex_text), tuple(names)
     except re.error as error:
         raise EPathSyntaxError(f"invalid pattern {pattern_text!r}: {error}") from error
 
@@ -161,12 +183,13 @@ class ElementPath:
     # -- evaluation -----------------------------------------------------------
     def matches_path(self, labels: Sequence[str]) -> bool:
         """Does the label sequence (parent-exclusive, target-inclusive) match?"""
-        states = _closure(self.steps, (0,))
+        rows, other, accepting, _ = _dfa(self.steps)
+        state = 0
         for label in labels:
-            states = _advance(self.steps, states, label)
-            if not states:
+            state = rows[state].get(label, other[state])
+            if state < 0:
                 return False
-        return len(self.steps) in states
+        return state in accepting
 
     def match_target(self, parent: Node, target: Node) -> Optional[Dict[str, str]]:
         """Check whether ``target`` is reachable from ``parent`` via this path
@@ -189,34 +212,37 @@ class ElementPath:
     def find_targets(self, parent: Node) -> List[Tuple[Node, Dict[str, str]]]:
         """All descendants of ``parent`` matched by this path, in doc order.
 
-        One pre-order pass that carries the step positions reached so far
-        and prunes every subtree where that set runs empty.  Transitions are
-        cached per pass, so a label seen again in the same state costs one
-        dict lookup.
+        One pre-order pass over the compiled automaton (see the module
+        docstring): each node costs one dict lookup, and a subtree is pruned
+        in a dead or final state.  The walk keeps one sibling iterator per
+        open level, paired with the state its nodes are entered from.
         """
-        steps = self.steps
-        accept = len(steps)
+        rows, other, accepting, final = _dfa(self.steps)
+        conditions = self.conditions
         results: List[Tuple[Node, Dict[str, str]]] = []
-        transitions: Dict[Tuple[FrozenSet[int], str], FrozenSet[int]] = {}
-        start = _closure(steps, (0,))
-        stack = [(child, start) for child in reversed(parent.children)]
-        while stack:
-            node, states = stack.pop()
-            key = (states, node.label)
-            reached = transitions.get(key)
-            if reached is None:
-                reached = transitions[key] = _advance(steps, states, node.label)
-            if not reached:
-                continue
-            if accept in reached:
-                if node.label != "#comment":
-                    bindings = self._check_conditions(node)
-                    if bindings is not None:
-                        results.append((node, bindings))
-                if len(reached) == 1:
-                    continue  # all steps consumed: nothing below can match
-            stack.extend((child, reached) for child in reversed(node.children))
-        return results
+        suspended: List[Tuple[Iterator[Node], int]] = []
+        siblings, entered = iter(parent.children), 0
+        while True:
+            for node in siblings:
+                label = node.label
+                state = rows[entered].get(label, other[entered])
+                if state < 0:
+                    continue
+                if state in accepting:
+                    if label != "#comment":
+                        bindings = self._check_conditions(node) if conditions else {}
+                        if bindings is not None:
+                            results.append((node, bindings))
+                    if state in final:
+                        continue  # all steps consumed: nothing below can match
+                if node.children:
+                    suspended.append((siblings, entered))
+                    siblings, entered = iter(node.children), state
+                    break
+            else:
+                if not suspended:
+                    return results
+                siblings, entered = suspended.pop()
 
     def _check_conditions(self, node: Node) -> Optional[Dict[str, str]]:
         bindings: Dict[str, str] = {}
@@ -296,6 +322,52 @@ def _split_top_level(text: str) -> List[str]:
     return parts
 
 
+class _Dfa(NamedTuple):
+    """The compiled automaton of one step sequence (see :func:`_dfa`)."""
+
+    rows: Tuple[Dict[str, int], ...]  # per state: named-step label -> next
+    other: Tuple[int, ...]  # per state: the next state on any other label
+    accepting: FrozenSet[int]  # every step consumed
+    final: FrozenSet[int]  # accepting with no position left: prune below
+
+
+@functools.lru_cache(maxsize=1024)
+def _dfa(steps: Tuple[str, ...]) -> _Dfa:
+    """The subset automaton of ``steps``, built eagerly and memoised.
+
+    A state is a set of step positions (:func:`_closure` /
+    :func:`_advance`), numbered in discovery order from the start state 0;
+    the empty set is the dead state -1.  Only the labels that named steps
+    mention get a row entry: every other label reaches the same set, the
+    state's ``other`` successor.  The rows are never mutated after this
+    returns.
+    """
+    accept = len(steps)
+    labels = sorted({step for step in steps if step not in ("?", "*")})
+    sets = [_closure(steps, (0,))]
+    numbers = {sets[0]: 0}
+
+    def number(reached: FrozenSet[int]) -> int:
+        if not reached:
+            return -1
+        if reached not in numbers:
+            numbers[reached] = len(sets)
+            sets.append(reached)
+        return numbers[reached]
+
+    rows: List[Dict[str, int]] = []
+    other: List[int] = []
+    for states in sets:  # grows while it is walked: each new set gets a row
+        rows.append({label: number(_advance(steps, states, label)) for label in labels})
+        other.append(number(_advance(steps, states, None)))
+    return _Dfa(
+        rows=tuple(rows),
+        other=tuple(other),
+        accepting=frozenset(n for n, states in enumerate(sets) if accept in states),
+        final=frozenset(n for n, states in enumerate(sets) if states == {accept}),
+    )
+
+
 def _closure(steps: Tuple[str, ...], states: Iterable[int]) -> FrozenSet[int]:
     """``states`` plus every step position reachable by skipping ``?`` steps.
 
@@ -310,8 +382,11 @@ def _closure(steps: Tuple[str, ...], states: Iterable[int]) -> FrozenSet[int]:
     return frozenset(closed)
 
 
-def _advance(steps: Tuple[str, ...], states: FrozenSet[int], label: str) -> FrozenSet[int]:
-    """The positions reached from ``states`` by consuming one ``label``."""
+def _advance(
+    steps: Tuple[str, ...], states: FrozenSet[int], label: Optional[str]
+) -> FrozenSet[int]:
+    """The positions reached from ``states`` by consuming one ``label``
+    (``None`` stands for a label that no named step mentions)."""
     reached = set()
     for position in states:
         if position == len(steps):

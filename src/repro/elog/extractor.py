@@ -26,7 +26,12 @@ fetches that failed before.
 
 One witness memo (see :mod:`repro.elog.conditions`) serves every candidate
 of an ``extract`` call, so a context condition scans its scope once per
-call rather than once per candidate.
+call rather than once per candidate.  Each rule's per-candidate conditions
+(all but ``firstsubtree``) are selected once per call, and a candidate of a
+rule with none left is accepted without building a condition context.
+Nothing is compiled here: element paths run on the automaton memoised per
+step sequence (:mod:`repro.elog.epath`), and regular expressions were
+compiled when the program was parsed.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from ..tree.node import Node
 from ..xmlgen.document import XmlElement
 from .ast import (
     ROOT_PATTERN,
+    Condition,
     ElogProgram,
     ElogRule,
     FirstSubtreeCondition,
@@ -175,6 +181,7 @@ class Extractor:
 
         rules = self.program.rules
         inputs = [_rule_inputs(rule) for rule in rules]
+        checks = [_checked_conditions(rule) for rule in rules]
         last_counts: List[Optional[Tuple[int, ...]]] = [None] * len(rules)
         witnesses: WitnessMemo = {}
         for _ in range(self.max_rounds):
@@ -185,7 +192,7 @@ class Extractor:
                     if counts == last_counts[index]:
                         continue
                     last_counts[index] = counts
-                if self._apply_rule(rule, base, fetched_urls, witnesses):
+                if self._apply_rule(rule, checks[index], base, fetched_urls, witnesses):
                     changed = True
             if not changed:
                 break
@@ -208,29 +215,31 @@ class Extractor:
     def _apply_rule(
         self,
         rule: ElogRule,
+        conditions: Tuple[Condition, ...],
         base: PatternInstanceBase,
         fetched_urls: Dict[str, PatternInstance],
         witnesses: WitnessMemo,
     ) -> bool:
         """Apply ``rule`` once; whether the instance base grew.
 
-        Documents the rule fetched count: a crawl round whose only effect
-        is a newly fetched page (say, a target retried after a failed
-        fetch) still hands later rules a new ``document`` instance.
+        ``conditions`` are the rule's conditions without ``firstsubtree``,
+        which selects among the accepted candidates instead.  Documents the
+        rule fetched count: a crawl round whose only effect is a newly
+        fetched page (say, a target retried after a failed fetch) still
+        hands later rules a new ``document`` instance.
         """
         size = len(base)
+        first_only = len(conditions) != len(rule.conditions)
         for parent_instance in self._parent_instances(rule, base, fetched_urls):
             candidates = self._candidates(rule, parent_instance)
             accepted: List[PatternInstance] = []
             for target, bindings in candidates:
                 instance = self._check_conditions(
-                    rule, parent_instance, target, bindings, base, witnesses
+                    rule, conditions, parent_instance, target, bindings, base, witnesses
                 )
                 if instance is not None:
                     accepted.append(instance)
-            if accepted and any(
-                isinstance(condition, FirstSubtreeCondition) for condition in rule.conditions
-            ):
+            if accepted and first_only:
                 accepted = [min(accepted, key=PatternInstance.anchor)]
             for instance in accepted:
                 base.add_instance(instance)
@@ -404,31 +413,30 @@ class Extractor:
     def _check_conditions(
         self,
         rule: ElogRule,
+        conditions: Tuple[Condition, ...],
         parent: PatternInstance,
         target: Union[Node, List[Node], str],
         bindings: Dict[str, object],
         base: PatternInstanceBase,
         witnesses: WitnessMemo,
     ) -> Optional[PatternInstance]:
-        context = ConditionContext(
-            document=self._document_of(parent),
-            parent_node=parent.node,
-            parent_nodes=parent.nodes,
-            target=target,
-            bindings=dict(bindings),
-            instance_base=base,
-            concepts=self.concepts,
-            witnesses=witnesses,
-        )
-        conditions = [
-            condition
-            for condition in rule.conditions
-            if not isinstance(condition, FirstSubtreeCondition)
-        ]
-        final_bindings = self._satisfy(conditions, 0, context)
+        # Every candidate carries its own fresh bindings dict, so a rule
+        # with nothing to check hands it on without a context.
+        final_bindings: Optional[Dict[str, object]] = bindings
+        if conditions:
+            context = ConditionContext(
+                document=self._document_of(parent),
+                parent_node=parent.node,
+                parent_nodes=parent.nodes,
+                target=target,
+                bindings=dict(bindings),
+                instance_base=base,
+                concepts=self.concepts,
+                witnesses=witnesses,
+            )
+            final_bindings = self._satisfy(conditions, 0, context)
         if final_bindings is None:
             return None
-        context.bindings = final_bindings
         parent_for_instance = parent
         if rule.is_specialisation() and parent.parent is not None:
             parent_for_instance = parent.parent
@@ -438,7 +446,7 @@ class Extractor:
                 parent=parent_for_instance,
                 value=target,
                 document=parent.document,
-                bindings=context.bindings,
+                bindings=final_bindings,
             )
         if isinstance(target, list):
             return PatternInstance(
@@ -446,19 +454,19 @@ class Extractor:
                 parent=parent_for_instance,
                 nodes=target,
                 document=parent.document,
-                bindings=context.bindings,
+                bindings=final_bindings,
             )
         return PatternInstance(
             pattern=rule.pattern,
             parent=parent_for_instance,
             node=target,
             document=parent.document,
-            bindings=context.bindings,
+            bindings=final_bindings,
         )
 
     def _satisfy(
         self,
-        conditions: List,
+        conditions: Tuple[Condition, ...],
         position: int,
         context: ConditionContext,
     ) -> Optional[Dict[str, object]]:
@@ -488,6 +496,15 @@ class Extractor:
                 return current.document
             current = current.parent
         raise ExtractionError("pattern instance is not attached to a document")
+
+
+def _checked_conditions(rule: ElogRule) -> Tuple[Condition, ...]:
+    """The conditions checked per candidate: all but ``firstsubtree``."""
+    return tuple(
+        condition
+        for condition in rule.conditions
+        if not isinstance(condition, FirstSubtreeCondition)
+    )
 
 
 def _rule_inputs(rule: ElogRule) -> Optional[Tuple[str, ...]]:

@@ -10,7 +10,8 @@ Elog variables usable in concept or comparison conditions (see the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..tree.node import Node
@@ -19,9 +20,20 @@ from .epath import compile_variable_pattern
 
 @dataclass(frozen=True)
 class TextPath:
-    """A compiled string path definition."""
+    """A compiled string path definition.
+
+    The pattern is compiled at construction, so a malformed one raises
+    :class:`~repro.elog.epath.EPathSyntaxError` from the parser.
+    """
 
     pattern_text: str
+    _pattern: re.Pattern = field(init=False, repr=False, compare=False)
+    _names: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        pattern, names = compile_variable_pattern(self.pattern_text)
+        object.__setattr__(self, "_pattern", pattern)
+        object.__setattr__(self, "_names", names)
 
     @classmethod
     def parse(cls, text: str) -> "TextPath":
@@ -29,10 +41,9 @@ class TextPath:
 
     def find_matches(self, node: Node) -> List[Tuple[str, Dict[str, str]]]:
         """All (matched substring, bindings) pairs in the node's text."""
-        text = node.normalized_text()
-        pattern, names = compile_variable_pattern(self.pattern_text)
+        names = self._names
         results: List[Tuple[str, Dict[str, str]]] = []
-        for match in pattern.finditer(text):
+        for match in self._pattern.finditer(node.normalized_text()):
             bindings = {name: match.group(name) for name in names if match.group(name)}
             results.append((match.group(0), bindings))
         return results

@@ -23,6 +23,7 @@ from repro.elog import Extractor
 from repro.elog.ast import AfterCondition, BeforeCondition, Condition
 from repro.elog.conditions import ConditionContext, evaluate_condition
 from repro.elog.epath import ElementPath
+from repro.elog.extractor import _checked_conditions
 from repro.elog.instance_base import PatternInstance, PatternInstanceBase
 from repro.tree import Document
 
@@ -49,7 +50,8 @@ class ReferenceExtractor(Extractor):
             for rule in self.program.rules:
                 # The witness memo goes unused: _satisfy below evaluates
                 # context conditions without it.
-                if self._apply_rule(rule, base, fetched_urls, {}):
+                conditions = _checked_conditions(rule)
+                if self._apply_rule(rule, conditions, base, fetched_urls, {}):
                     changed = True
             if not changed:
                 break
@@ -57,7 +59,7 @@ class ReferenceExtractor(Extractor):
 
     def _satisfy(
         self,
-        conditions: List[Condition],
+        conditions: Sequence[Condition],
         position: int,
         context: ConditionContext,
     ) -> Optional[Dict[str, object]]:

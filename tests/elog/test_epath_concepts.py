@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.elog import (
     DEFAULT_CONCEPTS,
@@ -13,6 +16,7 @@ from repro.elog import (
     TextPath,
     parse_number,
 )
+from repro.elog.concepts import CURRENCY_TOKENS, DATE_PATTERNS, _is_currency, _is_date
 from repro.elog.textpath import AttributePath
 from repro.html import parse_html
 
@@ -147,6 +151,41 @@ def test_builtin_concepts():
     assert DEFAULT_CONCEPTS.check("isEmail", "info@lixto.com")
     assert DEFAULT_CONCEPTS.check("isFlightNumber", "OS 123")
     assert DEFAULT_CONCEPTS.check("isPercentage", "12.5 %")
+
+
+def _old_is_currency(value: str) -> bool:
+    """The five-regex formula ``_is_currency`` replaced, kept as the oracle."""
+    token = value.strip().lower()
+    if token in CURRENCY_TOKENS:
+        return True
+    return any(symbol in value for symbol in ("$", "€", "£", "¥")) or any(
+        re.search(rf"\b{re.escape(word)}\b", token) for word in ("eur", "usd", "gbp", "euro", "dm")
+    )
+
+
+CURRENCY_PIECES = (
+    "eur", "EUR", "euro", "Euros", "usd", "gbp", "dm", "DM", "us", "e", "u",
+    "r", "o", "d", "m", "$", "€", "£", "¥", " ", "\t", "1", ".", ",", "-",
+    "_", "é", "ß",
+)
+
+
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(CURRENCY_PIECES), max_size=8).map("".join),
+        st.text(max_size=12),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_is_currency_agrees_with_the_five_regex_formula(value):
+    assert _is_currency(value) == _old_is_currency(value)
+
+
+@given(st.text(alphabet="0123456789./-, :janfebmrpyulgsoctvd", max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_is_date_agrees_with_searching_each_date_pattern(value):
+    text = value.strip().lower()
+    assert _is_date(value) == any(re.search(pattern, text) for pattern in DATE_PATTERNS)
 
 
 def test_concept_registry_extension():

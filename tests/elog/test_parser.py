@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Session
 from repro.elog import (
     AfterCondition,
     BeforeCondition,
@@ -152,6 +153,37 @@ def test_parse_errors():
     assert isinstance(raised.value.__cause__, EPathSyntaxError)
     with pytest.raises(ElogSyntaxError):
         parse_rule(bad_path)
+
+
+MALFORMED_PATTERN_RULES = {
+    "subtext": r"currency(S, X) <- price(_, S), subtext(S, \var[Y]**, X)",
+    "regexp": "price(S, X) <- record(_, S), subelem(S, (?.td, [(elementtext, a**, regexp)]), X)",
+    "regvar": "price(S, X) <- record(_, S), subelem(S, (?.td, [(elementtext, a**, regvar)]), X)",
+}
+
+
+@pytest.mark.parametrize("form", sorted(MALFORMED_PATTERN_RULES))
+def test_malformed_regex_is_a_syntax_error_with_the_rule_line(form):
+    text = (
+        'record(S, X) <- document("www.x.com/", S), subelem(S, .table, X)\n'
+        + MALFORMED_PATTERN_RULES[form]
+    )
+    with pytest.raises(ElogSyntaxError) as raised:
+        parse_elog(text)
+    assert raised.value.line == 2
+    assert "multiple repeat" in str(raised.value)
+    assert isinstance(raised.value.__cause__, EPathSyntaxError)
+
+
+@pytest.mark.parametrize("form", sorted(MALFORMED_PATTERN_RULES))
+def test_malformed_regex_is_reported_as_e000_by_session_analyze(form):
+    text = (
+        'record(S, X) <- document("www.x.com/", S), subelem(S, .table, X)\n'
+        + MALFORMED_PATTERN_RULES[form]
+    )
+    [diagnostic] = Session().analyze(text, kind="elog")
+    assert diagnostic.rule_id == "E000"
+    assert diagnostic.span is not None and diagnostic.span.line == 2
 
 
 def test_figure5_program_parses_to_expected_patterns():

@@ -109,3 +109,44 @@ def test_epath_find_targets_consistent_with_match_target(document, path_text):
         and all(condition.matches(node) is not None for condition in path.conditions)
     ]
     assert found == oracle
+
+
+#: Generated step tuples: names, ``*`` and ``?`` in any order, so ``??``
+#: runs, a trailing ``?`` and ``*`` next to ``?`` all occur; the pinned
+#: shapes make sure the first two are drawn in every run.
+step_tuples = st.one_of(
+    st.sampled_from([("?", "?", "a"), ("a", "?"), ("?", "b", "?"), ("?", "?")]),
+    st.lists(st.sampled_from(LABELS + ("*", "?")), min_size=1, max_size=5).map(tuple),
+)
+
+
+def _oracle_targets(path: ElementPath, parent: Node):
+    """The descendants of ``parent`` whose label path matches the oracle."""
+    regex = _steps_regex(path)
+    depth = len(parent.label_path_from_root())
+    return [
+        node
+        for node in parent.iter_descendants()
+        if node.label != "#comment"
+        and regex.fullmatch(
+            "".join(f"{label}/" for label in node.label_path_from_root()[depth:])
+        )
+    ]
+
+
+@given(documents(comments=True), step_tuples, st.data())
+@settings(max_examples=150, deadline=None)
+def test_generated_paths_find_what_the_regex_oracle_finds(document, steps, data):
+    path = ElementPath(steps=steps)
+    root = document.root
+    assert [node for node, _ in path.find_targets(root)] == _oracle_targets(path, root)
+    inner = data.draw(st.sampled_from(list(root.iter_preorder())))
+    assert [node for node, _ in path.find_targets(inner)] == _oracle_targets(path, inner)
+
+
+@given(step_tuples, st.lists(st.sampled_from(LABELS + ("d",)), max_size=7))
+@settings(max_examples=300, deadline=None)
+def test_generated_paths_match_label_sequences_like_the_regex_oracle(steps, labels):
+    path = ElementPath(steps=steps)
+    expected = _steps_regex(path).fullmatch("".join(f"{label}/" for label in labels))
+    assert path.matches_path(labels) == (expected is not None)
