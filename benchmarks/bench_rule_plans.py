@@ -7,6 +7,11 @@ workloads — deep-recursion graph reachability at 10^5+ edges and the
 classic same-generation program — and check that bucket memoisation keeps
 the number of compiled join plans small.  Headline numbers (median
 seconds) land in BENCH_engine.json.
+
+The ``tree_view_*`` series times one same-generation query over a document
+(fixpoint plus reading the answer) through the engine's document path,
+``fixpoint(document)``, against the plain-database path,
+``fixpoint(tree_database(document))``, at 300 and 1500 nodes.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import time
 
 import pytest
 
-from repro.datalog import SemiNaiveEngine, parse_program
+from repro.bench import scaling_tree
+from repro.datalog import SemiNaiveEngine, parse_program, tree_database
 
 REACH_PROGRAM_TEXT = """
 reach(Y) :- source(X), edge(X, Y).
@@ -110,6 +116,43 @@ def test_planned_random_graph_reachability(quick, bench_record):
     program, database = _random_reach_workload(edge_count)
     result = _measure(program, database, bench_record, f"reach_random_{edge_count}")
     assert len(result["reach"]) > edge_count // 2
+
+
+TREE_SG_PROGRAM_TEXT = """
+sg(X, Y) :- child(P, X), child(P, Y).
+sg(X, Y) :- child(XP, X), sg(XP, YP), child(YP, Y).
+"""
+
+
+@pytest.mark.parametrize("size", [300, 1500])
+def test_tree_view_same_generation(quick, bench_record, bench_record_samples, size):
+    document = scaling_tree(size, seed=size)
+    engine = SemiNaiveEngine(parse_program(TREE_SG_PROGRAM_TEXT))
+    sources = {
+        "document": lambda: document,
+        "database": lambda: tree_database(document),
+    }
+    samples = {path: [] for path in sources}
+    answers = {}
+    # Alternate the two paths so drift on a shared host hits both alike;
+    # each pass starts from an empty fixpoint cache.
+    for _ in range(5 if quick else 15):
+        for path, source in sources.items():
+            engine.clear_fixpoint_cache()
+            start = time.perf_counter()
+            answers[path] = engine.fixpoint(source()).query("sg")
+            samples[path].append(time.perf_counter() - start)
+    assert answers["document"] == answers["database"]
+    medians = {
+        path: bench_record_samples(f"tree_view_{size}_{path}_s", times)
+        for path, times in samples.items()
+    }
+    bench_record(f"tree_view_{size}_speedup_x", medians["database"] / medians["document"])
+    print(
+        f"\ntree_view {size} nodes: document {medians['document'] * 1000:.1f} ms, "
+        f"tree_database {medians['database'] * 1000:.1f} ms "
+        f"(medians of {len(samples['document'])})"
+    )
 
 
 def test_plan_cache_stays_small_across_fixpoint():

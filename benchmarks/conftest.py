@@ -15,6 +15,7 @@ as an artifact so future PRs can compare against it.
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -52,6 +53,26 @@ def bench_record():
 
     def record(workload: str, value: float) -> None:
         _RECORDED[workload] = round(float(value), 6)
+
+    return record
+
+
+@pytest.fixture(scope="session")
+def bench_record_samples():
+    """Record raw wall-clock ``samples`` of one workload: their median under
+    ``workload`` and ``{"n": count, "iqr": interquartile range}`` under
+    ``workload + "_spread"`` (a mapping, so the trajectory gate, which reads
+    numbers only, reports the median and skips the spread)."""
+
+    def record(workload: str, samples) -> float:
+        median = statistics.median(samples)
+        quartiles = statistics.quantiles(samples, n=4) if len(samples) > 1 else [median] * 3
+        _RECORDED[workload] = round(median, 6)
+        _RECORDED[f"{workload}_spread"] = {
+            "n": len(samples),
+            "iqr": round(quartiles[2] - quartiles[0], 6),
+        }
+        return median
 
     return record
 

@@ -11,8 +11,8 @@ Three backends ship with the reproduction, mirroring the paper's layers:
 ``"semi-naive"``
     Generic stratified datalog (:class:`~repro.datalog.engine.
     SemiNaiveEngine`) over ``{predicate: facts}`` databases — or over
-    documents, which are encoded through
-    :func:`~repro.datalog.tree_edb.tree_database` first.
+    documents, which the engine evaluates over their tau_ur relations,
+    built from the tree fingerprint (``SemiNaiveEngine.fixpoint``).
 ``"monadic"``
     Monadic datalog over trees (:class:`~repro.mdatalog.evaluator.
     MonadicTreeEvaluator`, the Theorem-2.4 pipeline with generic fallback)
@@ -37,7 +37,8 @@ from ..datalog.engine import SemiNaiveEngine
 from ..datalog.options import EngineOptions
 from ..datalog.parser import parse_program
 from ..datalog.registry import PlanRegistry, program_snapshot
-from ..datalog.tree_edb import tree_database
+# Not called here; kept importable because perfbench/layers.py wraps it.
+from ..datalog.tree_edb import tree_database  # noqa: F401
 from ..mdatalog.evaluator import MonadicTreeEvaluator
 from ..mdatalog.program import MonadicProgram
 from ..tree.document import Document
@@ -114,9 +115,7 @@ class SemiNaiveBackend(EvaluatorBackend):
     def run(self, evaluator, source):
         if isinstance(source, Document):
             return FactsResult(
-                evaluator.fixpoint(tree_database(source)),
-                document=source,
-                backend=self.name,
+                evaluator.fixpoint(source), document=source, backend=self.name
             )
         if isinstance(source, dict):
             return FactsResult(evaluator.fixpoint(source), backend=self.name)

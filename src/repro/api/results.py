@@ -131,9 +131,9 @@ class QueryResult:
 class FactsResult(QueryResult):
     """Datalog fixpoints (:class:`~repro.datalog.engine.EvaluationResult`).
 
-    When the database was derived from a document (the
-    :func:`~repro.datalog.tree_edb.tree_database` encoding), attach the
-    document so unary integer facts resolve to nodes.
+    When the fixpoint was computed over a document (its tau_ur relations,
+    whose domain is preorder indexes), attach the document so unary
+    integer facts resolve to nodes.
     """
 
     __slots__ = ("evaluation", "document")
@@ -150,15 +150,20 @@ class FactsResult(QueryResult):
 
     def predicates(self) -> FrozenSet[str]:
         # "Has at least one match" uniformly across adapters: relations the
-        # fixpoint mentions but leaves empty do not count.
+        # fixpoint mentions but leaves empty do not count.  Counted, not
+        # frozen: only the predicates a caller reads get a frozenset.
+        evaluation = self.evaluation
         return frozenset(
             predicate
-            for predicate in self.evaluation.predicates()
-            if self.evaluation.query(predicate)
+            for predicate in evaluation.predicates()
+            if evaluation.count(predicate)
         )
 
     def _tuples(self, predicate: str) -> FrozenSet[FactTuple]:
         return self.evaluation.query(predicate)
+
+    def count(self, predicate: str) -> int:
+        return self.evaluation.count(predicate)
 
     def _node_indexes(self, predicate: str) -> List[int]:
         document = self.document

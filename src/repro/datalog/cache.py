@@ -6,7 +6,12 @@ of the whole database that was rebuilt on *every* ``query()`` call.  The
 round-robin — thrashed that single slot, and even cache hits paid the O(|D|)
 snapshot allocation.
 
-:class:`FixpointCache` replaces it with an LRU keyed by cheap content hashes:
+:class:`FixpointCache` replaces it with an LRU keyed by cheap content hashes.
+A source is either a ``{predicate: facts}`` database or an exact, immutable
+key — a document's tree fingerprint
+(:func:`repro.datalog.tree_edb.tree_fingerprint`), which determines its
+whole tau_ur database.  An exact key is its own snapshot: it is hashed and
+compared with ``==``, nothing is copied.  For databases:
 
 * The per-lookup fingerprint is an allocation-free, order-independent XOR
   hash over the facts (:func:`database_content_hash`) — one O(|D|) pass with
@@ -49,6 +54,7 @@ from typing import (
     Optional,
     Tuple,
     TypeVar,
+    Union,
 )
 
 from .ast import Database
@@ -57,6 +63,10 @@ ResultT = TypeVar("ResultT")
 EntryT = TypeVar("EntryT")
 
 Snapshot = Dict[str, FrozenSet[Tuple[object, ...]]]
+#: What :class:`FixpointCache` keys on: a database, or an exact key (a tuple).
+Source = Union[Database, Tuple[object, ...]]
+#: What an entry keeps to verify a hit: a frozen database, or the exact key.
+Stored = Union[Snapshot, Tuple[object, ...]]
 
 
 class CacheInfo(NamedTuple):
@@ -168,15 +178,25 @@ class VerifiedLruBuckets(Generic[EntryT]):
 class _Entry(Generic[ResultT]):
     __slots__ = ("snapshot", "result")
 
-    def __init__(self, snapshot: Snapshot, result: ResultT) -> None:
+    def __init__(self, snapshot: Stored, result: ResultT) -> None:
         self.snapshot = snapshot
         self.result = result
 
 
-def _snapshot_matches(snapshot: Snapshot, database: Database) -> bool:
-    if len(snapshot) != len(database):
+def _content_fingerprint(source: Source) -> int:
+    if isinstance(source, tuple):
+        return hash(source)
+    return database_content_hash(source)
+
+
+def _snapshot_matches(snapshot: Stored, source: Source) -> bool:
+    if isinstance(source, tuple) or isinstance(snapshot, tuple):
+        # An exact key matches only an equal exact key (a tuple is never
+        # equal to a snapshot dict).
+        return snapshot == source
+    if len(snapshot) != len(source):
         return False
-    for predicate, facts in database.items():
+    for predicate, facts in source.items():
         stored = snapshot.get(predicate)
         if stored is None or stored != facts:
             return False
@@ -186,8 +206,10 @@ def _snapshot_matches(snapshot: Snapshot, database: Database) -> bool:
 class FixpointCache(Generic[ResultT]):
     """An LRU of evaluated fixpoints, keyed by cheap content fingerprints.
 
-    ``lookup`` returns ``(fingerprint, result-or-None)``; on a miss the
-    caller evaluates and calls ``store`` with the same fingerprint.  Entries
+    ``lookup(source)`` takes a database or an exact tuple key (see the
+    module docstring) and returns ``(fingerprint, result-or-None)``; on a
+    miss the caller evaluates and calls ``store`` with the same fingerprint
+    and source.  Entries
     whose hashes collide share a bucket and are disambiguated by exact
     verification, so correctness never depends on hash quality.
 
@@ -216,13 +238,13 @@ class FixpointCache(Generic[ResultT]):
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, database: Database) -> Tuple[int, Optional[ResultT]]:
-        # The O(|D|) hash pass reads only the caller's database — no shared
+    def lookup(self, source: Source) -> Tuple[int, Optional[ResultT]]:
+        # The O(|D|) hash pass reads only the caller's source — no shared
         # state — so it runs outside the lock.
-        fingerprint = database_content_hash(database)
+        fingerprint = _content_fingerprint(source)
         with self._lock:
             entry = self._entries.find(
-                fingerprint, lambda entry: _snapshot_matches(entry.snapshot, database)
+                fingerprint, lambda entry: _snapshot_matches(entry.snapshot, source)
             )
             if entry is not None:
                 self.hits += 1
@@ -230,21 +252,25 @@ class FixpointCache(Generic[ResultT]):
             self.misses += 1
             return fingerprint, None
 
-    def store(self, fingerprint: int, database: Database, result: ResultT) -> None:
+    def store(self, fingerprint: int, source: Source, result: ResultT) -> None:
         # Exact duplicates refresh the existing entry in place: repeated
         # stores of one database (callers skipping lookup, or racing
         # lookup/store pairs) must not inflate the size and evict hot
         # documents that are genuinely distinct.
         with self._lock:
             entry = self._entries.find(
-                fingerprint, lambda entry: _snapshot_matches(entry.snapshot, database)
+                fingerprint, lambda entry: _snapshot_matches(entry.snapshot, source)
             )
             if entry is not None:
                 entry.result = result
                 return
-            snapshot: Snapshot = {
-                predicate: frozenset(facts) for predicate, facts in database.items()
-            }
+            snapshot: Stored
+            if isinstance(source, tuple):
+                snapshot = source
+            else:
+                snapshot = {
+                    predicate: frozenset(facts) for predicate, facts in source.items()
+                }
             self._entries.insert(fingerprint, _Entry(snapshot, result))
 
     def clear(self) -> None:

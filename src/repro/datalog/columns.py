@@ -2,7 +2,7 @@
 
 * :class:`ColumnarRelation` — one relation as an *append-only row array*
   plus lazily built access paths of one kind, :meth:`ColumnarRelation.index`.
-  Every distinct fact tuple is interned exactly once (``rows[row_id] is
+  Every distinct fact tuple is stored exactly once (``rows[row_id] is
   the fact``).  An index is identified by its bound positions *and* an
   arity: it maps the bound value (one position) or the tuple of bound
   values (several positions) to the list of interned rows of exactly that
@@ -24,16 +24,18 @@ The compiled rule executors of :mod:`repro.datalog.plan` read these
 classes directly: once per call they capture ``index(...).get`` for each
 probed step, then probe with plain ``dict.get`` calls.
 
-Columnar state is engine-internal scratch, like compiled plans: fixpoint
-caching and plan-registry fingerprints never see it — both key on plain
-databases and program content.
+Relations and their indexes are engine-internal scratch, like compiled
+plans.  What outlives an evaluation is only the finished row arrays
+(:meth:`ColumnarDatabase.row_arrays`), which a
+:class:`~repro.datalog.engine.EvaluationResult` holds and the fixpoint
+cache keeps; the indexes die with the database.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .ast import Database
 
@@ -68,46 +70,57 @@ class StorageStats:
 class ColumnarRelation:
     """One relation as an append-only row array plus its indexes.
 
-    ``rows`` is insertion-ordered and append-only: a fact's index in it is
-    its row id, which is what makes range-slice deltas sound.  ``_row_of``
-    interns facts (dedup + membership).  Indexes are built lazily on first
-    use and maintained by *batch catch-up*: each one records the row
-    watermark it covers, appends touch no index at all, and
-    :meth:`index` first folds in ``rows[covered:]``.  An index that is
-    never asked for again (e.g. a naive-round index on a derived relation)
-    therefore costs nothing as the relation grows, and a static relation's
-    catch-up is a single integer comparison.
+    ``rows`` is append-only: a fact's index in it is its row id, which is
+    what makes range-slice deltas sound.  ``_seen`` is the set of the rows
+    (dedup + membership); it is built on first need, so a relation that is
+    only read — an EDB relation without negation on it — never has one.
+    Indexes are built lazily on first use and maintained by *batch
+    catch-up*: each one records the row watermark it covers, appends touch
+    no index at all, and :meth:`index` first folds in ``rows[covered:]``.
+    An index that is never asked for again (e.g. a naive-round index on a
+    derived relation) therefore costs nothing as the relation grows, and a
+    static relation's catch-up is a single integer comparison.
+
+    ``distinct=True`` adopts ``facts`` — a list the caller knows to be
+    duplicate-free and hands over — as the row array itself, with no
+    dedup pass (the tau_ur relations of
+    :class:`~repro.datalog.tree_edb.TreeRelations`).  Otherwise the
+    constructor keeps the first occurrence of each fact, in input order.
     """
 
-    __slots__ = ("rows", "_row_of", "_indexes", "_stats")
+    __slots__ = ("rows", "_seen", "_indexes", "_stats")
 
     def __init__(
-        self, facts: Iterable[Fact] = (), stats: Optional[StorageStats] = None
+        self,
+        facts: Iterable[Fact] = (),
+        stats: Optional[StorageStats] = None,
+        *,
+        distinct: bool = False,
     ) -> None:
-        self.rows: List[Fact] = []
-        self._row_of: Dict[Fact, int] = {}
+        self.rows: List[Fact] = (
+            facts if distinct else list(dict.fromkeys(facts))  # type: ignore[assignment]
+        )
+        self._seen: Optional[Set[Fact]] = None
         #: ``(positions, arity)`` -> (buckets, row watermark they cover).
         self._indexes: Dict[
             Tuple[Tuple[int, ...], int], Tuple[Dict[object, List[Fact]], int]
         ] = {}
         self._stats = stats if stats is not None else StorageStats()
-        if facts:
-            # Bulk EDB load: no index exists yet, so interning is the
-            # whole job.
-            rows = self.rows
-            row_of = self._row_of
-            for f in facts:
-                if f not in row_of:
-                    row_of[f] = len(rows)
-                    rows.append(f)
-            self._stats.rows_interned += len(rows)
+        self._stats.rows_interned += len(self.rows)
+
+    def _members(self) -> Set[Fact]:
+        """The set of the rows, built on first need."""
+        seen = self._seen
+        if seen is None:
+            seen = self._seen = set(self.rows)
+        return seen
 
     # -- container protocol -------------------------------------------------
     def __len__(self) -> int:
         return len(self.rows)
 
     def __contains__(self, fact: Fact) -> bool:
-        return fact in self._row_of
+        return fact in self._members()
 
     def __iter__(self) -> Iterator[Fact]:
         return iter(self.rows)
@@ -122,10 +135,10 @@ class ColumnarRelation:
         Appends never touch an index: every index catches up to the
         current watermark the next time it is asked for (batch
         maintenance)."""
-        row_of = self._row_of
-        if fact in row_of:
+        seen = self._members()
+        if fact in seen:
             return False
-        row_of[fact] = len(self.rows)
+        seen.add(fact)
         self.rows.append(fact)
         self._stats.rows_interned += 1
         return True
@@ -133,17 +146,21 @@ class ColumnarRelation:
     def add_batch(self, new_facts: Iterable[Fact]) -> int:
         """Bulk-append facts; returns how many were actually new.
 
-        Interning dedups within the batch and against the relation; index
-        upkeep is deferred to the next :meth:`index` call, so the batch
-        itself is one pure interning pass.
+        Dedups within the batch and against the relation through the
+        membership set; new facts append in batch order.  (Deduplicating
+        with C-level set operations instead — ``set(batch) - seen`` —
+        measured slower on the same-generation and descendant fixpoints.)
+        Index upkeep is deferred to the next :meth:`index` call.
         """
+        seen = self._members()
         rows = self.rows
-        row_of = self._row_of
         before = len(rows)
+        add = seen.add
+        append = rows.append
         for fact in new_facts:
-            if fact not in row_of:
-                row_of[fact] = len(rows)
-                rows.append(fact)
+            if fact not in seen:
+                add(fact)
+                append(fact)
         count = len(rows) - before
         self._stats.rows_interned += count
         return count
@@ -262,14 +279,18 @@ class ColumnarDatabase:
 
     def __init__(
         self,
-        database: Optional[Database] = None,
+        database: Optional[Mapping[str, Iterable[Fact]]] = None,
         stats: Optional[StorageStats] = None,
+        *,
+        distinct: bool = False,
     ) -> None:
         self.relations: Dict[str, ColumnarRelation] = {}
         self.stats = stats if stats is not None else StorageStats()
         if database:
             for predicate, facts in database.items():
-                self.relations[predicate] = ColumnarRelation(facts, self.stats)
+                self.relations[predicate] = ColumnarRelation(
+                    facts, self.stats, distinct=distinct
+                )
 
     # -- access --------------------------------------------------------------
     def relation(self, predicate: str) -> ColumnarRelation:
@@ -304,7 +325,7 @@ class ColumnarDatabase:
 
         The sweep loop binds head relations and delta windows eagerly; any
         that never received a row must not surface as a spurious empty
-        entry in :meth:`to_database`."""
+        entry in :meth:`row_arrays` or :meth:`to_database`."""
         for predicate in predicates:
             rel = self.relations.get(predicate)
             if rel is not None and not rel.rows:
@@ -321,12 +342,15 @@ class ColumnarDatabase:
         return ColumnarWindow(predicate, self.relation(predicate), lo, hi)
 
     # -- export --------------------------------------------------------------
-    def to_database(self) -> Database:
-        """A plain ``{predicate: set of facts}`` snapshot.
+    def row_arrays(self) -> Dict[str, List[Fact]]:
+        """``{predicate: row array}`` — the finished relations without their
+        indexes or membership sets, shared, not copied (what an
+        :class:`~repro.datalog.engine.EvaluationResult` holds)."""
+        return {predicate: rel.rows for predicate, rel in self.relations.items()}
 
-        This is the only shape that escapes the engine — fixpoint results
-        and cache entries carry plain databases.
-        """
+    def to_database(self) -> Database:
+        """A plain ``{predicate: set of facts}`` copy (``SemiNaiveEngine.
+        evaluate``'s return shape for dict callers)."""
         return {predicate: set(rel.rows) for predicate, rel in self.relations.items()}
 
 

@@ -2,7 +2,9 @@
 
 This is the reference engine the theory packages compare against.  It works
 for arbitrary (function-free, safe) datalog programs over an extensional
-database given as ``{predicate: set of tuples}``.
+database given as ``{predicate: set of tuples}``, or over a
+:class:`~repro.tree.document.Document`, whose extensional database is its
+tau_ur structure (Section 2.2).
 
 Evaluation has exactly one path (see ROADMAP.md and docs/ENGINE.md for the
 full picture):
@@ -19,18 +21,23 @@ full picture):
    registry (:mod:`repro.datalog.registry`) shares strata, plans and
    trigger maps across every engine constructed over content-equal programs
    (``share_plans=False`` opts out); join-order memos stay per-engine.
-2. **Storage** (:mod:`repro.datalog.columns`) — relations intern rows into
-   append-only arrays and serve probes from one kind of lazily
+2. **Storage** (:mod:`repro.datalog.columns`) — relations keep their rows
+   in append-only arrays and serve probes from one kind of lazily
    materialised index, keyed by bound positions and arity, that catches
-   up to the row array in batch on first use after appends.
+   up to the row array in batch on first use after appends.  A document's
+   tau_ur relations are built straight from its tree fingerprint
+   (:class:`~repro.datalog.tree_edb.TreeRelations`), only those the
+   program mentions, as duplicate-free row arrays adopted without dedup.
 3. **Semi-naive loop** — a naive first round followed by delta iteration.
    Deltas are :class:`~repro.datalog.columns.ColumnarWindow` row-id range
    slices over the interned row arrays (no per-iteration copying); derived
    facts land via batched ``add_batch`` appends.
 4. **Fixpoint caching** (:mod:`repro.datalog.cache`) — ``fixpoint()`` keeps
-   an LRU of evaluated databases keyed by cheap content hashes with exact
-   verification on hit, sized for the several hot documents of the
-   :mod:`repro.server.pipeline` access pattern.
+   one LRU of results, sized for the several hot documents of the
+   :mod:`repro.server.pipeline` access pattern.  A document is keyed by its
+   exact tree fingerprint; a dict database by a cheap content hash with
+   exact snapshot verification on hit.  A result holds the finished row
+   arrays and freezes a predicate's extension only when it is queried.
 
 A naive nested-loop evaluator lives under ``tests/`` as the reference
 oracle; the property suites assert this engine computes its fixpoints.
@@ -42,8 +49,21 @@ check both engines agree.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import (
+    Collection,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
+from ..tree.document import Document
 from .ast import Database, Program
 from .cache import CacheInfo, FixpointCache
 from .columns import ColumnarDatabase, StorageStats
@@ -51,6 +71,7 @@ from .options import DEFAULT_OPTIONS, EngineOptions
 from .plan import PlanMemo, RulePlan, compile_stratum
 from .registry import PlanRegistry, shared_registry
 from .stratify import stratify
+from .tree_edb import TreeRelations, tree_fingerprint
 
 _EMPTY_EXTENSION: FrozenSet[Tuple[object, ...]] = frozenset()
 
@@ -106,13 +127,32 @@ class EvaluationResult:
     Returned by :meth:`SemiNaiveEngine.fixpoint` and cached by the engine so
     that repeated queries over the same database (the
     :mod:`repro.server.pipeline` access pattern) do not recompute.
+
+    ``facts`` maps each predicate to its duplicate-free facts (the engine
+    passes its finished row arrays; plain sets work too) and is never
+    mutated.  A document's fixpoint also carries the document's
+    :class:`~repro.datalog.tree_edb.TreeRelations`: a tau_ur relation the
+    program never mentioned was never built, and is built from the tree
+    fingerprint when asked for.  Nothing is frozen until :meth:`query`
+    asks for that predicate.
     """
 
-    __slots__ = ("_facts", "_views")
+    __slots__ = ("_facts", "_tree", "_views")
 
-    def __init__(self, facts: Database) -> None:
+    def __init__(
+        self,
+        facts: Mapping[str, Collection[Tuple[object, ...]]],
+        tree: Optional[TreeRelations] = None,
+    ) -> None:
         self._facts = facts
+        self._tree = tree
         self._views: Dict[str, FrozenSet[Tuple[object, ...]]] = {}
+
+    def _extension(self, predicate: str) -> Collection[Tuple[object, ...]]:
+        facts = self._facts.get(predicate)
+        if facts is None and self._tree is not None:
+            facts = self._tree.rows(predicate)
+        return facts or ()
 
     def query(self, predicate: str) -> FrozenSet[Tuple[object, ...]]:
         """The extension of ``predicate`` as an immutable ``frozenset`` view.
@@ -130,20 +170,30 @@ class EvaluationResult:
         """
         view = self._views.get(predicate)
         if view is None:
-            facts = self._facts.get(predicate)
+            facts = self._extension(predicate)
             view = frozenset(facts) if facts else _EMPTY_EXTENSION
             self._views[predicate] = view
         return view
 
+    def count(self, predicate: str) -> int:
+        """The number of facts of ``predicate``, without freezing them."""
+        view = self._views.get(predicate)
+        return len(view) if view is not None else len(self._extension(predicate))
+
     def facts(self) -> Database:
         """A fresh ``{predicate: facts}`` snapshot of the whole fixpoint."""
-        return {predicate: set(facts) for predicate, facts in self._facts.items()}
+        return {predicate: set(self._extension(predicate)) for predicate in self.predicates()}
 
     def predicates(self) -> Set[str]:
-        return set(self._facts)
+        names = set(self._facts)
+        if self._tree is not None:
+            names |= self._tree.names()
+        return names
 
     def __contains__(self, predicate: str) -> bool:
-        return predicate in self._facts
+        return predicate in self._facts or (
+            self._tree is not None and predicate in self._tree.names()
+        )
 
 
 class SemiNaiveEngine:
@@ -191,6 +241,9 @@ class SemiNaiveEngine:
         self.program = program
         self.options = options
         self.share_plans = options.share_plans
+        #: Every predicate a rule reads or derives; a document fixpoint
+        #: builds those that are tau_ur relations before evaluating.
+        self._mentioned = tuple(sorted(program.all_predicates()))
         self._storage_stats = StorageStats()
         self._fixpoint_cache: FixpointCache[EvaluationResult] = FixpointCache(
             options.cache_size
@@ -259,7 +312,10 @@ class SemiNaiveEngine:
     # ------------------------------------------------------------------
     def evaluate(self, database: Database) -> Database:
         """Return all derived facts (EDB facts included in the result)."""
-        facts = ColumnarDatabase(database, self._storage_stats)
+        return self._run(ColumnarDatabase(database, self._storage_stats)).to_database()
+
+    def _run(self, facts: ColumnarDatabase) -> ColumnarDatabase:
+        """Evaluate every stratum over ``facts`` in place."""
         # Pre-build the indexes the seeded plans will probe — the same ones
         # the executors would build on first call, just before the fixpoint
         # starts instead of mid-stratum.  Empty without seeded planning.
@@ -267,7 +323,22 @@ class SemiNaiveEngine:
             facts.lookup(predicate).index(positions, arity)
         for plans, triggers in zip(self._stratum_plans, self._stratum_triggers):
             self._evaluate_stratum(plans, triggers, facts)
-        return facts.to_database()
+        return facts
+
+    def _evaluate_tree(self, tree: TreeRelations) -> EvaluationResult:
+        """The fixpoint over a document's tau_ur structure.
+
+        Only the relations the program mentions are built, straight from
+        the fingerprint and adopted as row arrays without dedup; the result
+        builds any other tau_ur relation when it is asked for.
+        """
+        edb: Dict[str, List[Tuple[object, ...]]] = {}
+        for predicate in self._mentioned:
+            rows = tree.rows(predicate)
+            if rows is not None:
+                edb[predicate] = rows
+        facts = ColumnarDatabase(edb, self._storage_stats, distinct=True)
+        return EvaluationResult(self._run(facts).row_arrays(), tree)
 
     def engine_info(self) -> EngineInfo:
         """Storage/executor counters (see :class:`EngineInfo`).
@@ -285,26 +356,39 @@ class SemiNaiveEngine:
             closure_compiles=sum(len(memo) for memo in self._plan_memos.values()),
         )
 
-    def fixpoint(self, database: Database) -> EvaluationResult:
-        """Evaluate with LRU memoisation per database content.
+    def fixpoint(self, source: Union[Database, Document]) -> EvaluationResult:
+        """Evaluate with LRU memoisation per database or document content.
 
-        Lookups pay one allocation-free O(|D|) content-hash pass plus, on a
-        hash hit, one exact comparison against the stored snapshot (built
-        once at store time, unlike the PR-1 cache that rebuilt a frozenset
-        key per query) — a stale hit can never return a wrong fixpoint.
-        The LRU holds several entries so the multi-document server working
-        set does not thrash the cache.
+        A :class:`~repro.tree.document.Document` is evaluated over its
+        tau_ur structure and keyed by its exact
+        :func:`~repro.datalog.tree_edb.tree_fingerprint`, so equal but
+        distinct documents hit and a mutated one misses; its relations are
+        built from the fingerprint (see :meth:`_evaluate_tree`), never
+        through :func:`~repro.datalog.tree_edb.tree_database`.
+
+        A dict database pays one allocation-free O(|D|) content-hash pass
+        plus, on a hash hit, one exact comparison against the snapshot
+        stored with the entry — a stale hit can never return a wrong
+        fixpoint.  The LRU holds several entries so the multi-document
+        server working set does not thrash the cache.
         """
-        fingerprint, cached = self._fixpoint_cache.lookup(database)
+        key = tree_fingerprint(source) if isinstance(source, Document) else source
+        fingerprint, cached = self._fixpoint_cache.lookup(key)
         if cached is not None:
             return cached
-        result = EvaluationResult(self.evaluate(database))
-        self._fixpoint_cache.store(fingerprint, database, result)
+        if isinstance(key, tuple):
+            result = self._evaluate_tree(TreeRelations(key))
+        else:
+            facts = self._run(ColumnarDatabase(key, self._storage_stats))
+            result = EvaluationResult(facts.row_arrays())
+        self._fixpoint_cache.store(fingerprint, key, result)
         return result
 
-    def query(self, database: Database, predicate: str) -> FrozenSet[Tuple[object, ...]]:
+    def query(
+        self, source: Union[Database, Document], predicate: str
+    ) -> FrozenSet[Tuple[object, ...]]:
         """Evaluate (cached) and return the extension of ``predicate``."""
-        return self.fixpoint(database).query(predicate)
+        return self.fixpoint(source).query(predicate)
 
     def fixpoint_cache_info(self) -> CacheInfo:
         """Hit/miss statistics of the fixpoint LRU (for tests/benchmarks)."""

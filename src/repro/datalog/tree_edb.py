@@ -7,14 +7,24 @@ Section 2.2 defines the relational structure
 
 This module materialises those relations (plus the commonly used ``child``
 relation and the derived ``firstsibling`` unary relation mentioned in
-Section 4) as a datalog database whose domain elements are the document's
-preorder indexes.  Keeping the domain integral makes facts hashable and keeps
-the generic engine fast.
+Section 4) whose domain elements are the document's preorder indexes.
+Keeping the domain integral makes facts hashable and keeps the generic
+engine fast.
+
+Every relation is determined by node labels plus tree shape, i.e. by
+:func:`tree_fingerprint`.  Two views exist:
+
+* :class:`TreeRelations` — the engine's view: one relation at a time, built
+  straight from the fingerprint as a duplicate-free row list, only when
+  asked for.  ``SemiNaiveEngine.fixpoint(document)`` builds the relations
+  its program mentions and answers the others on demand.
+* :func:`tree_database` — the whole signature as a ``{predicate: set}``
+  database, for callers that want a plain datalog database.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..tree.document import Document
 from ..tree.node import Node
@@ -79,15 +89,19 @@ def tree_database(document: Document, include_child: bool = True) -> Database:
     return database
 
 
-def tree_fingerprint(document: Document) -> Tuple[Tuple[str, int], ...]:
+Fingerprint = Tuple[Tuple[str, int], ...]
+
+
+def tree_fingerprint(document: Document) -> Fingerprint:
     """An exact content fingerprint of the tau_ur view of ``document``.
 
     Every tau_ur relation is determined by node labels plus tree shape, and
     the shape is fully determined by the preorder sequence of
     ``(label, parent preorder index)`` pairs (siblings appear in order in a
     preorder traversal).  Equal fingerprints therefore mean equal
-    :func:`tree_database` contents — the key the monadic ground pipeline's
-    fixpoint LRU uses so equal-but-distinct documents hit.
+    :func:`tree_database` contents — the key both the semi-naive fixpoint
+    cache and the monadic pipeline's truth-table LRU use for documents, so
+    equal-but-distinct documents hit.
     """
     return tuple(
         (
@@ -96,6 +110,95 @@ def tree_fingerprint(document: Document) -> Tuple[Tuple[str, int], ...]:
         )
         for node in document
     )
+
+
+_FIXED_RELATIONS = frozenset(TAU_UR_UNARY + TAU_UR_BINARY + EXTENDED_BINARY)
+
+
+class TreeRelations:
+    """The tau_ur relations of one tree, built per relation from its fingerprint.
+
+    :meth:`rows` returns a fresh duplicate-free row list (facts are tuples
+    of preorder ids, as in :func:`tree_database`), so the engine adopts it
+    as a relation's row array without interning.  Nothing is built until a
+    relation is asked for; the sibling arrays are computed once, on first
+    need.  Instances are immutable in content and safe to share between
+    threads (a racing first use computes equal arrays twice).
+    """
+
+    __slots__ = ("fingerprint", "_labels", "_functions")
+
+    def __init__(self, fingerprint: Fingerprint) -> None:
+        self.fingerprint = fingerprint
+        self._labels: Optional[FrozenSet[str]] = None
+        self._functions: Optional[Tuple[List[int], List[int], List[int]]] = None
+
+    def names(self) -> FrozenSet[str]:
+        """Every relation of the signature: the fixed ones (also when empty)
+        and ``label_a`` for each label ``a`` that occurs — the keys of
+        :func:`tree_database`."""
+        return _FIXED_RELATIONS | {label_predicate(label) for label in self._label_set()}
+
+    def rows(self, predicate: str) -> Optional[List[Tuple[object, ...]]]:
+        """The facts of ``predicate``, or ``None`` when it is not a relation
+        of this tree (another name, or the label of no node)."""
+        fingerprint = self.fingerprint
+        n = len(fingerprint)
+        if predicate.startswith("label_"):
+            label = predicate[len("label_"):]
+            if label not in self._label_set():
+                return None
+            return [(node,) for node, (name, _) in enumerate(fingerprint) if name == label]
+        if predicate not in _FIXED_RELATIONS:
+            return None
+        if predicate == "root":
+            return [(0,)] if n else []
+        if predicate == "child":
+            return [
+                (parent, node) for node, (_, parent) in enumerate(fingerprint) if parent >= 0
+            ]
+        first, following, last = self.sibling_functions()
+        if predicate == "leaf":
+            return [(node,) for node, child in enumerate(first) if child == n]
+        # The root is neither a first nor a last sibling: it has no parent.
+        if predicate == "firstsibling":
+            return [(child,) for child in first if child != n]
+        if predicate == "lastsibling":
+            return [(child,) for child in last if child != n]
+        function = {"firstchild": first, "nextsibling": following, "lastchild": last}[
+            predicate
+        ]
+        return [(node, image) for node, image in enumerate(function) if image != n]
+
+    def _label_set(self) -> FrozenSet[str]:
+        labels = self._labels
+        if labels is None:
+            labels = self._labels = frozenset(label for label, _ in self.fingerprint)
+        return labels
+
+    def sibling_functions(self) -> Tuple[List[int], List[int], List[int]]:
+        """firstchild, nextsibling and lastchild as int arrays over preorder
+        ids, computed once.
+
+        One pass over the preorder ``(label, parent)`` fingerprint: siblings
+        arrive in order.  Where a function is undefined it maps to the
+        sentinel ``n`` (one past the last node).
+        """
+        functions = self._functions
+        if functions is None:
+            fingerprint = self.fingerprint
+            n = len(fingerprint)
+            first, following, last = [n] * n, [n] * n, [n] * n
+            for node, (_, parent) in enumerate(fingerprint):
+                if parent >= 0:
+                    previous = last[parent]
+                    if previous == n:
+                        first[parent] = node
+                    else:
+                        following[previous] = node
+                    last[parent] = node
+            functions = self._functions = (first, following, last)
+        return functions
 
 
 def nodes_for_indexes(document: Document, indexes) -> List[Node]:

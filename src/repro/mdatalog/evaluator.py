@@ -24,20 +24,28 @@ building the ground program:
    O(|P| * |dom|).
 
 Programs outside the TMNF-rewritable fragment (cyclic rule bodies, negation)
-transparently fall back to the generic semi-naive engine over the tree
-database, preserving semantics at the price of the general-case complexity.
+transparently fall back to the generic semi-naive engine over the document
+(``SemiNaiveEngine.fixpoint(document)``), preserving semantics at the price
+of the general-case complexity.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..datalog.cache import CacheInfo, LruMap
 from ..datalog.engine import SemiNaiveEngine
 from ..datalog.options import DEFAULT_OPTIONS, EngineOptions
 from ..datalog.registry import PlanRegistry
-from ..datalog.tree_edb import TAU_UR_UNARY, tree_database, tree_fingerprint
+# tree_database is not called here; kept importable because
+# perfbench/layers.py wraps it.
+from ..datalog.tree_edb import (  # noqa: F401
+    TAU_UR_UNARY,
+    TreeRelations,
+    tree_database,
+    tree_fingerprint,
+)
 from ..tree.document import Document
 from ..tree.node import Node
 from .program import MonadicProgram
@@ -138,25 +146,16 @@ def _shared_trigger_table(program: MonadicProgram) -> Optional[_TriggerTable]:
     return table
 
 
-def _tree_functions(fingerprint: Tuple[Tuple[str, int], ...]) -> List[Sequence[int]]:
+def _tree_functions(tree: TreeRelations) -> List[Sequence[int]]:
     """The identity, firstchild, nextsibling, lastchild and the inverses of
     the last three as int arrays, indexed by step id.
 
-    One pass over the preorder ``(label, parent)`` fingerprint: siblings
-    arrive in order.  Where a function is undefined it maps to the sentinel
-    ``n`` (one past the last node), which every truth table holds true, so
-    a step off the tree never derives anything.
+    Where a function is undefined it maps to the sentinel ``n`` (one past
+    the last node), which every truth table holds true, so a step off the
+    tree never derives anything.
     """
-    n = len(fingerprint)
-    first, following, last = [n] * n, [n] * n, [n] * n
-    for node, (_, parent) in enumerate(fingerprint):
-        if parent >= 0:
-            previous = last[parent]
-            if previous == n:
-                first[parent] = node
-            else:
-                following[previous] = node
-            last[parent] = node
+    n = len(tree.fingerprint)
+    first, following, last = tree.sibling_functions()
     functions: List[Sequence[int]] = [range(n), first, following, last]
     for forward in (first, following, last):
         inverse = [n] * n
@@ -167,24 +166,9 @@ def _tree_functions(fingerprint: Tuple[Tuple[str, int], ...]) -> List[Sequence[i
     return functions
 
 
-def _edb_nodes(
-    predicate: str,
-    fingerprint: Tuple[Tuple[str, int], ...],
-    functions: List[Sequence[int]],
-) -> Iterable[int]:
-    """The nodes of one tau_ur unary relation (the root is neither a first
-    nor a last sibling: it has no parent)."""
-    n = len(fingerprint)
-    if predicate == "root":
-        return (0,)
-    if predicate == "leaf":
-        return [node for node, child in enumerate(functions[1]) if child == n]
-    if predicate == "firstsibling":
-        return [child for child in functions[1] if child != n]
-    if predicate == "lastsibling":
-        return [child for child in functions[3] if child != n]
-    label = predicate[len("label_"):]
-    return [node for node, (name, _) in enumerate(fingerprint) if name == label]
+def _edb_nodes(tree: TreeRelations, predicate: str) -> List[int]:
+    """The nodes of one tau_ur unary relation (none for an absent label)."""
+    return [node for (node,) in tree.rows(predicate) or ()]
 
 
 def _propagate(
@@ -194,7 +178,8 @@ def _propagate(
     id, one worklist of (triggers of the derived predicate, node) pairs,
     pushed flat."""
     n = len(fingerprint)
-    functions = _tree_functions(fingerprint)
+    tree = TreeRelations(fingerprint)
+    functions = _tree_functions(tree)
     truth = [bytearray(n + 1) for _ in table.triggers]
     for holds in truth:
         holds[n] = 1
@@ -214,7 +199,7 @@ def _propagate(
     push = worklist.append
     for name, position in table.seeds:
         holds, triggers = truth[position], fired[position]
-        for node in _edb_nodes(name, fingerprint, functions):
+        for node in _edb_nodes(tree, name):
             if not holds[node]:
                 holds[node] = 1
                 if triggers:
@@ -240,11 +225,11 @@ class MonadicTreeEvaluator:
     The evaluator is reusable: construct once per program, call
     :meth:`evaluate` per document.  Both pipelines memoise fixpoints across
     a working set of ``cache_size`` hot documents (the
-    :mod:`repro.server.pipeline` access pattern): the generic engine through
-    its content-keyed fixpoint LRU, the ground pipeline through an LRU of
-    per-predicate truth tables keyed by exact tree fingerprints — node identities are
-    re-resolved per call, so cached truths are safe across equal-but-distinct
-    document objects.
+    :mod:`repro.server.pipeline` access pattern), both keyed by exact tree
+    fingerprints: the generic engine through its fixpoint LRU, the ground
+    pipeline through an LRU of per-predicate truth tables — node identities
+    are re-resolved per call, so cached results are safe across
+    equal-but-distinct document objects.
 
     ``share_plans=True`` (the default) additionally shares the per-program
     analysis across evaluator instances: the TMNF rewrite through the
@@ -337,13 +322,12 @@ class MonadicTreeEvaluator:
                 return list(compress(document, self._ground_truth(document)[position]))
             if not _is_edb_unary(predicate):
                 return []
-            fingerprint = tree_fingerprint(document)
-            nodes = _edb_nodes(predicate, fingerprint, _tree_functions(fingerprint))
+            nodes = _edb_nodes(TreeRelations(tree_fingerprint(document)), predicate)
             return [document.node_at(index) for index in sorted(nodes)]
         if predicate in self.program.query_predicates:
             return self._evaluate_generic(document).get(predicate, [])
         assert self._generic_engine is not None
-        derived = self._generic_engine.fixpoint(tree_database(document))
+        derived = self._generic_engine.fixpoint(document)
         indexes = sorted(
             value[0] for value in derived.query(predicate) if len(value) == 1
         )
@@ -370,12 +354,11 @@ class MonadicTreeEvaluator:
     # ------------------------------------------------------------------
     def _evaluate_generic(self, document: Document) -> Dict[str, List[Node]]:
         assert self._generic_engine is not None
-        # The tree database is rebuilt per call (O(|dom|)) so document
-        # mutations are always observed; fixpoint() memoises per database
-        # CONTENT in an LRU, so repeated select() calls against a working
-        # set of hot documents all evaluate once.
-        database = tree_database(document)
-        derived = self._generic_engine.fixpoint(database)
+        # fixpoint() keys its LRU on the exact tree fingerprint, recomputed
+        # per call (O(|dom|)), so document mutations are always observed
+        # and repeated select() calls against a working set of hot
+        # documents all evaluate once.
+        derived = self._generic_engine.fixpoint(document)
         result: Dict[str, List[Node]] = {}
         for predicate in self.program.query_predicates:
             indexes = sorted(value[0] for value in derived.query(predicate))

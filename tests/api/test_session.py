@@ -8,7 +8,7 @@ from repro import EngineOptions, Session, available_backends
 from repro.api import ExtractionResult
 from repro.api.backends import BackendError
 from repro.automata import leaf_selector_automaton
-from repro.datalog import parse_program, shared_registry
+from repro.datalog import parse_program, shared_registry, tree_database
 from repro.mdatalog import MonadicProgram
 from repro.tree import tree
 from repro.web import SimulatedWeb
@@ -63,12 +63,31 @@ def test_backend_inference_by_program_type(doc):
 
 
 def test_semi_naive_backend_accepts_documents(doc):
-    # A document source is encoded through tree_database and the result
-    # resolves unary facts back to nodes.
+    # A document source is evaluated over its tau_ur relations and the
+    # result resolves unary facts back to nodes.
     session = Session()
     result = session.query(ITALIC.to_datalog_program(), doc)
     assert result.backend == "semi-naive"
     assert [node.label for node in result.nodes("italic")] == ["i", "b", "a"]
+
+
+def test_document_results_report_the_relations_the_program_never_mentions(doc):
+    # The engine builds only the tau_ur relations a program mentions; every
+    # other one is still part of the result, built when it is asked for,
+    # exactly as the plain tree_database encoding reports it.
+    result = Session().query(parse_program("hit(X) :- label_i(X)."), doc, "semi-naive")
+    database = tree_database(doc)
+    assert result.predicates() == {
+        name for name, facts in database.items() if facts
+    } | {"hit"}
+    assert result.evaluation.predicates() == set(database) | {"hit"}
+    assert result.tuples("hit") == {(1,)}
+    assert result.tuples("label_b") == database["label_b"] == {(2,)}
+    assert result.tuples("label_x") == frozenset()
+    assert result.tuples("nextsibling") == database["nextsibling"] == {(1, 3)}
+    assert result.tuples("child") == database["child"]
+    assert [node.label for node in result.nodes("leaf")] == ["b", "a"]
+    assert result.evaluation.facts() == database | {"hit": {(1,)}}
 
 
 def test_program_text_requires_an_explicit_backend(doc):

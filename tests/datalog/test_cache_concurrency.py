@@ -19,12 +19,14 @@ from typing import Callable, List
 
 import pytest
 
+from repro.datalog import EngineOptions, SemiNaiveEngine, parse_program, tree_database
 from repro.datalog.cache import (
     FixpointCache,
     LruMap,
     SingleFlight,
     VerifiedLruBuckets,
 )
+from repro.tree import random_tree
 
 THREADS = 8
 ROUNDS = 400
@@ -284,3 +286,33 @@ def test_cache_capacity_validation_still_raises():
         LruMap(0)
     with pytest.raises(ValueError):
         VerifiedLruBuckets(0)
+
+
+def test_engine_document_fixpoints_under_threads():
+    # Documents key the engine's one fixpoint cache by their exact tree
+    # fingerprint: equal-but-distinct documents queried from many threads
+    # all get the right answer, and every lookup is counted.
+    program = parse_program(
+        """
+        desc(X, Y) :- child(X, Y).
+        desc(X, Y) :- desc(X, Z), child(Z, Y).
+        """
+    )
+    engine = SemiNaiveEngine(program, options=EngineOptions(cache_size=4))
+    shapes = [(20 + size, size) for size in range(6)]
+    expected = [
+        SemiNaiveEngine(program).evaluate(tree_database(random_tree(n, seed=seed)))["desc"]
+        for n, seed in shapes
+    ]
+    rounds = ROUNDS // 20
+
+    def work(index: int) -> None:
+        for round_ in range(rounds):
+            shape = (index + round_) % len(shapes)
+            n, seed = shapes[shape]
+            assert engine.query(random_tree(n, seed=seed), "desc") == expected[shape]
+
+    run_threads(THREADS, work)
+    info = engine.fixpoint_cache_info()
+    assert info.hits + info.misses == THREADS * rounds
+    assert info.size <= 4

@@ -144,8 +144,8 @@ def test_query_caches_fixpoint_per_database_content():
     engine = SemiNaiveEngine(program)
     database = {"q": {(1,)}}
     calls = []
-    original = engine.evaluate
-    engine.evaluate = lambda db: calls.append(1) or original(db)
+    original = engine._run
+    engine._run = lambda facts: calls.append(1) or original(facts)
     assert engine.query(database, "p") == {(1,)}
     assert engine.query(database, "p") == {(1,)}
     assert engine.query(database, "q") == {(1,)}

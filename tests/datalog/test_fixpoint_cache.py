@@ -11,14 +11,16 @@ from repro.datalog import (
     SemiNaiveEngine,
     database_content_hash,
     parse_program,
+    tree_database,
 )
+from repro.tree import tree
 
 
 def _counting_engine(text="p(X) :- q(X).", cache_size=8):
     engine = SemiNaiveEngine(parse_program(text), options=EngineOptions(cache_size=cache_size))
     calls = []
-    original = engine.evaluate
-    engine.evaluate = lambda db: calls.append(1) or original(db)
+    original = engine._run
+    engine._run = lambda facts: calls.append(1) or original(facts)
     return engine, calls
 
 
@@ -218,3 +220,52 @@ def test_engine_clear_fixpoint_cache():
     engine.query(database, "p")
     assert len(calls) == 2
     assert engine.fixpoint_cache_info().misses == 1  # counters reset too
+
+
+# ---------------------------------------------------------------------------
+# Documents: keyed by the exact tree fingerprint
+# ---------------------------------------------------------------------------
+
+
+def _page():
+    return tree(("doc", ("a", ("b",)), ("a",)))
+
+
+def test_equal_but_distinct_documents_hit_one_entry():
+    engine, calls = _counting_engine("p(X) :- label_a(X), leaf(X).")
+    first, second = _page(), _page()
+    assert first is not second
+    result = engine.fixpoint(first)
+    assert engine.fixpoint(second) is result
+    assert engine.query(second, "p") == {(3,)}
+    assert len(calls) == 1
+    info = engine.fixpoint_cache_info()
+    assert (info.hits, info.misses, info.size) == (2, 1, 1)
+
+
+def test_a_mutated_reindexed_document_misses():
+    engine, calls = _counting_engine("p(X) :- label_a(X), leaf(X).")
+    document = _page()
+    assert engine.query(document, "p") == {(3,)}
+    document.root.children[0].children[0].detach()
+    document.reindex()
+    assert engine.query(document, "p") == {(1,), (2,)}
+    assert len(calls) == 2
+    # Relabelling keeps the shape but changes the fingerprint: a miss too.
+    document.root.children[1].label = "c"
+    document.reindex()
+    assert engine.query(document, "p") == {(1,)}
+    assert len(calls) == 3
+
+
+def test_documents_and_databases_share_one_cache_without_aliasing():
+    engine, calls = _counting_engine("p(X) :- leaf(X).", cache_size=4)
+    document = _page()
+    from_document = engine.fixpoint(document)
+    from_database = engine.fixpoint(tree_database(document))
+    assert from_database is not from_document
+    assert from_database.query("p") == from_document.query("p")
+    assert engine.fixpoint(document) is from_document
+    assert engine.fixpoint(tree_database(document)) is from_database
+    assert len(calls) == 2
+    assert engine.fixpoint_cache_info().size == 2

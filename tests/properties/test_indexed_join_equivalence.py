@@ -53,19 +53,21 @@ VALUES = st.shared(
 ).flatmap(st.sampled_from)
 
 
-def _terms(draw, arity, variable_pool):
+def _terms(draw, arity, variable_pool, values=VALUES):
     terms = []
     for _ in range(arity):
         if draw(st.booleans()) or not variable_pool:
             if draw(st.integers(min_value=0, max_value=3)) == 0:
-                terms.append(Constant(draw(VALUES)))
+                terms.append(Constant(draw(values)))
                 continue
         terms.append(draw(st.sampled_from(variable_pool or VARIABLES)))
     return tuple(terms)
 
 
 @st.composite
-def rules(draw):
+def rules(draw, edb_arities=EDB_ARITIES, values=VALUES):
+    """One rule over the EDB schema ``edb_arities`` and the IDB layers,
+    with constants drawn from ``values``."""
     head_predicate = draw(st.sampled_from(IDB_ORDER))
     head_index = IDB_ORDER.index(head_predicate)
 
@@ -77,10 +79,10 @@ def rules(draw):
     positive_variables: set = set()
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         predicate = draw(
-            st.sampled_from(sorted(EDB_ARITIES) + IDB_ORDER[: head_index + 1])
+            st.sampled_from(sorted(edb_arities) + IDB_ORDER[: head_index + 1])
         )
-        arity = EDB_ARITIES.get(predicate) or IDB_ARITIES[predicate]
-        atom = Atom(predicate, _terms(draw, arity, VARIABLES))
+        arity = edb_arities.get(predicate) or IDB_ARITIES[predicate]
+        atom = Atom(predicate, _terms(draw, arity, VARIABLES, values))
         body.append(Literal(atom))
         positive_variables |= atom.variables()
 
@@ -89,17 +91,17 @@ def rules(draw):
     # Optional negated literal over EDB or a strictly lower IDB predicate,
     # with variables drawn from the positive body (safety).
     if bound_pool and draw(st.booleans()):
-        candidates = sorted(EDB_ARITIES) + IDB_ORDER[:head_index]
+        candidates = sorted(edb_arities) + IDB_ORDER[:head_index]
         predicate = draw(st.sampled_from(candidates))
-        arity = EDB_ARITIES.get(predicate) or IDB_ARITIES[predicate]
-        atom = Atom(predicate, _terms(draw, arity, bound_pool))
+        arity = edb_arities.get(predicate) or IDB_ARITIES[predicate]
+        atom = Atom(predicate, _terms(draw, arity, bound_pool, values))
         if atom.variables() <= positive_variables:
             body.append(Literal(atom, negated=True))
 
     # Optional comparison builtin over bound variables / pool constants.
     if bound_pool and draw(st.booleans()):
         builtin = draw(st.sampled_from(BUILTINS))
-        atom = Atom(builtin, _terms(draw, 2, bound_pool))
+        atom = Atom(builtin, _terms(draw, 2, bound_pool, values))
         if atom.variables() <= positive_variables:
             body.append(Literal(atom, negated=draw(st.booleans())))
 
@@ -110,14 +112,14 @@ def rules(draw):
             draw(st.sampled_from(bound_pool)) for _ in range(head_arity)
         )
     else:
-        head_terms = tuple(Constant(draw(VALUES)) for _ in range(head_arity))
+        head_terms = tuple(Constant(draw(values)) for _ in range(head_arity))
     return Rule(Atom(head_predicate, head_terms), tuple(body))
 
 
 @st.composite
-def programs(draw):
-    rule_list = draw(st.lists(rules(), min_size=1, max_size=6))
-    return Program(rule_list, edb_predicates=frozenset(EDB_ARITIES))
+def programs(draw, edb_arities=EDB_ARITIES, values=VALUES):
+    rule_list = draw(st.lists(rules(edb_arities, values), min_size=1, max_size=6))
+    return Program(rule_list, edb_predicates=frozenset(edb_arities))
 
 
 @st.composite
