@@ -67,15 +67,24 @@ def test_a_recycled_id_never_aliases_two_wrappers():
     rules_a = list(parse_elog(TEXT_A).rules)
     rules_b = list(parse_elog(TEXT_B).rules)
 
-    # Many TEXT_A wrappers die; many same-shaped TEXT_B wrappers are then
-    # allocated and kept alive — the allocator's free lists virtually
-    # guarantee some TEXT_B program lands on a dead TEXT_A address.
-    programs_a = [ElogProgram(rules=list(rules_a)) for _ in range(2000)]
-    dead_addresses = {id(program) for program in programs_a}
+    # Every other one of many TEXT_A wrappers dies; many same-shaped TEXT_B
+    # wrappers are then allocated and kept alive.  The collection up front
+    # frees the cyclic garbage earlier tests left, which would otherwise be
+    # freed by the collection after the deaths and hand its slots out ahead
+    # of the dead wrappers'.  The surviving TEXT_A wrappers keep each
+    # allocator pool that held a dead one in use, so the freed slots are
+    # handed out again rather than the memory going back to the system; the
+    # TEXT_B rule lists are built before the deaths, so the only allocations
+    # after them that can take a freed slot are the TEXT_B programs.
+    gc.collect()
+    programs_a = [ElogProgram(rules=list(rules_a)) for _ in range(4000)]
+    survivors_a = programs_a[1::2]
+    dead_addresses = {id(program) for program in programs_a[::2]}
     fingerprint_a = wrapper_fingerprint(programs_a[0])
+    rule_lists_b = [list(rules_b) for _ in range(2000)]
     del programs_a
     gc.collect()
-    candidates = [ElogProgram(rules=list(rules_b)) for _ in range(2000)]
+    candidates = [ElogProgram(rules=rules) for rules in rule_lists_b]
     program_b = next(
         (candidate for candidate in candidates if id(candidate) in dead_addresses),
         None,
@@ -83,6 +92,7 @@ def test_a_recycled_id_never_aliases_two_wrappers():
     if program_b is None:
         pytest.skip("allocator recycled none of 2000 freed addresses")
     assert wrapper_fingerprint(program_b) != fingerprint_a
+    assert wrapper_fingerprint(survivors_a[0]) == fingerprint_a
 
 
 def test_gc_churn_never_gives_two_wrappers_one_fingerprint():
