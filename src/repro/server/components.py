@@ -16,6 +16,7 @@ can be added by subclassing :class:`Component`.
 from __future__ import annotations
 
 import html
+import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -31,6 +32,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..datalog.registry import PlanRegistry
     from ..mdatalog.program import MonadicProgram
     from ..tree.document import Document
+
+
+#: A revision no output has carried before (unique across the process).
+#: An information pipe runs a stage again only when a revision it consumes
+#: is new (see :meth:`repro.server.pipeline.InformationPipe.run`).
+fresh_revision = itertools.count(1).__next__
 
 
 class Component:
@@ -153,6 +160,12 @@ class WrapperComponent(_SourceComponent):
     change to any of them forces a fresh extraction.  An extraction builds
     its :class:`~repro.elog.extractor.Extractor` on the spot: the
     interpreter holds no compiled state, so there is nothing to share.
+
+    :attr:`revision` names the content of the last output.  A trace hit
+    that follows a good output keeps it, so the pipe cuts off the stages
+    downstream ("early cutoff" in the same paper).  A fresh extraction, a
+    stale serve and the first good output after a stale serve each draw a
+    new one.
     """
 
     def __init__(
@@ -180,6 +193,9 @@ class WrapperComponent(_SourceComponent):
         # The verifying trace: (key, reads) of the last successful
         # extraction, whose output is ``_last_good``.
         self._trace: Optional[Tuple[tuple, List[_TraceRead]]] = None
+        #: The revision of the last output (0 before the first).
+        self.revision = 0
+        self._served_stale = False
 
     def process(self, inputs: List[XmlElement]) -> XmlElement:
         # Re-fingerprinted per activation: an in-place program edit must
@@ -195,6 +211,8 @@ class WrapperComponent(_SourceComponent):
             ):
                 # Every read page is unchanged: so is the output.  A copy,
                 # because downstream stages may mutate their input in place.
+                if self._served_stale:
+                    self._revise(stale=False)
                 return self._last_good.copy()
             result = Extractor(self.program, fetcher=reads).extract_to_xml(
                 url=self.url, root_name=self.root_name
@@ -202,13 +220,19 @@ class WrapperComponent(_SourceComponent):
         except Exception:
             stale = self._stale_copy()
             if stale is not None:
+                self._revise(stale=True)
                 return stale
             raise
+        self._revise(stale=False)
         result.attributes["source"] = self.url
         if reads is not None:
             self._trace = (key, reads.reads)
             self._last_good = result.copy()
         return result
+
+    def _revise(self, *, stale: bool) -> None:
+        self.revision = fresh_revision()
+        self._served_stale = stale
 
 
 class XmlSourceComponent(Component):

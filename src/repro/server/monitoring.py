@@ -85,29 +85,38 @@ class ChangeReport:
 
 
 class ChangeDetector:
-    """Record-level change detection keyed by a record's key element."""
+    """Record-level change detection keyed by a record's key element.
+
+    Records that share a key (an empty key included) are fingerprinted
+    together, in document order: a change to any of them reports every
+    record under that key as changed.
+    """
 
     def __init__(self, record_name: str, key: str) -> None:
         self.record_name = record_name
         self.key = key
-        self._previous: Dict[str, str] = {}
+        self._previous: Dict[str, List[str]] = {}
 
     def observe(self, document: XmlElement) -> ChangeReport:
         """Compare ``document`` with the previous snapshot and remember it."""
-        current: Dict[str, Tuple[str, XmlElement]] = {}
+        current: Dict[str, Tuple[List[str], List[XmlElement]]] = {}
         for record in document.iter(self.record_name):
             key_value = " ".join(record.findtext(self.key).split())
-            current[key_value] = (to_compact_xml(record), record)
+            entry = current.get(key_value)
+            if entry is None:
+                entry = current[key_value] = ([], [])
+            entry[0].append(to_compact_xml(record))
+            entry[1].append(record)
         report = ChangeReport()
-        for key_value, (fingerprint, record) in current.items():
+        for key_value, (fingerprints, records) in current.items():
             if key_value not in self._previous:
-                report.added.append(record)
-            elif self._previous[key_value] != fingerprint:
-                report.changed.append(record)
+                report.added.extend(records)
+            elif self._previous[key_value] != fingerprints:
+                report.changed.extend(records)
         for key_value in self._previous:
             if key_value not in current:
                 report.removed.append(key_value)
-        self._previous = {key: fingerprint for key, (fingerprint, _) in current.items()}
+        self._previous = {key: fingerprints for key, (fingerprints, _) in current.items()}
         return report
 
 

@@ -18,12 +18,47 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..resilience.batch import check_on_error, run_tasks, settle
 from ..resilience.policy import ErrorResult
 from ..xmlgen.document import XmlElement
-from .components import Component, DelivererComponent
+from .components import (
+    Component,
+    DelivererComponent,
+    FilterComponent,
+    IntegrationComponent,
+    JoinComponent,
+    RenameComponent,
+    SortComponent,
+    WrapperComponent,
+    fresh_revision,
+)
+from .monitoring import ChangeGatedDeliverer
+
+#: The stages whose output depends on nothing but their inputs (filter
+#: predicates and sort keys count as functions of their record), matched
+#: by exact type: a subclass may depend on more.  A change gate fed an
+#: unchanged input would observe no change and keep its baseline, so
+#: skipping it is exact too.
+_CUT_OFF = frozenset(
+    {
+        IntegrationComponent,
+        JoinComponent,
+        FilterComponent,
+        SortComponent,
+        RenameComponent,
+        ChangeGatedDeliverer,
+    }
+)
+
+
+class _Memo(NamedTuple):
+    """A cut-off stage's last completed run."""
+
+    consumed: Tuple[int, ...]  # the input revisions it read, in input order
+    output: XmlElement
+    revision: int
 
 
 class PipelineError(ValueError):
@@ -39,6 +74,7 @@ class InformationPipe:
         self._edges: Dict[str, List[str]] = defaultdict(list)   # component -> successors
         self._inputs: Dict[str, List[str]] = defaultdict(list)  # component -> predecessors
         self._order: Optional[List[str]] = None  # cached topological order
+        self._memo: Dict[str, _Memo] = {}  # cut-off stage -> its last completed run
         self.last_results: Dict[str, XmlElement] = {}
 
     # -- construction ------------------------------------------------------
@@ -98,14 +134,41 @@ class InformationPipe:
         """Activate the sources and push documents through the network.
 
         Returns the output document of every component (keyed by name).
+
+        Every output carries a revision: a traced wrapper keeps its own
+        while its pages are unchanged, every other stage that runs draws a
+        fresh one.  A cut-off stage (``_CUT_OFF``) whose input revisions
+        equal those of its last completed run does not run; its previous
+        output stands, as the same object, so outputs are read-only.
+        Every other stage runs, and gets a copy of each input that a
+        cut-off stage produced: it may mutate it in place.
         """
         results: Dict[str, XmlElement] = {}
+        revisions: Dict[str, int] = {}
+        memos = self._memo
         for name in self._topological_order():
             component = self._components[name]
+            predecessors = self._inputs.get(name, ())
+            kind = type(component)
+            if kind in _CUT_OFF:
+                consumed = tuple(revisions[predecessor] for predecessor in predecessors)
+                memo = memos.get(name)
+                if memo is None or memo.consumed != consumed:
+                    output = component.process(
+                        [results[predecessor] for predecessor in predecessors]
+                    )
+                    memo = memos[name] = _Memo(consumed, output, fresh_revision())
+                results[name] = memo.output
+                revisions[name] = memo.revision
+                continue
             inputs = [
-                results[predecessor] for predecessor in self._inputs.get(name, [])
+                results[predecessor].copy() if predecessor in memos else results[predecessor]
+                for predecessor in predecessors
             ]
             results[name] = component.process(inputs)
+            revisions[name] = (
+                component.revision if kind is WrapperComponent else fresh_revision()
+            )
         self.last_results = results
         return results
 

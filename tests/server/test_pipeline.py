@@ -327,6 +327,29 @@ def test_change_detector_reports_added_changed_removed():
     assert "1 added" in report.summary()
 
 
+def _offers(*prices, product="X"):
+    return parse_xml(
+        "<market>"
+        + "".join(
+            f"<offer><product>{product}</product><price>{price}</price></offer>"
+            for price in prices
+        )
+        + "</market>"
+    )
+
+
+@pytest.mark.parametrize("product", ["X", ""], ids=["shared-key", "empty-key"])
+def test_change_detector_sees_every_record_under_a_shared_key(product):
+    detector = ChangeDetector("offer", key="product")
+    detector.observe(_offers(1, 2, product=product))
+    report = detector.observe(_offers(9, 2, product=product))
+    assert report.summary() == "0 added, 2 changed, 0 removed"
+    assert [offer.findtext("price") for offer in report.changed] == ["9", "2"]
+    assert not detector.observe(_offers(9, 2, product=product)).has_changes
+    # One record fewer under a key that stays is a change as well.
+    assert detector.observe(_offers(9, product=product)).changed
+
+
 def test_change_gated_deliverer_only_fires_on_change():
     sms = SmsDeliverer("sms", "+43 123", summarise=lambda doc: doc.full_text())
     gated = ChangeGatedDeliverer(
