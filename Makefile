@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test perfbench-test lint typecheck analyze explain-examples bench-quick bench
+.PHONY: check test perfbench-test lint typecheck analyze explain-examples bench-quick bench loc
 
 # Tier-1 gate plus lint, typecheck, static analysis, explain-plan smoke,
 # the end-to-end benchmark's self-tests and the quick benchmark pass; CI
@@ -54,3 +54,8 @@ bench-quick:
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q --benchmark-only
+
+# Total lines of Python under src/: the size ROADMAP.md scores a change by
+# (net lines removed from src/).
+loc:
+	@find src -name '*.py' | xargs cat | wc -l

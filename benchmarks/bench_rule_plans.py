@@ -12,6 +12,9 @@ The ``tree_view_*`` series times one same-generation query over a document
 (fixpoint plus reading the answer) through the engine's document path,
 ``fixpoint(document)``, against the plain-database path,
 ``fixpoint(tree_database(document))``, at 300 and 1500 nodes.
+
+``explain_session_s`` times one ``Session.explain`` over a 61-rule chain:
+the same plan compiler run over estimated sizes instead of live ones.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import time
 
 import pytest
 
+from repro import Session
+from repro.analysis.explain import ExplainReport
 from repro.bench import scaling_tree
 from repro.datalog import SemiNaiveEngine, parse_program, tree_database
 
@@ -165,6 +170,34 @@ def test_plan_cache_stays_small_across_fixpoint():
     plan_counts = engine.plan_memo_counts()
     assert 0 < max(plan_counts) <= 32
     print(f"\ncompiled join plans per rule: {plan_counts}")
+
+
+def _explain_chain_program(chain=30):
+    """A long TMNF-style chain: many rules, so per-rule plan compilation
+    dominates explain."""
+    lines = [
+        "p0(X) :- e(X, X).",
+        "tc(X, Y) :- e(X, Y).",
+        "tc(X, Y) :- e(X, Z), tc(Z, Y).",
+    ]
+    for i in range(1, chain):
+        lines.append(f"p{i}(Y) :- p{i - 1}(X), e(X, Y).")
+        lines.append(f"p{i}(Y) :- p{i - 1}(X), f(X, Y).")
+    return parse_program("\n".join(lines))
+
+
+def test_session_explain_latency_and_determinism(bench_record):
+    program = _explain_chain_program()
+    text = "\n".join(str(rule) for rule in program.rules)
+    session = Session()
+    start = time.perf_counter()
+    report = session.explain(text)
+    elapsed = time.perf_counter() - start
+    assert isinstance(report, ExplainReport)
+    # Deterministic rendering: a second (cached) call renders identically.
+    assert report.render("chain") == session.explain(text).render("chain")
+    bench_record("explain_session_s", elapsed)
+    print(f"\nSession.explain over {len(program.rules)} rules: {elapsed:.4f}s")
 
 
 @pytest.mark.benchmark(group="rule-plans")

@@ -19,8 +19,8 @@ Beyond diagnostics, the package carries the optimizer-grade layer:
 :func:`adorn` (binding-pattern dataflow, :mod:`repro.analysis.dataflow`),
 :func:`relation_estimates` / :func:`check_performance`
 (:mod:`repro.analysis.cost`) and :func:`explain`
-(:mod:`repro.analysis.explain`) — the same machinery the engine uses to
-seed join plans and pre-build advised indexes at compile time.
+(:mod:`repro.analysis.explain`), which runs the engine's own greedy join
+planner over estimated sizes.  None of it feeds back into evaluation.
 
 docs/ANALYSIS.md is the rule catalog with one example per rule id.
 """

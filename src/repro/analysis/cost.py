@@ -19,12 +19,10 @@ computes *what is bound*; this module computes *how much it costs*):
   blowups, linearizable recursion, index advice, undemanded computation,
   unbound joins.  All warnings/infos — performance findings never gate
   evaluation.
-* :func:`seed_rule_plans` — the feedback loop into the engine: compile
-  each :class:`~repro.datalog.plan.RulePlan`'s seed plans from the
-  estimated sizes at registry-compile time (before any database exists),
-  and return the index advice the engine uses to pre-build hash indexes
-  before a first fixpoint.  Join order never affects the fixpoint, so the
-  seeds are safe by construction; the property suite asserts it anyway.
+
+Nothing here feeds back into evaluation: the engine plans its joins from
+live relation sizes.  :func:`repro.analysis.explain.explain` runs the same
+planner over these estimates to show what they predict.
 
 Everything is deterministic (sorted iteration, pure arithmetic) — explain
 snapshots golden-test the rendered numbers.
@@ -38,7 +36,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..datalog.ast import Program, Rule, get_span
 from ..datalog.cache import LruMap
-from ..datalog.plan import RulePlan
 from ..datalog.stratify import dependency_graph
 from ..datalog.tree_edb import EXTENDED_BINARY, TAU_UR_BINARY, TAU_UR_UNARY
 from .datalog_checks import BUILTIN_PREDICATES, TREE_SIGNATURE
@@ -55,20 +52,12 @@ BLOWUP_THRESHOLD = 1e6
 #: depths that change an order of magnitude, bounded for compile latency.
 _MAX_ROUNDS = 20
 
-#: Content-keyed memo of :func:`relation_estimates` results.  The analysis
-#: runs on every program compilation (registry-shared *and* private), so a
-#: server constructing hundreds of components over a handful of programs
-#: must pay the estimate fixpoint once per program content, not per
-#: component.  LruMap serialises access internally (thread-safe).
+#: Content-keyed memo of :func:`relation_estimates` results.  Explain and
+#: the ``P00x`` checks both start from the estimates, and a session or
+#: pipeline analysing many components over a handful of programs must pay
+#: the estimate fixpoint once per program content, not per component.
+#: LruMap serialises access internally (thread-safe).
 _ESTIMATES_MEMO: "LruMap[tuple, Dict[str, float]]" = LruMap(128)
-
-#: Content-keyed memo of seed-plan compilations: program content →
-#: (index advice, per-rule ``{delta_position: _JoinPlan}``).  A compiled
-#: ``_JoinPlan`` depends only on the rule content and the estimated sizes,
-#: both functions of the key, so fresh ``RulePlan`` instances for the same
-#: rule content can share the cached seed plans (plans are read-only at
-#: evaluation time).
-_SEEDS_MEMO: "LruMap[tuple, tuple]" = LruMap(128)
 
 
 def _content_key(
@@ -465,105 +454,3 @@ def _check_undemanded(
             )
         )
     return diagnostics
-
-
-# ---------------------------------------------------------------------------
-# The feedback loop: seed compiled plans + advise indexes
-# ---------------------------------------------------------------------------
-
-
-def seed_rule_plans(
-    stratum_plans: Sequence[Sequence[RulePlan]],
-    stratum_triggers: Sequence[Mapping[str, Sequence[Tuple[RulePlan, int]]]],
-    program: Program,
-    *,
-    edb: "Optional[object]" = None,
-    domain_size: int = DEFAULT_DOMAIN_SIZE,
-) -> Dict[str, Tuple[Tuple[int, ...], ...]]:
-    """Seed every rule plan from static size estimates; return index advice.
-
-    Called by :class:`repro.datalog.registry.CompiledProgram` right after
-    ``compile_stratum`` — the plans are not yet published to any engine, so
-    no locking is needed.  For each plan we compile the naive-round plan
-    (``delta_position=None``) plus one per semi-naive trigger position, all
-    from the same estimated sizes.  The returned advice maps predicates to
-    the sorted bound-position keys those seed plans probe, which the engine
-    pre-builds as hash indexes before a first fixpoint.
-
-    The whole result is memoised by program content: a seed ``_JoinPlan``
-    depends only on the rule and the estimated sizes, so recompilations of
-    the same program (registry eviction, private ``share_plans=False``
-    engines, a fleet of sessions) reuse the cached plans instead of paying
-    the estimate fixpoint and the seed compilations again.
-    """
-    memo_key = _content_key(program, edb, domain_size)
-    cached = _SEEDS_MEMO.get(memo_key)
-    if cached is not None:
-        advice_out, seeds_by_rule = cached
-        for plans in stratum_plans:
-            for plan in plans:
-                seeds = seeds_by_rule.get(plan.rule)
-                if seeds:
-                    plan.seed_plans.update(seeds)
-        return dict(advice_out)
-
-    estimates = relation_estimates(program, edb=edb, domain_size=domain_size)
-
-    trigger_positions: Dict[RulePlan, Set[int]] = {}
-    for triggers in stratum_triggers:
-        for pairs in triggers.values():
-            for plan, position in pairs:
-                trigger_positions.setdefault(plan, set()).add(position)
-
-    advice: Dict[str, Set[Tuple[int, ...]]] = {}
-    seeds_by_rule: Dict[Rule, Dict[Optional[int], object]] = {}
-    for plans in stratum_plans:
-        for plan in plans:
-            body = plan.rule.body
-            sizes = {
-                position: int(estimates.get(body[position].atom.predicate, domain_size))
-                for position in plan.relational
-            }
-            plan.seed(None, sizes)
-            for position in sorted(trigger_positions.get(plan, ())):
-                # The delta of a trigger is far smaller than the full
-                # relation — model it at 1/16th so the seed order matches
-                # what live bucket signatures will typically pick.
-                delta_sizes = dict(sizes)
-                delta_sizes[position] = max(sizes[position] // 16, 1)
-                plan.seed(position, delta_sizes)
-            seeds_by_rule[plan.rule] = dict(plan.seed_plans)
-            for seeded in plan.seed_plans.values():
-                for step in seeded.steps:
-                    if step.from_delta or not step.bound_positions:
-                        continue
-                    advice.setdefault(step.predicate, set()).add(step.bound_positions)
-    advice_out = {
-        predicate: tuple(sorted(keys)) for predicate, keys in sorted(advice.items())
-    }
-    _SEEDS_MEMO.put(memo_key, (advice_out, seeds_by_rule))
-    return dict(advice_out)
-
-
-def advised_indexes(
-    program: Program, advice: Dict[str, Tuple[Tuple[int, ...], ...]]
-) -> Tuple[Tuple[str, Tuple[int, ...], int], ...]:
-    """``(predicate, positions, arity)`` per index the ``advice`` names.
-
-    The advice (:func:`seed_rule_plans`) gives bound positions only; an
-    index (:meth:`~repro.datalog.columns.ColumnarRelation.index`) also
-    needs the arity, which the program's positive body atoms of the
-    predicate supply.  The engine pre-builds these before a fixpoint.
-    """
-    arities: Dict[str, Set[int]] = {}
-    for rule in program.rules:
-        for literal in rule.body:
-            if not literal.negated:
-                arities.setdefault(literal.atom.predicate, set()).add(literal.atom.arity)
-    return tuple(
-        (predicate, positions, arity)
-        for predicate, keys in advice.items()
-        for arity in sorted(arities.get(predicate, ()))
-        for positions in keys
-        if positions[-1] < arity
-    )

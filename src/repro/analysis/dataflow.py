@@ -12,9 +12,9 @@ literature, specialised to the engine's own join-order policy:
   — the *same function* the runtime planner uses — fed with size estimates
   instead of live relation sizes.  The adornments reported here are
   therefore the binding patterns the compiled :class:`~repro.datalog.plan.
-  RulePlan` steps will actually probe with, which is what makes the
-  analysis usable as an index advisor and plan seeder
-  (:mod:`repro.analysis.cost`).
+  RulePlan` steps probe with when live sizes rank the relations as the
+  estimates do, which is what makes the analysis usable as an index
+  advisor (:mod:`repro.analysis.cost`).
 * An argument position is *bound* at a body occurrence iff its term is a
   constant or a variable bound by the head adornment or an earlier literal
   in the order.  Builtins and negated literals never bind anything (the

@@ -5,17 +5,21 @@ analyzer accepts (datalog :class:`~repro.datalog.ast.Program`, a
 :class:`~repro.mdatalog.program.MonadicProgram`, an Elog wrapper — which is
 translated through :func:`repro.elog.to_mdatalog.to_monadic_datalog` — or
 raw source text), ``explain`` compiles the program exactly the way
-:class:`~repro.datalog.engine.SemiNaiveEngine` would, seeds the plans from
-the static cost model (:func:`repro.analysis.cost.seed_rule_plans`), and
+:class:`~repro.datalog.engine.SemiNaiveEngine` would, runs the engine's
+greedy join planner (:meth:`~repro.datalog.plan.RulePlan.compile`) over the
+static size estimates (:func:`repro.analysis.cost.relation_estimates`), and
 renders per rule:
 
-* the chosen join order (the statically-seeded plan for the naive round
-  plus each semi-naive delta variant), step by step, with the probe's
+* the join order the planner picks from those estimates for the naive
+  round plus each semi-naive delta variant, step by step, with the probe's
   bound-position key and the cost model's estimated rows in → out;
 * the filter hoist points — which builtin/negation filters run after
   which step — and any leftover filters;
 * the advised index keys and the estimated relation cardinalities;
 * the ``P00x`` performance diagnostics.
+
+The engine plans from live relation sizes instead, so the plans shown are
+what the estimates predict, not a promise of what a fixpoint runs.
 
 The report is deterministic (pure arithmetic, sorted iteration), which the
 golden snapshot suite relies on, and carries a ``to_dict``/``to_json`` view
@@ -26,17 +30,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..datalog.ast import Program
 from ..datalog.plan import RulePlan, _JoinPlan, compile_stratum
 from ..datalog.stratify import stratify
-from .cost import (
-    DEFAULT_DOMAIN_SIZE,
-    check_performance,
-    relation_estimates,
-    seed_rule_plans,
-)
+from .cost import DEFAULT_DOMAIN_SIZE, check_performance, relation_estimates
 from .datalog_checks import TREE_SIGNATURE
 from .diagnostics import Diagnostic
 from .fragments import classify
@@ -251,50 +250,51 @@ def explain(
     """
     resolved, edb, query = _resolve_program(program, edb, query)
     # Compile exactly the way the engine would: same builtins, same
-    # stratification, same plan compiler, same seeding.
+    # stratification, same plan compiler, same greedy planner.
     from ..datalog.engine import SemiNaiveEngine
 
     builtins = SemiNaiveEngine.BUILTINS
     strata = stratify(resolved)
-    stratum_plans: List[List[RulePlan]] = []
-    stratum_triggers = []
-    for stratum_rules in strata:
-        plans, triggers = compile_stratum(stratum_rules, builtins)
-        stratum_plans.append(plans)
-        stratum_triggers.append(triggers)
-    advice = seed_rule_plans(
-        stratum_plans, stratum_triggers, resolved, edb=edb, domain_size=domain_size
-    )
-
     estimates = relation_estimates(resolved, edb=edb, domain_size=domain_size)
     domain = float(domain_size)
+    advice: Dict[str, Set[Tuple[int, ...]]] = {}
     rules: List[ExplainRule] = []
-    for stratum_index, plans in enumerate(stratum_plans):
+    for stratum_index, stratum_rules in enumerate(strata):
+        plans, triggers = compile_stratum(stratum_rules, builtins)
+        trigger_positions: Dict[RulePlan, Set[int]] = {}
+        for pairs in triggers.values():
+            for plan, position in pairs:
+                trigger_positions.setdefault(plan, set()).add(position)
         for plan in plans:
+            body = plan.rule.body
+            sizes = {
+                position: int(estimates.get(body[position].atom.predicate, domain_size))
+                for position in plan.relational
+            }
+            naive = plan.compile(None, sizes)
+            variants = [("naive", 1.0, naive)]
+            for position in sorted(trigger_positions.get(plan, ())):
+                # A trigger's delta is far smaller than its full relation;
+                # model it at 1/16th of the estimate.
+                delta_sizes = dict(sizes)
+                delta_sizes[position] = max(sizes[position] // 16, 1)
+                variant = f"delta({body[position].atom.predicate})"
+                variants.append((variant, 1.0 / 16.0, plan.compile(position, delta_sizes)))
             explained: List[ExplainPlan] = []
-            for delta_position in sorted(
-                plan.seed_plans, key=lambda p: (p is not None, p)
-            ):
-                joined = plan.seed_plans[delta_position]
-                if delta_position is None:
-                    variant = "naive"
-                    scale = 1.0
-                else:
-                    predicate = plan.rule.body[delta_position].atom.predicate
-                    variant = f"delta({predicate})"
-                    scale = 1.0 / 16.0
+            for variant, scale, joined in variants:
                 explained.append(
                     _explain_plan(plan, joined, variant, estimates, domain, scale)
                 )
-            naive = plan.seed_plans.get(None)
+                for step in joined.steps:
+                    if step.bound_positions and not step.from_delta:
+                        advice.setdefault(step.predicate, set()).add(step.bound_positions)
             rows = 1.0
             total = 0.0
-            if naive is not None:
-                for step in naive.steps:
-                    size = estimates.get(step.predicate, domain)
-                    fanout = max(size / (domain ** len(step.bound_positions)), 1e-3)
-                    rows *= fanout
-                    total += rows
+            for step in naive.steps:
+                size = estimates.get(step.predicate, domain)
+                fanout = max(size / (domain ** len(step.bound_positions)), 1e-3)
+                rows *= fanout
+                total += rows
             rules.append(
                 ExplainRule(
                     rule=str(plan.rule),
@@ -315,7 +315,9 @@ def explain(
         fragment_verdict=classify(resolved).verdict(),
         strata=len(strata),
         rules=tuple(rules),
-        index_advice=tuple(advice.items()),
+        index_advice=tuple(
+            (predicate, tuple(sorted(keys))) for predicate, keys in sorted(advice.items())
+        ),
         estimates=tuple((predicate, estimates[predicate]) for predicate in mentioned),
         diagnostics=diagnostics,
         domain_size=domain_size,

@@ -6,8 +6,9 @@ Transformation Server streaming wrapped data to users (Section 5).  This
 package gives the reproduction the matching single surface:
 
 * :class:`~repro.datalog.options.EngineOptions` — one frozen dataclass of
-  evaluator tuning, accepted uniformly by every engine (the pre-façade
-  per-constructor kwargs survive as deprecation shims);
+  evaluator tuning, accepted uniformly by every engine through
+  ``options=`` only (the pre-façade per-constructor kwargs raise
+  :class:`TypeError`);
 * :class:`~repro.api.session.Session` — the stateful entry point that owns
   the compiled-plan registry, evaluator memos and Elog parse memo, routes
   programs through the backend registry (``"semi-naive" | "monadic" |

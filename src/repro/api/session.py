@@ -528,10 +528,12 @@ class Session:
         Accepts the same shapes as :meth:`analyze` (datalog
         :class:`Program`, :class:`MonadicProgram`, :class:`ElogProgram` —
         translated through the monadic layer — or source text) and returns
-        an :class:`~repro.analysis.explain.ExplainReport`: the
-        statically-seeded join orders, filter hoist points, advised index
-        keys, estimated cardinalities and ``P00x`` performance diagnostics
-        the session's engines will run with.  ``query`` narrows the demand
+        an :class:`~repro.analysis.explain.ExplainReport`: the join orders
+        the engine's greedy planner picks from estimated relation sizes,
+        filter hoist points, advised index keys, estimated cardinalities
+        and ``P00x`` performance diagnostics.  The engines plan from live
+        sizes, so the report is a prediction, not a promise of what a
+        fixpoint runs.  ``query`` narrows the demand
         analysis to the named query predicates.  Reports are cached in the
         registry's analysis store, keyed by program content + arguments.
         """

@@ -205,8 +205,9 @@ class SemiNaiveEngine:
 
     Tuning is declared through one :class:`~repro.datalog.options.
     EngineOptions` object (``options=``): ``cache_size`` bounds the
-    fixpoint LRU (one entry per distinct hot database) and ``seed_plans``
-    toggles the statically seeded join orders.
+    fixpoint LRU (one entry per distinct hot database).  Join orders are
+    planned from live relation sizes, greedily per rule and delta position,
+    and memoised per power-of-two size bucket (:mod:`repro.datalog.plan`).
 
     ``share_plans=True`` (the default) obtains strata, rule plans and
     trigger maps from a shared :class:`~repro.datalog.registry.
@@ -248,39 +249,23 @@ class SemiNaiveEngine:
         self._fixpoint_cache: FixpointCache[EvaluationResult] = FixpointCache(
             options.cache_size
         )
-        # Statically-seeded planning (repro/analysis/cost.py): seed plans
-        # are compiled at registry time; this flag decides whether run()
-        # consults them, and the advised indexes are pre-built per evaluate.
-        self._seed_plans = options.seed_plans
         # Compile-once rule plans plus per-stratum delta trigger maps —
         # shared through the registry by default, compiled privately on
         # ``share_plans=False``.
         self._stratum_plans: List[List[RulePlan]] = []
         self._stratum_triggers: List[Dict[str, List[Tuple[RulePlan, int]]]] = []
-        #: ``(predicate, positions, arity)`` of every index ``evaluate``
-        #: pre-builds for the seeded plans.
-        self._advised_indexes: Tuple[Tuple[str, Tuple[int, ...], int], ...] = ()
         if self.share_plans:
             source = registry if registry is not None else shared_registry()
             compiled = source.compiled(program, self.BUILTINS)
             self.strata = compiled.strata
             self._stratum_plans = compiled.stratum_plans
             self._stratum_triggers = compiled.stratum_triggers
-            if self._seed_plans:
-                self._advised_indexes = compiled.advised_indexes
         else:
             self.strata = stratify(program)
             for stratum_rules in self.strata:
                 plans, triggers = compile_stratum(stratum_rules, self.BUILTINS)
                 self._stratum_plans.append(plans)
                 self._stratum_triggers.append(triggers)
-            if self._seed_plans:
-                from ..analysis.cost import advised_indexes, seed_rule_plans
-
-                self._advised_indexes = advised_indexes(
-                    program,
-                    seed_rule_plans(self._stratum_plans, self._stratum_triggers, program),
-                )
         # Join-order memos are database-sized state and therefore NEVER
         # shared: one memo per (possibly shared) plan, owned by this engine.
         self._plan_memos: Dict[int, PlanMemo] = {
@@ -316,11 +301,6 @@ class SemiNaiveEngine:
 
     def _run(self, facts: ColumnarDatabase) -> ColumnarDatabase:
         """Evaluate every stratum over ``facts`` in place."""
-        # Pre-build the indexes the seeded plans will probe — the same ones
-        # the executors would build on first call, just before the fixpoint
-        # starts instead of mid-stratum.  Empty without seeded planning.
-        for predicate, positions, arity in self._advised_indexes:
-            facts.lookup(predicate).index(positions, arity)
         for plans, triggers in zip(self._stratum_plans, self._stratum_triggers):
             self._evaluate_stratum(plans, triggers, facts)
         return facts
@@ -425,7 +405,6 @@ class SemiNaiveEngine:
         new range.
         """
         memos = self._plan_memos
-        use_seeds = self._seed_plans
         stats = self._storage_stats
         heads = list({plan.head_predicate for plan in plans})
         # Rows at or past the watermark were not yet applied as a delta.
@@ -433,7 +412,7 @@ class SemiNaiveEngine:
         # Naive first round: every rule fires once without delta
         # restriction; derived facts append past the watermarks.
         for plan in plans:
-            derived = plan.run(facts, memo=memos[id(plan)], use_seeds=use_seeds)
+            derived = plan.run(facts, memo=memos[id(plan)])
             if derived:
                 facts.add_batch(plan.head_predicate, derived)
         # Per-head sweep state, resolved once: the reusable delta window,
@@ -473,7 +452,7 @@ class SemiNaiveEngine:
                     window.lo = lo
                     window.hi = hi
                     for run, position, memo, head_rel in fired:
-                        derived = run(facts, window, position, memo, use_seeds)
+                        derived = run(facts, window, position, memo)
                         if derived:
                             head_rel.add_batch(derived)
                 if not advanced:

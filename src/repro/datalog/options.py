@@ -31,14 +31,6 @@ class EngineOptions:
 
     Attributes
     ----------
-    seed_plans:
-        Consult the statically-seeded join plans that the registry compiles
-        from :mod:`repro.analysis.cost` estimates at program-compile time
-        (and pre-build the advised indexes before the first fixpoint).
-        ``False`` restores pure runtime planning — the first query per
-        (rule, delta position) re-runs the greedy planner on live sizes.
-        Join order never affects the fixpoint, only latency; the property
-        suite asserts both settings produce identical results.
     share_plans:
         Obtain compiled programs (strata, rule plans, trigger maps — and, in
         the monadic layer, TMNF rewrites) from a shared
@@ -63,7 +55,6 @@ class EngineOptions:
         fingerprint, so the policy costs one analysis per distinct program.
     """
 
-    seed_plans: bool = True
     share_plans: bool = True
     cache_size: int = 8
     force_generic: bool = False

@@ -43,9 +43,9 @@ This module moves all of that work to compile time:
   generated names and integers — constants, predicate names and filters
   arrive as arguments — so rules of the same shape compile once
   (:func:`_factory` memoises by source text).  Executors are built
-  wherever plans are built, including the statically seeded plans the
-  registry compiles (:mod:`repro.analysis.cost`), so a shared program
-  carries its executors with it.
+  wherever plans are built, including the estimate-driven plans
+  :mod:`repro.analysis.explain` compiles through :meth:`RulePlan.compile`,
+  so a lowered order is emitted once per plan whoever asked for it.
 
 Executors read the columnar storage of :mod:`repro.datalog.columns`
 directly, and their nested loops iterate live index buckets and row
@@ -102,10 +102,11 @@ def greedy_join_order(
     """Greedy selectivity ordering of the positive relational literals.
 
     This is THE join-order policy of the engine — shared verbatim between
-    runtime plan compilation (:meth:`RulePlan._compile`, with live relation
+    runtime plan compilation (:meth:`RulePlan.compile`, with live relation
     sizes) and static analysis (:mod:`repro.analysis.dataflow`, with
-    estimated sizes), so the adornments the analyzer reports are exactly
-    the binding patterns the interpreter will probe with.
+    estimated sizes), so the adornments the analyzer reports are the
+    binding patterns the engine probes with whenever live sizes rank the
+    relations as the estimates do.
 
     The delta literal (when present) seeds the order — it carries the
     novelty and is typically the smallest relation.  Each following pick
@@ -417,7 +418,6 @@ class RulePlan:
         "_body_preds",
         "_plans",
         "_lowered",
-        "seed_plans",
     )
 
     def __init__(self, rule: Rule, builtins: Mapping[str, Callable[..., bool]]) -> None:
@@ -484,14 +484,6 @@ class RulePlan:
         #: may run on different threads; LruMap locks internally.
         self._lowered: "LruMap[Tuple[Optional[int], Tuple[int, ...]], _JoinPlan]" = LruMap(64)
 
-        #: Statically-seeded plans per delta position, compiled once from
-        #: *estimated* relation sizes (repro/analysis/cost.py) instead of
-        #: live ones.  Consulted by :meth:`_plan_for` on a cold memo only —
-        #: join order affects performance, never the fixpoint, so a seed is
-        #: always safe; once live sizes disagree with the estimates enough
-        #: to miss the memo again, the runtime planner takes over.
-        self.seed_plans: Dict[Optional[int], _JoinPlan] = {}
-
     # ------------------------------------------------------------------
     # Plan lookup (bucket-memoised) and compilation
     # ------------------------------------------------------------------
@@ -499,23 +491,12 @@ class RulePlan:
         """Number of compiled join plans in the default memo (tests)."""
         return len(self._plans)
 
-    def seed(self, delta_position: Optional[int], sizes: Mapping[int, int]) -> None:
-        """Compile (once) a statically-seeded plan for ``delta_position``.
-
-        ``sizes`` maps relational body positions to *estimated* relation
-        sizes — typically from :func:`repro.analysis.cost.relation_estimates`
-        at registry compile time, before any database exists.
-        """
-        if delta_position not in self.seed_plans:
-            self.seed_plans[delta_position] = self._compile(delta_position, sizes)
-
     def _plan_for(
         self,
         facts: ColumnarDatabase,
         delta: Optional[ColumnarWindow],
         delta_position: Optional[int],
         memo: Optional[PlanMemo] = None,
-        use_seeds: bool = True,
     ) -> _JoinPlan:
         # size_bucket() inlined: this runs once per rule firing, so the hit
         # path computes only the bucket signature; the full size map is
@@ -532,34 +513,30 @@ class RulePlan:
             memo = self._plans
         plan = memo.get(key)
         if plan is None:
-            if use_seeds:
-                seed = self.seed_plans.get(delta_position)
-            else:
-                seed = None
-            if seed is not None and all(k[0] != delta_position for k in memo):
-                # Cold memo for this delta position: trust the static seed
-                # and skip the greedy replan.  Later bucket-signature misses
-                # (live sizes drifting from the estimates) recompile
-                # adaptively as before.
-                plan = seed
-            else:
-                sizes = {
-                    position: len(
-                        (
-                            delta
-                            if (position == delta_position and delta is not None)
-                            else facts
-                        ).lookup(predicate)
-                    )
-                    for position, predicate in zip(self.relational, self._rel_preds)
-                }
-                plan = self._compile(delta_position, sizes)
-            memo[key] = plan
+            sizes = {
+                position: len(
+                    (
+                        delta
+                        if (position == delta_position and delta is not None)
+                        else facts
+                    ).lookup(predicate)
+                )
+                for position, predicate in zip(self.relational, self._rel_preds)
+            }
+            plan = memo[key] = self.compile(delta_position, sizes)
         return plan
 
-    def _compile(
+    def compile(
         self, delta_position: Optional[int], sizes: Mapping[int, int]
     ) -> _JoinPlan:
+        """The join plan the greedy planner picks for ``sizes``.
+
+        ``sizes`` maps relational body positions to relation sizes: live
+        ones from :meth:`run`, or estimates from
+        :func:`repro.analysis.explain.explain`.  Nothing is memoised per
+        size here (:meth:`run` keeps the bucket memo); the lowered plan is
+        shared per join order.
+        """
         body = self.rule.body
         slot_of = self.slot_of
 
@@ -644,22 +621,20 @@ class RulePlan:
         delta: Optional[ColumnarWindow] = None,
         delta_position: Optional[int] = None,
         memo: Optional[PlanMemo] = None,
-        use_seeds: bool = True,
     ) -> List[Fact]:
         """All head facts derivable by this rule (delta-restricted when asked).
 
         ``memo`` is the join-order memo to consult (defaulting to this
         plan's own); engines that share one plan through the registry pass
         an instance-local memo so their size-bucket histories stay separate.
-        ``use_seeds=False`` opts out of statically-seeded plans (the
-        property tests compare both paths).  The result is fully
+        The result is fully
         materialised before the caller inserts it: the executor's nested
         loops iterate live index buckets, so no relation may grow while it
         runs.
 
         Evaluation calls the plan's generated executor.
         """
-        plan = self._plan_for(facts, delta, delta_position, memo, use_seeds)
+        plan = self._plan_for(facts, delta, delta_position, memo)
         delta_rel: Optional[Relation] = None
         if delta is not None and delta_position is not None:
             delta_rel = delta.lookup(self._body_preds[delta_position])

@@ -85,7 +85,6 @@ class CompiledProgram:
         "strata",
         "stratum_plans",
         "stratum_triggers",
-        "advised_indexes",
     )
 
     def __init__(
@@ -102,20 +101,6 @@ class CompiledProgram:
             plans, triggers = compile_stratum(stratum_rules, builtins)
             self.stratum_plans.append(plans)
             self.stratum_triggers.append(triggers)
-        # Seed every plan from the static cost model and record which
-        # indexes the seeded plans will probe (the engine pre-builds them).
-        # The plans are not yet published to any engine here, so seeding
-        # needs no locking; the import is lazy only to keep the low-level
-        # datalog package importable without the analysis layer at
-        # module-import time (analysis imports plan/stratify from here).
-        from ..analysis.cost import advised_indexes, seed_rule_plans
-
-        self.advised_indexes: Tuple[Tuple[str, Tuple[int, ...], int], ...] = (
-            advised_indexes(
-                program,
-                seed_rule_plans(self.stratum_plans, self.stratum_triggers, program),
-            )
-        )
 
     def plans(self) -> Iterator[RulePlan]:
         """All rule plans across strata (introspection / memo setup)."""

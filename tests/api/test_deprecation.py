@@ -7,7 +7,9 @@ The imperative ``InformationPipe.add/connect/chain`` wiring is gone too:
 pipelines are declared with ``Pipeline.builder()``.  So is the worker-process
 scale-out (``workers=`` on the session batch paths, ``run_all(distrib=)``,
 ``build(distributable=)``): batch parallelism is threads via
-``max_workers=``.
+``max_workers=``.  ``EngineOptions(seed_plans=)`` is gone as well: the
+engine plans joins from live relation sizes only, so there is no seeded
+plan to opt out of.
 """
 
 from __future__ import annotations
@@ -64,8 +66,10 @@ def _wrapper_program():
 
 #: One pre-façade tuning kwarg per constructor that used to accept them
 #: (tuning now goes through ``options=EngineOptions(...)`` only), plus the
-#: removed worker-process kwargs of the batch paths.
+#: removed worker-process kwargs of the batch paths and the removed
+#: ``seed_plans`` option field.
 REMOVED_KWARGS = {
+    "EngineOptions": lambda doc: EngineOptions(seed_plans=False),
     "SemiNaiveEngine": lambda doc: SemiNaiveEngine(PROGRAM, use_index=False),
     "MonadicTreeEvaluator": lambda doc: MonadicTreeEvaluator(MONADIC, force_generic=True),
     "compiled_evaluator": lambda doc: compiled_evaluator(

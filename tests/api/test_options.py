@@ -9,7 +9,6 @@ from repro import EngineOptions
 
 def test_defaults_match_the_pre_facade_constructor_defaults():
     options = EngineOptions()
-    assert options.seed_plans is True
     assert options.share_plans is True
     assert options.cache_size == 8
     assert options.force_generic is False

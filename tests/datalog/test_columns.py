@@ -16,7 +16,6 @@ from repro.api import Session
 from repro.datalog import (
     ColumnarDatabase,
     ColumnarRelation,
-    EngineOptions,
     SemiNaiveEngine,
     StorageStats,
     aggregate_engine_info,
@@ -140,17 +139,6 @@ def test_ensure_index_materialises_the_advised_access_path():
     assert relation.index_count() == 3  # asking again builds nothing
 
 
-def test_seeded_engine_prebuilds_one_index_per_advised_key_and_body_arity():
-    program = parse_program(
-        "p(X) :- q(X), e(X, Y). r(X) :- q(X), e(X, Y, Z). s(X) :- q(X), not e(X)."
-    )
-    engine = SemiNaiveEngine(program)
-    # The negated e(X) is a membership test, not a probe: no arity-1 index.
-    assert engine._advised_indexes == (("e", (0,), 2), ("e", (0,), 3))
-    unseeded = SemiNaiveEngine(program, options=EngineOptions(seed_plans=False))
-    assert unseeded._advised_indexes == ()
-
-
 # ---------------------------------------------------------------------------
 # ColumnarWindow: row-id range deltas
 # ---------------------------------------------------------------------------
@@ -219,10 +207,8 @@ def test_a_fixpoint_probing_an_undefined_predicate_leaves_the_sentinel_empty():
         r(X, X) :- q(X).
         """
     )
-    for seed_plans in (True, False):
-        engine = SemiNaiveEngine(program, options=EngineOptions(seed_plans=seed_plans))
-        result = engine.evaluate({"q": {(1,), (2,)}})
-        assert "p" not in result and result["r"] == {(1, 1), (2, 2)}
+    result = SemiNaiveEngine(program).evaluate({"q": {(1,), (2,)}})
+    assert "p" not in result and result["r"] == {(1, 1), (2, 2)}
     assert _EMPTY_COLUMNAR.index_count() == 0
     assert not _EMPTY_COLUMNAR.rows
 

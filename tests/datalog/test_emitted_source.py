@@ -56,7 +56,7 @@ GENERATED_NAME = re.compile(
 
 def _emit(rule, delta_position):
     plan = RulePlan(rule, SemiNaiveEngine.BUILTINS)
-    joined = plan._compile(delta_position, {position: 8 for position in plan.relational})
+    joined = plan.compile(delta_position, {position: 8 for position in plan.relational})
     source, _ = _executor_source(
         joined.steps,
         joined.initial_filters,
@@ -161,7 +161,7 @@ def test_rules_of_one_shape_share_one_source():
     emitted = []
     for rule in (first, second):
         plan = RulePlan(rule, SemiNaiveEngine.BUILTINS)
-        joined = plan._compile(None, {0: 1})
+        joined = plan.compile(None, {0: 1})
         emitted.append(
             _executor_source(
                 joined.steps, (), (), plan.head_spec, plan.head_unbound

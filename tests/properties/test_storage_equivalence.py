@@ -29,10 +29,9 @@ from tests.datalog import oracle
 from .test_indexed_join_equivalence import DOMAIN, databases, programs
 
 # Every engine configuration left once the storage knobs are gone: the
-# options that remain change caching and plan seeding, never the answer.
+# options that remain change caching, never the answer.
 ENGINE_OPTIONS = {
     "default": EngineOptions(),
-    "unseeded": EngineOptions(seed_plans=False),
     "small_cache": EngineOptions(cache_size=1),
 }
 
