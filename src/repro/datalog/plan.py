@@ -42,10 +42,10 @@ This module moves all of that work to compile time:
   functions it calls, so rules of any length compile).  The source holds only
   generated names and integers — constants, predicate names and filters
   arrive as arguments — so rules of the same shape compile once
-  (:func:`_factory` memoises by source text).  Executors are built
-  wherever plans are built, including the estimate-driven plans
-  :mod:`repro.analysis.explain` compiles through :meth:`RulePlan.compile`,
-  so a lowered order is emitted once per plan whoever asked for it.
+  (:func:`_factory` memoises by source text).  A plan's executor is
+  emitted on its first run: the estimate-driven plans
+  :mod:`repro.analysis.explain` compiles through :meth:`RulePlan.compile`
+  are rendered, never run, so they generate no code.
 
 Executors read the columnar storage of :mod:`repro.datalog.columns`
 directly, and their nested loops iterate live index buckets and row
@@ -77,10 +77,10 @@ Executor = Callable[[ColumnarDatabase, Optional[Relation]], List[Fact]]
 #: constant value.  Used for probe keys, filter arguments and head terms.
 ValueSpec = Tuple[Tuple[bool, object], ...]
 
-#: ``(delta_position, bucket signature)`` → compiled :class:`_JoinPlan`.
+#: ``(delta_position, bucket signature)`` → the chosen plan's executor.
 #: Engines that share a plan (repro/datalog/registry.py) each pass their own
 #: memo into :meth:`RulePlan.run`, keeping database-sized state per engine.
-PlanMemo = Dict[Tuple[Optional[int], Tuple[int, ...]], "_JoinPlan"]
+PlanMemo = Dict[Tuple[Optional[int], Tuple[int, ...]], Executor]
 
 
 def size_bucket(size: int) -> int:
@@ -381,11 +381,11 @@ def _factory(source: str) -> Callable[..., Executor]:
 
 
 class _JoinPlan:
-    """A fixed join order lowered to one generated executor.
+    """A fixed join order: its step/filter layouts, and the executor
+    generated from them on the plan's first run.
 
-    The step/filter layouts are kept alongside the executor for
-    introspection (``analysis/explain`` renders them) — evaluation goes
-    through :attr:`executor` only.
+    ``analysis/explain`` renders the layouts; evaluation goes through
+    :attr:`executor` only (:meth:`RulePlan._executor_for`).
     """
 
     __slots__ = ("steps", "initial_filters", "leftover_filters", "executor")
@@ -395,12 +395,11 @@ class _JoinPlan:
         steps: Tuple[_JoinStep, ...],
         initial_filters: Tuple[_CompiledFilter, ...],
         leftover_filters: Tuple[_CompiledFilter, ...],
-        executor: Executor,
     ) -> None:
         self.steps = steps
         self.initial_filters = initial_filters
         self.leftover_filters = leftover_filters
-        self.executor = executor
+        self.executor: Optional[Executor] = None
 
 
 class RulePlan:
@@ -480,7 +479,7 @@ class RulePlan:
         #: Join orders lowered so far, keyed by ``(delta_position, order)``.
         #: A lowered plan depends on the rule and the order only, so engines
         #: sharing this plan (and size buckets that pick the same order)
-        #: reuse it instead of emitting its executor again.  Those engines
+        #: reuse it and its executor instead of emitting them again.  Those engines
         #: may run on different threads; LruMap locks internally.
         self._lowered: "LruMap[Tuple[Optional[int], Tuple[int, ...]], _JoinPlan]" = LruMap(64)
 
@@ -491,13 +490,13 @@ class RulePlan:
         """Number of compiled join plans in the default memo (tests)."""
         return len(self._plans)
 
-    def _plan_for(
+    def _executor_for(
         self,
         facts: ColumnarDatabase,
         delta: Optional[ColumnarWindow],
         delta_position: Optional[int],
         memo: Optional[PlanMemo] = None,
-    ) -> _JoinPlan:
+    ) -> Executor:
         # size_bucket() inlined: this runs once per rule firing, so the hit
         # path computes only the bucket signature; the full size map is
         # rebuilt on a memo miss (compile time dwarfs the extra lookups).
@@ -511,8 +510,8 @@ class RulePlan:
         key = (delta_position, tuple(signature))
         if memo is None:
             memo = self._plans
-        plan = memo.get(key)
-        if plan is None:
+        executor = memo.get(key)
+        if executor is None:
             sizes = {
                 position: len(
                     (
@@ -523,8 +522,16 @@ class RulePlan:
                 )
                 for position, predicate in zip(self.relational, self._rel_preds)
             }
-            plan = memo[key] = self.compile(delta_position, sizes)
-        return plan
+            plan = self.compile(delta_position, sizes)
+            executor = plan.executor
+            if executor is None:  # racing threads emit equal executors
+                source, values = _executor_source(
+                    plan.steps, plan.initial_filters, plan.leftover_filters,
+                    self.head_spec, self.head_unbound,
+                )
+                executor = plan.executor = _factory(source)(*values)
+            memo[key] = executor
+        return executor
 
     def compile(
         self, delta_position: Optional[int], sizes: Mapping[int, int]
@@ -535,7 +542,7 @@ class RulePlan:
         ones from :meth:`run`, or estimates from
         :func:`repro.analysis.explain.explain`.  Nothing is memoised per
         size here (:meth:`run` keeps the bucket memo); the lowered plan is
-        shared per join order.
+        shared per join order, and its executor is emitted by its first run.
         """
         body = self.rule.body
         slot_of = self.slot_of
@@ -602,13 +609,7 @@ class RulePlan:
         # Any hoistable filter still pending would need a slot no relational
         # literal binds — excluded by construction (unbound_term is set).
         assert not pending
-        steps_tuple = tuple(steps)
-        source, values = _executor_source(
-            steps_tuple, initial_filters, leftover, self.head_spec, self.head_unbound
-        )
-        lowered = _JoinPlan(
-            steps_tuple, initial_filters, leftover, _factory(source)(*values)
-        )
+        lowered = _JoinPlan(tuple(steps), initial_filters, leftover)
         self._lowered.put((delta_position, tuple(order)), lowered)
         return lowered
 
@@ -634,11 +635,11 @@ class RulePlan:
 
         Evaluation calls the plan's generated executor.
         """
-        plan = self._plan_for(facts, delta, delta_position, memo)
+        executor = self._executor_for(facts, delta, delta_position, memo)
         delta_rel: Optional[Relation] = None
         if delta is not None and delta_position is not None:
             delta_rel = delta.lookup(self._body_preds[delta_position])
-        return plan.executor(facts, delta_rel)
+        return executor(facts, delta_rel)
 
 
 def compile_stratum(

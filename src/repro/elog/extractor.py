@@ -232,10 +232,11 @@ class Extractor:
         first_only = len(conditions) != len(rule.conditions)
         for parent_instance in self._parent_instances(rule, base, fetched_urls):
             candidates = self._candidates(rule, parent_instance)
+            document = self._document_of(parent_instance) if conditions and candidates else None
             accepted: List[PatternInstance] = []
             for target, bindings in candidates:
                 instance = self._check_conditions(
-                    rule, conditions, parent_instance, target, bindings, base, witnesses
+                    rule, conditions, parent_instance, document, target, bindings, base, witnesses
                 )
                 if instance is not None:
                     accepted.append(instance)
@@ -415,6 +416,7 @@ class Extractor:
         rule: ElogRule,
         conditions: Tuple[Condition, ...],
         parent: PatternInstance,
+        document: Optional[Document],
         target: Union[Node, List[Node], str],
         bindings: Dict[str, object],
         base: PatternInstanceBase,
@@ -425,7 +427,7 @@ class Extractor:
         final_bindings: Optional[Dict[str, object]] = bindings
         if conditions:
             context = ConditionContext(
-                document=self._document_of(parent),
+                document=document,
                 parent_node=parent.node,
                 parent_nodes=parent.nodes,
                 target=target,

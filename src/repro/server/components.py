@@ -62,7 +62,7 @@ class _SourceComponent(Component):
     """A source stage's last good output, and serving it stale.
 
     With a :class:`ResiliencePolicy` whose ``serve_stale`` is on, a source
-    whose acquisition fails serves a copy of its last good output marked
+    whose acquisition fails serves its last good output marked
     ``stale="true"`` instead of failing the pipe.  Without a policy there
     is no degradation and no accounting.
     """
@@ -73,18 +73,17 @@ class _SourceComponent(Component):
         self._stats = ResilienceStats() if resilience is not None else None
         self._last_good: Optional[XmlElement] = None
 
-    def _stale_copy(self) -> Optional[XmlElement]:
+    def _stale(self) -> Optional[XmlElement]:
         """The last-good output marked stale, or ``None`` if degradation is
-        off (no policy, ``serve_stale=False``) or nothing good was seen."""
-        if (
-            self.resilience is None
-            or not self.resilience.serve_stale
-            or self._last_good is None
-        ):
+        off (no policy, ``serve_stale=False``) or nothing good was seen:
+        a new root over its children, shared read-only."""
+        last_good = self._last_good
+        if self.resilience is None or not self.resilience.serve_stale or last_good is None:
             return None
         self._stats.bump("stale_served")
-        stale = self._last_good.copy()
+        stale = XmlElement(last_good.name, last_good.attributes, last_good.text)
         stale.attributes["stale"] = "true"
+        stale.children = list(last_good.children)
         return stale
 
     def resilience_info(self) -> Optional[ResilienceInfo]:
@@ -153,8 +152,9 @@ class WrapperComponent(_SourceComponent):
     of its last successful extraction: the ``(url, validator)`` of every
     page it read, in order (a crawl reads several), plus the output, which
     is also the last good output stale serving uses.  An activation first
-    refetches the traced pages; when every validator matches, it returns a
-    copy of that output and nothing is parsed or extracted (Mokhov,
+    refetches the traced pages; when every validator matches, it serves
+    that output again (inside a pipe the stored output itself, read-only;
+    :meth:`process` a copy) and nothing is parsed or extracted (Mokhov,
     Mitchell & Peyton Jones, "Build systems à la carte", ICFP 2018).  The
     trace also names the program's content, the URL and the root name; a
     change to any of them forces a fresh extraction.  An extraction builds
@@ -198,6 +198,10 @@ class WrapperComponent(_SourceComponent):
         self._served_stale = False
 
     def process(self, inputs: List[XmlElement]) -> XmlElement:
+        return self._activate(inputs).copy()
+
+    def _activate(self, inputs: List[XmlElement]) -> XmlElement:
+        """One activation, sharing the stored last good output: read-only."""
         # Re-fingerprinted per activation: an in-place program edit must
         # invalidate the trace.
         key = (wrapper_fingerprint(self.program), self.url, self.root_name)
@@ -209,16 +213,15 @@ class WrapperComponent(_SourceComponent):
                 and self._trace[0] == key
                 and reads.verify(self._trace[1])
             ):
-                # Every read page is unchanged: so is the output.  A copy,
-                # because downstream stages may mutate their input in place.
+                # Every read page is unchanged: so is the output.
                 if self._served_stale:
                     self._revise(stale=False)
-                return self._last_good.copy()
+                return self._last_good
             result = Extractor(self.program, fetcher=reads).extract_to_xml(
                 url=self.url, root_name=self.root_name
             )
         except Exception:
-            stale = self._stale_copy()
+            stale = self._stale()
             if stale is not None:
                 self._revise(stale=True)
                 return stale
@@ -227,7 +230,7 @@ class WrapperComponent(_SourceComponent):
         result.attributes["source"] = self.url
         if reads is not None:
             self._trace = (key, reads.reads)
-            self._last_good = result.copy()
+            self._last_good = result
         return result
 
     def _revise(self, *, stale: bool) -> None:
@@ -293,9 +296,9 @@ class DatalogQueryComponent(_SourceComponent):
                 document = self.supplier()
             matches = self._evaluator.evaluate(document)
         except Exception:
-            stale = self._stale_copy()
+            stale = self._stale()
             if stale is not None:
-                return stale
+                return stale.copy()  # deep: the caller may edit it
             raise
         result = XmlElement(self.root_name)
         for predicate in sorted(matches):
@@ -324,7 +327,8 @@ class DatalogQueryComponent(_SourceComponent):
 
 
 class IntegrationComponent(Component):
-    """Merges the XML documents of several upstream components (stage 2)."""
+    """Merges the XML documents of several upstream components (stage 2)
+    under one new root, linked as they are, not copied."""
 
     def __init__(self, name: str, root_name: Optional[str] = None) -> None:
         super().__init__(name)
@@ -332,8 +336,7 @@ class IntegrationComponent(Component):
 
     def process(self, inputs: List[XmlElement]) -> XmlElement:
         merged = XmlElement(self.root_name)
-        for document in inputs:
-            merged.append(document.copy())
+        merged.children = list(inputs)
         return merged
 
 
@@ -341,7 +344,8 @@ class JoinComponent(Component):
     """Joins records from two upstream documents on a key element.
 
     Used e.g. by the "Now Playing" application to attach chart positions and
-    lyrics to the currently playing song.
+    lyrics to the currently playing song.  Joined records share their
+    children and matches with the inputs.
     """
 
     def __init__(
@@ -378,11 +382,11 @@ class JoinComponent(Component):
             if key:
                 index.setdefault(key, []).append(record)
         for record in primary.iter(self.record_name):
-            joined = record.copy()
+            joined = XmlElement(record.name, record.attributes, record.text)
+            joined.children = list(record.children)
             key = self._key_of(record, self.key)
             if key:
-                for match in index.get(key, []):
-                    joined.append(match.copy())
+                joined.children.extend(index.get(key, ()))
             result.append(joined)
         return result
 
@@ -410,7 +414,7 @@ class TransformerComponent(Component):
 
 
 class FilterComponent(Component):
-    """Keeps only the records satisfying a predicate."""
+    """Keeps only the records satisfying a predicate (shared, not copied)."""
 
     def __init__(
         self,
@@ -429,12 +433,12 @@ class FilterComponent(Component):
         for document in inputs:
             for record in document.iter(self.record_name):
                 if self.predicate(record):
-                    result.append(record.copy())
+                    result.append(record)
         return result
 
 
 class SortComponent(Component):
-    """Sorts records by a key element (numeric when possible)."""
+    """Sorts records by a key element (numeric when possible), sharing them."""
 
     def __init__(
         self,
@@ -457,7 +461,7 @@ class SortComponent(Component):
 
         records: List[XmlElement] = []
         for document in inputs:
-            records.extend(record.copy() for record in document.iter(self.record_name))
+            records.extend(document.iter(self.record_name))
 
         def sort_key(record: XmlElement):
             value = record.findtext(self.key)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from ..resilience.batch import check_on_error, run_tasks, settle
 from ..resilience.policy import ErrorResult
@@ -74,6 +74,7 @@ class InformationPipe:
         self._edges: Dict[str, List[str]] = defaultdict(list)   # component -> successors
         self._inputs: Dict[str, List[str]] = defaultdict(list)  # component -> predecessors
         self._order: Optional[List[str]] = None  # cached topological order
+        self._shared: FrozenSet[str] = frozenset()  # see _topological_order
         self._memo: Dict[str, _Memo] = {}  # cut-off stage -> its last completed run
         self.last_results: Dict[str, XmlElement] = {}
 
@@ -127,6 +128,13 @@ class InformationPipe:
                     frontier.append(successor)
         if len(order) != len(self._components):
             raise PipelineError(f"pipe {self.name!r} contains a cycle")
+        # Shared outputs (see run): wrappers', cut-off stages' and their inputs'.
+        kinds = {name: type(component) for name, component in self._components.items()}
+        self._shared = frozenset(
+            name for name, kind in kinds.items()
+            if kind is WrapperComponent or kind in _CUT_OFF
+            or any(kinds[target] in _CUT_OFF for target in self._edges.get(name, ()))
+        )
         self._order = order
         return order
 
@@ -139,9 +147,10 @@ class InformationPipe:
         while its pages are unchanged, every other stage that runs draws a
         fresh one.  A cut-off stage (``_CUT_OFF``) whose input revisions
         equal those of its last completed run does not run; its previous
-        output stands, as the same object, so outputs are read-only.
-        Every other stage runs, and gets a copy of each input that a
-        cut-off stage produced: it may mutate it in place.
+        output stands, as the same object.  Nothing is copied on the way
+        (wrappers hand over their stored output, cut-off stages link their
+        inputs), so outputs are read-only; every other stage may mutate its
+        inputs, so it gets a copy of each input whose producer is shared.
         """
         results: Dict[str, XmlElement] = {}
         revisions: Dict[str, int] = {}
@@ -162,13 +171,15 @@ class InformationPipe:
                 revisions[name] = memo.revision
                 continue
             inputs = [
-                results[predecessor].copy() if predecessor in memos else results[predecessor]
+                results[predecessor].copy() if predecessor in self._shared else results[predecessor]
                 for predecessor in predecessors
             ]
-            results[name] = component.process(inputs)
-            revisions[name] = (
-                component.revision if kind is WrapperComponent else fresh_revision()
-            )
+            if kind is WrapperComponent:
+                results[name] = component._activate(inputs)
+                revisions[name] = component.revision
+            else:
+                results[name] = component.process(inputs)
+                revisions[name] = fresh_revision()
         self.last_results = results
         return results
 

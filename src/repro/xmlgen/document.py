@@ -5,6 +5,10 @@ Server (Section 5) exchange XML documents between components.  ``XmlElement``
 is intentionally small: an element name, attributes, text, and children.  It
 can be converted to/from the generic :class:`~repro.tree.document.Document`
 model and serialised to markup.
+
+An element keeps no parent pointer, so one subtree can hang under several
+parents: Transformation Server stages share read-only documents this way
+(:meth:`XmlElement.copy` gives a caller a tree of its own to edit).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from ..tree.node import Node
 class XmlElement:
     """A single XML element."""
 
-    __slots__ = ("name", "attributes", "text", "children", "parent")
+    __slots__ = ("name", "attributes", "text", "children")
 
     def __init__(
         self,
@@ -30,11 +34,9 @@ class XmlElement:
         self.attributes: Dict[str, str] = dict(attributes) if attributes else {}
         self.text = text
         self.children: List["XmlElement"] = []
-        self.parent: Optional["XmlElement"] = None
 
     # -- construction ----------------------------------------------------
     def append(self, child: "XmlElement") -> "XmlElement":
-        child.parent = self
         self.children.append(child)
         return child
 
@@ -85,14 +87,9 @@ class XmlElement:
         return sum(1 for _ in self.iter())
 
     def copy(self) -> "XmlElement":
-        # The constructor already copies the attribute dict; children are
-        # linked directly rather than through append().
+        """A deep copy (the constructor copies the attribute dict)."""
         clone = XmlElement(self.name, self.attributes, self.text)
-        children = clone.children
-        for child in self.children:
-            child_clone = child.copy()
-            child_clone.parent = clone
-            children.append(child_clone)
+        clone.children = [child.copy() for child in self.children]
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -93,6 +93,18 @@ def test_explain_json_is_machine_readable():
     assert {rule["head_predicate"] for rule in payload["rules"]} == {"tc"}
 
 
+def test_explain_renders_plans_without_generating_executor_code(monkeypatch):
+    import repro.datalog.plan
+
+    expected = explain(TC_TEXT).render("tc")
+
+    def refuse(*args):
+        raise AssertionError("explain generated an executor")
+
+    monkeypatch.setattr(repro.datalog.plan, "_executor_source", refuse)
+    assert explain(TC_TEXT).render("tc") == expected
+
+
 # ---------------------------------------------------------------------------
 # Session / Pipeline surfaces
 # ---------------------------------------------------------------------------
