@@ -7,6 +7,10 @@ offered item).  The median extraction time per page size is recorded as
 ``figure5_extract_<records>_s``, and extraction must stay linear in the
 page: the time per record at 160 records may be at most
 ``MAX_PER_RECORD_GROWTH`` times the time per record at 10.
+
+The HTML parse of the same pages, the layer in front of the wrapper, is
+recorded as the ``html_parse_ebay_page_<records>_ms`` series (median
+milliseconds per page, with n and IQR under ``..._spread``).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from repro.web.sites.ebay import ebay_page
 
 PAGE_SIZES = (10, 40, 160)
 REPEATS = 5
+PARSE_REPEATS = 21
 #: A quadratic interpreter reads ~8x here; a linear one ~1x.
 MAX_PER_RECORD_GROWTH = 2.5
 
@@ -52,6 +57,22 @@ def test_extraction_completeness_and_throughput(bench_record):
     assert growth <= MAX_PER_RECORD_GROWTH, (
         f"per-record time grows {growth:.1f}x from {smallest} to {largest} records"
     )
+
+
+def test_html_parse_time_per_page(bench_record_samples):
+    print("\nE7  HTML parse of the eBay pages (median of", PARSE_REPEATS, "runs)")
+    print(f"{'records':>8} {'ms/page':>10}")
+    for count in PAGE_SIZES:
+        markup = ebay_page(count=count, seed=7)
+        samples = []
+        for _ in range(PARSE_REPEATS):
+            start = time.perf_counter()
+            document = parse_html(markup, url="www.ebay.com")
+            samples.append((time.perf_counter() - start) * 1e3)
+        # The navigation and list-header tables, then one table per item.
+        assert len(document.find_all("table")) == count + 2
+        median = bench_record_samples(f"html_parse_ebay_page_{count}_ms", samples)
+        print(f"{count:>8} {median:>10.3f}")
 
 
 @pytest.mark.benchmark(group="E7-ebay")

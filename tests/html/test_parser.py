@@ -5,6 +5,8 @@ from __future__ import annotations
 from repro.html import body_of, parse_html, parse_html_fragment, to_html
 from repro.html.render import render_text, render_text_with_spans
 
+from .oracle import tree_shape
+
 
 def test_parse_simple_document(simple_html):
     assert simple_html.find_first("table") is not None
@@ -134,3 +136,124 @@ def test_script_and_style_not_rendered():
     text = render_text(doc)
     assert "visible" in text
     assert "var x" not in text
+
+
+# -- tokenizer edge cases (WHATWG tokenization, pinned trees) ----------------
+
+
+def shape(markup: str, keep_whitespace_text: bool = False):
+    return tree_shape(parse_html(markup, keep_whitespace_text=keep_whitespace_text))[1:]
+
+
+def test_a_bare_less_than_stays_in_one_text_node():
+    assert shape("<p>a < b</p>") == [("p", (), "", 0), ("#text", (), "a < b", 1)]
+    assert shape("1 <2 <= 3<") == [("#text", (), "1 <2 <= 3<", 0)]
+    assert shape("<p>x</") == [("p", (), "", 0), ("#text", (), "x</", 1)]
+    assert shape("<p> < </p>") == [("p", (), "", 0), ("#text", (), " < ", 1)]
+
+
+def test_a_text_run_continues_across_stray_end_tags_and_dropped_constructs():
+    assert shape("<p>a</span>b<?pi>c</>d</br>e</p>") == [
+        ("p", (), "", 0),
+        ("#text", (), "abcde", 1),
+    ]
+
+
+def test_an_unterminated_comment_ends_at_the_end_of_input():
+    assert shape("<p>x<!-- open") == [
+        ("p", (), "", 0),
+        ("#text", (), "x", 1),
+        ("#comment", (), " open", 1),
+    ]
+    assert shape("<!--a--") == [("#comment", (), "a", 0)]
+
+
+def test_comment_ends_and_abrupt_comments():
+    assert shape("<!--a--!>b<!---->c") == [
+        ("#comment", (), "a", 0),
+        ("#text", (), "b", 0),
+        ("#comment", (), "", 0),
+        ("#text", (), "c", 0),
+    ]
+    assert shape("<!-->x<!--->") == [
+        ("#comment", (), "", 0),
+        ("#text", (), "x", 0),
+        ("#comment", (), "", 0),
+    ]
+    assert shape("<!--a--b-->") == [("#comment", (), "a--b", 0)]
+
+
+def test_bogus_comments():
+    assert shape("<!x>y</1 z>") == [
+        ("#comment", (), "x", 0),
+        ("#text", (), "y", 0),
+        ("#comment", (), "1 z", 0),
+    ]
+
+
+def test_unterminated_tags_at_end_of_input_are_dropped():
+    assert shape('<p>x<a href="y') == [("p", (), "", 0), ("#text", (), "x", 1)]
+    assert shape("<p>x<a b") == [("p", (), "", 0), ("#text", (), "x", 1)]
+    assert shape("<p>x</p") == [("p", (), "", 0), ("#text", (), "x", 1)]
+
+
+def test_unquoted_valueless_and_duplicate_attributes():
+    assert shape("<TD NoWrap Class=big class='last' data-x = 1 href=/a/b/>t") == [
+        (
+            "td",
+            (("class", "last"), ("data-x", "1"), ("href", "/a/b/"), ("nowrap", "")),
+            "",
+            0,
+        ),
+        ("#text", (), "t", 1),
+    ]
+    assert shape('<a b="1"c=\'2\'/d>') == [("a", (("b", "1"), ("c", "2"), ("d", "")), "", 0)]
+
+
+def test_self_closing_tags_are_empty_elements():
+    assert shape("<br/><p/>q<img src=x />") == [
+        ("br", (), "", 0),
+        ("p", (), "", 0),
+        ("#text", (), "q", 0),
+        ("img", (("src", "x"),), "", 0),
+    ]
+
+
+def test_character_references_without_semicolons_are_decoded():
+    # The stdlib's handling of these varies across Python versions.  Only
+    # the legacy names decode without ``;`` (``&euro`` is not one of them).
+    assert shape("<p>&amp &ampx &notit &#65 &#x41 &euro</p>")[1] == (
+        "#text",
+        (),
+        "& &x \xacit A A &euro",
+        1,
+    )
+    assert shape('<a title="&lt;&gt &amp;c">')[0] == ("a", (("title", "<> &c"),), "", 0)
+
+
+def test_script_and_style_are_raw_text():
+    assert shape("<script>if (a</b && c<d) x='&amp;'</script>e") == [
+        ("script", (), "", 0),
+        ("#text", (), "if (a</b && c<d) x='&amp;'", 1),
+        ("#text", (), "e", 0),
+    ]
+    # ``</script`` ends the text only before whitespace, ``/`` or ``>``;
+    # the stdlib's answer here varies across Python versions.
+    assert shape("<SCRIPT>a</scripty>b</Script foo='>'>c") == [
+        ("script", (), "", 0),
+        ("#text", (), "a</scripty>b", 1),
+        ("#text", (), "'>c", 0),
+    ]
+    assert shape("<style>p { x: 1 }") == [("style", (), "", 0), ("#text", (), "p { x: 1 }", 1)]
+    assert shape("<script/>x") == [("script", (), "", 0), ("#text", (), "x", 0)]
+
+
+def test_doctype_processing_instructions_and_cdata_are_dropped():
+    # CDATA handling also varies across stdlib versions.
+    assert shape("<!DOCTYPE html><?xml version='1'?><p>a<![CDATA[<b>]]>c</p>") == [
+        ("p", (), "", 0),
+        ("#text", (), "ac", 1),
+    ]
+    assert shape("<!doctype html") == []
+    assert shape("x<?pi") == [("#text", (), "x", 0)]
+    assert shape("</>x") == [("#text", (), "x", 0)]
