@@ -3,11 +3,11 @@
 The Transformation Server hosts hundreds of components wrapping the same
 handful of programs (Section 5 / 6); before the registry every
 ``DatalogQueryComponent`` recompiled its program at construction.  This
-benchmark builds the ISSUE's headline configuration — 200 components over 4
-distinct programs — with shared plans (the default) and with
-``share_plans=False`` (the per-component compilation baseline), asserts the
-registry really performed exactly 4 compilations for 200 constructions, and
-records both construction times in BENCH_engine.json.
+benchmark builds the headline configuration — 200 components over 4
+distinct programs — with shared plans (the default) and with one fresh
+``PlanRegistry()`` per component (the per-component compilation baseline),
+asserts the registry really performed exactly 4 compilations for 200
+constructions, and records both construction times in BENCH_engine.json.
 
 The ``Session.extract_many`` workload measures the façade's batch path over
 a server-style document stream: one parse and one interpreter over N
@@ -20,7 +20,7 @@ from __future__ import annotations
 import statistics
 
 from repro import EngineOptions, Session
-from repro.datalog import clear_plan_registry, plan_registry_info
+from repro.datalog import PlanRegistry, clear_plan_registry, plan_registry_info
 from repro.elog import Extractor, parse_elog
 from repro.html import parse_html
 from repro.mdatalog import MonadicProgram
@@ -45,13 +45,15 @@ def _program(k: int, chain: int = 24) -> MonadicProgram:
 def _build_components(programs, share_plans):
     document = tree(("doc", ("b", ("a",)), ("a",)))
     # force_generic: the generic engine is the registry client
-    options = EngineOptions(force_generic=True, share_plans=share_plans)
+    options = EngineOptions(force_generic=True)
     return [
         DatalogQueryComponent(
             f"component-{n}",
             programs[n % PROGRAMS],
             lambda: document,
             options=options,
+            # None: the process-wide registry; a fresh one compiles privately.
+            registry=None if share_plans else PlanRegistry(),
         )
         for n in range(COMPONENTS)
     ]

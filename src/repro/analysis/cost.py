@@ -86,10 +86,17 @@ def relation_estimates(
 
     Results are memoised by program content (callers get a private copy).
     """
-    memo_key = _content_key(program, edb, domain_size)
-    cached = _ESTIMATES_MEMO.get(memo_key)
-    if cached is not None:
-        return dict(cached)
+    return dict(
+        _ESTIMATES_MEMO.get_or_build(
+            _content_key(program, edb, domain_size),
+            lambda: _estimate(program, edb, domain_size),
+        )
+    )
+
+
+def _estimate(
+    program: Program, edb: "Optional[object]", domain_size: int
+) -> Dict[str, float]:
     n = float(domain_size)
     tree = edb == TREE_SIGNATURE
     idb = {rule.head.predicate for rule in program.rules}
@@ -131,7 +138,6 @@ def relation_estimates(
                 changed = True
         if not changed:
             break
-    _ESTIMATES_MEMO.put(memo_key, dict(estimates))
     return estimates
 
 

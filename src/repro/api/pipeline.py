@@ -40,6 +40,7 @@ wire custom components.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..analysis.analyzer import analyze as _analyze_program
@@ -292,11 +293,9 @@ class PipelineBuilder:
         elif isinstance(program, str):
             # Text is parsed through a module-level memo so that N unbound
             # builders over one wrapper text parse it once.
-            parsed = _PARSED_WRAPPER_TEXTS.get(program)
-            if parsed is None:
-                parsed = parse_elog(program)
-                _PARSED_WRAPPER_TEXTS.put(program, parsed)
-            program = parsed
+            program = _PARSED_WRAPPER_TEXTS.get_or_build(
+                program, partial(parse_elog, program)
+            )
         component = WrapperComponent(
             name,
             program,

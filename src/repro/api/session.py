@@ -31,8 +31,8 @@ applies the ``on_error`` slot policy.
 
 Thread safety: one ``Session`` is safe to share across the request threads
 of a server front end.  Every session-scale cache locks internally
-(:mod:`repro.datalog.cache`), and the evaluator/parse/analysis memos are
-built under :class:`~repro.datalog.cache.SingleFlight` coordination, so
+(:mod:`repro.datalog.cache`), and the evaluator/parse/analysis memos
+build through :meth:`~repro.datalog.cache.LruMap.get_or_build`, so
 concurrent :meth:`Session.engine` / :meth:`Session.wrapper` calls over one
 cold key construct exactly one instance (see docs/API.md, "Thread safety &
 concurrency").
@@ -48,7 +48,7 @@ from ..analysis.analyzer import ELOG, analyze as _analyze_program, sniff_kind
 from ..analysis.datalog_checks import TREE_SIGNATURE
 from ..analysis.diagnostics import AnalysisReport, apply_policy
 from ..datalog.ast import Program
-from ..datalog.cache import CacheInfo, LruMap, SingleFlight
+from ..datalog.cache import CacheInfo, LruMap
 from ..datalog.engine import EngineInfo, aggregate_engine_info
 from ..datalog.options import DEFAULT_OPTIONS, EngineOptions
 from ..datalog.parser import DatalogSyntaxError
@@ -119,6 +119,9 @@ class Session:
         # One stats sink for the whole session: every resilient fetcher the
         # session wraps, and every isolated batch error, reports here.
         self._resilience_stats = ResilienceStats()
+        # Every memo below builds through get_or_build, so at most one
+        # evaluator / parsed program / report is ever *constructed* per key
+        # under concurrency.
         self._evaluators: LruMap[Tuple[str, Hashable], object] = LruMap(
             self.MAX_EVALUATORS
         )
@@ -135,11 +138,6 @@ class Session:
         self._elog_analyses: LruMap[Hashable, AnalysisReport] = LruMap(
             self.MAX_ANALYSES
         )
-        # Per-key build coordination for every memo above: the caches lock
-        # their own structure, the flight guarantees at most one evaluator /
-        # parsed program / report is ever *constructed* per key under
-        # concurrency.
-        self._flight = SingleFlight()
 
     # ------------------------------------------------------------------
     # Resilience plumbing
@@ -193,18 +191,14 @@ class Session:
     ) -> object:
         key = (resolved.name, resolved.cache_key(native, self.options, label_key))
 
-        def store(evaluator: object) -> None:
-            self._evaluators.put(key, evaluator)
+        def build() -> object:
+            evaluator = resolved.build(native, self.options, self.registry, label_key)
             self._backends_used.add(resolved.name)
+            return evaluator
 
-        # Single-flight: N request threads hitting one cold key pay one
-        # compilation and share the one evaluator it produced.
-        return self._flight.run(
-            ("evaluator", key),
-            lambda: self._evaluators.get(key),
-            lambda: resolved.build(native, self.options, self.registry, label_key),
-            store,
-        )
+        # N request threads hitting one cold key pay one compilation and
+        # share the one evaluator it produced.
+        return self._evaluators.get_or_build(key, build)
 
     def _resolve(
         self,
@@ -215,12 +209,8 @@ class Session:
     ) -> Tuple[EvaluatorBackend, object, Optional[Tuple[str, ...]]]:
         resolved = backend_named(backend) if backend else infer_backend(program)
         if isinstance(program, str):
-            memo_key = (resolved.name, program)
-            native = self._flight.run(
-                ("parse", memo_key),
-                lambda: self._parsed_programs.get(memo_key),
-                lambda: resolved.normalise(program),
-                lambda parsed: self._parsed_programs.put(memo_key, parsed),
+            native = self._parsed_programs.get_or_build(
+                (resolved.name, program), partial(resolved.normalise, program)
             )
         else:
             native = resolved.normalise(program)
@@ -353,12 +343,7 @@ class Session:
         return program
 
     def _parsed_wrapper(self, text: str) -> ElogProgram:
-        return self._flight.run(
-            ("elog-parse", text),
-            lambda: self._parsed_wrappers.get(text),
-            lambda: parse_elog(text),
-            lambda parsed: self._parsed_wrappers.put(text, parsed),
-        )
+        return self._parsed_wrappers.get_or_build(text, partial(parse_elog, text))
 
     def extract(
         self,
@@ -600,12 +585,8 @@ class Session:
         )
 
     def _elog_report(self, program: ElogProgram) -> AnalysisReport:
-        fingerprint = wrapper_fingerprint(program)
-        return self._flight.run(
-            ("analysis", fingerprint),
-            lambda: self._elog_analyses.get(fingerprint),
-            lambda: _analyze_program(program),
-            lambda report: self._elog_analyses.put(fingerprint, report),
+        return self._elog_analyses.get_or_build(
+            wrapper_fingerprint(program), partial(_analyze_program, program)
         )
 
     def _enforce_diagnostics(

@@ -154,11 +154,8 @@ def _evaluator_cache_for(
 ) -> LruMap[Tuple[object, ...], MonadicTreeEvaluator]:
     if registry is None:
         return _EVALUATOR_CACHE
-    cache = _REGISTRY_EVALUATOR_CACHES.get(registry)
-    if cache is None:
-        cache = LruMap(32)
-        _REGISTRY_EVALUATOR_CACHES[registry] = cache
-    return cache
+    # setdefault, not get-then-set: racing first callers share one cache.
+    return _REGISTRY_EVALUATOR_CACHES.setdefault(registry, LruMap(32))
 
 
 def _automaton_signature(automaton: TreeAutomaton) -> Tuple[object, ...]:
@@ -183,9 +180,9 @@ def compiled_evaluator(
     query the same (or an equal) automaton skip both recompilation and
     evaluator construction, while mutated automata recompile.  An evaluator
     cache miss over a previously seen *program* content still shares the
-    downstream compilation (``share_plans``, the default): the TMNF rewrite
-    and the generic engine's rule plans come from the process-wide caches
-    of :mod:`repro.mdatalog.evaluator` / :mod:`repro.datalog.registry`.
+    downstream compilation: the TMNF rewrite and the generic engine's rule
+    plans come from the process-wide caches of
+    :mod:`repro.mdatalog.evaluator` / :mod:`repro.datalog.registry`.
 
     Tuning goes through ``options=`` (:class:`EngineOptions` keys the cache,
     so differently tuned evaluators never alias).  Callers that supply
@@ -202,14 +199,14 @@ def compiled_evaluator(
         query_predicate,
         options,
     )
-    cache = _evaluator_cache_for(registry)
-    evaluator = cache.get(key)
-    if evaluator is not None:
-        return evaluator
-    program = compile_automaton(automaton, label_set, query_predicate)
-    evaluator = MonadicTreeEvaluator(program, options=options, registry=registry)
-    cache.put(key, evaluator)
-    return evaluator
+    return _evaluator_cache_for(registry).get_or_build(
+        key,
+        lambda: MonadicTreeEvaluator(
+            compile_automaton(automaton, label_set, query_predicate),
+            options=options,
+            registry=registry,
+        ),
+    )
 
 
 def compiled_select(

@@ -15,7 +15,7 @@ from .ast import (
     rule,
     var,
 )
-from .cache import CacheInfo, FixpointCache, LruMap, database_content_hash
+from .cache import CacheInfo, ContentKey, LruMap, database_content_hash
 from .columns import ColumnarDatabase, ColumnarRelation, ColumnarWindow, StorageStats
 from .engine import (
     EngineInfo,
@@ -35,7 +35,6 @@ from .registry import (
     PlanRegistry,
     clear_plan_registry,
     plan_registry_info,
-    program_fingerprint,
     shared_compiled_program,
     shared_registry,
 )
@@ -55,6 +54,7 @@ __all__ = [
     "ColumnarRelation",
     "ColumnarWindow",
     "CompiledProgram",
+    "ContentKey",
     "Constant",
     "Database",
     "DatalogSyntaxError",
@@ -63,7 +63,6 @@ __all__ = [
     "EngineOptions",
     "EvaluationError",
     "EvaluationResult",
-    "FixpointCache",
     "GroundHornSolver",
     "StorageStats",
     "Literal",
@@ -79,7 +78,6 @@ __all__ = [
     "compile_stratum",
     "database_content_hash",
     "plan_registry_info",
-    "program_fingerprint",
     "shared_compiled_program",
     "shared_registry",
     "aggregate_engine_info",

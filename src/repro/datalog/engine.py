@@ -20,7 +20,8 @@ full picture):
    happens once per distinct *program*, not per engine: the process-wide
    registry (:mod:`repro.datalog.registry`) shares strata, plans and
    trigger maps across every engine constructed over content-equal programs
-   (``share_plans=False`` opts out); join-order memos stay per-engine.
+   (an engine over a fresh ``PlanRegistry()`` compiles alone); join-order
+   memos stay per-engine.
 2. **Storage** (:mod:`repro.datalog.columns`) — relations keep their rows
    in append-only arrays and serve probes from one kind of lazily
    materialised index, keyed by bound positions and arity, that catches
@@ -35,9 +36,10 @@ full picture):
 4. **Fixpoint caching** (:mod:`repro.datalog.cache`) — ``fixpoint()`` keeps
    one LRU of results, sized for the several hot documents of the
    :mod:`repro.server.pipeline` access pattern.  A document is keyed by its
-   exact tree fingerprint; a dict database by a cheap content hash with
-   exact snapshot verification on hit.  A result holds the finished row
-   arrays and freezes a predicate's extension only when it is queried.
+   exact tree fingerprint; a dict database by a cheap content hash, every
+   hit compared exactly against a frozen snapshot.  A result holds the
+   finished row arrays and freezes a predicate's extension only when it is
+   queried.
 
 A naive nested-loop evaluator lives under ``tests/`` as the reference
 oracle; the property suites assert this engine computes its fixpoints.
@@ -65,12 +67,11 @@ from typing import (
 
 from ..tree.document import Document
 from .ast import Database, Program
-from .cache import CacheInfo, FixpointCache
+from .cache import CacheInfo, ContentKey, LruMap, database_content_hash
 from .columns import ColumnarDatabase, StorageStats
 from .options import DEFAULT_OPTIONS, EngineOptions
-from .plan import PlanMemo, RulePlan, compile_stratum
+from .plan import PlanMemo, RulePlan
 from .registry import PlanRegistry, shared_registry
-from .stratify import stratify
 from .tree_edb import TreeRelations, tree_fingerprint
 
 _EMPTY_EXTENSION: FrozenSet[Tuple[object, ...]] = frozenset()
@@ -209,14 +210,13 @@ class SemiNaiveEngine:
     planned from live relation sizes, greedily per rule and delta position,
     and memoised per power-of-two size bucket (:mod:`repro.datalog.plan`).
 
-    ``share_plans=True`` (the default) obtains strata, rule plans and
-    trigger maps from a shared :class:`~repro.datalog.registry.
-    PlanRegistry` — the process-wide singleton, or the registry passed as
-    ``registry=`` (a :class:`repro.api.Session` passes its own, so sessions
-    never contend on module globals) — so N engines over the same program
-    pay one compilation; every piece of database-sized state — join-order
-    memos, delta storage, the fixpoint LRU — stays instance-local.
-    ``share_plans=False`` compiles privately.
+    Strata, rule plans and trigger maps come from a :class:`~repro.datalog.
+    registry.PlanRegistry` — the process-wide singleton, or the registry
+    passed as ``registry=`` (a :class:`repro.api.Session` passes its own, so
+    sessions never contend on module globals; ``registry=PlanRegistry()``
+    compiles privately) — so N engines over the same program pay one
+    compilation; every piece of database-sized state — join-order memos,
+    delta storage, the fixpoint LRU — stays instance-local.
     """
 
     BUILTINS = {
@@ -241,31 +241,19 @@ class SemiNaiveEngine:
         self._validate_builtins(program)
         self.program = program
         self.options = options
-        self.share_plans = options.share_plans
         #: Every predicate a rule reads or derives; a document fixpoint
         #: builds those that are tau_ur relations before evaluating.
         self._mentioned = tuple(sorted(program.all_predicates()))
         self._storage_stats = StorageStats()
-        self._fixpoint_cache: FixpointCache[EvaluationResult] = FixpointCache(
+        self._fixpoint_cache: LruMap[ContentKey, EvaluationResult] = LruMap(
             options.cache_size
         )
-        # Compile-once rule plans plus per-stratum delta trigger maps —
-        # shared through the registry by default, compiled privately on
-        # ``share_plans=False``.
-        self._stratum_plans: List[List[RulePlan]] = []
-        self._stratum_triggers: List[Dict[str, List[Tuple[RulePlan, int]]]] = []
-        if self.share_plans:
-            source = registry if registry is not None else shared_registry()
-            compiled = source.compiled(program, self.BUILTINS)
-            self.strata = compiled.strata
-            self._stratum_plans = compiled.stratum_plans
-            self._stratum_triggers = compiled.stratum_triggers
-        else:
-            self.strata = stratify(program)
-            for stratum_rules in self.strata:
-                plans, triggers = compile_stratum(stratum_rules, self.BUILTINS)
-                self._stratum_plans.append(plans)
-                self._stratum_triggers.append(triggers)
+        compiled = (registry if registry is not None else shared_registry()).compiled(
+            program, self.BUILTINS
+        )
+        self.strata = compiled.strata
+        self._stratum_plans = compiled.stratum_plans
+        self._stratum_triggers = compiled.stratum_triggers
         # Join-order memos are database-sized state and therefore NEVER
         # shared: one memo per (possibly shared) plan, owned by this engine.
         self._plan_memos: Dict[int, PlanMemo] = {
@@ -352,17 +340,29 @@ class SemiNaiveEngine:
         fixpoint.  The LRU holds several entries so the multi-document
         server working set does not thrash the cache.
         """
-        key = tree_fingerprint(source) if isinstance(source, Document) else source
-        fingerprint, cached = self._fixpoint_cache.lookup(key)
-        if cached is not None:
-            return cached
-        if isinstance(key, tuple):
-            result = self._evaluate_tree(TreeRelations(key))
-        else:
-            facts = self._run(ColumnarDatabase(key, self._storage_stats))
-            result = EvaluationResult(facts.row_arrays())
-        self._fixpoint_cache.store(fingerprint, key, result)
-        return result
+        if isinstance(source, Document):
+            fingerprint = tree_fingerprint(source)
+            return self._fixpoint_cache.get_or_build(
+                ContentKey(fingerprint),
+                lambda: self._evaluate_tree(TreeRelations(fingerprint)),
+            )
+        key = ContentKey(source, database_content_hash(source))
+        return self._fixpoint_cache.get_or_build(
+            key, lambda: self._evaluate_database(key, source)
+        )
+
+    def _evaluate_database(self, key: ContentKey, database: Database) -> EvaluationResult:
+        """The fixpoint over ``database``, the content ``key`` was looked up with.
+
+        The map stores ``key`` itself, so its live dict is swapped for an
+        equal frozen snapshot first: a later in-place edit of the caller's
+        dict must not reach the stored key.
+        """
+        key.content = snapshot = {
+            predicate: frozenset(facts) for predicate, facts in database.items()
+        }
+        facts = self._run(ColumnarDatabase(snapshot, self._storage_stats))
+        return EvaluationResult(facts.row_arrays())
 
     def query(
         self, source: Union[Database, Document], predicate: str

@@ -11,8 +11,9 @@ options object to every engine it builds.  Constructors take it as
 are gone (passing one raises :class:`TypeError`).
 
 The engine has exactly one evaluation path (columnar storage, compiled rule
-plans), so every field here tunes caching, sharing or policy — none selects
-an alternative join strategy.
+plans shared through a :class:`~repro.datalog.registry.PlanRegistry`), so
+every field here tunes caching or policy — none selects an alternative join
+strategy or opts out of sharing.
 
 The dataclass is frozen and hashable so it can key evaluator memos (the
 :mod:`repro.api` session memoises one engine per (program, options) pair,
@@ -31,13 +32,6 @@ class EngineOptions:
 
     Attributes
     ----------
-    share_plans:
-        Obtain compiled programs (strata, rule plans, trigger maps — and, in
-        the monadic layer, TMNF rewrites) from a shared
-        :class:`~repro.datalog.registry.PlanRegistry` so N engines over one
-        program pay one compilation.  Which registry is used is orthogonal:
-        engines default to the process-wide singleton, while engines built
-        by a :class:`repro.api.Session` use the session-owned registry.
     cache_size:
         Capacity of every per-engine fixpoint LRU (one entry per distinct
         hot database / document).
@@ -55,7 +49,6 @@ class EngineOptions:
         fingerprint, so the policy costs one analysis per distinct program.
     """
 
-    share_plans: bool = True
     cache_size: int = 8
     force_generic: bool = False
     on_diagnostics: str = "warn"

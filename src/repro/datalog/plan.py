@@ -480,7 +480,7 @@ class RulePlan:
         #: A lowered plan depends on the rule and the order only, so engines
         #: sharing this plan (and size buckets that pick the same order)
         #: reuse it and its executor instead of emitting them again.  Those engines
-        #: may run on different threads; LruMap locks internally.
+        #: may run on different threads; LruMap locks and lowers each once.
         self._lowered: "LruMap[Tuple[Optional[int], Tuple[int, ...]], _JoinPlan]" = LruMap(64)
 
     # ------------------------------------------------------------------
@@ -544,16 +544,20 @@ class RulePlan:
         size here (:meth:`run` keeps the bucket memo); the lowered plan is
         shared per join order, and its executor is emitted by its first run.
         """
-        body = self.rule.body
-        slot_of = self.slot_of
-
         # Greedy selectivity order: the delta literal seeds the order, then
         # each pick maximises already-bound terms and tie-breaks on smaller
         # relation size.
-        order = greedy_join_order(body, self.relational, delta_position, sizes)
-        lowered = self._lowered.get((delta_position, tuple(order)))
-        if lowered is not None:
-            return lowered
+        order = tuple(
+            greedy_join_order(self.rule.body, self.relational, delta_position, sizes)
+        )
+        return self._lowered.get_or_build(
+            (delta_position, order), lambda: self._lower(delta_position, order)
+        )
+
+    def _lower(self, delta_position: Optional[int], order: Sequence[int]) -> _JoinPlan:
+        """Per-step layouts and filter hoist points of one join order."""
+        body = self.rule.body
+        slot_of = self.slot_of
         bound: Set[int] = set()
 
         # Second pass: per-step layouts plus filter hoist points.
@@ -609,9 +613,7 @@ class RulePlan:
         # Any hoistable filter still pending would need a slot no relational
         # literal binds — excluded by construction (unbound_term is set).
         assert not pending
-        lowered = _JoinPlan(tuple(steps), initial_filters, leftover)
-        self._lowered.put((delta_position, tuple(order)), lowered)
-        return lowered
+        return _JoinPlan(tuple(steps), initial_filters, leftover)
 
     # ------------------------------------------------------------------
     # Plan execution

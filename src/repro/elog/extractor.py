@@ -554,7 +554,7 @@ def wrapper_fingerprint(program: ElogProgram) -> WrapperFingerprint:
     """The content identity of ``program`` (rules text + auxiliary set).
 
     ``ElogProgram`` is a mutable AST, so — unlike the frozen datalog rules
-    of :func:`repro.datalog.registry.program_fingerprint` — the fingerprint
+    of :func:`repro.datalog.registry.program_snapshot` — the fingerprint
     is recomputed per use, never frozen at construction: mutating a program
     (``add_rule`` / ``mark_auxiliary``) moves its fingerprint, which is
     exactly what lets a content-keyed memo (a wrapper component's trace)

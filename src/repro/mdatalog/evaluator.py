@@ -31,10 +31,11 @@ of the general-case complexity.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..datalog.cache import CacheInfo, LruMap
+from ..datalog.cache import CacheInfo, ContentKey, LruMap
 from ..datalog.engine import SemiNaiveEngine
 from ..datalog.options import DEFAULT_OPTIONS, EngineOptions
 from ..datalog.registry import PlanRegistry
@@ -130,20 +131,9 @@ def _trigger_table(program: MonadicProgram) -> Optional[_TriggerTable]:
 #: server components wrapping the same monadic program pay one Theorem-2.7
 #: rewrite and one trigger-table compilation.  Keyed exactly — the rule
 #: tuple plus the query predicates — so a hit can never alias two different
-#: programs; the sentinel records programs outside the TMNF fragment so
-#: their failed rewrite is not retried per component either.
-_TMNF_UNREWRITABLE = object()
-_TMNF_CACHE: LruMap[Tuple[object, ...], object] = LruMap(64)
-
-
-def _shared_trigger_table(program: MonadicProgram) -> Optional[_TriggerTable]:
-    key = (tuple(program.rules), program.query_predicates)
-    cached = _TMNF_CACHE.get(key)
-    if cached is not None:
-        return None if cached is _TMNF_UNREWRITABLE else cached  # type: ignore[return-value]
-    table = _trigger_table(program)
-    _TMNF_CACHE.put(key, _TMNF_UNREWRITABLE if table is None else table)
-    return table
+#: programs; a cached ``None`` records a program outside the TMNF fragment
+#: so its failed rewrite is not retried per component either.
+_TMNF_CACHE: "LruMap[Tuple[object, ...], Optional[_TriggerTable]]" = LruMap(64)
 
 
 def _tree_functions(tree: TreeRelations) -> List[Sequence[int]]:
@@ -231,13 +221,12 @@ class MonadicTreeEvaluator:
     are re-resolved per call, so cached results are safe across
     equal-but-distinct document objects.
 
-    ``share_plans=True`` (the default) additionally shares the per-program
-    analysis across evaluator instances: the TMNF rewrite through the
-    module-level rewrite cache, and (in the generic fallback) the engine's
-    compiled rule plans through :mod:`repro.datalog.registry` — the
-    process-wide registry, or the one passed as ``registry=`` (a
-    :class:`repro.api.Session` passes its own).  Per-document caches are
-    always instance-local.
+    The per-program analysis is shared across evaluator instances: the TMNF
+    rewrite through the module-level rewrite cache, and (in the generic
+    fallback) the engine's compiled rule plans through
+    :mod:`repro.datalog.registry` — the process-wide registry, or the one
+    passed as ``registry=`` (a :class:`repro.api.Session` passes its own).
+    Per-document caches are always instance-local.
 
     Tuning is declared through one :class:`~repro.datalog.options.
     EngineOptions` (``options=``).
@@ -256,15 +245,14 @@ class MonadicTreeEvaluator:
         self.options = options
         self._triggers: Optional[_TriggerTable] = None
         self._generic_engine: Optional[SemiNaiveEngine] = None
-        self._ground_cache: LruMap[
-            Tuple[Tuple[str, int], ...], Tuple[bytes, ...]
-        ] = LruMap(options.cache_size)
+        self._ground_cache: LruMap[ContentKey, Tuple[bytes, ...]] = LruMap(
+            options.cache_size
+        )
 
         if not options.force_generic and not program.uses_negation():
-            self._triggers = (
-                _shared_trigger_table(program)
-                if options.share_plans
-                else _trigger_table(program)
+            self._triggers = _TMNF_CACHE.get_or_build(
+                (tuple(program.rules), program.query_predicates),
+                partial(_trigger_table, program),
             )
         self.uses_ground_pipeline = self._triggers is not None
         if self._triggers is None:
@@ -343,11 +331,9 @@ class MonadicTreeEvaluator:
         # relation), so equal-but-distinct documents share one propagation;
         # document mutations change the fingerprint and re-evaluate.
         fingerprint = tree_fingerprint(document)
-        truth = self._ground_cache.get(fingerprint)
-        if truth is None:
-            truth = _propagate(self._triggers, fingerprint)
-            self._ground_cache.put(fingerprint, truth)
-        return truth
+        return self._ground_cache.get_or_build(
+            ContentKey(fingerprint), partial(_propagate, self._triggers, fingerprint)
+        )
 
     # ------------------------------------------------------------------
     # Generic fallback

@@ -16,9 +16,9 @@ activation (the scheduler advances a logical clock instead of sleeping).
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Deque, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from ..resilience.batch import check_on_error, run_tasks, settle
 from ..resilience.policy import ErrorResult
@@ -196,6 +196,11 @@ class ScheduledPipe:
     next_activation: int = 0
 
 
+#: How many activations :attr:`TransformationServer.run_log` keeps: a
+#: long-running server must not grow it without bound.
+RUN_LOG_SIZE = 1024
+
+
 class TransformationServer:
     """A container hosting several information pipes.
 
@@ -203,12 +208,14 @@ class TransformationServer:
     activation period has elapsed are run.  This models the periodic refresh
     strategies of Section 6.1 ("upgraded at periodic intervals ranging from a
     few seconds up to hours or days") without real-time waiting.
+    ``run_log`` holds the last :data:`RUN_LOG_SIZE` ``(clock, pipe name)``
+    activations.
     """
 
     def __init__(self) -> None:
         self._pipes: Dict[str, ScheduledPipe] = {}
         self.clock: int = 0
-        self.run_log: List[Tuple[int, str]] = []
+        self.run_log: Deque[Tuple[int, str]] = deque(maxlen=RUN_LOG_SIZE)
 
     # -- registration ------------------------------------------------------
     def register(self, pipe: InformationPipe, period: int = 1) -> InformationPipe:

@@ -14,7 +14,8 @@ failure modes are exercised against the same pages.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..elog.extractor import Fetcher, Page
 from ..html import parse_html
@@ -54,6 +55,11 @@ def _resolve_key(key: str, published: Dict[str, object]) -> Optional[str]:
     return best
 
 
+#: How many URLs :attr:`SimulatedWeb.fetch_log` keeps: a long-running
+#: server must not grow it without bound.
+FETCH_LOG_SIZE = 1024
+
+
 class SimulatedWeb(Fetcher):
     """An in-memory Web of HTML pages addressed by URL.
 
@@ -62,9 +68,10 @@ class SimulatedWeb(Fetcher):
     O(1) for an unchanged page, which is the very ``str`` object stored at
     publication.  The page parses only when its document is first read.
 
-    ``fetch_log`` records every fetch *attempt* (``fetch_page`` and
-    ``fetch_html`` alike — politeness and dedup accounting must see both
-    entry points, and a failed request still hit the server);
+    ``fetch_log`` records the last :data:`FETCH_LOG_SIZE` fetch *attempts*
+    (``fetch_page`` and ``fetch_html`` alike — politeness and dedup
+    accounting must see both entry points, and a failed request still hit
+    the server);
     ``error_log`` additionally records ``(url, error message)`` per failed
     attempt.  :meth:`install_faults` arms a seeded
     :class:`~repro.resilience.faults.FaultPlan` so site-level tests inject
@@ -73,7 +80,7 @@ class SimulatedWeb(Fetcher):
 
     def __init__(self) -> None:
         self._pages: Dict[str, str] = {}
-        self.fetch_log: List[str] = []
+        self.fetch_log: Deque[str] = deque(maxlen=FETCH_LOG_SIZE)
         self.error_log: List[Tuple[str, str]] = []
         self._fault_plan: Optional["FaultPlan"] = None
         self._fault_sleep: Callable[[float], None] = time.sleep

@@ -57,7 +57,7 @@ def test_engine_default_construction_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         SemiNaiveEngine(PROGRAM)
-        SemiNaiveEngine(PROGRAM, options=EngineOptions(share_plans=False))
+        SemiNaiveEngine(PROGRAM, options=EngineOptions(cache_size=4))
 
 
 def _wrapper_program():
@@ -67,9 +67,10 @@ def _wrapper_program():
 #: One pre-façade tuning kwarg per constructor that used to accept them
 #: (tuning now goes through ``options=EngineOptions(...)`` only), plus the
 #: removed worker-process kwargs of the batch paths and the removed
-#: ``seed_plans`` option field.
+#: ``seed_plans`` and ``share_plans`` option fields.
 REMOVED_KWARGS = {
     "EngineOptions": lambda doc: EngineOptions(seed_plans=False),
+    "EngineOptions.share_plans": lambda doc: EngineOptions(share_plans=False),
     "SemiNaiveEngine": lambda doc: SemiNaiveEngine(PROGRAM, use_index=False),
     "MonadicTreeEvaluator": lambda doc: MonadicTreeEvaluator(MONADIC, force_generic=True),
     "compiled_evaluator": lambda doc: compiled_evaluator(

@@ -9,7 +9,6 @@ from repro import EngineOptions
 
 def test_defaults_match_the_pre_facade_constructor_defaults():
     options = EngineOptions()
-    assert options.share_plans is True
     assert options.cache_size == 8
     assert options.force_generic is False
 
@@ -17,7 +16,7 @@ def test_defaults_match_the_pre_facade_constructor_defaults():
 def test_options_are_frozen_and_hashable():
     options = EngineOptions()
     with pytest.raises(Exception):
-        options.share_plans = False  # type: ignore[misc]
+        options.cache_size = 4  # type: ignore[misc]
     # Hashability is load-bearing: options key session evaluator memos and
     # the automata module evaluator cache.
     assert hash(options) == hash(EngineOptions())
@@ -27,9 +26,9 @@ def test_options_are_frozen_and_hashable():
 
 def test_derive_returns_an_updated_copy():
     base = EngineOptions()
-    tuned = base.derive(cache_size=32, share_plans=False)
-    assert tuned.cache_size == 32 and not tuned.share_plans
-    assert base.cache_size == 8 and base.share_plans  # unchanged
+    tuned = base.derive(cache_size=32, force_generic=True)
+    assert tuned.cache_size == 32 and tuned.force_generic
+    assert base.cache_size == 8 and not base.force_generic  # unchanged
 
 
 def test_cache_size_is_validated_at_construction():

@@ -99,7 +99,6 @@ def test_every_exported_name_is_importable(module_name):
 #: The EngineOptions knobs, in declaration order: a new option is an API
 #: change and must show up here as an explicit snapshot diff.
 ENGINE_OPTION_FIELDS = [
-    "share_plans",
     "cache_size",
     "force_generic",
     "on_diagnostics",

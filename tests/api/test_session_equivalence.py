@@ -16,7 +16,7 @@ from hypothesis import given, settings
 
 from repro import EngineOptions, Session
 from repro.automata import compiled_select, leaf_selector_automaton
-from repro.datalog import SemiNaiveEngine
+from repro.datalog import PlanRegistry, SemiNaiveEngine
 from repro.mdatalog import MonadicProgram, MonadicTreeEvaluator
 
 from tests.properties.test_indexed_join_equivalence import databases, programs
@@ -34,7 +34,7 @@ deep(X) :- label_b(B), child(B, X), label_c(X).
 @given(program=programs(), database=databases())
 def test_session_semi_naive_matches_direct_engine(program, database):
     session = Session()
-    direct = SemiNaiveEngine(program, options=EngineOptions(share_plans=False))
+    direct = SemiNaiveEngine(program, registry=PlanRegistry())
     expected = direct.fixpoint(database)
     result = session.query(program, database)
     assert result.predicates() == frozenset(
@@ -54,7 +54,7 @@ def test_session_monadic_matches_direct_evaluator_on_both_pipelines(document):
     program = MonadicProgram.parse(MDATALOG_TEXT)
     for options in (EngineOptions(), EngineOptions(force_generic=True)):
         session = Session(options)
-        direct = MonadicTreeEvaluator(program, options=options.derive(share_plans=False))
+        direct = MonadicTreeEvaluator(program, options=options, registry=PlanRegistry())
         result = session.query(program, document)
         expected = direct.evaluate(document)
         for predicate in program.query_predicates:
@@ -92,7 +92,7 @@ def test_monadic_negation_reaches_the_generic_fallback_equivalently(document):
         query_predicates=["plain"],
     )
     session = Session()
-    direct = MonadicTreeEvaluator(program, options=EngineOptions(share_plans=False))
+    direct = MonadicTreeEvaluator(program, registry=PlanRegistry())
     assert not direct.uses_ground_pipeline
     result = session.query(program, document)
     assert [n.preorder_index for n in result.nodes("plain")] == [

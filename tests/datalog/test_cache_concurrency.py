@@ -1,11 +1,10 @@
 """Concurrency and eviction-fairness guarantees of the cache layer.
 
-PR 5 makes every session-scale cache in :mod:`repro.datalog.cache` safe to
-share across server request threads (internal locking, consistent counters,
-single-flight builds) and fixes the per-bucket LRU unfairness of
-:class:`VerifiedLruBuckets` (recency and eviction are now per *entry*, so a
-hash-colliding hot entry can neither be evicted because of a cold
-bucket-mate nor keep one alive).
+Every cache in :mod:`repro` is an :class:`LruMap` filled through
+``get_or_build``: internal locking, consistent counters, single-flight
+builds, and per-*entry* recency and eviction, so a hash-colliding hot entry
+can neither be evicted because of a cold key sharing its hash nor keep one
+alive.
 
 The thread tests are deliberately structured so a regression deadlocks or
 mis-counts rather than passing by luck; CI runs this file under
@@ -15,17 +14,13 @@ mis-counts rather than passing by luck; CI runs this file under
 from __future__ import annotations
 
 import threading
+import time
 from typing import Callable, List
 
 import pytest
 
 from repro.datalog import EngineOptions, SemiNaiveEngine, parse_program, tree_database
-from repro.datalog.cache import (
-    FixpointCache,
-    LruMap,
-    SingleFlight,
-    VerifiedLruBuckets,
-)
+from repro.datalog.cache import ContentKey, LruMap, database_content_hash
 from repro.tree import random_tree
 
 THREADS = 8
@@ -57,56 +52,76 @@ def run_threads(count: int, work: Callable[[int], None]) -> None:
         raise errors[0]
 
 
+def colliding_key(marker: int, content_hash: int = 7) -> ContentKey:
+    """A key whose hash is forced, so distinct markers collide."""
+    return ContentKey(marker, content_hash)
+
+
+def cached(lru: LruMap, key: object) -> bool:
+    """Whether ``key`` is resident; a miss builds (and inserts) a placeholder."""
+    built = []
+    lru.get_or_build(key, lambda: built.append(key) or "rebuilt")
+    return not built
+
+
 # ---------------------------------------------------------------------------
-# Per-entry LRU fairness (regression: per-bucket recency/eviction)
+# Per-entry LRU fairness under hash collisions
 # ---------------------------------------------------------------------------
+
+
+def test_colliding_databases_share_a_content_hash():
+    a, b = {"q": {(1,)}}, {"q": {(2**61,)}}
+    assert database_content_hash(a) == database_content_hash(b)
+    key_a = ContentKey(a, database_content_hash(a))
+    key_b = ContentKey(b, database_content_hash(b))
+    assert hash(key_a) == hash(key_b) and key_a != key_b
+    lru: LruMap[ContentKey, str] = LruMap(2)
+    assert lru.get_or_build(key_a, lambda: "a") == "a"
+    assert lru.get_or_build(key_b, lambda: "b") == "b"
+    assert len(lru) == 2  # both resident, each hit verified exactly
+    assert lru.get_or_build(ContentKey({"q": {(1,)}}, hash(key_a)), lambda: "x") == "a"
+    assert lru.get_or_build(ContentKey({"q": {(2**61,)}}, hash(key_b)), lambda: "x") == "b"
 
 
 def test_hot_entry_survives_fingerprint_collision_eviction():
-    """A hot entry must not be evicted because its cold bucket-mate is old.
-
-    The pre-PR-5 buckets refreshed recency for the whole fingerprint bucket
-    and evicted the front of the *oldest bucket* — in this scenario that
-    evicted the repeatedly-touched entry ``a`` instead of the never-touched
-    ``b``.
-    """
-    buckets: VerifiedLruBuckets[object] = VerifiedLruBuckets(2)
-    a, b, c = object(), object(), object()
-    buckets.insert(7, a)
-    buckets.insert(7, b)  # same fingerprint: forced hash collision
-    assert buckets.find(7, lambda entry: entry is a) is a  # a is now hot
-    buckets.insert(9, c)  # over capacity: must evict the LRU entry (b)
-    assert len(buckets) == 2
-    assert buckets.find(7, lambda entry: entry is a) is a
-    assert buckets.find(7, lambda entry: entry is b) is None
-    assert buckets.find(9, lambda entry: entry is c) is c
+    """A hot entry must not be evicted because a cold key sharing its hash
+    is old: recency is per entry, so the never-touched ``b`` goes."""
+    lru: LruMap[ContentKey, str] = LruMap(2)
+    a, b, c = colliding_key(1), colliding_key(2), colliding_key(3, content_hash=9)
+    lru.get_or_build(a, lambda: "a")
+    lru.get_or_build(b, lambda: "b")  # same hash: forced collision
+    assert lru.get_or_build(a, lambda: "rebuilt") == "a"  # a is now hot
+    lru.get_or_build(c, lambda: "c")  # over capacity: must evict the LRU entry (b)
+    assert len(lru) == 2
+    assert cached(lru, colliding_key(1))
+    assert cached(lru, colliding_key(3, content_hash=9))
+    assert not cached(lru, colliding_key(2))
 
 
 def test_cold_entry_is_not_kept_alive_by_hot_bucket_mate():
     """The reverse unfairness: a cold entry must age out even when it shares
-    a bucket with a hot one."""
-    buckets: VerifiedLruBuckets[object] = VerifiedLruBuckets(2)
-    cold, hot, fresh = object(), object(), object()
-    buckets.insert(3, cold)
-    buckets.insert(3, hot)
+    its hash with a hot one."""
+    lru: LruMap[ContentKey, str] = LruMap(2)
+    cold, hot, fresh = colliding_key(1, 3), colliding_key(2, 3), colliding_key(3, 4)
+    lru.get_or_build(cold, lambda: "cold")
+    lru.get_or_build(hot, lambda: "hot")
     for _ in range(5):
-        assert buckets.find(3, lambda entry: entry is hot) is hot
-    buckets.insert(4, fresh)
-    assert buckets.find(3, lambda entry: entry is cold) is None
-    assert buckets.find(3, lambda entry: entry is hot) is hot
-    assert buckets.find(4, lambda entry: entry is fresh) is fresh
+        assert lru.get_or_build(hot, lambda: "rebuilt") == "hot"
+    lru.get_or_build(fresh, lambda: "fresh")
+    assert cached(lru, colliding_key(2, 3))
+    assert cached(lru, colliding_key(3, 4))
+    assert not cached(lru, colliding_key(1, 3))
 
 
 def test_eviction_is_globally_least_recently_used_across_buckets():
-    buckets: VerifiedLruBuckets[str] = VerifiedLruBuckets(3)
-    buckets.insert(1, "one")
-    buckets.insert(2, "two")
-    buckets.insert(3, "three")
-    assert buckets.find(1, lambda entry: entry == "one") == "one"  # refresh 1
-    buckets.insert(4, "four")  # evicts 2, the global LRU
-    assert buckets.find(2, lambda entry: entry == "two") is None
-    assert buckets.find(1, lambda entry: entry == "one") == "one"
-    assert buckets.find(3, lambda entry: entry == "three") == "three"
+    lru: LruMap[ContentKey, str] = LruMap(3)
+    for marker, name in ((1, "one"), (2, "two"), (3, "three")):
+        lru.get_or_build(colliding_key(marker, marker), lambda name=name: name)
+    assert lru.get_or_build(colliding_key(1, 1), lambda: "x") == "one"  # refresh 1
+    lru.get_or_build(colliding_key(4, 4), lambda: "four")  # evicts 2, the global LRU
+    assert cached(lru, colliding_key(1, 1))
+    assert cached(lru, colliding_key(3, 3))
+    assert not cached(lru, colliding_key(2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -116,74 +131,71 @@ def test_eviction_is_globally_least_recently_used_across_buckets():
 
 def test_lru_map_counters_and_size_stay_consistent_under_threads():
     lru: LruMap[int, int] = LruMap(16)
-    for key in range(16):
-        lru.put(key, key)
+    builds = []
+
+    def build(key: int) -> int:
+        builds.append(key)  # list.append is atomic under the GIL
+        return key
 
     def work(index: int) -> None:
         for round_ in range(ROUNDS):
             key = (index * ROUNDS + round_) % 48
-            value = lru.get(key)
-            if value is None:
-                lru.put(key, key)
-            else:
-                assert value == key
+            assert lru.get_or_build(key, lambda: build(key)) == key
 
     run_threads(THREADS, work)
     info = lru.info()
-    # Exactly one hit-or-miss increment per get(): no lost updates.
+    # Exactly one hit-or-miss increment per call, and a miss only per build.
     assert info.hits + info.misses == THREADS * ROUNDS
+    assert info.misses == len(builds)
     assert info.size == len(lru) <= lru.capacity
 
 
 def test_lru_map_concurrent_eviction_never_corrupts_structure():
-    lru: LruMap[int, int] = LruMap(4)
+    lru: LruMap[tuple, int] = LruMap(4)
 
     def work(index: int) -> None:
         for round_ in range(ROUNDS):
-            lru.put((index, round_), round_)
-            lru.get((index, round_ - 1))
+            lru.get_or_build((index, round_), lambda: round_)
+            lru.get_or_build((index, round_ - 1), lambda: round_ - 1)
 
     run_threads(THREADS, work)
     assert len(lru) <= 4
     # The structure is still a functional LRU afterwards.
-    lru.put(("probe",), 42)
-    assert lru.get(("probe",)) == 42
+    assert lru.get_or_build(("probe",), lambda: 42) == 42
+    assert cached(lru, ("probe",))
 
 
 def test_fixpoint_cache_counts_every_lookup_under_threads():
-    cache: FixpointCache[str] = FixpointCache(4)
+    engine = SemiNaiveEngine(
+        parse_program("p(X, Y) :- edge(X, Y)."), options=EngineOptions(cache_size=4)
+    )
     databases = [{"edge": {(i, i + 1), (i, i + 2)}} for i in range(6)]
 
     def work(index: int) -> None:
         for round_ in range(ROUNDS // 4):
             database = databases[(index + round_) % len(databases)]
-            fingerprint, result = cache.lookup(database)
-            if result is None:
-                cache.store(fingerprint, database, f"result-{sorted(database['edge'])}")
+            # Verified hits: every result matches its database exactly.
+            assert engine.query(database, "p") == database["edge"]
 
     run_threads(THREADS, work)
-    info = cache.info()
+    info = engine.fixpoint_cache_info()
     assert info.hits + info.misses == THREADS * (ROUNDS // 4)
-    assert info.size == len(cache) <= cache.capacity
-    # Verified hits: every cached result still matches its database exactly.
-    for database in databases:
-        _, result = cache.lookup(database)
-        if result is not None:
-            assert result == f"result-{sorted(database['edge'])}"
+    assert info.size <= info.capacity == 4
 
 
-def test_verified_buckets_concurrent_insert_find_keeps_len_within_capacity():
-    buckets: VerifiedLruBuckets[int] = VerifiedLruBuckets(8)
+def test_colliding_keys_under_concurrent_builds_keep_len_within_capacity():
+    lru: LruMap[ContentKey, int] = LruMap(8)
 
     def work(index: int) -> None:
         for round_ in range(ROUNDS):
-            fingerprint = round_ % 5  # force constant collisions
             marker = index * ROUNDS + round_
-            buckets.insert(fingerprint, marker)
-            buckets.find(fingerprint, lambda entry: entry == marker)
+            # Five hash values for 3200 keys: constant collisions.
+            key = colliding_key(marker, content_hash=round_ % 5)
+            assert lru.get_or_build(key, lambda: marker) == marker
 
     run_threads(THREADS, work)
-    assert len(buckets) == 8
+    assert len(lru) == 8
+    assert lru.info().misses == THREADS * ROUNDS  # every key was distinct
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +204,7 @@ def test_verified_buckets_concurrent_insert_find_keeps_len_within_capacity():
 
 
 def test_single_flight_builds_exactly_once_per_key():
-    flight = SingleFlight()
-    memo: LruMap[str, object] = LruMap(8)
+    lru: LruMap[str, object] = LruMap(8)
     builds = []
     gate = threading.Event()
 
@@ -209,26 +220,27 @@ def test_single_flight_builds_exactly_once_per_key():
         if index == THREADS - 1:
             # Last thread through releases the builder once everyone queued.
             gate.set()
-        value = flight.run(
-            "key", lambda: memo.get("key"), build, lambda v: memo.put("key", v)
-        )
+        value = lru.get_or_build("key", build)
         with lock:
             results.append(value)
 
     run_threads(THREADS, work)
     assert len(builds) == 1, "concurrent misses must share one build"
     assert len(set(map(id, results))) == 1, "every caller got the one instance"
-    assert memo.get("key") is results[0]
+    assert lru.get_or_build("key", build) is results[0]
+    info = lru.info()
+    assert info.misses == len(builds) == 1
+    assert info.hits == THREADS
 
 
 def test_single_flight_failed_build_wakes_waiters_and_allows_retry():
-    flight = SingleFlight()
-    memo: LruMap[str, object] = LruMap(8)
+    lru: LruMap[str, object] = LruMap(8)
     attempts = []
 
     def build() -> object:
         attempts.append(1)
         if len(attempts) == 1:
+            time.sleep(0.05)  # keep the first build in flight while others queue
             raise RuntimeError("first build fails")
         return "built"
 
@@ -237,9 +249,7 @@ def test_single_flight_failed_build_wakes_waiters_and_allows_retry():
 
     def work(index: int) -> None:
         try:
-            value = flight.run(
-                "key", lambda: memo.get("key"), build, lambda v: memo.put("key", v)
-            )
+            value = lru.get_or_build("key", build)
         except RuntimeError as error:
             with lock:
                 outcomes.append(error)
@@ -249,43 +259,41 @@ def test_single_flight_failed_build_wakes_waiters_and_allows_retry():
 
     run_threads(4, work)
     assert len(outcomes) == 4
-    assert any(outcome == "built" for outcome in outcomes)
+    assert sum(isinstance(outcome, RuntimeError) for outcome in outcomes) == 1
+    assert outcomes.count("built") == 3
+    assert len(attempts) == 2 == lru.info().misses
     # The key is not wedged: a later caller gets the memoised value.
-    assert (
-        flight.run("key", lambda: memo.get("key"), build, lambda v: memo.put("key", v))
-        == "built"
-    )
+    assert lru.get_or_build("key", build) == "built"
 
 
-def test_single_flight_failed_store_does_not_wedge_the_key():
-    """A store() exception must release the key and wake waiters — the
-    'an exception never wedges a key' guarantee covers the whole
-    build-then-store sequence, not just build()."""
-    flight = SingleFlight()
-    memo: LruMap[str, str] = LruMap(8)
-    stores = []
+def test_get_or_build_failed_build_leaves_the_key_retryable():
+    lru: LruMap[str, str] = LruMap(8)
 
-    def failing_store(value: str) -> None:
-        stores.append(value)
-        if len(stores) == 1:
-            raise RuntimeError("store fails once")
-        memo.put("key", value)
+    def failing() -> str:
+        raise RuntimeError("build fails")
 
     with pytest.raises(RuntimeError):
-        flight.run("key", lambda: memo.get("key"), lambda: "built", failing_store)
+        lru.get_or_build("key", failing)
+    assert len(lru) == 0
     # The key is free again: the next caller builds and stores normally.
-    assert (
-        flight.run("key", lambda: memo.get("key"), lambda: "built", failing_store)
-        == "built"
-    )
-    assert memo.get("key") == "built"
+    assert lru.get_or_build("key", lambda: "built") == "built"
+    assert cached(lru, "key")
+    assert lru.info().misses == 2  # both builds, the failed one included
+
+
+def test_a_cached_none_is_a_hit():
+    lru: LruMap[str, None] = LruMap(8)
+    builds = []
+    for _ in range(3):
+        assert lru.get_or_build("key", lambda: builds.append(1)) is None
+    assert len(builds) == 1
+    info = lru.info()
+    assert (info.hits, info.misses, info.size) == (2, 1, 1)
 
 
 def test_cache_capacity_validation_still_raises():
     with pytest.raises(ValueError):
         LruMap(0)
-    with pytest.raises(ValueError):
-        VerifiedLruBuckets(0)
 
 
 def test_engine_document_fixpoints_under_threads():

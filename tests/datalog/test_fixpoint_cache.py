@@ -1,12 +1,12 @@
-"""Tests for the fixpoint LRU (repro/datalog/cache.py) and its engine wiring."""
+"""Tests for the fixpoint LRU (an exact-key LruMap) and its engine wiring."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.datalog import (
+    ContentKey,
     EngineOptions,
-    FixpointCache,
     LruMap,
     SemiNaiveEngine,
     database_content_hash,
@@ -25,93 +25,89 @@ def _counting_engine(text="p(X) :- q(X).", cache_size=8):
 
 
 # ---------------------------------------------------------------------------
-# FixpointCache unit behaviour
+# Fixpoint LRU unit behaviour
 # ---------------------------------------------------------------------------
 
 
 def test_lru_eviction_order():
-    cache = FixpointCache(capacity=2)
+    engine, calls = _counting_engine(cache_size=2)
     databases = [{"q": {(i,)}} for i in range(3)]
-    for index, database in enumerate(databases):
-        fingerprint, result = cache.lookup(database)
-        assert result is None
-        cache.store(fingerprint, database, f"result-{index}")
+    results = [engine.fixpoint(database) for database in databases]
+    assert len(calls) == 3
     # Capacity 2: database 0 (least recently used) was evicted.
-    assert cache.lookup(databases[0])[1] is None
-    assert cache.lookup(databases[1])[1] == "result-1"
-    assert cache.lookup(databases[2])[1] == "result-2"
+    assert engine.fixpoint(databases[1]) is results[1]
+    assert engine.fixpoint(databases[2]) is results[2]
+    assert len(calls) == 3
+    assert engine.fixpoint(databases[0]) is not results[0]
+    assert len(calls) == 4
 
 
 def test_lru_hit_refreshes_recency():
-    cache = FixpointCache(capacity=2)
+    engine, calls = _counting_engine(cache_size=2)
     a, b, c = {"q": {(1,)}}, {"q": {(2,)}}, {"q": {(3,)}}
-    for name, database in (("a", a), ("b", b)):
-        fingerprint, _ = cache.lookup(database)
-        cache.store(fingerprint, database, name)
-    assert cache.lookup(a)[1] == "a"  # touch a: b becomes the LRU entry
-    fingerprint, _ = cache.lookup(c)
-    cache.store(fingerprint, c, "c")
-    assert cache.lookup(b)[1] is None  # b evicted, not a
-    assert cache.lookup(a)[1] == "a"
+    result_a = engine.fixpoint(a)
+    engine.fixpoint(b)
+    assert engine.fixpoint(a) is result_a  # touch a: b becomes the LRU entry
+    engine.fixpoint(c)
+    assert engine.fixpoint(a) is result_a  # a kept, b evicted
+    assert len(calls) == 3
+    engine.fixpoint(b)
+    assert len(calls) == 4
 
 
 def test_exact_invalidation_on_in_place_fact_swap():
-    cache = FixpointCache(capacity=2)
+    engine, calls = _counting_engine(cache_size=2)
     database = {"q": {(1,), (2,)}}
-    fingerprint, _ = cache.lookup(database)
-    cache.store(fingerprint, database, "first")
+    first = engine.fixpoint(database)
     # Swapping one fact for another keeps sizes identical but must miss.
     database["q"].discard((2,))
     database["q"].add((3,))
-    assert cache.lookup(database)[1] is None
+    assert engine.fixpoint(database) is not first
+    assert engine.query(database, "p") == {(1,), (3,)}
+    assert len(calls) == 2
 
 
 def test_hit_across_equal_but_distinct_databases():
-    cache = FixpointCache(capacity=2)
+    engine, calls = _counting_engine(cache_size=2)
     original = {"q": {(1,), (2,)}, "r": set()}
-    fingerprint, _ = cache.lookup(original)
-    cache.store(fingerprint, original, "shared")
+    shared = engine.fixpoint(original)
     rebuild = {"q": {(2,), (1,)}, "r": set()}
     assert rebuild is not original
-    assert cache.lookup(rebuild)[1] == "shared"
+    assert engine.fixpoint(rebuild) is shared
     # An extra empty relation changes the fixpoint shape: must miss.
-    assert cache.lookup({"q": {(1,), (2,)}, "r": set(), "s": set()})[1] is None
+    assert engine.fixpoint({"q": {(1,), (2,)}, "r": set(), "s": set()}) is not shared
+    assert len(calls) == 2
 
 
 def test_store_refreshes_exact_duplicates_instead_of_inflating():
-    cache = FixpointCache(capacity=2)
+    engine, _ = _counting_engine(cache_size=2)
     database = {"q": {(1,)}}
-    fingerprint, _ = cache.lookup(database)
-    cache.store(fingerprint, database, "first")
-    cache.store(fingerprint, database, "second")
-    assert len(cache) == 1  # refreshed in place, not appended
-    assert cache.lookup(database)[1] == "second"
+    for _ in range(3):
+        engine.fixpoint(database)
+    assert engine.fixpoint_cache_info().size == 1  # one entry, not three
 
     other = {"q": {(2,)}}
-    other_fingerprint, _ = cache.lookup(other)
-    cache.store(other_fingerprint, other, "other")
-    # Repeated stores of one hot document must not evict the other one.
+    other_result = engine.fixpoint(other)
+    # Repeated queries of one hot document must not evict the other one.
     for _ in range(5):
-        cache.store(fingerprint, database, "again")
-    assert len(cache) == 2
-    assert cache.lookup(other)[1] == "other"
-    assert cache.lookup(database)[1] == "again"
+        engine.fixpoint({"q": {(1,)}})
+    assert engine.fixpoint_cache_info().size == 2
+    assert engine.fixpoint(other) is other_result
 
 
 def test_store_dedup_is_exact_not_fingerprint_based():
     # Hash-equal but different databases still get their own entries.
     collider = 2**61
     assert hash((1,)) == hash((collider,))
-    cache = FixpointCache(capacity=4)
+    engine, calls = _counting_engine(cache_size=4)
     a = {"q": {(1,)}}
     b = {"q": {(collider,)}}
-    fingerprint_a, _ = cache.lookup(a)
-    fingerprint_b, _ = cache.lookup(b)
-    assert fingerprint_a == fingerprint_b
-    cache.store(fingerprint_a, a, "a")
-    cache.store(fingerprint_b, b, "b")
-    assert len(cache) == 2
-    assert cache.lookup(a)[1] == "a" and cache.lookup(b)[1] == "b"
+    assert database_content_hash(a) == database_content_hash(b)
+    result_a, result_b = engine.fixpoint(a), engine.fixpoint(b)
+    assert engine.fixpoint_cache_info().size == 2
+    assert engine.fixpoint(a) is result_a and engine.fixpoint(b) is result_b
+    assert result_a.query("p") == {(1,)} and result_b.query("p") == {(collider,)}
+    assert len(calls) == 2
 
 
 def test_content_hash_is_order_independent_and_shape_sensitive():
@@ -122,33 +118,52 @@ def test_content_hash_is_order_independent_and_shape_sensitive():
     assert database_content_hash({"q": set()}) != database_content_hash({})
 
 
+def test_content_key_hashes_once_and_compares_exactly():
+    class CountingTuple(tuple):
+        hashes = 0
+
+        def __hash__(self):
+            CountingTuple.hashes += 1
+            return super().__hash__()
+
+    fingerprint = CountingTuple((("doc", -1), ("a", 0)))
+    key = ContentKey(fingerprint)
+    lru: LruMap[ContentKey, str] = LruMap(2)
+    for _ in range(3):
+        assert lru.get_or_build(key, lambda: "x") == "x"
+    assert CountingTuple.hashes == 1
+    assert ContentKey((("doc", -1), ("a", 0))) == key
+    assert ContentKey((("doc", -1), ("b", 0))) != key
+    assert ContentKey({"q": frozenset({(1,)})}, 5) == ContentKey({"q": {(1,)}}, 5)
+
+
 def test_cache_info_counters():
-    cache = FixpointCache(capacity=4)
+    engine, _ = _counting_engine(cache_size=4)
     database = {"q": {(1,)}}
-    fingerprint, _ = cache.lookup(database)  # miss
-    cache.store(fingerprint, database, "x")
-    cache.lookup(database)  # hit
-    cache.lookup({"q": {(2,)}})  # miss
-    info = cache.info()
-    assert (info.hits, info.misses, info.size, info.capacity) == (1, 2, 1, 4)
+    engine.fixpoint(database)  # miss
+    engine.fixpoint(database)  # hit
+    engine.fixpoint({"q": {(2,)}})  # miss
+    info = engine.fixpoint_cache_info()
+    assert (info.hits, info.misses, info.size, info.capacity) == (1, 2, 2, 4)
     assert info.hit_rate == pytest.approx(1 / 3)
 
 
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
-        FixpointCache(capacity=0)
+        EngineOptions(cache_size=0)
     with pytest.raises(ValueError):
         LruMap(capacity=0)
 
 
 def test_lru_map_basics():
     lru = LruMap(capacity=2)
-    lru.put("a", 1)
-    lru.put("b", 2)
-    assert lru.get("a") == 1  # refreshes a
-    lru.put("c", 3)
-    assert lru.get("b") is None  # b was the LRU entry
-    assert lru.get("a") == 1 and lru.get("c") == 3
+    lru.get_or_build("a", lambda: 1)
+    lru.get_or_build("b", lambda: 2)
+    assert lru.get_or_build("a", lambda: -1) == 1  # refreshes a
+    lru.get_or_build("c", lambda: 3)
+    assert lru.get_or_build("a", lambda: -1) == 1
+    assert lru.get_or_build("c", lambda: -1) == 3
+    assert lru.values() == [1, 3]  # LRU -> MRU: b was evicted
     info = lru.info()
     assert info.size == 2 and info.capacity == 2
 

@@ -11,12 +11,11 @@ from repro.datalog import (
     clear_plan_registry,
     parse_program,
     plan_registry_info,
-    program_fingerprint,
     shared_registry,
 )
+from repro.datalog.registry import program_snapshot
 
 BUILTINS = SemiNaiveEngine.BUILTINS
-PRIVATE = EngineOptions(share_plans=False)
 
 REACH = """
 reach(X, Y) :- edge(X, Y).
@@ -25,24 +24,35 @@ reach(X, Y) :- reach(X, Z), edge(Z, Y).
 
 
 # ---------------------------------------------------------------------------
-# Fingerprints
+# Program keys
 # ---------------------------------------------------------------------------
 
 
 def test_fingerprint_is_rule_order_independent():
     a = parse_program("p(X) :- e(X). q(X) :- f(X).")
     b = parse_program("q(X) :- f(X). p(X) :- e(X).")
-    assert program_fingerprint(a) == program_fingerprint(b)
+    assert program_snapshot(a) == program_snapshot(b)
 
 
 def test_fingerprint_is_content_sensitive():
     a = parse_program("p(X) :- e(X).")
     b = parse_program("p(X) :- f(X).")
-    assert program_fingerprint(a) != program_fingerprint(b)
+    assert program_snapshot(a) != program_snapshot(b)
     # The EDB split is part of the identity too.
     c = parse_program("p(X) :- e(X).")
     c.edb_predicates = frozenset(c.edb_predicates | {"extra"})
-    assert program_fingerprint(a) != program_fingerprint(c)
+    assert program_snapshot(a) != program_snapshot(c)
+    registry = PlanRegistry()
+    assert registry.compiled(a, BUILTINS) is not registry.compiled(c, BUILTINS)
+
+
+def test_a_different_builtin_table_gets_its_own_compilation():
+    registry = PlanRegistry()
+    program = parse_program("p(X) :- e(X, Y), lt(X, Y).")
+    custom = dict(BUILTINS, lt=lambda a, b: a > b)
+    shared = registry.compiled(program, BUILTINS)
+    assert registry.compiled(program, custom) is not shared
+    assert registry.compiled(program, dict(BUILTINS)) is shared  # same functions
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +71,10 @@ def test_engines_over_equal_programs_share_plan_objects():
     assert info.misses == 1 and info.hits == 1 and info.size == 1
 
 
-def test_share_plans_false_compiles_privately():
+def test_a_fresh_registry_compiles_privately():
     clear_plan_registry()
     shared = SemiNaiveEngine(parse_program(REACH))
-    private = SemiNaiveEngine(parse_program(REACH), options=PRIVATE)
-    assert not private.share_plans
+    private = SemiNaiveEngine(parse_program(REACH), registry=PlanRegistry())
     assert shared._stratum_plans[0][0] is not private._stratum_plans[0][0]
     info = plan_registry_info()
     assert info.misses == 1 and info.hits == 0  # the private engine never asked
@@ -74,7 +83,9 @@ def test_share_plans_false_compiles_privately():
 def test_shared_and_private_engines_compute_equal_fixpoints():
     database = {"edge": {(1, 2), (2, 3), (3, 4), (7, 8)}}
     shared = SemiNaiveEngine(parse_program(REACH)).evaluate(database)
-    private = SemiNaiveEngine(parse_program(REACH), options=PRIVATE).evaluate(database)
+    private = SemiNaiveEngine(parse_program(REACH), registry=PlanRegistry()).evaluate(
+        database
+    )
     assert shared == private
     assert shared["reach"] == {
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (7, 8),
@@ -136,7 +147,7 @@ def test_duplicate_and_reordered_rules_share_one_compilation():
     assert (
         SemiNaiveEngine(a).evaluate(database)
         == SemiNaiveEngine(b).evaluate(database)
-        == SemiNaiveEngine(a, options=PRIVATE).evaluate(database)
+        == SemiNaiveEngine(a, registry=PlanRegistry()).evaluate(database)
     )
 
 
@@ -178,6 +189,61 @@ def test_200_components_over_4_programs_compile_4_times():
     for n, output in enumerate(outputs):
         assert output.children == outputs[n % 4].children
     assert [record.name for record in outputs[0].children] == ["hit0", "hit0"]
+
+
+def test_200_components_built_from_8_threads_compile_4_times(monkeypatch):
+    import threading
+
+    from repro.datalog import registry as registry_module
+    from repro.mdatalog import MonadicProgram
+    from repro.server import DatalogQueryComponent
+    from repro.tree.builder import tree
+
+    registry = PlanRegistry()
+    programs = [
+        MonadicProgram.parse(
+            f"hit{i}(X) :- label_b(X).\nhit{i}(Y) :- hit{i}(X), firstchild(X, Y).",
+            query_predicates=[f"hit{i}"],
+        )
+        for i in range(4)
+    ]
+    document = tree(("doc", ("b", ("a",)), ("a",)))
+    barrier = threading.Barrier(8)
+    components = [None] * 200
+    compilations = []
+
+    class CountingCompiledProgram(registry_module.CompiledProgram):
+        __slots__ = ()
+
+        def __init__(self, program, builtins):
+            compilations.append(program)
+            super().__init__(program, builtins)
+
+    monkeypatch.setattr(registry_module, "CompiledProgram", CountingCompiledProgram)
+
+    def build_slice(offset: int) -> None:
+        barrier.wait(timeout=10)
+        for n in range(offset, 200, 8):
+            components[n] = DatalogQueryComponent(
+                f"component-{n}",
+                programs[n % 4],
+                lambda: document,
+                options=EngineOptions(force_generic=True),
+                registry=registry,
+            )
+
+    threads = [threading.Thread(target=build_slice, args=(k,)) for k in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    info = registry.info()
+    assert info.misses == 4 == len(compilations)
+    assert info.hits == 196
+    outputs = [component.process([]) for component in components]
+    for n, output in enumerate(outputs):
+        assert output.children == outputs[n % 4].children
 
 
 def test_shared_registry_is_a_singleton_view():

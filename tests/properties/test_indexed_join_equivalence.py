@@ -6,8 +6,8 @@ exactly the fixpoint of the naive nested-loop oracle
 (``tests/datalog/oracle.py``) — directly, through the public
 :class:`repro.api.Session` surface, and out of the fixpoint cache.  The
 same holds for *where* the plans come from: engines sharing one
-compilation through a registry (``share_plans=True``, the default) must
-agree with privately compiled engines (``share_plans=False``), and plans
+compilation through a registry must agree with privately compiled engines
+(each over a fresh ``PlanRegistry()``), and plans
 compiled once stay correct across databases.
 
 The program/database generators are shared with the other property
@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Session
-from repro.datalog import EngineOptions, PlanRegistry, SemiNaiveEngine, parse_program
+from repro.datalog import PlanRegistry, SemiNaiveEngine, parse_program
 from repro.datalog.ast import Atom, Constant, Literal, Program, Rule, Variable
 from tests.datalog import oracle
 
@@ -149,12 +149,12 @@ def test_shared_registry_fixpoints_match_private_compilation(program, database):
     # Two engines over one registry share the compiled plans (the second
     # reuses the first's — same objects, one registry miss); both must
     # compute exactly the fixpoint of a privately compiled engine
-    # (share_plans=False), i.e. cross-engine plan sharing is invisible to
+    # (a fresh registry), i.e. cross-engine plan sharing is invisible to
     # evaluation.
     registry = PlanRegistry()
     shared_first = SemiNaiveEngine(program, registry=registry)
     shared_second = SemiNaiveEngine(program, registry=registry)
-    private = SemiNaiveEngine(program, options=EngineOptions(share_plans=False))
+    private = SemiNaiveEngine(program, registry=PlanRegistry())
     if shared_second._stratum_plans:
         assert (
             shared_second._stratum_plans[0][0] is shared_first._stratum_plans[0][0]

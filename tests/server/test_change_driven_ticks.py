@@ -399,5 +399,5 @@ def test_trace_reads_follow_the_crawl_order(extractions):
     web.update(urls[2], lambda html: html.replace("bids", "bids!", 1))
     component.process([])
     assert len(extractions) == 2
-    assert web.fetch_log[-3:] == urls  # verification stopped at page 3, no refetch
+    assert list(web.fetch_log)[-3:] == urls  # verification stopped at page 3, no refetch
 

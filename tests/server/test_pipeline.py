@@ -283,13 +283,13 @@ def test_run_all_goes_through_scheduler_bookkeeping():
     results = server.run_all()
     assert set(results) == {"p"} and counter["runs"] == 1
     # The run was logged and counts as the activation at the current clock...
-    assert server.run_log == [(0, "p")]
+    assert list(server.run_log) == [(0, "p")]
     # ...so the next ticks must not double-run until the period elapses.
     assert server.tick() == []  # clock 0 -> 1: next_activation is 2
     assert server.tick() == []  # clock 1 -> 2
     assert server.tick() == ["p"]  # clock 2: the period has elapsed
     assert counter["runs"] == 2
-    assert server.run_log == [(0, "p"), (2, "p")]
+    assert list(server.run_log) == [(0, "p"), (2, "p")]
 
 
 def test_html_portal_deliverer_escapes_scraped_text():

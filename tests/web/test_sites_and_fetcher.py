@@ -20,7 +20,7 @@ def test_simulated_web_publish_fetch_and_log():
     assert web.has("example.test/page")
     document = web.fetch("example.test/page")
     assert document.find_first("p").normalized_text() == "hi"
-    assert web.fetch_log == ["example.test/page"]
+    assert list(web.fetch_log) == ["example.test/page"]
     assert len(web) == 1
     with pytest.raises(KeyError):
         web.fetch("missing.test")
@@ -162,7 +162,7 @@ def test_fetch_log_records_every_attempt_and_error_log_the_failures():
     web.fetch_html("a.test")  # fetch_html is an attempt too (was unlogged)
     with pytest.raises(KeyError):
         web.fetch("missing.test")
-    assert web.fetch_log == ["a.test", "a.test", "missing.test"]
+    assert list(web.fetch_log) == ["a.test", "a.test", "missing.test"]
     assert len(web.error_log) == 1
     url, message = web.error_log[0]
     assert url == "missing.test" and "no page published" in message
@@ -183,7 +183,7 @@ def test_install_faults_adjudicates_fetches_through_the_plan():
     assert web.fetch("a.test").find_first("p").normalized_text() == "hi"
     assert naps == [0.2, 0.2]
     # Injected failures are logged like real ones.
-    assert web.fetch_log == ["a.test", "a.test"]
+    assert list(web.fetch_log) == ["a.test", "a.test"]
     assert len(web.error_log) == 1
     web.install_faults(None)  # disarm
     web.fetch("a.test")
