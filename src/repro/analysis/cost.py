@@ -35,7 +35,6 @@ from math import log10
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..datalog.ast import Program, Rule, get_span
-from ..datalog.cache import LruMap
 from ..datalog.stratify import dependency_graph
 from ..datalog.tree_edb import EXTENDED_BINARY, TAU_UR_BINARY, TAU_UR_UNARY
 from .datalog_checks import BUILTIN_PREDICATES, TREE_SIGNATURE
@@ -52,26 +51,6 @@ BLOWUP_THRESHOLD = 1e6
 #: depths that change an order of magnitude, bounded for compile latency.
 _MAX_ROUNDS = 20
 
-#: Content-keyed memo of :func:`relation_estimates` results.  Explain and
-#: the ``P00x`` checks both start from the estimates, and a session or
-#: pipeline analysing many components over a handful of programs must pay
-#: the estimate fixpoint once per program content, not per component.
-#: LruMap serialises access internally (thread-safe).
-_ESTIMATES_MEMO: "LruMap[tuple, Dict[str, float]]" = LruMap(128)
-
-
-def _content_key(
-    program: Program, edb: "Optional[object]", domain_size: int
-) -> tuple:
-    """Memo key: rule set + EDB split + tree-signature flag + domain."""
-    return (
-        frozenset(program.rules),
-        program.edb_predicates,
-        edb == TREE_SIGNATURE,
-        domain_size,
-    )
-
-
 def relation_estimates(
     program: Program,
     *,
@@ -84,14 +63,12 @@ def relation_estimates(
     convention: :data:`TREE_SIGNATURE` selects the tau_ur tree heuristics,
     any other iterable (or ``None``) gets generic arity-scaled defaults.
 
-    Results are memoised by program content (callers get a private copy).
+    Nothing is memoised here: :func:`repro.analysis.explain.explain`
+    computes the estimates once per report, and a session caches whole
+    reports per program content in its :class:`~repro.datalog.registry.
+    PlanRegistry`.
     """
-    return dict(
-        _ESTIMATES_MEMO.get_or_build(
-            _content_key(program, edb, domain_size),
-            lambda: _estimate(program, edb, domain_size),
-        )
-    )
+    return _estimate(program, edb, domain_size)
 
 
 def _estimate(
@@ -247,6 +224,17 @@ def check_performance(
     part of ``explain()`` output; never error severity.
     """
     estimates = relation_estimates(program, edb=edb, domain_size=domain_size)
+    return _check_performance(program, estimates, query_predicates, domain_size)
+
+
+def _check_performance(
+    program: Program,
+    estimates: Mapping[str, float],
+    query_predicates: Optional[Sequence[str]],
+    domain_size: int,
+) -> List[Diagnostic]:
+    """:func:`check_performance` over precomputed ``estimates`` (explain
+    already holds them)."""
     adorned = adorn(program, query_predicates, sizes=estimates)
     costs = rule_costs(adorned, estimates, domain_size=domain_size)
 

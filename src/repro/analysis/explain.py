@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from ..datalog.ast import Program
 from ..datalog.plan import RulePlan, _JoinPlan, compile_stratum
 from ..datalog.stratify import stratify
-from .cost import DEFAULT_DOMAIN_SIZE, check_performance, relation_estimates
+from .cost import DEFAULT_DOMAIN_SIZE, _check_performance, relation_estimates
 from .datalog_checks import TREE_SIGNATURE
 from .diagnostics import Diagnostic
 from .fragments import classify
@@ -306,9 +306,7 @@ def explain(
                 )
             )
     diagnostics = tuple(
-        check_performance(
-            resolved, edb=edb, query_predicates=query, domain_size=domain_size
-        )
+        _check_performance(resolved, estimates, query, domain_size)
     )
     mentioned = sorted(estimates)
     return ExplainReport(

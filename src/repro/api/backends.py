@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Optional, Tuple
 
 from ..automata.ranked import TreeAutomaton
-from ..automata.to_datalog import _automaton_signature, compile_automaton
+from ..automata.to_datalog import compiled_evaluator
 from ..datalog.ast import Program
 from ..datalog.engine import SemiNaiveEngine
 from ..datalog.options import EngineOptions
@@ -182,7 +182,14 @@ class AutomataBackend(EvaluatorBackend):
         )
 
     def cache_key(self, program, options, labels=None):
-        return (_automaton_signature(program), labels or (), options)
+        # Content-keyed: the automaton is a mutable dataclass, so the key
+        # snapshots its transitions and state sets.
+        signature = (
+            frozenset(program.transitions.items()),
+            frozenset(program.accepting),
+            frozenset(program.selecting),
+        )
+        return (signature, labels or (), options)
 
     def build(self, program, options, registry, labels=None):
         if not labels:
@@ -192,13 +199,7 @@ class AutomataBackend(EvaluatorBackend):
                 "automata backend needs a label alphabet: pass labels=... "
                 "(Session.query derives it from the queried document)"
             )
-        # Construct directly rather than through compiled_evaluator: the
-        # session memoises this evaluator itself, and going through the
-        # module-level (or per-registry) evaluator cache would pin a second
-        # copy with independent eviction.  That cache serves the functional
-        # compiled_select/compiled_evaluator API.
-        compiled = compile_automaton(program, labels)
-        return MonadicTreeEvaluator(compiled, options=options, registry=registry)
+        return compiled_evaluator(program, labels, options=options, registry=registry)
 
     def run(self, evaluator, source):
         if not isinstance(source, Document):

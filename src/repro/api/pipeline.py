@@ -40,15 +40,12 @@ wire custom components.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence
 
-from ..analysis.analyzer import analyze as _analyze_program
 from ..analysis.diagnostics import POLICIES, apply_policy
-from ..datalog.cache import LruMap
+from ..datalog.registry import shared_registry
 from ..elog.ast import ElogProgram
 from ..elog.extractor import Fetcher
-from ..elog.parser import parse_elog
 from ..server.components import (
     Component,
     DatalogQueryComponent,
@@ -65,17 +62,12 @@ from ..server.components import (
 from ..server.monitoring import ChangeDetector, ChangeGatedDeliverer, ChangeReport
 from ..server.pipeline import InformationPipe, PipelineError, TransformationServer
 from ..xmlgen.document import XmlElement
+from .session import Session
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mdatalog.program import MonadicProgram
     from ..resilience.policy import ResilienceInfo, ResiliencePolicy
     from ..tree.document import Document
-    from .session import Session
-
-#: Wrapper texts parsed by session-less builders (see
-#: :meth:`PipelineBuilder.wrapper`); session-bound builders use the
-#: session's own parse memo instead.
-_PARSED_WRAPPER_TEXTS: "LruMap[str, ElogProgram]" = LruMap(64)
 
 
 class Pipeline:
@@ -84,7 +76,7 @@ class Pipeline:
     def __init__(
         self,
         pipe: InformationPipe,
-        session: "Optional[Session]" = None,
+        session: Session,
         programs: Sequence[tuple] = (),
     ) -> None:
         self._pipe = pipe
@@ -103,7 +95,9 @@ class Pipeline:
 
         ``resilience`` becomes the default policy of every wrapper/query
         stage (each stage may override with its own ``resilience=``); a
-        session-bound builder defaults to the session's policy.
+        session-bound builder defaults to the session's policy.  Without a
+        ``session`` the builder binds ``Session(registry=shared_registry())``:
+        stock options, the process-wide plan registry, no policy.
         """
         return PipelineBuilder(name, session=session, resilience=resilience)
 
@@ -145,21 +139,15 @@ class Pipeline:
         """Explain plans for every wrapper/query stage of this pipeline.
 
         Returns ``{stage name: ExplainReport}`` in stage-definition order
-        (see :func:`repro.analysis.explain.explain`).  Session-bound
-        pipelines answer from the session's analysis cache; unbound ones
-        compute each report directly.  Elog wrappers are explained through
-        their monadic-datalog translation, so the report shows the plans
-        the engine would actually run.
+        (see :func:`repro.analysis.explain.explain`), answered from the
+        builder's session's analysis cache.  Elog wrappers are explained
+        through their monadic-datalog translation, so the report shows the
+        plans the engine would actually run.
         """
-        reports: Dict[str, object] = {}
-        for stage_name, program in self._programs:
-            if self._session is not None:
-                reports[stage_name] = self._session.explain(program)
-            else:
-                from ..analysis.explain import explain as _explain
-
-                reports[stage_name] = _explain(program)
-        return reports
+        return {
+            stage_name: self._session.explain(program)
+            for stage_name, program in self._programs
+        }
 
     def deliverers(self) -> List[DelivererComponent]:
         """Every configured deliverer, including those behind change gates
@@ -207,13 +195,13 @@ class PipelineBuilder:
         session: "Optional[Session]" = None,
         resilience: "Optional[ResiliencePolicy]" = None,
     ) -> None:
+        if session is None:
+            session = Session(registry=shared_registry())
         self._pipe = InformationPipe(name)
         self._session = session
         # The default policy of every wrapper/query stage: an explicit
-        # builder policy wins, else a bound session's policy applies.
-        self._resilience = resilience
-        if resilience is None and session is not None:
-            self._resilience = session.resilience
+        # builder policy wins, else the session's policy applies.
+        self._resilience = resilience if resilience is not None else session.resilience
         self._previous: Optional[str] = None
         self._sources: List[str] = []
         # (stage name, program) for every wrapper/query stage, analyzed at
@@ -254,14 +242,6 @@ class PipelineBuilder:
         self._previous = component.name
         return self
 
-    def _engine_kwargs(self) -> Dict[str, object]:
-        if self._session is None:
-            return {}
-        return {
-            "options": self._session.options,
-            "registry": self._session.registry,
-        }
-
     # ------------------------------------------------------------------
     # Stage 1: acquisition (sources)
     # ------------------------------------------------------------------
@@ -282,20 +262,14 @@ class PipelineBuilder:
         root_name: Optional[str] = None,
         resilience: "Optional[ResiliencePolicy]" = None,
     ) -> "PipelineBuilder":
-        """An Elog wrapper source (program text is parsed on the spot).
+        """An Elog wrapper source (program text is parsed through the
+        session's memo; :meth:`build` applies the diagnostics policy).
 
-        Session-bound builders parse through the session's memo and apply
-        its diagnostics policy.  ``resilience`` overrides the builder's
-        default policy for this stage.
+        ``resilience`` overrides the builder's default policy for this
+        stage.
         """
-        if self._session is not None:
-            program = self._session._checked_wrapper(program)
-        elif isinstance(program, str):
-            # Text is parsed through a module-level memo so that N unbound
-            # builders over one wrapper text parse it once.
-            program = _PARSED_WRAPPER_TEXTS.get_or_build(
-                program, partial(parse_elog, program)
-            )
+        if isinstance(program, str):
+            program = self._session._parsed_wrapper(program)
         component = WrapperComponent(
             name,
             program,
@@ -326,7 +300,8 @@ class PipelineBuilder:
             supplier,
             root_name=root_name,
             resilience=resilience if resilience is not None else self._resilience,
-            **self._engine_kwargs(),
+            options=self._session.options,
+            registry=self._session.registry,
         )
         self._programs.append((name, program))
         return self._add_stage(component, None, is_source=True)
@@ -491,8 +466,8 @@ class PipelineBuilder:
         ``"warn"`` (default) emits a ``DiagnosticWarning`` per
         error-severity finding, ``"strict"`` raises
         :class:`~repro.analysis.diagnostics.AnalysisError`, ``"ignore"``
-        skips analysis.  Session-bound builders default to the session's
-        ``options.on_diagnostics`` and reuse its cached reports.
+        skips analysis.  The policy defaults to the session's
+        ``options.on_diagnostics``, and the reports come from its caches.
         """
         if not self._pipe.components():
             raise PipelineError(f"pipeline {self._pipe.name!r} has no stages")
@@ -503,22 +478,18 @@ class PipelineBuilder:
             )
         policy = on_diagnostics
         if policy is None:
-            policy = (
-                self._session.options.on_diagnostics
-                if self._session is not None
-                else "warn"
-            )
+            policy = self._session.options.on_diagnostics
         if policy not in POLICIES:
             raise PipelineError(
                 f"build(on_diagnostics={policy!r}): expected one of {POLICIES}"
             )
         if policy != "ignore":
             for stage_name, program in self._programs:
-                if self._session is not None:
-                    report = self._session.analyze(program)
-                else:
-                    report = _analyze_program(program)
-                apply_policy(report, policy, f"pipeline stage {stage_name!r}")
+                apply_policy(
+                    self._session.analyze(program),
+                    policy,
+                    f"pipeline stage {stage_name!r}",
+                )
         # Raises on cycles; unreachable stages are impossible by
         # construction (every non-source stage was connected when added).
         self._pipe._topological_order()

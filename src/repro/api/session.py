@@ -5,14 +5,21 @@ A :class:`Session` is the façade's unit of ownership.  It holds
 * one :class:`~repro.datalog.options.EngineOptions` applied to every
   evaluator it builds,
 * its **own** :class:`~repro.datalog.registry.PlanRegistry` — compiled
-  programs (strata, rule plans, trigger maps) are shared across the
-  session's engines without touching the process-wide singleton, so two
-  sessions never contend on module globals and dropping the session drops
-  every compilation it paid for,
+  programs (strata, rule plans, trigger maps) and analysis and explain
+  reports are shared across the session's engines without touching the
+  process-wide singleton, so dropping the session drops every compilation
+  it paid for,
 * an evaluator memo per (backend, program content, options) — the
   per-engine state (join-order memos, fixpoint LRUs) lives inside those
   memoised engines, and
-* a parse memo per Elog wrapper text.
+* a parse memo per Elog wrapper or program text.
+
+Each cache has one owner: the session owns evaluators and parses, the
+registry owns program-level artifacts, and each evaluator owns its
+per-document state.  One memo is deliberately process-wide: the monadic
+layer's TMNF rewrite (:mod:`repro.mdatalog.evaluator`), so two sessions
+over one monadic program share that rewrite (it is immutable and keyed by
+the exact rule tuple) and neither session's registry counts the lookup.
 
 Everything evaluates through the backend registry
 (:mod:`repro.api.backends`): callers pick ``"semi-naive"``, ``"monadic"``
@@ -326,12 +333,9 @@ class Session:
         is built per call (it holds no compiled state); with a resilience
         policy its fetcher is a
         :class:`~repro.resilience.retry.ResilientFetcher` around ``fetcher``.
+        The ``options.on_diagnostics`` policy applies to the program's
+        analysis.
         """
-        return Extractor(self._checked_wrapper(program), fetcher=self._resilient(fetcher))
-
-    def _checked_wrapper(self, program: "ElogProgram | str") -> ElogProgram:
-        """``program`` parsed through the session memo, with the
-        ``options.on_diagnostics`` policy applied to its analysis."""
         if isinstance(program, str):
             program = self._parsed_wrapper(program)
         if self.options.on_diagnostics != "ignore":
@@ -340,7 +344,7 @@ class Session:
                 self.options.on_diagnostics,
                 "elog wrapper",
             )
-        return program
+        return Extractor(program, fetcher=self._resilient(fetcher))
 
     def _parsed_wrapper(self, text: str) -> ElogProgram:
         return self._parsed_wrappers.get_or_build(text, partial(parse_elog, text))
@@ -522,8 +526,11 @@ class Session:
         analysis to the named query predicates.  Reports are cached in the
         registry's analysis store, keyed by program content + arguments.
         """
-        from ..analysis.explain import DEFAULT_DOMAIN_SIZE, explain as _explain
-        from ..elog.to_mdatalog import to_monadic_datalog
+        from ..analysis.explain import (
+            DEFAULT_DOMAIN_SIZE,
+            _resolve_program,
+            explain as _explain,
+        )
 
         size = domain_size if domain_size is not None else DEFAULT_DOMAIN_SIZE
         if isinstance(program, str):
@@ -532,19 +539,7 @@ class Session:
                 program = self._parsed_wrapper(program)
             else:
                 program = self._resolve(program, "semi-naive", None)[1]
-        if isinstance(program, ElogProgram):
-            program = to_monadic_datalog(program)
-        if isinstance(program, MonadicProgram):
-            if query is None:
-                query = tuple(sorted(program.query_predicates))
-            if edb is None:
-                edb = TREE_SIGNATURE
-            program = program.to_datalog_program()
-        if not isinstance(program, Program):
-            raise TypeError(
-                f"cannot explain {type(program).__name__}; expected Program, "
-                "MonadicProgram, ElogProgram or source text"
-            )
+        resolved, edb, query = _resolve_program(program, edb, query)
         if edb is not None and not isinstance(edb, str):
             edb = frozenset(edb)
         key = (
@@ -553,7 +548,6 @@ class Session:
             tuple(query) if query is not None else None,
             size,
         )
-        resolved = program
         return self.registry.analysis_cached(
             resolved,
             lambda: _explain(resolved, query, edb=edb, domain_size=size),

@@ -12,12 +12,10 @@ automaton selects — an executable witness of the theorem.
 
 from __future__ import annotations
 
-import weakref
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from ..datalog.ast import Atom, Literal, Rule, Variable
-from ..datalog.cache import LruMap
-from ..datalog.options import DEFAULT_OPTIONS, EngineOptions
+from ..datalog.options import EngineOptions
 from ..datalog.registry import PlanRegistry
 from ..datalog.tree_edb import label_predicate
 from ..mdatalog.evaluator import MonadicTreeEvaluator
@@ -130,41 +128,6 @@ def compile_automaton(
 # compilation.  Evaluation goes through :class:`MonadicTreeEvaluator`, i.e.
 # through the ground+LTUR pipeline or the indexed-join generic engine.
 
-# Content-keyed (a stale hit would silently select wrong nodes, exactly as
-# for the engine's fixpoint cache): the key snapshots the automaton's
-# transitions and state sets, so in-place mutation of the mutable dataclass
-# is always observed.  A bounded LRU (not the earlier FIFO — hot automata
-# now stay resident under churn) keeps long-running processes from
-# accumulating evaluators.
-_EVALUATOR_CACHE: LruMap[Tuple[object, ...], MonadicTreeEvaluator] = LruMap(32)
-
-#: Callers that bring their own :class:`PlanRegistry` get an evaluator
-#: cache scoped to that registry instead of the process-wide one above —
-#: repeated ``compiled_select(..., registry=r)`` calls must not recompile
-#: per call, yet a process-wide entry must not outlive (or alias) the
-#: registry it was built against.  Weak keys drop each cache with its
-#: registry.
-_REGISTRY_EVALUATOR_CACHES: "weakref.WeakKeyDictionary[PlanRegistry, LruMap[Tuple[object, ...], MonadicTreeEvaluator]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _evaluator_cache_for(
-    registry: Optional[PlanRegistry],
-) -> LruMap[Tuple[object, ...], MonadicTreeEvaluator]:
-    if registry is None:
-        return _EVALUATOR_CACHE
-    # setdefault, not get-then-set: racing first callers share one cache.
-    return _REGISTRY_EVALUATOR_CACHES.setdefault(registry, LruMap(32))
-
-
-def _automaton_signature(automaton: TreeAutomaton) -> Tuple[object, ...]:
-    return (
-        frozenset(automaton.transitions.items()),
-        frozenset(automaton.accepting),
-        frozenset(automaton.selecting),
-    )
-
 
 def compiled_evaluator(
     automaton: TreeAutomaton,
@@ -174,38 +137,20 @@ def compiled_evaluator(
     options: Optional[EngineOptions] = None,
     registry: Optional[PlanRegistry] = None,
 ) -> MonadicTreeEvaluator:
-    """A (cached) evaluator for ``automaton``'s monadic datalog compilation.
+    """An evaluator for ``automaton``'s monadic datalog compilation.
 
-    The cache is keyed on automaton content, so callers that repeatedly
-    query the same (or an equal) automaton skip both recompilation and
-    evaluator construction, while mutated automata recompile.  An evaluator
-    cache miss over a previously seen *program* content still shares the
-    downstream compilation: the TMNF rewrite and the generic engine's rule
-    plans come from the process-wide caches of
-    :mod:`repro.mdatalog.evaluator` / :mod:`repro.datalog.registry`.
-
-    Tuning goes through ``options=`` (:class:`EngineOptions` keys the cache,
-    so differently tuned evaluators never alias).  Callers that supply
-    their own ``registry`` (the :class:`repro.api.Session` path) are cached
-    in a registry-scoped evaluator cache (weakly keyed, so a process-wide
-    entry never pins a session-owned registry alive).
+    Each call builds a fresh evaluator; callers that query one automaton
+    repeatedly hold on to it (or go through :meth:`repro.api.Session.query`,
+    whose evaluator memo owns the reuse).  A fresh evaluator over a
+    previously seen *program* still shares the downstream compilation: the
+    TMNF rewrite (process-wide, :mod:`repro.mdatalog.evaluator`) and the
+    generic engine's rule plans (``registry``, or the process-wide
+    :mod:`repro.datalog.registry`).
     """
-    if options is None:
-        options = DEFAULT_OPTIONS
-    label_set = tuple(sorted(set(labels)))
-    key = (
-        _automaton_signature(automaton),
-        label_set,
-        query_predicate,
-        options,
-    )
-    return _evaluator_cache_for(registry).get_or_build(
-        key,
-        lambda: MonadicTreeEvaluator(
-            compile_automaton(automaton, label_set, query_predicate),
-            options=options,
-            registry=registry,
-        ),
+    return MonadicTreeEvaluator(
+        compile_automaton(automaton, labels, query_predicate),
+        options=options,
+        registry=registry,
     )
 
 

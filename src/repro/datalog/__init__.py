@@ -35,7 +35,6 @@ from .registry import (
     PlanRegistry,
     clear_plan_registry,
     plan_registry_info,
-    shared_compiled_program,
     shared_registry,
 )
 from .stratify import StratificationError, is_stratifiable, stratify
@@ -78,7 +77,6 @@ __all__ = [
     "compile_stratum",
     "database_content_hash",
     "plan_registry_info",
-    "shared_compiled_program",
     "shared_registry",
     "aggregate_engine_info",
     "atom",

@@ -213,7 +213,7 @@ class SemiNaiveEngine:
     Strata, rule plans and trigger maps come from a :class:`~repro.datalog.
     registry.PlanRegistry` — the process-wide singleton, or the registry
     passed as ``registry=`` (a :class:`repro.api.Session` passes its own, so
-    sessions never contend on module globals; ``registry=PlanRegistry()``
+    its compilations stay out of other sessions'; ``registry=PlanRegistry()``
     compiles privately) — so N engines over the same program pay one
     compilation; every piece of database-sized state — join-order memos,
     delta storage, the fixpoint LRU — stays instance-local.

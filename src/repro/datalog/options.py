@@ -15,9 +15,9 @@ plans shared through a :class:`~repro.datalog.registry.PlanRegistry`), so
 every field here tunes caching or policy — none selects an alternative join
 strategy or opts out of sharing.
 
-The dataclass is frozen and hashable so it can key evaluator memos (the
-:mod:`repro.api` session memoises one engine per (program, options) pair,
-and the automata layer keys its module-level evaluator cache by options).
+The dataclass is frozen and hashable so it can key evaluator memos: the
+:mod:`repro.api` session, which owns evaluator reuse, memoises one engine
+per (program, options) pair.
 """
 
 from __future__ import annotations

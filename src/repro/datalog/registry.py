@@ -85,12 +85,15 @@ class PlanRegistry:
     ``SemiNaiveEngine.BUILTINS`` mapping; a table binding any name to a
     different function gets its own entries).  Compilation runs outside the
     lock, once per key.
+
+    The registry is the one owner of program-level artifacts: compiled
+    programs here, and analysis and explain reports through
+    :meth:`analysis_cached`.  Evaluators and parses belong to a
+    :class:`repro.api.Session`, per-document state to each evaluator; no
+    module-level memo shadows any of them.
     """
 
-    # __weakref__ lets per-registry companion caches (e.g. the automata
-    # layer's evaluator caches) key weakly on the registry without pinning
-    # it alive.
-    __slots__ = ("_programs", "_analyses", "__weakref__")
+    __slots__ = ("_programs", "_analyses")
 
     def __init__(self, capacity: int = 256) -> None:
         self._programs: LruMap[tuple, CompiledProgram] = LruMap(capacity)
@@ -147,13 +150,6 @@ _SHARED_REGISTRY = PlanRegistry()
 def shared_registry() -> PlanRegistry:
     """The process-wide compiled-program registry."""
     return _SHARED_REGISTRY
-
-
-def shared_compiled_program(
-    program: Program, builtins: Mapping[str, Callable[..., bool]]
-) -> CompiledProgram:
-    """Compile ``program`` through the shared registry (or reuse)."""
-    return _SHARED_REGISTRY.compiled(program, builtins)
 
 
 def plan_registry_info() -> CacheInfo:

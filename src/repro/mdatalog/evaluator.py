@@ -132,7 +132,9 @@ def _trigger_table(program: MonadicProgram) -> Optional[_TriggerTable]:
 #: rewrite and one trigger-table compilation.  Keyed exactly — the rule
 #: tuple plus the query predicates — so a hit can never alias two different
 #: programs; a cached ``None`` records a program outside the TMNF fragment
-#: so its failed rewrite is not retried per component either.
+#: so its failed rewrite is not retried per component either.  It is the
+#: one memo deliberately not owned by a session's registry (a per-registry
+#: rewrite made session setup about 30% slower; see docs/API.md).
 _TMNF_CACHE: "LruMap[Tuple[object, ...], Optional[_TriggerTable]]" = LruMap(64)
 
 

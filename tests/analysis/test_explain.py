@@ -105,6 +105,30 @@ def test_explain_renders_plans_without_generating_executor_code(monkeypatch):
     assert explain(TC_TEXT).render("tc") == expected
 
 
+def test_a_cold_explain_runs_the_estimate_fixpoint_exactly_once(monkeypatch):
+    import repro.analysis.cost as cost
+
+    calls = []
+    estimate = cost._estimate
+
+    def counting(*args):
+        calls.append(args)
+        return estimate(*args)
+
+    monkeypatch.setattr(cost, "_estimate", counting)
+    # Plans and the P00x checks share one set of estimates, and no module
+    # memo stands between calls: each bare explain() is cold.
+    explain(TC_TEXT)
+    assert len(calls) == 1
+    explain(TC_TEXT)
+    assert len(calls) == 2
+    # A session's registry owns the caching: a second explain is a lookup.
+    session = Session()
+    session.explain(TC_TEXT)
+    session.explain(TC_TEXT)
+    assert len(calls) == 3
+
+
 # ---------------------------------------------------------------------------
 # Session / Pipeline surfaces
 # ---------------------------------------------------------------------------

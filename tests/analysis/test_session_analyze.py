@@ -213,11 +213,33 @@ def test_pipeline_build_rejects_unknown_policies():
         builder.build(on_diagnostics="panic")
 
 
-def test_session_bound_builder_inherits_the_session_policy():
+def _session_bound_bad_wrapper_builder(policy):
     web = SimulatedWeb()
     web.publish("site.test/", "<html><body></body></html>")
-    session = Session(EngineOptions(on_diagnostics="strict"))
+    session = Session(EngineOptions(on_diagnostics=policy))
     builder = Pipeline.builder("p", session)
-    # The session enforces its policy as soon as the wrapper is built.
+    return builder.wrapper("w", BAD_WRAPPER_TEXT, web, "site.test/")
+
+
+def test_session_bound_builder_inherits_the_session_policy():
+    # wrapper() only parses; build() applies the session's policy.
+    builder = _session_bound_bad_wrapper_builder("strict")
     with pytest.raises(AnalysisError):
-        builder.wrapper("w", BAD_WRAPPER_TEXT, web, "site.test/")
+        builder.build()
+
+
+def test_session_bound_builder_warns_once_per_finding():
+    findings = Session().analyze(BAD_WRAPPER_TEXT).errors()
+    assert len(findings) >= 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DiagnosticWarning)
+        _session_bound_bad_wrapper_builder("warn").build()
+    raised = [w for w in caught if issubclass(w.category, DiagnosticWarning)]
+    assert len(raised) == len(findings)
+
+
+def test_build_policy_overrides_a_strict_session():
+    builder = _session_bound_bad_wrapper_builder("strict")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DiagnosticWarning)
+        builder.build(on_diagnostics="ignore")

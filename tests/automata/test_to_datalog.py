@@ -63,16 +63,29 @@ def test_compile_automaton_without_selecting_states_selects_nothing():
     assert selected_indexes(program, document) == set()
 
 
-def test_compiled_evaluator_with_a_private_registry_is_cached_per_registry():
+def test_a_second_compiled_evaluator_reuses_the_first_ones_compilation():
     from repro.automata.to_datalog import compiled_evaluator
-    from repro.datalog import PlanRegistry
+    from repro.datalog import EngineOptions, PlanRegistry
 
     labels = ("a", "b")
     automaton = leaf_selector_automaton(labels)
+    document = random_tree(30, labels=labels, seed=2)
+    expected = {node.preorder_index for node in automaton.select(document)}
+    # Ground pipeline: the second evaluator shares the first one's TMNF
+    # rewrite and trigger table.
+    first = compiled_evaluator(automaton, labels)
+    second = compiled_evaluator(automaton, labels)
+    assert second is not first
+    assert second._triggers is first._triggers
+    # Generic engine: the second evaluator's rule plans are a registry hit.
     registry = PlanRegistry()
-    first = compiled_evaluator(automaton, labels, registry=registry)
-    # Repeated calls with the same registry must reuse the evaluator (no
-    # per-call recompilation); a different registry — or none — gets its own.
-    assert compiled_evaluator(automaton, labels, registry=registry) is first
-    assert compiled_evaluator(automaton, labels, registry=PlanRegistry()) is not first
-    assert compiled_evaluator(automaton, labels) is not first
+    generic = EngineOptions(force_generic=True)
+    evaluators = [
+        compiled_evaluator(automaton, labels, options=generic, registry=registry)
+        for _ in range(2)
+    ]
+    assert registry.info().misses == 1
+    assert registry.info().hits == 1
+    for evaluator in (first, second, *evaluators):
+        selected = evaluator.select(document, "selected")
+        assert {node.preorder_index for node in selected} == expected

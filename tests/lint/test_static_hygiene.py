@@ -1,6 +1,6 @@
 """Repo hygiene gates.
 
-Three classes of slip have already cost a PR each:
+Four classes of slip have already cost a PR each:
 
 * ``id()`` used as a cache key over objects the cache does not keep
   alive — CPython recycles addresses, so a dead object's key can serve a
@@ -13,6 +13,13 @@ Three classes of slip have already cost a PR each:
   ``with self._lock``-style block must appear in
   ``ALLOWED_UNLOCKED_WRITES`` with the reason that structure cannot be
   shared across threads.
+* module-level caches that shadow a cache with an owner — memos of
+  evaluators, estimates or parsed wrappers kept as module globals beside
+  the ``Session`` / ``PlanRegistry`` that owns the same artifact, so two
+  sessions silently share (and evict from) them.  Every module-level
+  ``LruMap(...)``, ``WeakKeyDictionary(...)`` or ``PlanRegistry(...)`` and
+  every ``functools.lru_cache`` in ``src/`` must appear in
+  ``ALLOWED_PROCESS_CACHES`` with the reason it is process-wide.
 * compiled artifacts committed to the index (``.pyc`` files rode along
   with the seed until PR 6).
 """
@@ -284,6 +291,116 @@ def test_the_unlocked_write_allowlist_carries_no_stale_entries():
 def test_every_unlocked_write_reason_is_substantive():
     for (file, attr), reason in ALLOWED_UNLOCKED_WRITES.items():
         assert len(reason.split()) >= 5, f"{file}:{attr}: justification too thin"
+
+
+# ---------------------------------------------------------------------------
+# Cache ownership: process-wide caches
+# ---------------------------------------------------------------------------
+
+#: ``file:name`` of every process-wide cache in ``src/`` — a module-level
+#: ``LruMap`` / ``WeakKeyDictionary`` / ``PlanRegistry`` or an
+#: ``lru_cache``-decorated function — with the reason it may not live with
+#: an owner (a ``Session`` owns evaluators and parses, a ``PlanRegistry``
+#: compiled programs and reports, an evaluator its per-document state).
+ALLOWED_PROCESS_CACHES = {
+    "repro/datalog/registry.py:_SHARED_REGISTRY": (
+        "the registry itself: engines built without registry= and "
+        "session-less pipeline builders compile through it on purpose"
+    ),
+    "repro/mdatalog/evaluator.py:_TMNF_CACHE": (
+        "the TMNF rewrite is immutable and keyed by the exact rule tuple; "
+        "moving it into the session registry raised the perfbench "
+        "tree_query setup() from 3.7 to 4.8 ms (+29%, medians of 4 "
+        "alternating runs of 200 setups on a 2-core x86_64 VM), past the "
+        "benchmark's 25% bound; monitor_server setup() stayed within noise"
+    ),
+    "repro/datalog/plan.py:_factory": (
+        "pure compiler keyed by its full input, the generated executor "
+        "source text; a hit can never alias two different plans"
+    ),
+    "repro/elog/epath.py:compile_variable_pattern": (
+        "pure compiler keyed by its full input, the pattern text; the "
+        "compiled regex is immutable"
+    ),
+    "repro/elog/epath.py:_dfa": (
+        "pure compiler keyed by its full input, the element-path step "
+        "tuple; the subset automaton is immutable"
+    ),
+    "repro/elog/conditions.py:lenient_path": (
+        "pure function keyed by its full input, a frozen element path; "
+        "the prefixed path is immutable"
+    ),
+}
+
+#: Constructors that build a cache when called at module level.
+_CACHE_CONSTRUCTORS = frozenset({"LruMap", "WeakKeyDictionary", "PlanRegistry"})
+#: Decorators that give a function a process-wide memo.
+_CACHE_DECORATORS = frozenset({"lru_cache", "cache"})
+
+
+def _called_name(node: ast.AST):
+    """``f`` for a ``f(...)`` / ``m.f(...)`` / ``@f`` / ``@m.f`` node."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _process_cache_names(path: Path):
+    """Names of module-level cache objects and memoised functions."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            _called_name(decorator) in _CACHE_DECORATORS
+            for decorator in node.decorator_list
+        ):
+            found.append(node.name)
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if any(
+            _called_name(call) in _CACHE_CONSTRUCTORS
+            for call in ast.walk(value)
+            if isinstance(call, ast.Call)
+        ):
+            found.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return found
+
+
+def _process_caches():
+    return {
+        f"{path.relative_to(SRC)}:{name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name in _process_cache_names(path)
+    }
+
+
+def test_every_process_wide_cache_is_allowlisted_with_a_reason():
+    offenders = _process_caches() - set(ALLOWED_PROCESS_CACHES)
+    assert not offenders, (
+        f"process-wide caches outside the allowlist: {sorted(offenders)}; "
+        "give the cache an owner (a Session, a PlanRegistry or the "
+        "evaluator) or, if it must be process-wide, document why in "
+        "ALLOWED_PROCESS_CACHES"
+    )
+
+
+def test_the_process_cache_allowlist_carries_no_stale_entries():
+    stale = set(ALLOWED_PROCESS_CACHES) - _process_caches()
+    assert not stale, f"allowlist entries for caches that no longer exist: {stale}"
+
+
+def test_every_process_cache_reason_is_substantive():
+    for name, reason in ALLOWED_PROCESS_CACHES.items():
+        assert len(reason.split()) >= 5, f"{name}: justification too thin"
 
 
 def _tracked_files():
