@@ -1,11 +1,11 @@
 """Perf-trajectory gate: fail CI on >20% regression against the previous run.
 
-Compares two ``BENCH_engine.json`` files (workload -> median seconds, or a
-ratio for ``*_x`` speed-ups and ``*_rate`` hit rates) and exits non-zero when
-a gated workload regressed beyond the threshold:
+Compares two ``BENCH_engine.json`` files (workload -> median seconds or
+milliseconds, or a ratio for ``*_x`` speed-ups and ``*_rate`` hit rates) and
+exits non-zero when a gated workload regressed beyond the threshold:
 
-* ``*_s`` workloads are timings (medians of repeated passes) — regression
-  means the current value grew;
+* ``*_s`` and ``*_ms`` workloads are timings (medians of repeated passes) —
+  regression means the current value grew;
 * ``*_rate`` workloads are hit rates (deterministic for a given workload) —
   regression means the current value shrank;
 * ``*_x`` speed-up factors are the ratio of two wall-clocks — the noisiest
@@ -44,6 +44,10 @@ def load(path: str) -> Dict[str, float]:
     }
 
 
+#: Name suffixes of timings, the workloads where lower is better.
+TIMING_SUFFIXES: Tuple[str, ...] = ("_s", "_ms")
+
+
 #: Workload families whose timings depend on OS thread scheduling; their
 #: effective threshold is doubled (see module docstring).
 NOISY_PREFIXES: Tuple[str, ...] = (
@@ -73,7 +77,7 @@ def compare(
             notes.append(f"workload {workload} no longer measured")
             continue
         old, new = baseline[workload], current[workload]
-        lower_is_better = workload.endswith("_s")
+        lower_is_better = workload.endswith(TIMING_SUFFIXES)
         gated = not workload.endswith("_x")
         effective = workload_threshold(workload, threshold)
         if old <= 0:

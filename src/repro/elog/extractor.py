@@ -13,25 +13,30 @@ through the rule's conditions, and surviving candidates become new pattern
 instances (duplicates are eliminated by the instance base).  Rounds repeat
 until one adds nothing, at most ``max_rounds`` times.
 
-Rounds are change-driven.  A rule over a parent pattern, or over
-``document(_, S)``, reads only that pattern's instances (the supplied and
-fetched documents for ``document``) and the instances of the patterns its
-pattern-reference conditions name.  Instances are never removed, so when
+Rounds are change-driven.  Every rule reads only the instances of a few
+patterns: a rule over a parent pattern reads that pattern's, a
+``document(_, S)`` or literal-URL rule (``document("url", S)``) the
+``document`` instances (the supplied and fetched documents), and a crawl
+rule (``document(S, X)`` over a variable) both; each also reads the patterns
+its pattern-reference conditions name.  Instances are never removed, so when
 none of those counts moved since the rule last ran, its inputs are the same
-and re-applying it would derive nothing new; the rule is skipped.  Every
-round therefore derives exactly what re-applying every rule would.  Crawl
-rules (``document(S, X)`` over a variable) and literal-URL rules
-(``document("url", S)``) are re-applied every round, because they retry
-fetches that failed before.
+and re-applying it would derive nothing new; the rule is skipped.  A run that
+tried a fetch is the exception: it is re-applied next round whatever the
+counts, so a fetch that failed is retried.  Every round therefore derives
+exactly what re-applying every rule would.  A literal-URL rule tries no
+fetch once its literal matches a known document, so Figure 5's ``tableseq``
+runs once per page.
 
 One witness memo (see :mod:`repro.elog.conditions`) serves every candidate
 of an ``extract`` call, so a context condition scans its scope once per
-call rather than once per candidate.  Each rule's per-candidate conditions
-(all but ``firstsubtree``) are selected once per call, and a candidate of a
-rule with none left is accepted without building a condition context.
-Nothing is compiled here: element paths run on the automaton memoised per
-step sequence (:mod:`repro.elog.epath`), and regular expressions were
-compiled when the program was parsed.
+call rather than once per candidate, and bisects the scan's result to its
+distance window.  Each rule's per-candidate conditions (all but
+``firstsubtree``) are compiled once per call, so a candidate dispatches on
+nothing, and one condition context per rule and parent instance is
+re-targeted at each candidate; a candidate of a rule with no condition left
+is accepted without one.  Nothing else is compiled here: element paths run
+on the automaton memoised per step sequence (:mod:`repro.elog.epath`), and
+regular expressions were compiled when the program was parsed.
 """
 
 from __future__ import annotations
@@ -63,7 +68,13 @@ from .ast import (
     SubText,
 )
 from .concepts import DEFAULT_CONCEPTS, ConceptRegistry
-from .conditions import ConditionContext, WitnessMemo, evaluate_condition, lenient_path
+from .conditions import (
+    CompiledCondition,
+    ConditionContext,
+    WitnessMemo,
+    compile_condition,
+    lenient_path,
+)
 from .epath import ElementPath
 from .instance_base import PatternInstance, PatternInstanceBase
 
@@ -131,6 +142,20 @@ class ExtractionError(RuntimeError):
     """Raised on unresolvable programs (e.g. crawling without a fetcher)."""
 
 
+class _Extraction:
+    """The state of one :meth:`Extractor.extract` call."""
+
+    __slots__ = ("base", "fetched_urls", "witnesses", "fetches")
+
+    def __init__(self) -> None:
+        self.base = PatternInstanceBase()
+        #: The documents supplied with a URL or fetched, by URL.
+        self.fetched_urls: Dict[str, PatternInstance] = {}
+        self.witnesses: WitnessMemo = {}
+        #: How many fetches were tried, failed ones included.
+        self.fetches = 0
+
+
 class Extractor:
     """Interpreter for Elog programs."""
 
@@ -163,37 +188,35 @@ class Extractor:
         start ``url`` (requires a fetcher) may be given; ``document``
         extraction rules may fetch further pages through the fetcher.
         """
-        base = PatternInstanceBase()
-        fetched_urls: Dict[str, PatternInstance] = {}
+        run = _Extraction()
+        base = run.base
         for given in list(documents or []) + ([document] if document is not None else []):
             instance = base.add_document_root(given)
             if given.url:
-                fetched_urls[given.url] = instance
+                run.fetched_urls[given.url] = instance
         if url is not None:
             # The start URL is load-bearing: its fetch errors propagate (the
             # batch paths turn them into per-slot ErrorResults), unlike
             # crawling targets discovered mid-extraction, which stay lenient.
-            instance = self._fetch_document(
-                url, base, fetched_urls, parent=None, propagate=True
-            )
+            instance = self._fetch_document(url, run, parent=None, propagate=True)
             if instance is None:
                 raise ExtractionError(f"cannot fetch start url {url!r} without a fetcher")
 
         rules = self.program.rules
         inputs = [_rule_inputs(rule) for rule in rules]
-        checks = [_checked_conditions(rule) for rule in rules]
+        checks = [tuple(map(compile_condition, _checked_conditions(rule))) for rule in rules]
         last_counts: List[Optional[Tuple[int, ...]]] = [None] * len(rules)
-        witnesses: WitnessMemo = {}
         for _ in range(self.max_rounds):
             changed = False
             for index, rule in enumerate(rules):
-                if inputs[index] is not None:
-                    counts = tuple(base.count(pattern) for pattern in inputs[index])
-                    if counts == last_counts[index]:
-                        continue
-                    last_counts[index] = counts
-                if self._apply_rule(rule, checks[index], base, fetched_urls, witnesses):
+                counts = tuple(base.count(pattern) for pattern in inputs[index])
+                if counts == last_counts[index]:
+                    continue
+                fetches = run.fetches
+                if self._apply_rule(rule, checks[index], run):
                     changed = True
+                # A run that tried a fetch runs again next round, to retry it.
+                last_counts[index] = counts if run.fetches == fetches else None
             if not changed:
                 break
         return base
@@ -215,43 +238,52 @@ class Extractor:
     def _apply_rule(
         self,
         rule: ElogRule,
-        conditions: Tuple[Condition, ...],
-        base: PatternInstanceBase,
-        fetched_urls: Dict[str, PatternInstance],
-        witnesses: WitnessMemo,
+        checks: Sequence[CompiledCondition],
+        run: _Extraction,
     ) -> bool:
         """Apply ``rule`` once; whether the instance base grew.
 
-        ``conditions`` are the rule's conditions without ``firstsubtree``,
-        which selects among the accepted candidates instead.  Documents the
-        rule fetched count: a crawl round whose only effect is a newly
-        fetched page (say, a target retried after a failed fetch) still
-        hands later rules a new ``document`` instance.
+        ``checks`` are the rule's conditions without ``firstsubtree``, which
+        selects among the accepted candidates instead.  Documents the rule
+        fetched count: a crawl round whose only effect is a newly fetched
+        page (say, a target retried after a failed fetch) still hands later
+        rules a new ``document`` instance.
         """
+        base = run.base
         size = len(base)
-        first_only = len(conditions) != len(rule.conditions)
-        for parent_instance in self._parent_instances(rule, base, fetched_urls):
-            candidates = self._candidates(rule, parent_instance)
-            document = self._document_of(parent_instance) if conditions and candidates else None
+        first_only = len(checks) != len(rule.conditions)
+        for parent in self._parent_instances(rule, run):
+            candidates = self._candidates(rule, parent)
+            context: Optional[ConditionContext] = None
+            if checks and candidates:
+                context = ConditionContext(
+                    document=self._document_of(parent),
+                    parent_node=parent.node,
+                    parent_nodes=parent.nodes,
+                    target="",
+                    instance_base=base,
+                    concepts=self.concepts,
+                    witnesses=run.witnesses,
+                )
             accepted: List[PatternInstance] = []
             for target, bindings in candidates:
-                instance = self._check_conditions(
-                    rule, conditions, parent_instance, document, target, bindings, base, witnesses
-                )
-                if instance is not None:
-                    accepted.append(instance)
+                # Every candidate carries its own fresh bindings dict, so it
+                # goes to the context, or straight to the instance, uncopied.
+                if context is not None:
+                    context.target, context.bindings = target, bindings
+                    satisfied = self._satisfy(checks, 0, context)
+                    if satisfied is None:
+                        continue
+                    bindings = satisfied
+                accepted.append(self._instance(rule, parent, target, bindings))
             if accepted and first_only:
                 accepted = [min(accepted, key=PatternInstance.anchor)]
             for instance in accepted:
                 base.add_instance(instance)
         return len(base) != size
 
-    def _parent_instances(
-        self,
-        rule: ElogRule,
-        base: PatternInstanceBase,
-        fetched_urls: Dict[str, PatternInstance],
-    ) -> List[PatternInstance]:
+    def _parent_instances(self, rule: ElogRule, run: _Extraction) -> List[PatternInstance]:
+        base = run.base
         if rule.document is None:
             return base.instances_of(rule.parent)
         if rule.document.is_variable and rule.document.url == "_":
@@ -264,7 +296,7 @@ class Extractor:
                 target_url = carrier.text().strip()
                 if not target_url:
                     continue
-                instance = self._fetch_document(target_url, base, fetched_urls, parent=carrier)
+                instance = self._fetch_document(target_url, run, parent=carrier)
                 if instance is not None:
                     parents.append(instance)
             return parents
@@ -277,7 +309,7 @@ class Extractor:
         ]
         if matches:
             return matches
-        instance = self._fetch_document(literal, base, fetched_urls, parent=None)
+        instance = self._fetch_document(literal, run, parent=None)
         if instance is not None:
             return [instance]
         # Fall back to "any supplied document" so wrappers written against a
@@ -287,15 +319,16 @@ class Extractor:
     def _fetch_document(
         self,
         url: str,
-        base: PatternInstanceBase,
-        fetched_urls: Dict[str, PatternInstance],
+        run: _Extraction,
         parent: Optional[PatternInstance],
         propagate: bool = False,
     ) -> Optional[PatternInstance]:
+        fetched_urls = run.fetched_urls
         if url in fetched_urls:
             return fetched_urls[url]
         if self.fetcher is None or len(fetched_urls) >= self.max_documents:
             return None
+        run.fetches += 1
         try:
             document = self.fetcher.fetch(url)
         # ConnectionError/TimeoutError join KeyError in the lenient set: a
@@ -312,7 +345,7 @@ class Extractor:
             document=document,
             value=url,
         )
-        added = base.add_instance(instance)
+        added = run.base.add_instance(instance)
         fetched_urls[url] = added or instance
         return fetched_urls[url]
 
@@ -411,64 +444,29 @@ class Extractor:
     # ------------------------------------------------------------------
     # Conditions
     # ------------------------------------------------------------------
-    def _check_conditions(
+    def _instance(
         self,
         rule: ElogRule,
-        conditions: Tuple[Condition, ...],
         parent: PatternInstance,
-        document: Optional[Document],
         target: Union[Node, List[Node], str],
         bindings: Dict[str, object],
-        base: PatternInstanceBase,
-        witnesses: WitnessMemo,
-    ) -> Optional[PatternInstance]:
-        # Every candidate carries its own fresh bindings dict, so a rule
-        # with nothing to check hands it on without a context.
-        final_bindings: Optional[Dict[str, object]] = bindings
-        if conditions:
-            context = ConditionContext(
-                document=document,
-                parent_node=parent.node,
-                parent_nodes=parent.nodes,
-                target=target,
-                bindings=dict(bindings),
-                instance_base=base,
-                concepts=self.concepts,
-                witnesses=witnesses,
-            )
-            final_bindings = self._satisfy(conditions, 0, context)
-        if final_bindings is None:
-            return None
-        parent_for_instance = parent
+    ) -> PatternInstance:
+        owner = parent
         if rule.is_specialisation() and parent.parent is not None:
-            parent_for_instance = parent.parent
-        if isinstance(target, str):
-            return PatternInstance(
-                pattern=rule.pattern,
-                parent=parent_for_instance,
-                value=target,
-                document=parent.document,
-                bindings=final_bindings,
-            )
-        if isinstance(target, list):
-            return PatternInstance(
-                pattern=rule.pattern,
-                parent=parent_for_instance,
-                nodes=target,
-                document=parent.document,
-                bindings=final_bindings,
-            )
+            owner = parent.parent
         return PatternInstance(
             pattern=rule.pattern,
-            parent=parent_for_instance,
-            node=target,
+            parent=owner,
+            node=target if isinstance(target, Node) else None,
+            nodes=target if isinstance(target, list) else None,
+            value=target if isinstance(target, str) else None,
             document=parent.document,
-            bindings=final_bindings,
+            bindings=bindings,
         )
 
     def _satisfy(
         self,
-        conditions: Tuple[Condition, ...],
+        checks: Sequence[CompiledCondition],
         position: int,
         context: ConditionContext,
     ) -> Optional[Dict[str, object]]:
@@ -476,20 +474,26 @@ class Extractor:
 
         A later condition (e.g. a pattern reference over a variable bound by
         an earlier ``before``) can reject one witness; backtracking then tries
-        the next one.
+        the next one.  A condition that binds nothing is a plain test.  The
+        bindings returned are a dict no other candidate shares.
         """
-        if position == len(conditions):
-            return dict(context.bindings)
-        alternatives = evaluate_condition(conditions[position], context)
-        saved = context.bindings
-        for extension in alternatives:
-            context.bindings = {**saved, **extension}
-            result = self._satisfy(conditions, position + 1, context)
-            if result is not None:
-                context.bindings = saved
-                return result
-        context.bindings = saved
-        return None
+        while position < len(checks):
+            binds, evaluate = checks[position]
+            position += 1
+            if not binds:
+                if not evaluate(context):
+                    return None
+                continue
+            saved = context.bindings
+            result = None
+            for extension in evaluate(context):
+                context.bindings = {**saved, **extension}
+                result = self._satisfy(checks, position, context)
+                if result is not None:
+                    break
+            context.bindings = saved
+            return result
+        return context.bindings
 
     def _document_of(self, instance: PatternInstance) -> Document:
         current: Optional[PatternInstance] = instance
@@ -509,21 +513,20 @@ def _checked_conditions(rule: ElogRule) -> Tuple[Condition, ...]:
     )
 
 
-def _rule_inputs(rule: ElogRule) -> Optional[Tuple[str, ...]]:
-    """The patterns whose instances ``rule`` reads, or None for a rule that
-    fetches (crawl and literal-URL rules, re-applied every round)."""
+def _rule_inputs(rule: ElogRule) -> Tuple[str, ...]:
+    """The patterns whose instances ``rule`` reads (see the module docstring)."""
     if rule.document is None:
-        source = rule.parent
-    elif rule.document.is_variable and rule.document.url == "_":
-        source = ROOT_PATTERN
+        sources: Tuple[str, ...] = (rule.parent,)
+    elif rule.document.is_variable and rule.document.url != "_":
+        sources = (rule.parent, ROOT_PATTERN)
     else:
-        return None
+        sources = (ROOT_PATTERN,)
     references = [
         condition.pattern
         for condition in rule.conditions
         if isinstance(condition, PatternReference)
     ]
-    return (source, *references)
+    return (*sources, *references)
 
 
 def _match_member(path: ElementPath, node: Node) -> Optional[Dict[str, str]]:

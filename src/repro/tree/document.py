@@ -6,7 +6,7 @@ A ``Document`` is the Python counterpart of the relational structure
 
 from Section 2.2 of the paper.  It owns a root :class:`~repro.tree.node.Node`
 and maintains the document-order indexes needed for efficient axis
-computation (preorder / postorder numbering, label index).
+computation (preorder / postorder numbering, subtree ends, label index).
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ class Document:
         by_label: Dict[str, List[Node]] = defaultdict(list)
 
         # Iterative pre/post numbering to avoid recursion limits on deep
-        # documents.
+        # documents.  At a node's post-visit every node of its subtree has
+        # taken a preorder number, so the preorder counter is its subtree end.
         counter_pre = 0
         counter_post = 0
         stack: List[Tuple[Node, bool]] = [(self.root, False)]
@@ -50,6 +51,7 @@ class Document:
             node, expanded = stack.pop()
             if expanded:
                 node._postorder = counter_post
+                node._subtree_end = counter_pre
                 counter_post += 1
                 continue
             node._preorder = counter_pre

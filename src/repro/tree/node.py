@@ -37,6 +37,7 @@ class Node:
         "_index_in_parent",
         "_preorder",
         "_postorder",
+        "_subtree_end",
     )
 
     def __init__(
@@ -54,6 +55,7 @@ class Node:
         # Filled in by Document.reindex(); -1 means "not yet indexed".
         self._preorder: int = -1
         self._postorder: int = -1
+        self._subtree_end: int = -1
 
     # ------------------------------------------------------------------
     # Construction
@@ -230,6 +232,15 @@ class Node:
     @property
     def postorder_index(self) -> int:
         return self._postorder
+
+    @property
+    def subtree_end(self) -> int:
+        """One past the preorder index of the last node of this subtree.
+
+        The subtree occupies the document-order positions
+        ``[preorder_index, subtree_end)`` (valid after ``Document.reindex``).
+        """
+        return self._subtree_end
 
     def is_ancestor_of(self, other: "Node") -> bool:
         """True iff this node is a proper ancestor of ``other``.

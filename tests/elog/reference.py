@@ -23,8 +23,8 @@ from repro.elog import Extractor
 from repro.elog.ast import AfterCondition, BeforeCondition, Condition
 from repro.elog.conditions import ConditionContext, evaluate_condition
 from repro.elog.epath import ElementPath
-from repro.elog.extractor import _checked_conditions
-from repro.elog.instance_base import PatternInstance, PatternInstanceBase
+from repro.elog.extractor import _checked_conditions, _Extraction
+from repro.elog.instance_base import PatternInstanceBase
 from repro.tree import Document
 
 
@@ -37,25 +37,23 @@ class ReferenceExtractor(Extractor):
         documents: Optional[Sequence[Document]] = None,
         url: Optional[str] = None,
     ) -> PatternInstanceBase:
-        base = PatternInstanceBase()
-        fetched_urls: Dict[str, PatternInstance] = {}
+        run = _Extraction()
         for given in list(documents or []) + ([document] if document is not None else []):
-            instance = base.add_document_root(given)
+            instance = run.base.add_document_root(given)
             if given.url:
-                fetched_urls[given.url] = instance
+                run.fetched_urls[given.url] = instance
         if url is not None:
-            assert self._fetch_document(url, base, fetched_urls, parent=None, propagate=True)
+            assert self._fetch_document(url, run, parent=None, propagate=True)
         for _ in range(self.max_rounds):
             changed = False
             for rule in self.program.rules:
-                # The witness memo goes unused: _satisfy below evaluates
-                # context conditions without it.
-                conditions = _checked_conditions(rule)
-                if self._apply_rule(rule, conditions, base, fetched_urls, {}):
+                # The rule's raw conditions go to _satisfy below, which
+                # evaluates context conditions without the witness memo.
+                if self._apply_rule(rule, _checked_conditions(rule), run):
                     changed = True
             if not changed:
                 break
-        return base
+        return run.base
 
     def _satisfy(
         self,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.elog import (
@@ -12,10 +14,12 @@ from repro.elog import (
     Extractor,
     SubAtt,
     SubElem,
+    figure5_program,
     parse_elog,
 )
 from repro.html import parse_html
 from repro.web import SimulatedWeb
+from repro.web.sites.ebay import ebay_page
 from repro.xmlgen import to_xml
 
 
@@ -193,6 +197,66 @@ def test_a_crawl_target_retried_in_a_later_round_is_still_extracted():
     retried = run(FaultPlan().fail_transient("shop.test/next", times=1))
     titles = sorted(clean.values_of("title"))
     assert sorted(retried.values_of("title")) == titles == ["one", "two"]
+
+
+def _rule_applications(monkeypatch):
+    """Count ``Extractor._apply_rule`` calls per rule pattern."""
+    applied = Counter()
+    apply_rule = Extractor._apply_rule
+
+    def counting(self, rule, *args):
+        applied[rule.pattern] += 1
+        return apply_rule(self, rule, *args)
+
+    monkeypatch.setattr(Extractor, "_apply_rule", counting)
+    return applied
+
+
+@pytest.mark.parametrize("items", [1, 12, 35])
+def test_figure5_applies_its_literal_url_rule_once_per_page(monkeypatch, items):
+    # The page matches tableseq's literal, so the rule tries no fetch, and
+    # the convergence round finds its input (the document instances)
+    # unchanged and skips it.
+    web = SimulatedWeb()
+    web.publish("www.ebay.com/listing/1", ebay_page(count=items, seed=items))
+    given = parse_html(ebay_page(count=items, seed=items), url="www.ebay.com/")
+    applied = _rule_applications(monkeypatch)
+    for extract in (
+        lambda: Extractor(figure5_program()).extract(document=given),
+        lambda: Extractor(figure5_program(), fetcher=web).extract(url="www.ebay.com/listing/1"),
+    ):
+        applied.clear()
+        base = extract()
+        assert base.count("record") == base.count("bids") == items
+        assert applied["tableseq"] == 1
+
+
+def test_a_literal_url_rule_whose_fetch_failed_is_retried_in_a_later_round(monkeypatch):
+    # The first fetch of the literal fails, so the rule falls back to the
+    # supplied page, which has no items.  ``title`` derives something in the
+    # same round, so there is a next round, and there the rule must fetch
+    # again instead of being skipped on its unchanged input.
+    from repro.resilience import FaultPlan
+
+    def run(plan):
+        web = SimulatedWeb()
+        web.publish("shop.test/list", "<html><body><ul><li>one</li><li>two</li></ul></body></html>")
+        web.install_faults(plan)
+        program = parse_elog(
+            """
+            item(S, X)  <- document("shop.test/list", S), subelem(S, ?.li, X)
+            title(S, X) <- document(_, S), subelem(S, ?.h1, X)
+            """
+        )
+        home = parse_html("<html><body><h1>home</h1></body></html>", url="local.test/home")
+        return Extractor(program, fetcher=web).extract(document=home)
+
+    clean = run(FaultPlan())
+    applied = _rule_applications(monkeypatch)
+    retried = run(FaultPlan().fail_transient("shop.test/list", times=1))
+    assert sorted(retried.values_of("item")) == sorted(clean.values_of("item")) == ["one", "two"]
+    assert retried.values_of("title") == ["home"]
+    assert applied["item"] >= 2
 
 
 def test_programmatic_rule_construction(page):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.tree import Document, Node, common_ancestor, nodes_between
+from repro.tree import Document, Node, common_ancestor, nodes_between, random_tree
 from repro.tree.document import assert_same_document
 
 
@@ -106,3 +108,21 @@ def test_assert_same_document_rejects_foreign_nodes(figure1):
 def test_element_count_ignores_text(simple_html):
     assert simple_html.element_count() < len(simple_html)
     assert simple_html.element_count() > 10
+
+
+def _assert_subtree_ends(document):
+    for node in document:
+        assert node.subtree_end == node.postorder_index + node.depth() + 1
+        assert node.subtree_end == node.preorder_index + node.subtree_size()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_reindex_records_each_subtree_end(seed):
+    rng = random.Random(seed)
+    document = random_tree(rng.randint(1, 120), max_children=rng.randint(1, 6), seed=seed)
+    _assert_subtree_ends(document)
+    victims = [node for node in document if node.parent is not None]
+    if victims:
+        rng.choice(victims).detach()
+        document.reindex()
+        _assert_subtree_ends(document)
