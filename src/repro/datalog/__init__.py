@@ -39,6 +39,7 @@ from .registry import (
 )
 from .stratify import StratificationError, is_stratifiable, stratify
 from .tree_edb import (
+    document_key,
     label_predicate,
     nodes_for_indexes,
     tree_database,
@@ -76,6 +77,7 @@ __all__ = [
     "clear_plan_registry",
     "compile_stratum",
     "database_content_hash",
+    "document_key",
     "plan_registry_info",
     "shared_registry",
     "aggregate_engine_info",

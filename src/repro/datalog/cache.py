@@ -20,7 +20,8 @@ allocation-free :func:`database_content_hash` of the live dict and stored
 under a frozen ``{predicate: frozenset}`` snapshot built only on a miss; the
 comparison ``{p: frozenset} == {p: set}`` is exact, so an in-place fact swap
 that keeps the hash (``hash(1) == hash(2**61)``) still misses.  A
-document is keyed by its exact tree fingerprint tuple.
+document is immutable, so :func:`repro.datalog.tree_edb.document_key` wraps
+its exact tree fingerprint tuple once and keeps the key on the document.
 
 Every map locks internally: a :class:`repro.api.Session` is shared by the
 request threads of a server front end, and an unlocked ``OrderedDict``
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Generic, List, NamedTuple, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, Generic, List, NamedTuple, Optional, Tuple, TypeVar
 
 from .ast import Database
 
@@ -83,7 +84,7 @@ class ContentKey:
 
     __slots__ = ("content", "_hash")
 
-    def __init__(self, content: object, content_hash: Optional[int] = None) -> None:
+    def __init__(self, content: Any, content_hash: Optional[int] = None) -> None:
         self.content = content
         self._hash = hash(content) if content_hash is None else content_hash
 

@@ -36,10 +36,11 @@ full picture):
 4. **Fixpoint caching** (:mod:`repro.datalog.cache`) — ``fixpoint()`` keeps
    one LRU of results, sized for the several hot documents of the
    :mod:`repro.server.pipeline` access pattern.  A document is keyed by its
-   exact tree fingerprint; a dict database by a cheap content hash, every
-   hit compared exactly against a frozen snapshot.  A result holds the
-   finished row arrays and freezes a predicate's extension only when it is
-   queried.
+   exact tree fingerprint, computed once per (immutable) document by
+   :func:`~repro.datalog.tree_edb.document_key`; a dict database by a cheap
+   content hash, every hit compared exactly against a frozen snapshot.  A
+   result holds the finished row arrays and freezes a predicate's extension
+   only when it is queried.
 
 A naive nested-loop evaluator lives under ``tests/`` as the reference
 oracle; the property suites assert this engine computes its fixpoints.
@@ -72,7 +73,7 @@ from .columns import ColumnarDatabase, StorageStats
 from .options import DEFAULT_OPTIONS, EngineOptions
 from .plan import PlanMemo, RulePlan
 from .registry import PlanRegistry, shared_registry
-from .tree_edb import TreeRelations, tree_fingerprint
+from .tree_edb import TreeRelations, document_key
 
 _EMPTY_EXTENSION: FrozenSet[Tuple[object, ...]] = frozenset()
 
@@ -328,11 +329,12 @@ class SemiNaiveEngine:
         """Evaluate with LRU memoisation per database or document content.
 
         A :class:`~repro.tree.document.Document` is evaluated over its
-        tau_ur structure and keyed by its exact
-        :func:`~repro.datalog.tree_edb.tree_fingerprint`, so equal but
-        distinct documents hit and a mutated one misses; its relations are
-        built from the fingerprint (see :meth:`_evaluate_tree`), never
-        through :func:`~repro.datalog.tree_edb.tree_database`.
+        tau_ur structure and keyed by
+        :func:`~repro.datalog.tree_edb.document_key`, which fingerprints
+        each (immutable) document once, so equal but distinct documents
+        hit; its relations are built from the fingerprint (see
+        :meth:`_evaluate_tree`), never through
+        :func:`~repro.datalog.tree_edb.tree_database`.
 
         A dict database pays one allocation-free O(|D|) content-hash pass
         plus, on a hash hit, one exact comparison against the snapshot
@@ -341,10 +343,9 @@ class SemiNaiveEngine:
         server working set does not thrash the cache.
         """
         if isinstance(source, Document):
-            fingerprint = tree_fingerprint(source)
+            tree_key = document_key(source)
             return self._fixpoint_cache.get_or_build(
-                ContentKey(fingerprint),
-                lambda: self._evaluate_tree(TreeRelations(fingerprint)),
+                tree_key, lambda: self._evaluate_tree(TreeRelations(tree_key.content))
             )
         key = ContentKey(source, database_content_hash(source))
         return self._fixpoint_cache.get_or_build(

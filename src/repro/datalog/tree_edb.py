@@ -12,7 +12,10 @@ Keeping the domain integral makes facts hashable and keeps the generic
 engine fast.
 
 Every relation is determined by node labels plus tree shape, i.e. by
-:func:`tree_fingerprint`.  Two views exist:
+:func:`tree_fingerprint`.  A built :class:`~repro.tree.document.Document`
+never changes, so :func:`document_key` computes its fingerprint once, on
+first use, and keeps the key on the document; every cache that keys a
+document reads that key.  Two views of the relations exist:
 
 * :class:`TreeRelations` — the engine's view: one relation at a time, built
   straight from the fingerprint as a duplicate-free row list, only when
@@ -29,6 +32,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from ..tree.document import Document
 from ..tree.node import Node
 from .ast import Database
+from .cache import ContentKey
 
 # Relation names of the tau_ur signature (label relations are "label_<a>").
 TAU_UR_UNARY = ("root", "leaf", "lastsibling", "firstsibling")
@@ -41,25 +45,23 @@ def label_predicate(label: str) -> str:
     return f"label_{label}"
 
 
-def tree_signature(document: Document, include_child: bool = True) -> FrozenSet[str]:
+def tree_signature(document: Document) -> FrozenSet[str]:
     """The EDB predicate names available for ``document``."""
-    names: Set[str] = set(TAU_UR_UNARY) | set(TAU_UR_BINARY)
-    if include_child:
-        names |= set(EXTENDED_BINARY)
+    names: Set[str] = set(TAU_UR_UNARY + TAU_UR_BINARY + EXTENDED_BINARY)
     for label in document.labels():
         names.add(label_predicate(label))
     return frozenset(names)
 
 
-def tree_database(document: Document, include_child: bool = True) -> Database:
+def tree_database(document: Document) -> Database:
     """Materialise the tau_ur relations of ``document`` as a datalog database.
 
     Domain elements are preorder indexes (ints); use
     :func:`nodes_for_indexes` to map query answers back to nodes.
     """
-    database: Database = {name: set() for name in TAU_UR_UNARY + TAU_UR_BINARY}
-    if include_child:
-        database["child"] = set()
+    database: Database = {
+        name: set() for name in TAU_UR_UNARY + TAU_UR_BINARY + EXTENDED_BINARY
+    }
 
     label_relations: Dict[str, Set[Tuple[object, ...]]] = {}
 
@@ -78,9 +80,8 @@ def tree_database(document: Document, include_child: bool = True) -> Database:
         if node.children:
             database["firstchild"].add((index, node.children[0].preorder_index))
             database["lastchild"].add((index, node.children[-1].preorder_index))
-            if include_child:
-                for child in node.children:
-                    database["child"].add((index, child.preorder_index))
+            for child in node.children:
+                database["child"].add((index, child.preorder_index))
         sibling = node.next_sibling
         if sibling is not None:
             database["nextsibling"].add((index, sibling.preorder_index))
@@ -99,9 +100,8 @@ def tree_fingerprint(document: Document) -> Fingerprint:
     the shape is fully determined by the preorder sequence of
     ``(label, parent preorder index)`` pairs (siblings appear in order in a
     preorder traversal).  Equal fingerprints therefore mean equal
-    :func:`tree_database` contents — the key both the semi-naive fixpoint
-    cache and the monadic pipeline's truth-table LRU use for documents, so
-    equal-but-distinct documents hit.
+    :func:`tree_database` contents.  An O(|dom|) walk: caches key documents
+    through :func:`document_key`, which calls it once per document.
     """
     return tuple(
         (
@@ -110,6 +110,22 @@ def tree_fingerprint(document: Document) -> Fingerprint:
         )
         for node in document
     )
+
+
+def document_key(document: Document) -> ContentKey:
+    """The cache key of ``document``: a :class:`ContentKey` over its
+    :func:`tree_fingerprint`, built on first use and kept on the document.
+
+    The semi-naive fixpoint LRU and the monadic truth-table LRU both key
+    documents by it.  A repeat lookup with the same document hashes nothing
+    and matches the stored key by identity; an equal but distinct document
+    builds an equal key and hits by exact ``==``.  A racing first use
+    builds two equal keys, which is harmless, so no lock is taken.
+    """
+    key = document._cache_key
+    if key is None:
+        key = document._cache_key = ContentKey(tree_fingerprint(document))
+    return key
 
 
 _FIXED_RELATIONS = frozenset(TAU_UR_UNARY + TAU_UR_BINARY + EXTENDED_BINARY)
@@ -211,6 +227,3 @@ def nodes_for_indexes(document: Document, indexes) -> List[Node]:
     result.sort(key=lambda node: node.preorder_index)
     return result
 
-
-def indexes_for_nodes(nodes) -> Set[int]:
-    return {node.preorder_index for node in nodes}

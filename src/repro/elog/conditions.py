@@ -26,19 +26,19 @@ per ``(scope node, path)`` and kept in :attr:`ConditionContext.witnesses` as
 one :class:`Witnesses` value: the witnesses in document order, their starts
 (ascending, since document order is preorder), and their subtree ends sorted
 ascending.  A node's subtree span ``[start, end)`` is read off the node
-(:attr:`~repro.tree.node.Node.subtree_end` is recorded by
-``Document.reindex``), so nothing walks a subtree or an ancestor chain.  A
-``before`` witness at distance ``d`` ends at ``target_start - d``, and an
-``after`` witness starts at ``target_end + d``, so a condition bisects to its
-distance window ``[min, max]`` and visits only the witnesses inside it; they
-are returned in document order, the order a full scan would find them in.
-The extractor shares one memo across every candidate of one
+(:attr:`~repro.tree.node.Node.subtree_end` is recorded once, when the
+immutable ``Document`` is built), so nothing walks a subtree or an ancestor
+chain.  A ``before`` witness at distance ``d`` ends at ``target_start - d``,
+and an ``after`` witness starts at ``target_end + d``, so a condition
+bisects to its distance window ``[min, max]`` and visits only the witnesses
+inside it; they are returned in document order, the order a full scan would
+find them in.  The extractor shares one memo across every candidate of one
 ``Extractor.extract`` call and drops it when the call returns.  Documents
-are not mutated during a call, and the keys are the node objects
-themselves, which the memo keeps alive, so a key can never alias another
-node.  No witness inside the target needs excluding: such a witness ends
-after the target starts, which fails the ``before`` test, and starts before
-the target ends, which fails the ``after`` test.
+are immutable, and the keys are the node objects themselves, which the memo
+keeps alive, so a key can never alias another node.  No witness inside the
+target needs excluding: such a witness ends after the target starts, which
+fails the ``before`` test, and starts before the target ends, which fails
+the ``after`` test.
 
 Compiled conditions: :func:`compile_condition` picks a condition's evaluator
 once, so the extractor dispatches once per rule and ``extract`` call rather

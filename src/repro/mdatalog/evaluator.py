@@ -44,8 +44,8 @@ from ..datalog.registry import PlanRegistry
 from ..datalog.tree_edb import (  # noqa: F401
     TAU_UR_UNARY,
     TreeRelations,
+    document_key,
     tree_database,
-    tree_fingerprint,
 )
 from ..tree.document import Document
 from ..tree.node import Node
@@ -217,11 +217,12 @@ class MonadicTreeEvaluator:
     The evaluator is reusable: construct once per program, call
     :meth:`evaluate` per document.  Both pipelines memoise fixpoints across
     a working set of ``cache_size`` hot documents (the
-    :mod:`repro.server.pipeline` access pattern), both keyed by exact tree
-    fingerprints: the generic engine through its fixpoint LRU, the ground
-    pipeline through an LRU of per-predicate truth tables — node identities
-    are re-resolved per call, so cached results are safe across
-    equal-but-distinct document objects.
+    :mod:`repro.server.pipeline` access pattern), both keyed by
+    :func:`~repro.datalog.tree_edb.document_key` (the exact tree
+    fingerprint, computed once per document): the generic engine through
+    its fixpoint LRU, the ground pipeline through an LRU of per-predicate
+    truth tables — node identities are re-resolved per call, so cached
+    results are safe across equal-but-distinct document objects.
 
     The per-program analysis is shared across evaluator instances: the TMNF
     rewrite through the module-level rewrite cache, and (in the generic
@@ -312,7 +313,7 @@ class MonadicTreeEvaluator:
                 return list(compress(document, self._ground_truth(document)[position]))
             if not _is_edb_unary(predicate):
                 return []
-            nodes = _edb_nodes(TreeRelations(tree_fingerprint(document)), predicate)
+            nodes = _edb_nodes(TreeRelations(document_key(document).content), predicate)
             return [document.node_at(index) for index in sorted(nodes)]
         if predicate in self.program.query_predicates:
             return self._evaluate_generic(document).get(predicate, [])
@@ -327,14 +328,15 @@ class MonadicTreeEvaluator:
     # Implicit grounding (Theorem 2.4)
     # ------------------------------------------------------------------
     def _ground_truth(self, document: Document) -> Tuple[bytes, ...]:
-        """Truth tables by predicate id, through the fingerprint LRU."""
+        """Truth tables by predicate id, through the fingerprint LRU.
+
+        The key is exact (labels + shape determine every tau_ur relation),
+        so equal-but-distinct documents share one propagation.
+        """
         assert self._triggers is not None
-        # The fingerprint is exact (labels + shape determine every tau_ur
-        # relation), so equal-but-distinct documents share one propagation;
-        # document mutations change the fingerprint and re-evaluate.
-        fingerprint = tree_fingerprint(document)
+        key = document_key(document)
         return self._ground_cache.get_or_build(
-            ContentKey(fingerprint), partial(_propagate, self._triggers, fingerprint)
+            key, partial(_propagate, self._triggers, key.content)
         )
 
     # ------------------------------------------------------------------
@@ -342,10 +344,6 @@ class MonadicTreeEvaluator:
     # ------------------------------------------------------------------
     def _evaluate_generic(self, document: Document) -> Dict[str, List[Node]]:
         assert self._generic_engine is not None
-        # fixpoint() keys its LRU on the exact tree fingerprint, recomputed
-        # per call (O(|dom|)), so document mutations are always observed
-        # and repeated select() calls against a working set of hot
-        # documents all evaluate once.
         derived = self._generic_engine.fixpoint(document)
         result: Dict[str, List[Node]] = {}
         for predicate in self.program.query_predicates:

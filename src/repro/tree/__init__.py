@@ -9,7 +9,7 @@ Public API
 * :mod:`repro.tree.serialize` — s-expression / dict / outline serialisation.
 """
 
-from .axes import AxisIndex, axis_iterator, holds
+from .axes import axis_iterator, holds
 from .builder import TreeBuilder, figure1_tree, random_tree, tree
 from .document import Document, common_ancestor, nodes_between, subtree_nodes
 from .encoding import BinaryNode, decode, encode
@@ -17,7 +17,6 @@ from .node import Node, element, text_node
 from .serialize import from_dict, to_dict, to_outline, to_sexpr
 
 __all__ = [
-    "AxisIndex",
     "BinaryNode",
     "Document",
     "Node",

@@ -4,12 +4,10 @@ Section 4 of the paper works with the axis relations
 
     Child, Child+, Child*, Nextsibling, Nextsibling+, Nextsibling*, Following
 
-(and their inverses, as used by XPath).  This module provides
-
-* per-node navigation functions (``child_nodes(node)``, ``following(node)``,
-  ...), and
-* an :class:`AxisIndex` that materialises document-order based indexes so
-  descendant/following tests are O(1) and axis scans are output-sensitive.
+(and their inverses, as used by XPath).  This module provides per-node
+navigation functions (``child_nodes(node)``, ``following(node)``, ...) and
+the membership test :func:`holds`, which answers descendant and following
+tests in O(1) from the document's preorder/postorder numbering.
 
 Both the XPath and the conjunctive-query evaluators are built on top of
 these primitives.
@@ -17,9 +15,8 @@ these primitives.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List
+from typing import Callable, Dict, Iterator
 
-from .document import Document
 from .node import Node
 
 # ---------------------------------------------------------------------------
@@ -189,70 +186,3 @@ def holds(relation: str, x: Node, y: Node) -> bool:
             and not x.is_ancestor_of(y)
         )
     raise KeyError(f"unknown axis relation {relation!r}")
-
-
-class AxisIndex:
-    """Materialised axis access for a fixed document.
-
-    Provides successor sets as lists of nodes in document order and constant
-    time membership tests based on preorder/postorder numbering.  The index
-    itself is cheap: it stores only the document and derived per-label lists,
-    all heavy relations are answered from the pre/post numbers maintained by
-    :class:`~repro.tree.document.Document`.
-    """
-
-    def __init__(self, document: Document) -> None:
-        self.document = document
-
-    # -- successor enumeration -----------------------------------------
-    def successors(self, relation: str, node: Node) -> List[Node]:
-        if relation == "child":
-            return list(node.children)
-        if relation == "firstchild":
-            return [node.children[0]] if node.children else []
-        if relation == "child+":
-            return list(node.iter_descendants())
-        if relation == "child*":
-            return list(node.iter_preorder())
-        if relation == "nextsibling":
-            sibling = node.next_sibling
-            return [sibling] if sibling is not None else []
-        if relation == "nextsibling+":
-            return list(node.iter_following_siblings())
-        if relation == "nextsibling*":
-            return [node, *node.iter_following_siblings()]
-        if relation == "following":
-            return list(following(node))
-        raise KeyError(f"unknown axis relation {relation!r}")
-
-    def predecessors(self, relation: str, node: Node) -> List[Node]:
-        if relation == "child":
-            return [node.parent] if node.parent is not None else []
-        if relation == "firstchild":
-            if node.parent is not None and node.is_first_sibling:
-                return [node.parent]
-            return []
-        if relation == "child+":
-            return list(node.iter_ancestors())
-        if relation == "child*":
-            return [node, *node.iter_ancestors()]
-        if relation == "nextsibling":
-            sibling = node.previous_sibling
-            return [sibling] if sibling is not None else []
-        if relation == "nextsibling+":
-            return list(node.iter_preceding_siblings())
-        if relation == "nextsibling*":
-            return [node, *node.iter_preceding_siblings()]
-        if relation == "following":
-            return list(preceding(node))
-        raise KeyError(f"unknown axis relation {relation!r}")
-
-    # -- membership ------------------------------------------------------
-    def holds(self, relation: str, x: Node, y: Node) -> bool:
-        return holds(relation, x, y)
-
-    # -- whole-relation enumeration (used by the datalog grounding) ------
-    def pairs(self, relation: str) -> Iterator[tuple]:
-        for node in self.document:
-            for successor in self.successors(relation, node):
-                yield node, successor

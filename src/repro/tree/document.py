@@ -4,40 +4,45 @@ A ``Document`` is the Python counterpart of the relational structure
 
     t_ur = <dom, root, leaf, (label_a), firstchild, nextsibling, lastsibling>
 
-from Section 2.2 of the paper.  It owns a root :class:`~repro.tree.node.Node`
-and maintains the document-order indexes needed for efficient axis
-computation (preorder / postorder numbering, subtree ends, label index).
+from Section 2.2 of the paper: one fixed structure.  It owns a root
+:class:`~repro.tree.node.Node` and computes, once at construction, the
+document-order indexes needed for efficient axis computation (preorder /
+postorder numbering, subtree ends, label index).  A built document is a
+value: its tree is never edited afterwards (``Node.append_child`` refuses
+an indexed node), so the indexes and any key derived from them stay valid
+for the document's lifetime.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .node import Node
 
 
 class Document:
-    """An unranked ordered labelled tree with document-order indexes."""
+    """An immutable unranked ordered labelled tree with document-order indexes.
+
+    The tree under ``root`` is assembled first (``Node.append_child``) and
+    indexed once here; from then on neither the tree nor the indexes
+    change.  Caches that key a document by content read
+    :func:`repro.datalog.tree_edb.document_key`, which builds the key on
+    first use and keeps it in ``_cache_key``.
+    """
+
+    __slots__ = ("root", "url", "_nodes", "_by_label", "_cache_key")
 
     def __init__(self, root: Node, url: Optional[str] = None) -> None:
         if root.parent is not None:
             raise ValueError("document root must not have a parent")
         self.root = root
         self.url = url
-        self._nodes: List[Node] = []
-        self._by_label: Dict[str, List[Node]] = {}
-        self.reindex()
+        self._cache_key: Any = None
+        self._index()
 
-    # ------------------------------------------------------------------
-    # Indexing
-    # ------------------------------------------------------------------
-    def reindex(self) -> None:
-        """(Re)compute document order and label indexes.
-
-        Must be called after structural mutation of the tree.  Construction
-        calls it automatically.
-        """
+    def _index(self) -> None:
+        """Number the nodes in document order and build the label index."""
         nodes: List[Node] = []
         by_label: Dict[str, List[Node]] = defaultdict(list)
 
@@ -163,11 +168,6 @@ class Document:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Document(nodes={len(self._nodes)}, root=<{self.root.label}>)"
-
-
-def document_from_nodes(root: Node, url: Optional[str] = None) -> Document:
-    """Build a :class:`Document` from an already-assembled node tree."""
-    return Document(root, url=url)
 
 
 def common_ancestor(first: Node, second: Node) -> Optional[Node]:

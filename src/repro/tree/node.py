@@ -26,6 +26,12 @@ class Node:
         Character data carried by the node itself.  For element nodes this is
         empty; the textual content of an element is obtained with
         :meth:`text_content`.
+
+    A tree is assembled with :meth:`append_child` and then wrapped in a
+    :class:`~repro.tree.document.Document`.  From then on every field is
+    read-only: the document's indexes and every cache keyed by its content
+    assume the tree never changes, and :meth:`append_child` refuses an
+    indexed node.
     """
 
     __slots__ = (
@@ -52,7 +58,7 @@ class Node:
         self.parent: Optional[Node] = None
         self.children: List[Node] = []
         self._index_in_parent: int = -1
-        # Filled in by Document.reindex(); -1 means "not yet indexed".
+        # Filled in when a Document is built; -1 means "not in a Document".
         self._preorder: int = -1
         self._postorder: int = -1
         self._subtree_end: int = -1
@@ -61,35 +67,20 @@ class Node:
     # Construction
     # ------------------------------------------------------------------
     def append_child(self, child: "Node") -> "Node":
-        """Attach ``child`` as the new rightmost child and return it."""
+        """Attach ``child`` as the new rightmost child and return it.
+
+        Only a tree not yet wrapped in a
+        :class:`~repro.tree.document.Document` can grow: a built document is
+        never edited.
+        """
+        if self._preorder >= 0 or child._preorder >= 0:
+            raise ValueError("node belongs to a built Document, which is immutable")
         if child.parent is not None:
-            raise ValueError("node already has a parent; detach it first")
+            raise ValueError("node already has a parent")
         child.parent = self
         child._index_in_parent = len(self.children)
         self.children.append(child)
         return child
-
-    def insert_child(self, index: int, child: "Node") -> "Node":
-        """Insert ``child`` at position ``index`` among the children."""
-        if child.parent is not None:
-            raise ValueError("node already has a parent; detach it first")
-        child.parent = self
-        self.children.insert(index, child)
-        for position, node in enumerate(self.children):
-            node._index_in_parent = position
-        return child
-
-    def detach(self) -> "Node":
-        """Remove this node (and its subtree) from its parent."""
-        if self.parent is None:
-            return self
-        siblings = self.parent.children
-        siblings.remove(self)
-        for position, node in enumerate(siblings):
-            node._index_in_parent = position
-        self.parent = None
-        self._index_in_parent = -1
-        return self
 
     # ------------------------------------------------------------------
     # Structural accessors (the tau_ur relations, node-local view)
@@ -226,7 +217,7 @@ class Node:
     # ------------------------------------------------------------------
     @property
     def preorder_index(self) -> int:
-        """Position in document order (valid after ``Document.reindex``)."""
+        """Position in document order (-1 until the node is in a Document)."""
         return self._preorder
 
     @property
@@ -238,7 +229,7 @@ class Node:
         """One past the preorder index of the last node of this subtree.
 
         The subtree occupies the document-order positions
-        ``[preorder_index, subtree_end)`` (valid after ``Document.reindex``).
+        ``[preorder_index, subtree_end)`` (-1 until the node is in a Document).
         """
         return self._subtree_end
 

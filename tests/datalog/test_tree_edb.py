@@ -30,17 +30,11 @@ def test_tree_database_relations(figure1):
     assert database[label_predicate("n3")] == {(2,)}
 
 
-def test_tree_database_without_child(figure1):
-    database = tree_database(figure1, include_child=False)
-    assert "child" not in database
-
-
 def test_tree_signature_contains_labels(figure1):
     signature = tree_signature(figure1)
     assert "label_n1" in signature
     assert "firstchild" in signature
     assert "child" in signature
-    assert "child" not in tree_signature(figure1, include_child=False)
 
 
 def test_nodes_for_indexes_sorted(figure1):

@@ -1,6 +1,6 @@
 """Repo hygiene gates.
 
-Four classes of slip have already cost a PR each:
+Five classes of slip have already cost a PR each:
 
 * ``id()`` used as a cache key over objects the cache does not keep
   alive — CPython recycles addresses, so a dead object's key can serve a
@@ -20,6 +20,11 @@ Four classes of slip have already cost a PR each:
   ``LruMap(...)``, ``WeakKeyDictionary(...)`` or ``PlanRegistry(...)`` and
   every ``functools.lru_cache`` in ``src/`` must appear in
   ``ALLOWED_PROCESS_CACHES`` with the reason it is process-wide.
+* documents re-fingerprinted per call — every tree-keyed cache once walked
+  the whole tree on each lookup to key it.  A built ``Document`` is
+  immutable, so only ``tree_edb.document_key`` may use
+  ``tree_fingerprint``: it builds the key once and keeps it on the
+  document.
 * compiled artifacts committed to the index (``.pyc`` files rode along
   with the seed until PR 6).
 """
@@ -401,6 +406,48 @@ def test_the_process_cache_allowlist_carries_no_stale_entries():
 def test_every_process_cache_reason_is_substantive():
     for name, reason in ALLOWED_PROCESS_CACHES.items():
         assert len(reason.split()) >= 5, f"{name}: justification too thin"
+
+
+# ---------------------------------------------------------------------------
+# One key owner: only document_key fingerprints a document
+# ---------------------------------------------------------------------------
+
+#: The one ``(file, function)`` that may use ``tree_fingerprint``.
+FINGERPRINT_OWNER = ("repro/datalog/tree_edb.py", "document_key")
+
+
+def _fingerprint_uses(path: Path):
+    """``(lineno, enclosing function)`` of every ``tree_fingerprint``
+    reference: a call, or the function passed along to be called later."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    uses = []
+
+    def walk(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            if _called_name(node) == "tree_fingerprint":
+                uses.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            walk(child, function)
+
+    walk(tree, None)
+    return uses
+
+
+def test_only_document_key_fingerprints_a_document():
+    uses = {
+        (str(path.relative_to(SRC)), function, lineno)
+        for path in sorted(SRC.rglob("*.py"))
+        for lineno, function in _fingerprint_uses(path)
+    }
+    offenders = sorted(use for use in uses if use[:2] != FINGERPRINT_OWNER)
+    assert not offenders, (
+        f"tree_fingerprint used outside {FINGERPRINT_OWNER}: {offenders}; a "
+        "built Document is immutable, so key it with document_key(document), "
+        "which fingerprints it once"
+    )
+    assert any(use[:2] == FINGERPRINT_OWNER for use in uses), "the owner no longer fingerprints"
 
 
 def _tracked_files():

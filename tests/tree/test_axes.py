@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.tree import AxisIndex, axis_iterator, holds
+from repro.tree import axis_iterator, holds
 from repro.tree.axes import following, preceding
 
 
@@ -82,28 +82,3 @@ def test_holds_following(figure1):
 def test_holds_unknown_relation(figure1):
     with pytest.raises(KeyError):
         holds("cousin", figure1.root, figure1.root)
-
-
-def test_axis_index_successors_and_predecessors(figure1):
-    index = AxisIndex(figure1)
-    n3 = figure1.find_first("n3")
-    assert labels(index.successors("child", n3)) == ["n4", "n5"]
-    assert labels(index.successors("following", n3)) == ["n6"]
-    assert labels(index.predecessors("child", n3)) == ["n1"]
-    assert labels(index.predecessors("nextsibling+", n3)) == ["n2"]
-    assert labels(index.successors("nextsibling*", n3)) == ["n3", "n6"]
-
-
-def test_axis_index_pairs_consistent_with_holds(figure1):
-    index = AxisIndex(figure1)
-    for relation in ("child", "child+", "nextsibling", "following"):
-        pairs = set(
-            (a.preorder_index, b.preorder_index) for a, b in index.pairs(relation)
-        )
-        expected = set(
-            (a.preorder_index, b.preorder_index)
-            for a in figure1
-            for b in figure1
-            if holds(relation, a, b)
-        )
-        assert pairs == expected

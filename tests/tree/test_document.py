@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.tree import Document, Node, common_ancestor, nodes_between, random_tree
+from repro.tree import Document, Node, common_ancestor, nodes_between, random_tree, tree
 from repro.tree.document import assert_same_document
 
 
@@ -75,11 +75,14 @@ def test_depth(nested_tree):
     assert nested_tree.depth() == 4  # doc > section > para > i > b
 
 
-def test_reindex_after_mutation(figure1):
+def test_a_built_document_is_immutable(figure1):
     n3 = figure1.find_first("n3")
-    n3.append_child(Node("n7"))
-    figure1.reindex()
-    assert [node.label for node in figure1] == ["n1", "n2", "n3", "n4", "n5", "n7", "n6"]
+    with pytest.raises(ValueError):
+        n3.append_child(Node("n7"))
+    assert [node.label for node in figure1] == ["n1", "n2", "n3", "n4", "n5", "n6"]
+    # The change is a second document, indexed when it is built.
+    extended = tree(("n1", ("n2",), ("n3", ("n4",), ("n5",), ("n7",)), ("n6",)))
+    assert [node.label for node in extended] == ["n1", "n2", "n3", "n4", "n5", "n7", "n6"]
 
 
 def test_common_ancestor(figure1):
@@ -116,13 +119,20 @@ def _assert_subtree_ends(document):
         assert node.subtree_end == node.preorder_index + node.subtree_size()
 
 
+def _copy_without(node, victim):
+    copy = Node(node.label)
+    for child in node.children:
+        if child is not victim:
+            copy.append_child(_copy_without(child, victim))
+    return copy
+
+
 @pytest.mark.parametrize("seed", range(8))
-def test_reindex_records_each_subtree_end(seed):
+def test_construction_records_each_subtree_end(seed):
     rng = random.Random(seed)
     document = random_tree(rng.randint(1, 120), max_children=rng.randint(1, 6), seed=seed)
     _assert_subtree_ends(document)
     victims = [node for node in document if node.parent is not None]
     if victims:
-        rng.choice(victims).detach()
-        document.reindex()
-        _assert_subtree_ends(document)
+        # A second document built without one subtree.
+        _assert_subtree_ends(Document(_copy_without(document.root, rng.choice(victims))))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.tree import element, text_node
+from repro.tree import Document, element, text_node, tree
 
 
 def build_small_tree():
@@ -57,20 +57,24 @@ def test_first_and_last_child():
     assert b.first_child is None
 
 
-def test_detach_removes_from_parent():
-    root, a, b, c, *_ = build_small_tree()
-    b.detach()
-    assert b.parent is None
-    assert root.children == [a, c]
-    assert c.index_in_parent == 1
+def test_append_child_refuses_the_nodes_of_a_built_document():
+    root, a, b, *_ = build_small_tree()
+    Document(root)
+    with pytest.raises(ValueError):
+        b.append_child(element("new"))
+    with pytest.raises(ValueError):
+        element("wrapper").append_child(root)
+    assert b.children == [] and root.parent is None
 
 
-def test_insert_child_reindexes_siblings():
-    root, a, b, c, *_ = build_small_tree()
-    new = element("new")
-    root.insert_child(1, new)
-    assert [child.label for child in root.children] == ["a", "new", "b", "c"]
-    assert [child.index_in_parent for child in root.children] == [0, 1, 2, 3]
+def test_a_changed_tree_is_built_anew():
+    # A built tree is never edited: removing or inserting a child means
+    # building a second tree, whose sibling positions are numbered afresh.
+    without_b = tree(("root", ("a",), ("c",))).root
+    assert [child.index_in_parent for child in without_b.children] == [0, 1]
+    with_new = tree(("root", ("a",), ("new",), ("b",), ("c",))).root
+    assert [child.label for child in with_new.children] == ["a", "new", "b", "c"]
+    assert [child.index_in_parent for child in with_new.children] == [0, 1, 2, 3]
 
 
 def test_iter_preorder_is_document_order():
