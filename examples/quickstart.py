@@ -3,6 +3,8 @@
 Run with:  python examples/quickstart.py
 """
 
+from dataclasses import replace
+
 from repro import Session
 from repro.html import parse_html
 from repro.xmlgen import to_xml
@@ -32,7 +34,8 @@ url(S, X)    <- link(_, S), subatt(S, href, X)
 def main() -> None:
     document = parse_html(PAGE, url="cameras.example/offers")
     session = Session()
-    program = session.wrapper(WRAPPER).program.mark_auxiliary("link")
+    # A wrapper is a value: hiding a pattern from the XML makes a new program.
+    program = replace(session.wrapper(WRAPPER).program, auxiliary_patterns={"link"})
 
     # 1. The uniform extraction result over the pattern instance base.
     result = session.extract(program, document=document)

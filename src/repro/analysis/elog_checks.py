@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import difflib
 import re
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..datalog.ast import Span, get_span
 from ..elog.ast import (
@@ -171,6 +171,7 @@ def _bound_variables(rule: ElogRule) -> Set[str]:
         target = getattr(rule.extraction, "target", None)
         if target:
             bound.add(target)
+        bound.update(_VAR_MARKER_PATTERN.findall(str(rule.extraction)))
     for condition in rule.conditions:
         bind = getattr(condition, "bind", None)
         if bind:
@@ -178,7 +179,7 @@ def _bound_variables(rule: ElogRule) -> Set[str]:
         if isinstance(condition, PatternReference) and not condition.negated:
             if _is_variable(condition.argument):
                 bound.add(condition.argument)
-    bound.update(_VAR_MARKER_PATTERN.findall(str(rule)))
+        bound.update(_VAR_MARKER_PATTERN.findall(str(condition)))
     return bound
 
 
@@ -245,12 +246,11 @@ def _check_concepts(
 
 
 def _check_duplicates(program: ElogProgram) -> List[Diagnostic]:
-    """E006: textually identical pattern rules (output-neutral, so a slip)."""
-    seen: Dict[str, ElogRule] = {}
+    """E006: identical pattern rules (output-neutral, so a slip)."""
+    seen: Set[ElogRule] = set()
     diagnostics: List[Diagnostic] = []
     for rule in program.rules:
-        key = str(rule)
-        if key in seen:
+        if rule in seen:
             diagnostics.append(
                 Diagnostic(
                     "E006",
@@ -261,5 +261,5 @@ def _check_duplicates(program: ElogProgram) -> List[Diagnostic]:
                 )
             )
         else:
-            seen[key] = rule
+            seen.add(rule)
     return diagnostics

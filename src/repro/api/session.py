@@ -326,12 +326,12 @@ class Session:
         """An Elog interpreter for ``program`` acquiring through ``fetcher``.
 
         Program text is parsed once per distinct text, so every call over
-        one text wraps the same :class:`ElogProgram`: mutating it (e.g.
-        ``session.wrapper(TEXT).program.mark_auxiliary(...)``) flows through
-        to every later use of that text in this session, while callers that
-        need a private copy should parse their own.  The interpreter itself
-        is built per call (it holds no compiled state); with a resilience
-        policy its fetcher is a
+        one text wraps the same :class:`ElogProgram`.  A program is a value,
+        never edited: a changed wrapper is a new program (e.g.
+        ``dataclasses.replace(program, auxiliary_patterns={"row"})``), and
+        no caller's change reaches another's.  The interpreter itself is
+        built per call (the compiled rules live on the program); with a
+        resilience policy its fetcher is a
         :class:`~repro.resilience.retry.ResilientFetcher` around ``fetcher``.
         The ``options.on_diagnostics`` policy applies to the program's
         analysis.

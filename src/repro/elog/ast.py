@@ -18,7 +18,7 @@ pattern instance base that the XML Designer turns into XML (Section 3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple, Union
+from typing import Any, FrozenSet, List, Optional, Tuple, Union
 
 from .epath import ElementPath
 from .textpath import AttributePath, TextPath
@@ -223,7 +223,7 @@ Condition = Union[
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ElogRule:
     """One Elog rule (a *filter* in the visual metaphor)."""
 
@@ -241,13 +241,6 @@ class ElogRule:
     def is_document_rule(self) -> bool:
         return self.document is not None
 
-    def referenced_patterns(self) -> Set[str]:
-        result = {self.parent}
-        for condition in self.conditions:
-            if isinstance(condition, PatternReference):
-                result.add(condition.pattern)
-        return result
-
     def __str__(self) -> str:
         parts: List[str] = []
         document = self.document
@@ -261,17 +254,25 @@ class ElogRule:
         return f"{self.pattern}(S, X) <- " + ", ".join(parts) + "."
 
 
-@dataclass
+@dataclass(frozen=True)
 class ElogProgram:
-    """An Elog program: a set of rules defining patterns (a *wrapper*)."""
+    """An Elog program: a set of rules defining patterns (a *wrapper*).
 
-    rules: List[ElogRule] = field(default_factory=list)
+    A program is a value, never edited: a changed wrapper is a new program,
+    e.g. ``dataclasses.replace(program, auxiliary_patterns={"row"})``.  The
+    extractor keeps its fingerprint and compiled rules on it, built on
+    first use (``_fingerprint``, ``_plan``).
+    """
+
+    rules: Tuple[ElogRule, ...] = ()
     # Patterns whose instances should not appear in the XML output.
-    auxiliary_patterns: Set[str] = field(default_factory=set)
+    auxiliary_patterns: FrozenSet[str] = frozenset()
+    _fingerprint: Any = field(default=None, init=False, repr=False, compare=False)
+    _plan: Any = field(default=None, init=False, repr=False, compare=False)
 
-    def add_rule(self, rule: ElogRule) -> "ElogProgram":
-        self.rules.append(rule)
-        return self
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rules", tuple(self.rules))
+        object.__setattr__(self, "auxiliary_patterns", frozenset(self.auxiliary_patterns))
 
     def patterns(self) -> List[str]:
         seen: List[str] = []
@@ -282,16 +283,6 @@ class ElogProgram:
 
     def rules_for(self, pattern: str) -> List[ElogRule]:
         return [rule for rule in self.rules if rule.pattern == pattern]
-
-    def parent_of(self, pattern: str) -> Set[str]:
-        return {rule.parent for rule in self.rules_for(pattern)}
-
-    def size(self) -> int:
-        return sum(2 + len(rule.conditions) for rule in self.rules)
-
-    def mark_auxiliary(self, *patterns: str) -> "ElogProgram":
-        self.auxiliary_patterns.update(patterns)
-        return self
 
     def __len__(self) -> int:
         return len(self.rules)

@@ -11,8 +11,9 @@ parent node, but context- and internal-condition paths are matched anywhere
 within the relevant subtree (an implicit leading ``?``) — the paper stresses
 that "before and after predicates are much more flexible in that they allow
 for nodes before or after the target pattern instance node to be arbitrarily
-distant".  :func:`lenient_path` builds that ``?``-prefixed path once per
-path and process, and its automaton is memoised like every other.
+distant".  :func:`compile_condition` gives such a condition that
+``?``-prefixed path (:func:`lenient_path`) once, when the extractor
+compiles a program, and its automaton is memoised like every other.
 
 Distance semantics: for a witness node B occurring before the target X, the
 distance is the number of document-order positions between the end of B's
@@ -41,8 +42,8 @@ fails the ``before`` test, and starts before the target ends, which fails
 the ``after`` test.
 
 Compiled conditions: :func:`compile_condition` picks a condition's evaluator
-once, so the extractor dispatches once per rule and ``extract`` call rather
-than once per candidate.  A condition that can bind nothing (a pattern
+once, so the extractor dispatches once per rule of a program rather than
+once per candidate.  A condition that can bind nothing (a pattern
 reference, concept or comparison, a negated condition, and a context or
 ``contains`` condition with no ``bind`` variable and no ``regvar`` in its
 path) compiles to a test that returns whether it holds: all its witnesses
@@ -56,7 +57,7 @@ from __future__ import annotations
 import functools
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..tree.document import Document
@@ -170,13 +171,8 @@ class ConditionContext:
         return value
 
 
-@functools.lru_cache(maxsize=1024)
 def lenient_path(path: ElementPath) -> ElementPath:
-    """Prefix the path with '?' so it matches anywhere within the subtree.
-
-    Memoised per path, so a ``before`` / ``after`` / ``contains`` / ``subsq``
-    scope path is built once per process, not once per call.
-    """
+    """Prefix the path with '?' so it matches anywhere within the subtree."""
     if path.steps and path.steps[0] == "?":
         return path
     return ElementPath(steps=("?",) + path.steps, conditions=path.conditions)
@@ -189,7 +185,7 @@ def _witnesses_in_scope(context: ConditionContext, path: ElementPath) -> Witness
     key = (scope, path)
     witnesses = context.witnesses.get(key)
     if witnesses is None:
-        witnesses = Witnesses(lenient_path(path).find_targets(scope))
+        witnesses = Witnesses(path.find_targets(scope))
         context.witnesses[key] = witnesses
     return witnesses
 
@@ -204,6 +200,9 @@ Extensions = List[Dict[str, object]]
 
 def compile_condition(condition: Condition) -> CompiledCondition:
     """Pick the evaluator of ``condition`` (see the module docstring)."""
+    if isinstance(condition, (BeforeCondition, AfterCondition, ContainsCondition)):
+        # The evaluators below read the path as compiled here: lenient.
+        condition = replace(condition, path=lenient_path(condition.path))
     if isinstance(condition, (BeforeCondition, AfterCondition)):
         before = isinstance(condition, BeforeCondition)
         if _binds(condition):
@@ -320,7 +319,7 @@ def _context_holds(
 def _contained(
     condition: ContainsCondition, context: ConditionContext
 ) -> List[Tuple[Node, Dict[str, str]]]:
-    path = lenient_path(condition.path)
+    path = condition.path
     return [match for member in context.target_members() for match in path.find_targets(member)]
 
 

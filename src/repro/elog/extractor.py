@@ -30,13 +30,18 @@ runs once per page.
 One witness memo (see :mod:`repro.elog.conditions`) serves every candidate
 of an ``extract`` call, so a context condition scans its scope once per
 call rather than once per candidate, and bisects the scan's result to its
-distance window.  Each rule's per-candidate conditions (all but
-``firstsubtree``) are compiled once per call, so a candidate dispatches on
+distance window.
+
+A built :class:`ElogProgram` is never edited, so each rule's plan is
+derived once per program and kept on it (:func:`_rule_plans`): the patterns
+the rule reads, its per-candidate conditions (all but ``firstsubtree``)
+compiled, whether ``firstsubtree`` keeps only the first accepted candidate,
+and a ``subsq`` scope path made lenient.  So a candidate dispatches on
 nothing, and one condition context per rule and parent instance is
 re-targeted at each candidate; a candidate of a rule with no condition left
-is accepted without one.  Nothing else is compiled here: element paths run
-on the automaton memoised per step sequence (:mod:`repro.elog.epath`), and
-regular expressions were compiled when the program was parsed.
+is accepted without one.  Element paths run on the automaton memoised per
+step sequence (:mod:`repro.elog.epath`), and regular expressions were
+compiled when the program was parsed.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from typing import (
     Dict,
     FrozenSet,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -57,7 +63,6 @@ from ..tree.node import Node
 from ..xmlgen.document import XmlElement
 from .ast import (
     ROOT_PATTERN,
-    Condition,
     ElogProgram,
     ElogRule,
     FirstSubtreeCondition,
@@ -202,18 +207,16 @@ class Extractor:
             if instance is None:
                 raise ExtractionError(f"cannot fetch start url {url!r} without a fetcher")
 
-        rules = self.program.rules
-        inputs = [_rule_inputs(rule) for rule in rules]
-        checks = [tuple(map(compile_condition, _checked_conditions(rule))) for rule in rules]
-        last_counts: List[Optional[Tuple[int, ...]]] = [None] * len(rules)
+        plans = _rule_plans(self.program)
+        last_counts: List[Optional[Tuple[int, ...]]] = [None] * len(plans)
         for _ in range(self.max_rounds):
             changed = False
-            for index, rule in enumerate(rules):
-                counts = tuple(base.count(pattern) for pattern in inputs[index])
+            for index, plan in enumerate(plans):
+                counts = tuple(base.count(pattern) for pattern in plan.inputs)
                 if counts == last_counts[index]:
                     continue
                 fetches = run.fetches
-                if self._apply_rule(rule, checks[index], run):
+                if self._apply_rule(plan, run):
                     changed = True
                 # A run that tried a fetch runs again next round, to retry it.
                 last_counts[index] = counts if run.fetches == fetches else None
@@ -235,25 +238,18 @@ class Extractor:
     # ------------------------------------------------------------------
     # Rule application
     # ------------------------------------------------------------------
-    def _apply_rule(
-        self,
-        rule: ElogRule,
-        checks: Sequence[CompiledCondition],
-        run: _Extraction,
-    ) -> bool:
-        """Apply ``rule`` once; whether the instance base grew.
+    def _apply_rule(self, plan: _RulePlan, run: _Extraction) -> bool:
+        """Apply ``plan.rule`` once; whether the instance base grew.
 
-        ``checks`` are the rule's conditions without ``firstsubtree``, which
-        selects among the accepted candidates instead.  Documents the rule
-        fetched count: a crawl round whose only effect is a newly fetched
-        page (say, a target retried after a failed fetch) still hands later
-        rules a new ``document`` instance.
+        Documents the rule fetched count: a crawl round whose only effect is
+        a newly fetched page (say, a target retried after a failed fetch)
+        still hands later rules a new ``document`` instance.
         """
+        rule, checks = plan.rule, plan.checks
         base = run.base
         size = len(base)
-        first_only = len(checks) != len(rule.conditions)
         for parent in self._parent_instances(rule, run):
-            candidates = self._candidates(rule, parent)
+            candidates = self._candidates(plan, parent)
             context: Optional[ConditionContext] = None
             if checks and candidates:
                 context = ConditionContext(
@@ -276,7 +272,7 @@ class Extractor:
                         continue
                     bindings = satisfied
                 accepted.append(self._instance(rule, parent, target, bindings))
-            if accepted and first_only:
+            if accepted and plan.first_only:
                 accepted = [min(accepted, key=PatternInstance.anchor)]
             for instance in accepted:
                 base.add_instance(instance)
@@ -352,8 +348,8 @@ class Extractor:
     # ------------------------------------------------------------------
     # Candidate generation (the extraction definition atoms)
     # ------------------------------------------------------------------
-    def _candidates(self, rule: ElogRule, parent: PatternInstance) -> List[Candidate]:
-        extraction = rule.extraction
+    def _candidates(self, plan: _RulePlan, parent: PatternInstance) -> List[Candidate]:
+        extraction = plan.rule.extraction
         if extraction is None:
             # specialisation rule: the candidate is the parent's own node(s)
             if parent.is_sequence_instance:
@@ -363,20 +359,15 @@ class Extractor:
             return [(parent.value or "", {})]
         if isinstance(extraction, SubElem):
             return self._subelem_candidates(extraction, parent)
-        if isinstance(extraction, SubText):
-            return [
-                (value, dict(bindings))
-                for member in parent.member_nodes()
-                for value, bindings in extraction.path.find_matches(member)
-            ]
-        if isinstance(extraction, SubAtt):
+        if isinstance(extraction, (SubText, SubAtt)):
             return [
                 (value, dict(bindings))
                 for member in parent.member_nodes()
                 for value, bindings in extraction.path.find_matches(member)
             ]
         if isinstance(extraction, SubSequence):
-            return self._subsq_candidates(extraction, parent)
+            assert plan.lenient_scope is not None
+            return self._subsq_candidates(extraction, plan.lenient_scope, parent)
         raise ExtractionError(f"unknown extraction atom {extraction!r}")
 
     def _subelem_candidates(self, extraction: SubElem, parent: PatternInstance) -> List[Candidate]:
@@ -399,7 +390,9 @@ class Extractor:
             )
         return results
 
-    def _subsq_candidates(self, extraction: SubSequence, parent: PatternInstance) -> List[Candidate]:
+    def _subsq_candidates(
+        self, extraction: SubSequence, lenient_scope: ElementPath, parent: PatternInstance
+    ) -> List[Candidate]:
         """Candidate runs of consecutive children (see Figure 5's tableseq).
 
         For every scope node matched by ``scope``, candidate runs start at a
@@ -413,7 +406,6 @@ class Extractor:
         candidates: List[Candidate] = []
         # the scope path is matched anywhere below the parent (implicit ?),
         # and the parent itself qualifies when it matches the last step
-        lenient_scope = lenient_path(extraction.scope)
         for parent_node in parent.member_nodes():
             scopes = [node for node, _ in lenient_scope.find_targets(parent_node)]
             if _match_member(extraction.scope, parent_node) is not None:
@@ -504,12 +496,36 @@ class Extractor:
         raise ExtractionError("pattern instance is not attached to a document")
 
 
-def _checked_conditions(rule: ElogRule) -> Tuple[Condition, ...]:
-    """The conditions checked per candidate: all but ``firstsubtree``."""
-    return tuple(
-        condition
-        for condition in rule.conditions
-        if not isinstance(condition, FirstSubtreeCondition)
+class _RulePlan(NamedTuple):
+    """What the rounds need of one rule (see the module docstring)."""
+
+    rule: ElogRule
+    inputs: Tuple[str, ...]
+    checks: Tuple[CompiledCondition, ...]
+    first_only: bool
+    lenient_scope: Optional[ElementPath]
+
+
+def _rule_plans(program: ElogProgram) -> Tuple[_RulePlan, ...]:
+    """The plan of every rule of ``program``, built on first use and kept on
+    the program.  A racing first use builds two equal plans, which is
+    harmless, so no lock is taken."""
+    plans = program._plan
+    if plans is None:
+        plans = tuple(map(_rule_plan, program.rules))
+        object.__setattr__(program, "_plan", plans)
+    return plans
+
+
+def _rule_plan(rule: ElogRule) -> _RulePlan:
+    checked = [c for c in rule.conditions if not isinstance(c, FirstSubtreeCondition)]
+    scope = rule.extraction.scope if isinstance(rule.extraction, SubSequence) else None
+    return _RulePlan(
+        rule,
+        _rule_inputs(rule),
+        tuple(map(compile_condition, checked)),
+        len(checked) != len(rule.conditions),
+        None if scope is None else lenient_path(scope),
     )
 
 
@@ -554,16 +570,19 @@ WrapperFingerprint = Tuple[str, FrozenSet[str]]
 
 
 def wrapper_fingerprint(program: ElogProgram) -> WrapperFingerprint:
-    """The content identity of ``program`` (rules text + auxiliary set).
+    """The content identity of ``program`` (rules text + auxiliary set),
+    built on first use and kept on the program.
 
-    ``ElogProgram`` is a mutable AST, so — unlike the frozen datalog rules
-    of :func:`repro.datalog.registry.program_snapshot` — the fingerprint
-    is recomputed per use, never frozen at construction: mutating a program
-    (``add_rule`` / ``mark_auxiliary``) moves its fingerprint, which is
-    exactly what lets a content-keyed memo (a wrapper component's trace)
-    notice staleness.
+    A built program is never edited, so its rules are rendered once per
+    program; a changed wrapper is a new program with a fingerprint of its
+    own.  A racing first use builds two equal fingerprints, which is
+    harmless, so no lock is taken.
     """
-    return (str(program), frozenset(program.auxiliary_patterns))
+    fingerprint = program._fingerprint
+    if fingerprint is None:
+        fingerprint = (str(program), program.auxiliary_patterns)
+        object.__setattr__(program, "_fingerprint", fingerprint)
+    return fingerprint
 
 
 def _url_matches(literal: str, candidate: Optional[str]) -> bool:

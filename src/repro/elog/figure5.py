@@ -54,8 +54,7 @@ def figure5_program() -> ElogProgram:
 
 def figure5_program_programmatic() -> ElogProgram:
     """The same wrapper, built through the programmatic rule API."""
-    program = ElogProgram()
-    program.add_rule(
+    rules = [
         ElogRule(
             pattern="tableseq",
             parent="document",
@@ -76,23 +75,17 @@ def figure5_program_programmatic() -> ElogProgram:
                 ),
                 AfterCondition(path=ElementPath.parse(".hr"), min_distance=0, max_distance=0),
             ),
-        )
-    )
-    program.add_rule(
+        ),
         ElogRule(
             pattern="record",
             parent="tableseq",
             extraction=SubElem(path=ElementPath.parse(".table")),
-        )
-    )
-    program.add_rule(
+        ),
         ElogRule(
             pattern="itemdes",
             parent="record",
             extraction=SubElem(path=ElementPath.parse("?.td.?.a")),
-        )
-    )
-    program.add_rule(
+        ),
         ElogRule(
             pattern="price",
             parent="record",
@@ -105,9 +98,7 @@ def figure5_program_programmatic() -> ElogProgram:
                 )
             ),
             conditions=(ConceptCondition("isCurrency", "Y"),),
-        )
-    )
-    program.add_rule(
+        ),
         ElogRule(
             pattern="bids",
             parent="record",
@@ -121,14 +112,12 @@ def figure5_program_programmatic() -> ElogProgram:
                 ),
                 PatternReference("price", "Y"),
             ),
-        )
-    )
-    program.add_rule(
+        ),
         ElogRule(
             pattern="currency",
             parent="price",
             extraction=SubText(path=TextPath.parse(r"\var[Y]")),
             conditions=(ConceptCondition("isCurrency", "Y"),),
-        )
-    )
-    return program
+        ),
+    ]
+    return ElogProgram(rules)

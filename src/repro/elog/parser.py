@@ -83,7 +83,7 @@ def parse_elog(text: str) -> ElogProgram:
     (the line its head starts on), retrievable through
     :func:`repro.datalog.ast.get_span`.
     """
-    program = ElogProgram()
+    rules: List[ElogRule] = []
     for line, rule_text in _split_rules_with_lines(text):
         try:
             rule = parse_rule(rule_text)
@@ -92,8 +92,8 @@ def parse_elog(text: str) -> ElogProgram:
                 raise ElogSyntaxError(str(error), line) from error.__cause__
             raise
         set_span(rule, Span(line, 1, line, max(1, len(rule_text))))
-        program.add_rule(rule)
-    return program
+        rules.append(rule)
+    return ElogProgram(rules)
 
 
 def parse_rule(text: str) -> ElogRule:
@@ -356,8 +356,3 @@ def _split_rules_with_lines(text: str) -> List[Tuple[int, str]]:
     if current:
         rules.append((current_line, " ".join(current)))
     return [(line, rule) for line, rule in rules if rule.strip()]
-
-
-def _split_rules(text: str) -> List[str]:
-    """Rule chunks of ``text`` (see :func:`_split_rules_with_lines`)."""
-    return [rule for _, rule in _split_rules_with_lines(text)]

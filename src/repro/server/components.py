@@ -202,8 +202,6 @@ class WrapperComponent(_SourceComponent):
 
     def _activate(self, inputs: List[XmlElement]) -> XmlElement:
         """One activation, sharing the stored last good output: read-only."""
-        # Re-fingerprinted per activation: an in-place program edit must
-        # invalidate the trace.
         key = (wrapper_fingerprint(self.program), self.url, self.root_name)
         reads = _TracingFetcher(self._acquire) if self._acquire is not None else None
         try:

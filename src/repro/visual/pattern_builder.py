@@ -138,8 +138,8 @@ class PatternBuilderSession:
         return FilterProposal(rule=rule, matched_nodes=self._matches_of(rule))
 
     def accept(self, proposal: FilterProposal) -> ElogRule:
-        """Add the proposed filter to the wrapper program."""
-        self.program.add_rule(proposal.rule)
+        """Add the proposed filter: the wrapper becomes a new program."""
+        self.program = ElogProgram((*self.program.rules, proposal.rule))
         if proposal.rule.pattern not in self._pattern_names:
             self._pattern_names.append(proposal.rule.pattern)
         return proposal.rule
@@ -212,6 +212,6 @@ class PatternBuilderSession:
         return max(candidates, key=lambda node: node.preorder_index)
 
     def _matches_of(self, rule: ElogRule) -> List[Node]:
-        probe = ElogProgram(rules=[r for r in self.program.rules] + [rule])
+        probe = ElogProgram((*self.program.rules, rule))
         base = Extractor(probe).extract(document=self.document)
         return base.nodes_of(rule.pattern)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from contextlib import suppress
+from dataclasses import replace
+
 from repro import Session
 from repro.api.results import ExtractionResult, FactsResult, SelectionResult
 from repro.datalog import parse_program
 from repro.html import parse_html
 from repro.mdatalog import MonadicProgram
 from repro.tree import tree
+from repro.xmlgen import to_xml
 
 ITALIC = MonadicProgram.parse(
     """
@@ -96,10 +100,40 @@ def test_extraction_result_views():
     assert result.nodes("model")[0].label == "td"
 
 
+def test_no_caller_edits_the_program_another_caller_runs():
+    """Every call over one wrapper text shares one parsed program, so the
+    program is a value: whatever one caller tries on
+    ``session.wrapper(TEXT).program`` never reaches another caller's
+    extraction of TEXT, single or batched."""
+    document = parse_html(PAGE, url="cameras.example/offers")
+    session = Session()
+    before = session.extract(WRAPPER, document=document)
+    shared = session.wrapper(WRAPPER).program
+    offer_rule = shared.rules[0]
+    edits = (
+        lambda: shared.auxiliary_patterns.add("offer"),
+        lambda: setattr(shared, "auxiliary_patterns", {"offer"}),
+        lambda: shared.rules.append(offer_rule),
+        lambda: setattr(shared, "rules", [offer_rule]),
+    )
+    for edit in edits:
+        with suppress(AttributeError):  # FrozenInstanceError is one
+            edit()
+    # A caller that wants the edit makes a new program.
+    hidden = replace(shared, auxiliary_patterns={"offer"})
+    assert session.extract(hidden, document=document).auxiliary == ("offer",)
+    after = session.extract(WRAPPER, document=document)
+    [batched] = session.extract_many(WRAPPER, [document])
+    for result in (after, batched):
+        assert result.auxiliary == before.auxiliary == ()
+        assert result.patterns() == before.patterns()
+        assert to_xml(result.to_xml()) == to_xml(before.to_xml())
+
+
 def test_extraction_result_to_xml_uses_recorded_auxiliaries():
     document = parse_html(PAGE, url="cameras.example/offers")
     session = Session()
-    program = session.wrapper(WRAPPER).program.mark_auxiliary("offer")
+    program = replace(session.wrapper(WRAPPER).program, auxiliary_patterns={"offer"})
     result = session.extract(program, document=document)
     xml = result.to_xml(root_name="offers")
     # offers are auxiliary: models/prices are promoted to the root.

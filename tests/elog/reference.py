@@ -23,7 +23,7 @@ from repro.elog import Extractor
 from repro.elog.ast import AfterCondition, BeforeCondition, Condition
 from repro.elog.conditions import ConditionContext, evaluate_condition
 from repro.elog.epath import ElementPath
-from repro.elog.extractor import _checked_conditions, _Extraction
+from repro.elog.extractor import _Extraction, _rule_plans
 from repro.elog.instance_base import PatternInstanceBase
 from repro.tree import Document
 
@@ -46,10 +46,12 @@ class ReferenceExtractor(Extractor):
             assert self._fetch_document(url, run, parent=None, propagate=True)
         for _ in range(self.max_rounds):
             changed = False
-            for rule in self.program.rules:
+            for plan in _rule_plans(self.program):
                 # The rule's raw conditions go to _satisfy below, which
-                # evaluates context conditions without the witness memo.
-                if self._apply_rule(rule, _checked_conditions(rule), run):
+                # evaluates context conditions without the witness memo
+                # (and firstsubtree as always true, as the extractor does).
+                raw = plan._replace(checks=plan.rule.conditions)
+                if self._apply_rule(raw, run):
                     changed = True
             if not changed:
                 break

@@ -114,20 +114,20 @@ def _conditions(rng):
 
 def _program(seed):
     rng = random.Random(seed)
-    program = ElogProgram()
-    program.add_rule(
+    rules = []
+    rules.append(
         ElogRule("row", "document", SubElem(ElementPath.parse("?.tr")), document=ANY_DOCUMENT)
     )
     hits = ["(?.td, [(class, price, exact)])", "(?.td, [(class, dest, exact)])"]
     if rng.random() < 0.5:
         hits.append("?.a")
     for path in hits:
-        program.add_rule(
+        rules.append(
             ElogRule("hit", "document", SubElem(ElementPath.parse(path)), document=ANY_DOCUMENT)
         )
     # The first cell of a page is no hit, so a cell's first witness is
     # rejected and the search backtracks to a later one.
-    program.add_rule(
+    rules.append(
         ElogRule(
             "backtracked",
             "document",
@@ -141,7 +141,7 @@ def _program(seed):
     )
     # On the nested page a cell's window holds a cell and its descendants,
     # whose subtree ends are not in document order; Y binds the first one.
-    program.add_rule(
+    rules.append(
         ElogRule(
             "nearest",
             "document",
@@ -163,9 +163,9 @@ def _program(seed):
                 _conditions(rng),
                 document=ANY_DOCUMENT,
             )
-        program.add_rule(rule)
+        rules.append(rule)
     # A run of sibling tables, as Figure 5's tableseq, with random tolerances.
-    program.add_rule(
+    rules.append(
         ElogRule(
             "run",
             "document",
@@ -178,7 +178,7 @@ def _program(seed):
             document=ANY_DOCUMENT,
         )
     )
-    return program
+    return ElogProgram(rules)
 
 
 def _value(value):

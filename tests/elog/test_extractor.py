@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -204,9 +205,9 @@ def _rule_applications(monkeypatch):
     applied = Counter()
     apply_rule = Extractor._apply_rule
 
-    def counting(self, rule, *args):
-        applied[rule.pattern] += 1
-        return apply_rule(self, rule, *args)
+    def counting(self, plan, *args):
+        applied[plan.rule.pattern] += 1
+        return apply_rule(self, plan, *args)
 
     monkeypatch.setattr(Extractor, "_apply_rule", counting)
     return applied
@@ -260,27 +261,24 @@ def test_a_literal_url_rule_whose_fetch_failed_is_retried_in_a_later_round(monke
 
 
 def test_programmatic_rule_construction(page):
-    program = ElogProgram()
-    program.add_rule(
-        ElogRule(
-            pattern="row",
-            parent="document",
-            extraction=SubElem(path=ElementPath.parse("?.tr")),
-        )
-    )
-    program.add_rule(
-        ElogRule(
-            pattern="anchor",
-            parent="row",
-            extraction=SubElem(path=ElementPath.parse("?.a")),
-        )
-    )
-    program.add_rule(
-        ElogRule(
-            pattern="href",
-            parent="anchor",
-            extraction=SubAtt(path=AttributePath("href")),
-        )
+    program = ElogProgram(
+        [
+            ElogRule(
+                pattern="row",
+                parent="document",
+                extraction=SubElem(path=ElementPath.parse("?.tr")),
+            ),
+            ElogRule(
+                pattern="anchor",
+                parent="row",
+                extraction=SubElem(path=ElementPath.parse("?.a")),
+            ),
+            ElogRule(
+                pattern="href",
+                parent="anchor",
+                extraction=SubAtt(path=AttributePath("href")),
+            ),
+        ]
     )
     base = Extractor(program).extract(document=page)
     assert base.count("anchor") == 2
@@ -293,7 +291,8 @@ def test_auxiliary_patterns_hidden_in_xml(page):
         row(S, X)  <- document(_, S), subelem(S, ?.tr, X)
         name(S, X) <- row(_, S), subelem(S, (?.td, [(class, name, exact)]), X)
         """
-    ).mark_auxiliary("row")
+    )
+    program = replace(program, auxiliary_patterns={"row"})
     xml_tree = Extractor(program).extract_to_xml(document=page, root_name="out")
     serialised = to_xml(xml_tree)
     assert "<row>" not in serialised

@@ -1,20 +1,26 @@
 """The content identity of an Elog wrapper (:func:`wrapper_fingerprint`).
 
 A wrapper component keys its verifying trace by this fingerprint, and a
-session keys its Elog analysis reports by it.  ``ElogProgram`` is a
-mutable AST, so the fingerprint is recomputed per use: editing a program
-in place must move it, and two different wrappers must never share one,
-not even when the allocator hands a dead program's ``id()`` to a new one.
+session keys its Elog analysis reports by it.  A built ``ElogProgram`` is
+a value that is never edited, so its fingerprint is rendered once, on first
+use, and kept on the program; a changed wrapper is a new program with a
+fingerprint of its own.  Two different wrappers must never share one, not
+even when the allocator hands a dead program's ``id()`` to a new one.
 """
 
 from __future__ import annotations
 
 import gc
 import platform
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from repro.elog import ElogProgram, parse_elog, parse_rule, wrapper_fingerprint
+from repro import Session
+from repro.elog import ElogProgram, ElogRule, parse_elog, parse_rule, wrapper_fingerprint
+from repro.html import parse_html
+from repro.server.components import WrapperComponent
+from repro.web import SimulatedWeb
 
 TEXT_A = """
 title(S, X) <- document(_, S), subelem(S, ?.title, X)
@@ -42,19 +48,58 @@ def test_content_equal_programs_share_one_fingerprint():
 
 def test_auxiliary_patterns_are_part_of_the_fingerprint():
     plain = fresh_program(TEXT_A)
-    marked = fresh_program(TEXT_A).mark_auxiliary("title")
+    marked = replace(fresh_program(TEXT_A), auxiliary_patterns={"title"})
     assert str(plain) == str(marked)
     assert wrapper_fingerprint(plain) != wrapper_fingerprint(marked)
 
 
-def test_in_place_edits_move_the_fingerprint():
+def test_a_built_program_and_its_rules_are_frozen():
+    program = fresh_program(TEXT_A)
+    with pytest.raises(FrozenInstanceError):
+        program.rules = ()
+    with pytest.raises(FrozenInstanceError):
+        program.auxiliary_patterns = frozenset({"title"})
+    with pytest.raises(FrozenInstanceError):
+        program.rules[0].pattern = "heading"
+    assert isinstance(program.rules, tuple)
+    assert isinstance(program.auxiliary_patterns, frozenset)
+
+
+def test_three_distinct_programs_give_three_fingerprints():
     program = fresh_program(TEXT_A)
     seen = {wrapper_fingerprint(program)}
-    program.add_rule(parse_rule("price(S, X) <- document(_, S), subelem(S, ?.price, X)"))
-    seen.add(wrapper_fingerprint(program))
-    program.mark_auxiliary("title")
-    seen.add(wrapper_fingerprint(program))
+    price = parse_rule("price(S, X) <- document(_, S), subelem(S, ?.price, X)")
+    extended = ElogProgram((*program.rules, price))
+    seen.add(wrapper_fingerprint(extended))
+    # replace() builds a new program, which keys itself, not its origin's key.
+    marked = replace(extended, auxiliary_patterns={"title"})
+    seen.add(wrapper_fingerprint(marked))
     assert len(seen) == 3
+
+
+def test_a_program_is_rendered_once_however_often_it_runs(monkeypatch):
+    rendered = []
+    render = ElogRule.__str__
+
+    def counting(rule):
+        rendered.append(rule.pattern)
+        return render(rule)
+
+    monkeypatch.setattr(ElogRule, "__str__", counting)
+    url = "shop.test/titles"
+    page = "<html><head><title>Shop</title></head><body><p>x</p></body></html>"
+    web = SimulatedWeb()
+    web.publish(url, page)
+    program = parse_elog(TEXT_A + TEXT_B)
+    component = WrapperComponent("titles", program, web, url)
+    for _ in range(50):
+        component.process([])
+    session = Session()
+    document = parse_html(page, url=url)
+    for _ in range(50):
+        [result] = session.extract_many(program, [document])
+    assert result.texts("title") == ("Shop",)
+    assert sorted(rendered) == sorted(rule.pattern for rule in program.rules)
 
 
 @pytest.mark.skipif(

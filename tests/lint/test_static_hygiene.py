@@ -20,11 +20,13 @@ Five classes of slip have already cost a PR each:
   ``LruMap(...)``, ``WeakKeyDictionary(...)`` or ``PlanRegistry(...)`` and
   every ``functools.lru_cache`` in ``src/`` must appear in
   ``ALLOWED_PROCESS_CACHES`` with the reason it is process-wide.
-* documents re-fingerprinted per call — every tree-keyed cache once walked
-  the whole tree on each lookup to key it.  A built ``Document`` is
+* documents and wrappers re-fingerprinted per call — every tree-keyed
+  cache once walked the whole tree on each lookup to key it, and every
+  wrapper activation rendered its whole program.  A built ``Document`` is
   immutable, so only ``tree_edb.document_key`` may use
   ``tree_fingerprint``: it builds the key once and keeps it on the
-  document.
+  document.  A built ``ElogProgram`` is frozen too, so only
+  ``extractor.wrapper_fingerprint`` may write the key kept on the program.
 * compiled artifacts committed to the index (``.pyc`` files rode along
   with the seed until PR 6).
 """
@@ -331,10 +333,6 @@ ALLOWED_PROCESS_CACHES = {
         "pure compiler keyed by its full input, the element-path step "
         "tuple; the subset automaton is immutable"
     ),
-    "repro/elog/conditions.py:lenient_path": (
-        "pure function keyed by its full input, a frozen element path; "
-        "the prefixed path is immutable"
-    ),
 }
 
 #: Constructors that build a cache when called at module level.
@@ -409,7 +407,8 @@ def test_every_process_cache_reason_is_substantive():
 
 
 # ---------------------------------------------------------------------------
-# One key owner: only document_key fingerprints a document
+# One key owner: only document_key fingerprints a document, and only
+# wrapper_fingerprint stores a program's key
 # ---------------------------------------------------------------------------
 
 #: The one ``(file, function)`` that may use ``tree_fingerprint``.
@@ -448,6 +447,61 @@ def test_only_document_key_fingerprints_a_document():
         "which fingerprints it once"
     )
     assert any(use[:2] == FINGERPRINT_OWNER for use in uses), "the owner no longer fingerprints"
+
+
+#: The one ``(file, function)`` that may write ``ElogProgram._fingerprint``.
+WRAPPER_KEY_OWNER = ("repro/elog/extractor.py", "wrapper_fingerprint")
+_WRAPPER_KEY = "_fingerprint"
+
+
+def _wrapper_key_writes(path: Path):
+    """``(lineno, enclosing function)`` of every write of a stored wrapper
+    key: an assignment to ``x._fingerprint``, or a ``setattr`` /
+    ``object.__setattr__`` call naming ``"_fingerprint"`` (the way past a
+    frozen dataclass)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    writes = []
+
+    def walk(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == _WRAPPER_KEY
+            and isinstance(node.ctx, (ast.Store, ast.Del))
+        ):
+            writes.append((node.lineno, function))
+        elif (
+            isinstance(node, ast.Call)
+            and _called_name(node) in ("setattr", "__setattr__")
+            and any(
+                isinstance(argument, ast.Constant) and argument.value == _WRAPPER_KEY
+                for argument in node.args
+            )
+        ):
+            writes.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            walk(child, function)
+
+    walk(tree, None)
+    return writes
+
+
+def test_only_wrapper_fingerprint_stores_a_program_key():
+    writes = {
+        (str(path.relative_to(SRC)), function, lineno)
+        for path in sorted(SRC.rglob("*.py"))
+        for lineno, function in _wrapper_key_writes(path)
+    }
+    offenders = sorted(write for write in writes if write[:2] != WRAPPER_KEY_OWNER)
+    assert not offenders, (
+        f"a program's stored key written outside {WRAPPER_KEY_OWNER}: "
+        f"{offenders}; a built ElogProgram is frozen, so key it with "
+        "wrapper_fingerprint(program), which renders it once"
+    )
+    assert any(write[:2] == WRAPPER_KEY_OWNER for write in writes), (
+        "the owner no longer stores the key"
+    )
 
 
 def _tracked_files():

@@ -26,7 +26,7 @@ import pytest
 
 from repro import Pipeline, ResiliencePolicy, RetryPolicy
 from repro.api import ChangeDetector, XmlDeliverer
-from repro.elog import Extractor, figure5_program, parse_elog, parse_rule
+from repro.elog import ElogProgram, Extractor, figure5_program, parse_elog, parse_rule
 from repro.html import parse_html
 from repro.resilience import FaultPlan
 from repro.server import TransformationServer
@@ -78,10 +78,7 @@ NEXT_PAGE_RULES = (
 
 
 def crawl_program():
-    program = figure5_program()
-    for rule in NEXT_PAGE_RULES:
-        program.add_rule(parse_rule(rule))
-    return program
+    return ElogProgram((*figure5_program().rules, *map(parse_rule, NEXT_PAGE_RULES)))
 
 
 def listing_url(page: int) -> str:
@@ -328,24 +325,28 @@ def test_a_fetcher_without_validators_re_extracts_every_tick(extractions):
 
 
 @pytest.mark.parametrize("aliased", [True, False], ids=["aliased-program", "own-program"])
-def test_mutating_the_program_in_place_invalidates_the_trace(web, extractions, aliased):
+def test_handing_the_component_a_changed_program_invalidates_the_trace(
+    web, extractions, aliased
+):
     text = str(BOOKS)
     # Aliased: a second component over a content-equal program, whose twin
-    # has already run, must still see the edit to its own program.
+    # has already run, must still see its own new program.
     first = WrapperComponent("a", parse_elog(text), web, BOOKS_URL)
     component = WrapperComponent("b", parse_elog(text), web, BOOKS_URL) if aliased else first
-    if aliased:
-        first.process([])
+    twin = to_xml(first.process([])) if aliased else None
     before = component.process([])
     assert component.process([]) is not None
     runs = len(extractions)
 
-    component.program.add_rule(
-        parse_rule("price(S, X) <- book(_, S), subelem(S, (?.td, [(class, price, exact)]), X)")
-    )
+    price = parse_rule("price(S, X) <- book(_, S), subelem(S, (?.td, [(class, price, exact)]), X)")
+    component.program = ElogProgram((*component.program.rules, price))
     after = component.process([])
     assert len(extractions) == runs + 1
     assert "<price>" in to_xml(after) and "<price>" not in to_xml(before)
+    if aliased:
+        # The twin keeps its own program and its trace.
+        assert to_xml(first.process([])) == twin
+        assert len(extractions) == runs + 1
 
 
 def test_downstream_in_place_mutation_never_leaks_into_the_next_tick(web):

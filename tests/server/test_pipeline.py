@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import Pipeline
@@ -371,12 +373,13 @@ def test_change_gated_deliverer_only_fires_on_change():
     assert "changed" in sms.deliveries[0].body
 
 
-def test_aliased_wrapper_component_sees_its_own_program_mutations():
-    """A component honours post-construction mutations of its own program.
+def test_aliased_wrapper_component_sees_its_own_new_program():
+    """A component honours a new program handed to it after construction.
 
     Two components built from separate parses of one wrapper text extract
-    the same; when one of them mutates ITS program (mark_auxiliary), its
-    next process() must honour the mutation and the other's must not."""
+    the same; when one of them is handed a changed program (an auxiliary
+    pattern more), its next process() must honour the change and the
+    other's must not."""
     web = SimulatedWeb()
     web.publish_many(bookstore_site(count=2, seed=4))
     text = """
@@ -387,8 +390,8 @@ def test_aliased_wrapper_component_sees_its_own_program_mutations():
     component_a = WrapperComponent("a", parse_elog(text), web, url)
     component_b = WrapperComponent("b", parse_elog(text), web, url)
     assert list(component_b.process([]).iter("title"))
-    component_b.program.mark_auxiliary("title")
-    # B's own mutation takes effect on B...
+    component_b.program = replace(component_b.program, auxiliary_patterns={"title"})
+    # B's new program takes effect on B...
     assert not list(component_b.process([]).iter("title"))
     # ...and does not opt A into it.
     assert list(component_a.process([]).iter("title"))
