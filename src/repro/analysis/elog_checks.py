@@ -16,21 +16,28 @@ from typing import List, Optional, Set, Tuple
 from ..datalog.ast import Span, get_span
 from ..elog.ast import (
     ROOT_PATTERN,
+    AfterCondition,
+    BeforeCondition,
     ComparisonCondition,
     ConceptCondition,
+    ContainsCondition,
     ElogProgram,
     ElogRule,
     PatternReference,
+    SubElem,
+    SubText,
 )
 from ..elog.concepts import DEFAULT_CONCEPTS, ConceptRegistry
+from ..elog.epath import ElementPath
 from .diagnostics import ERROR, WARNING, Diagnostic
 
 #: Condition arguments that look like this are variables; anything else
 #: (quoted strings, numbers, paths) is a literal and needs no binding.
 _VARIABLE_PATTERN = re.compile(r"^[A-Z_][A-Za-z0-9_]*$")
 
-#: ``\var[Y]`` markers inside element/text paths capture matched text into
-#: ``Y`` (the ``regvar`` mechanism of Figure 5's ``price`` rule).
+#: ``\var[Y]`` markers capture matched text into ``Y`` where the extractor
+#: binds them: in ``regvar`` attribute conditions (Figure 5's ``price``
+#: rule) and in ``subtext`` string paths.
 _VAR_MARKER_PATTERN = re.compile(r"\\var\[([A-Za-z_][A-Za-z0-9_]*)\]")
 
 
@@ -164,14 +171,21 @@ def _check_pattern_references(
 
 def _bound_variables(rule: ElogRule) -> Set[str]:
     """Variables a rule binds: head variables, the extraction target,
-    condition ``bind`` slots, positive pattern-reference arguments, and
-    ``\\var[...]`` capture markers inside element/text paths."""
+    condition ``bind`` slots, positive pattern-reference arguments, and the
+    ``\\var[...]`` markers the extractor binds: those of a ``subtext``
+    path and of ``regvar`` attribute conditions in the extraction path or a
+    positive context condition.  Markers elsewhere (an ``exact``,
+    ``substr`` or ``regexp`` condition) only match text."""
     bound = {"S", "X"}
-    if rule.extraction is not None:
-        target = getattr(rule.extraction, "target", None)
+    extraction = rule.extraction
+    if extraction is not None:
+        target = getattr(extraction, "target", None)
         if target:
             bound.add(target)
-        bound.update(_VAR_MARKER_PATTERN.findall(str(rule.extraction)))
+        if isinstance(extraction, SubText):
+            bound.update(_VAR_MARKER_PATTERN.findall(extraction.path.pattern_text))
+        elif isinstance(extraction, SubElem):
+            bound.update(_regvar_markers(extraction.path))
     for condition in rule.conditions:
         bind = getattr(condition, "bind", None)
         if bind:
@@ -179,8 +193,21 @@ def _bound_variables(rule: ElogRule) -> Set[str]:
         if isinstance(condition, PatternReference) and not condition.negated:
             if _is_variable(condition.argument):
                 bound.add(condition.argument)
-        bound.update(_VAR_MARKER_PATTERN.findall(str(condition)))
+        if (
+            isinstance(condition, (BeforeCondition, AfterCondition, ContainsCondition))
+            and not condition.negated
+        ):
+            bound.update(_regvar_markers(condition.path))
     return bound
+
+
+def _regvar_markers(path: ElementPath) -> List[str]:
+    return [
+        name
+        for condition in path.conditions
+        if condition.mode == "regvar"
+        for name in _VAR_MARKER_PATTERN.findall(condition.value)
+    ]
 
 
 def _check_condition_variables(program: ElogProgram) -> List[Diagnostic]:

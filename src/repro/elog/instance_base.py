@@ -58,14 +58,13 @@ class PatternInstance:
 
     def text(self) -> str:
         """The textual value of the instance (node text or string value)."""
-        if self.value is not None and self.node is None and self.nodes is None:
-            return self.value
-        members = self.member_nodes()
-        if members:
-            return " ".join(
-                text for text in (node.normalized_text() for node in members) if text
-            )
-        return self.value or ""
+        nodes = self.nodes
+        if nodes is None:
+            node = self.node
+            return node.normalized_text() if node is not None else self.value or ""
+        if not nodes:
+            return self.value or ""
+        return " ".join(text for text in (node.normalized_text() for node in nodes) if text)
 
     def anchor(self) -> Tuple[int, int]:
         """Sort key approximating document order for mixed node/string instances."""

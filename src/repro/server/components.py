@@ -301,7 +301,7 @@ class DatalogQueryComponent(_SourceComponent):
         result = XmlElement(self.root_name)
         for predicate in sorted(matches):
             # Document order is this component's output contract: downstream
-            # change detection diffs the serialised XML, so the ordering is
+            # change detection compares records in order, so the ordering is
             # enforced here at the boundary rather than assumed from the
             # evaluator (whose interface does not promise any order).
             # Sorting an already-sorted list is a linear pass.

@@ -5,8 +5,9 @@ information has to be automatically extracted and processed"; Section 6.2:
 "The system will send the actual flight status to the user by means of an SMS
 message, but only if the status changed between consecutive requests."
 
-:class:`ChangeDetector` keeps a fingerprint of the last XML snapshot per key
-and reports added / removed / changed records between consecutive snapshots;
+:class:`ChangeDetector` keeps a fingerprint of the last snapshot's records per
+key and reports added / removed / changed records between consecutive
+snapshots;
 :class:`ChangeGatedDeliverer` wraps a deliverer so that it only fires when a
 change was detected.
 
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..xmlgen.document import XmlElement
-from ..xmlgen.serializer import to_compact_xml
+# Not called here; kept importable because perfbench/layers.py wraps it.
+from ..xmlgen.serializer import to_compact_xml  # noqa: F401
 from .components import Component, DelivererComponent, Delivery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,23 +91,43 @@ class ChangeDetector:
 
     Records that share a key (an empty key included) are fingerprinted
     together, in document order: a change to any of them reports every
-    record under that key as changed.
+    record under that key as changed.  A fingerprint is the record's exact
+    structure: name, attributes in order, text and child fingerprints.
+
+    For its last observation the detector keeps each frozen record (see
+    :meth:`~repro.xmlgen.document.XmlElement.freeze`) with its key text and
+    fingerprint.  A frozen tree never changes, so a record that is the same
+    frozen object next time reuses both; inside a pipe most records are.
+    Every other record is fingerprinted afresh, so a caller that edits an
+    unfrozen record in place between two calls still sees it reported as
+    changed.
     """
 
     def __init__(self, record_name: str, key: str) -> None:
         self.record_name = record_name
         self.key = key
-        self._previous: Dict[str, List[str]] = {}
+        self._previous: Dict[str, List[tuple]] = {}
+        # id -> (record, key text, fingerprint) for the frozen records of
+        # the last observation.  Holding the record keeps its id from being
+        # recycled while the entry lives; `is` confirms it all the same.
+        self._known: Dict[int, Tuple[XmlElement, str, tuple]] = {}
 
     def observe(self, document: XmlElement) -> ChangeReport:
         """Compare ``document`` with the previous snapshot and remember it."""
-        current: Dict[str, Tuple[List[str], List[XmlElement]]] = {}
+        known_records = self._known
+        known_now: Dict[int, Tuple[XmlElement, str, tuple]] = {}
+        current: Dict[str, Tuple[List[tuple], List[XmlElement]]] = {}
         for record in document.iter(self.record_name):
-            key_value = " ".join(record.findtext(self.key).split())
+            known = known_records.get(id(record))
+            if known is None or known[0] is not record:
+                known = (record, " ".join(record.findtext(self.key).split()), _fingerprint(record))
+            if record.frozen:
+                known_now[id(record)] = known
+            key_value = known[1]
             entry = current.get(key_value)
             if entry is None:
                 entry = current[key_value] = ([], [])
-            entry[0].append(to_compact_xml(record))
+            entry[0].append(known[2])
             entry[1].append(record)
         report = ChangeReport()
         for key_value, (fingerprints, records) in current.items():
@@ -117,7 +139,18 @@ class ChangeDetector:
             if key_value not in current:
                 report.removed.append(key_value)
         self._previous = {key: fingerprints for key, (fingerprints, _) in current.items()}
+        self._known = known_now
         return report
+
+
+def _fingerprint(element: XmlElement) -> tuple:
+    """``element``'s exact structure as a comparable value."""
+    return (
+        element.name,
+        tuple(element.attributes.items()),
+        element.text,
+        tuple(map(_fingerprint, element.children)),
+    )
 
 
 class ChangeGatedDeliverer(Component):

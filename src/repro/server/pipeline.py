@@ -149,8 +149,10 @@ class InformationPipe:
         equal those of its last completed run does not run; its previous
         output stands, as the same object.  Nothing is copied on the way
         (wrappers hand over their stored output, cut-off stages link their
-        inputs), so outputs are read-only; every other stage may mutate its
-        inputs, so it gets a copy of each input whose producer is shared.
+        inputs), so every shared output is frozen
+        (:meth:`~repro.xmlgen.document.XmlElement.freeze`) before it is
+        handed over; every other stage may mutate its inputs, so it gets a
+        copy of each input whose producer is shared.
         """
         results: Dict[str, XmlElement] = {}
         revisions: Dict[str, int] = {}
@@ -166,7 +168,7 @@ class InformationPipe:
                     output = component.process(
                         [results[predecessor] for predecessor in predecessors]
                     )
-                    memo = memos[name] = _Memo(consumed, output, fresh_revision())
+                    memo = memos[name] = _Memo(consumed, output.freeze(), fresh_revision())
                 results[name] = memo.output
                 revisions[name] = memo.revision
                 continue
@@ -175,11 +177,12 @@ class InformationPipe:
                 for predecessor in predecessors
             ]
             if kind is WrapperComponent:
-                results[name] = component._activate(inputs)
+                output = component._activate(inputs)
                 revisions[name] = component.revision
             else:
-                results[name] = component.process(inputs)
+                output = component.process(inputs)
                 revisions[name] = fresh_revision()
+            results[name] = output.freeze() if name in self._shared else output
         self.last_results = results
         return results
 

@@ -181,10 +181,19 @@ class Node:
     # ------------------------------------------------------------------
     def text_content(self) -> str:
         """Concatenation of all text carried by this subtree, in order."""
+        children = self.children
+        if not children:
+            return self.text
+        if len(children) == 1 and not self.text and not children[0].children:
+            return children[0].text  # an element around one text node
         parts: List[str] = []
-        for node in self.iter_preorder():
+        stack = [self]
+        while stack:
+            node = stack.pop()
             if node.text:
                 parts.append(node.text)
+            if node.children:
+                stack.extend(reversed(node.children))
         return "".join(parts)
 
     def normalized_text(self) -> str:

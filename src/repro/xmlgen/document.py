@@ -7,12 +7,14 @@ can be converted to/from the generic :class:`~repro.tree.document.Document`
 model and serialised to markup.
 
 An element keeps no parent pointer, so one subtree can hang under several
-parents: Transformation Server stages share read-only documents this way
-(:meth:`XmlElement.copy` gives a caller a tree of its own to edit).
+parents: Transformation Server stages share documents this way.  A shared
+tree is frozen (:meth:`XmlElement.freeze`), so the read-only hand-over holds
+in code; :meth:`XmlElement.copy` gives a caller a tree of its own to edit.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Iterator, List, Optional
 
 from ..tree.document import Document
@@ -23,6 +25,9 @@ class XmlElement:
     """A single XML element."""
 
     __slots__ = ("name", "attributes", "text", "children")
+
+    #: Whether the element is read-only (see :meth:`freeze`).
+    frozen = False
 
     def __init__(
         self,
@@ -66,7 +71,8 @@ class XmlElement:
             node = stack.pop()
             if name is None or node.name == name:
                 yield node
-            stack.extend(reversed(node.children))
+            if node.children:
+                stack.extend(reversed(node.children))
 
     def findtext(self, name: str, default: str = "") -> str:
         child = self.find(name)
@@ -87,10 +93,31 @@ class XmlElement:
         return sum(1 for _ in self.iter())
 
     def copy(self) -> "XmlElement":
-        """A deep copy (the constructor copies the attribute dict)."""
+        """A deep, editable copy (the constructor copies the attribute dict)."""
         clone = XmlElement(self.name, self.attributes, self.text)
         clone.children = [child.copy() for child in self.children]
         return clone
+
+    def freeze(self) -> "XmlElement":
+        """Make this tree read-only in place and return it.
+
+        Every element becomes a :class:`FrozenXmlElement`: ``children`` a
+        tuple, ``attributes`` a read-only mapping, and :meth:`append` or
+        any field assignment raises.  The walk stops at subtrees that are
+        already frozen, so freezing a new root over frozen children costs
+        O(its children).
+        """
+        stack = [self]
+        while stack:
+            element = stack.pop()
+            if element.frozen:
+                continue
+            element.children = children = tuple(element.children)
+            attributes = element.attributes
+            element.attributes = MappingProxyType(attributes) if attributes else _NO_ATTRIBUTES
+            element.__class__ = FrozenXmlElement
+            stack.extend(children)
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"XmlElement(<{self.name}> children={len(self.children)})"
@@ -102,11 +129,35 @@ class XmlElement:
             self.name == other.name
             and self.attributes == other.attributes
             and self.text == other.text
-            and self.children == other.children
+            and tuple(self.children) == tuple(other.children)
         )
 
-    def __hash__(self) -> int:  # content-based, used by change detection
+    def __hash__(self) -> int:  # content-based, consistent with __eq__
         return hash((self.name, self.text, tuple(sorted(self.attributes.items())), len(self.children)))
+
+
+_NO_ATTRIBUTES = MappingProxyType({})
+
+
+class FrozenXmlElement(XmlElement):
+    """A read-only :class:`XmlElement`, made by :meth:`XmlElement.freeze`.
+
+    A distinct class rather than a flag, so building an editable element
+    pays for no check.
+    """
+
+    __slots__ = ()
+
+    frozen = True
+
+    def append(self, child: XmlElement) -> XmlElement:
+        raise AttributeError(f"<{self.name}> is frozen: edit a copy()")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"<{self.name}> is frozen: edit a copy()")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"<{self.name}> is frozen: edit a copy()")
 
 
 def to_document(element: XmlElement) -> Document:

@@ -37,7 +37,7 @@ def _write(element: XmlElement, lines: List[str], depth: int, indent: int) -> No
 
 
 def to_compact_xml(element: XmlElement, declaration: bool = False) -> str:
-    """Single-line serialisation (used when hashing for change detection)."""
+    """Single-line serialisation: no indentation or line breaks."""
     parts: List[str] = []
     if declaration:
         parts.append('<?xml version="1.0"?>')

@@ -8,6 +8,8 @@ trickiest part of E004).
 
 from __future__ import annotations
 
+import pytest
+
 from repro.analysis import ERROR, WARNING, analyze, check_elog_program
 from repro.elog.concepts import ConceptRegistry
 from repro.elog.figure5 import FIGURE5_TEXT
@@ -151,6 +153,45 @@ def test_e004_accepts_regvar_bindings_from_the_extraction_path():
         r" subelem(S, (?.td, [(elementtext, \var[Y].*, regvar)]), X),"
         r" isCurrency(Y)",
     )
+
+
+@pytest.mark.parametrize(
+    "condition",
+    [r"(class, \var[Y], exact)", r"(elementtext, \var[Y].*, regexp)"],
+    ids=["exact", "regexp"],
+)
+def test_e004_reports_a_marker_in_a_condition_that_binds_nothing(condition):
+    # Only regvar conditions bind their markers: here the concept sees an
+    # unbound Y and the rule extracts nothing.
+    [diagnostic] = diagnostics_for(
+        "E004",
+        rf"cell(S, X) <- document(_, S), subelem(S, (?.td, [{condition}]), X), isCurrency(Y)",
+    )
+    assert diagnostic.subject == "Y"
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        r"cell(S, X) <- document(_, S),"
+        r" subelem(S, (?.td, [(elementtext, \var[Y].*, regvar)]), X), isCurrency(Y)",
+        r"cell(S, X) <- document(_, S), subtext(S, \var[Y] [0-9.]+, X), isCurrency(Y)",
+        r"row(S, X) <- document(_, S), subelem(S, ?.tr, X),"
+        r" contains(X, (?.td, [(elementtext, \var[Y].*, regvar)])), isCurrency(Y)",
+    ],
+    ids=["regvar", "subtext", "contains-regvar"],
+)
+def test_e004_accepts_the_markers_the_extractor_binds(rule):
+    assert not diagnostics_for("E004", rule)
+
+
+def test_e004_reports_a_regvar_marker_under_a_negated_condition():
+    [diagnostic] = diagnostics_for(
+        "E004",
+        r"row(S, X) <- document(_, S), subelem(S, ?.tr, X),"
+        r" notcontains(X, (?.td, [(elementtext, \var[Y].*, regvar)])), isCurrency(Y)",
+    )
+    assert diagnostic.subject == "Y"
 
 
 def test_e004_accepts_bind_slots_and_literal_arguments():

@@ -70,6 +70,10 @@ ALLOWED_ID_USES = {
         "node->text-span table for one rendered document; the document "
         "holds the nodes while the spans are in use"
     ),
+    "repro/server/monitoring.py": (
+        "a change detector's record memo keeps the record objects alive "
+        "and confirms each hit with `is`"
+    ),
     "repro/tree/document.py": (
         "ancestor set local to one range computation over a live "
         "document"
