@@ -13,6 +13,11 @@ The ``tree_view_*`` series times one same-generation query over a document
 ``fixpoint(document)``, against the plain-database path,
 ``fixpoint(tree_database(document))``, at 300 and 1500 nodes.
 
+``fixpoint_cache_full_gc_ms`` times one full cyclic-GC collection while an
+engine's fixpoint LRU holds 8 same-generation fixpoints over 1500-node
+trees; ``fixpoint_same_generation_1500_gen0_passes`` counts the gen-0
+collections one of those fixpoints triggers.
+
 ``explain_session_s`` times one ``Session.explain`` over a 61-rule chain:
 the same plan compiler run over estimated sizes instead of live ones.  The
 cyclic garbage collector is paused around that one timed call.
@@ -159,6 +164,50 @@ def test_tree_view_same_generation(quick, bench_record, bench_record_samples, si
         f"\ntree_view {size} nodes: document {medians['document'] * 1000:.1f} ms, "
         f"tree_database {medians['database'] * 1000:.1f} ms "
         f"(medians of {len(samples['document'])})"
+    )
+
+
+def test_fixpoint_cache_full_collection(quick, bench_record_samples):
+    """A full collection with 8 same-generation fixpoints over 1500-node
+    trees in one engine's LRU (its default size), and the gen-0 passes that
+    building one such fixpoint triggers.
+
+    The objects alive before the fixpoints are built are frozen for the
+    timing, as perfbench freezes its setup, so the collection walks what
+    the cached fixpoints keep tracked and little else.
+    """
+    engine = SemiNaiveEngine(parse_program(TREE_SG_PROGRAM_TEXT))
+    documents = [scaling_tree(1500, seed=seed) for seed in range(8)]
+    passes = []
+
+    def count_gen0(phase, info):
+        if phase == "start" and info["generation"] == 0:
+            passes[-1] += 1
+
+    gc.collect()
+    gc.freeze()
+    try:
+        gc.callbacks.append(count_gen0)
+        try:
+            for document in documents:
+                passes.append(0)
+                engine.fixpoint(document)
+        finally:
+            gc.callbacks.remove(count_gen0)
+        assert engine.fixpoint_cache_info().size == len(documents)
+        times = []
+        for _ in range(5 if quick else 15):
+            start = time.perf_counter()
+            gc.collect()
+            times.append((time.perf_counter() - start) * 1000.0)
+    finally:
+        gc.unfreeze()
+    collect_ms = bench_record_samples("fixpoint_cache_full_gc_ms", times)
+    gen0 = bench_record_samples("fixpoint_same_generation_1500_gen0_passes", passes)
+    print(
+        f"\nfull collection over 8 cached same-generation fixpoints: "
+        f"{collect_ms:.3f} ms (median of {len(times)}); "
+        f"gen-0 passes per fixpoint: {gen0:g} (median of {len(passes)})"
     )
 
 

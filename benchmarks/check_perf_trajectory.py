@@ -6,6 +6,8 @@ exits non-zero when a gated workload regressed beyond the threshold:
 
 * ``*_s`` and ``*_ms`` workloads are timings (medians of repeated passes) —
   regression means the current value grew;
+* ``*_passes`` workloads count garbage-collector passes — regression
+  means the current value grew, as for a timing;
 * ``*_rate`` workloads are hit rates (deterministic for a given workload) —
   regression means the current value shrank;
 * ``*_x`` speed-up factors are the ratio of two wall-clocks — the noisiest
@@ -44,8 +46,9 @@ def load(path: str) -> Dict[str, float]:
     }
 
 
-#: Name suffixes of timings, the workloads where lower is better.
-TIMING_SUFFIXES: Tuple[str, ...] = ("_s", "_ms")
+#: Name suffixes of the workloads where lower is better: timings and
+#: collector pass counts.
+LOWER_IS_BETTER_SUFFIXES: Tuple[str, ...] = ("_s", "_ms", "_passes")
 
 
 #: Workload families whose timings depend on OS thread scheduling; their
@@ -77,7 +80,7 @@ def compare(
             notes.append(f"workload {workload} no longer measured")
             continue
         old, new = baseline[workload], current[workload]
-        lower_is_better = workload.endswith(TIMING_SUFFIXES)
+        lower_is_better = workload.endswith(LOWER_IS_BETTER_SUFFIXES)
         gated = not workload.endswith("_x")
         effective = workload_threshold(workload, threshold)
         if old <= 0:

@@ -36,11 +36,11 @@ full picture):
 4. **Fixpoint caching** (:mod:`repro.datalog.cache`) — ``fixpoint()`` keeps
    one LRU of results, sized for the several hot documents of the
    :mod:`repro.server.pipeline` access pattern.  A document is keyed by its
-   exact tree fingerprint, computed once per (immutable) document by
-   :func:`~repro.datalog.tree_edb.document_key`; a dict database by a cheap
-   content hash, every hit compared exactly against a frozen snapshot.  A
-   result holds the finished row arrays and freezes a predicate's extension
-   only when it is queried.
+   exact tree fingerprint (its label and parent columns), computed once
+   per (immutable) document by :func:`~repro.datalog.tree_edb.document_key`;
+   a dict database by a cheap content hash, every hit compared exactly
+   against a frozen snapshot.  A result holds the finished rows as tuples
+   and freezes a predicate's extension only when it is queried.
 
 A naive nested-loop evaluator lives under ``tests/`` as the reference
 oracle; the property suites assert this engine computes its fixpoints.
@@ -131,8 +131,9 @@ class EvaluationResult:
     :mod:`repro.server.pipeline` access pattern) do not recompute.
 
     ``facts`` maps each predicate to its duplicate-free facts (the engine
-    passes its finished row arrays; plain sets work too) and is never
-    mutated.  A document's fixpoint also carries the document's
+    passes its finished rows as tuples, which the cyclic collector stops
+    tracking; plain sets work too) and is never mutated.  A document's
+    fixpoint also carries the document's
     :class:`~repro.datalog.tree_edb.TreeRelations`: a tau_ur relation the
     program never mentioned was never built, and is built from the tree
     fingerprint when asked for.  Nothing is frozen until :meth:`query`

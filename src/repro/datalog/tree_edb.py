@@ -27,6 +27,7 @@ document reads that key.  Two views of the relations exist:
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..tree.document import Document
@@ -90,26 +91,30 @@ def tree_database(document: Document) -> Database:
     return database
 
 
-Fingerprint = Tuple[Tuple[str, int], ...]
+#: ``(labels, parents)``: the label of each node in preorder, and the
+#: preorder index of each node's parent (``-1`` for the root) as the bytes
+#: of an ``array("i")``.
+Fingerprint = Tuple[Tuple[str, ...], bytes]
 
 
 def tree_fingerprint(document: Document) -> Fingerprint:
     """An exact content fingerprint of the tau_ur view of ``document``.
 
     Every tau_ur relation is determined by node labels plus tree shape, and
-    the shape is fully determined by the preorder sequence of
-    ``(label, parent preorder index)`` pairs (siblings appear in order in a
-    preorder traversal).  Equal fingerprints therefore mean equal
-    :func:`tree_database` contents.  An O(|dom|) walk: caches key documents
-    through :func:`document_key`, which calls it once per document.
+    the shape is fully determined by the preorder sequence of parent
+    preorder indexes (siblings appear in order in a preorder traversal).
+    Equal fingerprints therefore mean equal :func:`tree_database`
+    contents.  The two columns take about 12 bytes per node (a pointer to
+    a shared label string and a 4-byte parent), and a document keeps its
+    key for life.  An O(|dom|) walk: caches key documents through
+    :func:`document_key`, which calls it once per document.
     """
-    return tuple(
-        (
-            node.label,
-            node.parent.preorder_index if node.parent is not None else -1,
-        )
-        for node in document
+    nodes = document.dom
+    parents = array(
+        "i",
+        [node.parent.preorder_index if node.parent is not None else -1 for node in nodes],
     )
+    return tuple([node.label for node in nodes]), parents.tobytes()
 
 
 def document_key(document: Document) -> ContentKey:
@@ -134,6 +139,8 @@ _FIXED_RELATIONS = frozenset(TAU_UR_UNARY + TAU_UR_BINARY + EXTENDED_BINARY)
 class TreeRelations:
     """The tau_ur relations of one tree, built per relation from its fingerprint.
 
+    ``labels`` and ``parents`` are the fingerprint's two columns, indexed
+    by preorder id (``parents`` unpacked into an ``array("i")``).
     :meth:`rows` returns a fresh duplicate-free row list (facts are tuples
     of preorder ids, as in :func:`tree_database`), so the engine adopts it
     as a relation's row array without interning.  Nothing is built until a
@@ -142,11 +149,12 @@ class TreeRelations:
     threads (a racing first use computes equal arrays twice).
     """
 
-    __slots__ = ("fingerprint", "_labels", "_functions")
+    __slots__ = ("labels", "parents", "_distinct_labels", "_functions")
 
     def __init__(self, fingerprint: Fingerprint) -> None:
-        self.fingerprint = fingerprint
-        self._labels: Optional[FrozenSet[str]] = None
+        self.labels, parents = fingerprint
+        self.parents = array("i", parents)
+        self._distinct_labels: Optional[FrozenSet[str]] = None
         self._functions: Optional[Tuple[List[int], List[int], List[int]]] = None
 
     def names(self) -> FrozenSet[str]:
@@ -158,21 +166,18 @@ class TreeRelations:
     def rows(self, predicate: str) -> Optional[List[Tuple[object, ...]]]:
         """The facts of ``predicate``, or ``None`` when it is not a relation
         of this tree (another name, or the label of no node)."""
-        fingerprint = self.fingerprint
-        n = len(fingerprint)
+        n = len(self.labels)
         if predicate.startswith("label_"):
             label = predicate[len("label_"):]
             if label not in self._label_set():
                 return None
-            return [(node,) for node, (name, _) in enumerate(fingerprint) if name == label]
+            return [(node,) for node, name in enumerate(self.labels) if name == label]
         if predicate not in _FIXED_RELATIONS:
             return None
         if predicate == "root":
             return [(0,)] if n else []
         if predicate == "child":
-            return [
-                (parent, node) for node, (_, parent) in enumerate(fingerprint) if parent >= 0
-            ]
+            return [(parent, node) for node, parent in enumerate(self.parents) if parent >= 0]
         first, following, last = self.sibling_functions()
         if predicate == "leaf":
             return [(node,) for node, child in enumerate(first) if child == n]
@@ -187,25 +192,24 @@ class TreeRelations:
         return [(node, image) for node, image in enumerate(function) if image != n]
 
     def _label_set(self) -> FrozenSet[str]:
-        labels = self._labels
+        labels = self._distinct_labels
         if labels is None:
-            labels = self._labels = frozenset(label for label, _ in self.fingerprint)
+            labels = self._distinct_labels = frozenset(self.labels)
         return labels
 
     def sibling_functions(self) -> Tuple[List[int], List[int], List[int]]:
         """firstchild, nextsibling and lastchild as int arrays over preorder
         ids, computed once.
 
-        One pass over the preorder ``(label, parent)`` fingerprint: siblings
-        arrive in order.  Where a function is undefined it maps to the
-        sentinel ``n`` (one past the last node).
+        One pass over the preorder parent column: siblings arrive in
+        order.  Where a function is undefined it maps to the sentinel ``n``
+        (one past the last node).
         """
         functions = self._functions
         if functions is None:
-            fingerprint = self.fingerprint
-            n = len(fingerprint)
+            n = len(self.labels)
             first, following, last = [n] * n, [n] * n, [n] * n
-            for node, (_, parent) in enumerate(fingerprint):
+            for node, parent in enumerate(self.parents):
                 if parent >= 0:
                     previous = last[parent]
                     if previous == n:

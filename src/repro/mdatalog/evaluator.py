@@ -43,6 +43,7 @@ from ..datalog.registry import PlanRegistry
 # perfbench/layers.py wraps it.
 from ..datalog.tree_edb import (  # noqa: F401
     TAU_UR_UNARY,
+    Fingerprint,
     TreeRelations,
     document_key,
     tree_database,
@@ -146,7 +147,7 @@ def _tree_functions(tree: TreeRelations) -> List[Sequence[int]]:
     the last node), which every truth table holds true, so a step off the
     tree never derives anything.
     """
-    n = len(tree.fingerprint)
+    n = len(tree.labels)
     first, following, last = tree.sibling_functions()
     functions: List[Sequence[int]] = [range(n), first, following, last]
     for forward in (first, following, last):
@@ -163,14 +164,12 @@ def _edb_nodes(tree: TreeRelations, predicate: str) -> List[int]:
     return [node for (node,) in tree.rows(predicate) or ()]
 
 
-def _propagate(
-    table: _TriggerTable, fingerprint: Tuple[Tuple[str, int], ...]
-) -> Tuple[bytes, ...]:
+def _propagate(table: _TriggerTable, fingerprint: Fingerprint) -> Tuple[bytes, ...]:
     """LTUR over the implicit ground program: one truth table per predicate
     id, one worklist of (triggers of the derived predicate, node) pairs,
     pushed flat."""
-    n = len(fingerprint)
     tree = TreeRelations(fingerprint)
+    n = len(tree.labels)
     functions = _tree_functions(tree)
     truth = [bytearray(n + 1) for _ in table.triggers]
     for holds in truth:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.datalog import (
@@ -13,7 +15,7 @@ from repro.datalog import (
     parse_program,
     tree_database,
 )
-from repro.tree import tree
+from repro.tree import random_tree, tree
 
 
 def _counting_engine(text="p(X) :- q(X).", cache_size=8):
@@ -280,3 +282,38 @@ def test_documents_and_databases_share_one_cache_without_aliasing():
     assert engine.fixpoint(tree_database(document)) is from_database
     assert len(calls) == 2
     assert engine.fixpoint_cache_info().size == 2
+
+
+# ---------------------------------------------------------------------------
+# Cached fixpoints are invisible to the cyclic collector
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("source", ["document", "database"])
+def test_cached_fixpoints_hold_untracked_tuples(source):
+    # A cached fixpoint keeps its relations as tuples of int tuples, which
+    # the collector stops tracking: a full collection then walks none of
+    # its rows, however long the LRU keeps it.  A live row list would stay
+    # tracked and be walked row by row on every full pass.
+    engine = SemiNaiveEngine(
+        parse_program(
+            """
+            desc(X, Y) :- child(X, Y).
+            desc(X, Y) :- desc(X, Z), child(Z, Y).
+            """
+        )
+    )
+    document = random_tree(40, seed=3)
+    result = engine.fixpoint(document if source == "document" else tree_database(document))
+    assert engine.fixpoint_cache_info().size == 1
+    # A pass untracks a tuple only once each item is untracked; the first
+    # pass untracks the rows (and may visit a relation before its rows),
+    # the second the relation.
+    gc.collect()
+    gc.collect()
+    relations = result._facts
+    assert "desc" in relations and "child" in relations
+    for predicate, rows in relations.items():
+        assert type(rows) is tuple, predicate
+        assert rows and not gc.is_tracked(rows), predicate
+    assert result.count("desc") == len(result.query("desc")) > 40

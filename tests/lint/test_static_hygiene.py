@@ -29,6 +29,9 @@ Five classes of slip have already cost a PR each:
   ``extractor.wrapper_fingerprint`` may write the key kept on the program.
 * compiled artifacts committed to the index (``.pyc`` files rode along
   with the seed until PR 6).
+
+It also pins one rule: no module in ``src/`` imports ``gc``, so nothing
+switches the process-wide cyclic collector.
 """
 
 from __future__ import annotations
@@ -506,6 +509,36 @@ def test_only_wrapper_fingerprint_stores_a_program_key():
     assert any(write[:2] == WRAPPER_KEY_OWNER for write in writes), (
         "the owner no longer stores the key"
     )
+
+
+# ---------------------------------------------------------------------------
+# No process-wide collector switch: nothing in src/ imports gc
+# ---------------------------------------------------------------------------
+
+
+def _gc_imports(path: Path):
+    """Line numbers of every ``import gc`` / ``from gc import ...``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "gc" for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc" and not node.level:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_source_module_imports_gc():
+    # Engines run on server and batch threads; gc.disable, gc.freeze or a
+    # new threshold would change the collector under every other thread.
+    # A fixpoint keeps out of the collector's way through what it holds
+    # (tuples of int tuples, which the collector untracks), not by a switch.
+    offenders = sorted(
+        (str(path.relative_to(SRC)), lineno)
+        for path in sorted(SRC.rglob("*.py"))
+        for lineno in _gc_imports(path)
+    )
+    assert not offenders, f"gc imported in src/: {offenders}"
 
 
 def _tracked_files():

@@ -23,7 +23,14 @@ def _regressed(workload, old, new):
     return bool(regressions)
 
 
-@pytest.mark.parametrize("workload", ["explain_session_s", "html_parse_ebay_page_40_ms"])
+@pytest.mark.parametrize(
+    "workload",
+    [
+        "explain_session_s",
+        "html_parse_ebay_page_40_ms",
+        "fixpoint_same_generation_1500_gen0_passes",
+    ],
+)
 def test_timings_regress_when_they_grow(workload):
     assert _regressed(workload, 1.0, 1.5)
     assert not _regressed(workload, 1.0, 0.5)
