@@ -11,6 +11,12 @@ page: the time per record at 160 records may be at most
 The HTML parse of the same pages, the layer in front of the wrapper, is
 recorded as the ``html_parse_ebay_page_<records>_ms`` series (median
 milliseconds per page, with n and IQR under ``..._spread``).
+
+Inside the wrapper, the element-path layer is recorded per path shape as
+``find_targets_<shape>_ms`` (median milliseconds per ``find_targets`` call
+over the largest page): ``?.td`` with and without Figure 5's price
+condition and ``?.body`` are region queries on the document's label
+columns, ``?.td.?.a`` is the automaton walk.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import time
 
 import pytest
 
-from repro.elog import Extractor, figure5_program
+from repro.elog import ElementPath, Extractor, figure5_program
 from repro.html import parse_html
 from repro.web.sites.ebay import ebay_page
 
@@ -29,6 +35,16 @@ REPEATS = 5
 PARSE_REPEATS = 21
 #: A quadratic interpreter reads ~8x here; a linear one ~1x.
 MAX_PER_RECORD_GROWTH = 2.5
+#: ``(series name, element path, parent label)``; ``None`` is the root.
+FIND_TARGETS_SHAPES = (
+    ("td", "?.td", "body"),
+    ("td_regvar", r"(?.td, [(elementtext, \var[Y].*, regvar)])", "body"),
+    ("td_a", "?.td.?.a", "body"),
+    ("body", "?.body", None),
+)
+FIND_TARGETS_REPEATS = 21
+#: Calls per sample, so a sample of a microsecond query is not all timer.
+FIND_TARGETS_BATCH = 20
 
 
 def test_extraction_completeness_and_throughput(bench_record):
@@ -73,6 +89,27 @@ def test_html_parse_time_per_page(bench_record_samples):
         assert len(document.find_all("table")) == count + 2
         median = bench_record_samples(f"html_parse_ebay_page_{count}_ms", samples)
         print(f"{count:>8} {median:>10.3f}")
+
+
+def test_find_targets_time_per_shape(bench_record_samples):
+    count = PAGE_SIZES[-1]
+    document = parse_html(ebay_page(count=count, seed=7), url="www.ebay.com")
+    print(f"\nE7  find_targets per path shape over a {count}-record page "
+          f"(median of {FIND_TARGETS_REPEATS} samples)")
+    print(f"{'shape':>10} {'hits':>6} {'ms/call':>10}")
+    for shape, text, parent_label in FIND_TARGETS_SHAPES:
+        path = ElementPath.parse(text)
+        parent = document.find_first(parent_label) if parent_label else document.root
+        samples = []
+        for _ in range(FIND_TARGETS_REPEATS):
+            start = time.perf_counter()
+            for _ in range(FIND_TARGETS_BATCH):
+                found = path.find_targets(parent)
+            samples.append((time.perf_counter() - start) * 1e3 / FIND_TARGETS_BATCH)
+        # Every item has its priced cells and its hyperlinked description.
+        assert len(found) >= (1 if shape == "body" else count)
+        median = bench_record_samples(f"find_targets_{shape}_ms", samples)
+        print(f"{shape:>10} {len(found):>6} {median:>10.4f}")
 
 
 @pytest.mark.benchmark(group="E7-ebay")

@@ -31,14 +31,28 @@ process-wide, so every later call reuses the same immutable value.  States
 are integers: 0 is the start state and -1 the dead state.  Each state has one
 ``{label: next}`` dict for the labels that named steps mention and one
 default successor for every other label, so a step is
-``rows[state].get(label, other[state])``.  :meth:`ElementPath.find_targets`
-walks the subtree once in pre-order, carrying the state reached on the path
-from the parent; it prunes a subtree as soon as the state is dead, or once
-all steps are consumed and no position is left that could match deeper
-(a *final* state).  The cost is O(subtree) at worst, and an anchored path
-such as ``.table`` visits only the parent's children.
-:meth:`ElementPath.matches_path` and :meth:`ElementPath.match_target` fold
-the same automaton over an explicit label sequence.
+``rows[state].get(label, other[state])``.  :meth:`ElementPath.matches_path`
+and :meth:`ElementPath.match_target` fold the automaton over an explicit
+label sequence.
+
+:meth:`ElementPath.find_targets` answers in document order, at one of two
+costs:
+
+* ``?.name`` over a node of a built :class:`~repro.tree.document.Document`
+  is a region query.  The document is never edited, so the answer is the
+  slice of the label's document-order node list whose preorders lie strictly
+  inside the parent's span, found by two bisections of the label's preorder
+  column: O(log m + k) for m nodes carrying the label and k hits, whatever
+  the size of the parent's subtree (Grust, "Accelerating XPath location
+  steps", SIGMOD 2002).
+* Every other shape, and any tree never wrapped in a document, takes the
+  automaton walk: one pre-order pass carrying the state reached from the
+  parent, pruning a subtree once the state is dead or *final* (all steps
+  consumed, no position left that could match deeper).  That is O(subtree)
+  for a path starting with ``?``; an anchored path such as ``.table`` visits
+  only the parent's children.
+
+Attribute conditions are checked on each hit, at their own cost on top.
 
 Attribute conditions are triples ``(attribute, value, mode)``:
 
@@ -59,9 +73,11 @@ from __future__ import annotations
 
 import functools
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from ..tree.document import Document
 from ..tree.node import Node
 
 VAR_PATTERN = re.compile(r"\\var\[(?P<name>[A-Za-z_][A-Za-z0-9_]*)\]")
@@ -160,6 +176,14 @@ class ElementPath:
 
     steps: Tuple[str, ...]
     conditions: Tuple[AttributeCondition, ...] = ()
+    #: The name of a ``?.name`` path, answered by a region query; None for
+    #: every other shape (see the module docstring).
+    _region_label: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        steps = self.steps
+        if len(steps) == 2 and steps[0] == "?" and steps[1] not in ("?", "*"):
+            object.__setattr__(self, "_region_label", steps[1])
 
     # -- parsing ------------------------------------------------------------
     @classmethod
@@ -210,16 +234,40 @@ class ElementPath:
         return self._check_conditions(target)
 
     def find_targets(self, parent: Node) -> List[Tuple[Node, Dict[str, str]]]:
-        """All descendants of ``parent`` matched by this path, in doc order.
-
-        One pre-order pass over the compiled automaton (see the module
-        docstring): each node costs one dict lookup, and a subtree is pruned
-        in a dead or final state.  The walk keeps one sibling iterator per
-        open level, paired with the state its nodes are entered from.
-        """
-        rows, other, accepting, final = _dfa(self.steps)
-        conditions = self.conditions
+        """All descendants of ``parent`` matched by this path, in doc order:
+        a region query or the automaton walk (see the module docstring), with
+        the attribute conditions checked on the hits."""
+        document = parent.document
+        if self._region_label is not None and document is not None:
+            hits = self._region_hits(document, parent)
+        else:
+            hits = self._walk_hits(parent)
+        if not self.conditions:
+            return [(node, {}) for node in hits]
         results: List[Tuple[Node, Dict[str, str]]] = []
+        for node in hits:
+            bindings = self._check_conditions(node)
+            if bindings is not None:
+                results.append((node, bindings))
+        return results
+
+    def _region_hits(self, document: Document, parent: Node) -> List[Node]:
+        """The region answer of ``?.name``: the nodes carrying the name whose
+        preorder lies strictly inside ``parent``'s span, found by bisecting
+        the document's preorder column for the name."""
+        if self._region_label == "#comment":
+            return []  # as the walk: a comment is never a target
+        nodes, preorders = document.label_column(self._region_label)
+        low = bisect_right(preorders, parent.preorder_index)
+        return nodes[low:bisect_left(preorders, parent.subtree_end, low)]
+
+    def _walk_hits(self, parent: Node) -> List[Node]:
+        """The automaton walk: each node costs one dict lookup, and a subtree
+        is pruned in a dead or final state.  The walk keeps one sibling
+        iterator per open level, paired with the state its nodes are
+        entered from."""
+        rows, other, accepting, final = _dfa(self.steps)
+        hits: List[Node] = []
         suspended: List[Tuple[Iterator[Node], int]] = []
         siblings, entered = iter(parent.children), 0
         while True:
@@ -230,9 +278,7 @@ class ElementPath:
                     continue
                 if state in accepting:
                     if label != "#comment":
-                        bindings = self._check_conditions(node) if conditions else {}
-                        if bindings is not None:
-                            results.append((node, bindings))
+                        hits.append(node)
                     if state in final:
                         continue  # all steps consumed: nothing below can match
                 if node.children:
@@ -241,7 +287,7 @@ class ElementPath:
                     break
             else:
                 if not suspended:
-                    return results
+                    return hits
                 siblings, entered = suspended.pop()
 
     def _check_conditions(self, node: Node) -> Optional[Dict[str, str]]:

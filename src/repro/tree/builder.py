@@ -35,7 +35,7 @@ def _node_from_literal(literal: TreeLiteral) -> Node:
     rest = list(literal[1:])
     attributes: Optional[Dict[str, str]] = None
     if rest and isinstance(rest[0], dict):
-        attributes = rest.pop(0)
+        attributes = dict(rest.pop(0))
     node = Node(label, attributes=attributes)
     for child_literal in rest:
         node.append_child(_node_from_literal(child_literal))
@@ -82,7 +82,11 @@ class TreeBuilder:
         return len(self._stack) - 1
 
     def start(self, label: str, attributes: Optional[Dict[str, str]] = None) -> Node:
-        """Open an element and make it the current node."""
+        """Open an element and make it the current node.
+
+        The node keeps ``attributes`` itself: pass a dict that nothing edits
+        afterwards.
+        """
         node = Node(label, attributes=attributes)
         self._stack[-1].append_child(node)
         self._stack.append(node)
@@ -109,7 +113,8 @@ class TreeBuilder:
         return self._stack[-1]
 
     def empty(self, label: str, attributes: Optional[Dict[str, str]] = None) -> Node:
-        """Add a childless element without making it current."""
+        """Add a childless element without making it current (it keeps
+        ``attributes`` itself, as :meth:`start` does)."""
         node = Node(label, attributes=attributes)
         self._stack[-1].append_child(node)
         return node

@@ -15,7 +15,6 @@ for the document's lifetime.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .node import Node
@@ -33,6 +32,9 @@ class Document:
 
     __slots__ = ("root", "url", "_nodes", "_by_label", "_cache_key")
 
+    #: What :meth:`label_column` returns for a label the document lacks.
+    _NO_COLUMN: Tuple[List[Node], List[int]] = ([], [])
+
     def __init__(self, root: Node, url: Optional[str] = None) -> None:
         if root.parent is not None:
             raise ValueError("document root must not have a parent")
@@ -42,9 +44,14 @@ class Document:
         self._index()
 
     def _index(self) -> None:
-        """Number the nodes in document order and build the label index."""
+        """Number the nodes in document order and build the label index.
+
+        Every node gets its back-reference :attr:`Node.document`, and every
+        label one pair of parallel lists: its nodes in document order and
+        their preorder numbers (the column :meth:`label_column` bisects).
+        """
         nodes: List[Node] = []
-        by_label: Dict[str, List[Node]] = defaultdict(list)
+        by_label: Dict[str, Tuple[List[Node], List[int]]] = {}
 
         # Iterative pre/post numbering to avoid recursion limits on deep
         # documents.  At a node's post-visit every node of its subtree has
@@ -60,15 +67,20 @@ class Document:
                 counter_post += 1
                 continue
             node._preorder = counter_pre
-            counter_pre += 1
+            node.document = self
             nodes.append(node)
-            by_label[node.label].append(node)
+            column = by_label.get(node.label)
+            if column is None:
+                column = by_label[node.label] = ([], [])
+            column[0].append(node)
+            column[1].append(counter_pre)
+            counter_pre += 1
             stack.append((node, True))
             for child in reversed(node.children):
                 stack.append((child, False))
 
         self._nodes = nodes
-        self._by_label = dict(by_label)
+        self._by_label = by_label
 
     # ------------------------------------------------------------------
     # Domain and relations of tau_ur
@@ -86,7 +98,19 @@ class Document:
 
     def nodes_with_label(self, label: str) -> List[Node]:
         """All nodes carrying ``label``, in document order."""
-        return list(self._by_label.get(label, ()))
+        return list(self.label_column(label)[0])
+
+    def label_column(self, label: str) -> Tuple[List[Node], List[int]]:
+        """The nodes carrying ``label`` in document order, and their preorder
+        numbers (ascending).
+
+        Both lists are the index itself, shared and never to be edited.  The
+        numbering is exact, so the descendants of ``p`` carrying ``label``
+        are ``nodes[lo:hi]`` for ``lo = bisect_right(preorders,
+        p.preorder_index)`` and ``hi = bisect_left(preorders, p.subtree_end)``
+        (the region encoding of Grust, SIGMOD 2002).
+        """
+        return self._by_label.get(label, self._NO_COLUMN)
 
     def labels(self) -> Set[str]:
         """The set of labels occurring in the document (the alphabet used)."""
@@ -135,7 +159,7 @@ class Document:
         return self.nodes_with_label(label)
 
     def find_first(self, label: str) -> Optional[Node]:
-        nodes = self._by_label.get(label)
+        nodes = self.label_column(label)[0]
         return nodes[0] if nodes else None
 
     def element_count(self) -> int:
@@ -164,7 +188,7 @@ class Document:
         return best
 
     def label_histogram(self) -> Dict[str, int]:
-        return {label: len(nodes) for label, nodes in self._by_label.items()}
+        return {label: len(nodes) for label, (nodes, _) in self._by_label.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Document(nodes={len(self._nodes)}, root=<{self.root.label}>)"

@@ -98,7 +98,7 @@ def _decoded_node(binary: BinaryNode) -> Node:
     if binary.source is not None:
         return Node(
             binary.source.label,
-            attributes=binary.source.attributes,
+            attributes=dict(binary.source.attributes),
             text=binary.source.text,
         )
     return Node(binary.label)

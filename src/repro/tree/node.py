@@ -9,7 +9,10 @@ structural view required by the theory packages.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+
+if TYPE_CHECKING:
+    from .document import Document
 
 
 class Node:
@@ -22,13 +25,17 @@ class Node:
         pseudo-labels ``#text`` and ``#comment`` for character data).
     attributes:
         Mapping of attribute names to string values (empty for text nodes).
+        The node keeps the dict it is given, without a copy: a caller hands
+        over a dict that it no longer edits (the HTML tokenizer builds a
+        fresh one per element).
     text:
         Character data carried by the node itself.  For element nodes this is
         empty; the textual content of an element is obtained with
         :meth:`text_content`.
 
     A tree is assembled with :meth:`append_child` and then wrapped in a
-    :class:`~repro.tree.document.Document`.  From then on every field is
+    :class:`~repro.tree.document.Document`, which every node of the tree
+    then references as :attr:`document`.  From then on every field is
     read-only: the document's indexes and every cache keyed by its content
     assume the tree never changes, and :meth:`append_child` refuses an
     indexed node.
@@ -44,6 +51,7 @@ class Node:
         "_preorder",
         "_postorder",
         "_subtree_end",
+        "document",
     )
 
     def __init__(
@@ -53,7 +61,7 @@ class Node:
         text: str = "",
     ) -> None:
         self.label = label
-        self.attributes: Dict[str, str] = dict(attributes) if attributes else {}
+        self.attributes: Dict[str, str] = attributes if attributes is not None else {}
         self.text = text
         self.parent: Optional[Node] = None
         self.children: List[Node] = []
@@ -62,6 +70,7 @@ class Node:
         self._preorder: int = -1
         self._postorder: int = -1
         self._subtree_end: int = -1
+        self.document: Optional["Document"] = None
 
     # ------------------------------------------------------------------
     # Construction

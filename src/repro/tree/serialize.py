@@ -71,7 +71,7 @@ def from_dict(data: Dict[str, Any]) -> Node:
     """Inverse of :func:`to_dict`."""
     node = Node(
         data["label"],
-        attributes=data.get("attributes"),
+        attributes=dict(data.get("attributes") or {}),
         text=data.get("text", ""),
     )
     stack: List[tuple] = [(node, data)]
@@ -80,7 +80,7 @@ def from_dict(data: Dict[str, Any]) -> Node:
         for child_data in parent_data.get("children", []):
             child_node = Node(
                 child_data["label"],
-                attributes=child_data.get("attributes"),
+                attributes=dict(child_data.get("attributes") or {}),
                 text=child_data.get("text", ""),
             )
             parent_node.append_child(child_node)

@@ -167,7 +167,8 @@ def to_document(element: XmlElement) -> Document:
 
 
 def _to_node(element: XmlElement) -> Node:
-    node = Node(element.name, attributes=element.attributes)
+    # A frozen element's attributes are a read-only view; a node owns a dict.
+    node = Node(element.name, attributes=dict(element.attributes))
     if element.text:
         node.append_child(Node("#text", text=element.text))
     for child in element.children:

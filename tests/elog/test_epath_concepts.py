@@ -19,6 +19,7 @@ from repro.elog import (
 from repro.elog.concepts import CURRENCY_TOKENS, DATE_PATTERNS, _is_currency, _is_date
 from repro.elog.textpath import AttributePath
 from repro.html import parse_html
+from repro.tree.serialize import from_dict, to_dict
 
 
 @pytest.fixture
@@ -84,6 +85,32 @@ def test_find_targets_direct_and_deep(page):
     assert len(tds) == 4
     spans = ElementPath.parse("?.div.?.span").find_targets(body)
     assert len(spans) == 1
+
+
+def test_bare_trees_are_answered_by_the_walk(page, monkeypatch):
+    """A tree never wrapped in a Document has no label columns: ``?.td``
+    over it still takes the automaton walk, and finds what the region query
+    finds over the same tree as a document."""
+    walked = []
+    walk = ElementPath._walk_hits
+
+    def spy(path, parent):
+        walked.append(parent)
+        return walk(path, parent)
+
+    monkeypatch.setattr(ElementPath, "_walk_hits", spy)
+    path = ElementPath.parse(r"(?.td, [(elementtext, \var[Y].*, regvar)])")
+    body = page.find_first("body")
+    bare_body = from_dict(to_dict(body))
+    assert bare_body.document is None
+    over_document = path.find_targets(body)
+    assert walked == []  # the region query
+    over_bare = path.find_targets(bare_body)
+    assert walked == [bare_body]
+    assert [(node.text_content(), bindings) for node, bindings in over_bare] == [
+        (node.text_content(), bindings) for node, bindings in over_document
+    ]
+    assert len(over_bare) == 4
 
 
 def test_attribute_conditions_on_targets(page):
