@@ -113,9 +113,6 @@ class ConjunctiveQuery:
     def size(self) -> int:
         return len(self.label_atoms) + len(self.axis_atoms)
 
-    def is_boolean(self) -> bool:
-        return not self.free_variables
-
     def adjacency(self) -> Dict[str, List[Tuple[str, AxisAtom]]]:
         """Variable adjacency induced by the axis atoms (undirected view)."""
         result: Dict[str, List[Tuple[str, AxisAtom]]] = {v: [] for v in self.variables()}

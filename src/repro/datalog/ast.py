@@ -10,7 +10,7 @@ set of extensional (EDB) predicates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 
 @dataclass(frozen=True, order=True)
@@ -68,10 +68,6 @@ def get_span(node: object) -> Optional[Span]:
 
 def is_variable(term: Term) -> bool:
     return isinstance(term, Variable)
-
-
-def is_constant(term: Term) -> bool:
-    return isinstance(term, Constant)
 
 
 @dataclass(frozen=True)
@@ -303,7 +299,3 @@ def fact(predicate: str, *values: object) -> Rule:
 
 Fact = Tuple[object, ...]
 Database = Dict[str, Set[Tuple[object, ...]]]
-
-
-def empty_database(predicates: Optional[Sequence[str]] = None) -> Database:
-    return {predicate: set() for predicate in (predicates or [])}

@@ -21,8 +21,9 @@ under a frozen ``{predicate: frozenset}`` snapshot built only on a miss; the
 comparison ``{p: frozenset} == {p: set}`` is exact, so an in-place fact swap
 that keeps the hash (``hash(1) == hash(2**61)``) still misses.  A
 document is immutable, so :func:`repro.datalog.tree_edb.document_key` wraps
-its exact tree fingerprint (a labels tuple and a packed parent column) once
-and keeps the key on the document.
+its tau_ur encoding (a :class:`~repro.datalog.tree_edb.TreeRelations` over a
+labels tuple and a parent column, compared exactly) once and keeps the key on
+the document.
 
 Every map locks internally: a :class:`repro.api.Session` is shared by the
 request threads of a server front end, and an unlocked ``OrderedDict``

@@ -26,7 +26,7 @@ full picture):
    in append-only arrays and serve probes from one kind of lazily
    materialised index, keyed by bound positions and arity, that catches
    up to the row array in batch on first use after appends.  A document's
-   tau_ur relations are built straight from its tree fingerprint
+   tau_ur relations are built straight from its key's content
    (:class:`~repro.datalog.tree_edb.TreeRelations`), only those the
    program mentions, as duplicate-free row arrays adopted without dedup.
 3. **Semi-naive loop** — a naive first round followed by delta iteration.
@@ -36,8 +36,8 @@ full picture):
 4. **Fixpoint caching** (:mod:`repro.datalog.cache`) — ``fixpoint()`` keeps
    one LRU of results, sized for the several hot documents of the
    :mod:`repro.server.pipeline` access pattern.  A document is keyed by its
-   exact tree fingerprint (its label and parent columns), computed once
-   per (immutable) document by :func:`~repro.datalog.tree_edb.document_key`;
+   exact tau_ur encoding (its label and parent columns), built once per
+   (immutable) document by :func:`~repro.datalog.tree_edb.document_key`;
    a dict database by a cheap content hash, every hit compared exactly
    against a frozen snapshot.  A result holds the finished rows as tuples
    and freezes a predicate's extension only when it is queried.
@@ -134,9 +134,9 @@ class EvaluationResult:
     passes its finished rows as tuples, which the cyclic collector stops
     tracking; plain sets work too) and is never mutated.  A document's
     fixpoint also carries the document's
-    :class:`~repro.datalog.tree_edb.TreeRelations`: a tau_ur relation the
-    program never mentioned was never built, and is built from the tree
-    fingerprint when asked for.  Nothing is frozen until :meth:`query`
+    :class:`~repro.datalog.tree_edb.TreeRelations` (its key's content): a
+    tau_ur relation the program never mentioned was never built, and is
+    built from it when asked for.  Nothing is frozen until :meth:`query`
     asks for that predicate.
     """
 
@@ -299,8 +299,8 @@ class SemiNaiveEngine:
         """The fixpoint over a document's tau_ur structure.
 
         Only the relations the program mentions are built, straight from
-        the fingerprint and adopted as row arrays without dedup; the result
-        builds any other tau_ur relation when it is asked for.
+        the document's encoding and adopted as row arrays without dedup;
+        the result builds any other tau_ur relation when it is asked for.
         """
         edb: Dict[str, List[Tuple[object, ...]]] = {}
         for predicate in self._mentioned:
@@ -333,7 +333,7 @@ class SemiNaiveEngine:
         tau_ur structure and keyed by
         :func:`~repro.datalog.tree_edb.document_key`, which fingerprints
         each (immutable) document once, so equal but distinct documents
-        hit; its relations are built from the fingerprint (see
+        hit; its relations are built from the key's content (see
         :meth:`_evaluate_tree`), never through
         :func:`~repro.datalog.tree_edb.tree_database`.
 
@@ -346,7 +346,7 @@ class SemiNaiveEngine:
         if isinstance(source, Document):
             tree_key = document_key(source)
             return self._fixpoint_cache.get_or_build(
-                tree_key, lambda: self._evaluate_tree(TreeRelations(tree_key.content))
+                tree_key, lambda: self._evaluate_tree(tree_key.content)
             )
         key = ContentKey(source, database_content_hash(source))
         return self._fixpoint_cache.get_or_build(

@@ -60,7 +60,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..tree.document import Document
 from ..tree.node import Node
 from .ast import (
     AfterCondition,
@@ -124,7 +123,6 @@ class ConditionContext:
     :attr:`target` and :attr:`bindings` for each candidate.
     """
 
-    document: Document
     parent_node: Optional[Node]
     parent_nodes: Optional[List[Node]]  # sequence parents
     target: Target

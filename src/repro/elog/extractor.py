@@ -253,7 +253,6 @@ class Extractor:
             context: Optional[ConditionContext] = None
             if checks and candidates:
                 context = ConditionContext(
-                    document=self._document_of(parent),
                     parent_node=parent.node,
                     parent_nodes=parent.nodes,
                     target="",
@@ -486,14 +485,6 @@ class Extractor:
             context.bindings = saved
             return result
         return context.bindings
-
-    def _document_of(self, instance: PatternInstance) -> Document:
-        current: Optional[PatternInstance] = instance
-        while current is not None:
-            if current.document is not None:
-                return current.document
-            current = current.parent
-        raise ExtractionError("pattern instance is not attached to a document")
 
 
 class _RulePlan(NamedTuple):

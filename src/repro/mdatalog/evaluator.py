@@ -14,8 +14,11 @@ building the ground program:
    form-(2) rule steps along one of the six partial functions firstchild,
    nextsibling, lastchild and their inverses, a form-(3) rule checks its
    other conjunct;
-2. per document, build those functions as int arrays in one pass over the
-   tree fingerprint and seed the EDB unary atoms the program mentions;
+2. per document, read those functions from the document's one tau_ur
+   encoding (``document_key(document).content``, a
+   :class:`~repro.datalog.tree_edb.TreeRelations` that builds them once
+   per document, not per miss) and seed the EDB unary atoms the program
+   mentions;
 3. run one LTUR-style worklist over (predicate, node) atoms with one truth
    table per predicate.  Every TMNF rule has at most one ground instance per
    node, so each derived atom fires each of its triggers once: the work is
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import compress
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..datalog.cache import CacheInfo, ContentKey, LruMap
 from ..datalog.engine import SemiNaiveEngine
@@ -43,7 +46,6 @@ from ..datalog.registry import PlanRegistry
 # perfbench/layers.py wraps it.
 from ..datalog.tree_edb import (  # noqa: F401
     TAU_UR_UNARY,
-    Fingerprint,
     TreeRelations,
     document_key,
     tree_database,
@@ -139,38 +141,22 @@ def _trigger_table(program: MonadicProgram) -> Optional[_TriggerTable]:
 _TMNF_CACHE: "LruMap[Tuple[object, ...], Optional[_TriggerTable]]" = LruMap(64)
 
 
-def _tree_functions(tree: TreeRelations) -> List[Sequence[int]]:
-    """The identity, firstchild, nextsibling, lastchild and the inverses of
-    the last three as int arrays, indexed by step id.
-
-    Where a function is undefined it maps to the sentinel ``n`` (one past
-    the last node), which every truth table holds true, so a step off the
-    tree never derives anything.
-    """
-    n = len(tree.labels)
-    first, following, last = tree.sibling_functions()
-    functions: List[Sequence[int]] = [range(n), first, following, last]
-    for forward in (first, following, last):
-        inverse = [n] * n
-        for source, target in enumerate(forward):
-            if target != n:
-                inverse[target] = source
-        functions.append(inverse)
-    return functions
-
-
 def _edb_nodes(tree: TreeRelations, predicate: str) -> List[int]:
     """The nodes of one tau_ur unary relation (none for an absent label)."""
     return [node for (node,) in tree.rows(predicate) or ()]
 
 
-def _propagate(table: _TriggerTable, fingerprint: Fingerprint) -> Tuple[bytes, ...]:
+def _propagate(table: _TriggerTable, tree: TreeRelations) -> Tuple[bytes, ...]:
     """LTUR over the implicit ground program: one truth table per predicate
     id, one worklist of (triggers of the derived predicate, node) pairs,
-    pushed flat."""
-    tree = TreeRelations(fingerprint)
+    pushed flat.
+
+    A step off the tree lands on the sentinel ``n`` of
+    :meth:`~repro.datalog.tree_edb.TreeRelations.step_functions`, which
+    every truth table holds true, so it never derives anything.
+    """
     n = len(tree.labels)
-    functions = _tree_functions(tree)
+    functions = tree.step_functions()
     truth = [bytearray(n + 1) for _ in table.triggers]
     for holds in truth:
         holds[n] = 1
@@ -217,8 +203,8 @@ class MonadicTreeEvaluator:
     :meth:`evaluate` per document.  Both pipelines memoise fixpoints across
     a working set of ``cache_size`` hot documents (the
     :mod:`repro.server.pipeline` access pattern), both keyed by
-    :func:`~repro.datalog.tree_edb.document_key` (the exact tree
-    fingerprint, computed once per document): the generic engine through
+    :func:`~repro.datalog.tree_edb.document_key` (the document's exact
+    tau_ur encoding, built once per document): the generic engine through
     its fixpoint LRU, the ground pipeline through an LRU of per-predicate
     truth tables — node identities are re-resolved per call, so cached
     results are safe across equal-but-distinct document objects.
@@ -312,7 +298,7 @@ class MonadicTreeEvaluator:
                 return list(compress(document, self._ground_truth(document)[position]))
             if not _is_edb_unary(predicate):
                 return []
-            nodes = _edb_nodes(TreeRelations(document_key(document).content), predicate)
+            nodes = _edb_nodes(document_key(document).content, predicate)
             return [document.node_at(index) for index in sorted(nodes)]
         if predicate in self.program.query_predicates:
             return self._evaluate_generic(document).get(predicate, [])
@@ -327,7 +313,7 @@ class MonadicTreeEvaluator:
     # Implicit grounding (Theorem 2.4)
     # ------------------------------------------------------------------
     def _ground_truth(self, document: Document) -> Tuple[bytes, ...]:
-        """Truth tables by predicate id, through the fingerprint LRU.
+        """Truth tables by predicate id, through the document-key LRU.
 
         The key is exact (labels + shape determine every tau_ur relation),
         so equal-but-distinct documents share one propagation.

@@ -141,10 +141,6 @@ class Document:
     # ------------------------------------------------------------------
     # Document order
     # ------------------------------------------------------------------
-    def document_order(self, node: Node) -> int:
-        """The position of ``node`` in document order (its preorder index)."""
-        return node.preorder_index
-
     def precedes(self, first: Node, second: Node) -> bool:
         """The document order relation  first < second."""
         return first.preorder_index < second.preorder_index

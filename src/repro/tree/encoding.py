@@ -9,7 +9,7 @@ MSO <-> monadic datalog correspondence executable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .document import Document
 from .node import Node
@@ -114,15 +114,6 @@ def _attach_children(parent: Node, binary_parent: BinaryNode) -> None:
             unranked.append_child(child_unranked)
             stack.append((child_unranked, child_binary))
             child_binary = child_binary.right
-
-
-def node_map(binary_root: BinaryNode) -> Dict[int, BinaryNode]:
-    """Map original node ids to their encoded counterparts."""
-    mapping: Dict[int, BinaryNode] = {}
-    for binary in binary_root.iter_postorder():
-        if binary.source is not None:
-            mapping[id(binary.source)] = binary
-    return mapping
 
 
 def encoding_round_trips(document: Document) -> bool:

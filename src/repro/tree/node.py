@@ -170,9 +170,6 @@ class Node:
             yield node
             node = node.parent
 
-    def iter_children(self) -> Iterator["Node"]:
-        return iter(self.children)
-
     def iter_following_siblings(self) -> Iterator["Node"]:
         node = self.next_sibling
         while node is not None:

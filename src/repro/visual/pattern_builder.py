@@ -28,7 +28,7 @@ from ..elog.extractor import Extractor
 from ..elog.instance_base import PatternInstanceBase
 from ..tree.document import Document
 from ..tree.node import Node
-from .generalize import exact_path, generalized_path, suggest_conditions
+from .generalize import exact_path, generalized_path
 from .region import RenderedPage
 
 
@@ -174,12 +174,6 @@ class PatternBuilderSession:
             conditions=rule.conditions + (condition,),
         )
         return FilterProposal(rule=refined, matched_nodes=self._matches_of(refined))
-
-    def suggested_refinements(self, proposal: FilterProposal) -> List[AttributeCondition]:
-        """Attribute conditions the GUI would offer for the first match."""
-        if not proposal.matched_nodes:
-            return []
-        return suggest_conditions(proposal.matched_nodes[0])
 
     # ------------------------------------------------------------------
     # Testing the wrapper (the "test pattern" button)

@@ -71,9 +71,6 @@ class RenderedPage:
                 return None
         return self.node_for_selection(position, position + len(fragment))
 
-    def span_of(self, node: Node) -> Tuple[int, int]:
-        return self.spans[id(node)]
-
     def highlight(self, node: Node) -> str:
         """The rendered text of ``node`` (what the GUI would highlight)."""
         start, end = self.spans[id(node)]

@@ -1,4 +1,5 @@
-"""A built Document is fingerprinted once; every tree-keyed cache reads that key."""
+"""A built Document is fingerprinted once; every tree-keyed cache reads that key,
+and every evaluator reads the key's content, the document's one tau_ur encoding."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ import sys
 import pytest
 
 from repro.api import Session
-from repro.datalog import EngineOptions, SemiNaiveEngine, parse_program, tree_edb
+from repro.datalog import EngineOptions, SemiNaiveEngine, document_key, parse_program, tree_edb
+from repro.datalog.tree_edb import TreeRelations
 from repro.html import parse_html
 from repro.mdatalog import MonadicProgram, MonadicTreeEvaluator
 from repro.tree import tree
@@ -42,8 +44,6 @@ def _evaluators():
 
 
 def test_the_key_is_built_once_and_kept_on_the_document(fingerprints):
-    from repro.datalog import document_key
-
     document = tree(LITERAL)
     key = document_key(document)
     assert document_key(document) is key
@@ -89,3 +89,65 @@ def test_parsing_computes_no_key(fingerprints):
     document = parse_html("<html><body><p>one</p><p>two</p></body></html>")
     assert document._cache_key is None
     assert fingerprints == []
+
+
+# ---------------------------------------------------------------------------
+# One tau_ur encoding per document: the key's content is what evaluators read
+# ---------------------------------------------------------------------------
+
+#: Same preorder labels as LITERAL, but ``c`` hangs off the root, not ``a``.
+REPARENTED = ("r", ("b",), ("a", ("b",)), ("c",), ("d",))
+#: Same shape as LITERAL, one label changed.
+RELABELLED = ("r", ("b",), ("a", ("b",), ("e",)), ("d",))
+
+
+def test_a_cached_fixpoint_holds_the_key_content_itself():
+    document = tree(LITERAL)
+    engine = SemiNaiveEngine(parse_program("p(X) :- label_b(X), leaf(X)."))
+    result = engine.fixpoint(document)
+    assert result._tree is document_key(document).content
+    assert engine.fixpoint(tree(LITERAL))._tree is document_key(document).content
+
+
+def test_the_step_functions_are_built_once_per_document(monkeypatch):
+    built = []
+    original = TreeRelations.step_functions
+
+    def counting(self):
+        if self._functions is None:
+            built.append(self)
+        return original(self)
+
+    monkeypatch.setattr(TreeRelations, "step_functions", counting)
+    document, other = tree(LITERAL), tree(REPARENTED)
+    single = EngineOptions(cache_size=1)
+    evaluators = [
+        MonadicTreeEvaluator(MonadicProgram.parse(MONADIC), options=single),
+        MonadicTreeEvaluator(
+            MonadicProgram.parse("up(X) :- label_b(X0), lastchild(X, X0)."), options=single
+        ),
+    ]
+    assert all(evaluator.uses_ground_pipeline for evaluator in evaluators)
+    rounds = 3
+    for _ in range(rounds):
+        for evaluator in evaluators:
+            for source in (document, other):
+                evaluator.evaluate(source)
+    for evaluator in evaluators:
+        assert evaluator.fixpoint_cache_info().misses == 2 * rounds
+    assert built == [document_key(document).content, document_key(other).content]
+
+
+def test_equal_documents_hit_and_a_changed_label_or_parent_misses():
+    program = parse_program("p(X) :- label_c(X), lastsibling(X).")
+    engine = SemiNaiveEngine(program)
+    original = tree(LITERAL)
+    assert engine.query(original, "p") == {(4,)}
+    assert engine.query(tree(LITERAL), "p") == {(4,)}
+    assert engine.fixpoint_cache_info().misses == 1
+    for changed in (REPARENTED, RELABELLED):
+        document = tree(changed)
+        assert document_key(document) != document_key(original), changed
+        assert document_key(document).content != document_key(original).content, changed
+        assert engine.query(document, "p") == set(), changed
+    assert engine.fixpoint_cache_info().misses == 3

@@ -1,8 +1,16 @@
-"""Tests for the tau_ur extensional database of documents."""
+"""Tests for the tau_ur extensional database of documents.
+
+The reference is ``tests/datalog/tree_oracle.py``, which reads every
+relation off the node objects; the library derives them all from the
+document key's two columns.
+"""
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+
 from repro.datalog import (
+    document_key,
     label_predicate,
     nodes_for_indexes,
     parse_program,
@@ -10,6 +18,8 @@ from repro.datalog import (
     tree_database,
     tree_signature,
 )
+from tests.datalog import tree_oracle
+from tests.properties.test_monadic_ground_equivalence import documents
 
 
 def test_label_predicate_name():
@@ -28,6 +38,29 @@ def test_tree_database_relations(figure1):
     assert database["child"] == {(0, 1), (0, 2), (0, 5), (2, 3), (2, 4)}
     assert database["lastchild"] == {(0, 5), (2, 4)}
     assert database[label_predicate("n3")] == {(2,)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents)
+def test_the_key_derives_the_oracle_database(document):
+    expected = tree_oracle.tree_database(document)
+    assert tree_database(document) == expected
+    assert tree_signature(document) == frozenset(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents)
+def test_the_step_functions_are_the_oracle_relations_and_their_inverses(document):
+    expected = tree_oracle.tree_database(document)
+    steps = document_key(document).content.step_functions()
+    n = len(document)
+    graphs = [
+        {(node, image) for node, image in enumerate(step) if image != n} for step in steps
+    ]
+    assert graphs[0] == {(node, node) for node in range(n)}
+    for position, name in enumerate(("firstchild", "nextsibling", "lastchild"), start=1):
+        assert graphs[position] == expected[name], name
+        assert graphs[position + 3] == {(y, x) for x, y in expected[name]}, name
 
 
 def test_tree_signature_contains_labels(figure1):

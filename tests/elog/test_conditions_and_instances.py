@@ -39,7 +39,6 @@ def page():
 
 def context_for(page, target, bindings=None, base=None):
     return ConditionContext(
-        document=page,
         parent_node=page.find_first("tr"),
         parent_nodes=None,
         target=target,

@@ -25,7 +25,9 @@ Five classes of slip have already cost a PR each:
   wrapper activation rendered its whole program.  A built ``Document`` is
   immutable, so only ``tree_edb.document_key`` may use
   ``tree_fingerprint``: it builds the key once and keeps it on the
-  document.  A built ``ElogProgram`` is frozen too, so only
+  document, and only ``tree_edb.tree_fingerprint`` may build the
+  ``TreeRelations`` that key holds: every evaluator reads that one
+  encoding.  A built ``ElogProgram`` is frozen too, so only
   ``extractor.wrapper_fingerprint`` may write the key kept on the program.
 * compiled artifacts committed to the index (``.pyc`` files rode along
   with the seed until PR 6).
@@ -80,10 +82,6 @@ ALLOWED_ID_USES = {
     "repro/tree/document.py": (
         "ancestor set local to one range computation over a live "
         "document"
-    ),
-    "repro/tree/encoding.py": (
-        "source->binary mapping built and consumed inside one encoding "
-        "pass; it strongly references both trees"
     ),
     "repro/visual/region.py": (
         "span lookup over the region's own document; region and "
@@ -414,25 +412,31 @@ def test_every_process_cache_reason_is_substantive():
 
 
 # ---------------------------------------------------------------------------
-# One key owner: only document_key fingerprints a document, and only
+# One key owner: only document_key fingerprints a document, only
+# tree_fingerprint builds its tau_ur encoding, and only
 # wrapper_fingerprint stores a program's key
 # ---------------------------------------------------------------------------
 
 #: The one ``(file, function)`` that may use ``tree_fingerprint``.
 FINGERPRINT_OWNER = ("repro/datalog/tree_edb.py", "document_key")
+#: The one ``(file, function)`` that may call ``TreeRelations(...)``: the
+#: key's content is the document's only tau_ur encoding.
+ENCODING_OWNER = ("repro/datalog/tree_edb.py", "tree_fingerprint")
 
 
-def _fingerprint_uses(path: Path):
-    """``(lineno, enclosing function)`` of every ``tree_fingerprint``
-    reference: a call, or the function passed along to be called later."""
+def _name_uses(path: Path, name: str, calls_only: bool = False):
+    """``(lineno, enclosing function)`` of every reference to ``name``: a
+    call, or (unless ``calls_only``) the function passed along to be
+    called later."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     uses = []
+    kinds = (ast.Call,) if calls_only else (ast.Name, ast.Attribute)
 
     def walk(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        elif isinstance(node, (ast.Name, ast.Attribute)):
-            if _called_name(node) == "tree_fingerprint":
+        elif isinstance(node, kinds):
+            if _called_name(node) == name:
                 uses.append((node.lineno, function))
         for child in ast.iter_child_nodes(node):
             walk(child, function)
@@ -441,12 +445,16 @@ def _fingerprint_uses(path: Path):
     return uses
 
 
-def test_only_document_key_fingerprints_a_document():
-    uses = {
+def _src_uses(name: str, calls_only: bool = False):
+    return {
         (str(path.relative_to(SRC)), function, lineno)
         for path in sorted(SRC.rglob("*.py"))
-        for lineno, function in _fingerprint_uses(path)
+        for lineno, function in _name_uses(path, name, calls_only)
     }
+
+
+def test_only_document_key_fingerprints_a_document():
+    uses = _src_uses("tree_fingerprint")
     offenders = sorted(use for use in uses if use[:2] != FINGERPRINT_OWNER)
     assert not offenders, (
         f"tree_fingerprint used outside {FINGERPRINT_OWNER}: {offenders}; a "
@@ -454,6 +462,16 @@ def test_only_document_key_fingerprints_a_document():
         "which fingerprints it once"
     )
     assert any(use[:2] == FINGERPRINT_OWNER for use in uses), "the owner no longer fingerprints"
+
+
+def test_only_tree_fingerprint_builds_tree_relations():
+    uses = _src_uses("TreeRelations", calls_only=True)
+    offenders = sorted(use for use in uses if use[:2] != ENCODING_OWNER)
+    assert not offenders, (
+        f"TreeRelations built outside {ENCODING_OWNER}: {offenders}; a "
+        "document has one tau_ur encoding, read it as document_key(document).content"
+    )
+    assert any(use[:2] == ENCODING_OWNER for use in uses), "the owner no longer builds it"
 
 
 #: The one ``(file, function)`` that may write ``ElogProgram._fingerprint``.

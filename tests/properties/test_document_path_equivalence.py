@@ -1,9 +1,10 @@
 """The semi-naive engine's document path computes the dict path's fixpoint.
 
 ``SemiNaiveEngine.fixpoint(document)`` builds only the tau_ur relations the
-program mentions, straight from the tree fingerprint, and builds any other
-one when it is asked for.  ``fixpoint(tree_database(document))`` loads the
-whole signature as a plain database.  Random programs — recursion,
+program mentions, straight from the document's key, and builds any other
+one when it is asked for.  The reference loads the whole signature as a
+plain database, read off the nodes by the test-only
+``tests/datalog/tree_oracle.py``.  Random programs — recursion,
 stratified negation and comparison builtins, from the generators of
 ``test_indexed_join_equivalence`` over a tau_ur schema — on random trees
 (the single node, chains and fans of ``test_monadic_ground_equivalence``)
@@ -17,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Session
-from repro.datalog import SemiNaiveEngine, tree_database
+from repro.datalog import SemiNaiveEngine
+from tests.datalog.tree_oracle import tree_database
 from tests.properties.test_indexed_join_equivalence import IDB_ORDER, programs
 from tests.properties.test_monadic_ground_equivalence import documents
 
