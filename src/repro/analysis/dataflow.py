@@ -120,9 +120,6 @@ class AdornedProgram:
     demanded: Tuple[Tuple[str, Adornment], ...]
     query_predicates: Tuple[str, ...]
 
-    def rules_for(self, predicate: str) -> Tuple[AdornedRule, ...]:
-        return tuple(r for r in self.rules if r.head_predicate == predicate)
-
     def index_advice(self) -> Dict[str, Tuple[Tuple[int, ...], ...]]:
         """Predicate → sorted bound-position key tuples its joins probe.
 

@@ -115,9 +115,6 @@ class Pipeline:
         """Activate the sources and push documents through the network."""
         return self._pipe.run()
 
-    def run_and_get(self, component_name: str) -> XmlElement:
-        return self._pipe.run_and_get(component_name)
-
     @property
     def last_results(self) -> Dict[str, XmlElement]:
         return self._pipe.last_results

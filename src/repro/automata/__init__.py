@@ -7,7 +7,7 @@ from .ranked import (
     label_reachability_automaton,
     leaf_selector_automaton,
 )
-from .strings import ANY, DFA, EPSILON, NFA, NFABuilder, determinize
+from .strings import ANY, EPSILON, NFA, NFABuilder
 from .to_datalog import (
     compile_automaton,
     compiled_evaluator,
@@ -23,7 +23,6 @@ from .unranked import (
 __all__ = [
     "ANY",
     "BOTTOM",
-    "DFA",
     "EPSILON",
     "HorizontalRule",
     "NFA",
@@ -35,7 +34,6 @@ __all__ = [
     "compile_automaton",
     "compiled_evaluator",
     "compiled_select",
-    "determinize",
     "label_reachability_automaton",
     "leaf_selector_automaton",
     "state_predicate",

@@ -1,21 +1,18 @@
-"""Finite automata over symbol alphabets.
+"""Finite automata over symbol alphabets: the horizontal languages.
 
-These string automata serve two purposes in the reproduction:
+An unranked tree automaton reads the children of a node as a word over its
+state alphabet (:mod:`repro.automata.unranked`); these NFAs, built with the
+Thompson combinators of :class:`NFABuilder`, decide those words.  Element
+paths compile their own automaton (:mod:`repro.elog.epath`).
 
-* they provide the *horizontal languages* of unranked tree automata (the
-  children of a node form a word over the state alphabet), and
-* they execute the regular expressions over tag names used by Elog element
-  path definitions (Section 3.3).
-
-Symbols are arbitrary hashable Python values (tag names, automaton states),
-not characters, so Python's ``re`` module is not applicable; the classical
-Thompson construction / subset construction are implemented directly.
+Symbols are arbitrary hashable Python values (automaton states, tag names),
+not characters, so Python's ``re`` module is not applicable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, Sequence, Set, Tuple
 
 Symbol = Hashable
 
@@ -74,20 +71,6 @@ class NFA:
             if not current:
                 return False
         return bool(current & self.accepting)
-
-    def matches_prefix(self, word: Sequence[Symbol]) -> List[int]:
-        """Lengths of all prefixes of ``word`` accepted by the automaton."""
-        lengths: List[int] = []
-        current = self._epsilon_closure({self.initial})
-        if current & self.accepting:
-            lengths.append(0)
-        for position, symbol in enumerate(word, start=1):
-            current = self._step(current, symbol)
-            if not current:
-                break
-            if current & self.accepting:
-                lengths.append(position)
-        return lengths
 
 
 class NFABuilder:
@@ -168,78 +151,3 @@ class NFABuilder:
         for symbol in symbols:
             result = self.concat(result, self.symbol(symbol))
         return result
-
-
-@dataclass
-class DFA:
-    """A deterministic finite automaton over an explicit alphabet."""
-
-    initial: FrozenSet[int]
-    accepting: Set[FrozenSet[int]]
-    transitions: Dict[Tuple[FrozenSet[int], Symbol], FrozenSet[int]]
-    alphabet: FrozenSet[Symbol]
-    # moves on symbols outside the explicit alphabet (from ANY transitions)
-    default_transitions: Dict[FrozenSet[int], FrozenSet[int]] = field(default_factory=dict)
-
-    def accepts(self, word: Sequence[Symbol]) -> bool:
-        state = self.initial
-        for symbol in word:
-            key = (state, symbol)
-            if key in self.transitions:
-                state = self.transitions[key]
-            elif state in self.default_transitions:
-                state = self.default_transitions[state]
-            else:
-                return False
-        return state in self.accepting
-
-    def state_count(self) -> int:
-        states = {self.initial} | set(self.accepting)
-        for (source, _), target in self.transitions.items():
-            states.add(source)
-            states.add(target)
-        return len(states)
-
-
-def determinize(nfa: NFA, alphabet: Iterable[Symbol]) -> DFA:
-    """Subset construction of an equivalent DFA over ``alphabet``."""
-    alphabet_set = frozenset(alphabet)
-    initial = frozenset(nfa._epsilon_closure({nfa.initial}))
-    transitions: Dict[Tuple[FrozenSet[int], Symbol], FrozenSet[int]] = {}
-    default_transitions: Dict[FrozenSet[int], FrozenSet[int]] = {}
-    accepting: Set[FrozenSet[int]] = set()
-    seen = {initial}
-    frontier = [initial]
-    while frontier:
-        state = frontier.pop()
-        if state & nfa.accepting:
-            accepting.add(state)
-        # Default (wildcard-only) successor for symbols outside the alphabet.
-        wildcard_successor = frozenset(nfa._step(set(state), _FRESH_SYMBOL))
-        if wildcard_successor:
-            default_transitions[state] = wildcard_successor
-            if wildcard_successor not in seen:
-                seen.add(wildcard_successor)
-                frontier.append(wildcard_successor)
-        for symbol in alphabet_set:
-            successor = frozenset(nfa._step(set(state), symbol))
-            if not successor:
-                continue
-            transitions[(state, symbol)] = successor
-            if successor not in seen:
-                seen.add(successor)
-                frontier.append(successor)
-    return DFA(
-        initial=initial,
-        accepting=accepting,
-        transitions=transitions,
-        alphabet=alphabet_set,
-        default_transitions=default_transitions,
-    )
-
-
-class _Fresh:
-    """A symbol guaranteed not to occur in any input alphabet."""
-
-
-_FRESH_SYMBOL = _Fresh()

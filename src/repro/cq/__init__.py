@@ -9,7 +9,7 @@ from .ast import (
     LabelAtom,
     query,
 )
-from .classify import Classification, classify, classify_axes, tractable_classes
+from .classify import Classification, classify, classify_axes
 from .evaluator import (
     CQEvaluationError,
     boolean_answer,
@@ -37,6 +37,5 @@ __all__ = [
     "is_acyclic",
     "query",
     "to_positive_core_xpath",
-    "tractable_classes",
     "unary_answers",
 ]

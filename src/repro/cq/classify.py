@@ -64,8 +64,3 @@ def classify(query_or_axes: Union[ConjunctiveQuery, Iterable[str]]) -> Classific
             acyclic=is_acyclic(query_or_axes),
         )
     return classify_axes(query_or_axes)
-
-
-def tractable_classes() -> tuple:
-    """The subset-maximal polynomial axis classes (as in the paper)."""
-    return TRACTABLE_AXIS_CLASSES

@@ -8,12 +8,6 @@ from .ast import (
     Program,
     Rule,
     Variable,
-    atom,
-    const,
-    fact,
-    neg,
-    rule,
-    var,
 )
 from .cache import CacheInfo, ContentKey, LruMap, database_content_hash
 from .columns import ColumnarDatabase, ColumnarRelation, ColumnarWindow, StorageStats
@@ -23,12 +17,11 @@ from .engine import (
     EvaluationResult,
     SemiNaiveEngine,
     aggregate_engine_info,
-    evaluate_program,
     query_program,
 )
 from .ltur import GroundHornSolver, solve_ground_program
 from .options import DEFAULT_OPTIONS, EngineOptions
-from .parser import DatalogSyntaxError, parse_atom_text, parse_program, parse_rules
+from .parser import DatalogSyntaxError, parse_program, parse_rules
 from .plan import RulePlan, compile_stratum
 from .registry import (
     CompiledProgram,
@@ -41,7 +34,6 @@ from .stratify import StratificationError, is_stratifiable, stratify
 from .tree_edb import (
     document_key,
     label_predicate,
-    nodes_for_indexes,
     tree_database,
     tree_fingerprint,
     tree_signature,
@@ -81,23 +73,14 @@ __all__ = [
     "plan_registry_info",
     "shared_registry",
     "aggregate_engine_info",
-    "atom",
-    "const",
-    "evaluate_program",
-    "fact",
     "is_stratifiable",
     "label_predicate",
-    "neg",
-    "nodes_for_indexes",
-    "parse_atom_text",
     "parse_program",
     "parse_rules",
     "query_program",
-    "rule",
     "solve_ground_program",
     "stratify",
     "tree_database",
     "tree_fingerprint",
     "tree_signature",
-    "var",
 ]

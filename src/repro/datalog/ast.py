@@ -10,7 +10,7 @@ set of extensional (EDB) predicates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 
 @dataclass(frozen=True, order=True)
@@ -66,10 +66,6 @@ def get_span(node: object) -> Optional[Span]:
     return getattr(node, "_span", None)
 
 
-def is_variable(term: Term) -> bool:
-    return isinstance(term, Variable)
-
-
 @dataclass(frozen=True)
 class Atom:
     """A predicate applied to a tuple of terms."""
@@ -100,18 +96,6 @@ class Atom:
 
     def variables(self) -> Set[Variable]:
         return {term for term in self.terms if isinstance(term, Variable)}
-
-    def is_ground(self) -> bool:
-        return all(isinstance(term, Constant) for term in self.terms)
-
-    def substitute(self, substitution: Dict[Variable, Term]) -> "Atom":
-        return Atom(
-            self.predicate,
-            tuple(
-                substitution.get(term, term) if isinstance(term, Variable) else term
-                for term in self.terms
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -149,9 +133,6 @@ class Rule:
             return f"{self.head}."
         body_text = ", ".join(str(literal) for literal in self.body)
         return f"{self.head} :- {body_text}."
-
-    def is_fact(self) -> bool:
-        return not self.body and self.head.is_ground()
 
     def variables(self) -> Set[Variable]:
         result = set(self.head.variables())
@@ -213,15 +194,6 @@ class Program:
                 result.add(literal.atom.predicate)
         return result
 
-    def rules_for(self, predicate: str) -> List[Rule]:
-        return [rule for rule in self.rules if rule.head.predicate == predicate]
-
-    def add_rule(self, rule: Rule) -> None:
-        self.rules.append(rule)
-
-    def extend(self, rules: Iterable[Rule]) -> None:
-        self.rules.extend(rules)
-
     def size(self) -> int:
         """Program size |P|: total number of atoms occurring in the program."""
         return sum(1 + len(rule.body) for rule in self.rules)
@@ -240,61 +212,6 @@ class Program:
 
     def uses_negation(self) -> bool:
         return any(literal.negated for rule in self.rules for literal in rule.body)
-
-    def is_monadic(self) -> bool:
-        """True iff every intensional predicate is unary (monadic datalog)."""
-        idb = self.idb_predicates()
-        for rule in self.rules:
-            if rule.head.arity != 1:
-                return False
-            for literal in rule.body:
-                if literal.atom.predicate in idb and literal.atom.arity != 1:
-                    return False
-        return True
-
-
-# ---------------------------------------------------------------------------
-# Convenience constructors used throughout tests and higher layers
-# ---------------------------------------------------------------------------
-
-
-def var(name: str) -> Variable:
-    return Variable(name)
-
-
-def const(value: object) -> Constant:
-    return Constant(value)
-
-
-def atom(predicate: str, *terms: Union[Term, str, int, float]) -> Atom:
-    """Build an atom, coercing bare strings starting with an uppercase letter
-    or underscore to variables and everything else to constants."""
-    converted: List[Term] = []
-    for term in terms:
-        if isinstance(term, (Variable, Constant)):
-            converted.append(term)
-        elif isinstance(term, str) and term[:1].isupper():
-            converted.append(Variable(term))
-        elif isinstance(term, str) and term.startswith("_"):
-            converted.append(Variable(term))
-        else:
-            converted.append(Constant(term))
-    return Atom(predicate, tuple(converted))
-
-
-def rule(head: Atom, *body: Union[Atom, Literal]) -> Rule:
-    literals = tuple(
-        item if isinstance(item, Literal) else Literal(item) for item in body
-    )
-    return Rule(head, literals)
-
-
-def neg(item: Atom) -> Literal:
-    return Literal(item, negated=True)
-
-
-def fact(predicate: str, *values: object) -> Rule:
-    return Rule(Atom(predicate, tuple(Constant(value) for value in values)))
 
 
 Fact = Tuple[object, ...]

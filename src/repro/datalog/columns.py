@@ -207,10 +207,6 @@ class ColumnarRelation:
             self._indexes[path] = (buckets, n)
         return buckets
 
-    def index_count(self) -> int:
-        """Materialised access paths (one per probed positions and arity)."""
-        return len(self._indexes)
-
 
 class ColumnarWindow:
     """A row-id range ``[lo, hi)`` over one relation — the semi-naive delta.
@@ -315,8 +311,6 @@ class ColumnarDatabase:
         return predicate in self.relations
 
     # -- updates -------------------------------------------------------------
-    def add_fact(self, predicate: str, fact: Fact) -> bool:
-        return self.relation(predicate).add(fact)
 
     def add_batch(self, predicate: str, facts: Iterable[Fact]) -> int:
         return self.relation(predicate).add_batch(facts)

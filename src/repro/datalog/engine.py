@@ -467,11 +467,6 @@ class SemiNaiveEngine:
                 stats.max_delta_batch = max_batch
 
 
-def evaluate_program(program: Program, database: Database) -> Database:
-    """One-shot helper: evaluate ``program`` over ``database``."""
-    return SemiNaiveEngine(program).evaluate(database)
-
-
 def query_program(
     program: Program, database: Database, predicate: str
 ) -> FrozenSet[Tuple[object, ...]]:

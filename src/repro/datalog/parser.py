@@ -254,12 +254,3 @@ def parse_program(
         }
         declared = frozenset(body_predicates - heads)
     return Program(rules=rules, edb_predicates=declared)
-
-
-def parse_atom_text(text: str) -> Atom:
-    """Parse a single atom such as ``price(X)`` (useful in tests)."""
-    stream = _TokenStream(_tokenize(text))
-    parsed = _parse_atom(stream)
-    if not stream.at_end():
-        raise DatalogSyntaxError(f"trailing input after atom in {text!r}")
-    return parsed

@@ -83,15 +83,6 @@ ValueSpec = Tuple[Tuple[bool, object], ...]
 PlanMemo = Dict[Tuple[Optional[int], Tuple[int, ...]], Executor]
 
 
-def size_bucket(size: int) -> int:
-    """Coarse power-of-two bucket of a relation size.
-
-    Plans are memoised per bucket signature: the greedy join order only
-    replans when a relation size crosses a power-of-two boundary.
-    """
-    return size.bit_length()
-
-
 def greedy_join_order(
     body: Sequence[Literal],
     relational: Sequence[int],
@@ -486,9 +477,6 @@ class RulePlan:
     # ------------------------------------------------------------------
     # Plan lookup (bucket-memoised) and compilation
     # ------------------------------------------------------------------
-    def plan_count(self) -> int:
-        """Number of compiled join plans in the default memo (tests)."""
-        return len(self._plans)
 
     def _executor_for(
         self,
@@ -497,9 +485,10 @@ class RulePlan:
         delta_position: Optional[int],
         memo: Optional[PlanMemo] = None,
     ) -> Executor:
-        # size_bucket() inlined: this runs once per rule firing, so the hit
-        # path computes only the bucket signature; the full size map is
-        # rebuilt on a memo miss (compile time dwarfs the extra lookups).
+        # Each relation's bucket is its size's bit_length().  This runs once
+        # per rule firing, so the hit path computes only the bucket
+        # signature; the full size map is rebuilt on a memo miss (compile
+        # time dwarfs the extra lookups).
         signature: List[int] = []
         append = signature.append
         for position, predicate in zip(self.relational, self._rel_preds):

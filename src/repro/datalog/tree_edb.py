@@ -29,7 +29,6 @@ from array import array
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from ..tree.document import Document
-from ..tree.node import Node
 from .ast import Database
 from .cache import ContentKey
 
@@ -52,8 +51,8 @@ def tree_signature(document: Document) -> FrozenSet[str]:
 def tree_database(document: Document) -> Database:
     """Materialise the tau_ur relations of ``document`` as a datalog database.
 
-    Domain elements are preorder indexes (ints); use
-    :func:`nodes_for_indexes` to map query answers back to nodes.
+    Domain elements are preorder indexes (ints): ``document.node_at(i)``
+    maps an answer back to its node.
     """
     tree = document_key(document).content
     return {name: set(tree.rows(name) or ()) for name in tree.names()}
@@ -207,14 +206,3 @@ class TreeRelations:
                 range(n), first, following, last, up_first, up_following, up_last
             )
         return functions
-
-
-def nodes_for_indexes(document: Document, indexes) -> List[Node]:
-    """Map an iterable of preorder indexes (or 1-tuples) back to nodes."""
-    result: List[Node] = []
-    for item in indexes:
-        if isinstance(item, tuple):
-            item = item[0]
-        result.append(document.node_at(item))
-    result.sort(key=lambda node: node.preorder_index)
-    return result

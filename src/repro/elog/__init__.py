@@ -18,7 +18,7 @@ from .ast import (
     SubText,
 )
 from .concepts import DEFAULT_CONCEPTS, ConceptRegistry, parse_date, parse_number
-from .conditions import ConditionContext, evaluate_condition
+from .conditions import ConditionContext
 from .epath import AttributeCondition, ElementPath, EPathSyntaxError
 from .extractor import (
     ExtractionError,
@@ -27,7 +27,7 @@ from .extractor import (
     Page,
     wrapper_fingerprint,
 )
-from .figure5 import FIGURE5_TEXT, figure5_program, figure5_program_programmatic
+from .figure5 import FIGURE5_TEXT, figure5_program
 from .instance_base import PatternInstance, PatternInstanceBase
 from .parser import ElogSyntaxError, parse_elog, parse_rule
 from .textpath import AttributePath, TextPath
@@ -66,9 +66,7 @@ __all__ = [
     "SubSequence",
     "SubText",
     "TextPath",
-    "evaluate_condition",
     "figure5_program",
-    "figure5_program_programmatic",
     "parse_date",
     "parse_elog",
     "parse_number",

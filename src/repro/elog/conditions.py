@@ -221,24 +221,6 @@ def compile_condition(condition: Condition) -> CompiledCondition:
     raise TypeError(f"unknown condition type {type(condition).__name__}")
 
 
-def evaluate_condition(condition: Condition, context: ConditionContext) -> Extensions:
-    """Evaluate one condition.
-
-    Returns the list of possible binding extensions: empty when the condition
-    fails, one empty dict for plain success, and one dict per witness for
-    binding conditions (``before``/``after``/``contains`` with a ``bind``
-    variable or a ``regvar`` path) — the extractor backtracks over these
-    alternatives, so later pattern-reference or concept conditions can
-    reject one witness and accept another.  ``FirstSubtreeCondition`` is
-    handled by the extractor (it is a property of the candidate *set*) and
-    always succeeds here.
-    """
-    binds, run = compile_condition(condition)
-    if binds:
-        return run(context)
-    return [{}] if run(context) else []
-
-
 def _binds(condition: Union[BeforeCondition, AfterCondition, ContainsCondition]) -> bool:
     """Whether a witness can extend the bindings: a non-negated condition
     with a ``bind`` variable or a ``regvar`` attribute condition."""

@@ -32,8 +32,7 @@ are integers: 0 is the start state and -1 the dead state.  Each state has one
 ``{label: next}`` dict for the labels that named steps mention and one
 default successor for every other label, so a step is
 ``rows[state].get(label, other[state])``.  :meth:`ElementPath.matches_path`
-and :meth:`ElementPath.match_target` fold the automaton over an explicit
-label sequence.
+folds the automaton over an explicit label sequence.
 
 :meth:`ElementPath.find_targets` answers in document order, at one of two
 costs:
@@ -214,24 +213,6 @@ class ElementPath:
             if state < 0:
                 return False
         return state in accepting
-
-    def match_target(self, parent: Node, target: Node) -> Optional[Dict[str, str]]:
-        """Check whether ``target`` is reachable from ``parent`` via this path
-        and satisfies the attribute conditions.
-
-        Returns variable bindings on success, ``None`` on failure.
-        """
-        if target is parent or not parent.is_ancestor_of(target):
-            return None
-        labels: List[str] = []
-        node = target
-        while node is not parent and node is not None:
-            labels.append(node.label)
-            node = node.parent
-        labels.reverse()
-        if not self.matches_path(labels):
-            return None
-        return self._check_conditions(target)
 
     def find_targets(self, parent: Node) -> List[Tuple[Node, Dict[str, str]]]:
         """All descendants of ``parent`` matched by this path, in doc order:

@@ -539,16 +539,9 @@ def _rule_inputs(rule: ElogRule) -> Tuple[str, ...]:
 def _match_member(path: ElementPath, node: Node) -> Optional[Dict[str, str]]:
     """Match a path against a node treating the node itself as the last step
     (used for sequence members and subsq endpoints)."""
-    labels = [node.label]
-    if not path.matches_path(labels):
+    if not path.matches_path((node.label,)):
         return None
-    bindings: Dict[str, str] = {}
-    for condition in path.conditions:
-        result = condition.matches(node)
-        if result is None:
-            return None
-        bindings.update(result)
-    return bindings
+    return path._check_conditions(node)
 
 
 # ---------------------------------------------------------------------------

@@ -11,28 +11,15 @@ documented in DESIGN.md / EXPERIMENTS.md:
 * the ``itemdes`` path uses ``?.td.?.a`` (the hyperlinked description) where
   the paper's listing abbreviates the content path.
 
-Both the textual form (:data:`FIGURE5_TEXT`, parsed by the Elog parser) and a
-programmatically constructed form are provided; a test asserts they are
-equivalent.
+The program is given in its textual form (:data:`FIGURE5_TEXT`, parsed by the
+Elog parser); ``tests/elog/test_figure5_ebay.py`` builds the same wrapper
+through the rule constructors and checks that the two agree.
 """
 
 from __future__ import annotations
 
-from .ast import (
-    AfterCondition,
-    BeforeCondition,
-    ConceptCondition,
-    DocumentSource,
-    ElogProgram,
-    ElogRule,
-    PatternReference,
-    SubElem,
-    SubSequence,
-    SubText,
-)
-from .epath import AttributeCondition, ElementPath
+from .ast import ElogProgram
 from .parser import parse_elog
-from .textpath import TextPath
 
 FIGURE5_TEXT = r"""
 tableseq(S, X) <- document("www.ebay.com/", S),
@@ -50,74 +37,3 @@ currency(S, X) <- price(_, S), subtext(S, \var[Y], X), isCurrency(Y)
 def figure5_program() -> ElogProgram:
     """The Figure 5 program, parsed from its textual form."""
     return parse_elog(FIGURE5_TEXT)
-
-
-def figure5_program_programmatic() -> ElogProgram:
-    """The same wrapper, built through the programmatic rule API."""
-    rules = [
-        ElogRule(
-            pattern="tableseq",
-            parent="document",
-            document=DocumentSource("www.ebay.com/"),
-            extraction=SubSequence(
-                scope=ElementPath.parse(".body"),
-                first=ElementPath.parse(".table"),
-                last=ElementPath.parse(".table"),
-            ),
-            conditions=(
-                BeforeCondition(
-                    path=ElementPath(
-                        steps=("table",),
-                        conditions=(AttributeCondition("elementtext", "item", "substr"),),
-                    ),
-                    min_distance=0,
-                    max_distance=0,
-                ),
-                AfterCondition(path=ElementPath.parse(".hr"), min_distance=0, max_distance=0),
-            ),
-        ),
-        ElogRule(
-            pattern="record",
-            parent="tableseq",
-            extraction=SubElem(path=ElementPath.parse(".table")),
-        ),
-        ElogRule(
-            pattern="itemdes",
-            parent="record",
-            extraction=SubElem(path=ElementPath.parse("?.td.?.a")),
-        ),
-        ElogRule(
-            pattern="price",
-            parent="record",
-            extraction=SubElem(
-                path=ElementPath(
-                    steps=("?", "td"),
-                    conditions=(
-                        AttributeCondition("elementtext", r"\var[Y].*", "regvar"),
-                    ),
-                )
-            ),
-            conditions=(ConceptCondition("isCurrency", "Y"),),
-        ),
-        ElogRule(
-            pattern="bids",
-            parent="record",
-            extraction=SubElem(path=ElementPath.parse("?.td")),
-            conditions=(
-                BeforeCondition(
-                    path=ElementPath.parse(".td"),
-                    min_distance=0,
-                    max_distance=30,
-                    bind="Y",
-                ),
-                PatternReference("price", "Y"),
-            ),
-        ),
-        ElogRule(
-            pattern="currency",
-            parent="price",
-            extraction=SubText(path=TextPath.parse(r"\var[Y]")),
-            conditions=(ConceptCondition("isCurrency", "Y"),),
-        ),
-    ]
-    return ElogProgram(rules)

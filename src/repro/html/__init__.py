@@ -1,14 +1,11 @@
-"""HTML substrate: parsing markup into tau_ur documents and rendering back."""
+"""HTML substrate: parsing markup into tau_ur documents and rendering them
+as displayed text."""
 
-from .parser import VOID_ELEMENTS, body_of, parse_html, parse_html_fragment
-from .render import render_text, render_text_with_spans, to_html
+from .parser import VOID_ELEMENTS, parse_html
+from .render import render_text_with_spans
 
 __all__ = [
     "VOID_ELEMENTS",
-    "body_of",
     "parse_html",
-    "parse_html_fragment",
-    "render_text",
     "render_text_with_spans",
-    "to_html",
 ]

@@ -238,23 +238,3 @@ def parse_html(
     builder = TreeBuilder(root_label="#document")
     _build(markup, builder, keep_whitespace_text)
     return builder.finish(url=url)
-
-
-def parse_html_fragment(markup: str, keep_whitespace_text: bool = False) -> Document:
-    """Parse an HTML fragment (no surrounding ``html``/``body`` required)."""
-    return parse_html(markup, keep_whitespace_text=keep_whitespace_text)
-
-
-def body_of(document: Document):
-    """Return the ``body`` element of a parsed HTML document.
-
-    Falls back to the document root's first element child when the markup had
-    no explicit body.
-    """
-    body = document.find_first("body")
-    if body is not None:
-        return body
-    for child in document.root.children:
-        if child.label not in ("#text", "#comment"):
-            return child
-    return document.root

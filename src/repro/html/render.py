@@ -1,4 +1,4 @@
-"""Rendering documents back to HTML and to displayed text.
+"""Rendering documents to displayed text.
 
 The visual wrapper builder (Section 3.2) maps a user's "mouse selection" on a
 *rendered* page to a node of the parse tree.  To simulate that we need a
@@ -8,13 +8,10 @@ the rendered text — :func:`render_text_with_spans` provides exactly that.
 
 from __future__ import annotations
 
-from html import escape
 from typing import Dict, List, Tuple, Union
 
 from ..tree.document import Document
 from ..tree.node import Node
-
-from .parser import VOID_ELEMENTS
 
 # Elements rendered as block-level (emit line breaks around their content).
 BLOCK_ELEMENTS = frozenset(
@@ -28,48 +25,6 @@ BLOCK_ELEMENTS = frozenset(
 )
 
 SKIPPED_ELEMENTS = frozenset({"script", "style", "head", "#comment"})
-
-
-def to_html(node_or_document: Union[Node, Document]) -> str:
-    """Serialise a node or document back to HTML markup."""
-    root = node_or_document.root if isinstance(node_or_document, Document) else node_or_document
-    parts: List[str] = []
-    _write_html(root, parts)
-    return "".join(parts)
-
-
-def _write_html(node: Node, parts: List[str]) -> None:
-    stack: List[Union[Node, str]] = [node]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-            continue
-        if item.label == "#text":
-            parts.append(escape(item.text, quote=False))
-            continue
-        if item.label == "#comment":
-            parts.append(f"<!--{item.text}-->")
-            continue
-        if item.label == "#document":
-            stack.extend(reversed(item.children))
-            continue
-        attributes = "".join(
-            f' {name}="{escape(value, quote=True)}"'
-            for name, value in item.attributes.items()
-        )
-        if item.label in VOID_ELEMENTS and not item.children:
-            parts.append(f"<{item.label}{attributes}/>")
-            continue
-        parts.append(f"<{item.label}{attributes}>")
-        stack.append(f"</{item.label}>")
-        stack.extend(reversed(item.children))
-
-
-def render_text(node_or_document: Union[Node, Document]) -> str:
-    """Plain-text rendering approximating what a browser displays."""
-    text, _ = render_text_with_spans(node_or_document)
-    return text
 
 
 def render_text_with_spans(

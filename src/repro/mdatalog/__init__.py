@@ -2,17 +2,9 @@
 
 from .evaluator import MonadicTreeEvaluator, evaluate, select
 from .program import MonadicityError, MonadicProgram, italic_program
-from .queries import (
-    InformationExtractionFunction,
-    UnaryQuery,
-    extraction_functions,
-    intersection,
-    label_query,
-    query_from_callable,
-    union,
-)
+from .queries import InformationExtractionFunction, UnaryQuery, extraction_functions
 from .tmnf import TMNFRewriteError, is_tmnf, rule_tmnf_form, to_tmnf
-from .wrap import assignment_from_queries, wrap_tree, wrap_with_program
+from .wrap import assignment_from_queries, wrap_tree
 
 __all__ = [
     "InformationExtractionFunction",
@@ -24,15 +16,10 @@ __all__ = [
     "assignment_from_queries",
     "evaluate",
     "extraction_functions",
-    "intersection",
     "is_tmnf",
     "italic_program",
-    "label_query",
-    "query_from_callable",
     "rule_tmnf_form",
     "select",
     "to_tmnf",
-    "union",
     "wrap_tree",
-    "wrap_with_program",
 ]

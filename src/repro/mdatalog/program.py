@@ -103,9 +103,6 @@ class MonadicProgram:
     def idb_predicates(self) -> Set[str]:
         return {rule.head.predicate for rule in self.rules}
 
-    def auxiliary_predicates(self) -> Set[str]:
-        return self.idb_predicates() - set(self.query_predicates)
-
     def edb_predicates(self) -> Set[str]:
         idb = self.idb_predicates()
         result: Set[str] = set()

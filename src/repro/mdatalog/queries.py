@@ -3,14 +3,13 @@
 Section 2.1: the core notion of the paper's wrapping framework is the
 *information extraction function* — a function that maps a labelled unranked
 tree to a subset of its nodes.  A wrapper implements one or several such
-functions.  This module provides a small uniform interface so that queries
-defined in different formalisms (monadic datalog, Core XPath, tree automata,
-Elog patterns) can be compared and composed.
+functions.  Here each query predicate of a monadic datalog program is one:
+a callable from a document to its selected nodes in document order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Dict, List
 
 from ..tree.document import Document
 from ..tree.node import Node
@@ -21,8 +20,8 @@ from .program import MonadicProgram
 class UnaryQuery:
     """A named unary query over documents.
 
-    Wraps a callable ``document -> list of nodes`` and gives it comparison
-    helpers used extensively by the cross-formalism equivalence tests.
+    Wraps a callable ``document -> list of nodes`` and answers in document
+    order.
     """
 
     def __init__(self, name: str, function: Callable[[Document], List[Node]]) -> None:
@@ -33,12 +32,6 @@ class UnaryQuery:
         nodes = list(self._function(document))
         nodes.sort(key=lambda node: node.preorder_index)
         return nodes
-
-    def select_indexes(self, document: Document) -> Set[int]:
-        return {node.preorder_index for node in self(document)}
-
-    def agrees_with(self, other: "UnaryQuery", document: Document) -> bool:
-        return self.select_indexes(document) == other.select_indexes(document)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"UnaryQuery({self.name!r})"
@@ -65,41 +58,3 @@ def extraction_functions(program: MonadicProgram) -> Dict[str, InformationExtrac
         predicate: InformationExtractionFunction(program, predicate)
         for predicate in sorted(program.query_predicates)
     }
-
-
-def query_from_callable(
-    name: str, function: Callable[[Document], Iterable[Node]]
-) -> UnaryQuery:
-    return UnaryQuery(name, lambda document: list(function(document)))
-
-
-def label_query(label: str) -> UnaryQuery:
-    """The trivial query selecting all nodes with a given label."""
-    return UnaryQuery(f"label:{label}", lambda document: document.nodes_with_label(label))
-
-
-def intersection(name: str, queries: Sequence[UnaryQuery]) -> UnaryQuery:
-    """Pointwise intersection of unary queries."""
-
-    def run(document: Document) -> List[Node]:
-        if not queries:
-            return []
-        common: Optional[Set[int]] = None
-        for query in queries:
-            indexes = query.select_indexes(document)
-            common = indexes if common is None else (common & indexes)
-        return [document.node_at(index) for index in sorted(common or set())]
-
-    return UnaryQuery(name, run)
-
-
-def union(name: str, queries: Sequence[UnaryQuery]) -> UnaryQuery:
-    """Pointwise union of unary queries."""
-
-    def run(document: Document) -> List[Node]:
-        selected: Set[int] = set()
-        for query in queries:
-            selected |= query.select_indexes(document)
-        return [document.node_at(index) for index in sorted(selected)]
-
-    return UnaryQuery(name, run)

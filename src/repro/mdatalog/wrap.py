@@ -98,23 +98,3 @@ def wrap_tree(
     for element in output_root.iter():
         element.attributes.pop("source_order", None)
     return output_root
-
-
-def wrap_with_program(
-    document: Document,
-    selections: Mapping[str, Iterable[Node]],
-    auxiliary: Iterable[str] = (),
-    root_name: str = "result",
-) -> XmlElement:
-    """Like :func:`wrap_tree` but dropping auxiliary predicates first.
-
-    Section 2.1: "not all intensional predicates define information
-    extraction functions.  Some have to be declared as auxiliary."
-    """
-    hidden = set(auxiliary)
-    visible = {
-        predicate: nodes
-        for predicate, nodes in selections.items()
-        if predicate not in hidden
-    }
-    return wrap_tree(document, visible, root_name=root_name)

@@ -186,9 +186,6 @@ class InformationPipe:
         self.last_results = results
         return results
 
-    def run_and_get(self, component_name: str) -> XmlElement:
-        return self.run()[component_name]
-
 
 @dataclass
 class ScheduledPipe:

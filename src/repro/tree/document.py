@@ -15,7 +15,7 @@ for the document's lifetime.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from .node import Node
 
@@ -116,35 +116,6 @@ class Document:
         """The set of labels occurring in the document (the alphabet used)."""
         return set(self._by_label)
 
-    def leaves(self) -> List[Node]:
-        return [node for node in self._nodes if node.is_leaf]
-
-    def last_siblings(self) -> List[Node]:
-        return [node for node in self._nodes if node.is_last_sibling]
-
-    # Binary relations, materialised as pair iterators -------------------
-    def firstchild_pairs(self) -> Iterator[Tuple[Node, Node]]:
-        for node in self._nodes:
-            if node.children:
-                yield node, node.children[0]
-
-    def nextsibling_pairs(self) -> Iterator[Tuple[Node, Node]]:
-        for node in self._nodes:
-            for left, right in zip(node.children, node.children[1:]):
-                yield left, right
-
-    def child_pairs(self) -> Iterator[Tuple[Node, Node]]:
-        for node in self._nodes:
-            for child in node.children:
-                yield node, child
-
-    # ------------------------------------------------------------------
-    # Document order
-    # ------------------------------------------------------------------
-    def precedes(self, first: Node, second: Node) -> bool:
-        """The document order relation  first < second."""
-        return first.preorder_index < second.preorder_index
-
     def node_at(self, preorder_index: int) -> Node:
         return self._nodes[preorder_index]
 
@@ -157,17 +128,6 @@ class Document:
     def find_first(self, label: str) -> Optional[Node]:
         nodes = self.label_column(label)[0]
         return nodes[0] if nodes else None
-
-    def element_count(self) -> int:
-        """Number of non-text, non-comment nodes."""
-        return sum(
-            1
-            for node in self._nodes
-            if node.label not in ("#text", "#comment")
-        )
-
-    def text_content(self) -> str:
-        return self.root.text_content()
 
     # ------------------------------------------------------------------
     # Statistics / debugging
@@ -183,38 +143,5 @@ class Document:
                 best = depth
         return best
 
-    def label_histogram(self) -> Dict[str, int]:
-        return {label: len(nodes) for label, (nodes, _) in self._by_label.items()}
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Document(nodes={len(self._nodes)}, root=<{self.root.label}>)"
-
-
-def common_ancestor(first: Node, second: Node) -> Optional[Node]:
-    """The lowest common ancestor of two nodes of the same tree."""
-    ancestors_of_first = set(id(node) for node in first.path_from_root())
-    for node in [second, *second.iter_ancestors()]:
-        if id(node) in ancestors_of_first:
-            return node
-    return None
-
-
-def nodes_between(document: Document, start: Node, end: Node) -> List[Node]:
-    """All nodes strictly between ``start`` and ``end`` in document order."""
-    low = min(start.preorder_index, end.preorder_index)
-    high = max(start.preorder_index, end.preorder_index)
-    return [document.node_at(index) for index in range(low + 1, high)]
-
-
-def subtree_nodes(node: Node) -> List[Node]:
-    """The nodes of the subtree rooted at ``node`` in document order."""
-    return list(node.iter_preorder())
-
-
-def assert_same_document(document: Document, nodes: Iterable[Node]) -> None:
-    """Raise ``ValueError`` if any node does not belong to ``document``."""
-    size = len(document)
-    for node in nodes:
-        index = node.preorder_index
-        if index < 0 or index >= size or document.node_at(index) is not node:
-            raise ValueError(f"node {node!r} does not belong to {document!r}")

@@ -30,9 +30,6 @@ class BinaryNode:
         self.right: Optional["BinaryNode"] = None
         self.source = source
 
-    def is_leaf(self) -> bool:
-        return self.left is None and self.right is None
-
     def iter_postorder(self):
         """Yield nodes in postorder (children before parents), iteratively."""
         stack: List[Tuple["BinaryNode", bool]] = [(self, False)]
@@ -114,22 +111,3 @@ def _attach_children(parent: Node, binary_parent: BinaryNode) -> None:
             unranked.append_child(child_unranked)
             stack.append((child_unranked, child_binary))
             child_binary = child_binary.right
-
-
-def encoding_round_trips(document: Document) -> bool:
-    """Check that encode followed by decode reproduces the same shape.
-
-    Used by property-based tests.
-    """
-    decoded = decode(encode(document))
-    return _same_shape(document.root, decoded.root)
-
-
-def _same_shape(first: Node, second: Node) -> bool:
-    stack = [(first, second)]
-    while stack:
-        a, b = stack.pop()
-        if a.label != b.label or len(a.children) != len(b.children):
-            return False
-        stack.extend(zip(a.children, b.children))
-    return True

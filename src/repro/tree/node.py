@@ -100,38 +100,6 @@ class Node:
         return self._index_in_parent
 
     @property
-    def is_root(self) -> bool:
-        return self.parent is None
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    @property
-    def is_first_sibling(self) -> bool:
-        """True iff this node is the leftmost child of its parent."""
-        return self.parent is not None and self._index_in_parent == 0
-
-    @property
-    def is_last_sibling(self) -> bool:
-        """True iff this node is the rightmost child of its parent.
-
-        Following the paper, the root is *not* a last sibling because it has
-        no parent.
-        """
-        if self.parent is None:
-            return False
-        return self._index_in_parent == len(self.parent.children) - 1
-
-    @property
-    def first_child(self) -> Optional["Node"]:
-        return self.children[0] if self.children else None
-
-    @property
-    def last_child(self) -> Optional["Node"]:
-        return self.children[-1] if self.children else None
-
-    @property
     def next_sibling(self) -> Optional["Node"]:
         if self.parent is None:
             return None
@@ -206,9 +174,6 @@ class Node:
         """Whitespace-normalised :meth:`text_content`."""
         return " ".join(self.text_content().split())
 
-    def get_attribute(self, name: str, default: str = "") -> str:
-        return self.attributes.get(name, default)
-
     def subtree_size(self) -> int:
         """Number of nodes in the subtree rooted at this node."""
         return sum(1 for _ in self.iter_preorder())
@@ -216,16 +181,6 @@ class Node:
     def depth(self) -> int:
         """Number of edges from the root to this node."""
         return sum(1 for _ in self.iter_ancestors())
-
-    def path_from_root(self) -> List["Node"]:
-        """The root-to-node path, root first, this node last."""
-        path = list(self.iter_ancestors())
-        path.reverse()
-        path.append(self)
-        return path
-
-    def label_path_from_root(self) -> List[str]:
-        return [node.label for node in self.path_from_root()]
 
     # ------------------------------------------------------------------
     # Ordering
@@ -263,9 +218,6 @@ class Node:
             )
         return any(ancestor is self for ancestor in other.iter_ancestors())
 
-    def is_descendant_of(self, other: "Node") -> bool:
-        return other.is_ancestor_of(self)
-
     # ------------------------------------------------------------------
     # Misc
     # ------------------------------------------------------------------
@@ -274,13 +226,3 @@ class Node:
             snippet = self.text[:30].replace("\n", "\\n")
             return f"Node(#text {snippet!r})"
         return f"Node(<{self.label}> children={len(self.children)})"
-
-
-def element(label: str, attributes: Optional[Dict[str, str]] = None) -> Node:
-    """Convenience constructor for an element node."""
-    return Node(label, attributes=attributes)
-
-
-def text_node(content: str) -> Node:
-    """Convenience constructor for a character-data node."""
-    return Node("#text", text=content)

@@ -1,9 +1,7 @@
 """Visual wrapper specification (the Interactive Pattern Builder, simulated)."""
 
 from .generalize import (
-    add_attribute_condition,
     exact_path,
-    generalize_last_step,
     generalized_path,
     path_between,
     suggest_conditions,
@@ -16,9 +14,7 @@ __all__ = [
     "PatternBuilderError",
     "PatternBuilderSession",
     "RenderedPage",
-    "add_attribute_condition",
     "exact_path",
-    "generalize_last_step",
     "generalized_path",
     "path_between",
     "suggest_conditions",

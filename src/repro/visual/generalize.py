@@ -2,9 +2,8 @@
 
 Given a parent node and a selected target node, the builder computes the tag
 path between them (the ``pi`` of Section 3.2) and can *generalise* it — the
-operation the paper describes for obtaining e.g. TMNF-style rules: replace a
-concrete path by a wildcard path (``?``-prefixed), drop leading steps, or
-keep only the target's tag.
+operation the paper describes for obtaining e.g. TMNF-style rules: replace the
+concrete path by ``?`` followed by the target's tag.
 """
 
 from __future__ import annotations
@@ -44,24 +43,6 @@ def generalized_path(parent: Node, target: Node) -> ElementPath:
     argument).
     """
     return ElementPath(steps=("?", target.label))
-
-
-def generalize_last_step(path: ElementPath) -> ElementPath:
-    """Replace the last named step by ``*`` (used when generalising from a
-    specific tag to "any element here")."""
-    if not path.steps:
-        return path
-    return ElementPath(steps=path.steps[:-1] + ("*",), conditions=path.conditions)
-
-
-def add_attribute_condition(
-    path: ElementPath, attribute: str, value: str, mode: str = "exact"
-) -> ElementPath:
-    """Refine a path with an attribute condition (a visual "restrict" action)."""
-    return ElementPath(
-        steps=path.steps,
-        conditions=path.conditions + (AttributeCondition(attribute, value, mode),),
-    )
 
 
 def suggest_conditions(target: Node, max_conditions: int = 3) -> List[AttributeCondition]:

@@ -65,11 +65,6 @@ def departures_page(airport: str, flights: Sequence[Flight]) -> str:
     )
 
 
-def airport_site(airport: str = "Vienna", count: int = 10, seed: int = 0) -> Dict[str, str]:
-    flights = generate_flights(count, seed=seed, airport=airport)
-    return {f"{airport.lower()}-airport.test/departures": departures_page(airport, flights)}
-
-
 def advance_statuses(flights: Sequence[Flight], changes: Dict[str, str]) -> List[Flight]:
     """Return a new flight list with the given flight numbers re-statused."""
     return [

@@ -1,12 +1,5 @@
-"""Synthetic competitor price lists, power spot markets, weather and water
-levels (Sections 6.4, 6.6 and 6.7).
-
-* competitor shops for business-intelligence price monitoring,
-* power exchange spot price tables,
-* weather and river water-level pages (the power-trading application
-  integrates these with the spot prices),
-* a small viticulture/pesticide advisory page for the agrochemical portal.
-"""
+"""Synthetic competitor price lists (Section 6.4): the shops a
+business-intelligence price monitor watches."""
 
 from __future__ import annotations
 
@@ -18,8 +11,6 @@ PRODUCTS = (
     "ignition coil", "brake pad set", "oil filter", "spark plug", "timing belt",
     "alternator", "radiator", "fuel pump",
 )
-REGIONS = ("Wachau", "Burgenland", "Styria", "Vienna")
-RIVERS = ("Danube", "Inn", "Mur", "Drau")
 
 
 @dataclass
@@ -59,71 +50,3 @@ def competitor_sites(shops: int = 3, count: int = 6, seed: int = 0) -> Dict[str,
         )
         for index in range(shops)
     }
-
-
-def spot_market_page(exchange: str = "EXAA", hours: int = 24, seed: int = 0) -> str:
-    rng = random.Random(seed)
-    rows = "".join(
-        "<tr>"
-        f'<td class="hour">{hour:02d}:00</td>'
-        f'<td class="price">{rng.uniform(18, 95):.2f}</td>'
-        "</tr>"
-        for hour in range(hours)
-    )
-    return (
-        f"<html><body><h1>{exchange} spot prices (EUR/MWh)</h1>"
-        f'<table class="spot">{rows}</table></body></html>'
-    )
-
-
-def weather_page(region: str = "Vienna", seed: int = 0) -> str:
-    rng = random.Random(seed)
-    days = "".join(
-        '<div class="day">'
-        f'<span class="date">2004-06-{14 + offset}</span>'
-        f'<span class="temp">{rng.randint(12, 34)} C</span>'
-        f'<span class="rain">{rng.randint(0, 20)} mm</span>'
-        "</div>"
-        for offset in range(5)
-    )
-    return f"<html><body><h1>Weather {region}</h1><div class='forecast'>{days}</div></body></html>"
-
-
-def water_level_page(seed: int = 0) -> str:
-    rng = random.Random(seed)
-    rows = "".join(
-        "<tr>"
-        f'<td class="river">{river}</td>'
-        f'<td class="level">{rng.randint(150, 620)} cm</td>'
-        "</tr>"
-        for river in RIVERS
-    )
-    return (
-        "<html><body><h1>Water levels</h1>"
-        f'<table class="levels">{rows}</table></body></html>'
-    )
-
-
-def power_trading_site(seed: int = 0) -> Dict[str, str]:
-    return {
-        "exaa.test/spot": spot_market_page("EXAA", seed=seed),
-        "eex.test/spot": spot_market_page("EEX", seed=seed + 1),
-        "weather.test/vienna": weather_page("Vienna", seed=seed),
-        "hydro.test/levels": water_level_page(seed=seed),
-    }
-
-
-def viticulture_page(seed: int = 0) -> str:
-    rng = random.Random(seed)
-    rows = "".join(
-        "<tr>"
-        f'<td class="region">{region}</td>'
-        f'<td class="pest">powdery mildew</td>'
-        f'<td class="recommendation">spray within {rng.randint(2, 9)} days</td>'
-        "</tr>"
-        for region in REGIONS
-    )
-    return (
-        "<html><body><h1>Viticulture advisory</h1>"
-        f'<table class="advisory">{rows}</table></body></html>'
-    )

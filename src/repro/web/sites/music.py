@@ -112,17 +112,3 @@ def now_playing_site(
         slug = song.lower().replace(" ", "-")
         site[f"lyrics.test/{slug}"] = lyrics_page(song, artist)
     return site
-
-
-def retune_station(html: str, new_song: str, new_artist: str) -> str:
-    """Simulate the radio station switching to another song."""
-    import re
-
-    html = re.sub(
-        r'<span class="song">[^<]*</span>', f'<span class="song">{new_song}</span>', html
-    )
-    return re.sub(
-        r'<span class="artist">[^<]*</span>',
-        f'<span class="artist">{new_artist}</span>',
-        html,
-    )

@@ -1,13 +1,11 @@
 """XML output substrate: element model, serialiser and parser."""
 
-from .document import XmlElement, from_document, to_document
+from .document import XmlElement
 from .serializer import parse_xml, to_compact_xml, to_xml
 
 __all__ = [
     "XmlElement",
-    "from_document",
     "parse_xml",
     "to_compact_xml",
-    "to_document",
     "to_xml",
 ]

@@ -2,9 +2,8 @@
 
 The Lixto XML Designer / XML Transformer (Section 3.1) and the Transformation
 Server (Section 5) exchange XML documents between components.  ``XmlElement``
-is intentionally small: an element name, attributes, text, and children.  It
-can be converted to/from the generic :class:`~repro.tree.document.Document`
-model and serialised to markup.
+is intentionally small: an element name, attributes, text, and children, and
+it is serialised to markup by :mod:`repro.xmlgen.serializer`.
 
 An element keeps no parent pointer, so one subtree can hang under several
 parents: Transformation Server stages share documents this way.  A shared
@@ -16,9 +15,6 @@ from __future__ import annotations
 
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Optional
-
-from ..tree.document import Document
-from ..tree.node import Node
 
 
 class XmlElement:
@@ -158,43 +154,3 @@ class FrozenXmlElement(XmlElement):
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"<{self.name}> is frozen: edit a copy()")
-
-
-def to_document(element: XmlElement) -> Document:
-    """View an XML element tree as a generic tau_ur document."""
-    root = _to_node(element)
-    return Document(root)
-
-
-def _to_node(element: XmlElement) -> Node:
-    # A frozen element's attributes are a read-only view; a node owns a dict.
-    node = Node(element.name, attributes=dict(element.attributes))
-    if element.text:
-        node.append_child(Node("#text", text=element.text))
-    for child in element.children:
-        node.append_child(_to_node(child))
-    return node
-
-
-def from_document(document: Document) -> XmlElement:
-    """Convert a generic document into an XML element tree.
-
-    Text nodes are folded into their parent's ``text``/tail-free model by
-    concatenation (sufficient for the data-centric XML the wrappers emit).
-    """
-    return _from_node(document.root)
-
-
-def _from_node(node: Node) -> XmlElement:
-    element = XmlElement(node.label if node.label != "#document" else "document",
-                         attributes=node.attributes)
-    text_parts: List[str] = []
-    for child in node.children:
-        if child.label == "#text":
-            text_parts.append(child.text)
-        elif child.label == "#comment":
-            continue
-        else:
-            element.append(_from_node(child))
-    element.text = "".join(text_parts)
-    return element

@@ -78,7 +78,7 @@ def test_builtins_and_negation_are_filters_not_join_steps():
         """
     )
     adorned = adorn(program, query_predicates=["p"])
-    [rule] = adorned.rules_for("p")
+    [rule] = [rule for rule in adorned.rules if rule.head_predicate == "p"]
     kinds = [literal.kind for literal in rule.literals]
     assert kinds == ["relation", "negation", "builtin"]
     # Filters hold the post-join adornment: both X and Y are bound by e.

@@ -32,7 +32,7 @@ def test_leaf_selector_selects_exactly_unranked_leaves():
     for seed in range(4):
         document = random_tree(80, labels=labels, seed=seed)
         selected = {node.preorder_index for node in automaton.select(document)}
-        expected = {node.preorder_index for node in document if node.is_leaf}
+        expected = {node.preorder_index for node in document if not node.children}
         assert selected == expected
 
 

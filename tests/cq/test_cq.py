@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cq import (
+    TRACTABLE_AXIS_CLASSES,
     CQEvaluationError,
     CQToXPathError,
     boolean_answer,
@@ -17,7 +18,6 @@ from repro.cq import (
     is_acyclic,
     query,
     to_positive_core_xpath,
-    tractable_classes,
     unary_answers,
 )
 from repro.tree import random_tree, tree
@@ -145,7 +145,7 @@ def test_classification_of_axis_sets():
     assert not classify_axes({"child", "child+"}).tractable
     assert not classify_axes({"child*", "following"}).tractable
     assert classify_axes({"child", "child+"}).complexity == "NP-complete"
-    assert len(tractable_classes()) == 3
+    assert len(TRACTABLE_AXIS_CLASSES) == 3
 
 
 def test_classify_query_reports_acyclicity():

@@ -7,46 +7,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis import analyze
-from repro.datalog import (
-    Atom,
-    DatalogSyntaxError,
-    atom,
-    fact,
-    neg,
-    parse_atom_text,
-    parse_program,
-    parse_rules,
-    rule,
-)
-from repro.datalog.ast import Constant, Variable
+from repro.datalog import DatalogSyntaxError, parse_program, parse_rules
+from repro.datalog.ast import Atom, Constant, Literal, Rule, Variable
 
-
-def test_atom_helper_coerces_terms():
-    a = atom("edge", "X", "y", 3)
-    assert a.terms == (Variable("X"), Constant("y"), Constant(3))
-    assert a.arity == 3
-    assert a.variables() == {Variable("X")}
-
-
-def test_atom_substitute_and_ground():
-    a = atom("p", "X", "Y")
-    grounded = a.substitute({Variable("X"): Constant(1), Variable("Y"): Constant(2)})
-    assert grounded.is_ground()
-    assert grounded.terms == (Constant(1), Constant(2))
+X, Y = Variable("X"), Variable("Y")
 
 
 def test_rule_str_and_fact():
-    r = rule(atom("p", "X"), atom("q", "X"), neg(atom("r", "X")))
+    r = Rule(Atom("p", (X,)), (Literal(Atom("q", (X,))), Literal(Atom("r", (X,)), negated=True)))
     assert str(r) == "p(X) :- q(X), not r(X)."
-    f = fact("q", 1)
-    assert f.is_fact()
-    assert not r.is_fact()
+    f = Rule(Atom("q", (Constant(1),)))
+    assert not f.body and not f.head.variables()
 
 
 def test_rule_safety():
-    safe = rule(atom("p", "X"), atom("q", "X"))
-    unsafe_head = rule(atom("p", "X", "Y"), atom("q", "X"))
-    unsafe_negation = rule(atom("p", "X"), atom("q", "X"), neg(atom("r", "Y")))
+    q_x = Literal(Atom("q", (X,)))
+    safe = Rule(Atom("p", (X,)), (q_x,))
+    unsafe_head = Rule(Atom("p", (X, Y)), (q_x,))
+    unsafe_negation = Rule(Atom("p", (X,)), (q_x, Literal(Atom("r", (Y,)), negated=True)))
     assert safe.is_safe()
     assert not unsafe_head.is_safe()
     assert not unsafe_negation.is_safe()
@@ -62,12 +40,6 @@ def test_program_predicates_and_size():
     assert program.idb_predicates() == {"p", "q"}
     assert program.edb_predicates == {"e", "base"}
     assert program.size() == 3 + 2
-    assert program.is_monadic()
-
-
-def test_program_is_monadic_detects_binary_idb():
-    program = parse_program("path(X, Y) :- edge(X, Y).")
-    assert not program.is_monadic()
 
 
 def test_parse_example_2_1_program():
@@ -103,13 +75,6 @@ def test_parse_facts_and_zero_arity():
     assert rules[1].head.terms == (Constant("a"), Constant("b"))
 
 
-def test_parse_atom_text():
-    a = parse_atom_text("price(X)")
-    assert a == Atom("price", (Variable("X"),))
-    with pytest.raises(DatalogSyntaxError):
-        parse_atom_text("price(X) extra")
-
-
 def test_parse_errors():
     with pytest.raises(DatalogSyntaxError):
         parse_rules("p(X :- q(X).")
@@ -129,7 +94,8 @@ def test_string_constants_round_trip_through_str(value):
 
 
 def test_string_escapes_decode_to_their_characters():
-    terms = parse_atom_text(r"""q("a\"b", 'it\'s', "c:\\x", "t\tn\n", "\x41\u00e9")""").terms
+    rules = parse_rules(r"""q("a\"b", 'it\'s', "c:\\x", "t\tn\n", "\x41\u00e9").""")
+    terms = rules[0].head.terms
     assert [term.value for term in terms] == ['a"b', "it's", "c:\\x", "t\tn\n", "A\u00e9"]
 
 
@@ -152,5 +118,5 @@ def test_malformed_string_escape_is_a_located_syntax_error(text, line, column):
 
 def test_program_rules_for_and_str():
     program = parse_program("p(X) :- q(X). p(X) :- r(X). s(X) :- p(X).")
-    assert len(program.rules_for("p")) == 2
+    assert [rule.head.predicate for rule in program.rules] == ["p", "p", "s"]
     assert "s(X) :- p(X)." in str(program)

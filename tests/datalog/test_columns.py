@@ -22,6 +22,7 @@ from repro.datalog import (
     parse_program,
 )
 from repro.datalog.columns import _EMPTY_COLUMNAR
+from tests.datalog.introspection import index_count
 
 REACH = """
 reach(Y) :- source(X), edge(X, Y).
@@ -55,10 +56,10 @@ def test_add_batch_counts_only_new_rows():
 
 def test_postings_materialise_lazily_and_catch_up_after_appends():
     relation = ColumnarRelation([(1, 2), (2, 3), (1, 9)])
-    assert relation.index_count() == 0  # nothing probed yet
+    assert index_count(relation) == 0  # nothing probed yet
     index = relation.index((0,), 2)
     assert set(index[1]) == {(1, 2), (1, 9)}
-    assert relation.index_count() == 1
+    assert index_count(relation) == 1
     # Appends touch no index; the next index() call folds the new rows in.
     relation.add((1, 7))
     assert set(index[1]) == {(1, 2), (1, 9)}
@@ -76,7 +77,7 @@ def test_buckets_catch_up_after_add_batch():
     assert relation.index((0,), 2)[1] == [(1, 2), (1, 3), (1, 4)]
     assert relation.index((0, 1), 2)[(1, 3)] == [(1, 3)]
     assert single[2] == [(2, 2)] and composite[(2, 2)] == [(2, 2)]
-    assert relation.index_count() == 2
+    assert index_count(relation) == 2
 
 
 def test_index_on_empty_relation_is_empty_and_materialises_nothing():
@@ -84,7 +85,7 @@ def test_index_on_empty_relation_is_empty_and_materialises_nothing():
     assert relation.index((0,), 1).get("x", ()) == ()
     assert relation.index((0, 1), 2).get(("x", "y"), ()) == ()
     assert len(relation.index((0,), 1)) == 0
-    assert relation.index_count() == 0
+    assert index_count(relation) == 0
     # The empty answer is read-only: nobody can fill it in for everyone.
     with pytest.raises(TypeError):
         relation.index((0,), 1)["x"] = [("x",)]
@@ -96,10 +97,10 @@ def test_full_key_mode_probes_composite_index():
     relation.add((1, 2, 9))
     assert set(relation.index((0, 1), 3)[(1, 2)]) == {(1, 2, 3), (1, 2, 4), (1, 2, 9)}
     assert relation.index((0, 1), 3).get((7, 2), ()) == ()
-    assert relation.index_count() == 1  # one composite, no single-position index
+    assert index_count(relation) == 1  # one composite, no single-position index
     # A scan step iterates the row array itself: no index is built.
     assert list(relation) == relation.rows
-    assert relation.index_count() == 1
+    assert index_count(relation) == 1
 
 
 def test_composite_keys_are_tuples_and_single_keys_bare_values():
@@ -130,13 +131,13 @@ def test_rows_of_a_neighbouring_arity_never_reach_a_bucket():
 def test_ensure_index_materialises_the_advised_access_path():
     relation = ColumnarRelation([(1, 2)])
     relation.index((0, 1), 2)
-    assert relation.index_count() == 1  # one composite
+    assert index_count(relation) == 1  # one composite
     relation.index((1,), 2)
-    assert relation.index_count() == 2  # plus one single-position index
+    assert index_count(relation) == 2  # plus one single-position index
     relation.index((1,), 3)
-    assert relation.index_count() == 3  # the arity is part of the identity
+    assert index_count(relation) == 3  # the arity is part of the identity
     relation.index((1,), 2)
-    assert relation.index_count() == 3  # asking again builds nothing
+    assert index_count(relation) == 3  # asking again builds nothing
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +184,8 @@ def test_database_surface_answers_membership_and_appends():
     assert not database.contains_fact("missing", (1, 2))
     assert "e" in database
     assert "missing" not in database
-    assert database.add_fact("d", ("x",)) is True
-    assert database.add_fact("d", ("x",)) is False
+    assert database.relation("d").add(("x",)) is True
+    assert database.relation("d").add(("x",)) is False
     assert database.add_batch("d", [("x",), ("y",)]) == 1
     assert database.row_count("d") == 2
 
@@ -196,7 +197,7 @@ def test_lookup_miss_returns_shared_empty_without_creating_an_entry():
     assert "nope" not in database
     # The shared sentinel stays immutable even after probes.
     assert missing.index((0,), 2).get(1, ()) == ()
-    assert missing.index_count() == 0
+    assert index_count(missing) == 0
 
 
 def test_a_fixpoint_probing_an_undefined_predicate_leaves_the_sentinel_empty():
@@ -209,13 +210,13 @@ def test_a_fixpoint_probing_an_undefined_predicate_leaves_the_sentinel_empty():
     )
     result = SemiNaiveEngine(program).evaluate({"q": {(1,), (2,)}})
     assert "p" not in result and result["r"] == {(1, 1), (2, 2)}
-    assert _EMPTY_COLUMNAR.index_count() == 0
+    assert index_count(_EMPTY_COLUMNAR) == 0
     assert not _EMPTY_COLUMNAR.rows
 
 
 def test_to_database_snapshots_plain_sets():
     database = ColumnarDatabase({"e": {(1, 2)}})
-    database.add_fact("p", (1,))
+    database.relation("p").add((1,))
     snapshot = database.to_database()
     assert snapshot == {"e": {(1, 2)}, "p": {(1,)}}
     snapshot["e"].add((9, 9))
@@ -235,8 +236,8 @@ def test_prune_empty_drops_only_still_empty_scratch_relations():
 def test_shared_stats_count_interned_rows_across_relations():
     stats = StorageStats()
     database = ColumnarDatabase({"e": {(1, 2), (2, 3)}}, stats=stats)
-    database.add_fact("p", (1,))
-    database.add_fact("p", (1,))  # duplicate: not interned again
+    database.relation("p").add((1,))
+    database.relation("p").add((1,))  # duplicate: not interned again
     assert stats.rows_interned == 3
 
 

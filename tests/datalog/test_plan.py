@@ -13,8 +13,8 @@ from repro.datalog import (
 )
 from repro.datalog.ast import Variable
 from repro.datalog.engine import EvaluationError
-from repro.datalog.plan import size_bucket
 from tests.datalog import oracle
+from tests.datalog.introspection import plan_count
 
 BUILTINS = SemiNaiveEngine.BUILTINS
 
@@ -114,32 +114,23 @@ def test_join_orders_memoised_per_size_bucket():
     plan = _plan("p(X, Y) :- e(X, Z), f(Z, Y).")
     facts = ColumnarDatabase({"e": {(1, 2)}, "f": {(2, 3)}})
     plan.run(facts)
-    assert plan.plan_count() == 1
+    assert plan_count(plan) == 1
     # Same buckets -> no replan.
     plan.run(facts)
-    assert plan.plan_count() == 1
+    assert plan_count(plan) == 1
     # Growing a relation within its bucket does not replan...
     # (sizes 1 -> bucket 1; size 2-3 -> bucket 2)
-    facts.add_fact("f", (9, 9))
-    facts.add_fact("f", (8, 8))
+    facts.relation("f").add((9, 9))
+    facts.relation("f").add((8, 8))
     plan.run(facts)
-    assert plan.plan_count() == 2  # crossed 1 -> 2-3 boundary: one replan
-    facts.add_fact("f", (7, 7))
+    assert plan_count(plan) == 2  # crossed 1 -> 2-3 boundary: one replan
+    facts.relation("f").add((7, 7))
     plan.run(facts)  # size 4 crosses into the next bucket
-    assert plan.plan_count() == 3
+    assert plan_count(plan) == 3
     # A delta position gets its own plan family.
     delta = facts.window("e", 0, 1)
     plan.run(facts, delta, 0)
-    assert plan.plan_count() == 4
-
-
-def test_size_bucket_is_log2_coarse():
-    assert size_bucket(0) == 0
-    assert size_bucket(1) == 1
-    assert size_bucket(2) == size_bucket(3) == 2
-    assert size_bucket(1024) == 11
-    assert size_bucket(2047) == 11
-    assert size_bucket(2048) == 12
+    assert plan_count(plan) == 4
 
 
 def test_compile_stratum_trigger_map():

@@ -14,6 +14,7 @@ from repro.datalog import (
     shared_registry,
 )
 from repro.datalog.registry import program_snapshot
+from tests.datalog.introspection import plan_count
 
 BUILTINS = SemiNaiveEngine.BUILTINS
 
@@ -101,7 +102,7 @@ def test_join_order_memos_stay_instance_local():
     # the idle engine, and the shared plan's own default memo stays empty.
     assert any(count > 0 for count in big.plan_memo_counts())
     assert all(count == 0 for count in small.plan_memo_counts())
-    assert all(plan.plan_count() == 0 for plan in big._stratum_plans[0])
+    assert all(plan_count(plan) == 0 for plan in big._stratum_plans[0])
     small.evaluate({"edge": {(1, 2)}})
     assert any(count > 0 for count in small.plan_memo_counts())
 

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from repro.datalog import (
     document_key,
     label_predicate,
-    nodes_for_indexes,
     parse_program,
     query_program,
     tree_database,
@@ -70,11 +69,6 @@ def test_tree_signature_contains_labels(figure1):
     assert "child" in signature
 
 
-def test_nodes_for_indexes_sorted(figure1):
-    nodes = nodes_for_indexes(figure1, [(5,), (1,), 3])
-    assert [node.label for node in nodes] == ["n2", "n4", "n6"]
-
-
 def test_generic_engine_on_tree_database(simple_html):
     """Example 2.1 evaluated with the generic engine over the tree EDB."""
     program = parse_program(
@@ -86,7 +80,7 @@ def test_generic_engine_on_tree_database(simple_html):
     )
     database = tree_database(simple_html)
     selected = query_program(program, database, "italic")
-    nodes = nodes_for_indexes(simple_html, selected)
+    nodes = [simple_html.node_at(index) for (index,) in selected]
     texts = {node.normalized_text() for node in nodes if node.label == "#text"}
     # Everything inside <i>free <b>shipping</b></i> is italic.
     assert "free" in texts

@@ -2,7 +2,7 @@
 
 The tree suites check :mod:`repro.datalog.tree_edb` against this function.
 It reads each relation of Section 2.2 straight off the node objects
-(``is_leaf``, ``children``, ``next_sibling``, ...) and shares nothing with
+(``parent``, ``children``, ``next_sibling``, ...) and shares nothing with
 the library's column encoding: no preorder parent column, no sentinel, no
 step functions.
 """
@@ -36,13 +36,13 @@ def tree_database(document: Document) -> Database:
         index = node.preorder_index
         label_relation = label_relations.setdefault(label_predicate(node.label), set())
         label_relation.add((index,))
-        if node.is_root:
+        if node.parent is None:
             database["root"].add((index,))
-        if node.is_leaf:
+        if not node.children:
             database["leaf"].add((index,))
-        if node.is_last_sibling:
+        if node.parent is not None and node.parent.children[-1] is node:
             database["lastsibling"].add((index,))
-        if node.is_first_sibling:
+        if node.parent is not None and node.index_in_parent == 0:
             database["firstsibling"].add((index,))
         if node.children:
             database["firstchild"].add((index, node.children[0].preorder_index))

@@ -12,7 +12,10 @@ avoids:
 
 Candidate generation, path matching, the other condition kinds and the
 instance base are shared with the extractor; the path matcher has its own
-oracle in ``tests/properties/test_cq_and_elog_properties.py``.
+oracle in ``tests/properties/test_cq_and_elog_properties.py``.  Two helpers
+answer one question each the naive way, for the unit and property tests:
+:func:`evaluate_condition` (one condition on one context) and
+:func:`match_target` (one path on one parent and target).
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.elog import Extractor
 from repro.elog.ast import AfterCondition, BeforeCondition, Condition
-from repro.elog.conditions import ConditionContext, evaluate_condition
+from repro.elog.conditions import ConditionContext, compile_condition
 from repro.elog.epath import ElementPath
 from repro.elog.extractor import _Extraction, _rule_plans
 from repro.elog.instance_base import PatternInstanceBase
-from repro.tree import Document
+from repro.tree import Document, Node
 
 
 class ReferenceExtractor(Extractor):
@@ -115,3 +118,30 @@ def _context_condition(condition, context: ConditionContext, before: bool):
     if condition.negated:
         return [{}] if not found else []
     return found
+
+
+def evaluate_condition(condition: Condition, context: ConditionContext) -> List[Dict[str, object]]:
+    """The binding extensions of one condition: empty when it fails, one
+    empty dict for plain success, one dict per witness for a binding
+    condition (``before`` / ``after`` / ``contains`` with a ``bind``
+    variable, or a ``regvar`` path)."""
+    binds, run = compile_condition(condition)
+    if binds:
+        return run(context)
+    return [{}] if run(context) else []
+
+
+def match_target(path: ElementPath, parent: Node, target: Node) -> Optional[Dict[str, str]]:
+    """The bindings of ``path`` from ``parent`` to ``target``, or ``None``:
+    the labels on the way down from ``parent`` (exclusive) to ``target``
+    must match the steps, and ``target`` its attribute conditions."""
+    if target is parent or not parent.is_ancestor_of(target):
+        return None
+    labels = []
+    node = target
+    while node is not parent:
+        labels.append(node.label)
+        node = node.parent
+    if not path.matches_path(labels[::-1]):
+        return None
+    return path._check_conditions(target)

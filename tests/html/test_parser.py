@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.html import body_of, parse_html, parse_html_fragment, to_html
-from repro.html.render import render_text, render_text_with_spans
+from repro.html import parse_html
+from repro.html.render import render_text_with_spans
 
 from .oracle import tree_shape
 
@@ -20,8 +20,8 @@ def test_attributes_are_lowercased_tags_preserved_values():
     doc = parse_html('<DIV CLASS="Big" data-x="1">t</DIV>')
     div = doc.find_first("div")
     assert div is not None
-    assert div.get_attribute("class") == "Big"
-    assert div.get_attribute("data-x") == "1"
+    assert div.attributes.get("class") == "Big"
+    assert div.attributes.get("data-x") == "1"
 
 
 def test_void_elements_do_not_swallow_content():
@@ -30,9 +30,9 @@ def test_void_elements_do_not_swallow_content():
     # The text nodes stay siblings of the void elements instead of being
     # swallowed as their children.
     assert [t.text for t in p.children if t.label == "#text"] == ["before", "after", "end"]
-    assert doc.find_first("br").is_leaf
+    assert not doc.find_first("br").children
     assert doc.find_first("br").parent is p
-    assert doc.find_first("img").get_attribute("src") == "x.png"
+    assert doc.find_first("img").attributes.get("src") == "x.png"
 
 
 def test_unclosed_table_cells_are_closed_implicitly():
@@ -85,36 +85,16 @@ def test_entities_are_decoded():
 
 
 def test_fragment_parsing():
-    doc = parse_html_fragment("<td>cell</td>")
+    doc = parse_html("<td>cell</td>")
     assert doc.find_first("td").normalized_text() == "cell"
-
-
-def test_body_of_returns_body_or_first_element(simple_html):
-    assert body_of(simple_html).label == "body"
-    fragment = parse_html_fragment("<div>x</div>")
-    assert body_of(fragment).label == "div"
 
 
 def test_url_is_recorded(simple_html):
     assert simple_html.url == "http://example.test/books"
 
 
-def test_to_html_round_trip_preserves_structure(simple_html):
-    markup = to_html(simple_html)
-    reparsed = parse_html(markup)
-    assert len(reparsed.find_all("tr")) == 3
-    assert reparsed.find_first("a").get_attribute("href") == "/b/1"
-
-
-def test_to_html_escapes_attribute_values():
-    doc = parse_html('<a href="/x?a=1&amp;b=2" title=\'say "hi"\'>t</a>')
-    markup = to_html(doc)
-    assert "&amp;" in markup
-    assert "&quot;" in markup
-
-
 def test_render_text_blocks_and_inline(simple_html):
-    text = render_text(simple_html)
+    text, _ = render_text_with_spans(simple_html)
     assert "Books" in text
     assert "Book One" in text
     # block elements produce line structure
@@ -133,7 +113,7 @@ def test_render_text_spans_cover_nodes(simple_html):
 
 def test_script_and_style_not_rendered():
     doc = parse_html("<body><script>var x=1;</script><p>visible</p></body>")
-    text = render_text(doc)
+    text, _ = render_text_with_spans(doc)
     assert "visible" in text
     assert "var x" not in text
 

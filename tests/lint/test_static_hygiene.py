@@ -1,6 +1,6 @@
 """Repo hygiene gates.
 
-Five classes of slip have already cost a PR each:
+Six classes of slip have already cost a PR each:
 
 * ``id()`` used as a cache key over objects the cache does not keep
   alive — CPython recycles addresses, so a dead object's key can serve a
@@ -29,6 +29,12 @@ Five classes of slip have already cost a PR each:
   ``TreeRelations`` that key holds: every evaluator reads that one
   encoding.  A built ``ElogProgram`` is frozen too, so only
   ``extractor.wrapper_fingerprint`` may write the key kept on the program.
+* API that only tests call — helpers kept in ``src/`` for a test's sake,
+  and a second subset automaton nothing used, were found by hand and
+  deleted.  Every public function, class and method in ``src/`` must be
+  used from ``src/``, ``examples/``, ``benchmarks/`` or ``perfbench/``, or
+  appear in ``ALLOWED_UNREFERENCED`` with the paper result it implements or
+  the user who calls it, and in docs/API.md.
 * compiled artifacts committed to the index (``.pyc`` files rode along
   with the seed until PR 6).
 
@@ -39,7 +45,10 @@ switches the process-wide cyclic collector.
 from __future__ import annotations
 
 import ast
+import functools
+import re
 import subprocess
+from collections import Counter
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
@@ -78,10 +87,6 @@ ALLOWED_ID_USES = {
     "repro/server/monitoring.py": (
         "a change detector's record memo keeps the record objects alive "
         "and confirms each hit with `is`"
-    ),
-    "repro/tree/document.py": (
-        "ancestor set local to one range computation over a live "
-        "document"
     ),
     "repro/visual/region.py": (
         "span lookup over the region's own document; region and "
@@ -409,6 +414,272 @@ def test_the_process_cache_allowlist_carries_no_stale_entries():
 def test_every_process_cache_reason_is_substantive():
     for name, reason in ALLOWED_PROCESS_CACHES.items():
         assert len(reason.split()) >= 5, f"{name}: justification too thin"
+
+
+# ---------------------------------------------------------------------------
+# No test-only API: every public definition in src/ has a caller
+# ---------------------------------------------------------------------------
+
+#: The trees whose code counts as a caller of ``src/``.  Tests do not: a
+#: helper only tests call belongs in ``tests/``.  Neither does prose: a
+#: line in docs/ describes a name, it does not call it.
+CALLER_ROOTS = ("src", "examples", "benchmarks", "perfbench")
+
+#: ``file:qualified name`` of every public top-level function, class and
+#: method in ``src/`` that nothing in :data:`CALLER_ROOTS` uses, each with
+#: the paper result it implements or the user who calls it.  Each has its
+#: line in docs/API.md.
+ALLOWED_UNREFERENCED = {
+    "repro/analysis/diagnostics.py:AnalysisReport.by_rule": (
+        "static-analysis users filter a report down to one rule id of the "
+        "docs/ANALYSIS.md catalog"
+    ),
+    "repro/api/pipeline.py:Pipeline.deliverers": (
+        "Section 5 pipeline users list every deliverer, the gated ones "
+        "included, to read what each sent"
+    ),
+    "repro/api/pipeline.py:PipelineBuilder.connect": (
+        "Section 5 pipeline users add a fan-out edge between two stages "
+        "already declared"
+    ),
+    "repro/api/session.py:Session.query_many": (
+        "the facade's batch query entry point for server-style document "
+        "streams; the benchmark drives extract_many"
+    ),
+    "repro/automata/ranked.py:NondeterministicTreeAutomaton": (
+        "Theorem 2.5 (MSO equals tree automata): the nondeterministic "
+        "bottom-up automaton a user writes before determinising"
+    ),
+    "repro/automata/ranked.py:NondeterministicTreeAutomaton.determinize": (
+        "Theorem 2.5: the subset construction from a nondeterministic to a "
+        "deterministic bottom-up tree automaton"
+    ),
+    "repro/automata/ranked.py:label_reachability_automaton": (
+        "Theorem 2.5: the Boolean MSO query 'some node carries this label' "
+        "as a deterministic tree automaton"
+    ),
+    "repro/automata/strings.py:NFABuilder.optional": (
+        "MSO over unranked trees: the ? operator of the horizontal "
+        "languages a user writes an UnrankedTreeAutomaton with"
+    ),
+    "repro/automata/strings.py:NFABuilder.plus": (
+        "MSO over unranked trees: the + operator of the horizontal "
+        "languages a user writes an UnrankedTreeAutomaton with, such as an "
+        "even positive number of children"
+    ),
+    "repro/automata/to_datalog.py:compiled_select": (
+        "Theorem 2.5 made executable: users select nodes with an automaton "
+        "compiled to monadic datalog in one call"
+    ),
+    "repro/automata/unranked.py:automaton_from_child_pattern": (
+        "MSO over unranked trees: the child-pattern query family as an "
+        "automaton with regular horizontal languages"
+    ),
+    "repro/cq/acyclic.py:evaluate_acyclic": (
+        "Section 4: Yannakakis' algorithm, polynomial-time evaluation of "
+        "acyclic conjunctive queries over trees"
+    ),
+    "repro/cq/evaluator.py:boolean_answer": (
+        "Section 4: users ask a Boolean conjunctive query over a tree for "
+        "its truth value"
+    ),
+    "repro/datalog/engine.py:query_program": (
+        "one-shot datalog evaluation for users holding a program, a "
+        "database and one predicate to read"
+    ),
+    "repro/datalog/ltur.py:GroundHornSolver.atom_count": (
+        "Minoux's LTUR, the linear-time Horn step of Theorem 2.4; "
+        "datalog/ltur.py stays whole while the benchmark's ltur.solve span "
+        "patches it"
+    ),
+    "repro/datalog/ltur.py:solve_ground_program": (
+        "Minoux's LTUR, the linear-time Horn step of Theorem 2.4; "
+        "datalog/ltur.py stays whole while the benchmark's ltur.solve span "
+        "patches it"
+    ),
+    "repro/datalog/options.py:EngineOptions.derive": (
+        "users tune the one options object by copy, as "
+        "options.derive(cache_size=32)"
+    ),
+    "repro/datalog/tree_edb.py:tree_signature": (
+        "Section 2.2: the tau_ur predicate names of a document, for users "
+        "writing a program over it"
+    ),
+    "repro/mdatalog/program.py:italic_program": (
+        "Example 2.1 of the paper: the monadic program selecting the nodes "
+        "rendered in italics"
+    ),
+    "repro/mdatalog/queries.py:extraction_functions": (
+        "Section 2.1: the information extraction functions a monadic "
+        "program defines, one per query predicate"
+    ),
+    "repro/mdatalog/wrap.py:wrap_tree": (
+        "Section 2.1: the output tree of a wrapper, built over the nodes "
+        "its predicates select"
+    ),
+    "repro/resilience/faults.py:FaultPlan.add_latency": (
+        "resilience users inject latency into matching fetches "
+        "(docs/RESILIENCE.md)"
+    ),
+    "repro/resilience/faults.py:FaultPlan.fail_permanent": (
+        "resilience users inject a permanent 404-style error into matching "
+        "fetches"
+    ),
+    "repro/resilience/faults.py:FaultPlan.fetch_count": (
+        "resilience users read how many fetches of a URL a fault plan has "
+        "judged"
+    ),
+    "repro/resilience/faults.py:FaultyFetcher": (
+        "resilience users wrap a fetcher with it to inject a FaultPlan's "
+        "faults; repro.api exports it"
+    ),
+    "repro/resilience/policy.py:ResiliencePolicy.derive": (
+        "users adjust a resilience policy by copy, the same idiom as "
+        "EngineOptions.derive"
+    ),
+    "repro/resilience/policy.py:RetryPolicy.derive": (
+        "users adjust a retry policy by copy, the same idiom as "
+        "EngineOptions.derive"
+    ),
+    "repro/resilience/retry.py:CircuitBreaker.state_of": (
+        "server operators ask whether a host's circuit breaker is closed, "
+        "open or half-open"
+    ),
+    "repro/server/pipeline.py:InformationPipe.deliverers": (
+        "Section 5 pipe users list the deliverer components of one "
+        "information pipe"
+    ),
+    "repro/server/pipeline.py:TransformationServer.run_all": (
+        "Section 5: the Transformation Server runs every registered pipe "
+        "once, its batch entry point"
+    ),
+    "repro/tree/builder.py:figure1_tree": (
+        "Figure 1 of the paper: the six-node example tree the tests and "
+        "documents walk through"
+    ),
+    "repro/visual/generalize.py:suggest_conditions": (
+        "Section 3.2 visual wrapper design: the attribute conditions the "
+        "Pattern Builder offers its user"
+    ),
+    "repro/visual/pattern_builder.py:PatternBuilderSession.refine_with_attribute": (
+        "Section 3.2: the user's visual restrict action, an attribute "
+        "condition added to a filter"
+    ),
+    "repro/visual/region.py:RenderedPage.highlight": (
+        "Section 3.2: the rendered text a Pattern Builder user sees marked "
+        "for a selected node"
+    ),
+    "repro/web/fetcher.py:StaticDocumentFetcher": (
+        "users who time extraction over already-parsed documents, with no "
+        "revalidation between runs"
+    ),
+    "repro/xmlgen/serializer.py:parse_xml": (
+        "Section 5: users read XML markup into the server's element model, "
+        "the inverse of to_xml"
+    ),
+    "repro/xpath/core.py:evaluate_xpath": (
+        "Theorem 4.6: the linear-time Core XPath evaluator as a one-shot "
+        "call over a document"
+    ),
+    "repro/xpath/full.py:evaluate_full": (
+        "the extended XPath fragment (attributes, text comparisons) as a "
+        "one-shot call over a document"
+    ),
+    "repro/xpath/naive.py:evaluate_naive": (
+        "the naive XPath baseline that Section 4's polynomial bound is "
+        "measured against, as a one-shot call"
+    ),
+}
+
+
+#: One token per match: a triple-quoted string (docstrings: prose, skipped),
+#: a one-line string (its text is a use when it is a bare identifier, such
+#: as ``setattr(x, "f", ...)``, or when it is an f-string, such as the
+#: generated join executors), a comment or a ``def`` / ``class`` head
+#: (skipped: a definition is not a use of itself), or a name.
+_TOKEN = re.compile(
+    r"""[A-Za-z]{0,2}(?:'''[\s\S]*?'''|\"\"\"[\s\S]*?\"\"\")"""
+    r"""|(?P<prefix>[A-Za-z]{0,2})(?P<quote>['"])"""
+    r"""(?P<text>(?:\\.|(?!(?P=quote))[^\\\n])*)(?P=quote)"""
+    r"""|\#[^\n]*|\b(?:def|class)\s+\w+"""
+    r"""|(?P<name>[A-Za-z_]\w*)"""
+)
+_NAME = re.compile(r"[A-Za-z_]\w*")
+
+
+def _used_names(text: str):
+    """The names a module's code uses (see :data:`_TOKEN`)."""
+    for token in _TOKEN.finditer(text):
+        if token["name"]:
+            yield token["name"]
+        elif token["text"] is not None:
+            if "f" in token["prefix"].lower():
+                yield from _NAME.findall(token["text"])
+            elif token["text"].isidentifier():
+                yield token["text"]
+
+
+def _public_definitions(path: Path):
+    """``(qualified name, name)`` of every public top-level function and
+    class and every public method of a top-level class."""
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, definitions) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, definitions) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member.name
+
+
+@functools.lru_cache(maxsize=None)
+def _unreferenced_definitions():
+    # A package ``__init__`` only re-exports names: that is no use of them.
+    uses = Counter()
+    for root in CALLER_ROOTS:
+        for path in sorted((REPO / root).rglob("*.py")):
+            if path.name != "__init__.py":
+                uses.update(_used_names(path.read_text(encoding="utf-8")))
+    return frozenset(
+        f"{path.relative_to(SRC)}:{qualified}"
+        for path in sorted(SRC.rglob("*.py"))
+        for qualified, name in _public_definitions(path)
+        if not uses[name]
+    )
+
+
+def test_every_public_definition_has_a_caller_or_a_reason():
+    offenders = _unreferenced_definitions() - set(ALLOWED_UNREFERENCED)
+    assert not offenders, (
+        f"public definitions in src/ that nothing outside tests/ uses: "
+        f"{sorted(offenders)}; call them, move a helper only tests need "
+        "into tests/, delete the rest, or, for a paper result or a call a "
+        "user makes, give the reason in ALLOWED_UNREFERENCED"
+    )
+
+
+def test_the_unreferenced_allowlist_carries_no_stale_entries():
+    stale = set(ALLOWED_UNREFERENCED) - _unreferenced_definitions()
+    assert not stale, (
+        f"allowlist entries for definitions that are gone or now have a "
+        f"caller: {sorted(stale)}"
+    )
+
+
+def test_every_unreferenced_reason_is_substantive():
+    for name, reason in ALLOWED_UNREFERENCED.items():
+        assert len(reason.split()) >= 5, f"{name}: justification too thin"
+
+
+def test_every_unreferenced_definition_is_documented():
+    api = (REPO / "docs" / "API.md").read_text(encoding="utf-8")
+    undocumented = sorted(
+        entry
+        for entry in ALLOWED_UNREFERENCED
+        if f"`{entry.partition(':')[2]}" not in api
+    )
+    assert not undocumented, f"allowlisted but missing from docs/API.md: {undocumented}"
 
 
 # ---------------------------------------------------------------------------

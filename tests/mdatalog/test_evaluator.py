@@ -8,9 +8,6 @@ from repro.mdatalog import (
     MonadicProgram,
     MonadicTreeEvaluator,
     extraction_functions,
-    intersection,
-    label_query,
-    union,
 )
 from repro.tree import random_tree, tree
 from tests.datalog import oracle
@@ -86,7 +83,7 @@ def test_information_extraction_function_interface(figure1):
     leaf_query = functions["leafnode"]
     assert isinstance(leaf_query, InformationExtractionFunction)
     assert {n.label for n in leaf_query(figure1)} == {"n2", "n4", "n5", "n6"}
-    assert functions["rootnode"].select_indexes(figure1) == {0}
+    assert [n.preorder_index for n in functions["rootnode"](figure1)] == [0]
 
 
 def test_information_extraction_function_rejects_auxiliary():
@@ -99,25 +96,6 @@ def test_information_extraction_function_rejects_auxiliary():
         pass
     else:  # pragma: no cover
         raise AssertionError("expected ValueError for auxiliary predicate")
-
-
-def test_union_intersection_queries(figure1):
-    leaves = label_query("n4")
-    others = label_query("n6")
-    both = union("u", [leaves, others])
-    assert {n.label for n in both(figure1)} == {"n4", "n6"}
-    empty = intersection("i", [leaves, others])
-    assert empty(figure1) == []
-    same = intersection("s", [leaves, leaves])
-    assert {n.label for n in same(figure1)} == {"n4"}
-
-
-def test_query_agreement_helper(figure1):
-    first = label_query("n4")
-    second = label_query("n4")
-    third = label_query("n5")
-    assert first.agrees_with(second, figure1)
-    assert not first.agrees_with(third, figure1)
 
 
 def test_generic_path_matches_the_oracle():
@@ -154,10 +132,10 @@ EDB_UNARY = ("root", "leaf", "firstsibling", "lastsibling", "label_a", "label_b"
 
 def _edb_expected(document, predicate):
     definitions = {
-        "root": lambda node: node.is_root,
-        "leaf": lambda node: node.is_leaf,
-        "firstsibling": lambda node: node.is_first_sibling,
-        "lastsibling": lambda node: node.is_last_sibling,
+        "root": lambda node: node.parent is None,
+        "leaf": lambda node: not node.children,
+        "firstsibling": lambda node: node.parent is not None and node.index_in_parent == 0,
+        "lastsibling": lambda node: node.parent is not None and node.parent.children[-1] is node,
     }
     holds = definitions.get(predicate)
     if holds is None:

@@ -16,7 +16,6 @@ def test_parse_and_query_predicates():
         query_predicates=["heading"],
     )
     assert program.query_predicates == frozenset({"heading"})
-    assert program.auxiliary_predicates() == {"aux"}
     assert program.idb_predicates() == {"heading", "aux"}
     assert "label_h1" in program.edb_predicates()
 
@@ -73,7 +72,6 @@ def test_to_datalog_program_contains_tree_edb():
     generic = program.to_datalog_program()
     assert "firstchild" in generic.edb_predicates
     assert "label_i" in generic.edb_predicates
-    assert generic.is_monadic()
 
 
 def test_uses_negation_flag():

@@ -2,13 +2,7 @@
 
 from __future__ import annotations
 
-from repro.mdatalog import (
-    MonadicProgram,
-    MonadicTreeEvaluator,
-    assignment_from_queries,
-    wrap_tree,
-    wrap_with_program,
-)
+from repro.mdatalog import assignment_from_queries, wrap_tree
 from repro.tree import tree
 from repro.xmlgen import to_xml
 
@@ -68,20 +62,6 @@ def test_wrap_tree_multiple_predicates_on_one_node():
         document, selections, label_for=lambda node, predicates: predicates[-1]
     )
     assert custom.children[0].name == "b"
-
-
-def test_wrap_with_program_hides_auxiliary_predicates():
-    document = make_document()
-    program = MonadicProgram.parse(
-        """
-        rowaux(X) :- label_tr(X).
-        cell(X) :- rowaux(X0), firstchild(X0, X).
-        """,
-    )
-    selections = MonadicTreeEvaluator(program).evaluate(document)
-    result = wrap_with_program(document, selections, auxiliary=["rowaux"])
-    assert result.find("rowaux") is None
-    assert len(result.find_all("cell")) == 2
 
 
 def test_assignment_from_queries_orders_predicates():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cq import evaluate_acyclic, evaluate_backtracking, evaluate_filtered, query
 from repro.elog import ElementPath
 from repro.tree import Document, Node
+from tests.elog.reference import match_target
 
 LABELS = ("a", "b", "c")
 
@@ -63,6 +64,11 @@ def test_cq_evaluation_strategies_agree(document, conjunctive_query):
     assert plain == filtered == yannakakis
 
 
+def _labels_from_root(node: Node):
+    """The labels on the path from the root down to ``node``."""
+    return [ancestor.label for ancestor in reversed(list(node.iter_ancestors()))] + [node.label]
+
+
 def _steps_regex(path: ElementPath) -> "re.Pattern[str]":
     """An independent oracle: the steps as a regex over ``/``-joined labels."""
     parts = {"?": "(?:[^/]+/)*", "*": "[^/]+/"}
@@ -95,7 +101,7 @@ def test_epath_find_targets_consistent_with_match_target(document, path_text):
     checked = [
         node
         for node in root.iter_descendants()
-        if path.match_target(root, node) is not None and node.label != "#comment"
+        if match_target(path, root, node) is not None and node.label != "#comment"
     ]
     assert found == checked
     regex = _steps_regex(path)
@@ -104,7 +110,7 @@ def test_epath_find_targets_consistent_with_match_target(document, path_text):
         for node in root.iter_descendants()
         if node.label != "#comment"
         and regex.fullmatch(
-            "".join(f"{label}/" for label in node.label_path_from_root()[1:])
+            "".join(f"{label}/" for label in _labels_from_root(node)[1:])
         )
         and all(condition.matches(node) is not None for condition in path.conditions)
     ]
@@ -123,13 +129,13 @@ step_tuples = st.one_of(
 def _oracle_targets(path: ElementPath, parent: Node):
     """The descendants of ``parent`` whose label path matches the oracle."""
     regex = _steps_regex(path)
-    depth = len(parent.label_path_from_root())
+    depth = len(_labels_from_root(parent))
     return [
         node
         for node in parent.iter_descendants()
         if node.label != "#comment"
         and regex.fullmatch(
-            "".join(f"{label}/" for label in node.label_path_from_root()[depth:])
+            "".join(f"{label}/" for label in _labels_from_root(node)[depth:])
         )
     ]
 

@@ -1,16 +1,15 @@
-"""Serialisation helpers for documents and subtrees.
-
-These are used by examples, the XML Designer/Transformer, tests, and for
-debugging.  Formats: s-expressions (compact structural view), nested dicts
-(JSON-friendly), and an indented outline.
+"""Structural views of trees for tests: an s-expression of the labels (two
+trees have the same shape iff their s-expressions are equal) and a nested
+dict that rebuilds a bare :class:`~repro.tree.node.Node` tree, one never
+indexed into a ``Document``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Union
 
-from .document import Document
-from .node import Node
+from repro.tree.document import Document
+from repro.tree.node import Node
 
 
 def to_sexpr(node_or_document: Union[Node, Document]) -> str:
@@ -86,30 +85,6 @@ def from_dict(data: Dict[str, Any]) -> Node:
             parent_node.append_child(child_node)
             stack.append((child_node, child_data))
     return node
-
-
-def to_outline(node_or_document: Union[Node, Document], indent: str = "  ") -> str:
-    """Human-readable indented outline, one node per line."""
-    root = _root_of(node_or_document)
-    lines: List[str] = []
-    stack: List[tuple] = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if node.label == "#text":
-            text = " ".join(node.text.split())
-            if not text:
-                continue
-            lines.append(f"{indent * depth}#text {text!r}")
-        else:
-            attributes = ""
-            if node.attributes:
-                attributes = " " + " ".join(
-                    f'{key}="{value}"' for key, value in sorted(node.attributes.items())
-                )
-            lines.append(f"{indent * depth}<{node.label}{attributes}>")
-        for child in reversed(node.children):
-            stack.append((child, depth + 1))
-    return "\n".join(lines)
 
 
 def _root_of(node_or_document: Union[Node, Document]) -> Node:

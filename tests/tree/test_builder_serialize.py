@@ -4,15 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.tree import (
-    TreeBuilder,
-    from_dict,
-    random_tree,
-    to_dict,
-    to_outline,
-    to_sexpr,
-    tree,
-)
+from repro.tree import TreeBuilder, random_tree, tree
+from tests.tree.serialize import from_dict, to_dict, to_sexpr
 
 
 def test_tree_literal_with_attributes_and_text():
@@ -21,7 +14,7 @@ def test_tree_literal_with_attributes_and_text():
     assert doc.root.attributes == {"id": "x"}
     b = doc.find_first("b")
     assert b.text_content() == "hello"
-    assert doc.find_first("c").is_leaf
+    assert not doc.find_first("c").children
 
 
 def test_tree_literal_rejects_empty():
@@ -67,12 +60,6 @@ def test_dict_round_trip(nested_tree):
     data = to_dict(nested_tree)
     restored = from_dict(data)
     assert to_sexpr(restored) == to_sexpr(nested_tree)
-
-
-def test_outline_contains_all_elements(simple_html):
-    outline = to_outline(simple_html)
-    assert "<table" in outline
-    assert "Book One" in outline
 
 
 def test_random_tree_is_deterministic_and_sized():

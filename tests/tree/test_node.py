@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.tree import Document, element, text_node, tree
+from repro.tree import Document, Node, tree
 
 
 def build_small_tree():
-    root = element("root")
-    a = root.append_child(element("a"))
-    b = root.append_child(element("b"))
-    c = root.append_child(element("c"))
-    a1 = a.append_child(element("a1"))
-    a2 = a.append_child(text_node("hello"))
+    root = Node("root")
+    a = root.append_child(Node("a"))
+    b = root.append_child(Node("b"))
+    c = root.append_child(Node("c"))
+    a1 = a.append_child(Node("a1"))
+    a2 = a.append_child(Node("#text", text="hello"))
     return root, a, b, c, a1, a2
 
 
@@ -28,17 +28,9 @@ def test_append_child_sets_parent_and_index():
 
 def test_append_child_rejects_attached_node():
     root, a, *_ = build_small_tree()
-    other = element("other")
+    other = Node("other")
     with pytest.raises(ValueError):
         other.append_child(a)
-
-
-def test_first_and_last_sibling_flags():
-    root, a, b, c, a1, a2 = build_small_tree()
-    assert a.is_first_sibling and not a.is_last_sibling
-    assert c.is_last_sibling and not c.is_first_sibling
-    assert not root.is_last_sibling  # the root has no parent (paper convention)
-    assert not root.is_first_sibling
 
 
 def test_sibling_navigation():
@@ -50,20 +42,13 @@ def test_sibling_navigation():
     assert a.previous_sibling is None
 
 
-def test_first_and_last_child():
-    root, a, b, c, a1, a2 = build_small_tree()
-    assert root.first_child is a
-    assert root.last_child is c
-    assert b.first_child is None
-
-
 def test_append_child_refuses_the_nodes_of_a_built_document():
     root, a, b, *_ = build_small_tree()
     Document(root)
     with pytest.raises(ValueError):
-        b.append_child(element("new"))
+        b.append_child(Node("new"))
     with pytest.raises(ValueError):
-        element("wrapper").append_child(root)
+        Node("wrapper").append_child(root)
     assert b.children == [] and root.parent is None
 
 
@@ -95,8 +80,8 @@ def test_text_content_concatenates_descendant_text():
 
 
 def test_normalized_text_collapses_whitespace():
-    node = element("p")
-    node.append_child(text_node("  lots \n of   space "))
+    node = Node("p")
+    node.append_child(Node("#text", text="  lots \n of   space "))
     assert node.normalized_text() == "lots of space"
 
 
@@ -108,20 +93,8 @@ def test_subtree_size_and_depth():
     assert root.depth() == 0
 
 
-def test_path_from_root():
-    root, a, b, c, a1, a2 = build_small_tree()
-    assert a1.label_path_from_root() == ["root", "a", "a1"]
-
-
-def test_get_attribute_default():
-    node = element("a", {"href": "/x"})
-    assert node.get_attribute("href") == "/x"
-    assert node.get_attribute("missing", "none") == "none"
-
-
 def test_is_ancestor_without_index():
     root, a, b, c, a1, a2 = build_small_tree()
     assert root.is_ancestor_of(a1)
     assert not a1.is_ancestor_of(root)
     assert not a.is_ancestor_of(a)
-    assert a1.is_descendant_of(root)

@@ -9,9 +9,10 @@ from repro.web import SimulatedWeb, StaticDocumentFetcher
 from repro.web.sites.bookstore import bookstore_site
 from repro.web.sites.ebay import ebay_page, ebay_site, perturb_layout
 from repro.web.sites.flights import advance_statuses, departures_page, generate_flights
-from repro.web.sites.markets import competitor_sites, power_trading_site, viticulture_page
-from repro.web.sites.music import now_playing_site, retune_station, stations
+from repro.web.sites.markets import competitor_sites
+from repro.web.sites.music import now_playing_site, stations
 from repro.web.sites.news import press_clipping_site
+from tests.web.sites import power_trading_site, retune_station, viticulture_page
 
 
 def test_simulated_web_publish_fetch_and_log():
@@ -47,7 +48,7 @@ def test_ebay_generator_is_deterministic_and_structured():
     assert ebay_page(count=5, seed=1) == ebay_page(count=5, seed=1)
     assert ebay_page(count=5, seed=1) != ebay_page(count=5, seed=2)
     document = parse_html(ebay_page(count=5, seed=1))
-    listings = [t for t in document.find_all("table") if t.get_attribute("class") == "listing"]
+    listings = [t for t in document.find_all("table") if t.attributes.get("class") == "listing"]
     assert len(listings) == 5
     assert document.find_first("hr") is not None
     site = ebay_site(pages=3, items_per_page=4)
@@ -60,7 +61,7 @@ def test_perturb_layout_keeps_listings_intact():
     perturbed = parse_html(perturb_layout(ebay_page(count=6, seed=4), seed=9))
     def count(doc):
         return len(
-            [t for t in doc.find_all("table") if t.get_attribute("class") == "listing"]
+            [t for t in doc.find_all("table") if t.attributes.get("class") == "listing"]
         )
     assert count(original) == count(perturbed) == 6
     assert len(perturbed) > len(original)
@@ -74,7 +75,7 @@ def test_bookstore_site_has_three_heterogeneous_shops():
     list_doc = parse_html(site["books-b.test/chart"])
     assert len(list_doc.find_all("li")) == 5
     div_doc = parse_html(site["books-c.test/picks"])
-    entries = [d for d in div_doc.find_all("div") if d.get_attribute("class") == "entry"]
+    entries = [d for d in div_doc.find_all("div") if d.attributes.get("class") == "entry"]
     assert len(entries) == 5
 
 

@@ -2,15 +2,7 @@
 
 from __future__ import annotations
 
-from repro.tree import tree
-from repro.xmlgen import (
-    XmlElement,
-    from_document,
-    parse_xml,
-    to_compact_xml,
-    to_document,
-    to_xml,
-)
+from repro.xmlgen import XmlElement, parse_xml, to_compact_xml, to_xml
 
 
 def build_catalog():
@@ -66,14 +58,3 @@ def test_escaping_of_special_characters():
     markup = to_xml(element)
     assert "&amp;" in markup and "&lt;tasty&gt;" in markup
     assert parse_xml(markup).text == "fish & chips <tasty>"
-
-
-def test_document_conversion_round_trip():
-    catalog = build_catalog()
-    document = to_document(catalog)
-    assert document.find_first("title") is not None
-    back = from_document(document)
-    assert back.find("book").findtext("title") == "Datalog Rising"
-    generic = tree(("wrapper", ("item", "text:one"), ("item", "text:two")))
-    element = from_document(generic)
-    assert [child.text for child in element.find_all("item")] == ["one", "two"]

@@ -68,7 +68,7 @@ def test_negated_predicate(page):
 
 def test_or_and_nested_predicates(page):
     selected = evaluate_xpath(page, "//div[table[tr[th]] or p[not(a)]]")
-    ids = [node.get_attribute("id") for node in selected]
+    ids = [node.attributes.get("id") for node in selected]
     assert ids == ["main", "footer"]
 
 
@@ -79,7 +79,7 @@ def test_following_sibling_axis(page):
 
 def test_ancestor_and_parent_axes(page):
     anchors_div = evaluate_xpath(page, "//a/ancestor::div")
-    assert [n.get_attribute("id") for n in anchors_div] == ["main"]
+    assert [n.attributes.get("id") for n in anchors_div] == ["main"]
     td_parents = evaluate_xpath(page, "//a/..")
     assert all(node.label == "td" for node in td_parents)
 
