@@ -288,6 +288,22 @@ def test_every_rule_id_has_a_one_line_description(rule_id):
     assert RULE_CATALOG[rule_id].strip()
 
 
+def test_report_by_rule_filters_one_rule_id():
+    report = analyze(
+        parse_program(
+            """
+            dup(X) :- e(X).
+            dup(X) :- e(X).
+            unsafe(X, Y) :- e(X).
+            """
+        )
+    )
+    assert [d.rule_id for d in report.by_rule("D009")] == ["D009"]
+    assert {d.rule_id for d in report.by_rule("D001")} == {"D001"}
+    assert report.by_rule("D002") == ()
+    assert sum(len(report.by_rule(rule_id)) for rule_id in RULE_CATALOG) == len(report)
+
+
 def test_diagnostics_are_ordered_by_rule_id():
     text = """
     dup(X) :- e(X).

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.automata import (
     BOTTOM,
     NondeterministicTreeAutomaton,
@@ -78,6 +81,36 @@ def test_nondeterministic_acceptance_and_determinization():
     for seed in range(4):
         document = random_tree(40, labels=("a", "t"), seed=seed)
         assert deterministic.accepts(document) == nta.accepts(document)
+
+
+_NTA_STATES = (BOTTOM, "p", "q")
+
+
+@st.composite
+def _nondeterministic_automata(draw):
+    """Random NTAs over labels a, b and the wildcard, with states p and q."""
+    transitions = {}
+    for label in ("a", "b", "*"):
+        for left in _NTA_STATES:
+            for right in _NTA_STATES:
+                targets = draw(st.frozensets(st.sampled_from(("p", "q"))))
+                if targets:
+                    transitions[(label, left, right)] = targets
+    accepting = draw(st.sets(st.sampled_from(("p", "q")), min_size=1))
+    return NondeterministicTreeAutomaton(transitions=transitions, accepting=accepting)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _nondeterministic_automata(),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_determinization_preserves_the_language_of_random_automata(nta, size, seed):
+    """The subset construction accepts exactly the trees some run of the
+    NTA accepts; label c has only the wildcard transitions."""
+    document = random_tree(size, labels=("a", "b", "c"), seed=seed)
+    assert nta.determinize().accepts(document) == nta.accepts(document)
 
 
 def test_states_and_labels_accessors():

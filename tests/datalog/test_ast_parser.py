@@ -75,6 +75,13 @@ def test_parse_facts_and_zero_arity():
     assert rules[1].head.terms == (Constant("a"), Constant("b"))
 
 
+def test_parse_atom_text():
+    (fact,) = parse_rules("price(X).")
+    assert fact.head == Atom("price", (X,)) and not fact.body
+    with pytest.raises(DatalogSyntaxError):
+        parse_rules("price(X) extra.")
+
+
 def test_parse_errors():
     with pytest.raises(DatalogSyntaxError):
         parse_rules("p(X :- q(X).")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datalog import (
     GroundHornSolver,
@@ -247,3 +249,26 @@ def test_ltur_agrees_with_seminaive_on_ground_horn():
     ltur_truth = solver.solve()
     assert {v for (name, v) in ltur_truth if name == "p"} == {v[0] for v in seminaive["p"]}
     assert {v for (name, v) in ltur_truth if name == "s"} == {v[0] for v in seminaive["s"]}
+
+
+_GROUND_ATOMS = st.sampled_from(tuple(f"p{i}" for i in range(8)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(_GROUND_ATOMS, st.lists(_GROUND_ATOMS, max_size=3).map(tuple)), max_size=12),
+    st.sets(_GROUND_ATOMS, max_size=3),
+)
+def test_ltur_agrees_with_a_naive_fixpoint_on_random_ground_programs(rules, facts):
+    """Linear-time unit resolution derives the least model of a ground
+    Horn program: the same atoms as firing every rule until nothing new
+    holds."""
+    model = set(facts)
+    changed = True
+    while changed:
+        changed = False
+        for head, body in rules:
+            if head not in model and all(atom in model for atom in body):
+                model.add(head)
+                changed = True
+    assert solve_ground_program(rules, facts=facts) == model

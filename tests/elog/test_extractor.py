@@ -18,6 +18,7 @@ from repro.elog import (
     figure5_program,
     parse_elog,
 )
+from repro.elog.extractor import _match_member
 from repro.html import parse_html
 from repro.web import SimulatedWeb
 from repro.web.sites.ebay import ebay_page
@@ -297,3 +298,14 @@ def test_auxiliary_patterns_hidden_in_xml(page):
     serialised = to_xml(xml_tree)
     assert "<row>" not in serialised
     assert serialised.count("<name>") == 3
+
+
+def test_a_member_is_matched_as_the_last_step_of_the_path():
+    """Sequence members and subsq endpoints: the node itself is the target,
+    so only the path's last step and its conditions are checked."""
+    cell = parse_html('<table><tr><td class="price">9</td></tr></table>').find_first("td")
+    assert _match_member(ElementPath.parse("(?.td, [(class, price, exact)])"), cell) == {}
+    assert _match_member(ElementPath.parse(".td"), cell) == {}
+    assert _match_member(ElementPath.parse("(.td, [(class, total, exact)])"), cell) is None
+    assert _match_member(ElementPath.parse(".tr.td"), cell) is None
+    assert _match_member(ElementPath.parse("?.tr"), cell) is None

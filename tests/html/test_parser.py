@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.html import parse_html
-from repro.html.render import render_text_with_spans
+from repro.html.render import SKIPPED_ELEMENTS, render_text_with_spans
 
 from .oracle import tree_shape
 
@@ -109,6 +109,25 @@ def test_render_text_spans_cover_nodes(simple_html):
     table = simple_html.find_first("table")
     t_start, t_end = spans[id(table)]
     assert t_start <= start and end <= t_end
+
+
+def test_render_text_spans_nest_and_text_nodes_render_their_text(simple_html):
+    text, spans = render_text_with_spans(simple_html)
+    for node in simple_html:
+        if any(a.label in SKIPPED_ELEMENTS for a in node.iter_ancestors()):
+            # Below a skipped element nothing renders and nothing is recorded.
+            assert id(node) not in spans
+            continue
+        start, end = spans[id(node)]
+        assert 0 <= start <= end <= len(text)
+        if node.label in SKIPPED_ELEMENTS:
+            assert start == end
+            continue
+        for child in node.children:
+            child_start, child_end = spans[id(child)]
+            assert start <= child_start <= child_end <= end
+        if node.label == "#text":
+            assert text[start:end] == " ".join(node.text.split())
 
 
 def test_script_and_style_not_rendered():

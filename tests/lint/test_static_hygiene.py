@@ -51,6 +51,8 @@ import subprocess
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
 
@@ -634,19 +636,116 @@ def _public_definitions(path: Path):
 
 
 @functools.lru_cache(maxsize=None)
-def _unreferenced_definitions():
+def _unreferenced_definitions(repo: Path = REPO):
     # A package ``__init__`` only re-exports names: that is no use of them.
     uses = Counter()
     for root in CALLER_ROOTS:
-        for path in sorted((REPO / root).rglob("*.py")):
+        for path in sorted((repo / root).rglob("*.py")):
             if path.name != "__init__.py":
                 uses.update(_used_names(path.read_text(encoding="utf-8")))
+    src = repo / "src"
     return frozenset(
-        f"{path.relative_to(SRC)}:{qualified}"
-        for path in sorted(SRC.rglob("*.py"))
+        f"{path.relative_to(src)}:{qualified}"
+        for path in sorted(src.rglob("*.py"))
         for qualified, name in _public_definitions(path)
         if not uses[name]
     )
+
+
+@pytest.mark.parametrize(
+    "source, used, unused",
+    [
+        ('"""helper is prose."""\n', set(), {"helper", "is", "prose"}),
+        ('"""say "helper"\nnow"""\n', set(), {"say", "helper", "now"}),
+        ("r'''helper'''\n", set(), {"helper"}),
+        ("x = 1  # helper\n", {"x"}, {"helper"}),
+        ("def helper(arg):\n    return arg\n", {"arg"}, {"helper"}),
+        ("class Helper(Base):\n    pass\n", {"Base"}, {"Helper"}),
+        ("obj.helper()\n", {"obj", "helper"}, set()),
+        ('setattr(obj, "helper", 1)\n', {"setattr", "helper"}, set()),
+        ('f"{helper(x)}: {other}"\n', {"helper", "x", "other"}, set()),
+        ('"not a helper"\n', set(), {"not", "helper"}),
+        ("'it\\'s helper'\n", set(), {"it", "helper"}),
+        ('"C:\\\\" + helper\n', {"helper"}, {"C"}),
+    ],
+    ids=[
+        "docstring",
+        "docstring-with-quotes",
+        "prefixed-docstring",
+        "comment",
+        "def-head",
+        "class-head",
+        "attribute",
+        "identifier-string",
+        "f-string",
+        "prose-string",
+        "escaped-quote",
+        "escaped-backslash",
+    ],
+)
+def test_used_names_reads_code_not_prose(source, used, unused):
+    names = set(_used_names(source))
+    assert used <= names
+    assert not unused & names
+
+
+def test_public_definitions_are_top_level_and_class_members(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def helper():\n"
+        "    def nested():\n"
+        "        pass\n"
+        "def _private():\n"
+        "    pass\n"
+        "async def fetch():\n"
+        "    pass\n"
+        "class Box:\n"
+        "    def open(self):\n"
+        "        pass\n"
+        "    def _hidden(self):\n"
+        "        pass\n"
+        "    class Inner:\n"
+        "        def deep(self):\n"
+        "            pass\n"
+        "class _Secret:\n"
+        "    def visible(self):\n"
+        "        pass\n",
+        encoding="utf-8",
+    )
+    assert list(_public_definitions(module)) == [
+        ("helper", "helper"),
+        ("fetch", "fetch"),
+        ("Box", "Box"),
+        ("Box.open", "open"),
+        ("Box.Inner", "Inner"),
+    ]
+
+
+def test_unreferenced_definitions_ignore_tests_and_reexports(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from .mod import exported, used_by_example, used_by_test\n", encoding="utf-8"
+    )
+    (package / "mod.py").write_text(
+        "def used_by_example():\n    return used_inside()\n"
+        "def used_inside():\n    pass\n"
+        "def used_by_test():\n    pass\n"
+        "def exported():\n    pass\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from pkg import used_by_example\nused_by_example()\n", encoding="utf-8"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from pkg import used_by_test\nused_by_test()\n", encoding="utf-8"
+    )
+    assert _unreferenced_definitions(tmp_path) == {
+        "pkg/mod.py:used_by_test",
+        "pkg/mod.py:exported",
+    }
 
 
 def test_every_public_definition_has_a_caller_or_a_reason():

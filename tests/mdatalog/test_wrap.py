@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-from repro.mdatalog import assignment_from_queries, wrap_tree
+from repro.mdatalog import (
+    MonadicProgram,
+    MonadicTreeEvaluator,
+    assignment_from_queries,
+    wrap_tree,
+)
 from repro.tree import tree
 from repro.xmlgen import to_xml
 
@@ -62,6 +67,22 @@ def test_wrap_tree_multiple_predicates_on_one_node():
         document, selections, label_for=lambda node, predicates: predicates[-1]
     )
     assert custom.children[0].name == "b"
+
+
+def test_wrap_with_program_hides_auxiliary_predicates():
+    document = make_document()
+    program = MonadicProgram.parse(
+        """
+        rowaux(X) :- label_tr(X).
+        cell(X) :- rowaux(X0), firstchild(X0, X).
+        """,
+        query_predicates=["cell"],
+    )
+    selections = MonadicTreeEvaluator(program).evaluate(document)
+    assert set(selections) == {"cell"}
+    result = wrap_tree(document, selections)
+    assert result.find("rowaux") is None
+    assert [cell.text for cell in result.find_all("cell")] == ["alpha", "beta"]
 
 
 def test_assignment_from_queries_orders_predicates():

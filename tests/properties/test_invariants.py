@@ -3,6 +3,8 @@ cross-formalism equivalences of Figure 6."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from hypothesis import given, settings, strategies as st
 
 from repro.datalog import EngineOptions, parse_program, query_program, tree_database
@@ -59,8 +61,59 @@ def test_document_order_is_a_total_order_consistent_with_structure(document):
 
 @given(documents())
 @settings(max_examples=40, deadline=None)
+def test_is_ancestor_of_agrees_with_the_ancestor_chain(document):
+    """The O(1) interval test of a built document against the parent walk."""
+    for node in document:
+        ancestors = set(map(id, node.iter_ancestors()))
+        for other in document:
+            assert other.is_ancestor_of(node) == (id(other) in ancestors)
+
+
+@given(documents())
+@settings(max_examples=40, deadline=None)
+def test_a_subtree_is_its_preorder_interval(document):
+    for node in document:
+        descendants = [descendant.preorder_index for descendant in node.iter_descendants()]
+        assert descendants == list(range(node.preorder_index + 1, node.subtree_end))
+
+
+@given(documents())
+@settings(max_examples=40, deadline=None)
+def test_label_column_descendants_are_a_bisected_slice(document):
+    """The region encoding documented on ``Document.label_column``."""
+    for label in LABELS:
+        nodes, preorders = document.label_column(label)
+        assert nodes == [node for node in document if node.label == label]
+        assert preorders == [node.preorder_index for node in nodes]
+        for parent in document:
+            lo = bisect_right(preorders, parent.preorder_index)
+            hi = bisect_left(preorders, parent.subtree_end)
+            expected = [n for n in parent.iter_descendants() if n.label == label]
+            assert nodes[lo:hi] == expected
+
+
+@given(documents())
+@settings(max_examples=40, deadline=None)
 def test_firstchild_nextsibling_encoding_round_trips(document):
     assert to_sexpr(decode(encode(document))) == to_sexpr(document)
+
+
+@given(documents())
+@settings(max_examples=40, deadline=None)
+def test_leaf_lastsibling_partition_invariants(document):
+    """The unary tau_ur relations, read off the node objects: a leaf has no
+    children, and the root is neither a first nor a last sibling."""
+    database = tree_database(document)
+    for node in document:
+        index = (node.preorder_index,)
+        assert (index in database["leaf"]) == (not node.children)
+        assert (index in database["root"]) == (node.parent is None)
+        if node.parent is None:
+            assert index not in database["lastsibling"]
+            assert index not in database["firstsibling"]
+        else:
+            assert (index in database["lastsibling"]) == (node.parent.children[-1] is node)
+            assert (index in database["firstsibling"]) == (node.parent.children[0] is node)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,16 @@ def test_labels_and_histogram(nested_tree):
     assert len(nested_tree.nodes_with_label("item")) == 3
 
 
+def test_document_order_and_precedes(figure1):
+    n2 = figure1.find_first("n2")
+    n5 = figure1.find_first("n5")
+    assert n2.preorder_index < n5.preorder_index
+    for node in figure1:
+        assert figure1.node_at(node.preorder_index) is node
+        for ancestor in node.iter_ancestors():
+            assert ancestor.preorder_index < node.preorder_index
+
+
 def test_depth(nested_tree):
     assert nested_tree.depth() == 4  # doc > section > para > i > b
 

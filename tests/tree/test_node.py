@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datalog import tree_database
 from repro.tree import Document, Node, tree
 
 
@@ -33,6 +34,19 @@ def test_append_child_rejects_attached_node():
         other.append_child(a)
 
 
+def test_first_and_last_sibling_flags():
+    root, a, b, c, a1, a2 = build_small_tree()
+    database = tree_database(Document(root))
+    first = {index for (index,) in database["firstsibling"]}
+    last = {index for (index,) in database["lastsibling"]}
+    assert a.preorder_index in first and a.preorder_index not in last
+    assert c.preorder_index in last and c.preorder_index not in first
+    # A text node is a sibling like any other: a2 is the last child of a.
+    assert a1.preorder_index in first and a2.preorder_index in last
+    # The root has no parent (paper convention).
+    assert root.preorder_index not in first | last
+
+
 def test_sibling_navigation():
     root, a, b, c, *_ = build_small_tree()
     assert a.next_sibling is b
@@ -40,6 +54,18 @@ def test_sibling_navigation():
     assert c.next_sibling is None
     assert c.previous_sibling is b
     assert a.previous_sibling is None
+
+
+def test_first_and_last_child():
+    root, a, b, c, a1, a2 = build_small_tree()
+    database = tree_database(Document(root))
+    index = {node: node.preorder_index for node in (root, a, b, c, a1, a2)}
+    assert (index[root], index[a]) in database["firstchild"]
+    assert (index[root], index[c]) in database["lastchild"]
+    assert (index[a], index[a1]) in database["firstchild"]
+    assert (index[a], index[a2]) in database["lastchild"]
+    assert not {pair for pair in database["firstchild"] if pair[0] == index[b]}
+    assert not {pair for pair in database["lastchild"] if pair[0] == index[b]}
 
 
 def test_append_child_refuses_the_nodes_of_a_built_document():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.xmlgen import XmlElement, parse_xml, to_compact_xml, to_xml
 
 
@@ -58,3 +61,28 @@ def test_escaping_of_special_characters():
     markup = to_xml(element)
     assert "&amp;" in markup and "&lt;tasty&gt;" in markup
     assert parse_xml(markup).text == "fish & chips <tasty>"
+
+
+# Markup-significant characters and inner spaces; the parser strips the
+# ends of text content, so generated text has none to strip.
+_VALUES = st.text(alphabet="ab &<>\"'", max_size=8)
+
+
+@st.composite
+def _elements(draw, depth=0):
+    element = XmlElement(
+        draw(st.sampled_from(("a", "b", "c"))),
+        attributes=draw(st.dictionaries(st.sampled_from(("id", "title")), _VALUES)),
+        text=draw(_VALUES.map(str.strip)),
+    )
+    if depth < 3:
+        for child in draw(st.lists(_elements(depth + 1), max_size=3)):
+            element.append(child)
+    return element
+
+
+@settings(max_examples=100, deadline=None)
+@given(_elements())
+def test_markup_round_trips_text_and_attribute_values(element):
+    assert parse_xml(to_xml(element)) == element
+    assert parse_xml(to_compact_xml(element)) == element
