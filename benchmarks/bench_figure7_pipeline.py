@@ -4,7 +4,10 @@ Three heterogeneous book sources are wrapped, integrated, filtered and sorted
 by the Transformation Server; the benchmark reports end-to-end pipeline
 latency and checks the integrated record counts.  The change gate's layer
 is timed on its own: ``ChangeDetector.observe`` over 6 shops of 12 frozen
-offers when one shop's output is new and when every record is new.
+offers when one shop's output is new and when every record is new.  So is
+the XML Designer step a wrapper runs per changed page:
+``PatternInstanceBase.to_xml`` over the instance base of one 12-offer
+competitor page of the ``monitor_server`` benchmark.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import time
 import pytest
 
 from repro.api import Pipeline
-from repro.elog import parse_elog
+from repro.elog import Extractor, parse_elog
+from repro.html import parse_html
 from repro.server import (
     ChangeDetector,
     InformationPipe,
@@ -25,6 +29,7 @@ from repro.server import (
 )
 from repro.web import SimulatedWeb
 from repro.web.sites.bookstore import bookstore_site
+from repro.web.sites.markets import competitor_page, competitor_prices
 from repro.xmlgen import XmlElement
 
 BOOKS_PER_SHOP = 8
@@ -130,3 +135,28 @@ def test_gate_observe_time(quick, bench_record_samples):
             assert len(report.changed) == new_shops * GATE_OFFERS and not report.added
         median = bench_record_samples(workload, samples)
         print(f"  {workload:<34} {median:.4f} ms")
+
+
+#: The ``monitor_server`` benchmark's competitor wrapper.
+PRICE_WRAPPER = parse_elog(
+    """
+    offer(S, X)   <- document(_, S), subelem(S, ?.tr, X)
+    product(S, X) <- offer(_, S), subelem(S, (?.td, [(class, product, exact)]), X)
+    price(S, X)   <- offer(_, S), subelem(S, (?.td, [(class, price, exact)]), X)
+    """
+)
+
+
+def test_instance_base_to_xml_time(quick, bench_record_samples):
+    page = parse_html(competitor_page("Competitor 1", competitor_prices(GATE_OFFERS, seed=1)))
+    base = Extractor(PRICE_WRAPPER).extract(document=page)
+    assert base.count("offer") == GATE_OFFERS
+    calls = 20
+    samples = []
+    for _ in range(30 if quick else 200):
+        start = time.perf_counter()
+        for _ in range(calls):
+            base.to_xml(root_name="shop_1")
+        samples.append((time.perf_counter() - start) * 1e3 / calls)
+    median = bench_record_samples("instance_base_to_xml_shop_ms", samples)
+    print(f"\nE13  PatternInstanceBase.to_xml, one {GATE_OFFERS}-offer shop page: {median:.4f} ms")

@@ -13,6 +13,11 @@ guarded fetch adds only a breaker check and a loop frame per document.  Two work
 * ``resilience_storm_recovered_s`` — the same stream under a seeded 20%
   fail-once storm with zero-backoff retries: the price of absorbing a
   storm is re-fetching the flaky fifth, not a collapsed batch.
+
+A third series times the fault injector itself, which every fetch of a
+chaos run or of the ``monitor_server`` benchmark consults:
+``fault_plan_decide_us`` is one ``FaultPlan.decide`` under a 2% rate plan
+over 7 URLs (the monitoring workload's plan and page count).
 """
 
 from __future__ import annotations
@@ -147,3 +152,24 @@ def test_storm_recovery_price_is_the_refetched_fifth(best_of, bench_record, quic
         f"\n20% fail-once storm over {url_count} urls absorbed in "
         f"{min(samples):.4f} s (zero-backoff retries; no slot lost)"
     )
+
+
+#: The monitoring workload's fault plan: a 2% coin, two failures at most.
+DECIDE_URLS = [f"competitor-{shop}.test/prices" for shop in range(1, 7)] + [
+    "vienna-airport.test/departures"
+]
+
+
+def test_fault_plan_decide_time(quick, bench_record_samples):
+    rounds = 60 if quick else 200
+    samples = []
+    for sample in range(15 if quick else 31):
+        plan = FaultPlan(seed=sample).fail_rate(0.02, max_failures=2)
+        start = time.perf_counter()
+        for _ in range(rounds):
+            for url in DECIDE_URLS:
+                plan.decide(url)
+        samples.append((time.perf_counter() - start) * 1e6 / (rounds * len(DECIDE_URLS)))
+        assert plan.injected["transient"] > 0  # the 2% coin came up heads
+    median = bench_record_samples("fault_plan_decide_us", samples)
+    print(f"\nFaultPlan.decide, 2% rate over {len(DECIDE_URLS)} urls: {median:.2f} us per fetch")

@@ -81,7 +81,7 @@ from .conditions import (
     lenient_path,
 )
 from .epath import ElementPath
-from .instance_base import PatternInstance, PatternInstanceBase
+from .instance_base import PatternInstance, PatternInstanceBase, by_anchor
 
 # A candidate target: a node, a run of sibling nodes, or an extracted string,
 # together with the variable bindings produced by the extraction.
@@ -272,7 +272,7 @@ class Extractor:
                     bindings = satisfied
                 accepted.append(self._instance(rule, parent, target, bindings))
             if accepted and plan.first_only:
-                accepted = [min(accepted, key=PatternInstance.anchor)]
+                accepted = [min(accepted, key=by_anchor)]
             for instance in accepted:
                 base.add_instance(instance)
         return len(base) != size

@@ -12,7 +12,7 @@ predicates; the synthetic *document* instances are the roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..tree.document import Document
@@ -21,23 +21,50 @@ from ..xmlgen.document import XmlElement
 from .ast import ROOT_PATTERN
 
 
-@dataclass
 class PatternInstance:
     """One extracted instance of a pattern.
 
     An instance refers to a single document node (tree extraction), a *run*
     of consecutive sibling nodes (``nodes``, produced by ``subsq``), or a
     string (``value``, produced by ``subtext`` / ``subatt``).
+
+    ``node``, ``nodes`` and ``parent`` never change after construction, so
+    the instance computes its document-order :meth:`anchor` once, here.
     """
 
-    pattern: str
-    parent: Optional["PatternInstance"]
-    node: Optional[Node] = None
-    nodes: Optional[List[Node]] = None
-    value: Optional[str] = None
-    document: Optional[Document] = None
-    bindings: Dict[str, object] = field(default_factory=dict)
-    children: List["PatternInstance"] = field(default_factory=list)
+    __slots__ = (
+        "pattern", "parent", "node", "nodes", "value", "document",
+        "bindings", "children", "_anchor",
+    )
+
+    def __init__(
+        self,
+        pattern: str,
+        parent: Optional["PatternInstance"],
+        node: Optional[Node] = None,
+        nodes: Optional[List[Node]] = None,
+        value: Optional[str] = None,
+        document: Optional[Document] = None,
+        bindings: Optional[Dict[str, object]] = None,
+        children: Optional[List["PatternInstance"]] = None,
+    ) -> None:
+        self.pattern = pattern
+        self.parent = parent
+        self.node = node
+        self.nodes = nodes
+        self.value = value
+        self.document = document
+        self.bindings: Dict[str, object] = {} if bindings is None else bindings
+        self.children: List[PatternInstance] = [] if children is None else children
+        # The first member node's preorder index, else (for a string or an
+        # empty run) the parent's first member's, marked as following it.
+        first = nodes[0] if nodes else (node if nodes is None else None)
+        if first is not None:
+            self._anchor = (first.preorder_index, 0)
+        elif parent is not None and parent._anchor[1] == 0:
+            self._anchor = (parent._anchor[0], 1)
+        else:
+            self._anchor = (0, 1)
 
     # ------------------------------------------------------------------
     @property
@@ -67,19 +94,19 @@ class PatternInstance:
         return " ".join(text for text in (node.normalized_text() for node in nodes) if text)
 
     def anchor(self) -> Tuple[int, int]:
-        """Sort key approximating document order for mixed node/string instances."""
-        members = self.member_nodes()
-        if members:
-            return (members[0].preorder_index, 0)
-        if self.parent is not None:
-            parent_members = self.parent.member_nodes()
-            if parent_members:
-                return (parent_members[0].preorder_index, 1)
-        return (0, 1)
+        """Sort key approximating document order for mixed node/string
+        instances (computed once, at construction)."""
+        return self._anchor
 
     def identity(self) -> Tuple:
         """Key used for duplicate elimination within one extraction run."""
-        node_key = tuple(id(node) for node in self.member_nodes()) or None
+        nodes = self.nodes
+        if nodes:
+            node_key: Optional[Tuple[int, ...]] = tuple(map(id, nodes))
+        elif nodes is None and self.node is not None:
+            node_key = (id(self.node),)
+        else:
+            node_key = None
         parent_key = id(self.parent) if self.parent is not None else None
         return (self.pattern, parent_key, node_key, self.value)
 
@@ -98,12 +125,16 @@ class PatternInstance:
     def find_all(self, pattern: str) -> List["PatternInstance"]:
         return sorted(
             (inst for inst in self.iter_descendants() if inst.pattern == pattern),
-            key=PatternInstance.anchor,
+            key=by_anchor,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         payload = self.value if self.is_string_instance else f"<{self.node.label}>"
         return f"PatternInstance({self.pattern}, {payload!r}, children={len(self.children)})"
+
+
+#: The sort key of document order: an instance's stored anchor.
+by_anchor = operator.attrgetter("_anchor")
 
 
 class PatternInstanceBase:
@@ -151,7 +182,7 @@ class PatternInstanceBase:
 
     # -- queries --------------------------------------------------------------
     def instances_of(self, pattern: str) -> List[PatternInstance]:
-        return sorted(self._by_pattern.get(pattern, []), key=PatternInstance.anchor)
+        return sorted(self._by_pattern.get(pattern, []), key=by_anchor)
 
     def patterns(self) -> List[str]:
         return sorted(self._by_pattern)
@@ -206,7 +237,7 @@ class PatternInstanceBase:
                         target.attributes[key] = value
                 if not instance.children:
                     target.text = instance.text()
-            for child in sorted(instance.children, key=PatternInstance.anchor):
+            for child in sorted(instance.children, key=by_anchor):
                 emit(child, target)
 
         for root in self.roots:

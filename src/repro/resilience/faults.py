@@ -8,8 +8,8 @@ chaos run that cannot be replayed is a flake generator, not a test.
 :class:`FaultPlan` is a seeded, deterministic schedule of injected faults.
 Rules match URLs by substring (``"*"`` matches everything) and fire based
 on the per-URL fetch count, so a plan replays identically however threads
-interleave *across* URLs (per-URL counters are the only state, and they are
-locked):
+interleave *across* URLs (the only state is per URL, and it is locked: the
+fetch counter and, under a rate rule, the current run of heads):
 
 * ``fail_transient(pattern, times=N)`` — the classic fail-N-then-succeed
   sequence: the first N matching fetches raise
@@ -20,7 +20,7 @@ locked):
   fetcher sleeps before delegating);
 * ``fail_rate(rate)`` — a seeded coin per (url, fetch number): heads is a
   transient fault.  Deterministic for a given seed, independent of thread
-  interleaving.
+  interleaving.  A fetch draws one coin, whatever the number of rate rules.
 
 :class:`FaultyFetcher` wraps any :class:`~repro.elog.extractor.Fetcher`
 with a plan; :class:`repro.web.SimulatedWeb` also consults a plan directly
@@ -32,7 +32,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..elog.extractor import Fetcher, Page
 from .errors import PermanentFetchError, TransientFetchError
@@ -75,6 +75,13 @@ class FaultPlan:
         self.seed = seed
         self._rules: List[_FaultRule] = []
         self._counts: Dict[str, int] = {}
+        # Per URL: the rate-hit streak the next fetch starts from, and the
+        # heads bound it was counted under (see _consecutive_rate_hits).
+        self._streaks: Dict[str, Tuple[int, float]] = {}
+        # The largest rate of any rate rule (None: no rate rule yet).  The
+        # coin does not depend on the rate, so heads under any rate rule
+        # means a coin below this bound.
+        self._rate_bound: Optional[float] = None
         self._lock = threading.Lock()
         self.injected: Dict[str, int] = {"transient": 0, "permanent": 0, "latency": 0}
 
@@ -110,6 +117,7 @@ class FaultPlan:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"fail_rate must be in [0, 1], got {rate}")
         self._rules.append(_FaultRule("rate", pattern, max_failures, 0, rate))
+        self._rate_bound = max(rate, self._rate_bound or 0.0)
         return self
 
     # -- resolution -------------------------------------------------------
@@ -129,7 +137,17 @@ class FaultPlan:
             self._counts[url] = number + 1
             delay = 0.0
             error: Optional[Exception] = None
-            consecutive_rate_hits = self._consecutive_rate_hits(url, number)
+            coin, consecutive_rate_hits = 1.0, 0
+            bound = self._rate_bound
+            if bound is not None:
+                consecutive_rate_hits, counted_under = self._streaks.get(url, (0, None))
+                if counted_under != bound:  # first fetch, or a rate rule was added
+                    consecutive_rate_hits = self._consecutive_rate_hits(url, number, bound)
+                coin = self._rate_coin(url, number)
+                self._streaks[url] = (
+                    consecutive_rate_hits + 1 if coin < bound else 0,
+                    bound,
+                )
             for rule in self._rules:
                 if not self._matches(rule.pattern, url):
                     continue
@@ -151,7 +169,7 @@ class FaultPlan:
                         url=url,
                     )
                 elif rule.kind == "rate" and consecutive_rate_hits < (rule.times or 0):
-                    if self._rate_coin(url, number, rule.value):
+                    if coin < rule.value:
                         self.injected["transient"] += 1
                         error = TransientFetchError(
                             f"injected transient failure fetching {url!r} "
@@ -162,24 +180,23 @@ class FaultPlan:
                 self.injected["latency"] += 1
             return FaultDecision(delay, error)
 
-    def _rate_coin(self, url: str, number: int, rate: float) -> bool:
-        return random.Random(f"{self.seed}/rate/{url}/{number}").random() < rate
+    def _rate_coin(self, url: str, number: int) -> float:
+        """The seeded coin of fetch ``number`` of ``url``: heads under a rate
+        rule is a value below its rate."""
+        return random.Random(f"{self.seed}/rate/{url}/{number}").random()
 
-    def _consecutive_rate_hits(self, url: str, number: int) -> int:
+    def _consecutive_rate_hits(self, url: str, number: int, bound: float) -> int:
         """Rate-rule hits on the fetches immediately preceding ``number``.
 
-        Recomputed from the seed (no extra state): walks backwards while
-        the coin kept coming up heads.  Bounds the fail-streak so
-        ``max_failures`` can guarantee a retried fetch eventually passes.
+        Walks backwards from the seed while the coin kept coming up heads
+        (below ``bound``).  Bounds the fail-streak so ``max_failures`` can
+        guarantee a retried fetch eventually passes.  :meth:`decide` carries
+        the streak forward per URL from the coin it draws, and walks only
+        for a URL's first fetch under the current rate rules.
         """
-        rates = [rule.value for rule in self._rules if rule.kind == "rate"]
-        if not rates:
-            return 0
         streak = 0
         position = number - 1
-        while position >= 0 and any(
-            self._rate_coin(url, position, rate) for rate in rates
-        ):
+        while position >= 0 and self._rate_coin(url, position) < bound:
             streak += 1
             position -= 1
         return streak

@@ -16,19 +16,27 @@ oracle in ``tests/properties/test_cq_and_elog_properties.py``.  Two helpers
 answer one question each the naive way, for the unit and property tests:
 :func:`evaluate_condition` (one condition on one context) and
 :func:`match_target` (one path on one parent and target).
+
+The instance base's document order has its reference here too: a
+:class:`~repro.elog.instance_base.PatternInstance` stores its anchor at
+construction, and :func:`anchor` / :func:`identity` derive the anchor and
+the duplicate key from fresh member-node lists on every call, as the
+instance once did; :func:`instances_in_order` and :func:`render_xml` sort
+by that anchor (``tests/elog/test_instance_order.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.elog import Extractor
-from repro.elog.ast import AfterCondition, BeforeCondition, Condition
+from repro.elog.ast import ROOT_PATTERN, AfterCondition, BeforeCondition, Condition
 from repro.elog.conditions import ConditionContext, compile_condition
 from repro.elog.epath import ElementPath
 from repro.elog.extractor import _Extraction, _rule_plans
-from repro.elog.instance_base import PatternInstanceBase
+from repro.elog.instance_base import PatternInstance, PatternInstanceBase
 from repro.tree import Document, Node
+from repro.xmlgen.document import XmlElement
 
 
 class ReferenceExtractor(Extractor):
@@ -145,3 +153,46 @@ def match_target(path: ElementPath, parent: Node, target: Node) -> Optional[Dict
     if not path.matches_path(labels[::-1]):
         return None
     return path._check_conditions(target)
+
+
+def anchor(instance: PatternInstance) -> Tuple[int, int]:
+    """Sort key approximating document order for mixed node/string instances."""
+    members = instance.member_nodes()
+    if members:
+        return (members[0].preorder_index, 0)
+    if instance.parent is not None:
+        parent_members = instance.parent.member_nodes()
+        if parent_members:
+            return (parent_members[0].preorder_index, 1)
+    return (0, 1)
+
+
+def identity(instance: PatternInstance) -> Tuple:
+    """Key used for duplicate elimination within one extraction run."""
+    node_key = tuple(id(node) for node in instance.member_nodes()) or None
+    parent_key = id(instance.parent) if instance.parent is not None else None
+    return (instance.pattern, parent_key, node_key, instance.value)
+
+
+def instances_in_order(base: PatternInstanceBase, pattern: str) -> List[PatternInstance]:
+    """``base.instances_of(pattern)``: registration order, sorted by :func:`anchor`."""
+    return sorted(base._by_pattern.get(pattern, []), key=anchor)
+
+
+def render_xml(base: PatternInstanceBase, auxiliary: Iterable[str] = ()) -> XmlElement:
+    """``base.to_xml(auxiliary=auxiliary)``, children sorted by :func:`anchor`."""
+    hidden = set(auxiliary) | {ROOT_PATTERN}
+    output_root = XmlElement("result")
+
+    def emit(instance: PatternInstance, parent_element: XmlElement) -> None:
+        target = parent_element
+        if instance.pattern not in hidden:
+            target = parent_element.add(instance.pattern)
+            if not instance.children:
+                target.text = instance.text()
+        for child in sorted(instance.children, key=anchor):
+            emit(child, target)
+
+    for root in base.roots:
+        emit(root, output_root)
+    return output_root
