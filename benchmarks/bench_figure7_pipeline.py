@@ -21,7 +21,6 @@ from repro.elog import Extractor, parse_elog
 from repro.html import parse_html
 from repro.server import (
     ChangeDetector,
-    InformationPipe,
     IntegrationComponent,
     SortComponent,
     WrapperComponent,
@@ -59,7 +58,7 @@ SHOP_C_WRAPPER = parse_elog(
 )
 
 
-def build_pipe() -> InformationPipe:
+def build_pipe() -> Pipeline:
     web = SimulatedWeb()
     web.publish_many(bookstore_site(count=BOOKS_PER_SHOP, seed=3))
     shops = {
@@ -75,7 +74,6 @@ def build_pipe() -> InformationPipe:
         .stage(SortComponent("by_price", "book", "price", root_name="offers"))
         .stage(XmlDeliverer("deliver"))
         .build()
-        .pipe
     )
 
 

@@ -36,7 +36,7 @@ def _build_server(documents, cache_size, rotation):
         # force_generic: exercise the generic engine's fixpoint LRU
         options=EngineOptions(cache_size=cache_size, force_generic=True),
     )
-    server.register(Pipeline.builder("wrappers").stage(component, is_source=True).build().pipe)
+    server.register(Pipeline.builder("wrappers").stage(component, is_source=True).build())
     return server, component
 
 

@@ -22,9 +22,9 @@ The façade's main entry points are re-exported here, so::
     from repro import Session, Pipeline, EngineOptions
 
 is all most programs need.  The layer modules stay importable for theory
-work and tests; their pre-façade tuning kwargs and the imperative
-``InformationPipe.add/connect/chain`` wiring are removed (see docs/API.md
-for migration notes).
+work and tests; their pre-façade tuning kwargs are removed, and the built
+:class:`Pipeline` is the Transformation Server's information pipe itself
+(see docs/API.md for migration notes).
 """
 
 from .api import (

@@ -19,16 +19,17 @@ package gives the reproduction the matching single surface:
   :class:`~repro.api.results.ExtractionResult` — uniform lazily-memoised
   views (tuples / nodes / texts) over datalog facts, monadic node
   selections and Elog pattern-instance bases;
-* :class:`~repro.api.pipeline.Pipeline` and its
-  :meth:`~repro.api.pipeline.Pipeline.builder` — declarative, build-time
-  validated construction of Transformation Server pipelines, replacing
-  imperative ``InformationPipe`` wiring;
+* :class:`~repro.server.pipeline.Pipeline` and its
+  :meth:`~repro.server.pipeline.Pipeline.builder` — declarative, build-time
+  validated construction of Transformation Server pipelines; the built
+  pipeline is the information pipe that runs, and it and the server each
+  report their components' failure accounting (``resilience_report()``);
 * :mod:`repro.analysis` — compile-time diagnostics: ``Session.analyze``
   returns a cached :class:`~repro.analysis.diagnostics.AnalysisReport`,
   ``EngineOptions(on_diagnostics="warn" | "strict" | "ignore")`` decides
   what evaluation does about error-severity findings, and
-  ``Pipeline.builder().build(on_diagnostics=...)`` vets every
-  wrapper/query program in a pipeline.
+  ``Pipeline.builder().build()`` vets every wrapper/query program in a
+  pipeline under the session's policy.
 
 The deliverer/monitoring component classes and the
 :class:`TransformationServer` are re-exported so a pipeline definition
@@ -65,12 +66,7 @@ from ..resilience import (
     ResiliencePolicy,
     RetryPolicy,
 )
-from ..server.monitoring import (
-    ChangeDetector,
-    ChangeGatedDeliverer,
-    ChangeReport,
-    resilience_report,
-)
+from ..server.monitoring import ChangeDetector, ChangeGatedDeliverer, ChangeReport
 from ..server.pipeline import PipelineError, TransformationServer
 from .backends import (
     BackendError,
@@ -125,5 +121,4 @@ __all__ = [
     "infer_backend",
     "parse_elog",
     "register_backend",
-    "resilience_report",
 ]

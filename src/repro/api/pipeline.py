@@ -1,17 +1,7 @@
 """Declarative, build-time-validated Transformation Server pipelines.
 
-The pre-façade way to assemble a pipeline was imperative::
-
-    pipe = InformationPipe("books")
-    pipe.add(WrapperComponent("shop_a", SHOP_A, web, "books-a.test/bestsellers"))
-    pipe.add(IntegrationComponent("integrate", root_name="allbooks"))
-    pipe.connect("shop_a", "integrate")          # wiring after the fact
-    ...
-
-— with mistakes (unknown names, missing inputs, cycles, a join whose
-primary arrives second) surfacing only at run time, if at all.
-:class:`PipelineBuilder` replaces that with a declarative chain that
-validates while you build and once more at :meth:`~PipelineBuilder.build`::
+:class:`PipelineBuilder` declares a pipeline as a chain that validates
+while you build and once more at :meth:`~PipelineBuilder.build`::
 
     pipeline = (
         Pipeline.builder("books")
@@ -28,21 +18,19 @@ validates while you build and once more at :meth:`~PipelineBuilder.build`::
 Stages connect to the previously added stage by default (``inputs=``
 overrides), so linear flows read top to bottom; fan-in stages
 (``integrate``, ``join``) name their upstreams explicitly.  ``build()``
-returns a :class:`Pipeline` — a façade over
-:class:`~repro.server.pipeline.InformationPipe` that also knows how to
-register itself on a :class:`~repro.server.pipeline.TransformationServer`
-(:meth:`Pipeline.serve`).
-
-The old imperative wiring (``InformationPipe.add/connect/chain``) is
-removed; :meth:`PipelineBuilder.stage` and :meth:`PipelineBuilder.connect`
-wire custom components.
+returns the :class:`~repro.server.pipeline.Pipeline` itself — the
+information pipe that runs, and that registers on a
+:class:`~repro.server.pipeline.TransformationServer`
+(:meth:`~repro.server.pipeline.Pipeline.serve`).
+:meth:`PipelineBuilder.stage` and :meth:`PipelineBuilder.connect` wire
+custom components.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
-from ..analysis.diagnostics import POLICIES, apply_policy
+from ..analysis.diagnostics import apply_policy
 from ..datalog.registry import shared_registry
 from ..elog.ast import ElogProgram
 from ..elog.extractor import Fetcher
@@ -60,119 +48,14 @@ from ..server.components import (
     XmlSourceComponent,
 )
 from ..server.monitoring import ChangeDetector, ChangeGatedDeliverer, ChangeReport
-from ..server.pipeline import InformationPipe, PipelineError, TransformationServer
+from ..server.pipeline import Pipeline, PipelineError
 from ..xmlgen.document import XmlElement
 from .session import Session
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mdatalog.program import MonadicProgram
-    from ..resilience.policy import ResilienceInfo, ResiliencePolicy
+    from ..resilience.policy import ResiliencePolicy
     from ..tree.document import Document
-
-
-class Pipeline:
-    """A built, validated pipeline — the façade over an information pipe."""
-
-    def __init__(
-        self,
-        pipe: InformationPipe,
-        session: Session,
-        programs: Sequence[tuple] = (),
-    ) -> None:
-        self._pipe = pipe
-        self._session = session
-        # (stage name, program) pairs of the wrapper/query stages, kept for
-        # the explain() surface.
-        self._programs = tuple(programs)
-
-    @staticmethod
-    def builder(
-        name: str = "pipeline",
-        session: "Optional[Session]" = None,
-        resilience: "Optional[ResiliencePolicy]" = None,
-    ) -> "PipelineBuilder":
-        """Start a declarative pipeline definition.
-
-        ``resilience`` becomes the default policy of every wrapper/query
-        stage (each stage may override with its own ``resilience=``); a
-        session-bound builder defaults to the session's policy.  Without a
-        ``session`` the builder binds ``Session(registry=shared_registry())``:
-        stock options, the process-wide plan registry, no policy.
-        """
-        return PipelineBuilder(name, session=session, resilience=resilience)
-
-    # -- execution ---------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self._pipe.name
-
-    @property
-    def pipe(self) -> InformationPipe:
-        """The underlying :class:`InformationPipe` (monitoring / legacy)."""
-        return self._pipe
-
-    def run(self) -> Dict[str, XmlElement]:
-        """Activate the sources and push documents through the network."""
-        return self._pipe.run()
-
-    @property
-    def last_results(self) -> Dict[str, XmlElement]:
-        return self._pipe.last_results
-
-    def component(self, name: str) -> Component:
-        return self._pipe.component(name)
-
-    def components(self) -> List[Component]:
-        return self._pipe.components()
-
-    def resilience_report(self) -> "Dict[str, ResilienceInfo]":
-        """Per-component failure accounting (components without a
-        resilience policy are omitted)."""
-        from ..server.monitoring import resilience_report
-
-        return resilience_report(self._pipe)
-
-    def explain(self) -> "Dict[str, object]":
-        """Explain plans for every wrapper/query stage of this pipeline.
-
-        Returns ``{stage name: ExplainReport}`` in stage-definition order
-        (see :func:`repro.analysis.explain.explain`), answered from the
-        builder's session's analysis cache.  Elog wrappers are explained
-        through their monadic-datalog translation, so the report shows the
-        plans the engine would actually run.
-        """
-        return {
-            stage_name: self._session.explain(program)
-            for stage_name, program in self._programs
-        }
-
-    def deliverers(self) -> List[DelivererComponent]:
-        """Every configured deliverer, including those behind change gates
-        (a :class:`ChangeGatedDeliverer` stage *is* the gate; the deliverer
-        it forwards to is what monitoring code wants to iterate)."""
-        found: List[DelivererComponent] = []
-        for component in self._pipe.components():
-            if isinstance(component, DelivererComponent):
-                found.append(component)
-            elif isinstance(component, ChangeGatedDeliverer):
-                found.append(component.inner)
-        return found
-
-    def serve(
-        self,
-        server: Optional[TransformationServer] = None,
-        period: int = 1,
-    ) -> TransformationServer:
-        """Register on a :class:`TransformationServer` (created on demand)
-        with the given activation period; returns the server so callers can
-        drive its logical clock (``server.tick()``)."""
-        if server is None:
-            server = TransformationServer()
-        server.register(self._pipe, period=period)
-        return server
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Pipeline({self.name!r}, components={len(self._pipe.components())})"
 
 
 class PipelineBuilder:
@@ -194,16 +77,13 @@ class PipelineBuilder:
     ) -> None:
         if session is None:
             session = Session(registry=shared_registry())
-        self._pipe = InformationPipe(name)
+        self._pipe = Pipeline(name, session)
         self._session = session
-        # The default policy of every wrapper/query stage: an explicit
-        # builder policy wins, else the session's policy applies.
+        # The policy of every wrapper/query stage: an explicit builder
+        # policy wins, else the session's policy applies.
         self._resilience = resilience if resilience is not None else session.resilience
         self._previous: Optional[str] = None
-        self._sources: List[str] = []
-        # (stage name, program) for every wrapper/query stage, analyzed at
-        # build() time under the on_diagnostics policy.
-        self._programs: List[tuple] = []
+        self._has_source = False
 
     # ------------------------------------------------------------------
     # Internal plumbing
@@ -234,8 +114,7 @@ class PipelineBuilder:
         self._pipe._add(component)
         for upstream in inputs or ():
             self._pipe._connect(upstream, component.name)
-        if is_source:
-            self._sources.append(component.name)
+        self._has_source = self._has_source or is_source
         self._previous = component.name
         return self
 
@@ -257,14 +136,9 @@ class PipelineBuilder:
         fetcher: Fetcher,
         url: str,
         root_name: Optional[str] = None,
-        resilience: "Optional[ResiliencePolicy]" = None,
     ) -> "PipelineBuilder":
         """An Elog wrapper source (program text is parsed through the
-        session's memo; :meth:`build` applies the diagnostics policy).
-
-        ``resilience`` overrides the builder's default policy for this
-        stage.
-        """
+        session's memo; :meth:`build` applies the diagnostics policy)."""
         if isinstance(program, str):
             program = self._session._parsed_wrapper(program)
         component = WrapperComponent(
@@ -273,9 +147,9 @@ class PipelineBuilder:
             fetcher,
             url,
             root_name=root_name,
-            resilience=resilience if resilience is not None else self._resilience,
+            resilience=self._resilience,
         )
-        self._programs.append((name, program))
+        self._pipe._programs.append((name, program))
         return self._add_stage(component, None, is_source=True)
 
     def query(
@@ -284,23 +158,20 @@ class PipelineBuilder:
         program: "MonadicProgram",
         supplier: "Callable[[], Document]",
         root_name: Optional[str] = None,
-        resilience: "Optional[ResiliencePolicy]" = None,
     ) -> "PipelineBuilder":
-        """A monadic-datalog wrapper source over a document supplier.
-
-        ``resilience`` overrides the builder's default policy for this
-        stage (the supplier call is retried; failures can serve stale).
-        """
+        """A monadic-datalog wrapper source over a document supplier (under
+        a resilience policy the supplier call is retried; failures can
+        serve stale)."""
         component = DatalogQueryComponent(
             name,
             program,
             supplier,
             root_name=root_name,
-            resilience=resilience if resilience is not None else self._resilience,
+            resilience=self._resilience,
             options=self._session.options,
             registry=self._session.registry,
         )
-        self._programs.append((name, program))
+        self._pipe._programs.append((name, program))
         return self._add_stage(component, None, is_source=True)
 
     # ------------------------------------------------------------------
@@ -454,34 +325,29 @@ class PipelineBuilder:
         self._pipe._connect(source, target)
         return self
 
-    def build(self, *, on_diagnostics: Optional[str] = None) -> Pipeline:
-        """Validate the whole network and seal it into a :class:`Pipeline`.
+    def build(self) -> Pipeline:
+        """Validate the whole network and return the built :class:`Pipeline`.
 
         Besides the structural checks (stages exist, sources exist, the
         DAG is acyclic), every wrapper/query program added to the builder
-        runs through :mod:`repro.analysis` under ``on_diagnostics`` —
-        ``"warn"`` (default) emits a ``DiagnosticWarning`` per
-        error-severity finding, ``"strict"`` raises
-        :class:`~repro.analysis.diagnostics.AnalysisError`, ``"ignore"``
-        skips analysis.  The policy defaults to the session's
-        ``options.on_diagnostics``, and the reports come from its caches.
+        runs through :mod:`repro.analysis` under the session's
+        ``options.on_diagnostics`` — ``"warn"`` (default) emits a
+        ``DiagnosticWarning`` per error-severity finding, ``"strict"``
+        raises :class:`~repro.analysis.diagnostics.AnalysisError`,
+        ``"ignore"`` skips analysis.  The reports come from the session's
+        caches.
         """
-        if not self._pipe.components():
-            raise PipelineError(f"pipeline {self._pipe.name!r} has no stages")
-        if not self._sources:
+        pipe = self._pipe
+        if not pipe.components():
+            raise PipelineError(f"pipeline {pipe.name!r} has no stages")
+        if not self._has_source:
             raise PipelineError(
-                f"pipeline {self._pipe.name!r} has no source stage "
+                f"pipeline {pipe.name!r} has no source stage "
                 "(wrapper/query/source)"
             )
-        policy = on_diagnostics
-        if policy is None:
-            policy = self._session.options.on_diagnostics
-        if policy not in POLICIES:
-            raise PipelineError(
-                f"build(on_diagnostics={policy!r}): expected one of {POLICIES}"
-            )
+        policy = self._session.options.on_diagnostics
         if policy != "ignore":
-            for stage_name, program in self._programs:
+            for stage_name, program in pipe._programs:
                 apply_policy(
                     self._session.analyze(program),
                     policy,
@@ -489,5 +355,5 @@ class PipelineBuilder:
                 )
         # Raises on cycles; unreachable stages are impossible by
         # construction (every non-source stage was connected when added).
-        self._pipe._topological_order()
-        return Pipeline(self._pipe, session=self._session, programs=self._programs)
+        pipe._topological_order()
+        return pipe

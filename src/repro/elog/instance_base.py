@@ -13,7 +13,7 @@ predicates; the synthetic *document* instances are the roots.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..tree.document import Document
 from ..tree.node import Node
@@ -213,15 +213,13 @@ class PatternInstanceBase:
         self,
         root_name: str = "result",
         auxiliary: Iterable[str] = (),
-        label_for: Optional[Callable[[PatternInstance], str]] = None,
-        include_attributes: bool = False,
     ) -> XmlElement:
         """Render the instance base as XML (the XML Designer + Transformer).
 
         ``auxiliary`` patterns are skipped: their children are promoted to the
         nearest non-auxiliary ancestor, exactly like auxiliary predicates in
-        Section 2.1.  By default the pattern name is the element name; a leaf
-        instance carries its text.
+        Section 2.1.  The pattern name is the element name; a leaf instance
+        carries its text.
         """
         hidden = set(auxiliary) | {ROOT_PATTERN}
         output_root = XmlElement(root_name)
@@ -230,11 +228,7 @@ class PatternInstanceBase:
             if instance.pattern in hidden:
                 target = parent_element
             else:
-                name = label_for(instance) if label_for is not None else instance.pattern
-                target = parent_element.add(name)
-                if include_attributes and instance.node is not None:
-                    for key, value in instance.node.attributes.items():
-                        target.attributes[key] = value
+                target = parent_element.add(instance.pattern)
                 if not instance.children:
                     target.text = instance.text()
             for child in sorted(instance.children, key=by_anchor):

@@ -278,7 +278,8 @@ class MonadicTreeEvaluator:
         return self._evaluate_generic(document)
 
     def select(self, document: Document, predicate: str) -> List[Node]:
-        """The nodes selected by one unary predicate, in document order.
+        """The nodes selected by one unary predicate, in document order:
+        Section 2.1's information extraction function of that predicate.
 
         Any predicate the program derives is selectable — query predicates
         and auxiliary IDB predicates alike — mirroring

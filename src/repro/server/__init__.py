@@ -19,7 +19,7 @@ from .components import (
     XmlSourceComponent,
 )
 from .monitoring import ChangeDetector, ChangeGatedDeliverer, ChangeReport
-from .pipeline import InformationPipe, PipelineError, TransformationServer
+from .pipeline import Pipeline, PipelineError, TransformationServer
 
 __all__ = [
     "ChangeDetector",
@@ -32,9 +32,9 @@ __all__ = [
     "EmailDeliverer",
     "FilterComponent",
     "HtmlPortalDeliverer",
-    "InformationPipe",
     "IntegrationComponent",
     "JoinComponent",
+    "Pipeline",
     "PipelineError",
     "RenameComponent",
     "SmsDeliverer",

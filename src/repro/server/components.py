@@ -35,8 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 #: A revision no output has carried before (unique across the process).
-#: An information pipe runs a stage again only when a revision it consumes
-#: is new (see :meth:`repro.server.pipeline.InformationPipe.run`).
+#: A pipeline runs a stage again only when a revision it consumes is new
+#: (see :meth:`repro.server.pipeline.Pipeline.run`).
 fresh_revision = itertools.count(1).__next__
 
 

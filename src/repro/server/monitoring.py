@@ -15,56 +15,27 @@ Degraded documents — outputs a resilient component served from its
 last-good copy, marked ``stale="true"`` (see
 :class:`repro.server.components.WrapperComponent`) — are *not* observed:
 a stale snapshot carries no new information, so it must neither fire a
-delivery nor perturb the detector's baseline.  :func:`resilience_report`
-collects every component's failure accounting from a pipe or a whole
-server.
+delivery nor perturb the detector's baseline.
+:meth:`Pipeline.resilience_report <repro.server.pipeline.Pipeline.resilience_report>`
+and :meth:`TransformationServer.resilience_report
+<repro.server.pipeline.TransformationServer.resilience_report>` collect the
+components' failure accounting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..xmlgen.document import XmlElement
 # Not called here; kept importable because perfbench/layers.py wraps it.
 from ..xmlgen.serializer import to_compact_xml  # noqa: F401
 from .components import Component, DelivererComponent, Delivery
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..resilience.policy import ResilienceInfo
-
 
 def is_stale(document: XmlElement) -> bool:
     """Whether ``document`` is a degraded (served-stale) output."""
     return document.attributes.get("stale") == "true"
-
-
-def resilience_report(target: object) -> "Dict[str, ResilienceInfo]":
-    """Per-component failure accounting of a pipe or a whole server.
-
-    ``target`` is anything with ``components()`` (an
-    :class:`~repro.server.pipeline.InformationPipe`, a
-    :class:`~repro.api.pipeline.Pipeline`) or with ``pipes()``/``pipe()``
-    (a :class:`~repro.server.pipeline.TransformationServer`; keys are then
-    ``"pipe/component"``).  Components without a resilience policy are
-    omitted.
-    """
-    report: "Dict[str, ResilienceInfo]" = {}
-
-    def collect(prefix: str, components) -> None:
-        for component in components:
-            info_of = getattr(component, "resilience_info", None)
-            info = info_of() if info_of is not None else None
-            if info is not None:
-                report[prefix + component.name] = info
-
-    pipes = getattr(target, "pipes", None)
-    if pipes is not None and not hasattr(target, "components"):
-        for name in pipes():
-            collect(f"{name}/", target.pipe(name).components())
-    else:
-        collect("", target.components())
-    return report
 
 
 @dataclass

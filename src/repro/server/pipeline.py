@@ -7,10 +7,11 @@ wrapper and deliverer components) have the ability to activate themselves
 according to a user specified strategy and trigger the information processing
 on behalf of the user."
 
-:class:`InformationPipe` is a DAG of named components; running it activates
-the source components and pushes the resulting XML documents through the
-network in topological order.  :class:`TransformationServer` hosts several
-pipes, keeps per-source state for change detection, and simulates periodic
+:class:`Pipeline` is an information pipe: a DAG of named components;
+running it activates the source components and pushes the resulting XML
+documents through the network in topological order.  Pipelines are declared
+and validated with :meth:`Pipeline.builder` (see :mod:`repro.api.pipeline`).
+:class:`TransformationServer` hosts several pipelines and simulates periodic
 activation (the scheduler advances a logical clock instead of sleeping).
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from ..resilience.batch import check_on_error, run_tasks, settle
 from ..resilience.policy import ErrorResult
@@ -35,6 +36,11 @@ from .components import (
     fresh_revision,
 )
 from .monitoring import ChangeGatedDeliverer
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..api.pipeline import PipelineBuilder
+    from ..api.session import Session
+    from ..resilience.policy import ResilienceInfo, ResiliencePolicy
 
 #: The stages whose output depends on nothing but their inputs (filter
 #: predicates and sort keys count as functions of their record), matched
@@ -65,11 +71,16 @@ class PipelineError(ValueError):
     """Raised on malformed pipe definitions (cycles, unknown components)."""
 
 
-class InformationPipe:
-    """A DAG of components with XML hand-over along the edges."""
+class Pipeline:
+    """An information pipe: a DAG of components with XML hand-over along
+    the edges, as :meth:`builder` declared and validated it."""
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, session: "Optional[Session]" = None) -> None:
         self.name = name
+        # The builder's session and the (stage name, program) pairs of the
+        # wrapper/query stages, kept for explain().
+        self._session = session
+        self._programs: List[tuple] = []
         self._components: Dict[str, Component] = {}
         self._edges: Dict[str, List[str]] = defaultdict(list)   # component -> successors
         self._inputs: Dict[str, List[str]] = defaultdict(list)  # component -> predecessors
@@ -78,10 +89,26 @@ class InformationPipe:
         self._memo: Dict[str, _Memo] = {}  # cut-off stage -> its last completed run
         self.last_results: Dict[str, XmlElement] = {}
 
+    @staticmethod
+    def builder(
+        name: str = "pipeline",
+        session: "Optional[Session]" = None,
+        resilience: "Optional[ResiliencePolicy]" = None,
+    ) -> "PipelineBuilder":
+        """Start a declarative pipeline definition.
+
+        ``resilience`` becomes the policy of every wrapper/query stage; a
+        session-bound builder defaults to the session's policy.  Without a
+        ``session`` the builder binds ``Session(registry=shared_registry())``:
+        stock options, the process-wide plan registry, no policy.
+        """
+        from ..api.pipeline import PipelineBuilder
+
+        return PipelineBuilder(name, session=session, resilience=resilience)
+
     # -- construction ------------------------------------------------------
     #
-    # Pipes are assembled by the declarative, build-time validated
-    # ``repro.api.Pipeline.builder()`` through these underscore internals.
+    # The builder assembles a pipe through these underscore internals.
 
     def _add(self, component: Component) -> Component:
         if component.name in self._components:
@@ -98,17 +125,65 @@ class InformationPipe:
         self._inputs[target].append(source)
         self._order = None
 
+    # -- inspection --------------------------------------------------------
     def component(self, name: str) -> Component:
         return self._components[name]
 
     def components(self) -> List[Component]:
         return list(self._components.values())
 
-    def sources(self) -> List[str]:
-        return [name for name in self._components if not self._inputs.get(name)]
-
     def deliverers(self) -> List[DelivererComponent]:
-        return [c for c in self._components.values() if isinstance(c, DelivererComponent)]
+        """Every configured deliverer, including those behind change gates
+        (a :class:`ChangeGatedDeliverer` stage *is* the gate; the deliverer
+        it forwards to is what monitoring code wants to iterate)."""
+        found: List[DelivererComponent] = []
+        for component in self._components.values():
+            if isinstance(component, DelivererComponent):
+                found.append(component)
+            elif isinstance(component, ChangeGatedDeliverer):
+                found.append(component.inner)
+        return found
+
+    def resilience_report(self) -> "Dict[str, ResilienceInfo]":
+        """Per-component failure accounting (components without a
+        resilience policy are omitted)."""
+        report: "Dict[str, ResilienceInfo]" = {}
+        for name, component in self._components.items():
+            info_of = getattr(component, "resilience_info", None)
+            info = info_of() if info_of is not None else None
+            if info is not None:
+                report[name] = info
+        return report
+
+    def explain(self) -> "Dict[str, object]":
+        """Explain plans for every wrapper/query stage of this pipeline.
+
+        Returns ``{stage name: ExplainReport}`` in stage-definition order
+        (see :func:`repro.analysis.explain.explain`), answered from the
+        builder's session's analysis cache.  Elog wrappers are explained
+        through their monadic-datalog translation, so the report shows the
+        plans the engine would actually run.
+        """
+        return {
+            stage_name: self._session.explain(program)
+            for stage_name, program in self._programs
+        }
+
+    def serve(
+        self,
+        server: "Optional[TransformationServer]" = None,
+        period: int = 1,
+    ) -> "TransformationServer":
+        """Register on a :class:`TransformationServer` (created on demand)
+        with the given activation period; returns the server so callers can
+        drive its logical clock (``server.tick()``)."""
+        if server is None:
+            server = TransformationServer()
+        server.register(self, period=period)
+        return server
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Pipeline({self.name!r}, components={len(self._components)})"
 
     # -- execution -----------------------------------------------------------
     def _topological_order(self) -> List[str]:
@@ -189,9 +264,9 @@ class InformationPipe:
 
 @dataclass
 class ScheduledPipe:
-    """A pipe plus its activation strategy (every ``period`` ticks)."""
+    """A pipeline plus its activation strategy (every ``period`` ticks)."""
 
-    pipe: InformationPipe
+    pipeline: Pipeline
     period: int = 1
     next_activation: int = 0
 
@@ -202,7 +277,7 @@ RUN_LOG_SIZE = 1024
 
 
 class TransformationServer:
-    """A container hosting several information pipes.
+    """A container hosting several pipelines (information pipes).
 
     The server advances a logical clock; on every :meth:`tick`, pipes whose
     activation period has elapsed are run.  This models the periodic refresh
@@ -218,14 +293,11 @@ class TransformationServer:
         self.run_log: Deque[Tuple[int, str]] = deque(maxlen=RUN_LOG_SIZE)
 
     # -- registration ------------------------------------------------------
-    def register(self, pipe: InformationPipe, period: int = 1) -> InformationPipe:
-        if pipe.name in self._pipes:
-            raise PipelineError(f"duplicate pipe name {pipe.name!r}")
-        self._pipes[pipe.name] = ScheduledPipe(pipe=pipe, period=max(1, period))
-        return pipe
-
-    def pipe(self, name: str) -> InformationPipe:
-        return self._pipes[name].pipe
+    def register(self, pipeline: Pipeline, period: int = 1) -> Pipeline:
+        if pipeline.name in self._pipes:
+            raise PipelineError(f"duplicate pipe name {pipeline.name!r}")
+        self._pipes[pipeline.name] = ScheduledPipe(pipeline, period=max(1, period))
+        return pipeline
 
     def pipes(self) -> List[str]:
         return sorted(self._pipes)
@@ -237,7 +309,7 @@ class TransformationServer:
         for _ in range(steps):
             for name, scheduled in self._pipes.items():
                 if self.clock >= scheduled.next_activation:
-                    scheduled.pipe.run()
+                    scheduled.pipeline.run()
                     scheduled.next_activation = self.clock + scheduled.period
                     self.run_log.append((self.clock, name))
                     ran.append(name)
@@ -273,7 +345,7 @@ class TransformationServer:
             self._activated(name)
             return ErrorResult.from_exception(error, url=f"pipe:{name}", backend="pipe")
 
-        outcomes = run_tasks((None, self._pipes[name].pipe.run) for name in names)
+        outcomes = run_tasks((None, self._pipes[name].pipeline.run) for name in names)
         slots = settle(activated(outcomes), on_error, isolate)
         return {names[index]: slot for index, slot in slots.items()}
 
@@ -284,11 +356,12 @@ class TransformationServer:
         self.run_log.append((self.clock, name))
 
     # -- monitoring ----------------------------------------------------------
-    def resilience_report(self):
-        """Per-component failure accounting across every hosted pipe
-        (``"pipe/component"`` keys; see
-        :func:`repro.server.monitoring.resilience_report`)."""
-        from .monitoring import resilience_report
-
-        return resilience_report(self)
+    def resilience_report(self) -> "Dict[str, ResilienceInfo]":
+        """Per-component failure accounting across every hosted pipeline
+        (``"pipe/component"`` keys; see :meth:`Pipeline.resilience_report`)."""
+        return {
+            f"{name}/{component}": info
+            for name in self.pipes()
+            for component, info in self._pipes[name].pipeline.resilience_report().items()
+        }
 

@@ -14,7 +14,6 @@ from repro.api import Pipeline
 from repro.datalog.parser import parse_program
 from repro.elog.parser import parse_elog
 from repro.mdatalog import MonadicProgram
-from repro.server.pipeline import PipelineError
 from repro.web.fetcher import SimulatedWeb
 
 CLEAN_TEXT = """
@@ -194,25 +193,6 @@ def test_pipeline_build_warns_by_default():
         builder.build()
 
 
-def test_pipeline_build_strict_raises():
-    builder = _bad_wrapper_builder()
-    with pytest.raises(AnalysisError, match="E00"):
-        builder.build(on_diagnostics="strict")
-
-
-def test_pipeline_build_ignore_skips_analysis():
-    builder = _bad_wrapper_builder()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DiagnosticWarning)
-        builder.build(on_diagnostics="ignore")
-
-
-def test_pipeline_build_rejects_unknown_policies():
-    builder = _bad_wrapper_builder()
-    with pytest.raises(PipelineError, match="on_diagnostics"):
-        builder.build(on_diagnostics="panic")
-
-
 def _session_bound_bad_wrapper_builder(policy):
     web = SimulatedWeb()
     web.publish("site.test/", "<html><body></body></html>")
@@ -224,7 +204,14 @@ def _session_bound_bad_wrapper_builder(policy):
 def test_session_bound_builder_inherits_the_session_policy():
     # wrapper() only parses; build() applies the session's policy.
     builder = _session_bound_bad_wrapper_builder("strict")
-    with pytest.raises(AnalysisError):
+    with pytest.raises(AnalysisError, match="E00"):
+        builder.build()
+
+
+def test_pipeline_build_ignore_skips_analysis():
+    builder = _session_bound_bad_wrapper_builder("ignore")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DiagnosticWarning)
         builder.build()
 
 
@@ -237,9 +224,3 @@ def test_session_bound_builder_warns_once_per_finding():
     raised = [w for w in caught if issubclass(w.category, DiagnosticWarning)]
     assert len(raised) == len(findings)
 
-
-def test_build_policy_overrides_a_strict_session():
-    builder = _session_bound_bad_wrapper_builder("strict")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DiagnosticWarning)
-        builder.build(on_diagnostics="ignore")

@@ -3,7 +3,7 @@
 The per-constructor tuning kwargs (``use_index=``, ``cache_size=``,
 ``share_interpreter=``, ...) are gone: passing one raises an ordinary
 :class:`TypeError`, and tuning goes through ``options=EngineOptions(...)``.
-The imperative ``InformationPipe.add/connect/chain`` wiring is gone too:
+The imperative ``add/connect/chain`` wiring of a pipe is gone too:
 pipelines are declared with ``Pipeline.builder()``.  So is the worker-process
 scale-out (``workers=`` on the session batch paths, ``run_all(distrib=)``,
 ``build(distributable=)``): batch parallelism is threads via
@@ -25,7 +25,6 @@ from repro.elog import parse_elog
 from repro.mdatalog import MonadicProgram, MonadicTreeEvaluator
 from repro.server import (
     DatalogQueryComponent,
-    InformationPipe,
     TransformationServer,
     WrapperComponent,
 )
@@ -105,6 +104,6 @@ def test_removed_tuning_kwargs_raise_type_error(constructor, doc):
 
 
 def test_imperative_pipe_wiring_is_removed():
-    pipe = InformationPipe("legacy")
+    pipe = Pipeline("legacy")
     for method in ("add", "connect", "chain"):
         assert not hasattr(pipe, method), method

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Pipeline, Session
+from repro import Pipeline, ResiliencePolicy, Session
 from repro.api import (
     ChangeDetector,
     EmailDeliverer,
@@ -12,12 +12,14 @@ from repro.api import (
     TransformationServer,
     XmlDeliverer,
 )
+from repro.mdatalog import MonadicProgram
 from repro.server import (
     FilterComponent,
-    InformationPipe,
     IntegrationComponent,
     XmlSourceComponent,
 )
+from repro.tree import tree
+from repro.web import SimulatedWeb
 from repro.xmlgen import XmlElement
 
 
@@ -49,7 +51,7 @@ def test_linear_pipeline_builds_and_runs():
 def test_builder_matches_the_imperative_wiring():
     def build_imperative():
         # The raw DAG, wired through the pipe's internals.
-        pipe = InformationPipe("legacy")
+        pipe = Pipeline("legacy")
         pipe._add(XmlSourceComponent("a", lambda: records("a", 1, 2)))
         pipe._add(XmlSourceComponent("b", lambda: records("b", 3)))
         pipe._add(IntegrationComponent("merge", root_name="all"))
@@ -195,3 +197,54 @@ def test_session_bound_builder_shares_session_state():
     assert isinstance(builder, type(Pipeline.builder()))
     pipeline = builder.source("src", lambda: records("r", 1)).build()
     assert pipeline.run()["src"].name == "r"
+
+
+# ---------------------------------------------------------------------------
+# Where a wrapper/query stage gets its resilience policy
+# ---------------------------------------------------------------------------
+
+BUILDER_POLICY = ResiliencePolicy(breaker_threshold=2)
+SESSION_POLICY = ResiliencePolicy(breaker_threshold=3)
+
+
+def _add_policy_stage(builder, stage):
+    if stage == "wrapper":
+        web = SimulatedWeb()
+        web.publish("shop.test/", "<html><body><table><tr><td>x</td></tr></table></body></html>")
+        return builder.wrapper("src", "offer(S, X) <- document(_, S), subelem(S, ?.tr, X)",
+                               web, "shop.test/")
+    document = tree(("doc", ("i",), ("b",)))
+    return builder.query("src", MonadicProgram.parse("italic(X) :- label_i(X)."),
+                         lambda: document)
+
+
+@pytest.mark.parametrize("stage", ["wrapper", "query"])
+@pytest.mark.parametrize(
+    "builder_policy, session_policy, expected",
+    [
+        (BUILDER_POLICY, SESSION_POLICY, BUILDER_POLICY),
+        (BUILDER_POLICY, None, BUILDER_POLICY),
+        (None, SESSION_POLICY, SESSION_POLICY),
+        (None, None, None),
+    ],
+    ids=["builder-over-session", "builder", "session", "none"],
+)
+def test_a_stage_takes_the_builder_policy_else_the_session_policy(
+    stage, builder_policy, session_policy, expected
+):
+    builder = Pipeline.builder(
+        "p", session=Session(resilience=session_policy), resilience=builder_policy
+    )
+    pipeline = _add_policy_stage(builder, stage).build()
+    assert pipeline.component("src").resilience is expected
+
+
+def test_register_and_serve_register_the_built_pipeline_itself():
+    registered = Pipeline.builder("a").source("src", lambda: records("r", 1)).build()
+    served = Pipeline.builder("b").source("src", lambda: records("r", 2)).build()
+    server = TransformationServer()
+    assert server.register(registered) is registered
+    assert served.serve(server) is server
+    results = server.run_all()
+    assert results["a"] is registered.last_results
+    assert results["b"] is served.last_results

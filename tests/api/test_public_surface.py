@@ -75,7 +75,6 @@ PUBLIC_SURFACE = {
         "infer_backend",
         "parse_elog",
         "register_backend",
-        "resilience_report",
     ],
 }
 

@@ -99,7 +99,7 @@ def test_flight_monitor_sends_sms_only_on_change():
         .build()
     )
     server = TransformationServer()
-    server.register(pipeline.pipe)
+    server.register(pipeline)
     server.tick(2)
     assert sms.deliveries == []
     web.publish(url, departures_page("Vienna", advance_statuses(flights, {watched: "cancelled"})))

@@ -436,10 +436,6 @@ ALLOWED_UNREFERENCED = {
         "static-analysis users filter a report down to one rule id of the "
         "docs/ANALYSIS.md catalog"
     ),
-    "repro/api/pipeline.py:Pipeline.deliverers": (
-        "Section 5 pipeline users list every deliverer, the gated ones "
-        "included, to read what each sent"
-    ),
     "repro/api/pipeline.py:PipelineBuilder.connect": (
         "Section 5 pipeline users add a fan-out edge between two stages "
         "already declared"
@@ -511,10 +507,6 @@ ALLOWED_UNREFERENCED = {
         "Example 2.1 of the paper: the monadic program selecting the nodes "
         "rendered in italics"
     ),
-    "repro/mdatalog/queries.py:extraction_functions": (
-        "Section 2.1: the information extraction functions a monadic "
-        "program defines, one per query predicate"
-    ),
     "repro/mdatalog/wrap.py:wrap_tree": (
         "Section 2.1: the output tree of a wrapper, built over the nodes "
         "its predicates select"
@@ -547,9 +539,9 @@ ALLOWED_UNREFERENCED = {
         "server operators ask whether a host's circuit breaker is closed, "
         "open or half-open"
     ),
-    "repro/server/pipeline.py:InformationPipe.deliverers": (
-        "Section 5 pipe users list the deliverer components of one "
-        "information pipe"
+    "repro/server/pipeline.py:Pipeline.deliverers": (
+        "Section 5 pipeline users list every deliverer, the gated ones "
+        "included, to read what each sent"
     ),
     "repro/server/pipeline.py:TransformationServer.run_all": (
         "Section 5: the Transformation Server runs every registered pipe "

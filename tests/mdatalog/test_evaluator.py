@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
+from repro import Session
 from repro.datalog import EngineOptions, tree_database
-from repro.mdatalog import (
-    InformationExtractionFunction,
-    MonadicProgram,
-    MonadicTreeEvaluator,
-    extraction_functions,
-)
+from repro.mdatalog import MonadicProgram, MonadicTreeEvaluator
 from repro.tree import random_tree, tree
 from tests.datalog import oracle
 
@@ -75,27 +71,17 @@ def test_lastchild_relation_supported():
 
 
 def test_information_extraction_function_interface(figure1):
+    # Section 2.1: each query predicate is an information extraction
+    # function, from a tree to its selected nodes in document order.
     program = MonadicProgram.parse(
         "leafnode(X) :- leaf(X). rootnode(X) :- root(X).",
     )
-    functions = extraction_functions(program)
-    assert set(functions) == {"leafnode", "rootnode"}
-    leaf_query = functions["leafnode"]
-    assert isinstance(leaf_query, InformationExtractionFunction)
-    assert {n.label for n in leaf_query(figure1)} == {"n2", "n4", "n5", "n6"}
-    assert [n.preorder_index for n in functions["rootnode"](figure1)] == [0]
-
-
-def test_information_extraction_function_rejects_auxiliary():
-    program = MonadicProgram.parse(
-        "a(X) :- leaf(X). b(X) :- a(X).", query_predicates=["b"]
-    )
-    try:
-        InformationExtractionFunction(program, "a")
-    except ValueError:
-        pass
-    else:  # pragma: no cover
-        raise AssertionError("expected ValueError for auxiliary predicate")
+    assert program.query_predicates == {"leafnode", "rootnode"}
+    result = Session().query(program, figure1)
+    leaves = result.nodes("leafnode")
+    assert {n.label for n in leaves} == {"n2", "n4", "n5", "n6"}
+    assert [n.preorder_index for n in leaves] == sorted(n.preorder_index for n in leaves)
+    assert [n.preorder_index for n in result.nodes("rootnode")] == [0]
 
 
 def test_generic_path_matches_the_oracle():

@@ -210,7 +210,7 @@ def test_monitored_pipe_serves_stale_through_a_chaos_outage():
         .build()
     )
     server = TransformationServer()
-    server.register(pipeline.pipe)
+    server.register(pipeline)
 
     first = server.run_all()["monitor"]
     assert not is_stale(first["status"])

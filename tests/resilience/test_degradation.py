@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ResiliencePolicy, Session
-from repro.api import ChangeDetector, SmsDeliverer, resilience_report
+from repro.api import ChangeDetector, SmsDeliverer
 from repro.elog.parser import parse_elog
 from repro.mdatalog import MonadicProgram
 from repro.resilience import FaultPlan, FetchError, RetryPolicy, TransientFetchError
@@ -226,13 +226,13 @@ def test_resilience_report_across_a_whole_server(web):
         "books", PROGRAM, web, URL
     ).build()
     server = TransformationServer()
-    server.register(resilient.pipe)
-    server.register(plain.pipe)
+    server.register(resilient)
+    server.register(plain)
     server.run_all()
     report = server.resilience_report()
     assert set(report) == {"res/books"}  # policy-less components are omitted
     assert report["res/books"].attempts == 1
-    assert resilience_report(resilient) == {"books": report["res/books"]}
+    assert resilient.resilience_report() == {"books": report["res/books"]}
 
 
 def test_is_stale_reads_the_marker_only():

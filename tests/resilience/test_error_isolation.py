@@ -240,8 +240,8 @@ def _server(web):
         "books", WRAPPER, web, "vanished.test/page"
     ).build()
     server = TransformationServer()
-    server.register(good.pipe)
-    server.register(bad.pipe)
+    server.register(good)
+    server.register(bad)
     return server
 
 

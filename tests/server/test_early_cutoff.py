@@ -1,6 +1,6 @@
 """Early cutoff in the information pipe.
 
-Every output in an :class:`~repro.server.pipeline.InformationPipe` run
+Every output in a :class:`~repro.server.pipeline.Pipeline` run
 carries a revision.  A traced :class:`WrapperComponent` keeps its revision
 while its pages are unchanged; an integrate, join, filter, sort, rename or
 change-gate stage whose input revisions equal those of its last completed
@@ -89,7 +89,7 @@ def stamp(document: XmlElement) -> XmlElement:
     return document
 
 
-def build(name: str, add_source: Callable[[object, str], object]):
+def build(name: str, add_source: Callable[[object, str], object], resilience=None):
     """The three DAGs of the differential test in one pipeline.
 
     * three shops -> integrate -> change gate;
@@ -97,7 +97,7 @@ def build(name: str, add_source: Callable[[object, str], object]):
     * solo shop -> integrate -> in-place transform -> ungated deliverer;
     * board -> change gate, which sees the board's stale serves.
     """
-    builder = Pipeline.builder(name)
+    builder = Pipeline.builder(name, resilience=resilience)
     for source in WRAPPERS:
         add_source(builder, source)
     return (
@@ -203,8 +203,8 @@ def test_cut_off_ticks_match_fresh_extraction_over_a_fault_free_mirror():
     fresh_suppliers = FreshSuppliers(mirror)
     traced = build(
         "traced",
-        lambda builder, name: builder.wrapper(name, WRAPPERS[name][0], web,
-                                              WRAPPERS[name][1], resilience=POLICY),
+        lambda builder, name: builder.wrapper(name, WRAPPERS[name][0], web, WRAPPERS[name][1]),
+        resilience=POLICY,
     )
     fresh = build(
         "fresh", lambda builder, name: builder.source(name, fresh_suppliers.supplier(name))
@@ -239,7 +239,7 @@ def test_cut_off_ticks_match_fresh_extraction_over_a_fault_free_mirror():
             # A DAG edit: the solo shop joins the market.  The integrate
             # (and the gate behind it) must run on the new input list.
             for pipeline in (traced, fresh):
-                pipeline.pipe._connect("solo", "market")
+                pipeline._connect("solo", "market")
             before = runs["market"], runs["market_gate"]
         traced.run()
         fresh.run()
@@ -385,7 +385,7 @@ def test_a_new_edge_re_runs_the_stages_it_feeds(web):
     pipeline.run()
     pipeline.run()
     assert runs == {"all": 1, "gate": 1}
-    pipeline.pipe._connect("more", "all")
+    pipeline._connect("more", "all")
     results = pipeline.run()
     assert runs == {"all": 2, "gate": 2}
     assert [document.name for document in results["all"].children] == ["books", "more"]

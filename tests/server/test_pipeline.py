@@ -15,7 +15,6 @@ from repro.server import (
     ChangeGatedDeliverer,
     DatalogQueryComponent,
     FilterComponent,
-    InformationPipe,
     IntegrationComponent,
     JoinComponent,
     PipelineError,
@@ -65,7 +64,7 @@ def test_pipe_topological_execution_and_results():
 def test_pipe_rejects_cycles_and_duplicates():
     # The raw DAG, wired through the internals: the builder would already
     # reject the cycle at build time.
-    pipe = InformationPipe("p")
+    pipe = Pipeline("p")
     pipe._add(XmlSourceComponent("a", lambda: XmlElement("x")))
     pipe._add(TransformerComponent("b", lambda d: d))
     pipe._connect("a", "b")
@@ -255,8 +254,8 @@ def test_transformation_server_scheduling():
         counter["runs"] += 1
         return XmlElement("tickdoc")
 
-    fast = Pipeline.builder("fast").source("s", supply).build().pipe
-    slow = Pipeline.builder("slow").source("s", supply).build().pipe
+    fast = Pipeline.builder("fast").source("s", supply).build()
+    slow = Pipeline.builder("slow").source("s", supply).build()
 
     server = TransformationServer()
     server.register(fast, period=1)
@@ -278,7 +277,7 @@ def test_run_all_goes_through_scheduler_bookkeeping():
         counter["runs"] += 1
         return XmlElement("doc")
 
-    pipe = Pipeline.builder("p").source("s", supply).build().pipe
+    pipe = Pipeline.builder("p").source("s", supply).build()
     server = TransformationServer()
     server.register(pipe, period=2)
 

@@ -1,6 +1,6 @@
 """Read-only shared hand-over in the information pipe.
 
-Inside :meth:`~repro.server.pipeline.InformationPipe.run` a wrapper hands
+Inside :meth:`~repro.server.pipeline.Pipeline.run` a wrapper hands
 over its stored output itself, and the integrate, join, filter and sort
 stages link their input elements into their outputs instead of copying
 them.  Only a stage that may mutate its input (a transform, a deliverer, a
